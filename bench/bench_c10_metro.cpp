@@ -7,25 +7,22 @@
 // where structure changes — attach waves in cohort batches, bulk traffic
 // as flow trains (O(rate changes), not O(packets)), and a calendar queue
 // that schedules/pops in O(1). The sweep runs the same scenario at 1, 2,
-// and 4 shards, verifies IN PROCESS that the merged metrics are
+// and 4 shards, verifies IN PROCESS that every merged artifact is
 // byte-identical and the event totals equal, and records the engine
 // throughput (events/sec) the CI perf gate compares against
 // bench/baselines/BENCH_c10_metro.json. With --shards=N
-// [--par-artifacts=PREFIX] it instead runs one configuration and dumps
-// its artifacts — the par-determinism drive mode.
-#include <chrono>
+// --par-artifacts=PREFIX it instead runs one configuration and dumps
+// its artifact set (par_bench.h) — the par-determinism drive mode.
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "bench_harness.h"
 #include "common/table.h"
-#include "obs/audit_export.h"
-#include "obs/prof.h"
-#include "obs/prof_export.h"
 #include "par/metro.h"
+#include "par_bench.h"
 
 namespace {
 using namespace dlte;
@@ -78,151 +75,71 @@ par::MetroConfig metro_config(const C10Options& opt, std::size_t shards,
   return cfg;
 }
 
-struct RunOutput {
-  par::MetroResult result;
-  std::string metrics;
-  std::string series;
-  // Deterministic event-attribution section (dlte-prof-v1), merged
-  // across shards — byte-compared like the metrics snapshot.
-  std::string prof;
-  // Partition-invariant merged audit section (dlte-audit-v1).
-  std::string audit;
-  obs::ProfileDoc doc;
-  obs::AuditDoc audit_doc;
-  double wall_s{0.0};
-};
-
-RunOutput run_once(const C10Options& opt, std::size_t shards,
-                   std::size_t threads, dlte::bench::Harness* harness) {
-  par::MetroScenario metro{metro_config(opt, shards, threads)};
-  if (harness != nullptr) {
-    metro.runtime().set_metrics(
-        &harness->metrics(), "c10.s" + std::to_string(shards) + ".");
-  }
-  const auto start = std::chrono::steady_clock::now();
-  RunOutput out;
-  out.result = metro.run();
-  out.wall_s = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start)
-                   .count();
-  out.metrics = metro.metrics_json();
-  out.series = metro.series_json("c10_metro");
-  metro.runtime().merged_profiler_into(out.doc.attribution);
-  out.doc.shard_profile = metro.runtime().profile();
-  out.prof = obs::ProfExporter::event_attribution_json(out.doc.attribution);
-  out.audit_doc = metro.runtime().audit_doc();
-  out.audit = obs::AuditExporter::merged_json(out.audit_doc);
-  return out;
-}
-
-bool write_text(const std::string& path, const std::string& text) {
-  std::ofstream f{path, std::ios::binary | std::ios::trunc};
-  f << text;
-  return static_cast<bool>(f);
-}
 }  // namespace
 
 int main(int argc, char** argv) {
   dlte::bench::Harness harness{"c10_metro"};
   harness.parse_args(argc, argv);
   const C10Options opt = parse_options(argc, argv);
+  dlte::bench::ParBench par_bench{harness, "c10"};
 
-  // Gate mode: one configuration, artifacts to files, no sweep.
-  if (!harness.par_artifacts().empty()) {
-    const std::size_t shards = harness.shards() == 0 ? 1 : harness.shards();
-    RunOutput out = run_once(opt, shards, harness.par_threads(), &harness);
-    harness.add_sim_seconds(out.result.sim_seconds);
-    harness.timing("run_s" + std::to_string(shards), out.wall_s);
-    harness.throughput(out.result.events_executed, out.wall_s);
-    const std::string& prefix = harness.par_artifacts();
-    bool ok = write_text(prefix + ".metrics.json", out.metrics);
-    ok = write_text(prefix + ".series.json", out.series) && ok;
-    // The deterministic attribution section is a compared artifact; the
-    // full doc (wall-clock shard profile included) goes through
-    // --prof-out, which is excluded from byte comparison.
-    ok = write_text(prefix + ".prof.json", out.prof + "\n") && ok;
-    ok = write_text(prefix + ".audit.json",
-                    obs::AuditExporter::to_json(out.audit_doc, "c10_metro") +
-                        "\n") &&
-         ok;
-    harness.set_profile(std::move(out.doc));
-    harness.set_audit(std::move(out.audit_doc));
-    std::cout << "C10 gate mode: shards=" << shards
-              << " ues=" << out.result.ues_attached
-              << " events=" << out.result.events_executed
-              << " artifacts=" << prefix << ".*\n";
-    if (!ok) std::cerr << "c10: failed to write artifacts\n";
-    return harness.finish(ok ? 0 : 1);
+  std::vector<par::MetroResult> results;
+  const auto run = [&](std::size_t shards, std::size_t threads) {
+    par::MetroScenario metro{metro_config(opt, shards, threads)};
+    return par_bench.measure(metro.runtime(),
+                             [&] { results.push_back(metro.run()); });
+  };
+  TextTable t{{"shards", "ues", "flows", "events", "Mev/s", "wall",
+               "speedup", "identical"}};
+  const auto report = [&](const dlte::bench::ParRun& out, bool identical,
+                          double speedup) {
+    const par::MetroResult& r = results.back();
+    const std::string prefix = "c10.s" + std::to_string(out.shards) + ".";
+    harness.counter(prefix + "ues_attached", r.ues_attached);
+    harness.counter(prefix + "flows_completed", r.flows_completed);
+    harness.counter(prefix + "reports_rx", r.reports_rx);
+    harness.counter(prefix + "events", r.events_executed);
+    t.row()
+        .integer(static_cast<int>(out.shards))
+        .integer(static_cast<int>(r.ues_attached))
+        .integer(static_cast<int>(r.flows_completed))
+        .integer(static_cast<int>(r.events_executed))
+        .num(r.events_executed / out.wall_s / 1e6, 2)
+        .num(out.wall_s * 1000.0, 1, "ms")
+        .num(speedup, 2, "x")
+        .add(identical ? "yes" : "NO");
+  };
+
+  if (par_bench.gate_mode()) {
+    const int rc = par_bench.gate(run, report);
+    t.print(std::cout);
+    return harness.finish(rc);
   }
 
   print_bench_header(std::cout, "C10", "paper §1/§5, metro scale",
                      "a metro of cheap dLTE cells is cheap to simulate "
                      "too: ~1M UEs across ~10k APs in seconds, because "
                      "events track structure, not packets");
-
-  TextTable t{{"shards", "ues", "flows", "events", "Mev/s", "wall",
-               "speedup", "identical"}};
-  RunOutput base;
-  bool ok = true;
-  for (const std::size_t shards : {1u, 2u, 4u}) {
-    RunOutput out = run_once(opt, shards, shards, &harness);
-    harness.add_sim_seconds(out.result.sim_seconds);
-    harness.timing("run_s" + std::to_string(shards), out.wall_s);
-    harness.throughput(out.result.events_executed, out.wall_s);
-    bool identical = true;
-    if (shards == 1) {
-      // Export the merged attribution once (1-shard run): prof.* counters
-      // are deterministic, so they belong in the compared "metrics".
-      out.doc.attribution.export_metrics(harness.metrics());
-      base = out;
-    } else {
-      identical = out.metrics == base.metrics &&
-                  out.result.events_executed == base.result.events_executed &&
-                  out.prof == base.prof &&
-                  out.audit == base.audit;
-      ok = ok && identical;
-      harness.timing("speedup_s" + std::to_string(shards),
-                     base.wall_s / out.wall_s);
-    }
-    // Last doc wins: --prof-out carries the widest partition's shard
-    // profile (the interesting load matrix) with identical attribution.
-    harness.set_profile(std::move(out.doc));
-    harness.set_audit(std::move(out.audit_doc));
-    const std::string prefix = "c10.s" + std::to_string(shards) + ".";
-    harness.counter(prefix + "ues_attached", out.result.ues_attached);
-    harness.counter(prefix + "flows_completed", out.result.flows_completed);
-    harness.counter(prefix + "reports_rx", out.result.reports_rx);
-    harness.counter(prefix + "events", out.result.events_executed);
-    harness.counter(prefix + "identical", identical ? 1 : 0);
-    t.row()
-        .integer(static_cast<int>(shards))
-        .integer(static_cast<int>(out.result.ues_attached))
-        .integer(static_cast<int>(out.result.flows_completed))
-        .integer(static_cast<int>(out.result.events_executed))
-        .num(out.result.events_executed / out.wall_s / 1e6, 2)
-        .num(out.wall_s * 1000.0, 1, "ms")
-        .num(shards == 1 ? 1.0 : base.wall_s / out.wall_s, 2, "x")
-        .add(identical ? "yes" : "NO");
-  }
+  const int rc = par_bench.sweep(run, report);
   t.print(std::cout);
 
   // Deterministic per-UE delivery check: every attached UE pulled its
   // configured volume.
+  const par::MetroResult& base = results.front();
   const double bytes_per_ue =
-      base.result.ues_attached == 0
+      base.ues_attached == 0
           ? 0.0
-          : static_cast<double>(base.result.bytes_delivered) /
-                static_cast<double>(base.result.ues_attached);
+          : static_cast<double>(base.bytes_delivered) /
+                static_cast<double>(base.ues_attached);
   harness.gauge("c10.bytes_per_ue", bytes_per_ue);
   harness.gauge("c10.aps", static_cast<double>(opt.aps));
 
-  std::cout << "\nEvery sharded run's merged metrics, merged "
-               "event-attribution profiles, AND merged audit digests are "
+  std::cout << "\nEvery sharded run's merged metrics, series, OpenMetrics, "
+               "event-attribution profile, AND merged audit digests are "
                "byte-compared against the 1-shard run in-process; event "
                "totals are partition-invariant by construction.\n"
             << "bytes_per_ue=" << bytes_per_ue
             << " (config: " << opt.aps << " APs x " << opt.ues_per_ap
             << " UEs)\n";
-  if (!ok) std::cerr << "c10: sharded runs diverged from the 1-shard run\n";
-  return harness.finish(ok ? 0 : 1);
+  return harness.finish(rc);
 }

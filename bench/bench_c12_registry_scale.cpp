@@ -13,15 +13,15 @@
 //      heartbeat batches across the par runtime while one zone's
 //      registrar dies for longer than the heartbeat grace. The sweep
 //      runs 1/2/4 shards and byte-compares merged metrics, series
-//      (with the churn SLO alert timeline), openmetrics, and the audit
-//      merged section IN PROCESS. With --shards=N
-//      [--par-artifacts=PREFIX] it runs one configuration and dumps the
-//      artifacts — the par-determinism / health-gate drive mode.
+//      (with the churn SLO alert timeline), openmetrics, the
+//      event-attribution profile, and the audit merged section IN
+//      PROCESS. With --shards=N --par-artifacts=PREFIX it runs only the
+//      storm at one configuration and dumps its artifact set
+//      (par_bench.h) — the par-determinism / health-gate drive mode.
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
@@ -29,8 +29,8 @@
 
 #include "bench_harness.h"
 #include "common/table.h"
-#include "obs/audit_export.h"
 #include "par/registry_plane.h"
+#include "par_bench.h"
 #include "spectrum/chain.h"
 #include "spectrum/registry.h"
 
@@ -208,43 +208,11 @@ par::RegistryPlaneConfig storm_config(const C12Options& opt,
   cfg.shards = shards;
   cfg.threads = threads;
   cfg.horizon = Duration::seconds(opt.horizon_s);
+  // Always profile and audit, like C9/C10: both merged sections are
+  // deterministic and byte-compared across shard counts.
+  cfg.profile = true;
   cfg.audit = true;
   return cfg;
-}
-
-struct StormOutput {
-  par::RegistryPlaneResult result;
-  std::string metrics;
-  std::string series;
-  std::string openmetrics;
-  std::string audit_merged;
-  obs::AuditDoc audit_doc;
-  double wall_s{0.0};
-};
-
-StormOutput run_storm(const C12Options& opt, std::size_t shards,
-                      std::size_t threads, dlte::bench::Harness* harness) {
-  par::RegistryPlaneScenario plane{storm_config(opt, shards, threads)};
-  if (harness != nullptr) {
-    plane.runtime().set_metrics(
-        &harness->metrics(), "c12.s" + std::to_string(shards) + ".");
-  }
-  const auto start = std::chrono::steady_clock::now();
-  StormOutput out;
-  out.result = plane.run();
-  out.wall_s = wall_seconds_since(start);
-  out.metrics = plane.metrics_json();
-  out.series = plane.series_json("c12_registry_scale");
-  out.openmetrics = plane.openmetrics_text();
-  out.audit_doc = plane.runtime().audit_doc();
-  out.audit_merged = obs::AuditExporter::merged_json(out.audit_doc);
-  return out;
-}
-
-bool write_text(const std::string& path, const std::string& text) {
-  std::ofstream f{path, std::ios::binary | std::ios::trunc};
-  f << text;
-  return static_cast<bool>(f);
 }
 
 void record_storm(dlte::bench::Harness& harness, const std::string& prefix,
@@ -274,33 +242,43 @@ int main(int argc, char** argv) {
   dlte::bench::Harness harness{"c12_registry_scale"};
   harness.parse_args(argc, argv);
   const C12Options opt = parse_options(argc, argv);
+  dlte::bench::ParBench par_bench{harness, "c12"};
 
-  // Gate mode: one churn-storm configuration, artifacts to files.
-  if (!harness.par_artifacts().empty()) {
-    const std::size_t shards = harness.shards() == 0 ? 1 : harness.shards();
-    StormOutput out = run_storm(opt, shards, harness.par_threads(), &harness);
-    harness.add_sim_seconds(out.result.sim_seconds);
-    harness.timing("storm_s" + std::to_string(shards), out.wall_s);
-    harness.throughput(out.result.events_executed, out.wall_s);
-    record_storm(harness, "c12.storm.", out.result);
-    const std::string& prefix = harness.par_artifacts();
-    bool ok = write_text(prefix + ".metrics.json", out.metrics);
-    ok = write_text(prefix + ".series.json", out.series) && ok;
-    ok = write_text(prefix + ".openmetrics.txt", out.openmetrics) && ok;
-    ok = write_text(prefix + ".audit.json",
-                    obs::AuditExporter::to_json(out.audit_doc,
-                                                "c12_registry_scale") +
-                        "\n") &&
-         ok;
-    harness.set_audit(std::move(out.audit_doc));
-    std::cout << "C12 gate mode: shards=" << shards
-              << " leases=" << out.result.leases_held
-              << " lapsed=" << out.result.grants_lapsed
-              << " alert=" << (out.result.outage_alert_fired ? "fired" : "NO")
-              << "/" << (out.result.outage_alert_resolved ? "resolved" : "NO")
-              << " artifacts=" << prefix << ".*\n";
-    if (!ok) std::cerr << "c12: failed to write artifacts\n";
-    return harness.finish(ok ? 0 : 1);
+  // Section C's scenario, shared by the sweep and gate mode.
+  std::vector<par::RegistryPlaneResult> results;
+  const auto run = [&](std::size_t shards, std::size_t threads) {
+    par::RegistryPlaneScenario plane{storm_config(opt, shards, threads)};
+    return par_bench.measure(
+        plane.runtime(), [&] { results.push_back(plane.run()); },
+        [&] { return plane.monitor(); });
+  };
+  TextTable storm_table{{"shards", "leases", "lapsed", "regrants", "hit%",
+                         "events", "alert", "wall", "speedup", "identical"}};
+  const auto report = [&](const dlte::bench::ParRun& out, bool identical,
+                          double speedup) {
+    const par::RegistryPlaneResult& r = results.back();
+    const double lookups = static_cast<double>(r.cache_hits + r.cache_misses +
+                                               r.cache_root_sheds);
+    storm_table.row()
+        .integer(static_cast<long long>(out.shards))
+        .integer(static_cast<long long>(r.leases_held))
+        .integer(static_cast<long long>(r.grants_lapsed))
+        .integer(static_cast<long long>(r.regrant_batches))
+        .num(lookups == 0.0 ? 0.0 : 100.0 * r.cache_hits / lookups, 1)
+        .integer(static_cast<long long>(r.events_executed))
+        .add(std::string{r.outage_alert_fired ? "fired" : "NO"} + "/" +
+             (r.outage_alert_resolved ? "resolved" : "NO"))
+        .num(out.wall_s, 2, "s")
+        .num(speedup, 2, "x")
+        .add(identical ? "yes" : "NO");
+  };
+
+  // Gate mode: the churn storm alone at one configuration.
+  if (par_bench.gate_mode()) {
+    const int rc = par_bench.gate(run, report);
+    storm_table.print(std::cout);
+    record_storm(harness, "c12.storm.", results.front());
+    return harness.finish(rc);
   }
 
   print_bench_header(std::cout, "C12", "paper §4.3, registry scale",
@@ -368,46 +346,14 @@ int main(int argc, char** argv) {
 
   // ---- C: churn storm across 1/2/4 shards ----------------------------
   std::cout << "\n";
-  TextTable t{{"shards", "leases", "lapsed", "regrants", "hit%", "events",
-               "wall", "identical"}};
-  StormOutput base;
-  for (const std::size_t shards : {1u, 2u, 4u}) {
-    StormOutput out = run_storm(opt, shards, shards, &harness);
-    harness.add_sim_seconds(out.result.sim_seconds);
-    harness.timing("storm_s" + std::to_string(shards), out.wall_s);
-    harness.throughput(out.result.events_executed, out.wall_s);
-    bool identical = true;
-    if (shards == 1) {
-      base = out;
-      record_storm(harness, "c12.storm.", out.result);
-    } else {
-      identical = out.metrics == base.metrics && out.series == base.series &&
-                  out.openmetrics == base.openmetrics &&
-                  out.audit_merged == base.audit_merged;
-      ok = ok && identical;
-    }
-    harness.counter("c12.s" + std::to_string(shards) + ".identical",
-                    identical ? 1 : 0);
-    const auto& r = out.result;
-    const double lookups = static_cast<double>(r.cache_hits + r.cache_misses +
-                                               r.cache_root_sheds);
-    t.row()
-        .integer(static_cast<long long>(shards))
-        .integer(static_cast<long long>(r.leases_held))
-        .integer(static_cast<long long>(r.grants_lapsed))
-        .integer(static_cast<long long>(r.regrant_batches))
-        .num(lookups == 0.0 ? 0.0 : 100.0 * r.cache_hits / lookups, 1)
-        .integer(static_cast<long long>(r.events_executed))
-        .num(out.wall_s, 2, "s")
-        .add(identical ? "yes" : "NO");
-    if (shards == 4) harness.set_audit(std::move(out.audit_doc));
-  }
-  t.print(std::cout);
+  ok = par_bench.sweep(run, report) == 0 && ok;
+  storm_table.print(std::cout);
 
   // The storm must complete its arc: every lease lapses zone-wide is
   // too strong (only the storm zone suffers), but the totals must show
   // a real outage and a full recovery, with the SLO timeline attached.
-  const auto& r = base.result;
+  const par::RegistryPlaneResult& r = results.front();
+  record_storm(harness, "c12.storm.", r);
   const std::uint64_t quota =
       static_cast<std::uint64_t>(opt.blocks) *
       static_cast<std::uint64_t>(opt.leases_per_block);
@@ -423,8 +369,9 @@ int main(int argc, char** argv) {
             << " alert=" << (r.outage_alert_fired ? "fired" : "NO") << "/"
             << (r.outage_alert_resolved ? "resolved" : "NO") << "\n"
             << "Merged metrics, series (with the churn SLO timeline), "
-               "openmetrics, and the audit merged section are byte-compared "
-               "across 1/2/4 shards in-process.\n";
+               "openmetrics, the event-attribution profile, and the audit "
+               "merged section are byte-compared across 1/2/4 shards "
+               "in-process.\n";
   if (!ok) std::cerr << "c12: a gate failed (see above)\n";
   return harness.finish(ok ? 0 : 1);
 }

@@ -4,32 +4,25 @@
 // property of the simulator: islands interact only over X2-over-Internet
 // latencies, so the town partitions cleanly across cores. This bench
 // (a) sweeps shard counts over the same scenario and verifies IN PROCESS
-// that the merged metrics/series/OpenMetrics artifacts are byte-identical
-// to the 1-shard run at every shard count, and (b) records the wall-time
-// scaling in the (non-deterministic) "timings" section. With
-// --shards=N [--par-threads=T] [--par-artifacts=PREFIX] it instead runs
-// one configuration and dumps its artifacts to PREFIX.metrics.json /
-// .series.json / .openmetrics.txt — the mode the CI par-determinism gate
-// drives twice and byte-compares. The determinism audit plane is always
-// on: the sweep additionally byte-compares the merged dlte-audit-v1
-// section across shard counts, gate mode writes the full document to
-// PREFIX.audit.json, and --audit-inject=<ms>:<shard> arms the deliberate
-// exchange-reorder the CI localization self-test drives through
-// tools/audit_diff.py.
-#include <chrono>
+// that every merged artifact — metrics, series, OpenMetrics, the
+// event-attribution profile, and the merged audit digests — is
+// byte-identical to the 1-shard run at every shard count, and (b) records
+// the wall-time scaling in the (non-deterministic) "timings" section.
+// With --shards=N [--par-threads=T] --par-artifacts=PREFIX it instead
+// runs one configuration and dumps the artifact set (par_bench.h) — the
+// mode the CI par-determinism gate drives twice and compares.
+// --audit-inject=<ms>:<shard> arms the deliberate exchange-reorder the
+// CI localization self-test drives through tools/audit_diff.py.
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_harness.h"
 #include "common/table.h"
-#include "obs/audit_export.h"
-#include "obs/prof.h"
-#include "obs/prof_export.h"
 #include "par/town.h"
+#include "par_bench.h"
 
 namespace {
 using namespace dlte;
@@ -57,50 +50,6 @@ par::TownConfig town_config(std::size_t shards, std::size_t threads) {
   return cfg;
 }
 
-struct RunOutput {
-  par::TownResult result;
-  std::string metrics;
-  std::string series;
-  std::string openmetrics;
-  // Deterministic event-attribution section, merged across shards.
-  std::string prof;
-  // Partition-invariant merged audit section (dlte-audit-v1).
-  std::string audit;
-  obs::ProfileDoc doc;
-  obs::AuditDoc audit_doc;
-  double wall_s{0.0};
-};
-
-RunOutput run_once(std::size_t shards, std::size_t threads,
-                   dlte::bench::Harness* harness,
-                   std::int64_t inject_ms = -1,
-                   std::size_t inject_shard = 0) {
-  par::ShardedTown town{town_config(shards, threads)};
-  if (harness != nullptr) {
-    town.runtime().set_metrics(
-        &harness->metrics(), "c9.s" + std::to_string(shards) + ".");
-  }
-  if (inject_ms >= 0) {
-    town.runtime().inject_exchange_reorder(
-        TimePoint{} + Duration::millis(inject_ms), inject_shard);
-  }
-  const auto start = std::chrono::steady_clock::now();
-  RunOutput out;
-  out.result = town.run();
-  out.wall_s = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start)
-                   .count();
-  out.metrics = town.metrics_json();
-  out.series = town.series_json("c9_sharded_town");
-  out.openmetrics = town.openmetrics_text();
-  town.runtime().merged_profiler_into(out.doc.attribution);
-  out.doc.shard_profile = town.runtime().profile();
-  out.prof = obs::ProfExporter::event_attribution_json(out.doc.attribution);
-  out.audit_doc = town.runtime().audit_doc();
-  out.audit = obs::AuditExporter::merged_json(out.audit_doc);
-  return out;
-}
-
 // --audit-inject=<ms>:<shard> — arm the exchange-reorder test hook.
 bool parse_audit_inject(int argc, char** argv, std::int64_t* ms,
                         std::size_t* shard) {
@@ -117,99 +66,59 @@ bool parse_audit_inject(int argc, char** argv, std::int64_t* ms,
   }
   return false;
 }
-
-bool write_text(const std::string& path, const std::string& text) {
-  std::ofstream f{path, std::ios::binary | std::ios::trunc};
-  f << text;
-  return static_cast<bool>(f);
-}
 }  // namespace
 
 int main(int argc, char** argv) {
   dlte::bench::Harness harness{"c9_sharded_town"};
   harness.parse_args(argc, argv);
+  dlte::bench::ParBench par_bench{harness, "c9"};
+  std::int64_t inject_ms = -1;
+  std::size_t inject_shard = 0;
+  const bool injecting =
+      par_bench.gate_mode() &&
+      parse_audit_inject(argc, argv, &inject_ms, &inject_shard);
 
-  // Gate mode: one configuration, artifacts to files, no sweep.
-  if (!harness.par_artifacts().empty()) {
-    const std::size_t shards = harness.shards() == 0 ? 1 : harness.shards();
-    std::int64_t inject_ms = -1;
-    std::size_t inject_shard = 0;
-    const bool injecting =
-        parse_audit_inject(argc, argv, &inject_ms, &inject_shard);
-    RunOutput out = run_once(shards, harness.par_threads(), &harness,
-                             injecting ? inject_ms : -1, inject_shard);
-    harness.add_sim_seconds(out.result.sim_seconds);
-    harness.timing("run_s" + std::to_string(shards), out.wall_s);
-    const std::string& prefix = harness.par_artifacts();
-    bool ok = write_text(prefix + ".metrics.json", out.metrics);
-    ok = write_text(prefix + ".series.json", out.series) && ok;
-    ok = write_text(prefix + ".openmetrics.txt", out.openmetrics) && ok;
-    ok = write_text(prefix + ".prof.json", out.prof + "\n") && ok;
-    // Full document (merged + shards + ledger): same-config double runs
-    // byte-compare it whole; cross-shard-count compares use
-    // audit_diff.py --merged-only on it.
-    ok = write_text(prefix + ".audit.json",
-                    obs::AuditExporter::to_json(out.audit_doc,
-                                                "c9_sharded_town") +
-                        "\n") &&
-         ok;
-    harness.set_profile(std::move(out.doc));
-    harness.set_audit(std::move(out.audit_doc));
-    std::cout << "C9 gate mode: shards=" << shards
-              << " attaches=" << out.result.attaches_completed
-              << " x2_rx=" << out.result.x2_reports_rx
-              << (injecting ? " AUDIT-INJECT armed" : "")
-              << " artifacts=" << prefix << ".*\n";
-    if (!ok) std::cerr << "c9: failed to write artifacts\n";
-    return harness.finish(ok ? 0 : 1);
+  std::vector<par::TownResult> results;
+  const auto run = [&](std::size_t shards, std::size_t threads) {
+    par::ShardedTown town{town_config(shards, threads)};
+    if (injecting) {
+      town.runtime().inject_exchange_reorder(
+          TimePoint{} + Duration::millis(inject_ms), inject_shard);
+    }
+    return par_bench.measure(town.runtime(),
+                             [&] { results.push_back(town.run()); });
+  };
+  TextTable t{{"shards", "windows", "x-shard msgs", "attaches", "wall",
+               "speedup", "identical"}};
+  const auto report = [&](const dlte::bench::ParRun& out, bool identical,
+                          double speedup) {
+    const par::TownResult& r = results.back();
+    const std::string prefix = "c9.s" + std::to_string(out.shards) + ".";
+    harness.counter(prefix + "attaches", r.attaches_completed);
+    harness.counter(prefix + "x2_rx", r.x2_reports_rx);
+    t.row()
+        .integer(static_cast<int>(out.shards))
+        .integer(static_cast<int>(r.windows))
+        .integer(static_cast<int>(r.messages))
+        .integer(static_cast<int>(r.attaches_completed))
+        .num(out.wall_s * 1000.0, 1, "ms")
+        .num(speedup, 2, "x")
+        .add(identical ? "yes" : "NO");
+  };
+
+  if (par_bench.gate_mode()) {
+    const int rc = par_bench.gate(run, report);
+    t.print(std::cout);
+    if (injecting) std::cout << "AUDIT-INJECT armed\n";
+    return harness.finish(rc);
   }
 
   print_bench_header(std::cout, "C9", "paper §4.1, sharded runtime",
                      "the per-AP independence that scales dLTE cores also "
                      "shards the simulation; a parallel run is "
                      "byte-identical to the sequential one");
-
-  TextTable t{{"shards", "threads", "windows", "x-shard msgs", "attaches",
-               "wall", "speedup", "identical"}};
-  RunOutput base;
-  bool all_identical = true;
-  for (const std::size_t shards : {1u, 2u, 4u}) {
-    RunOutput out = run_once(shards, shards, &harness);
-    harness.add_sim_seconds(out.result.sim_seconds);
-    harness.timing("run_s" + std::to_string(shards), out.wall_s);
-    bool identical = true;
-    if (shards == 1) {
-      out.doc.attribution.export_metrics(harness.metrics());
-      base = out;
-    } else {
-      identical = out.metrics == base.metrics &&
-                  out.series == base.series &&
-                  out.openmetrics == base.openmetrics &&
-                  out.prof == base.prof &&
-                  out.audit == base.audit;
-      all_identical = all_identical && identical;
-      harness.timing("speedup_s" + std::to_string(shards),
-                     base.wall_s / out.wall_s);
-    }
-    harness.set_profile(std::move(out.doc));
-    harness.set_audit(std::move(out.audit_doc));
-    const std::string prefix = "c9.s" + std::to_string(shards) + ".";
-    harness.counter(prefix + "attaches",
-                    out.result.attaches_completed);
-    harness.counter(prefix + "x2_rx", out.result.x2_reports_rx);
-    harness.counter(prefix + "identical", identical ? 1 : 0);
-    t.row()
-        .integer(static_cast<int>(shards))
-        .integer(static_cast<int>(shards))
-        .integer(static_cast<int>(out.result.windows))
-        .integer(static_cast<int>(out.result.messages))
-        .integer(static_cast<int>(out.result.attaches_completed))
-        .num(out.wall_s * 1000.0, 1, "ms")
-        .num(shards == 1 ? 1.0 : base.wall_s / out.wall_s, 2, "x")
-        .add(identical ? "yes" : "NO");
-  }
+  const int rc = par_bench.sweep(run, report);
   t.print(std::cout);
-
   std::cout << "\nDeterminism: every sharded run's merged artifacts — "
                "metrics, series, OpenMetrics, the event-attribution "
                "profile, AND the merged audit digests — are byte-compared "
@@ -217,8 +126,5 @@ int main(int argc, char** argv) {
                "Speedup is wall-clock and machine-dependent (single-core "
                "hosts show ~1.0x; the scaling claim is checked on "
                "multi-core CI).\n";
-  if (!all_identical) {
-    std::cerr << "c9: sharded artifacts diverged from the 1-shard run\n";
-  }
-  return harness.finish(all_identical ? 0 : 1);
+  return harness.finish(rc);
 }

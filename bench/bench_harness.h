@@ -43,6 +43,9 @@ class Harness {
  public:
   explicit Harness(std::string name);
 
+  // The bench name: BENCH_<name>.json, and the source of its documents.
+  [[nodiscard]] const std::string& name() const { return name_; }
+
   // The registry scenario components attach to via set_metrics().
   [[nodiscard]] obs::MetricsRegistry& metrics() { return registry_; }
 
@@ -79,9 +82,10 @@ class Harness {
   // Parallel-runtime knobs for sharded benches: `--shards=<n>` and
   // `--par-threads=<n>` (0 = one worker per shard) select the partition,
   // `--par-artifacts=<prefix>` asks the bench to dump its merged
-  // artifacts to <prefix>.metrics.json / .series.json / .openmetrics.txt
-  // — what the CI par-determinism gate byte-compares across shard
-  // counts. parse_args() fills these; sharded benches read them.
+  // artifacts to <prefix>.{metrics.json,series.json,openmetrics.txt,
+  // prof.json,audit.json} — what the CI par-determinism gate compares
+  // across shard counts. parse_args() fills these; sharded benches read
+  // them through bench::ParBench (par_bench.h).
   [[nodiscard]] std::size_t shards() const { return shards_; }
   [[nodiscard]] std::size_t par_threads() const { return par_threads_; }
   [[nodiscard]] const std::string& par_artifacts() const {

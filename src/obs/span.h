@@ -6,11 +6,11 @@
 // 31 ms in AKA, 9 ms in bearer setup, and retried NAS once".
 //
 // Layering: obs sits *below* sim, so the tracer cannot hold a
-// sim::Simulator. Like obs::ScopedTimer, it takes the clock as a
-// callable (NowFn). Components never require a tracer — they hold a raw
-// `SpanTracer*` that stays nullptr until `set_tracer(tracer, prefix)`
-// attaches one, mirroring the set_metrics idiom, and the free helpers
-// below (span_begin/span_end/span_annotate) are null-safe.
+// sim::Simulator; it takes the clock as a callable (NowFn) instead.
+// Components never require a tracer — they hold a raw `SpanTracer*`
+// that stays nullptr until `set_tracer(tracer, prefix)` attaches one,
+// mirroring the set_metrics idiom, and the free helpers below
+// (span_begin/span_end/span_annotate) are null-safe.
 //
 // Determinism contract: span ids are assigned in begin() order, all
 // timestamps come from the simulated clock, and annotations are stored

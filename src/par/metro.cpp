@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "obs/merge.h"
-#include "obs/snapshot.h"
 #include "par/partition.h"
 #include "workload/cohort.h"
 
@@ -163,16 +161,6 @@ MetroResult MetroScenario::run() {
   result.events_executed = runtime_.events_executed();
   result.sim_seconds = config_.horizon.to_seconds();
   return result;
-}
-
-std::string MetroScenario::metrics_json() const {
-  obs::MetricsRegistry merged;
-  runtime_.merged_metrics_into(merged);
-  return obs::MetricsSnapshot{merged}.to_json();
-}
-
-std::string MetroScenario::series_json(const std::string& source) const {
-  return runtime_.merged_series_json(source);
 }
 
 }  // namespace dlte::par

@@ -90,10 +90,6 @@ class MetroScenario {
   [[nodiscard]] ShardedSimulator& runtime() { return runtime_; }
   [[nodiscard]] const MetroConfig& config() const { return config_; }
 
-  // Shard-count-invariant merged snapshot (valid after run()).
-  [[nodiscard]] std::string metrics_json() const;
-  [[nodiscard]] std::string series_json(const std::string& source) const;
-
   // District of an AP: contiguous blocks, pure function of the config.
   [[nodiscard]] std::size_t district_of(std::size_t ap) const;
 

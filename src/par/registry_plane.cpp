@@ -6,9 +6,6 @@
 
 #include "common/bytes.h"
 #include "fault/fault.h"
-#include "obs/merge.h"
-#include "obs/openmetrics.h"
-#include "obs/snapshot.h"
 #include "par/partition.h"
 #include "registry/health.h"
 #include "sim/telemetry.h"
@@ -322,23 +319,6 @@ RegistryPlaneResult RegistryPlaneScenario::run() {
       result.outage_alert_fired &&
       !monitor_->alert_active("registry_churn_outage");
   return result;
-}
-
-std::string RegistryPlaneScenario::metrics_json() const {
-  obs::MetricsRegistry merged;
-  runtime_.merged_metrics_into(merged);
-  return obs::MetricsSnapshot{merged}.to_json();
-}
-
-std::string RegistryPlaneScenario::series_json(
-    const std::string& source) const {
-  return runtime_.merged_series_json(source, monitor_.get());
-}
-
-std::string RegistryPlaneScenario::openmetrics_text() const {
-  obs::MetricsRegistry merged;
-  runtime_.merged_metrics_into(merged);
-  return obs::OpenMetricsExporter::render(merged);
 }
 
 }  // namespace dlte::par

@@ -106,15 +106,11 @@ class RegistryPlaneScenario {
 
   [[nodiscard]] ShardedSimulator& runtime() { return runtime_; }
   [[nodiscard]] const RegistryPlaneConfig& config() const { return config_; }
+  // The shard-0 churn SLO monitor (built by the first run()); pass it to
+  // runtime().merged_series_json() to embed its rules/alerts/health.
   [[nodiscard]] const obs::SloMonitor* monitor() const {
     return monitor_.get();
   }
-
-  // Shard-count-invariant merged artifacts (valid after run()).
-  [[nodiscard]] std::string metrics_json() const;
-  // Includes the shard-0 monitor's rules/alerts/health sections.
-  [[nodiscard]] std::string series_json(const std::string& source) const;
-  [[nodiscard]] std::string openmetrics_text() const;
 
   // Zone index (0 .. zones_x*zones_y-1) of a block — pure function of
   // the config, like MetroScenario::district_of.

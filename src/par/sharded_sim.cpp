@@ -7,6 +7,8 @@
 #include <utility>
 
 #include "obs/merge.h"
+#include "obs/openmetrics.h"
+#include "obs/snapshot.h"
 
 namespace dlte::par {
 
@@ -419,6 +421,18 @@ void ShardedSimulator::merged_metrics_into(obs::MetricsRegistry& dst) const {
   for (const auto& shard : shards_) {
     obs::merge_registry(dst, shard->domain);
   }
+}
+
+std::string ShardedSimulator::merged_metrics_json() const {
+  obs::MetricsRegistry merged;
+  merged_metrics_into(merged);
+  return obs::MetricsSnapshot{merged}.to_json();
+}
+
+std::string ShardedSimulator::merged_openmetrics_text() const {
+  obs::MetricsRegistry merged;
+  merged_metrics_into(merged);
+  return obs::OpenMetricsExporter::render(merged);
 }
 
 std::string ShardedSimulator::merged_series_json(

@@ -123,6 +123,10 @@ class ShardedSimulator {
   // Fold every shard's domain registry into `dst` (obs::merge_registry
   // naming contract applies).
   void merged_metrics_into(obs::MetricsRegistry& dst) const;
+  // The merged registry rendered as a MetricsSnapshot JSON object and as
+  // OpenMetrics text — the artifacts the sharded benches byte-compare.
+  [[nodiscard]] std::string merged_metrics_json() const;
+  [[nodiscard]] std::string merged_openmetrics_text() const;
   // One dlte-series-v1 document over all shards' samplers (empty
   // samplers when sampling is disabled). An optional SloMonitor embeds
   // its rules/alerts/health sections — it must watch a single shard's

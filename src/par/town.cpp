@@ -8,8 +8,6 @@
 #include "epc/epc.h"
 #include "lte/x2ap.h"
 #include "net/network.h"
-#include "obs/openmetrics.h"
-#include "obs/snapshot.h"
 #include "par/partition.h"
 #include "ue/nas_client.h"
 
@@ -253,22 +251,6 @@ TownResult ShardedTown::run() {
   result.messages = runtime_.messages_exchanged();
   result.sim_seconds = config_.horizon.to_seconds();
   return result;
-}
-
-std::string ShardedTown::metrics_json() const {
-  obs::MetricsRegistry merged;
-  runtime_.merged_metrics_into(merged);
-  return obs::MetricsSnapshot{merged}.to_json();
-}
-
-std::string ShardedTown::series_json(const std::string& source) const {
-  return runtime_.merged_series_json(source);
-}
-
-std::string ShardedTown::openmetrics_text() const {
-  obs::MetricsRegistry merged;
-  runtime_.merged_metrics_into(merged);
-  return obs::OpenMetricsExporter::render(merged);
 }
 
 }  // namespace dlte::par

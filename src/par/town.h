@@ -65,12 +65,9 @@ class ShardedTown {
   // Build (first call) and run to the configured horizon.
   TownResult run();
 
+  // Shard-count-invariant artifacts come from the runtime's merged_*
+  // accessors (valid after run()).
   [[nodiscard]] ShardedSimulator& runtime() { return runtime_; }
-
-  // Shard-count-invariant artifacts (valid after run()):
-  [[nodiscard]] std::string metrics_json() const;
-  [[nodiscard]] std::string series_json(const std::string& source) const;
-  [[nodiscard]] std::string openmetrics_text() const;
 
  private:
   struct Island;

@@ -7,9 +7,6 @@
 #include "epc/gtp_plane.h"
 #include "lte/gtp.h"
 #include "lte/nas.h"
-#include "lte/pdcp.h"
-#include "lte/rlc.h"
-#include "lte/rrc.h"
 #include "lte/s1ap.h"
 #include "lte/x2ap.h"
 #include "sim/random.h"
@@ -56,16 +53,6 @@ TEST(FuzzDecoders, GtpU) {
 TEST(FuzzDecoders, GtpC) {
   fuzz([](const auto& b) { return lte::decode_gtpc_create_req(b).ok(); }, 5);
   fuzz([](const auto& b) { return lte::decode_gtpc_create_resp(b).ok(); }, 6);
-}
-
-TEST(FuzzDecoders, Rrc) {
-  fuzz([](const auto& b) { return lte::decode_rrc(b).ok(); }, 7);
-}
-
-TEST(FuzzDecoders, RlcAndPdcp) {
-  fuzz([](const auto& b) { return lte::decode_rlc_pdu(b).ok(); }, 8);
-  fuzz([](const auto& b) { return lte::decode_rlc_status(b).ok(); }, 9);
-  fuzz([](const auto& b) { return lte::decode_pdcp_pdu(b).ok(); }, 10);
 }
 
 TEST(FuzzDecoders, TransportSegment) {

@@ -53,7 +53,7 @@ AuditRun run_audited(std::size_t shards, std::size_t threads,
   AuditRun out;
   out.doc = town.runtime().audit_doc();
   out.merged_json = obs::AuditExporter::merged_json(out.doc);
-  out.metrics_json = town.metrics_json();
+  out.metrics_json = town.runtime().merged_metrics_json();
   return out;
 }
 

@@ -32,9 +32,9 @@ Artifacts run_town(std::size_t shards, std::size_t threads) {
   ShardedTown town{town_config(shards, threads)};
   Artifacts a;
   a.result = town.run();
-  a.metrics = town.metrics_json();
-  a.series = town.series_json("par_determinism");
-  a.openmetrics = town.openmetrics_text();
+  a.metrics = town.runtime().merged_metrics_json();
+  a.series = town.runtime().merged_series_json("par_determinism");
+  a.openmetrics = town.runtime().merged_openmetrics_text();
   return a;
 }
 
@@ -88,7 +88,8 @@ TEST(ParDeterminism, SeedChangesArtifacts) {
   ShardedTown town_b{cfg};
   town_a.run();
   town_b.run();
-  EXPECT_NE(town_a.metrics_json(), town_b.metrics_json());
+  EXPECT_NE(town_a.runtime().merged_metrics_json(),
+            town_b.runtime().merged_metrics_json());
 }
 
 }  // namespace

@@ -34,7 +34,7 @@ RunOutput run_metro(std::size_t shards, std::size_t threads) {
   MetroScenario metro{small_config(shards, threads)};
   RunOutput out;
   out.result = metro.run();
-  out.metrics = metro.metrics_json();
+  out.metrics = metro.runtime().merged_metrics_json();
   return out;
 }
 

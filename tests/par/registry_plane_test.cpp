@@ -46,9 +46,10 @@ RunOutput run_plane(std::size_t shards) {
   RegistryPlaneScenario plane{small_config(shards)};
   RunOutput out;
   out.result = plane.run();
-  out.metrics = plane.metrics_json();
-  out.series = plane.series_json("registry_plane_test");
-  out.openmetrics = plane.openmetrics_text();
+  out.metrics = plane.runtime().merged_metrics_json();
+  out.series = plane.runtime().merged_series_json("registry_plane_test",
+                                                  plane.monitor());
+  out.openmetrics = plane.runtime().merged_openmetrics_text();
   // Partition-invariant section only: per-shard chains legitimately
   // differ across shard counts.
   out.audit = obs::AuditExporter::merged_json(plane.runtime().audit_doc());

@@ -14,12 +14,13 @@
 # EXPERIMENTS.md go through this wrapper so the dispatch lives in one
 # place. Exit codes pass through from the underlying tool.
 #
-# `par` byte-compares two sharded-run artifact sets written by a
-# bench's --par-artifacts=<prefix> mode (<prefix>.metrics.json,
-# <prefix>.series.json, <prefix>.openmetrics.txt, and — when the bench
-# profiles — <prefix>.prof.json, the deterministic event-attribution
-# section) — the determinism gate that a parallel run is identical to
-# the sequential one.
+# `par` compares two sharded-run artifact sets written by a bench's
+# --par-artifacts=<prefix> mode — the determinism gate that a parallel
+# run is identical to the sequential one. Every sharded bench writes all
+# five files, so a file missing on either side fails the gate;
+# <prefix>.metrics.json, .series.json, .openmetrics.txt, and .prof.json
+# (the event-attribution section) must be byte-identical, and the
+# .audit.json merged sections must agree (audit_diff.py --merged-only).
 #
 # `metrics` byte-compares the deterministic "metrics" objects of two
 # BENCH_<name>.json files (same bench run twice, e.g. the C11
@@ -38,7 +39,7 @@ set -euo pipefail
 here="$(cd "$(dirname "$0")" && pwd)"
 
 usage() {
-  sed -n '2,29p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,36p' "$0" | sed 's/^# \{0,1\}//'
   exit 2
 }
 
@@ -58,10 +59,16 @@ case "$mode" in
     a="$1"
     b="$2"
     rc=0
+    for ext in metrics.json series.json openmetrics.txt prof.json audit.json; do
+      for f in "$a.$ext" "$b.$ext"; do
+        if [ ! -e "$f" ]; then
+          echo "par: $ext MISSING ($f)" >&2
+          rc=1
+        fi
+      done
+    done
+    [ "$rc" -eq 0 ] || exit "$rc"
     for ext in metrics.json series.json openmetrics.txt prof.json; do
-      if [ ! -e "$a.$ext" ] && [ ! -e "$b.$ext" ]; then
-        continue  # prof.json only exists for profiled benches.
-      fi
       if cmp -s "$a.$ext" "$b.$ext"; then
         echo "par: $ext identical"
       else
@@ -72,20 +79,18 @@ case "$mode" in
     done
     # The audit document's per-shard section legitimately differs across
     # partitions, so it goes through audit_diff.py --merged-only instead
-    # of cmp. On any divergence above, the audit diagnosis (if available)
-    # is the localization the bare cmp offsets can't give.
-    if [ -e "$a.audit.json" ] && [ -e "$b.audit.json" ]; then
-      if python3 "$here/audit_diff.py" --merged-only \
-          "$a.audit.json" "$b.audit.json"; then
-        echo "par: audit merged section identical"
-      else
-        echo "par: audit.json DIVERGED ($a.audit.json vs $b.audit.json)" >&2
-        rc=1
-      fi
-      if [ "$rc" -ne 0 ]; then
-        echo "par: audit diagnosis (full compare):" >&2
-        python3 "$here/audit_diff.py" "$a.audit.json" "$b.audit.json" >&2 || true
-      fi
+    # of cmp. On any divergence above, the audit diagnosis is the
+    # localization the bare cmp offsets can't give.
+    if python3 "$here/audit_diff.py" --merged-only \
+        "$a.audit.json" "$b.audit.json"; then
+      echo "par: audit merged section identical"
+    else
+      echo "par: audit.json DIVERGED ($a.audit.json vs $b.audit.json)" >&2
+      rc=1
+    fi
+    if [ "$rc" -ne 0 ]; then
+      echo "par: audit diagnosis (full compare):" >&2
+      python3 "$here/audit_diff.py" "$a.audit.json" "$b.audit.json" >&2 || true
     fi
     [ "$rc" -eq 0 ] && echo "par: all artifacts byte-identical"
     exit "$rc"
