@@ -25,7 +25,6 @@
 #include "fault/health.h"
 #include "fault/resilience.h"
 #include "sim/telemetry.h"
-#include "sim/trace.h"
 #include "spectrum/health.h"
 #include "ue/mobility.h"
 
@@ -49,7 +48,6 @@ struct RunResult {
   fault::ResilienceReport report;
   std::string report_text;
   int in_service_mid_outage{0};
-  std::uint64_t faults_injected{0};
 };
 
 // One town, two cells 4 km apart, every UE parked near AP 1. With
@@ -78,10 +76,7 @@ RunResult run_town(std::uint64_t seed, bool shared_core,
   // client-side symptom of registry outages.
   registry.set_grant_lifetime(Duration::seconds(kLeaseLifetimeS));
   registry.set_heartbeat_grace(Duration::seconds(kLeaseGraceS));
-  sim::TraceLog trace{sim};
-  trace.set_metrics(reg, metrics_prefix);
   sim::TelemetryDriver telemetry{sim, sampler, monitor};
-  telemetry.set_trace(&trace);
   if (sampler != nullptr || monitor != nullptr) telemetry.start();
   const NodeId internet = net.add_node("internet");
 
@@ -136,7 +131,6 @@ RunResult run_town(std::uint64_t seed, bool shared_core,
   for (auto& ap : aps) injector.register_ap(ap.get());
   injector.set_network(&net);
   injector.set_registry(&registry);
-  injector.set_trace(&trace);
 
   fault::FaultPlan plan;
   // Registry outage first (both architectures — A/B stays fair): shorter
@@ -175,9 +169,9 @@ RunResult run_town(std::uint64_t seed, bool shared_core,
   sim.run_until(horizon);
 
   result.report = tracker.report(horizon);
-  result.report.fault_events = trace.count(sim::TraceCategory::kFault);
+  result.report.fault_events =
+      injector.stats().injected + injector.stats().healed;
   result.report_text = result.report.to_string();
-  result.faults_injected = injector.stats().injected;
   return result;
 }
 

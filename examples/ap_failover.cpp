@@ -22,18 +22,17 @@
 #include "obs/slo.h"
 #include "obs/trace_export.h"
 #include "sim/telemetry.h"
-#include "sim/trace.h"
 #include "ue/mobility.h"
 
 using namespace dlte;
 
 int main(int argc, char** argv) {
   // Optional: `--trace-out=<file>` exports the whole walkthrough —
-  // attach waves, X2 rounds, the injected crash — as Chrome trace-event
-  // JSON for ui.perfetto.dev. Fault events land as annotations on
-  // whatever procedure span they interrupt. `--series-out=<file>` writes
-  // the health-monitoring time series (dlte-series-v1 JSON) that
-  // tools/health_report.py renders.
+  // attach waves, X2 rounds, the injected crash, SLO alerts — as Chrome
+  // trace-event JSON for ui.perfetto.dev. Fault events land as markers
+  // and as annotations on whatever procedure span they interrupt.
+  // `--series-out=<file>` writes the health-monitoring time series
+  // (dlte-series-v1 JSON) that tools/health_report.py renders.
   std::string trace_out;
   std::string series_out;
   for (int i = 1; i < argc; ++i) {
@@ -45,30 +44,24 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Always traced: the fault timeline below is read back from the spans.
   sim::Simulator sim;
-  std::unique_ptr<obs::SpanTracer> tracer;
-  if (!trace_out.empty()) {
-    tracer = std::make_unique<obs::SpanTracer>([&sim] { return sim.now(); });
-  }
+  obs::SpanTracer tracer{[&sim] { return sim.now(); }};
   net::Network net{sim};
-  net.set_tracer(tracer.get());
+  net.set_tracer(&tracer);
   core::RadioEnvironment radio;
   spectrum::Registry registry{sim, spectrum::RegistryKind::kCentralizedSas};
-  registry.set_tracer(tracer.get());
-  sim::TraceLog trace{sim};
-  // Bridge: TraceLog lines recorded while a span is active become that
-  // span's annotations (the legacy log joins the causal tree).
-  trace.set_tracer(tracer.get());
+  registry.set_tracer(&tracer);
 
   // Health monitoring (DESIGN.md §10): sample the metrics plane every
   // 500 ms of simulated time and judge SLO rules against it. The alert
-  // timeline prints at the end; kHealth trace events interleave with the
-  // fault timeline as the run unfolds.
+  // timeline prints at the end; slo_fire/slo_resolve marker spans put
+  // each transition on the trace next to the faults.
   obs::MetricsRegistry metrics;
   obs::TimeSeriesSampler sampler{metrics};
   obs::SloMonitor monitor{metrics};
   monitor.set_metrics(&metrics);
-  monitor.set_tracer(tracer.get());
+  monitor.set_tracer(&tracer);
   monitor.add_rules(fault::default_resilience_slo_rules(
       /*min_ues_in_service=*/8.0, "", "service"));
   for (int id = 1; id <= 2; ++id) {
@@ -81,7 +74,6 @@ int main(int argc, char** argv) {
     monitor.add_rule(up);
   }
   sim::TelemetryDriver telemetry{sim, &sampler, &monitor};
-  telemetry.set_trace(&trace);
   telemetry.start();
 
   const NodeId internet = net.add_node("internet");
@@ -99,9 +91,7 @@ int main(int argc, char** argv) {
     cfg.seed = 40 + id;
     aps.push_back(
         std::make_unique<core::DlteAccessPoint>(sim, net, node, radio, cfg));
-    aps.back()->set_trace(&trace);
-    aps.back()->set_span_tracer(tracer.get(),
-                                "ap" + std::to_string(id) + "/");
+    aps.back()->set_span_tracer(&tracer, "ap" + std::to_string(id) + "/");
     aps.back()->set_metrics(&metrics);
     aps.back()->bring_up(registry);
   }
@@ -143,8 +133,7 @@ int main(int argc, char** argv) {
   injector.register_ap(aps[0].get());
   injector.register_ap(aps[1].get());
   injector.set_registry(&registry);
-  injector.set_trace(&trace);
-  injector.set_tracer(tracer.get());
+  injector.set_tracer(&tracer);
   fault::FaultPlan plan;
   fault::FaultSpec crash;
   crash.kind = fault::FaultKind::kApCrash;
@@ -158,11 +147,12 @@ int main(int argc, char** argv) {
   sim.run_until(horizon);
 
   std::cout << "fault timeline:\n";
-  for (const auto& ev : trace.events()) {
-    if (ev.category != sim::TraceCategory::kFault) continue;
-    std::cout << "  t=" << (ev.when - TimePoint{}).to_seconds() << "s  ["
-              << ev.component
-              << "] " << ev.message << "\n";
+  for (const auto& span : tracer.spans()) {
+    if (span.name != "fault_inject" && span.name != "fault_heal") continue;
+    std::cout << "  t=" << (span.start - TimePoint{}).to_seconds() << "s  ["
+              << span.category << "] " << span.name;
+    for (const auto& a : span.annotations) std::cout << " " << a.value;
+    std::cout << "\n";
   }
 
   std::cout << "\nafter the crash: AP 2 now serves "
@@ -180,7 +170,7 @@ int main(int argc, char** argv) {
   std::cout << "\n";
 
   auto report = tracker.report(horizon);
-  report.fault_events = trace.count(sim::TraceCategory::kFault);
+  report.fault_events = injector.stats().injected + injector.stats().healed;
   std::cout << "\nresilience report:\n" << report.to_string();
   std::cout << "\nno carrier NOC was paged; the town healed itself.\n";
 
@@ -196,9 +186,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (tracer != nullptr) {
-    if (obs::ChromeTraceExporter::write_file(*tracer, trace_out)) {
-      std::cout << "span trace (" << tracer->spans().size()
+  if (!trace_out.empty()) {
+    if (obs::ChromeTraceExporter::write_file(tracer, trace_out)) {
+      std::cout << "span trace (" << tracer.spans().size()
                 << " spans) written to " << trace_out
                 << " — load it in ui.perfetto.dev\n";
     } else {

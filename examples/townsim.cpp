@@ -2,13 +2,15 @@
 //
 //   townsim [--aps N] [--ues M] [--mode fair|coop|isolated]
 //           [--registry sas|federated|blockchain] [--spacing METERS]
-//           [--duration SECONDS] [--seed S]
+//           [--duration SECONDS] [--seed S] [--trace-out=FILE]
 //           [--shards N] [--par-threads T]
 //
 // Builds N APs in a line with M clients scattered around them, brings
 // everything up through the chosen registry, serves a mixed traffic
 // load, and prints the operator's-eye report: shares, per-client
-// service, fairness, and coordination cost.
+// service, fairness, and coordination cost. --trace-out writes the
+// causal span trace (grants, attaches, X2 rounds) as Chrome trace-event
+// JSON for ui.perfetto.dev.
 //
 // With --shards N the town instead runs on the sharded parallel runtime
 // (src/par/): per-AP islands exchanging X2 load reports across shards,
@@ -25,8 +27,8 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "core/access_point.h"
+#include "obs/trace_export.h"
 #include "par/town.h"
-#include "sim/trace.h"
 #include "spectrum/chain.h"
 #include "ue/mobility.h"
 
@@ -42,7 +44,7 @@ struct Options {
   double spacing_m{5'000.0};
   double duration_s{10.0};
   std::uint64_t seed{1};
-  bool trace{false};
+  std::string trace_out;
   std::size_t shards{0};  // 0 = classic single-simulator town
   std::size_t par_threads{0};
 };
@@ -81,8 +83,8 @@ bool parse(int argc, char** argv, Options& opt) {
       } else {
         return false;
       }
-    } else if (arg == "--trace") {
-      opt.trace = true;
+    } else if (arg.rfind("--trace-out=", 0) == 0) {
+      opt.trace_out = arg.substr(std::string("--trace-out=").size());
     } else if (arg == "--registry" && i + 1 < argc) {
       const std::string r = argv[++i];
       if (r == "sas") {
@@ -149,22 +151,27 @@ int main(int argc, char** argv) {
                  "[--mode fair|coop|isolated]\n"
                  "               [--registry sas|federated|blockchain] "
                  "[--spacing M]\n"
-                 "               [--duration SEC] [--seed S] [--trace]\n"
+                 "               [--duration SEC] [--seed S] "
+                 "[--trace-out=FILE]\n"
                  "               [--shards N] [--par-threads T]\n";
     return 2;
   }
   if (opt.shards > 0) return run_sharded(opt);
 
   sim::Simulator sim;
+  std::unique_ptr<obs::SpanTracer> tracer;
+  if (!opt.trace_out.empty()) {
+    tracer = std::make_unique<obs::SpanTracer>([&sim] { return sim.now(); });
+  }
   net::Network net{sim};
   core::RadioEnvironment radio;
   spectrum::Registry registry{sim, opt.registry};
+  registry.set_tracer(tracer.get());
   spectrum::SpectrumChain chain{sim, Duration::seconds(30.0)};
   if (opt.registry == spectrum::RegistryKind::kBlockchain) {
     registry.attach_chain(&chain);
   }
   const NodeId internet = net.add_node("internet");
-  sim::TraceLog trace{sim};
 
   // Access points.
   std::vector<std::unique_ptr<core::DlteAccessPoint>> aps;
@@ -182,7 +189,8 @@ int main(int argc, char** argv) {
     cfg.seed = opt.seed + static_cast<std::uint64_t>(a);
     aps.push_back(
         std::make_unique<core::DlteAccessPoint>(sim, net, node, radio, cfg));
-    if (opt.trace) aps.back()->set_trace(&trace);
+    aps.back()->set_span_tracer(tracer.get(),
+                                "ap" + std::to_string(a + 1) + "/");
     aps.back()->bring_up(registry, [&](bool ok) { grants += ok ? 1 : 0; });
   }
   // Blockchain commits wait for a block; give bring-up time to finish.
@@ -261,9 +269,12 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
   std::cout << "client fairness (Jain): " << jain_fairness(per_ue) << "\n";
-  if (opt.trace) {
-    std::cout << "\nevent trace:\n";
-    trace.print(std::cout);
+  if (tracer != nullptr) {
+    if (!obs::ChromeTraceExporter::write_file(*tracer, opt.trace_out)) {
+      std::cerr << "failed to write trace to " << opt.trace_out << "\n";
+      return 1;
+    }
+    std::cout << "span trace written to " << opt.trace_out << "\n";
   }
   if (registry.chain_backed()) {
     std::cout << "registry chain: " << chain.block_count()

@@ -48,16 +48,10 @@ DlteAccessPoint::DlteAccessPoint(sim::Simulator& sim, net::Network& net,
 
 DlteAccessPoint::~DlteAccessPoint() { *alive_ = false; }
 
-void DlteAccessPoint::set_trace(sim::TraceLog* trace) {
-  trace_ = trace;
-  coordinator_->set_share_observer([this](double share) {
-    this->trace(sim::TraceCategory::kCoordination,
-                "applied spectrum share " + std::to_string(share));
-  });
-}
-
 void DlteAccessPoint::set_span_tracer(obs::SpanTracer* tracer,
                                       const std::string& prefix) {
+  tracer_ = tracer;
+  span_cat_ = prefix + "ap";
   enodeb_->set_tracer(tracer, prefix);
   core_->set_tracer(tracer, prefix);
   coordinator_->set_tracer(tracer, prefix);
@@ -80,11 +74,14 @@ void DlteAccessPoint::set_metrics(obs::MetricsRegistry* registry,
   m_lease_degraded_->set(degraded_since_ ? 1.0 : 0.0);
 }
 
-void DlteAccessPoint::trace(sim::TraceCategory category,
-                            std::string message) {
-  if (trace_ != nullptr) {
-    trace_->record(category, network_id_, std::move(message));
+void DlteAccessPoint::mark(
+    const char* name,
+    std::initializer_list<std::pair<const char*, std::string>> notes) {
+  const obs::SpanId s = obs::span_begin(tracer_, name, span_cat_);
+  for (const auto& [key, value] : notes) {
+    obs::span_annotate(tracer_, s, key, value);
   }
+  obs::span_end(tracer_, s);
 }
 
 void DlteAccessPoint::bring_up(spectrum::Registry& registry,
@@ -104,16 +101,10 @@ void DlteAccessPoint::bring_up(spectrum::Registry& registry,
           Result<spectrum::SpectrumGrant> grant) {
         if (!*alive) return;  // AP torn down while the grant was pending.
         if (!grant) {
-          trace(sim::TraceCategory::kRegistry,
-                "grant refused: " + grant.error());
           if (on_done) on_done(false);
           return;
         }
         grant_ = *grant;
-        trace(sim::TraceCategory::kRegistry,
-              "grant acquired at " +
-                  std::to_string(grant_->center_frequency.to_mhz()) +
-                  " MHz");
         // Leased grants must be kept alive (a dead AP's grant lapses and
         // frees its neighbours' spectrum).
         start_lease_heartbeat(registry);
@@ -123,15 +114,10 @@ void DlteAccessPoint::bring_up(spectrum::Registry& registry,
             [this, alive,
              on_done](std::vector<spectrum::SpectrumGrant> grants) {
               if (!*alive) return;
-              int peers = 0;
               for (const auto& g : grants) {
                 if (g.ap == config_.id) continue;
                 coordinator_->add_peer(g.ap, g.coordination_node);
-                ++peers;
               }
-              trace(sim::TraceCategory::kCoordination,
-                    "discovered " + std::to_string(peers) +
-                        " peer(s) in contention domain");
               coordinator_->send_hello(config_.operator_contact);
               if (config_.mode != lte::DlteMode::kIsolated) {
                 radio_env_.set_coordinated(config_.cell, true);
@@ -153,8 +139,7 @@ void DlteAccessPoint::start_lease_heartbeat(spectrum::Registry& registry) {
             degraded_since_.reset();
             radio_env_.set_power_backoff_db(config_.cell, 0.0);
             obs::set(m_lease_degraded_, 0.0);
-            trace(sim::TraceCategory::kRegistry,
-                  "lease renewed; leaving degraded mode");
+            if (tracer_ != nullptr) mark("ap_lease", {{"state", "restored"}});
           }
           return;
         }
@@ -169,16 +154,12 @@ void DlteAccessPoint::start_lease_heartbeat(spectrum::Registry& registry) {
           obs::set(m_lease_degraded_, 1.0);
           radio_env_.set_power_backoff_db(config_.cell,
                                           config_.degraded_power_backoff_db);
-          trace(sim::TraceCategory::kFault,
-                "lease renewal failing; degraded to conservative power (-" +
-                    std::to_string(config_.degraded_power_backoff_db) +
-                    " dB)");
+          if (tracer_ != nullptr) mark("ap_lease", {{"state", "degraded"}});
         } else if (sim_.now() - *degraded_since_ >= config_.lease_grace) {
-          trace(sim::TraceCategory::kRegistry,
-                "grace exhausted; grant lapsed, lost the lease");
           grant_.reset();
           degraded_since_.reset();
           obs::set(m_lease_degraded_, 0.0);
+          if (tracer_ != nullptr) mark("ap_lease", {{"state", "lapsed"}});
           lease_heartbeat_.cancel();
         }
       });
@@ -218,13 +199,6 @@ void DlteAccessPoint::attach(UeDevice& ue, mac::UeTrafficConfig traffic,
   enodeb_->attach_ue(
       client, [this, ue_ptr, traffic,
                on_done = std::move(on_done)](AttachOutcome outcome) {
-        trace(sim::TraceCategory::kAttach,
-              "attach of IMSI " + std::to_string(ue_ptr->imsi().value()) +
-                  (outcome.success ? " completed in " +
-                                         std::to_string(
-                                             outcome.elapsed.to_millis()) +
-                                         " ms"
-                                   : " failed"));
         if (outcome.success) adopt_ue(*ue_ptr, traffic);
         if (on_done) on_done(outcome);
       });
@@ -254,11 +228,12 @@ void DlteAccessPoint::try_attach(UeDevice* ue, mac::UeTrafficConfig traffic,
              return;
            }
            const Duration wait = policy.backoff(attempt, *rng);
-           trace(sim::TraceCategory::kAttach,
-                 "attach attempt " + std::to_string(attempt) + " of IMSI " +
-                     std::to_string(ue->imsi().value()) +
-                     " failed; retrying in " +
-                     std::to_string(wait.to_millis()) + " ms");
+           if (tracer_ != nullptr) {
+             mark("attach_retry",
+                  {{"imsi", std::to_string(ue->imsi().value())},
+                   {"attempt", std::to_string(attempt)},
+                   {"backoff_ms", std::to_string(wait.to_millis())}});
+           }
            sim_.schedule(wait, [this, ue, traffic, policy,
                                 rng = std::move(rng), attempt,
                                 alive = std::move(alive),
@@ -274,8 +249,6 @@ void DlteAccessPoint::fail() {
   if (failed_) return;
   failed_ = true;
   obs::set(m_up_, 0.0);
-  trace(sim::TraceCategory::kFault,
-        "AP crashed: volatile core state lost, cell off air");
   // The core process dies: EMM contexts and bearers are volatile. The
   // HSS's flash-backed subscriber DB survives the reboot.
   core_->crash();
@@ -304,7 +277,6 @@ void DlteAccessPoint::recover(spectrum::Registry* registry) {
   radio_env_.set_power_backoff_db(config_.cell, 0.0);
   degraded_since_.reset();
   coordinator_->set_offline(false);
-  trace(sim::TraceCategory::kFault, "AP restarted: cell back on air");
   if (registry != nullptr) {
     // Rejoin from scratch: fresh grant (the old one lapsed or will), peer
     // rediscovery, hello. Exactly the organic bring-up path — a reboot is

@@ -11,10 +11,12 @@
 #pragma once
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "core/enodeb.h"
 #include "core/radio_env.h"
@@ -22,7 +24,6 @@
 #include "core/ue_device.h"
 #include "epc/epc.h"
 #include "mac/lte_cell_mac.h"
-#include "sim/trace.h"
 #include "spectrum/coordinator.h"
 #include "spectrum/registry.h"
 
@@ -109,14 +110,12 @@ class DlteAccessPoint {
   void adopt_ue(UeDevice& ue, mac::UeTrafficConfig traffic);
   void drop_ue(UeDevice& ue);
 
-  // Optional structured event tracing (grant, attach, share decisions).
-  void set_trace(sim::TraceLog* trace);
-
   // Causal span tracing: wires one SpanTracer through this AP's eNodeB
   // (attach root spans), MME (NAS/AKA phase spans) and X2 coordinator
   // (share-round spans). All APs in a scenario share the tracer so
   // cross-AP procedures (handover, X2 rounds) parent correctly; `prefix`
-  // lands in the span categories, not the names. Null-safe.
+  // lands in the span categories, not the names. The AP adds its own
+  // `ap_lease` and `attach_retry` markers. Null-safe.
   void set_span_tracer(obs::SpanTracer* tracer,
                        const std::string& prefix = "");
 
@@ -161,7 +160,8 @@ class DlteAccessPoint {
   std::optional<spectrum::SpectrumGrant> grant_;
   std::uint32_t next_ue_{1};
   std::unordered_map<Imsi, UeId> mac_ue_ids_;
-  sim::TraceLog* trace_{nullptr};
+  obs::SpanTracer* tracer_{nullptr};
+  std::string span_cat_;
   obs::Gauge* m_up_{nullptr};
   obs::Gauge* m_lease_degraded_{nullptr};
   obs::Counter* m_renewal_failures_{nullptr};
@@ -178,7 +178,10 @@ class DlteAccessPoint {
                   ue::AttachRetryPolicy policy,
                   std::shared_ptr<sim::RngStream> rng, int attempt,
                   std::function<void(AttachOutcome)> on_done);
-  void trace(sim::TraceCategory category, std::string message);
+  // Zero-duration marker span for a decision only the AP sees. Callers
+  // check `tracer_` first, so a null tracer formats nothing.
+  void mark(const char* name,
+            std::initializer_list<std::pair<const char*, std::string>> notes);
 };
 
 }  // namespace dlte::core

@@ -82,7 +82,8 @@ Digest256 sha256(std::span<const std::uint8_t> data) {
   // Final padded block(s).
   std::uint8_t tail[128] = {};
   const std::size_t rem = data.size() - i;
-  std::memcpy(tail, data.data() + i, rem);
+  // An empty span's data() may be null, and memcpy from null is UB.
+  if (rem > 0) std::memcpy(tail, data.data() + i, rem);
   tail[rem] = 0x80;
   const std::size_t tail_len = rem + 9 <= 64 ? 64 : 128;
   const std::uint64_t bit_len = static_cast<std::uint64_t>(data.size()) * 8;

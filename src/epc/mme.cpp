@@ -211,8 +211,8 @@ void Mme::start_attach(CellId cell, EnbUeId enb_ue_id,
 }
 
 void Mme::handle_nas(UeContext& ue, const lte::NasMessage& nas) {
-  // Legacy TraceLog lines and fault events recorded while this dialogue
-  // is being processed annotate its RAN attach span.
+  // Fault and SLO events recorded while this dialogue is being
+  // processed annotate its RAN attach span.
   obs::ScopedActivation act{tracer_, ue.proc_span};
   switch (ue.state) {
     case EmmState::kAuthPending: {

@@ -176,23 +176,18 @@ void FaultInjector::arm(const FaultPlan& plan) {
 }
 
 void FaultInjector::trace_event(const FaultSpec& spec, const char* phase) {
-  if (trace_ != nullptr) {
-    trace_->record(sim::TraceCategory::kFault, "fault-injector",
-                   std::string(phase) + " " + spec.describe());
+  if (tracer_ == nullptr) return;
+  // Pin the fault onto whatever procedure is mid-flight (if any), then
+  // drop a zero-duration marker so the timeline shows the event even
+  // when nothing was active.
+  if (tracer_->current() != obs::kNoSpan) {
+    tracer_->annotate_current("fault",
+                              std::string(phase) + " " + spec.describe());
   }
-  if (tracer_ != nullptr) {
-    // Pin the fault onto whatever procedure is mid-flight (if any), then
-    // drop a zero-duration marker so the timeline shows the event even
-    // when nothing was active.
-    if (tracer_->current() != obs::kNoSpan) {
-      tracer_->annotate_current("fault", std::string(phase) + " " +
-                                             spec.describe());
-    }
-    const obs::SpanId s = obs::span_begin(
-        tracer_, std::string("fault_") + phase, span_cat_);
-    obs::span_annotate(tracer_, s, "spec", spec.describe());
-    obs::span_end(tracer_, s);
-  }
+  const obs::SpanId s =
+      obs::span_begin(tracer_, std::string("fault_") + phase, span_cat_);
+  obs::span_annotate(tracer_, s, "spec", spec.describe());
+  obs::span_end(tracer_, s);
 }
 
 void FaultInjector::set_tracer(obs::SpanTracer* tracer,

@@ -23,7 +23,6 @@
 #include "obs/span.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 #include "spectrum/registry.h"
 
 namespace dlte::fault {
@@ -105,7 +104,6 @@ class FaultInjector {
   void register_ap(core::DlteAccessPoint* ap);
   void set_network(net::Network* net) { net_ = net; }
   void set_registry(spectrum::Registry* registry) { registry_ = registry; }
-  void set_trace(sim::TraceLog* trace) { trace_ = trace; }
 
   // Schedule every fault (and, for finite durations, its heal).
   void arm(const FaultPlan& plan);
@@ -138,7 +136,6 @@ class FaultInjector {
   std::vector<core::DlteAccessPoint*> aps_;
   net::Network* net_{nullptr};
   spectrum::Registry* registry_{nullptr};
-  sim::TraceLog* trace_{nullptr};
   obs::SpanTracer* tracer_{nullptr};
   std::string span_cat_{"fault"};
   FaultInjectorStats stats_;

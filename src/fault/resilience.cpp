@@ -90,7 +90,6 @@ ResilienceReport ResilienceTracker::report(TimePoint horizon) const {
   r.attach_successes = attach_successes_;
   r.service_losses = service_losses_;
   r.service_recoveries = service_recoveries_;
-  r.fault_events = fault_events_;
 
   Duration in_service_total{};
   std::size_t attached_at_horizon = 0;

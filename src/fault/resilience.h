@@ -33,6 +33,7 @@ struct ResilienceReport {
   // Loss → recovery time: mean (MTTR) and p95, over recovered losses.
   double mttr_s{0.0};
   double reattach_p95_s{0.0};
+  // Injections + heals; the scenario fills it from FaultInjector::stats().
   std::uint64_t fault_events{0};
 
   // Fixed-format, byte-stable rendering (the determinism check compares
@@ -54,7 +55,6 @@ class ResilienceTracker {
   void on_attached(Imsi imsi);
   // Service lost (AP crash, lease lapse): opens a loss interval.
   void on_service_lost(Imsi imsi);
-  void on_fault_event() { ++fault_events_; }
 
   [[nodiscard]] std::size_t tracked() const { return ues_.size(); }
   [[nodiscard]] bool in_service(Imsi imsi) const;
@@ -88,7 +88,6 @@ class ResilienceTracker {
   std::uint64_t attach_successes_{0};
   std::uint64_t service_losses_{0};
   std::uint64_t service_recoveries_{0};
-  std::uint64_t fault_events_{0};
 
   [[nodiscard]] std::size_t in_service_count() const;
 

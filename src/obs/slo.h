@@ -75,8 +75,8 @@ struct SloAlertEvent {
   double threshold{0.0};
 
   // "t=10.5s FIRE registry_outage [registry] ... value=0.5 threshold=0.01"
-  // — byte-stable (JsonWriter double formatting), used by the TraceLog
-  // bridge and the examples' printed timelines.
+  // — byte-stable (JsonWriter double formatting), used by the examples'
+  // printed timelines.
   [[nodiscard]] std::string describe() const;
 };
 

@@ -1,7 +1,7 @@
 // Causal span tracing over the simulated clock (DESIGN.md §9).
 //
 // A Span is a named, annotated interval of simulated time with an id and
-// a parent id — the Dapper-style building block that turns flat TraceLog
+// a parent id — the Dapper-style building block that turns flat event
 // lines and aggregate counters into a causal tree: "this attach spent
 // 31 ms in AKA, 9 ms in bearer setup, and retried NAS once".
 //
@@ -89,9 +89,9 @@ class SpanTracer {
   explicit SpanTracer(NowFn now = {}, std::size_t capacity = kDefaultCapacity);
 
   static constexpr std::size_t kDefaultCapacity = 1 << 16;
-  // Per-span annotation cap: keeps a chatty bridge (TraceLog) from
-  // growing one long-lived span without bound. Overflow is counted and
-  // flagged by the exporter.
+  // Per-span annotation cap: keeps a chatty annotator (faults landing
+  // on one long-lived span) from growing it without bound. Overflow is
+  // counted and flagged by the exporter.
   static constexpr std::size_t kMaxAnnotationsPerSpan = 128;
 
   void set_clock(NowFn now) { now_ = std::move(now); }
@@ -108,8 +108,8 @@ class SpanTracer {
   void end(SpanId id);
 
   void annotate(SpanId id, std::string key, std::string value);
-  // Annotates the active span, if any — how faults and legacy TraceLog
-  // lines land inside the causal tree.
+  // Annotates the active span, if any — how faults and SLO transitions
+  // land inside the causal tree.
   void annotate_current(std::string key, std::string value);
 
   // Activation stack: the innermost activated-but-not-deactivated span

@@ -91,19 +91,42 @@ void Simulator::flush_metrics() {
   }
 }
 
+namespace {
+
+// A periodic process, owned only by its pending tick event: it is freed
+// with the queue, or once a cancelled tick returns without rescheduling.
+struct Periodic {
+  Duration period;
+  std::uint32_t label;
+  std::shared_ptr<bool> alive;  // Null for every(): never cancelled.
+  Simulator::Action action;
+  [[nodiscard]] bool cancelled() const { return alive && !*alive; }
+};
+
+// Exactly one schedule() per tick, under the process's label. Events
+// cannot outlive the simulator that owns the queue, so `sim` stays valid.
+void schedule_tick(Simulator& sim, std::shared_ptr<Periodic> p) {
+  const Duration period = p->period;
+  const std::uint32_t label = p->label;
+  sim.schedule(
+      period,
+      [&sim, p = std::move(p)]() mutable {
+        if (p->cancelled()) return;  // Never call back once cancelled.
+        p->action();
+        if (!p->cancelled()) schedule_tick(sim, std::move(p));
+      },
+      label);
+}
+
+}  // namespace
+
 void Simulator::every(Duration period, Action action) {
   every(period, std::move(action), obs::kUnlabeledEvent);
 }
 
 void Simulator::every(Duration period, Action action, std::uint32_t label) {
-  // The lambda reschedules itself; capturing `this` is safe because events
-  // cannot outlive the simulator that owns the queue.
-  auto wrapper = std::make_shared<Action>();
-  *wrapper = [this, period, label, action = std::move(action), wrapper]() {
-    action();
-    schedule(period, *wrapper, label);
-  };
-  schedule(period, *wrapper, label);
+  schedule_tick(*this, std::make_shared<Periodic>(Periodic{
+                           period, label, nullptr, std::move(action)}));
 }
 
 Simulator::PeriodicHandle Simulator::every_cancellable(Duration period,
@@ -115,14 +138,8 @@ Simulator::PeriodicHandle Simulator::every_cancellable(Duration period,
                                                        Action action,
                                                        std::uint32_t label) {
   auto alive = std::make_shared<bool>(true);
-  auto wrapper = std::make_shared<Action>();
-  *wrapper = [this, period, label, alive, action = std::move(action),
-              wrapper]() {
-    if (!*alive) return;  // Cancelled: stop rescheduling, never call back.
-    action();
-    if (*alive) schedule(period, *wrapper, label);
-  };
-  schedule(period, *wrapper, label);
+  schedule_tick(*this, std::make_shared<Periodic>(
+                           Periodic{period, label, alive, std::move(action)}));
   return PeriodicHandle{std::move(alive)};
 }
 

@@ -13,16 +13,7 @@ void TelemetryDriver::start(Duration interval) {
 void TelemetryDriver::tick() {
   ++ticks_;
   const TimePoint now = sim_.now();
-  if (monitor_ != nullptr) {
-    monitor_->evaluate(now);
-    if (trace_ != nullptr) {
-      const auto& events = monitor_->events();
-      for (; bridged_events_ < events.size(); ++bridged_events_) {
-        const auto& event = events[bridged_events_];
-        trace_->record(TraceCategory::kHealth, event.scope, event.describe());
-      }
-    }
-  }
+  if (monitor_ != nullptr) monitor_->evaluate(now);
   if (sampler_ != nullptr) sampler_->sample(now);
 }
 

@@ -13,17 +13,15 @@
 // *other* same-timestamp events, so enabling telemetry does not perturb
 // a seeded run — the determinism tests double-run with it on.
 //
-// Optionally bridges SLO fire/resolve transitions into a TraceLog under
-// TraceCategory::kHealth, putting alerts on the same operator timeline
-// as grants, attaches, and injected faults.
+// Alert transitions reach the span trace through the monitor itself
+// (SloMonitor::set_tracer: `slo_fire`/`slo_resolve` markers).
 #pragma once
 
-#include <cstddef>
+#include <cstdint>
 
 #include "obs/series.h"
 #include "obs/slo.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 
 namespace dlte::sim {
 
@@ -46,22 +44,14 @@ class TelemetryDriver {
 
   [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
 
-  // Mirror SLO alert transitions into `trace` as kHealth events
-  // (component = rule scope, message = SloAlertEvent::describe()).
-  // Null-safe; call before start() to catch every transition.
-  void set_trace(TraceLog* trace) { trace_ = trace; }
-
  private:
   void tick();
 
   Simulator& sim_;
   obs::TimeSeriesSampler* sampler_;
   obs::SloMonitor* monitor_;
-  TraceLog* trace_{nullptr};
   Simulator::PeriodicHandle handle_;
   std::uint64_t ticks_{0};
-  // Alert events already bridged into the trace log.
-  std::size_t bridged_events_{0};
 };
 
 }  // namespace dlte::sim

@@ -226,21 +226,25 @@ void PeerCoordinator::maybe_lead_round() {
     broadcast(lte::X2Message{proposal});
     // Apply our own slice directly.
     for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (ids[i] == config_.ap.value()) apply_share(shares[i]);
+      if (ids[i] == config_.ap.value()) apply_share(shares[i], round_span_);
     }
   }
   // A leader with no peers has nobody to wait for.
   if (round_accepts_needed_ == 0) close_round_span("complete");
 }
 
-void PeerCoordinator::apply_share(double share) {
+void PeerCoordinator::apply_share(double share, obs::SpanId round_span) {
+  if (tracer_ != nullptr && round_span != obs::kNoSpan) {
+    obs::span_annotate(tracer_, round_span, "applied",
+                       "ap" + std::to_string(config_.ap.value()) +
+                           " share=" + std::to_string(share));
+  }
   const double previous = current_share_;
   current_share_ = std::clamp(share, 0.0, 1.0);
   ++stats_.shares_applied;
   obs::inc(m_shares_applied_);
   if (current_share_ != previous) obs::inc(m_grant_churn_);
   if (cell_ != nullptr) cell_->set_prb_share(current_share_);
-  if (share_observer_) share_observer_(current_share_);
 }
 
 void PeerCoordinator::on_packet(const net::Packet& packet) {
@@ -269,16 +273,11 @@ void PeerCoordinator::on_packet(const net::Packet& packet) {
     for (std::size_t i = 0; i < proposal->ap_ids.size(); ++i) {
       if (proposal->ap_ids[i] == config_.ap.value() &&
           i < proposal->shares.size()) {
-        if (tracer_ != nullptr) {
-          // The leader's round span lives in the shared tracer's stash.
-          obs::span_annotate(
-              tracer_,
-              tracer_->stashed(obs::span_key("x2_round", proposal->round)),
-              "applied",
-              "ap" + std::to_string(config_.ap.value()) +
-                  " share=" + std::to_string(proposal->shares[i]));
-        }
-        apply_share(proposal->shares[i]);
+        // The leader's round span lives in the shared tracer's stash.
+        apply_share(proposal->shares[i],
+                    tracer_ != nullptr ? tracer_->stashed(obs::span_key(
+                                             "x2_round", proposal->round))
+                                       : obs::kNoSpan);
         // Acknowledge to the proposer.
         lte::DlteShareAccept accept{proposal->round, config_.ap};
         send_to(packet.src, lte::X2Message{accept});

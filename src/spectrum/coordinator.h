@@ -116,10 +116,6 @@ class PeerCoordinator {
   }
   [[nodiscard]] std::optional<NodeId> peer_node(ApId peer) const;
 
-  // Observe every applied share change (tracing/metrics hook).
-  void set_share_observer(std::function<void(double)> observer) {
-    share_observer_ = std::move(observer);
-  }
   // Observe peers declared dead by the liveness timeout.
   void set_peer_loss_observer(std::function<void(ApId)> observer) {
     peer_loss_observer_ = std::move(observer);
@@ -162,7 +158,9 @@ class PeerCoordinator {
   void expire_dead_peers();
   void note_heard(ApId ap);
   [[nodiscard]] bool is_leader() const;
-  void apply_share(double share);
+  // A share won in an X2 round is recorded as the round span's
+  // `applied` annotation.
+  void apply_share(double share, obs::SpanId round_span = obs::kNoSpan);
   // Closes the led round's span (all accepts in, or superseded/offline).
   void close_round_span(const char* result);
 
@@ -184,7 +182,6 @@ class PeerCoordinator {
   std::map<ApId, lte::DltePeerStatus> latest_status_;
   std::map<ApId, TimePoint> last_heard_;
   HandoverSink handover_sink_;
-  std::function<void(double)> share_observer_;
   std::function<void(ApId)> peer_loss_observer_;
   bool offline_{false};
   X2Impairment impairment_{};

@@ -197,6 +197,7 @@ HeartbeatOutcome Registry::heartbeat_outcome(GrantId id) {
     return HeartbeatOutcome::kRenewed;
   }();
   obs::inc(outcome == HeartbeatOutcome::kRenewed ? m_hb_ok_ : m_hb_failed_);
+  if (tracer_ == nullptr) return outcome;
   // Zero-duration marker: heartbeats are instantaneous in the model, but
   // their cadence and failures belong in the trace.
   const obs::SpanId span =
@@ -301,8 +302,9 @@ void Registry::set_outage(RegistryOutage outage) {
 void Registry::request_grant(GrantRequest request, GrantCallback callback) {
   const obs::SpanId span =
       obs::span_begin(tracer_, "registry_grant", span_cat_);
-  obs::span_annotate(tracer_, span, "ap", std::to_string(request.ap.value()));
   if (span != obs::kNoSpan) {
+    obs::span_annotate(tracer_, span, "ap",
+                       std::to_string(request.ap.value()));
     // The span closes when the caller learns the outcome, so its duration
     // is the full request→callback latency (stalls and all).
     callback = [this, span,
@@ -463,9 +465,9 @@ void Registry::serve_query(std::uint64_t requester, Position location,
   const std::uint64_t version = zone_version(location);
   const registry::CacheLookup look =
       cache_->lookup(requester, zone, version, sim_.now());
+  obs::span_annotate(tracer_, span, "cache",
+                     registry::cache_tier_name(look.tier));
   if (look.snapshot != nullptr) {
-    obs::span_annotate(tracer_, span, "cache",
-                       registry::cache_tier_name(look.tier));
     sim_.schedule(
         cache_->tier_latency(look.tier),
         [this, location, snapshot = look.snapshot,
@@ -491,8 +493,6 @@ void Registry::serve_query(std::uint64_t requester, Position location,
         });
     return;
   }
-  obs::span_annotate(tracer_, span, "cache",
-                     registry::cache_tier_name(look.tier));
   const bool refill = look.tier == registry::CacheTier::kAuthoritative;
   sim_.schedule(latency.query, [this, requester, zone, location, refill,
                                 callback = std::move(callback)] {

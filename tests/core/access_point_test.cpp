@@ -200,9 +200,10 @@ TEST(AccessPoint, TwoApsServeIndependently) {
 
 TEST(AccessPoint, TraceRecordsLifecycleEvents) {
   Town town;
+  obs::SpanTracer tracer{[&town] { return town.sim.now(); }};
+  town.registry.set_tracer(&tracer);
   auto& ap = town.add_ap(1, 0.0);
-  sim::TraceLog trace{town.sim};
-  ap.set_trace(&trace);
+  ap.set_span_tracer(&tracer);
   ap.bring_up(town.registry);
   town.run_for(1.0);
   auto ue = town.make_ue(555099, Position{1'000.0, 0.0});
@@ -210,12 +211,31 @@ TEST(AccessPoint, TraceRecordsLifecycleEvents) {
   ap.attach(ue, mac::UeTrafficConfig{}, nullptr);
   town.run_for(2.0);
 
-  EXPECT_GE(trace.count(sim::TraceCategory::kRegistry), 1u);
-  EXPECT_GE(trace.count(sim::TraceCategory::kCoordination), 1u);
-  EXPECT_EQ(trace.count(sim::TraceCategory::kAttach), 1u);
-  const auto attaches = trace.by_category(sim::TraceCategory::kAttach);
-  EXPECT_NE(attaches[0]->message.find("555099"), std::string::npos);
-  EXPECT_NE(attaches[0]->message.find("completed"), std::string::npos);
+  auto annotation = [](const obs::Span& span, const std::string& key) {
+    for (const auto& a : span.annotations) {
+      if (a.key == key) return a.value;
+    }
+    return std::string{};
+  };
+  int grants = 0;
+  int applied = 0;
+  int attaches = 0;
+  for (const auto& span : tracer.spans()) {
+    if (span.name == "registry_grant") {
+      EXPECT_EQ(annotation(span, "result").rfind("grant ", 0), 0u);
+      ++grants;
+    } else if (span.name == "x2_round") {
+      if (annotation(span, "applied").rfind("ap1 share=", 0) == 0) ++applied;
+    } else if (span.name == "attach") {
+      EXPECT_FALSE(span.open);
+      EXPECT_EQ(annotation(span, "imsi"), "555099");
+      EXPECT_EQ(annotation(span, "result"), "registered");
+      ++attaches;
+    }
+  }
+  EXPECT_GE(grants, 1);
+  EXPECT_GE(applied, 1);
+  EXPECT_EQ(attaches, 1);
 }
 
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "fault/failover.h"
 #include "fault/resilience.h"
 #include "ue/mobility.h"
@@ -206,6 +209,37 @@ TEST(FaultInjector, AttachFastFailsWhileApDown) {
   town.run_for(1.0);  // Far less than the 15 s attach guard.
   EXPECT_TRUE(done);
   EXPECT_FALSE(success);
+}
+
+TEST(FaultInjector, AttachRetriesAgainstDeadApAreMarked) {
+  Town town;
+  auto& ap = town.add_ap(1, 0.0);
+  obs::SpanTracer tracer{[&town] { return town.sim.now(); }};
+  ap.set_span_tracer(&tracer);
+  ap.bring_up(town.registry);
+  town.run_for(1.0);
+  auto ue = town.make_ue(700003, Position{1'000.0, 0.0});
+  ap.import_published_subscribers(town.registry);
+  ap.fail();
+  ue::AttachRetryPolicy policy;
+  policy.max_attempts = 3;
+  int outcomes = 0;
+  ap.attach_with_retry(ue, mac::UeTrafficConfig{}, policy,
+                       [&](core::AttachOutcome o) {
+                         ++outcomes;
+                         EXPECT_FALSE(o.success);
+                       });
+  town.run_for(10.0);
+  EXPECT_EQ(outcomes, 1);
+  // One backoff marker per failed attempt that is retried.
+  std::vector<std::string> attempts;
+  for (const auto& span : tracer.spans()) {
+    if (span.name != "attach_retry") continue;
+    ASSERT_EQ(span.annotations.size(), 3u);
+    EXPECT_EQ(span.annotations[0].value, "700003");
+    attempts.push_back(span.annotations[1].value);
+  }
+  EXPECT_EQ(attempts, (std::vector<std::string>{"1", "2"}));
 }
 
 TEST(FaultInjector, FailoverAgentMovesUesToSurvivingAp) {

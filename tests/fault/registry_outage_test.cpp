@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "fault/fault.h"
 #include "ue/mobility.h"
 
@@ -181,6 +184,8 @@ TEST(RegistryOutage, ApSurvivesShortOutageDegraded) {
   cfg.position = Position{};
   cfg.lease_grace = Duration::seconds(60.0);
   core::DlteAccessPoint ap{sim, net, node, radio, cfg};
+  obs::SpanTracer tracer{[&sim] { return sim.now(); }};
+  ap.set_span_tracer(&tracer);
   ap.bring_up(reg);
   sim.run_until(sim.now() + Duration::seconds(2.0));
   ASSERT_TRUE(ap.has_grant());
@@ -207,6 +212,17 @@ TEST(RegistryOutage, ApSurvivesShortOutageDegraded) {
   EXPECT_FALSE(ap.lease_degraded());
   EXPECT_TRUE(ap.has_grant());
   EXPECT_EQ(reg.grants_lapsed(), 0u);
+
+  // Only the AP knows it degraded and recovered: its own markers say so.
+  std::vector<std::string> lease_states;
+  for (const auto& span : tracer.spans()) {
+    if (span.name != "ap_lease") continue;
+    EXPECT_EQ(span.category, "ap");
+    ASSERT_EQ(span.annotations.size(), 1u);
+    lease_states.push_back(span.annotations[0].value);
+  }
+  EXPECT_EQ(lease_states,
+            (std::vector<std::string>{"degraded", "restored"}));
 }
 
 }  // namespace

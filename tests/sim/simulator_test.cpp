@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 namespace dlte::sim {
@@ -101,6 +102,36 @@ TEST(Simulator, PeriodicProcessFiresRepeatedly) {
   s.every(Duration::millis(10), [&] { ++ticks; });
   s.run_until(TimePoint::from_ns(0) + Duration::millis(95));
   EXPECT_EQ(ticks, 9);
+}
+
+// A periodic closure must not own itself: once nothing can run it again,
+// whatever it captured is freed.
+TEST(Simulator, PeriodicClosureFreedWithSimulator) {
+  auto sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = sentinel;
+  {
+    Simulator s;
+    s.every(Duration::millis(10), [sentinel] { ++*sentinel; });
+    sentinel.reset();
+    s.run_until(TimePoint::from_ns(0) + Duration::millis(25));
+    EXPECT_EQ(*watch.lock(), 2);
+  }
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(Simulator, CancelledPeriodicFreedAfterOneMorePeriod) {
+  auto sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = sentinel;
+  Simulator s;
+  Simulator::PeriodicHandle handle =
+      s.every_cancellable(Duration::millis(10), [sentinel] { ++*sentinel; });
+  sentinel.reset();
+  s.run_until(TimePoint::from_ns(0) + Duration::millis(25));
+  handle.cancel();
+  EXPECT_FALSE(watch.expired());  // The next tick is still queued.
+  s.run_until(TimePoint::from_ns(0) + Duration::millis(35));
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(s.events_executed(), 3u);  // Two firings + the cancelled tick.
 }
 
 TEST(Simulator, RunUntilAdvancesClockEvenWithoutEvents) {

@@ -56,38 +56,6 @@ TEST(TelemetryDriver, EvaluatesMonitorBeforeSampling) {
   EXPECT_DOUBLE_EQ(health->points()[0].value, 0.0);
 }
 
-TEST(TelemetryDriver, BridgesAlertTransitionsIntoTraceLog) {
-  Simulator sim;
-  obs::MetricsRegistry reg;
-  obs::Gauge& up = reg.gauge("ap1.up");
-  up.set(1.0);
-  obs::SloMonitor monitor{reg};
-  obs::SloRule rule;
-  rule.name = "ap1_down";
-  rule.scope = "ap1";
-  rule.metric = "ap1.up";
-  rule.predicate = obs::SloPredicate::kGaugeAtLeast;
-  rule.threshold = 1.0;
-  monitor.add_rule(rule);
-  TraceLog trace{sim};
-  TelemetryDriver driver{sim, nullptr, &monitor};  // Alert-only mode.
-  driver.set_trace(&trace);
-  driver.start(Duration::seconds(1.0));
-
-  sim.schedule_at(at(2.5), [&up] { up.set(0.0); });
-  sim.schedule_at(at(5.5), [&up] { up.set(1.0); });
-  sim.run_until(at(8.0));
-
-  ASSERT_EQ(trace.count(TraceCategory::kHealth), 2u);
-  const auto health = trace.by_category(TraceCategory::kHealth);
-  EXPECT_EQ(health[0]->component, "ap1");
-  EXPECT_NE(health[0]->message.find("FIRE ap1_down"), std::string::npos);
-  EXPECT_NE(health[1]->message.find("RESOLVE ap1_down"), std::string::npos);
-  // Each transition bridged exactly once, on the tick that saw it.
-  EXPECT_DOUBLE_EQ((health[0]->when - TimePoint{}).to_seconds(), 3.0);
-  EXPECT_DOUBLE_EQ((health[1]->when - TimePoint{}).to_seconds(), 6.0);
-}
-
 TEST(TelemetryDriver, StopHaltsTicksAndStartRestarts) {
   Simulator sim;
   obs::MetricsRegistry reg;
