@@ -34,6 +34,7 @@
 
 #include "common/time.h"
 #include "obs/metrics.h"
+#include "registry/spatial.h"
 
 namespace dlte::registry {
 
@@ -62,12 +63,6 @@ enum class CacheTier : std::uint8_t {
 };
 
 [[nodiscard]] const char* cache_tier_name(CacheTier tier);
-
-// Immutable shared snapshot of one zone's membership. Shared_ptr because
-// the same snapshot is referenced from all three tiers and from every
-// requester's local entry — at millions of leases, copying id vectors
-// per tier would dominate memory.
-using ZoneSnapshot = std::shared_ptr<const std::vector<std::uint64_t>>;
 
 struct CacheLookup {
   CacheTier tier{CacheTier::kAuthoritative};

@@ -52,6 +52,7 @@ void SpatialIndex::insert(const SiteEntry& entry) {
   zone.max_range_m = std::max(zone.max_range_m, entry.range_m);
   max_range_m_ = std::max(max_range_m_, entry.range_m);
   ++size_;
+  touch_reached_zones(entry);
 }
 
 bool SpatialIndex::erase(std::uint64_t id, Position location) {
@@ -65,6 +66,7 @@ bool SpatialIndex::erase(std::uint64_t id, Position location) {
       // Order inside a bucket carries no meaning (callers sort by id),
       // so swap-pop keeps erase O(1). Bucket/zone max bounds stay
       // conservative — like max_range_m_ they never shrink.
+      const SiteEntry gone = bucket.entries[ei];
       bucket.entries[ei] = bucket.entries.back();
       bucket.entries.pop_back();
       if (bucket.entries.empty()) {
@@ -73,10 +75,52 @@ bool SpatialIndex::erase(std::uint64_t id, Position location) {
         if (zone.buckets.empty()) zones_.erase(zit);
       }
       --size_;
+      touch_reached_zones(gone);
       return true;
     }
   }
   return false;
+}
+
+void SpatialIndex::touch_reached_zones(const SiteEntry& entry) {
+  // The entry's bounding box, widened by one zone on every side so that
+  // rounding in axis_zone can never drop a zone the exact test accepts.
+  const Position p = entry.location;
+  const double r = entry.range_m;
+  const std::int32_t zx0 = axis_zone(p.x_m - r, zone_size_m_) - 1;
+  const std::int32_t zx1 = axis_zone(p.x_m + r, zone_size_m_) + 1;
+  const std::int32_t zy0 = axis_zone(p.y_m - r, zone_size_m_) - 1;
+  const std::int32_t zy1 = axis_zone(p.y_m + r, zone_size_m_) + 1;
+  for (std::int32_t zx = zx0; zx <= zx1; ++zx) {
+    for (std::int32_t zy = zy0; zy <= zy1; ++zy) {
+      // Same expression as for_each_touching_zone's filter, so the set of
+      // touched zones is exactly the set whose membership changed.
+      if (point_to_square_m(p, zx * zone_size_m_, zy * zone_size_m_,
+                            zone_size_m_) > r) {
+        continue;
+      }
+      Membership& m = membership_[zone_key_of(zx, zy)];
+      ++m.version;
+      m.members.reset();
+    }
+  }
+}
+
+ZoneSnapshot SpatialIndex::zone_members(std::int64_t zone) const {
+  Membership& m = membership_[zone];
+  if (m.members == nullptr) {
+    auto ids = std::make_shared<std::vector<std::uint64_t>>();
+    for_each_touching_zone(zone,
+                           [&](const SiteEntry& e) { ids->push_back(e.id); });
+    std::sort(ids->begin(), ids->end());
+    m.members = std::move(ids);
+  }
+  return m.members;
+}
+
+std::uint64_t SpatialIndex::zone_version(std::int64_t zone) const {
+  const auto it = membership_.find(zone);
+  return it == membership_.end() ? 0 : it->second.version;
 }
 
 void SpatialIndex::for_each_zone_near(

@@ -10,6 +10,12 @@
 // largest interference reach of any indexed entry, and a contention
 // query additionally skips buckets whose band cannot overlap.
 //
+// Zone membership (the entries whose reach touches a zone's square) is
+// memoized per zone and carries a version. Both are maintained at the one
+// place membership can change: insert/erase bump the version and drop the
+// memo of exactly the zones the entry's reach touches, so a snapshot is
+// rebuilt only after a change that can alter it.
+//
 // Determinism: zones are visited in a fixed (zx ascending, zy ascending)
 // order and bucket/entry order is insertion order, so a visit sequence
 // is a pure function of the insert/erase history. Callers that need a
@@ -19,6 +25,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -32,6 +39,12 @@ namespace dlte::registry {
 // keys must not merge unrelated zones.
 [[nodiscard]] std::int64_t zone_key(Position location, double zone_size_m);
 [[nodiscard]] std::int64_t zone_key_of(std::int32_t zx, std::int32_t zy);
+
+// Immutable shared snapshot of one zone's membership: grant ids,
+// ascending. Shared_ptr because the same snapshot is referenced from the
+// index's memo, all three LeaseCache tiers, and every requester's local
+// entry — at millions of leases, copying id vectors would dominate memory.
+using ZoneSnapshot = std::shared_ptr<const std::vector<std::uint64_t>>;
 
 // What the index knows about a grant: identity, placement, precomputed
 // interference reach, and band extent. The owner (spectrum::Registry)
@@ -79,6 +92,15 @@ class SpatialIndex {
   // cache serves for that zone.
   void for_each_touching_zone(std::int64_t zone, const Visitor& visit) const;
 
+  // for_each_touching_zone's ids for `zone`, ascending. Memoized: the
+  // scan runs only on the first call after an insert/erase whose reach
+  // touches the zone; until then every call returns the same pointer.
+  [[nodiscard]] ZoneSnapshot zone_members(std::int64_t zone) const;
+  // Membership version of `zone`: the number of inserts/erases whose
+  // reach touched its square (0 for a zone no entry ever reached). The
+  // lease cache accounts a serve as stale when this has moved on.
+  [[nodiscard]] std::uint64_t zone_version(std::int64_t zone) const;
+
  private:
   // Entries of one band within one zone. A bucket caches the largest
   // reach and half-bandwidth of its members so a whole band can be
@@ -104,10 +126,23 @@ class SpatialIndex {
                           double floor_range_m,
                           const std::function<void(const Zone&)>& visit) const;
 
+  // Bump the version and drop the memo of every zone whose square
+  // `entry`'s reach touches — for_each_touching_zone's predicate seen
+  // from the entry's side. max_range_m_ only bounds that scan, so it
+  // never invalidates anything.
+  void touch_reached_zones(const SiteEntry& entry);
+
+  struct Membership {
+    std::uint64_t version{0};
+    ZoneSnapshot members;  // Null until built, and after a touch.
+  };
+
   double zone_size_m_;
   double max_range_m_{0.0};
   std::size_t size_{0};
   std::unordered_map<std::int64_t, Zone> zones_;
+  // Per packed zone key; entries persist once a zone is touched or read.
+  mutable std::unordered_map<std::int64_t, Membership> membership_;
 };
 
 }  // namespace dlte::registry

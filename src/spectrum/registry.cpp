@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "common/bytes.h"
 #include "phy/propagation.h"
@@ -102,14 +101,8 @@ double Registry::cached_range_m(const SpectrumGrant& grant) const {
   return range;
 }
 
-void Registry::bump_zone_version(Position location) {
-  ++zone_versions_[registry::zone_key(location, kZoneSizeM)];
-}
-
 std::uint64_t Registry::zone_version(Position location) const {
-  const auto it =
-      zone_versions_.find(registry::zone_key(location, kZoneSizeM));
-  return it == zone_versions_.end() ? 0 : it->second;
+  return index_.zone_version(registry::zone_key(location, kZoneSizeM));
 }
 
 Result<SpectrumGrant> Registry::grant_now(GrantRequest request) {
@@ -141,7 +134,6 @@ Result<SpectrumGrant> Registry::grant_now(GrantRequest request) {
                                     cached_range_m(g),
                                     g.center_frequency.hz(),
                                     g.bandwidth.hz() / 2.0});
-  bump_zone_version(g.location);
   obs::inc(m_grants_issued_);
   obs::set(m_active_grants_, static_cast<double>(grants_.size()));
   return g;
@@ -150,7 +142,6 @@ Result<SpectrumGrant> Registry::grant_now(GrantRequest request) {
 void Registry::erase_slot(std::size_t slot) {
   SpectrumGrant& g = grants_[slot];
   index_.erase(g.id.value(), g.location);
-  bump_zone_version(g.location);
   slot_of_.erase(g.id.value());
   const std::size_t last = grants_.size() - 1;
   if (slot != last) {
@@ -300,8 +291,10 @@ void Registry::set_outage(RegistryOutage outage) {
 }
 
 void Registry::request_grant(GrantRequest request, GrantCallback callback) {
+  // Guarded so a null tracer builds no span-name strings on this path.
   const obs::SpanId span =
-      obs::span_begin(tracer_, "registry_grant", span_cat_);
+      tracer_ != nullptr ? obs::span_begin(tracer_, "registry_grant", span_cat_)
+                         : obs::kNoSpan;
   if (span != obs::kNoSpan) {
     obs::span_annotate(tracer_, span, "ap",
                        std::to_string(request.ap.value()));
@@ -332,8 +325,10 @@ void Registry::do_request_grant(GrantRequest request, GrantCallback callback,
     // Reads still work; the commit waits for the stall to clear, then
     // pays the normal commit latency on top. The span stays open across
     // the stall — the replay must not open a second one.
-    obs::span_annotate(tracer_, span, "stalled",
-                       "commit deferred: registry commit stall");
+    if (span != obs::kNoSpan) {
+      obs::span_annotate(tracer_, span, "stalled",
+                         "commit deferred: registry commit stall");
+    }
     stalled_commits_.push_back([this, span, request = std::move(request),
                                 callback = std::move(callback)]() mutable {
       do_request_grant(std::move(request), std::move(callback), span);
@@ -389,12 +384,7 @@ std::size_t Registry::count_grants_near(Position location) const {
 
 registry::ZoneSnapshot Registry::zone_snapshot(std::int64_t zone) const {
   const_cast<Registry*>(this)->prune_expired();
-  auto ids = std::make_shared<std::vector<std::uint64_t>>();
-  index_.for_each_touching_zone(zone, [&](const registry::SiteEntry& entry) {
-    ids->push_back(entry.id);
-  });
-  std::sort(ids->begin(), ids->end());
-  return ids;
+  return index_.zone_members(zone);
 }
 
 Registry::ZoneOccupancy Registry::zone_occupancy(std::uint64_t requester,
@@ -427,7 +417,8 @@ void Registry::query_region(Position location, QueryCallback callback) {
 void Registry::query_region_as(std::uint64_t requester, Position location,
                                QueryCallback callback) {
   const obs::SpanId span =
-      obs::span_begin(tracer_, "registry_query", span_cat_);
+      tracer_ != nullptr ? obs::span_begin(tracer_, "registry_query", span_cat_)
+                         : obs::kNoSpan;
   if (span != obs::kNoSpan) {
     callback = [this, span, cb = std::move(callback)](
                    std::vector<SpectrumGrant> grants) {
@@ -440,8 +431,10 @@ void Registry::query_region_as(std::uint64_t requester, Position location,
   if (!reachable_for(location)) {
     // The querier can't tell "no grants" from "registry down" — exactly
     // the blindness the fault model wants to expose.
-    obs::span_annotate(tracer_, span, "unreachable",
-                       "registry down: empty reply after timeout");
+    if (span != obs::kNoSpan) {
+      obs::span_annotate(tracer_, span, "unreachable",
+                         "registry down: empty reply after timeout");
+    }
     sim_.schedule(failure_timeout_, [callback = std::move(callback)] {
       callback({});
     });
@@ -465,8 +458,10 @@ void Registry::serve_query(std::uint64_t requester, Position location,
   const std::uint64_t version = zone_version(location);
   const registry::CacheLookup look =
       cache_->lookup(requester, zone, version, sim_.now());
-  obs::span_annotate(tracer_, span, "cache",
-                     registry::cache_tier_name(look.tier));
+  if (span != obs::kNoSpan) {
+    obs::span_annotate(tracer_, span, "cache",
+                       registry::cache_tier_name(look.tier));
+  }
   if (look.snapshot != nullptr) {
     sim_.schedule(
         cache_->tier_latency(look.tier),

@@ -177,14 +177,16 @@ class Registry {
   // walk local → zone → root caches before the authoritative store, with
   // per-tier latency, and authoritative misses refill the tiers. The
   // cache observes staleness against per-zone membership versions that
-  // this registry bumps on every grant/lapse/revoke.
+  // every grant/lapse/revoke bumps in each zone the grant's reach touches
+  // (its own zone and any neighbour it spills into).
   void attach_cache(registry::LeaseCache* cache) { cache_ = cache; }
   [[nodiscard]] registry::LeaseCache* cache() const { return cache_; }
   // Current membership version of the (exact, packed) zone holding
   // `location` — see registry::zone_key.
   [[nodiscard]] std::uint64_t zone_version(Position location) const;
   // Ids of all grants whose reach touches `zone`'s square, ascending —
-  // the snapshot the cache serves for that zone.
+  // the snapshot the cache serves for that zone. Memoized in the spatial
+  // index: rebuilt only after a membership change reaching the zone.
   [[nodiscard]] registry::ZoneSnapshot zone_snapshot(std::int64_t zone) const;
   // Synchronous occupancy probe through the cache hierarchy (the churn
   // storm's query op): how many grants touch the zone of `location`,
@@ -267,7 +269,6 @@ class Registry {
   [[nodiscard]] double cached_range_m(const SpectrumGrant& grant) const;
   // Remove slot `slot` from grants_ + every side index (swap-pop).
   void erase_slot(std::size_t slot);
-  void bump_zone_version(Position location);
   // A grant past expires_at (but inside grace) is degraded; computed on
   // copy-out so the stored flag needs no O(n) refresh pass.
   [[nodiscard]] bool degraded_now(const SpectrumGrant& grant,
@@ -298,9 +299,6 @@ class Registry {
   std::priority_queue<ExpiryEntry, std::vector<ExpiryEntry>,
                       std::greater<ExpiryEntry>>
       expiry_;
-  // Membership version per packed zone key (registry::zone_key); bumped
-  // on grant/lapse/revoke so the cache can account staleness.
-  std::unordered_map<std::int64_t, std::uint64_t> zone_versions_;
   // WiFi BSS count per shared band, keyed by center frequency in hertz.
   std::map<std::int64_t, std::uint32_t> shared_bands_;
   std::vector<epc::PublishedKeys> published_;

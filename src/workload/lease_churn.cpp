@@ -94,13 +94,19 @@ void LeaseChurnStorm::on_grant_reply(
     sim_.schedule(config_.regrant_backoff, [this] { apply_for_missing(); });
     return;
   }
-  grants_confirmed_ += *count;
-  obs::inc(hooks_.grants_confirmed, *count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
+  // Count only ids actually carried, and never past the quota: a
+  // truncated or duplicated reply must not inflate the confirmations or
+  // underflow the next application's shortfall.
+  std::uint32_t accepted = 0;
+  for (std::uint32_t i = 0; i < *count && held_.size() < config_.leases;
+       ++i) {
     const auto id = r.u64();
     if (!id) break;
     held_.push_back(*id);
+    ++accepted;
   }
+  grants_confirmed_ += accepted;
+  obs::inc(hooks_.grants_confirmed, accepted);
   std::sort(held_.begin(), held_.end());
   if (held_.size() < config_.leases) {
     // Partial fill: an outage or commit stall flipped mid-batch and only
@@ -127,13 +133,17 @@ void LeaseChurnStorm::on_heartbeat_reply(
   if (*lapsed == 0) return;
   // The registrar no longer knows these leases: drop them and re-apply
   // for the shortfall — the re-grant storm after a zone outage.
+  // Reserve by the bytes present, not the claimed count (a corrupt count
+  // would otherwise size a multi-gigabyte allocation), and sort: the
+  // registry sends ids ascending, but set_difference must not rely on it.
   std::vector<std::uint64_t> gone;
-  gone.reserve(*lapsed);
+  gone.reserve(std::min<std::size_t>(*lapsed, r.remaining() / 8));
   for (std::uint32_t i = 0; i < *lapsed; ++i) {
     const auto id = r.u64();
     if (!id) break;
     gone.push_back(*id);
   }
+  std::sort(gone.begin(), gone.end());
   std::vector<std::uint64_t> kept;
   kept.reserve(held_.size());
   std::set_difference(held_.begin(), held_.end(), gone.begin(), gone.end(),

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <vector>
+
+#include "sim/random.h"
 
 namespace dlte::registry {
 namespace {
@@ -133,6 +136,134 @@ TEST(SpatialIndex, TouchingZoneSnapshot) {
                                [&](const SiteEntry& e) { ids.push_back(e.id); });
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2}));
+}
+
+// Reference membership predicate, written out independently of the
+// index: the entry's distance to the closed zone square is within reach.
+bool touches(const SiteEntry& e, std::int32_t zx, std::int32_t zy) {
+  const double x0 = zx * kZone;
+  const double y0 = zy * kZone;
+  const double dx = std::max({x0 - e.location.x_m, 0.0,
+                              e.location.x_m - (x0 + kZone)});
+  const double dy = std::max({y0 - e.location.y_m, 0.0,
+                              e.location.y_m - (y0 + kZone)});
+  return std::sqrt(dx * dx + dy * dy) <= e.range_m;
+}
+
+std::vector<std::uint64_t> touching_ids(const SpatialIndex& index,
+                                        std::int64_t zone) {
+  std::vector<std::uint64_t> ids;
+  index.for_each_touching_zone(
+      zone, [&](const SiteEntry& e) { ids.push_back(e.id); });
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST(SpatialIndex, ZoneMembersMemoizedUntilTouched) {
+  SpatialIndex index{kZone};
+  const std::int64_t zone = zone_key_of(0, 0);
+  index.insert(site(1, 1'000.0, 1'000.0, 500.0));
+  const ZoneSnapshot first = index.zone_members(zone);
+  EXPECT_EQ(*first, (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(index.zone_members(zone), first);  // Same pointer.
+
+  // Far away in another zone: neither memo nor version moves.
+  const std::uint64_t v0 = index.zone_version(zone);
+  index.insert(site(2, 3 * kZone + 10'000.0, 10'000.0, 2'000.0));
+  EXPECT_EQ(index.zone_members(zone), first);
+  EXPECT_EQ(index.zone_version(zone), v0);
+
+  // A neighbour-zone entry whose reach crosses the edge: rebuilt, and
+  // the version of the zone it spills into moves too.
+  index.insert(site(3, kZone + 1'000.0, 1'000.0, 5'000.0));
+  const ZoneSnapshot second = index.zone_members(zone);
+  EXPECT_NE(second, first);
+  EXPECT_EQ(*second, (std::vector<std::uint64_t>{1, 3}));
+  EXPECT_GT(index.zone_version(zone), v0);
+  EXPECT_EQ(*first, (std::vector<std::uint64_t>{1}));  // Immutable.
+
+  // Erase of an unknown id changes nothing.
+  EXPECT_FALSE(index.erase(99, Position{1'000.0, 1'000.0}));
+  EXPECT_EQ(index.zone_members(zone), second);
+
+  EXPECT_TRUE(index.erase(3, Position{kZone + 1'000.0, 1'000.0}));
+  EXPECT_EQ(*index.zone_members(zone), (std::vector<std::uint64_t>{1}));
+}
+
+// Seeded differential test of the memo against a fresh scan, over random
+// insert/erase histories that include long-reach cross-zone entries and
+// entries sitting exactly on zone edges (x or y = k·zone_size).
+TEST(SpatialIndex, ZoneMembersMatchFreshScanUnderChurn) {
+  constexpr std::int32_t kLo = -3;
+  constexpr std::int32_t kHi = 2;  // Observed zones: [kLo, kHi]².
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    sim::RngStream rng{seed};
+    SpatialIndex index{kZone};
+    std::vector<SiteEntry> live;
+    std::map<std::int64_t, ZoneSnapshot> seen;
+    std::map<std::int64_t, std::uint64_t> versions;
+    std::uint64_t next_id = 1;
+
+    const auto coord = [&] {
+      // One in three coordinates lands exactly on a zone edge.
+      if (rng.uniform_int(0, 2) == 0) {
+        return static_cast<double>(
+                   static_cast<std::int64_t>(rng.uniform_int(0, 4)) - 2) *
+               kZone;
+      }
+      return rng.uniform(-2.0 * kZone, 2.0 * kZone);
+    };
+
+    for (int step = 0; step < 300; ++step) {
+      SiteEntry changed;
+      bool did_change = true;
+      const std::uint64_t op = rng.uniform_int(0, 9);
+      if (live.empty() || op < 6) {
+        // Mostly short reaches, some long enough to span several zones.
+        const double range = rng.uniform_int(0, 3) == 0
+                                 ? rng.uniform(30'000.0, 120'000.0)
+                                 : rng.uniform(500.0, 8'000.0);
+        changed = site(next_id++, coord(), coord(), range);
+        index.insert(changed);
+        live.push_back(changed);
+      } else if (op < 9) {
+        const std::size_t i = rng.uniform_int(0, live.size() - 1);
+        changed = live[i];
+        live[i] = live.back();
+        live.pop_back();
+        ASSERT_TRUE(index.erase(changed.id, changed.location));
+      } else {
+        did_change = false;
+        EXPECT_FALSE(index.erase(next_id + 1000, Position{coord(), coord()}));
+      }
+
+      for (std::int32_t zx = kLo; zx <= kHi; ++zx) {
+        for (std::int32_t zy = kLo; zy <= kHi; ++zy) {
+          const std::int64_t zone = zone_key_of(zx, zy);
+          const bool touched = did_change && touches(changed, zx, zy);
+          const ZoneSnapshot members = index.zone_members(zone);
+          ASSERT_NE(members, nullptr);
+          EXPECT_EQ(*members, touching_ids(index, zone))
+              << "seed " << seed << " step " << step << " zone " << zx
+              << "," << zy;
+          const auto prev = seen.find(zone);
+          if (prev != seen.end()) {
+            if (touched) {
+              EXPECT_NE(members, prev->second)
+                  << "seed " << seed << " step " << step;
+              EXPECT_GT(index.zone_version(zone), versions[zone]);
+            } else {
+              EXPECT_EQ(members, prev->second)
+                  << "seed " << seed << " step " << step;
+              EXPECT_EQ(index.zone_version(zone), versions[zone]);
+            }
+          }
+          seen[zone] = members;
+          versions[zone] = index.zone_version(zone);
+        }
+      }
+    }
+  }
 }
 
 TEST(SpatialIndex, VisitOrderIsDeterministic) {

@@ -392,6 +392,48 @@ TEST(Registry, ZoneOccupancyWalksTheCacheHierarchy) {
   EXPECT_EQ(third.grants, 2u);  // The stale snapshot's count.
 }
 
+TEST(Registry, NeighbourZoneGrantMakesCachedServeStale) {
+  // A zone's snapshot also lists neighbour-zone grants whose reach
+  // crosses into it, so such a grant must bump the neighbour's version
+  // too — otherwise the cached serve below would not count as stale.
+  sim::Simulator sim;
+  Registry reg{sim, RegistryKind::kFederated};
+  registry::LeaseCache cache;
+  reg.attach_cache(&cache);
+  const double edge = Registry::kZoneSizeM;
+  const Position in_b{edge + 1'000.0, 1'000.0};  // Zone B = (1, 0).
+  (void)reg.grant_now(band5_request(1, in_b));
+
+  // Warm zone B's cache entries.
+  EXPECT_EQ(reg.zone_occupancy(7, in_b).tier,
+            registry::CacheTier::kAuthoritative);
+  const auto warm = reg.zone_occupancy(7, in_b);
+  EXPECT_EQ(warm.tier, registry::CacheTier::kLocal);
+  EXPECT_FALSE(warm.stale);
+  EXPECT_EQ(warm.grants, 1u);
+
+  // Zone A = (0, 0), 500 m from the A/B edge, with a reach of tens of
+  // kilometres: it lands in B's membership.
+  const Position in_a{edge - 500.0, 1'000.0};
+  ASSERT_NE(registry::zone_key(in_a, edge), registry::zone_key(in_b, edge));
+  const auto cross = reg.grant_now(band5_request(2, in_a));
+  ASSERT_TRUE(cross.ok());
+  const auto b_members =
+      reg.zone_snapshot(registry::zone_key(in_b, Registry::kZoneSizeM));
+  EXPECT_EQ(*b_members, (std::vector<std::uint64_t>{1, cross->id.value()}));
+
+  const auto served = reg.zone_occupancy(7, in_b);
+  EXPECT_EQ(served.tier, registry::CacheTier::kLocal);
+  EXPECT_TRUE(served.stale);
+  EXPECT_EQ(served.grants, 1u);  // The pre-grant snapshot.
+  EXPECT_EQ(cache.stale_serves(), 1u);
+
+  // Revoking it is again a change of B's membership.
+  const std::uint64_t before = reg.zone_version(in_b);
+  reg.revoke(cross->id);
+  EXPECT_GT(reg.zone_version(in_b), before);
+}
+
 TEST(Registry, CachedServeDropsGrantsLapsingBeforeServeTime) {
   // A cached query resolves its snapshot at *serve* time (request +
   // tier latency). A grant whose lapse due falls inside that window must
