@@ -8,8 +8,8 @@
 //     25 ms backhaul — one queue for the whole region.
 // Reported per N: attach latency p50/p95, completed attach rate, and MME
 // queueing delay. The centralized rows saturate; the stub rows are flat.
+// The same per-AP stub storm on the sharded runtime is C9.
 #include <algorithm>
-#include <chrono>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -20,8 +20,6 @@
 #include "core/enodeb.h"
 #include "core/s1_fabric.h"
 #include "epc/epc.h"
-#include "par/partition.h"
-#include "par/sharded_sim.h"
 #include "ue/nas_client.h"
 
 namespace {
@@ -174,88 +172,6 @@ StormResult dlte_storm(int n_aps, obs::MetricsRegistry* reg,
   return result;
 }
 
-// The same N-stub storm hosted on the sharded runtime (src/par/): sites
-// block-partitioned across shards, each shard advanced by its own
-// worker thread. The stubs never talk to each other, so this isolates
-// the runtime's own cost/scaling on the exact workload of the dLTE rows
-// above — and the per-site event sequences must come out identical at
-// every shard count (checked by the caller).
-StormResult sharded_storm(int n_aps, std::size_t shards,
-                          obs::MetricsRegistry* reg,
-                          const std::string& prefix) {
-  par::ShardedSimulator rt{par::ShardedConfig{
-      .shards = shards, .threads = shards,
-      .lookahead = Duration::millis(10)}};
-  rt.set_metrics(reg, prefix);
-  struct Site {
-    std::unique_ptr<epc::EpcCore> core;
-    std::unique_ptr<core::S1Fabric> fabric;
-    std::unique_ptr<core::EnodeB> enb;
-    // Touched only by the owning shard's worker during the run.
-    std::vector<double> attach_samples;
-    int completed{0};
-    int failed{0};
-  };
-  std::vector<std::unique_ptr<Site>> sites;
-  std::vector<std::unique_ptr<ue::NasClient>> clients;
-  std::uint64_t imsi = 9000;
-  for (int a = 0; a < n_aps; ++a) {
-    const std::size_t shard =
-        par::shard_of_block(static_cast<std::size_t>(a),
-                            static_cast<std::size_t>(n_aps), shards);
-    sim::Simulator& sim = rt.shard_sim(shard);
-    auto s = std::make_unique<Site>();
-    s->core = std::make_unique<epc::EpcCore>(
-        sim,
-        epc::EpcConfig{.deployment = epc::CoreDeployment::kLocalStub,
-                       .network_id = "dlte-ap-" + std::to_string(a)},
-        sim::RngStream::derive(23, std::to_string(a)));
-    s->core->set_metrics(&rt.shard_registry(shard), prefix);
-    s->fabric = std::make_unique<core::S1Fabric>(sim, s->core->mme());
-    s->enb = std::make_unique<core::EnodeB>(
-        sim, *s->fabric,
-        core::EnbConfig{.cell = CellId{static_cast<std::uint32_t>(a + 1)}});
-    core::EnodeB* enb = s->enb.get();
-    s->fabric->register_enb_direct(
-        CellId{static_cast<std::uint32_t>(a + 1)}, Duration::micros(50),
-        [enb](const lte::S1apMessage& m) { enb->on_s1ap(m); });
-    Site* site = s.get();
-    for (int u = 0; u < kUesPerAp; ++u) {
-      ++imsi;
-      s->core->hss().provision(Imsi{imsi}, key_for(imsi), kOp);
-      ue::SimProfile p{Imsi{imsi}, key_for(imsi),
-                       crypto::derive_opc(key_for(imsi), kOp), true, "t"};
-      clients.push_back(std::make_unique<ue::NasClient>(
-          ue::Usim{p}, "dlte-ap-" + std::to_string(a)));
-      s->enb->attach_ue(*clients.back(), [site](core::AttachOutcome o) {
-        if (o.success) {
-          ++site->completed;
-          site->attach_samples.push_back(o.elapsed.to_millis());
-        } else {
-          ++site->failed;
-        }
-      });
-    }
-    sites.push_back(std::move(s));
-  }
-  rt.run_until(TimePoint{} + Duration::seconds(5.0));
-  rt.merged_metrics_into(*reg);
-  StormResult result;
-  double worst_queue = 0.0;
-  for (auto& s : sites) {
-    result.completed += s->completed;
-    result.failed += s->failed;
-    for (const double ms : s->attach_samples) result.attach_ms.add(ms);
-    worst_queue =
-        std::max(worst_queue, s->core->mme().stats().queueing_delay_ms.p95());
-  }
-  result.mme_queue_p95_ms = worst_queue;
-  // Attaches all start at t=0, so the slowest one marks completion.
-  result.elapsed_s =
-      result.completed > 0 ? result.attach_ms.quantile(1.0) / 1000.0 : 0.0;
-  return result;
-}
-
 }  // namespace
 
 int main() {
@@ -298,63 +214,5 @@ int main() {
   std::cout << "\nShape check: dLTE p95 attach latency is flat in N (each "
                "stub serves only its own site);\ncentralized p95 grows with "
                "N as the shared MME queue builds.\n";
-
-  // The sharded runtime hosting the 64-AP storm: same scenario, sites
-  // block-partitioned across worker-driven shards. Latencies must be
-  // bit-identical to the 1-shard hosting at every shard count.
-  std::cout << "\nSharded runtime (src/par/), 64-AP dLTE storm:\n";
-  TextTable t2{{"shards", "threads", "attach p50", "attach p95", "completed",
-                "wall", "speedup", "identical"}};
-  constexpr int kParAps = 64;
-  StormResult par_base;
-  double base_wall = 0.0;
-  bool par_identical = true;
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    const std::string prefix = "c4.par.s" + std::to_string(shards) + ".";
-    const auto start = std::chrono::steady_clock::now();
-    const StormResult r =
-        sharded_storm(kParAps, shards, &harness.metrics(), prefix);
-    const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-    harness.add_sim_seconds(r.elapsed_s);
-    harness.gauge(prefix + "attach_p50_ms", r.attach_ms.median());
-    harness.gauge(prefix + "attach_p95_ms", r.attach_ms.p95());
-    harness.counter(prefix + "completed",
-                    static_cast<std::uint64_t>(r.completed));
-    harness.timing("par_run_s" + std::to_string(shards), wall);
-    bool identical = true;
-    if (shards == 1) {
-      par_base = r;
-      base_wall = wall;
-    } else {
-      identical = r.completed == par_base.completed &&
-                  r.failed == par_base.failed &&
-                  r.attach_ms.median() == par_base.attach_ms.median() &&
-                  r.attach_ms.p95() == par_base.attach_ms.p95() &&
-                  r.attach_ms.quantile(1.0) ==
-                      par_base.attach_ms.quantile(1.0);
-      par_identical = par_identical && identical;
-      harness.timing("par_speedup_s" + std::to_string(shards),
-                     base_wall / wall);
-    }
-    harness.counter(prefix + "identical", identical ? 1 : 0);
-    t2.row()
-        .integer(static_cast<int>(shards))
-        .integer(static_cast<int>(shards))
-        .num(r.attach_ms.median(), 0, "ms")
-        .num(r.attach_ms.p95(), 0, "ms")
-        .integer(r.completed)
-        .num(wall * 1000.0, 1, "ms")
-        .num(shards == 1 ? 1.0 : base_wall / wall, 2, "x")
-        .add(identical ? "yes" : "NO");
-  }
-  t2.print(std::cout);
-  std::cout << "\nSharded rows reproduce the 64-AP 'dLTE stubs' latencies at "
-               "every shard count\n(speedup is wall-clock and "
-               "machine-dependent; single-core hosts show ~1.0x).\n";
-  if (!par_identical) {
-    std::cerr << "c4: sharded storm diverged from the 1-shard hosting\n";
-  }
-  return harness.finish(par_identical ? 0 : 1);
+  return harness.finish();
 }

@@ -2,9 +2,11 @@
 //
 // The paper's per-AP independence argument (§4.1) is also a systems
 // property of the simulator: islands interact only over X2-over-Internet
-// latencies, so the town partitions cleanly across cores. This bench
-// (a) sweeps shard counts over the same scenario and verifies IN PROCESS
-// that every merged artifact — metrics, series, OpenMetrics, the
+// latencies, so the town partitions cleanly across cores. This is the
+// one sharded attach-storm bench: C4's per-AP EPC stubs, each attaching
+// its own UEs, hosted on the parallel runtime. It (a) sweeps shard
+// counts over the same scenario and verifies IN PROCESS that every
+// merged artifact — metrics, series, OpenMetrics, the
 // event-attribution profile, and the merged audit digests — is
 // byte-identical to the 1-shard run at every shard count, and (b) records
 // the wall-time scaling in the (non-deterministic) "timings" section.

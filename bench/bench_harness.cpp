@@ -108,37 +108,6 @@ void Harness::parse_args(int argc, char** argv) {
       audit_path_ = argv[i] + sizeof(kAuditOut) - 1;
     }
   }
-  if (tracer_ == nullptr) {
-    if (const char* env = std::getenv("DLTE_TRACE_OUT")) {
-      enable_tracing(env);
-    }
-  }
-  if (sampler_ == nullptr) {
-    if (const char* env = std::getenv("DLTE_SERIES_OUT")) {
-      enable_series(env);
-    }
-  }
-  if (openmetrics_path_.empty()) {
-    if (const char* env = std::getenv("DLTE_OPENMETRICS_OUT")) {
-      openmetrics_path_ = env;
-    }
-  }
-  if (prof_path_.empty()) {
-    if (const char* env = std::getenv("DLTE_PROF_OUT")) prof_path_ = env;
-  }
-  if (prof_trace_path_.empty()) {
-    if (const char* env = std::getenv("DLTE_PROF_TRACE_OUT")) {
-      prof_trace_path_ = env;
-    }
-  }
-  if (prof_folded_path_.empty()) {
-    if (const char* env = std::getenv("DLTE_PROF_FOLDED")) {
-      prof_folded_path_ = env;
-    }
-  }
-  if (audit_path_.empty()) {
-    if (const char* env = std::getenv("DLTE_AUDIT_OUT")) audit_path_ = env;
-  }
 }
 
 void Harness::set_profile(obs::ProfileDoc doc) {

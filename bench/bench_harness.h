@@ -49,9 +49,9 @@ class Harness {
   // The registry scenario components attach to via set_metrics().
   [[nodiscard]] obs::MetricsRegistry& metrics() { return registry_; }
 
-  // Opt-in causal tracing: `--trace-out=<file>` on the command line (or
-  // $DLTE_TRACE_OUT) creates a SpanTracer whose latency rollups land in
-  // metrics() as `span.*` histograms; finish() writes the Chrome
+  // Opt-in causal tracing: `--trace-out=<file>` on the command line
+  // creates a SpanTracer whose latency rollups land in metrics() as
+  // `span.*` histograms; finish() writes the Chrome
   // trace-event JSON to the given path. Unknown flags are ignored, so a
   // bench just forwards its argc/argv.
   void parse_args(int argc, char** argv);
@@ -64,13 +64,12 @@ class Harness {
   // (e.g. `[&sim] { return sim.now(); }`). No-op when not tracing.
   void set_trace_clock(obs::SpanTracer::NowFn now);
 
-  // Opt-in time-series telemetry: `--series-out=<file>` (or
-  // $DLTE_SERIES_OUT) creates a TimeSeriesSampler + SloMonitor over
-  // metrics(); finish() writes the dlte-series-v1 JSON there.
-  // `--series-interval-ms=<n>` tunes the sampling cadence (default
-  // 500 ms of simulated time). `--openmetrics-out=<file>` (or
-  // $DLTE_OPENMETRICS_OUT) additionally writes the final registry state
-  // as OpenMetrics text. The harness stays sim-free: the scenario
+  // Opt-in time-series telemetry: `--series-out=<file>` creates a
+  // TimeSeriesSampler + SloMonitor over metrics(); finish() writes the
+  // dlte-series-v1 JSON there. `--series-interval-ms=<n>` tunes the
+  // sampling cadence (default 500 ms of simulated time).
+  // `--openmetrics-out=<file>` additionally writes the final registry
+  // state as OpenMetrics text. The harness stays sim-free: the scenario
   // constructs a sim::TelemetryDriver next to its Simulator and points
   // it at sampler()/slo().
   void enable_series(std::string path);
@@ -80,7 +79,7 @@ class Harness {
   [[nodiscard]] obs::SloMonitor* slo() { return monitor_.get(); }
 
   // Parallel-runtime knobs for sharded benches: `--shards=<n>` and
-  // `--par-threads=<n>` (0 = one worker per shard) select the partition,
+  // `--par-threads=<n>` (0 = one thread per shard) select the partition,
   // `--par-artifacts=<prefix>` asks the bench to dump its merged
   // artifacts to <prefix>.{metrics.json,series.json,openmetrics.txt,
   // prof.json,audit.json} — what the CI par-determinism gate compares
@@ -92,13 +91,13 @@ class Harness {
     return par_artifacts_;
   }
 
-  // Self-profiling plane: `--prof-out=<file>` (or $DLTE_PROF_OUT) asks
-  // the bench to produce a dlte-prof-v1 document; the bench builds a
-  // ProfileDoc (merged event attribution + wall-clock shard profile) and
-  // hands it over via set_profile(); finish() writes it. Optional
-  // companions: `--prof-trace-out=` ($DLTE_PROF_TRACE_OUT) for Perfetto
-  // counter tracks and `--prof-folded=` ($DLTE_PROF_FOLDED) for
-  // flamegraph-folded text from the span tracer (requires --trace-out).
+  // Self-profiling plane: `--prof-out=<file>` asks the bench to produce
+  // a dlte-prof-v1 document; the bench builds a ProfileDoc (merged event
+  // attribution + wall-clock shard profile) and hands it over via
+  // set_profile(); finish() writes it. Optional companions:
+  // `--prof-trace-out=` for Perfetto counter tracks and `--prof-folded=`
+  // for flamegraph-folded text from the span tracer (requires
+  // --trace-out).
   [[nodiscard]] bool profiling_requested() const {
     return !prof_path_.empty() || !prof_trace_path_.empty();
   }
@@ -109,9 +108,9 @@ class Harness {
     return profile_.get();
   }
 
-  // Determinism audit plane: `--audit-out=<file>` (or $DLTE_AUDIT_OUT)
-  // asks the bench for a dlte-audit-v1 document; the bench hands its
-  // runtime's AuditDoc over via set_audit(); finish() writes it.
+  // Determinism audit plane: `--audit-out=<file>` asks the bench for a
+  // dlte-audit-v1 document; the bench hands its runtime's AuditDoc over
+  // via set_audit(); finish() writes it.
   [[nodiscard]] bool audit_requested() const { return !audit_path_.empty(); }
   [[nodiscard]] const std::string& audit_path() const { return audit_path_; }
   void set_audit(obs::AuditDoc doc);

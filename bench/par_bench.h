@@ -1,7 +1,7 @@
 // Shared scaffold of the sharded benches (C9, C10, C12). Each bench runs
 // one par:: scenario in one of two modes:
 //
-//   sweep — the scenario at 1, 2, and 4 shards (one worker per shard);
+//   sweep — the scenario at 1, 2, and 4 shards (one thread per shard);
 //           every merged artifact of the 2- and 4-shard runs is
 //           byte-compared IN PROCESS against the 1-shard run, recorded as
 //           `<tag>.s<N>.identical`, with `run_s<N>`/`speedup_s<N>` wall

@@ -22,6 +22,7 @@ void HandoverManager::initiate(UeDevice& ue, ApId target_ap,
   const auto trace_refusal = [&](const std::string& why) {
     // A zero-duration marker span: the refusal is still a procedure the
     // trace should show, it just never left this AP.
+    if (tracer_ == nullptr) return;
     const obs::SpanId s =
         obs::span_begin(tracer_, "handover_refused", span_cat_);
     obs::span_annotate(tracer_, s, "imsi", std::to_string(imsi.value()));
@@ -54,10 +55,10 @@ void HandoverManager::initiate(UeDevice& ue, ApId target_ap,
   p.started_at = sim_.now();
   p.target = target_ap;
   p.span = obs::span_begin(tracer_, "handover", span_cat_);
-  obs::span_annotate(tracer_, p.span, "imsi", std::to_string(imsi.value()));
-  obs::span_annotate(tracer_, p.span, "target_ap",
-                     std::to_string(target_ap.value()));
   if (tracer_ != nullptr) {
+    obs::span_annotate(tracer_, p.span, "imsi", std::to_string(imsi.value()));
+    obs::span_annotate(tracer_, p.span, "target_ap",
+                       std::to_string(target_ap.value()));
     // The target AP's manager parents its admission span here.
     tracer_->stash(obs::span_key("handover", imsi.value()), p.span);
   }
@@ -135,14 +136,19 @@ void HandoverManager::handle_request(const lte::X2HandoverRequest& request,
       request.imsi, ap_.cell_id(), request.security_context);
   if (!bearer) {
     ++refused_;
-    obs::span_annotate(tracer_, admit, "result",
-                       "refused: " + bearer.error());
+    if (admit != obs::kNoSpan) {
+      obs::span_annotate(tracer_, admit, "result",
+                         "refused: " + bearer.error());
+    }
     obs::span_end(tracer_, admit);
     return;
   }
   ++admitted_;
-  obs::span_annotate(tracer_, admit, "result", "admitted");
-  obs::span_annotate(tracer_, admit, "new_ue_ip", bearer->ue_ip.to_string());
+  if (admit != obs::kNoSpan) {
+    obs::span_annotate(tracer_, admit, "result", "admitted");
+    obs::span_annotate(tracer_, admit, "new_ue_ip",
+                       bearer->ue_ip.to_string());
+  }
   obs::span_end(tracer_, admit);
   lte::X2HandoverRequestAck ack;
   ack.target_cell = ap_.cell_id();
@@ -172,9 +178,11 @@ void HandoverManager::handle_ack(const lte::X2HandoverRequestAck& ack) {
   sim_.schedule(kRrcReconfiguration, [this, pending = std::move(pending),
                                       ack, rrc]() mutable {
     obs::span_end(tracer_, rrc);
-    obs::span_annotate(tracer_, pending.span, "result", "success");
-    obs::span_annotate(tracer_, pending.span, "new_ue_ip",
-                       std::to_string(ack.new_ue_ip));
+    if (pending.span != obs::kNoSpan) {
+      obs::span_annotate(tracer_, pending.span, "result", "success");
+      obs::span_annotate(tracer_, pending.span, "new_ue_ip",
+                         std::to_string(ack.new_ue_ip));
+    }
     obs::span_end(tracer_, pending.span);
     if (tracer_ != nullptr) {
       tracer_->take(obs::span_key("handover", ack.imsi.value()));

@@ -61,6 +61,7 @@ obs::SpanId Mme::ran_span(CellId cell, EnbUeId enb_ue_id) const {
 
 void Mme::begin_phase(UeContext& ue, const char* name) {
   end_phase(ue);
+  if (tracer_ == nullptr) return;  // No span name/category strings.
   ue.phase_span = obs::span_begin(tracer_, name, span_cat_, ue.proc_span);
 }
 
@@ -182,8 +183,10 @@ void Mme::start_attach(CellId cell, EnbUeId enb_ue_id,
   if (ue.state == EmmState::kDeregistered) {
     ue.attach_started = sim_.now();
     ue.proc_span = ran_span(cell, enb_ue_id);
-    obs::span_annotate(tracer_, ue.proc_span, "imsi",
-                       std::to_string(request.imsi.value()));
+    if (ue.proc_span != obs::kNoSpan) {
+      obs::span_annotate(tracer_, ue.proc_span, "imsi",
+                         std::to_string(request.imsi.value()));
+    }
     begin_phase(ue, "aka");
   } else {
     obs::span_annotate(tracer_, ue.proc_span, "nas_retx",
@@ -299,7 +302,9 @@ void Mme::maybe_finish_attach(UeContext& ue) {
 }
 
 void Mme::send_nas(UeContext& ue, const lte::NasMessage& nas) {
-  obs::span_annotate(tracer_, ue.proc_span, "nas_tx", lte::nas_brief(nas));
+  if (ue.proc_span != obs::kNoSpan) {
+    obs::span_annotate(tracer_, ue.proc_span, "nas_tx", lte::nas_brief(nas));
+  }
   lte::DownlinkNasTransport transport;
   transport.enb_ue_id = ue.enb_ue_id;
   transport.mme_ue_id = ue.mme_ue_id;
@@ -328,9 +333,11 @@ void Mme::arm_nas_retx(UeContext& ue) {
     --u.retx_left;
     ++stats_.nas_retransmissions;
     obs::inc(m_nas_retx_);
-    obs::span_annotate(tracer_, u.proc_span, "nas_retx",
-                       "downlink NAS re-sent (" +
-                           std::to_string(u.retx_left) + " left)");
+    if (u.proc_span != obs::kNoSpan) {
+      obs::span_annotate(tracer_, u.proc_span, "nas_retx",
+                         "downlink NAS re-sent (" +
+                             std::to_string(u.retx_left) + " left)");
+    }
     // If the radio-side context setup is also outstanding, the original
     // InitialContextSetupRequest may have been the lost message: re-issue
     // it alongside the NAS retransmission.

@@ -37,7 +37,7 @@ struct MetroConfig {
   // unit of partitioning (districts are block-partitioned over shards).
   int districts{100};
   std::size_t shards{1};
-  std::size_t threads{0};  // 0 → one worker per shard.
+  std::size_t threads{0};  // 0 → one thread per shard.
   std::uint64_t seed{42};
   Duration horizon{Duration::seconds(8.0)};
   // UEs attach in stratified batches across this window.

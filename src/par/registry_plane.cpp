@@ -21,6 +21,7 @@ constexpr EndpointId kRegistryEndpoint = 0;
 // In-flight grant batch: per-lease request_grant callbacks complete at
 // the same commit latency, so the last one posts the combined reply.
 struct GrantBatch {
+  EndpointId reply_to{0};
   std::uint32_t block{0};
   std::uint32_t expected{0};
   std::uint32_t done{0};
@@ -184,6 +185,7 @@ void RegistryPlaneScenario::build() {
 }
 
 void RegistryPlaneScenario::handle_registry_message(const Message& m) {
+  // Replies go to the sender, never to an endpoint id read off the wire.
   spectrum::Registry& reg = *registry_->registry;
   ByteReader r{m.payload};
   switch (m.kind) {
@@ -195,7 +197,13 @@ void RegistryPlaneScenario::handle_registry_message(const Message& m) {
       const auto center = r.f64();
       const auto bw = r.f64();
       if (!block || !count || !x || !y || !center || !bw) return;
+      // No block asks for more than its quota; a larger count is a
+      // corrupt or hostile batch, not billions of grant requests.
+      if (*count > static_cast<std::uint32_t>(config_.leases_per_block)) {
+        return;
+      }
       auto batch = std::make_shared<GrantBatch>();
+      batch->reply_to = m.src;
       batch->block = *block;
       batch->expected = *count;
       spectrum::GrantRequest req;
@@ -214,8 +222,7 @@ void RegistryPlaneScenario::handle_registry_message(const Message& m) {
               w.u8(batch->ids.empty() ? 0 : 1);
               w.u32(static_cast<std::uint32_t>(batch->ids.size()));
               for (const std::uint64_t id : batch->ids) w.u64(id);
-              runtime_.post(kRegistryEndpoint,
-                            static_cast<EndpointId>(1 + batch->block),
+              runtime_.post(kRegistryEndpoint, batch->reply_to,
                             config_.registry_delay,
                             workload::kLeaseGrantReply, w.take());
             });
@@ -250,9 +257,8 @@ void RegistryPlaneScenario::handle_registry_message(const Message& m) {
       w.u32(unreachable);
       w.u32(static_cast<std::uint32_t>(lapsed.size()));
       for (const std::uint64_t id : lapsed) w.u64(id);
-      runtime_.post(kRegistryEndpoint, static_cast<EndpointId>(1 + *block),
-                    config_.registry_delay, workload::kLeaseHeartbeatReply,
-                    w.take());
+      runtime_.post(kRegistryEndpoint, m.src, config_.registry_delay,
+                    workload::kLeaseHeartbeatReply, w.take());
       return;
     }
     case workload::kLeaseQuery: {
@@ -273,8 +279,8 @@ void RegistryPlaneScenario::handle_registry_message(const Message& m) {
       w.u8(static_cast<std::uint8_t>(occ.tier));
       w.u8(occ.stale ? 1 : 0);
       w.u64(static_cast<std::uint64_t>(occ.grants));
-      runtime_.post(kRegistryEndpoint, static_cast<EndpointId>(1 + *block),
-                    delay, workload::kLeaseQueryReply, w.take());
+      runtime_.post(kRegistryEndpoint, m.src, delay,
+                    workload::kLeaseQueryReply, w.take());
       return;
     }
     default:

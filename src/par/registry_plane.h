@@ -48,7 +48,7 @@ struct RegistryPlaneConfig {
   int zones_x{4};            // Zone grid (kZoneSizeM squares).
   int zones_y{4};
   std::size_t shards{1};
-  std::size_t threads{0};  // 0 → one worker per shard.
+  std::size_t threads{0};  // 0 → one thread per shard.
   std::uint64_t seed{42};
   Duration horizon{Duration::seconds(75.0)};
   // Lease terms: lifetime + grace bound how long a zone outage can last

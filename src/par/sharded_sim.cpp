@@ -71,23 +71,20 @@ ShardedSimulator::ShardedSimulator(ShardedConfig config)
         engine_domain_, obs::SamplerConfig{engine_interval_});
     next_engine_sample_ = TimePoint{} + engine_interval_;
   }
-  if (config_.threads > 1) {
-    workers_.reserve(config_.threads);
-    for (std::size_t i = 0; i < config_.threads; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
-    }
+  // The coordinator is the remaining thread: it runs shards too.
+  workers_.reserve(config_.threads - 1);
+  for (std::size_t i = 1; i < config_.threads; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ShardedSimulator::~ShardedSimulator() {
-  if (!workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutdown_ = true;
-    }
-    cv_work_.notify_all();
-    for (std::thread& worker : workers_) worker.join();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    shutdown_ = true;
   }
+  cv_work_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
 }
 
 sim::Simulator& ShardedSimulator::shard_sim(std::size_t shard) {
@@ -128,6 +125,23 @@ void ShardedSimulator::post(EndpointId src, EndpointId dst, Duration delay,
   shard.outbox.push_back(std::move(msg));
 }
 
+void ShardedSimulator::run_shards(TimePoint end) {
+  for (;;) {
+    const std::size_t i = next_shard_.fetch_add(1);
+    if (i >= shards_.size()) return;
+    Shard& shard = *shards_[i];
+    if (config_.profile) {
+      const auto start = std::chrono::steady_clock::now();
+      shard.sim.run_until(end);
+      // Only the claiming thread touches shard i inside the window; the
+      // coordinator reads window_run_s after the barrier.
+      shard.window_run_s = wall_seconds_since(start);
+    } else {
+      shard.sim.run_until(end);
+    }
+  }
+}
+
 void ShardedSimulator::worker_loop() {
   std::uint64_t seen_generation = 0;
   for (;;) {
@@ -141,19 +155,7 @@ void ShardedSimulator::worker_loop() {
       seen_generation = generation_;
       end = window_end_;
     }
-    for (;;) {
-      const std::size_t i = next_shard_.fetch_add(1);
-      if (i >= shards_.size()) break;
-      if (config_.profile) {
-        const auto start = std::chrono::steady_clock::now();
-        shards_[i]->sim.run_until(end);
-        // Only this worker touches shard i inside the window; the
-        // coordinator reads window_run_s after the barrier.
-        shards_[i]->window_run_s = wall_seconds_since(start);
-      } else {
-        shards_[i]->sim.run_until(end);
-      }
-    }
+    run_shards(end);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (++done_count_ == workers_.size()) cv_done_.notify_one();
@@ -162,18 +164,6 @@ void ShardedSimulator::worker_loop() {
 }
 
 void ShardedSimulator::run_window(TimePoint end) {
-  if (workers_.empty()) {
-    for (auto& shard : shards_) {
-      if (config_.profile) {
-        const auto start = std::chrono::steady_clock::now();
-        shard->sim.run_until(end);
-        shard->window_run_s = wall_seconds_since(start);
-      } else {
-        shard->sim.run_until(end);
-      }
-    }
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     window_end_ = end;
@@ -182,6 +172,9 @@ void ShardedSimulator::run_window(TimePoint end) {
     ++generation_;
   }
   cv_work_.notify_all();
+  // The coordinator claims shards beside the workers, then waits for the
+  // ones still running theirs.
+  run_shards(end);
   std::unique_lock<std::mutex> lock(mu_);
   cv_done_.wait(lock, [this] { return done_count_ == workers_.size(); });
 }

@@ -23,11 +23,13 @@
 //   4. per-shard observability (domain registries, series samplers) uses
 //      shard-unique metric names (per-AP prefixes) and merges by name.
 //
-// Threading model (ThreadSanitizer-clean by construction): one worker
-// pool; within a window each shard is claimed by exactly one worker via
-// an atomic counter and touched by no one else; the coordinator only
-// inspects shard state between windows, with the barrier mutex ordering
-// every hand-off. post() appends only to the posting shard's own outbox.
+// Threading model (ThreadSanitizer-clean by construction): the
+// coordinator (the run_until caller) plus a pool of threads − 1 workers;
+// within a window each of them claims shards through one atomic counter,
+// so each shard is run by exactly one thread and touched by no one else.
+// The coordinator touches a shard it did not claim only between windows,
+// with the barrier mutex ordering every hand-off. post() appends only to
+// the posting shard's own outbox.
 #pragma once
 
 #include <atomic>
@@ -55,7 +57,8 @@ namespace dlte::par {
 
 struct ShardedConfig {
   std::size_t shards{1};
-  // Worker threads; 0 → one per shard. 1 runs shards serially on the
+  // Threads that run shards, the caller's thread included (a pool of
+  // threads − 1 workers); 0 → one per shard. 1 runs every shard on the
   // caller's thread (no pool), useful under sanitizers and as the
   // determinism reference.
   std::size_t threads{0};
@@ -209,8 +212,8 @@ class ShardedSimulator {
   // metro scenario injects hundreds of thousands of these per run, and a
   // pooled record (lambda captures one pointer) costs no heap traffic
   // where the previous shared_ptr cost two allocations per message. The
-  // pool is touched by the coordinator at barriers and by the owning
-  // shard's worker inside windows — phases that never overlap.
+  // pool is touched by the coordinator at barriers and by the thread that
+  // claimed the shard inside windows — phases that never overlap.
   struct Delivery {
     Message msg;
     const Endpoint* endpoint{nullptr};
@@ -226,11 +229,11 @@ class ShardedSimulator {
     std::uint64_t posts_clamped{0};
     ObjectPool<Delivery> deliveries{256};
     // Profiling state (null/zero unless config_.profile). window_run_s
-    // is written by the worker that owns the shard inside the window and
-    // read by the coordinator after the barrier — never concurrently.
+    // is written by the thread that claims the shard inside the window
+    // and read by the coordinator after the barrier — never concurrently.
     std::unique_ptr<obs::EventProfiler> profiler;
-    // Audit timeline (null unless config_.audit); fed by the owning
-    // worker inside windows, read by the coordinator after the run.
+    // Audit timeline (null unless config_.audit); fed by the claiming
+    // thread inside windows, read by the coordinator after the run.
     std::unique_ptr<obs::DigestTimeline> auditor;
     std::uint32_t delivery_label{0};
     double window_run_s{0.0};
@@ -238,7 +241,11 @@ class ShardedSimulator {
     double barrier_wait_s{0.0};
   };
 
+  // Publish the window, run shards beside the workers, wait for them.
   void run_window(TimePoint end);
+  // The one claim loop, run by the coordinator and every worker: take
+  // shards off next_shard_ until none is left, run each to `end`.
+  void run_shards(TimePoint end);
   void worker_loop();
   // Roll the finished window's wall time into lanes and samples.
   void record_profile_window(TimePoint end, double window_wall_s);
@@ -288,7 +295,7 @@ class ShardedSimulator {
   std::vector<obs::ShardWindowSample> prof_samples_;
   std::uint64_t sample_stride_{1};
 
-  // Worker pool (empty when config_.threads == 1).
+  // Worker pool: threads − 1 workers (none when config_.threads == 1).
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable cv_work_;

@@ -26,7 +26,7 @@ struct TownConfig {
   int aps{8};
   int ues_per_ap{10};
   std::size_t shards{1};
-  std::size_t threads{0};  // 0 → one worker per shard.
+  std::size_t threads{0};  // 0 → one thread per shard.
   std::uint64_t seed{42};
   Duration horizon{Duration::seconds(5.0)};
   // X2 load-report cadence per AP.

@@ -55,7 +55,8 @@ TEST(ParDeterminism, TownDoesMeaningfulWork) {
 // shard count and any worker-thread count.
 TEST(ParDeterminism, ArtifactsAreByteIdenticalAcrossShardCounts) {
   const Artifacts one = run_town(1, 1);
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+  for (const std::size_t shards :
+       {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     const Artifacts many = run_town(shards, shards);
     EXPECT_EQ(one.metrics, many.metrics) << "shards=" << shards;
     EXPECT_EQ(one.series, many.series) << "shards=" << shards;
@@ -65,12 +66,18 @@ TEST(ParDeterminism, ArtifactsAreByteIdenticalAcrossShardCounts) {
   }
 }
 
+// 2 and 3 threads: the coordinator plus fewer workers than shards, so
+// threads claim several shards each, in no fixed order.
 TEST(ParDeterminism, ArtifactsAreByteIdenticalAcrossThreadCounts) {
   const Artifacts serial = run_town(4, 1);
-  const Artifacts threaded = run_town(4, 4);
-  EXPECT_EQ(serial.metrics, threaded.metrics);
-  EXPECT_EQ(serial.series, threaded.series);
-  EXPECT_EQ(serial.openmetrics, threaded.openmetrics);
+  for (const std::size_t threads :
+       {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+    const Artifacts threaded = run_town(4, threads);
+    EXPECT_EQ(serial.metrics, threaded.metrics) << "threads=" << threads;
+    EXPECT_EQ(serial.series, threaded.series) << "threads=" << threads;
+    EXPECT_EQ(serial.openmetrics, threaded.openmetrics)
+        << "threads=" << threads;
+  }
 }
 
 TEST(ParDeterminism, RepeatedRunsReproduce) {

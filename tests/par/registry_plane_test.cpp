@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
+#include "common/bytes.h"
 #include "obs/audit_export.h"
+#include "spectrum/registry.h"
+#include "workload/lease_churn.h"
 
 namespace dlte::par {
 namespace {
@@ -116,6 +120,72 @@ TEST(RegistryPlaneTest, QuietZonesKeepTheirLeases) {
   EXPECT_GT(r.heartbeats_failed, 0u);
   EXPECT_EQ(r.grants_lapsed, 0u);
   EXPECT_EQ(r.leases_held, 12u * 40u);
+}
+
+// A probe endpoint beside the blocks posts one grant batch once the
+// initial mass grant has settled (t = 5 s, well before the outage), and
+// reports what the registry did with it. Block 0's own location and
+// channel, so a served batch is grantable. post == false is the control.
+struct ProbeOutcome {
+  std::uint64_t grants_issued{0};
+  int replies{0};
+};
+
+ProbeOutcome probe_grant_batch(bool post, std::uint32_t block,
+                               std::uint32_t count) {
+  auto config = small_config(2);
+  config.horizon = Duration::seconds(5.0);
+  RegistryPlaneScenario plane{config};
+  plane.run();
+  ShardedSimulator& rt = plane.runtime();
+  constexpr EndpointId kProbe = 1'000'000;
+  ProbeOutcome out;
+  rt.register_endpoint(kProbe, 1, [&out](const Message& m) {
+    if (m.kind == workload::kLeaseGrantReply) ++out.replies;
+  });
+  if (post) {
+    const double zs = spectrum::Registry::kZoneSizeM;
+    ByteWriter w;
+    w.u32(block);
+    w.u32(count);
+    w.f64(0.1 * zs);
+    w.f64(0.1 * zs);
+    w.f64(Hertz::mhz(3550.0).hz());
+    w.f64(Hertz::mhz(10.0).hz());
+    rt.post(kProbe, 0, config.registry_delay, workload::kLeaseGrantBatch,
+            w.take());
+  }
+  rt.run_until(rt.now() + Duration::seconds(2.0));
+  obs::MetricsRegistry merged;
+  rt.merged_metrics_into(merged);
+  out.grants_issued = merged.counter("reg.registry.grants_issued").value();
+  return out;
+}
+
+TEST(RegistryPlaneTest, GrantReplyGoesToTheSenderNotThePayloadBlock) {
+  // Block 9999 does not exist: a reply addressed by the payload's block
+  // field would name an unregistered endpoint and throw at the barrier.
+  ProbeOutcome out;
+  EXPECT_NO_THROW(out = probe_grant_batch(true, 9999, 1));
+  EXPECT_EQ(out.replies, 1);
+}
+
+TEST(RegistryPlaneTest, GrantBatchAboveTheQuotaIsRejected) {
+  const ProbeOutcome control = probe_grant_batch(false, 0, 0);
+  const std::uint32_t quota =
+      static_cast<std::uint32_t>(small_config(1).leases_per_block);
+  // The probe path is live: a batch within the quota is served.
+  const ProbeOutcome served = probe_grant_batch(true, 0, quota);
+  EXPECT_EQ(served.replies, 1);
+  EXPECT_GT(served.grants_issued, control.grants_issued);
+  // Over the quota, by one lease or by four billion: dropped unserved,
+  // no grant, no reply.
+  const ProbeOutcome over = probe_grant_batch(true, 0, quota + 1);
+  ASSERT_EQ(over.grants_issued, control.grants_issued);
+  EXPECT_EQ(over.replies, 0);
+  const ProbeOutcome huge = probe_grant_batch(true, 0, 0xffffffffu);
+  EXPECT_EQ(huge.grants_issued, control.grants_issued);
+  EXPECT_EQ(huge.replies, 0);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Validate and render dlte-prof-v1 self-profiling documents.
 
-Input is the profile JSON written by bench binaries (`--prof-out=` /
-$DLTE_PROF_OUT): the deterministic event-attribution section (per-label
+Input is the profile JSON written by bench binaries (`--prof-out=`):
+the deterministic event-attribution section (per-label
 schedule/execute/past-clamp/residency counts, byte-identical across
 shard and thread counts) plus the wall-clock shard profile (per-shard
 lane timing, shard-pair message matrix, per-window samples — never
