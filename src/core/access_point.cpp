@@ -74,13 +74,9 @@ void DlteAccessPoint::set_metrics(obs::MetricsRegistry* registry,
   m_lease_degraded_->set(degraded_since_ ? 1.0 : 0.0);
 }
 
-void DlteAccessPoint::mark(
-    const char* name,
-    std::initializer_list<std::pair<const char*, std::string>> notes) {
-  const obs::SpanId s = obs::span_begin(tracer_, name, span_cat_);
-  for (const auto& [key, value] : notes) {
-    obs::span_annotate(tracer_, s, key, value);
-  }
+void DlteAccessPoint::mark_lease(const char* state) {
+  const obs::SpanId s = obs::span_begin(tracer_, "ap_lease", span_cat_);
+  obs::span_annotate(tracer_, s, "state", state);
   obs::span_end(tracer_, s);
 }
 
@@ -133,13 +129,14 @@ void DlteAccessPoint::start_lease_heartbeat(spectrum::Registry& registry) {
   lease_heartbeat_ = sim_.every_cancellable(
       registry.grant_lifetime() / 3, [this, &registry] {
         if (!grant_) return;
-        if (registry.heartbeat(grant_->id).ok()) {
+        if (registry.heartbeat_outcome(grant_->id) ==
+            spectrum::HeartbeatOutcome::kRenewed) {
           if (degraded_since_) {
             // Registry is back; resume full power.
             degraded_since_.reset();
             radio_env_.set_power_backoff_db(config_.cell, 0.0);
             obs::set(m_lease_degraded_, 0.0);
-            if (tracer_ != nullptr) mark("ap_lease", {{"state", "restored"}});
+            mark_lease("restored");
           }
           return;
         }
@@ -154,12 +151,12 @@ void DlteAccessPoint::start_lease_heartbeat(spectrum::Registry& registry) {
           obs::set(m_lease_degraded_, 1.0);
           radio_env_.set_power_backoff_db(config_.cell,
                                           config_.degraded_power_backoff_db);
-          if (tracer_ != nullptr) mark("ap_lease", {{"state", "degraded"}});
+          mark_lease("degraded");
         } else if (sim_.now() - *degraded_since_ >= config_.lease_grace) {
           grant_.reset();
           degraded_since_.reset();
           obs::set(m_lease_degraded_, 0.0);
-          if (tracer_ != nullptr) mark("ap_lease", {{"state", "lapsed"}});
+          mark_lease("lapsed");
           lease_heartbeat_.cancel();
         }
       });
@@ -228,12 +225,17 @@ void DlteAccessPoint::try_attach(UeDevice* ue, mac::UeTrafficConfig traffic,
              return;
            }
            const Duration wait = policy.backoff(attempt, *rng);
-           if (tracer_ != nullptr) {
-             mark("attach_retry",
-                  {{"imsi", std::to_string(ue->imsi().value())},
-                   {"attempt", std::to_string(attempt)},
-                   {"backoff_ms", std::to_string(wait.to_millis())}});
-           }
+           const obs::SpanId s =
+               obs::span_begin(tracer_, "attach_retry", span_cat_);
+           obs::span_annotate(tracer_, s, "imsi", [&] {
+             return std::to_string(ue->imsi().value());
+           });
+           obs::span_annotate(tracer_, s, "attempt",
+                              [&] { return std::to_string(attempt); });
+           obs::span_annotate(tracer_, s, "backoff_ms", [&] {
+             return std::to_string(wait.to_millis());
+           });
+           obs::span_end(tracer_, s);
            sim_.schedule(wait, [this, ue, traffic, policy,
                                 rng = std::move(rng), attempt,
                                 alive = std::move(alive),

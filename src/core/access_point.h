@@ -11,7 +11,6 @@
 #pragma once
 
 #include <functional>
-#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -178,10 +177,9 @@ class DlteAccessPoint {
                   ue::AttachRetryPolicy policy,
                   std::shared_ptr<sim::RngStream> rng, int attempt,
                   std::function<void(AttachOutcome)> on_done);
-  // Zero-duration marker span for a decision only the AP sees. Callers
-  // check `tracer_` first, so a null tracer formats nothing.
-  void mark(const char* name,
-            std::initializer_list<std::pair<const char*, std::string>> notes);
+  // Zero-duration `ap_lease` marker span: a lease decision only the AP
+  // sees.
+  void mark_lease(const char* state);
 };
 
 }  // namespace dlte::core

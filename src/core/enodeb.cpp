@@ -16,10 +16,8 @@ void EnodeB::close_attach_span(EnbUeId id, PendingUe& ue,
                                const char* result) {
   obs::span_annotate(tracer_, ue.span, "result", result);
   obs::span_end(tracer_, ue.span);
-  if (tracer_ != nullptr) {
-    tracer_->take(
-        obs::span_key("attach", config_.cell.value(), id.value()));
-  }
+  obs::span_take(tracer_,
+                 obs::span_key("attach", config_.cell.value(), id.value()));
   ue.span = obs::kNoSpan;
 }
 
@@ -32,12 +30,11 @@ void EnodeB::attach_ue(ue::NasClient& client,
   ue.started_at = sim_.now();
   ue.span = obs::span_begin(tracer_, "attach", span_cat_);
   obs::span_annotate(tracer_, ue.span, "cell",
-                     std::to_string(config_.cell.value()));
-  if (tracer_ != nullptr) {
-    // Handoff to the core: the MME parents its dialogue phases here.
-    tracer_->stash(
-        obs::span_key("attach", config_.cell.value(), id.value()), ue.span);
-  }
+                     [&] { return std::to_string(config_.cell.value()); });
+  // Handoff to the core: the MME parents its dialogue phases here.
+  obs::span_stash(tracer_,
+                  obs::span_key("attach", config_.cell.value(), id.value()),
+                  ue.span);
   pending_.emplace(id.value(), std::move(ue));
   ++started_;
 
@@ -180,7 +177,7 @@ void EnodeB::check_completion(EnbUeId id, PendingUe& ue) {
     ue.done = true;
     ++succeeded_;
     obs::span_annotate(tracer_, ue.span, "ue_ip",
-                       std::to_string(ue.client->ue_ip()));
+                       [&] { return std::to_string(ue.client->ue_ip()); });
     close_attach_span(id, ue, "registered");
     AttachOutcome out;
     out.success = true;

@@ -22,10 +22,10 @@ void HandoverManager::initiate(UeDevice& ue, ApId target_ap,
   const auto trace_refusal = [&](const std::string& why) {
     // A zero-duration marker span: the refusal is still a procedure the
     // trace should show, it just never left this AP.
-    if (tracer_ == nullptr) return;
     const obs::SpanId s =
         obs::span_begin(tracer_, "handover_refused", span_cat_);
-    obs::span_annotate(tracer_, s, "imsi", std::to_string(imsi.value()));
+    obs::span_annotate(tracer_, s, "imsi",
+                       [&] { return std::to_string(imsi.value()); });
     obs::span_annotate(tracer_, s, "reason", why);
     obs::span_end(tracer_, s);
   };
@@ -55,13 +55,12 @@ void HandoverManager::initiate(UeDevice& ue, ApId target_ap,
   p.started_at = sim_.now();
   p.target = target_ap;
   p.span = obs::span_begin(tracer_, "handover", span_cat_);
-  if (tracer_ != nullptr) {
-    obs::span_annotate(tracer_, p.span, "imsi", std::to_string(imsi.value()));
-    obs::span_annotate(tracer_, p.span, "target_ap",
-                       std::to_string(target_ap.value()));
-    // The target AP's manager parents its admission span here.
-    tracer_->stash(obs::span_key("handover", imsi.value()), p.span);
-  }
+  obs::span_annotate(tracer_, p.span, "imsi",
+                     [&] { return std::to_string(imsi.value()); });
+  obs::span_annotate(tracer_, p.span, "target_ap",
+                     [&] { return std::to_string(target_ap.value()); });
+  // The target AP's manager parents its admission span here.
+  obs::span_stash(tracer_, obs::span_key("handover", imsi.value()), p.span);
   pending_[imsi.value()] = std::move(p);
 
   // Forward the UE context (K_eNB* stands in for the derived chain).
@@ -88,9 +87,7 @@ void HandoverManager::initiate(UeDevice& ue, ApId target_ap,
     obs::span_annotate(tracer_, it->second.span, "result",
                        "admission_timeout");
     obs::span_end(tracer_, it->second.span);
-    if (tracer_ != nullptr) {
-      tracer_->take(obs::span_key("handover", imsi.value()));
-    }
+    obs::span_take(tracer_, obs::span_key("handover", imsi.value()));
     auto cb = std::move(it->second.on_done);
     pending_.erase(it);
     if (cb) cb(out);
@@ -118,10 +115,8 @@ void HandoverManager::handle_request(const lte::X2HandoverRequest& request,
                                      NodeId from) {
   // The admission happens on the target AP, but parents under the
   // source's stashed "handover" span (one tracer spans the peer group).
-  const obs::SpanId parent =
-      tracer_ != nullptr
-          ? tracer_->stashed(obs::span_key("handover", request.imsi.value()))
-          : obs::kNoSpan;
+  const obs::SpanId parent = obs::span_stashed(
+      tracer_, obs::span_key("handover", request.imsi.value()));
   const obs::SpanId admit =
       obs::span_begin(tracer_, "handover_admit", span_cat_, parent);
   obs::ScopedActivation act{tracer_, admit};
@@ -136,19 +131,15 @@ void HandoverManager::handle_request(const lte::X2HandoverRequest& request,
       request.imsi, ap_.cell_id(), request.security_context);
   if (!bearer) {
     ++refused_;
-    if (admit != obs::kNoSpan) {
-      obs::span_annotate(tracer_, admit, "result",
-                         "refused: " + bearer.error());
-    }
+    obs::span_annotate(tracer_, admit, "result",
+                       [&] { return "refused: " + bearer.error(); });
     obs::span_end(tracer_, admit);
     return;
   }
   ++admitted_;
-  if (admit != obs::kNoSpan) {
-    obs::span_annotate(tracer_, admit, "result", "admitted");
-    obs::span_annotate(tracer_, admit, "new_ue_ip",
-                       bearer->ue_ip.to_string());
-  }
+  obs::span_annotate(tracer_, admit, "result", "admitted");
+  obs::span_annotate(tracer_, admit, "new_ue_ip",
+                     [&] { return bearer->ue_ip.to_string(); });
   obs::span_end(tracer_, admit);
   lte::X2HandoverRequestAck ack;
   ack.target_cell = ap_.cell_id();
@@ -178,15 +169,11 @@ void HandoverManager::handle_ack(const lte::X2HandoverRequestAck& ack) {
   sim_.schedule(kRrcReconfiguration, [this, pending = std::move(pending),
                                       ack, rrc]() mutable {
     obs::span_end(tracer_, rrc);
-    if (pending.span != obs::kNoSpan) {
-      obs::span_annotate(tracer_, pending.span, "result", "success");
-      obs::span_annotate(tracer_, pending.span, "new_ue_ip",
-                         std::to_string(ack.new_ue_ip));
-    }
+    obs::span_annotate(tracer_, pending.span, "result", "success");
+    obs::span_annotate(tracer_, pending.span, "new_ue_ip",
+                       [&] { return std::to_string(ack.new_ue_ip); });
     obs::span_end(tracer_, pending.span);
-    if (tracer_ != nullptr) {
-      tracer_->take(obs::span_key("handover", ack.imsi.value()));
-    }
+    obs::span_take(tracer_, obs::span_key("handover", ack.imsi.value()));
     HandoverOutcome out;
     out.success = true;
     out.interruption = kRrcReconfiguration;

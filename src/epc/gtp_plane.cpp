@@ -99,11 +99,9 @@ void GatewayDataPlane::on_gtp(const net::Packet& packet) {
   if (!frame) return;
   // The eNodeB endpoint stashed the packet's "gtp_uplink" span under its
   // (teid, seq) — decapsulation here is where the tunnel leg ends.
-  const obs::SpanId span =
-      tracer_ != nullptr
-          ? tracer_->take(obs::span_key("gtpu", frame->header.teid.value(),
-                                        frame->header.sequence))
-          : obs::kNoSpan;
+  const obs::SpanId span = obs::span_take(
+      tracer_, obs::span_key("gtpu", frame->header.teid.value(),
+                             frame->header.sequence));
   const auto* bearer = gateway_.find_by_uplink_teid(frame->header.teid);
   if (bearer == nullptr) {
     ++unknown_teid_;
@@ -116,7 +114,7 @@ void GatewayDataPlane::on_gtp(const net::Packet& packet) {
   ++up_count_;
   obs::inc(m_up_);
   obs::span_annotate(tracer_, span, "decapsulated",
-                     lte::gtpu_brief(frame->header));
+                     [&] { return lte::gtpu_brief(frame->header); });
   {
     // The decapsulated datagram's delivery is causally part of the
     // uplink: the span closes once it is on its way to the Internet.
@@ -149,15 +147,14 @@ void GatewayDataPlane::on_user_ip(const net::Packet& packet) {
   const std::uint16_t seq = next_seq_++;
   const obs::SpanId span =
       obs::span_begin(tracer_, "gtp_downlink", span_cat_);
-  obs::span_annotate(
-      tracer_, span, "tunnel",
-      lte::gtpu_brief(lte::GtpUHeader{
-          bearer->downlink_teid,
-          static_cast<std::uint16_t>(inner->size_bytes), seq}));
-  if (tracer_ != nullptr && span != obs::kNoSpan) {
-    tracer_->stash(
-        obs::span_key("gtpd", bearer->downlink_teid.value(), seq), span);
-  }
+  obs::span_annotate(tracer_, span, "tunnel", [&] {
+    return lte::gtpu_brief(lte::GtpUHeader{
+        bearer->downlink_teid, static_cast<std::uint16_t>(inner->size_bytes),
+        seq});
+  });
+  obs::span_stash(tracer_,
+                  obs::span_key("gtpd", bearer->downlink_teid.value(), seq),
+                  span);
   obs::ScopedActivation act{tracer_, span};
   net_.send(net::Packet{
       node_, node_it->second,
@@ -204,13 +201,10 @@ void EnbDataPlane::send_uplink(net::Ipv4 ue_ip, NodeId remote,
   if (it == uplink_teids_.end()) {
     ++unconfigured_;
     obs::inc(m_unconfigured_);
-    if (tracer_ != nullptr) {
-      // Zero-duration marker: the datagram died here, trace says why.
-      const obs::SpanId s =
-          obs::span_begin(tracer_, "gtp_uplink", span_cat_);
-      obs::span_annotate(tracer_, s, "drop", "no uplink teid for ue");
-      obs::span_end(tracer_, s);
-    }
+    // Zero-duration marker: the datagram died here, trace says why.
+    const obs::SpanId s = obs::span_begin(tracer_, "gtp_uplink", span_cat_);
+    obs::span_annotate(tracer_, s, "drop", "no uplink teid for ue");
+    obs::span_end(tracer_, s);
     return;
   }
   InnerDatagram inner{ue_ip, remote, size_bytes};
@@ -218,14 +212,13 @@ void EnbDataPlane::send_uplink(net::Ipv4 ue_ip, NodeId remote,
   obs::inc(m_up_);
   const std::uint16_t seq = next_seq_++;
   const obs::SpanId span = obs::span_begin(tracer_, "gtp_uplink", span_cat_);
-  obs::span_annotate(
-      tracer_, span, "tunnel",
-      lte::gtpu_brief(lte::GtpUHeader{
-          it->second, static_cast<std::uint16_t>(size_bytes), seq}));
-  if (tracer_ != nullptr && span != obs::kNoSpan) {
-    // The gateway endpoint closes this span at decapsulation.
-    tracer_->stash(obs::span_key("gtpu", it->second.value(), seq), span);
-  }
+  obs::span_annotate(tracer_, span, "tunnel", [&] {
+    return lte::gtpu_brief(lte::GtpUHeader{
+        it->second, static_cast<std::uint16_t>(size_bytes), seq});
+  });
+  // The gateway endpoint closes this span at decapsulation.
+  obs::span_stash(tracer_, obs::span_key("gtpu", it->second.value(), seq),
+                  span);
   obs::ScopedActivation act{tracer_, span};
   net_.send(net::Packet{node_, gw_node_,
                         size_bytes + lte::kGtpTunnelOverheadBytes,
@@ -237,15 +230,14 @@ void EnbDataPlane::on_gtp(const net::Packet& packet) {
   if (!frame) return;
   ++down_count_;
   obs::inc(m_down_);
-  if (tracer_ != nullptr) {
-    // Close the gateway's stashed "gtp_downlink" span: the tunnel leg
-    // ends where the datagram reaches the serving eNodeB.
-    const obs::SpanId span = tracer_->take(obs::span_key(
-        "gtpd", frame->header.teid.value(), frame->header.sequence));
-    obs::span_annotate(tracer_, span, "delivered",
-                       lte::gtpu_brief(frame->header));
-    obs::span_end(tracer_, span);
-  }
+  // Close the gateway's stashed "gtp_downlink" span: the tunnel leg
+  // ends where the datagram reaches the serving eNodeB.
+  const obs::SpanId span = obs::span_take(
+      tracer_, obs::span_key("gtpd", frame->header.teid.value(),
+                             frame->header.sequence));
+  obs::span_annotate(tracer_, span, "delivered",
+                     [&] { return lte::gtpu_brief(frame->header); });
+  obs::span_end(tracer_, span);
   if (on_downlink_) on_downlink_(frame->inner);
 }
 

@@ -54,14 +54,12 @@ void Mme::set_tracer(obs::SpanTracer* tracer, const std::string& prefix) {
 }
 
 obs::SpanId Mme::ran_span(CellId cell, EnbUeId enb_ue_id) const {
-  if (tracer_ == nullptr) return obs::kNoSpan;
-  return tracer_->stashed(
-      obs::span_key("attach", cell.value(), enb_ue_id.value()));
+  return obs::span_stashed(
+      tracer_, obs::span_key("attach", cell.value(), enb_ue_id.value()));
 }
 
 void Mme::begin_phase(UeContext& ue, const char* name) {
   end_phase(ue);
-  if (tracer_ == nullptr) return;  // No span name/category strings.
   ue.phase_span = obs::span_begin(tracer_, name, span_cat_, ue.proc_span);
 }
 
@@ -131,9 +129,10 @@ void Mme::process(CellId from_cell, const lte::S1apMessage& message) {
     obs::ScopedActivation act{tracer_, ue->proc_span};
     gateway_.complete_session(ue->imsi, resp->enb_downlink_teid);
     ue->context_setup_done = true;
-    obs::span_annotate(
-        tracer_, ue->phase_span, "context_setup",
-        "enb_downlink_teid=" + std::to_string(resp->enb_downlink_teid.value()));
+    obs::span_annotate(tracer_, ue->phase_span, "context_setup", [&] {
+      return "enb_downlink_teid=" +
+             std::to_string(resp->enb_downlink_teid.value());
+    });
     maybe_finish_attach(*ue);
     return;
   }
@@ -183,10 +182,9 @@ void Mme::start_attach(CellId cell, EnbUeId enb_ue_id,
   if (ue.state == EmmState::kDeregistered) {
     ue.attach_started = sim_.now();
     ue.proc_span = ran_span(cell, enb_ue_id);
-    if (ue.proc_span != obs::kNoSpan) {
-      obs::span_annotate(tracer_, ue.proc_span, "imsi",
-                         std::to_string(request.imsi.value()));
-    }
+    obs::span_annotate(tracer_, ue.proc_span, "imsi", [&] {
+      return std::to_string(request.imsi.value());
+    });
     begin_phase(ue, "aka");
   } else {
     obs::span_annotate(tracer_, ue.proc_span, "nas_retx",
@@ -246,10 +244,11 @@ void Mme::handle_nas(UeContext& ue, const lte::NasMessage& nas) {
       ue.tmsi = Tmsi{next_tmsi_++};
       ue.state = EmmState::kAttachAccepted;
       begin_phase(ue, "bearer_setup");
-      obs::span_annotate(tracer_, ue.phase_span, "uplink_teid",
-                         std::to_string(bearer.uplink_teid.value()));
+      obs::span_annotate(tracer_, ue.phase_span, "uplink_teid", [&] {
+        return std::to_string(bearer.uplink_teid.value());
+      });
       obs::span_annotate(tracer_, ue.phase_span, "ue_ip",
-                         bearer.ue_ip.to_string());
+                         [&] { return bearer.ue_ip.to_string(); });
 
       const auto kenb = crypto::derive_kenb(ue.kasme, 0);
       lte::InitialContextSetupRequest ctx;
@@ -302,9 +301,8 @@ void Mme::maybe_finish_attach(UeContext& ue) {
 }
 
 void Mme::send_nas(UeContext& ue, const lte::NasMessage& nas) {
-  if (ue.proc_span != obs::kNoSpan) {
-    obs::span_annotate(tracer_, ue.proc_span, "nas_tx", lte::nas_brief(nas));
-  }
+  obs::span_annotate(tracer_, ue.proc_span, "nas_tx",
+                     [&] { return lte::nas_brief(nas); });
   lte::DownlinkNasTransport transport;
   transport.enb_ue_id = ue.enb_ue_id;
   transport.mme_ue_id = ue.mme_ue_id;
@@ -333,11 +331,10 @@ void Mme::arm_nas_retx(UeContext& ue) {
     --u.retx_left;
     ++stats_.nas_retransmissions;
     obs::inc(m_nas_retx_);
-    if (u.proc_span != obs::kNoSpan) {
-      obs::span_annotate(tracer_, u.proc_span, "nas_retx",
-                         "downlink NAS re-sent (" +
-                             std::to_string(u.retx_left) + " left)");
-    }
+    obs::span_annotate(tracer_, u.proc_span, "nas_retx", [&] {
+      return "downlink NAS re-sent (" + std::to_string(u.retx_left) +
+             " left)";
+    });
     // If the radio-side context setup is also outstanding, the original
     // InitialContextSetupRequest may have been the lost message: re-issue
     // it alongside the NAS retransmission.
@@ -456,11 +453,9 @@ Mme::UeContext* Mme::find_by_mme_id(MmeUeId id) {
 
 void Mme::lose_volatile_state() {
   for (auto& [imsi, ue] : ues_) {
-    if (ue.phase_span != obs::kNoSpan) {
-      obs::span_annotate(tracer_, ue.phase_span, "fault",
-                         "mme volatile state lost mid-dialogue");
-      end_phase(ue);
-    }
+    obs::span_annotate(tracer_, ue.phase_span, "fault",
+                       "mme volatile state lost mid-dialogue");
+    end_phase(ue);
     obs::span_annotate(tracer_, ue.proc_span, "fault",
                        "mme volatile state lost");
   }

@@ -175,18 +175,17 @@ void FaultInjector::arm(const FaultPlan& plan) {
   }
 }
 
-void FaultInjector::trace_event(const FaultSpec& spec, const char* phase) {
-  if (tracer_ == nullptr) return;
+void FaultInjector::trace_event(const FaultSpec& spec, std::string_view name) {
   // Pin the fault onto whatever procedure is mid-flight (if any), then
   // drop a zero-duration marker so the timeline shows the event even
-  // when nothing was active.
-  if (tracer_->current() != obs::kNoSpan) {
-    tracer_->annotate_current("fault",
-                              std::string(phase) + " " + spec.describe());
-  }
-  const obs::SpanId s =
-      obs::span_begin(tracer_, std::string("fault_") + phase, span_cat_);
-  obs::span_annotate(tracer_, s, "spec", spec.describe());
+  // when nothing was active. `name` is "fault_<phase>"; the annotation
+  // leads with the phase.
+  obs::span_annotate(tracer_, obs::span_current(tracer_), "fault", [&] {
+    return std::string(name.substr(name.find('_') + 1)) + " " +
+           spec.describe();
+  });
+  const obs::SpanId s = obs::span_begin(tracer_, name, span_cat_);
+  obs::span_annotate(tracer_, s, "spec", [&] { return spec.describe(); });
   obs::span_end(tracer_, s);
 }
 
@@ -216,7 +215,7 @@ void FaultInjector::inject(const FaultSpec& spec) {
   ++stats_.injected;
   obs::inc(m_injected_);
   obs::set(m_active_, static_cast<double>(stats_.injected - stats_.healed));
-  trace_event(spec, "inject");
+  trace_event(spec, "fault_inject");
   switch (spec.kind) {
     case FaultKind::kApCrash:
       if (auto* ap = find_ap(spec.ap)) ap->fail();
@@ -259,7 +258,7 @@ void FaultInjector::heal(const FaultSpec& spec) {
   obs::inc(m_healed_);
   obs::set(m_active_, static_cast<double>(stats_.injected - stats_.healed));
   obs::observe(m_repair_time_s_, spec.duration.to_seconds());
-  trace_event(spec, "heal");
+  trace_event(spec, "fault_heal");
   switch (spec.kind) {
     case FaultKind::kApCrash:
       if (auto* ap = find_ap(spec.ap)) ap->recover(registry_);

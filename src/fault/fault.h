@@ -12,6 +12,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -127,7 +128,7 @@ class FaultInjector {
  private:
   void inject(const FaultSpec& spec);
   void heal(const FaultSpec& spec);
-  void trace_event(const FaultSpec& spec, const char* phase);
+  void trace_event(const FaultSpec& spec, std::string_view name);
   [[nodiscard]] core::DlteAccessPoint* find_ap(ApId id) const;
   [[nodiscard]] static std::pair<std::uint64_t, std::uint64_t> link_key(
       const FaultSpec& spec);

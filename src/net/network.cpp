@@ -102,13 +102,12 @@ const Network::DirectedLink* Network::next_hop(NodeId from, NodeId to) const {
 
 void Network::send(Packet packet) {
   const NodeId origin = packet.src;
-  if (tracer_ != nullptr) {
-    packet.trace_span = tracer_->begin("net_delivery", span_cat_);
-    obs::span_annotate(tracer_, packet.trace_span, "route",
-                       node_name(packet.src) + "->" + node_name(packet.dst));
-    obs::span_annotate(tracer_, packet.trace_span, "bytes",
-                       std::to_string(packet.size_bytes));
-  }
+  packet.trace_span = obs::span_begin(tracer_, "net_delivery", span_cat_);
+  obs::span_annotate(tracer_, packet.trace_span, "route", [&] {
+    return node_name(packet.src) + "->" + node_name(packet.dst);
+  });
+  obs::span_annotate(tracer_, packet.trace_span, "bytes",
+                     [&] { return std::to_string(packet.size_bytes); });
   forward(std::move(packet), origin);
 }
 

@@ -9,8 +9,11 @@
 // sim::Simulator; it takes the clock as a callable (NowFn) instead.
 // Components never require a tracer — they hold a raw `SpanTracer*`
 // that stays nullptr until `set_tracer(tracer, prefix)` attaches one,
-// mirroring the set_metrics idiom, and the free helpers below
-// (span_begin/span_end/span_annotate) are null-safe.
+// mirroring the set_metrics idiom, and touch it only through the free
+// span_* helpers at the bottom of this file. They are null-safe and
+// lazy — string_view names, callable annotation values — so a component
+// never hand-writes a `tracer_ != nullptr` guard (CI lints for one
+// outside src/obs/).
 //
 // Determinism contract: span ids are assigned in begin() order, all
 // timestamps come from the simulated clock, and annotations are stored
@@ -22,6 +25,8 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -164,45 +169,59 @@ class SpanTracer {
   Counter* m_dropped_{nullptr};
 };
 
-// ---- Null-safe helpers (the set_metrics-style calling convention) ----
+// ---- Null-safe helpers: the one way a component touches its tracer ----
+//
+// Every helper is a no-op (or returns kNoSpan) when the tracer is null,
+// and names, categories and keys arrive as string_views that become
+// std::strings only after that check. A computed annotation value is
+// passed as a nullary callable, invoked only when the tracer is attached
+// and the span is live — so with tracing off a call site costs one
+// branch and builds no string.
 
-inline SpanId span_begin(SpanTracer* t, std::string name, std::string category,
+inline SpanId span_begin(SpanTracer* t, std::string_view name,
+                         std::string_view category,
                          SpanId parent = kCurrentSpan) {
   if (t == nullptr) return kNoSpan;
-  return t->begin(std::move(name), std::move(category), parent);
+  return t->begin(std::string(name), std::string(category), parent);
 }
 
 inline void span_end(SpanTracer* t, SpanId id) {
   if (t != nullptr && id != kNoSpan) t->end(id);
 }
 
-inline void span_annotate(SpanTracer* t, SpanId id, std::string key,
-                          std::string value) {
+inline void span_annotate(SpanTracer* t, SpanId id, std::string_view key,
+                          std::string_view value) {
   if (t != nullptr && id != kNoSpan) {
-    t->annotate(id, std::move(key), std::move(value));
+    t->annotate(id, std::string(key), std::string(value));
   }
 }
 
-// RAII: begin on construction, end on destruction. Does not activate.
-class ScopedSpan {
- public:
-  ScopedSpan(SpanTracer* tracer, std::string name, std::string category,
-             SpanId parent = kCurrentSpan)
-      : tracer_(tracer),
-        id_(span_begin(tracer, std::move(name), std::move(category), parent)) {}
-  ~ScopedSpan() { span_end(tracer_, id_); }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  [[nodiscard]] SpanId id() const { return id_; }
-  void annotate(std::string key, std::string value) {
-    span_annotate(tracer_, id_, std::move(key), std::move(value));
+// Lazy value: `value()` runs only when the annotation will be recorded.
+template <typename ValueFn>
+  requires std::is_invocable_v<ValueFn&>
+inline void span_annotate(SpanTracer* t, SpanId id, std::string_view key,
+                          ValueFn&& value) {
+  if (t != nullptr && id != kNoSpan) {
+    t->annotate(id, std::string(key), std::string(value()));
   }
+}
 
- private:
-  SpanTracer* tracer_;
-  SpanId id_;
-};
+inline void span_stash(SpanTracer* t, std::uint64_t key, SpanId id) {
+  if (t != nullptr) t->stash(key, id);
+}
+
+[[nodiscard]] inline SpanId span_stashed(const SpanTracer* t,
+                                         std::uint64_t key) {
+  return t != nullptr ? t->stashed(key) : kNoSpan;
+}
+
+inline SpanId span_take(SpanTracer* t, std::uint64_t key) {
+  return t != nullptr ? t->take(key) : kNoSpan;
+}
+
+[[nodiscard]] inline SpanId span_current(const SpanTracer* t) {
+  return t != nullptr ? t->current() : kNoSpan;
+}
 
 // RAII activation: the span is "current" for the enclosed scope.
 class ScopedActivation {

@@ -232,14 +232,17 @@ void RegistryPlaneScenario::handle_registry_message(const Message& m) {
     case workload::kLeaseHeartbeatBatch: {
       const auto block = r.u32();
       const auto count = r.u32();
-      if (!block || !count) return;
+      // The ids must fill the rest exactly: a truncated (or padded) batch
+      // is rejected whole, never renewed in part.
+      if (!block || !count || r.remaining() != 8 * std::size_t{*count}) {
+        return;
+      }
       std::uint32_t ok = 0;
       std::uint32_t unreachable = 0;
       std::vector<std::uint64_t> lapsed;
       for (std::uint32_t i = 0; i < *count; ++i) {
-        const auto id = r.u64();
-        if (!id) break;
-        switch (reg.heartbeat_outcome(GrantId{*id})) {
+        const std::uint64_t id = *r.u64();
+        switch (reg.heartbeat_outcome(GrantId{id})) {
           case spectrum::HeartbeatOutcome::kRenewed:
             ++ok;
             break;
@@ -247,7 +250,7 @@ void RegistryPlaneScenario::handle_registry_message(const Message& m) {
             ++unreachable;
             break;
           case spectrum::HeartbeatOutcome::kLapsed:
-            lapsed.push_back(*id);
+            lapsed.push_back(id);
             break;
         }
       }

@@ -55,9 +55,7 @@ void PeerCoordinator::close_round_span(const char* result) {
   if (round_span_ == obs::kNoSpan) return;
   obs::span_annotate(tracer_, round_span_, "result", result);
   obs::span_end(tracer_, round_span_);
-  if (tracer_ != nullptr) {
-    tracer_->take(obs::span_key("x2_round", round_span_round_));
-  }
+  obs::span_take(tracer_, obs::span_key("x2_round", round_span_round_));
   round_span_ = obs::kNoSpan;
   round_accepts_.clear();
   round_accepts_needed_ = 0;
@@ -213,12 +211,11 @@ void PeerCoordinator::maybe_lead_round() {
   round_accepts_.clear();
   round_accepts_needed_ = peers_.size();
   obs::span_annotate(tracer_, round_span_, "round",
-                     std::to_string(proposal.round));
+                     [&] { return std::to_string(proposal.round); });
   obs::span_annotate(tracer_, round_span_, "members",
-                     std::to_string(ids.size()));
-  if (tracer_ != nullptr) {
-    tracer_->stash(obs::span_key("x2_round", proposal.round), round_span_);
-  }
+                     [&] { return std::to_string(ids.size()); });
+  obs::span_stash(tracer_, obs::span_key("x2_round", proposal.round),
+                  round_span_);
   {
     // Proposal packets (and our own share application) belong to the
     // round causally.
@@ -234,11 +231,10 @@ void PeerCoordinator::maybe_lead_round() {
 }
 
 void PeerCoordinator::apply_share(double share, obs::SpanId round_span) {
-  if (tracer_ != nullptr && round_span != obs::kNoSpan) {
-    obs::span_annotate(tracer_, round_span, "applied",
-                       "ap" + std::to_string(config_.ap.value()) +
-                           " share=" + std::to_string(share));
-  }
+  obs::span_annotate(tracer_, round_span, "applied", [&] {
+    return "ap" + std::to_string(config_.ap.value()) +
+           " share=" + std::to_string(share);
+  });
   const double previous = current_share_;
   current_share_ = std::clamp(share, 0.0, 1.0);
   ++stats_.shares_applied;
@@ -275,9 +271,8 @@ void PeerCoordinator::on_packet(const net::Packet& packet) {
           i < proposal->shares.size()) {
         // The leader's round span lives in the shared tracer's stash.
         apply_share(proposal->shares[i],
-                    tracer_ != nullptr ? tracer_->stashed(obs::span_key(
-                                             "x2_round", proposal->round))
-                                       : obs::kNoSpan);
+                    obs::span_stashed(
+                        tracer_, obs::span_key("x2_round", proposal->round)));
         // Acknowledge to the proposer.
         lte::DlteShareAccept accept{proposal->round, config_.ap};
         send_to(packet.src, lte::X2Message{accept});
@@ -292,8 +287,9 @@ void PeerCoordinator::on_packet(const net::Packet& packet) {
     note_heard(accept->ap);
     if (accept->round == round_span_round_ && round_span_ != obs::kNoSpan &&
         round_accepts_.insert(accept->ap.value()).second) {
-      obs::span_annotate(tracer_, round_span_, "accept",
-                         "ap" + std::to_string(accept->ap.value()));
+      obs::span_annotate(tracer_, round_span_, "accept", [&] {
+        return "ap" + std::to_string(accept->ap.value());
+      });
       if (round_accepts_.size() >= round_accepts_needed_) {
         close_round_span("complete");
       }

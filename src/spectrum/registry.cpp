@@ -157,18 +157,6 @@ void Registry::set_tracer(obs::SpanTracer* tracer,
   span_cat_ = prefix + "registry";
 }
 
-Status<> Registry::heartbeat(GrantId id) {
-  switch (heartbeat_outcome(id)) {
-    case HeartbeatOutcome::kRenewed:
-      return {};
-    case HeartbeatOutcome::kUnreachable:
-      return fail("registry unreachable");
-    case HeartbeatOutcome::kLapsed:
-      break;
-  }
-  return fail("grant lapsed or unknown: re-apply");
-}
-
 HeartbeatOutcome Registry::heartbeat_outcome(GrantId id) {
   const HeartbeatOutcome outcome = [&] {
     if (outage_ == RegistryOutage::kOffline) {
@@ -188,12 +176,12 @@ HeartbeatOutcome Registry::heartbeat_outcome(GrantId id) {
     return HeartbeatOutcome::kRenewed;
   }();
   obs::inc(outcome == HeartbeatOutcome::kRenewed ? m_hb_ok_ : m_hb_failed_);
-  if (tracer_ == nullptr) return outcome;
   // Zero-duration marker: heartbeats are instantaneous in the model, but
   // their cadence and failures belong in the trace.
   const obs::SpanId span =
       obs::span_begin(tracer_, "registry_heartbeat", span_cat_);
-  obs::span_annotate(tracer_, span, "grant", std::to_string(id.value()));
+  obs::span_annotate(tracer_, span, "grant",
+                     [&] { return std::to_string(id.value()); });
   obs::span_annotate(tracer_, span, "result",
                      outcome == HeartbeatOutcome::kRenewed ? "renewed"
                      : outcome == HeartbeatOutcome::kUnreachable
@@ -291,20 +279,19 @@ void Registry::set_outage(RegistryOutage outage) {
 }
 
 void Registry::request_grant(GrantRequest request, GrantCallback callback) {
-  // Guarded so a null tracer builds no span-name strings on this path.
   const obs::SpanId span =
-      tracer_ != nullptr ? obs::span_begin(tracer_, "registry_grant", span_cat_)
-                         : obs::kNoSpan;
+      obs::span_begin(tracer_, "registry_grant", span_cat_);
+  obs::span_annotate(tracer_, span, "ap",
+                     [&] { return std::to_string(request.ap.value()); });
   if (span != obs::kNoSpan) {
-    obs::span_annotate(tracer_, span, "ap",
-                       std::to_string(request.ap.value()));
     // The span closes when the caller learns the outcome, so its duration
     // is the full request→callback latency (stalls and all).
     callback = [this, span,
                 cb = std::move(callback)](Result<SpectrumGrant> result) {
-      obs::span_annotate(tracer_, span, "result",
-                         result ? "grant " + std::to_string(result->id.value())
-                                : "failed: " + result.error());
+      obs::span_annotate(tracer_, span, "result", [&] {
+        return result ? "grant " + std::to_string(result->id.value())
+                      : "failed: " + result.error();
+      });
       obs::span_end(tracer_, span);
       cb(std::move(result));
     };
@@ -325,10 +312,8 @@ void Registry::do_request_grant(GrantRequest request, GrantCallback callback,
     // Reads still work; the commit waits for the stall to clear, then
     // pays the normal commit latency on top. The span stays open across
     // the stall — the replay must not open a second one.
-    if (span != obs::kNoSpan) {
-      obs::span_annotate(tracer_, span, "stalled",
-                         "commit deferred: registry commit stall");
-    }
+    obs::span_annotate(tracer_, span, "stalled",
+                       "commit deferred: registry commit stall");
     stalled_commits_.push_back([this, span, request = std::move(request),
                                 callback = std::move(callback)]() mutable {
       do_request_grant(std::move(request), std::move(callback), span);
@@ -417,13 +402,12 @@ void Registry::query_region(Position location, QueryCallback callback) {
 void Registry::query_region_as(std::uint64_t requester, Position location,
                                QueryCallback callback) {
   const obs::SpanId span =
-      tracer_ != nullptr ? obs::span_begin(tracer_, "registry_query", span_cat_)
-                         : obs::kNoSpan;
+      obs::span_begin(tracer_, "registry_query", span_cat_);
   if (span != obs::kNoSpan) {
     callback = [this, span, cb = std::move(callback)](
                    std::vector<SpectrumGrant> grants) {
       obs::span_annotate(tracer_, span, "grants",
-                         std::to_string(grants.size()));
+                         [&] { return std::to_string(grants.size()); });
       obs::span_end(tracer_, span);
       cb(std::move(grants));
     };
@@ -431,10 +415,8 @@ void Registry::query_region_as(std::uint64_t requester, Position location,
   if (!reachable_for(location)) {
     // The querier can't tell "no grants" from "registry down" — exactly
     // the blindness the fault model wants to expose.
-    if (span != obs::kNoSpan) {
-      obs::span_annotate(tracer_, span, "unreachable",
-                         "registry down: empty reply after timeout");
-    }
+    obs::span_annotate(tracer_, span, "unreachable",
+                       "registry down: empty reply after timeout");
     sim_.schedule(failure_timeout_, [callback = std::move(callback)] {
       callback({});
     });
@@ -458,10 +440,8 @@ void Registry::serve_query(std::uint64_t requester, Position location,
   const std::uint64_t version = zone_version(location);
   const registry::CacheLookup look =
       cache_->lookup(requester, zone, version, sim_.now());
-  if (span != obs::kNoSpan) {
-    obs::span_annotate(tracer_, span, "cache",
-                       registry::cache_tier_name(look.tier));
-  }
+  obs::span_annotate(tracer_, span, "cache",
+                     registry::cache_tier_name(look.tier));
   if (look.snapshot != nullptr) {
     sim_.schedule(
         cache_->tier_latency(look.tier),

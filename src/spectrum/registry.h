@@ -144,9 +144,8 @@ class Registry {
   // health concern). Zero restores perpetual grants (the default).
   void set_grant_lifetime(Duration lifetime) { lifetime_ = lifetime; }
   [[nodiscard]] Duration grant_lifetime() const { return lifetime_; }
-  [[nodiscard]] Status<> heartbeat(GrantId id);
-  // Same renewal, but with the outcome as a typed value. heartbeat() is
-  // a thin wrapper mapping this to a Status message.
+  // Renews a lease; the outcome says whether it was renewed, the registry
+  // (or the grant's zone) was unreachable, or the grant is gone.
   [[nodiscard]] HeartbeatOutcome heartbeat_outcome(GrantId id);
   // Grace period past lease expiry before a grant actually lapses. While
   // in grace the grant is listed as `degraded`; a heartbeat inside the
@@ -231,7 +230,7 @@ class Registry {
   // Causal tracing: request_grant opens a "registry_grant" span that
   // covers request → callback (a commit-stalled request keeps its span
   // open across the whole stall), query_region a "registry_query" span,
-  // heartbeat a zero-duration "registry_heartbeat" marker. Category is
+  // heartbeat_outcome a zero-duration "registry_heartbeat" marker. Category is
   // `<prefix>registry`. Null-safe.
   void set_tracer(obs::SpanTracer* tracer, const std::string& prefix = "");
 

@@ -33,7 +33,8 @@ TEST(RegistryOutage, OfflineFailsRequestsHeartbeatsAndQueries) {
   ASSERT_TRUE(g.ok());
 
   reg.set_outage(spectrum::RegistryOutage::kOffline);
-  EXPECT_FALSE(reg.heartbeat(g->id).ok());
+  EXPECT_EQ(reg.heartbeat_outcome(g->id),
+            spectrum::HeartbeatOutcome::kUnreachable);
 
   bool failed = false;
   TimePoint when;
@@ -55,7 +56,8 @@ TEST(RegistryOutage, OfflineFailsRequestsHeartbeatsAndQueries) {
 
   // Service restored: everything works again.
   reg.set_outage(spectrum::RegistryOutage::kNone);
-  EXPECT_TRUE(reg.heartbeat(g->id).ok());
+  EXPECT_EQ(reg.heartbeat_outcome(g->id),
+            spectrum::HeartbeatOutcome::kRenewed);
 }
 
 TEST(RegistryOutage, CommitStallQueuesGrantsUntilRecovery) {
@@ -152,7 +154,8 @@ TEST(RegistryOutage, GraceKeepsExpiredGrantDegradedThenLapses) {
   EXPECT_EQ(reg.grants_lapsed(), 0u);
 
   // A heartbeat inside the grace fully renews.
-  ASSERT_TRUE(reg.heartbeat(g->id).ok());
+  ASSERT_EQ(reg.heartbeat_outcome(g->id),
+            spectrum::HeartbeatOutcome::kRenewed);
   near = reg.grants_near(Position{});
   ASSERT_EQ(near.size(), 1u);
   EXPECT_FALSE(near[0].degraded);
@@ -161,7 +164,7 @@ TEST(RegistryOutage, GraceKeepsExpiredGrantDegradedThenLapses) {
   sim.run_until(sim.now() + Duration::seconds(101.0));
   EXPECT_TRUE(reg.grants_near(Position{}).empty());
   EXPECT_EQ(reg.grants_lapsed(), 1u);
-  EXPECT_FALSE(reg.heartbeat(g->id).ok());
+  EXPECT_EQ(reg.heartbeat_outcome(g->id), spectrum::HeartbeatOutcome::kLapsed);
 }
 
 // Integration: an AP rides out a registry outage shorter than its grace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
 #include "common/time.h"
 #include "obs/metrics.h"
@@ -200,27 +201,53 @@ TEST(NullSafeHelpers, IgnoreNullTracer) {
   EXPECT_EQ(span_begin(nullptr, "attach", "ran"), kNoSpan);
   span_end(nullptr, 1);        // Must not crash.
   span_annotate(nullptr, 1, "k", "v");
-  ScopedSpan scoped{nullptr, "attach", "ran"};
-  EXPECT_EQ(scoped.id(), kNoSpan);
-  scoped.annotate("k", "v");
   ScopedActivation activation{nullptr, kNoSpan};
-}
-
-TEST(ScopedSpan, EndsOnDestruction) {
+  // A lazy value is never built without a tracer or without a live span.
+  int calls = 0;
+  const auto value = [&calls] {
+    ++calls;
+    return std::string("v");
+  };
+  span_annotate(nullptr, 1, "k", value);
   FakeClock clock;
   SpanTracer t{clock.fn()};
-  SpanId id = kNoSpan;
-  {
-    ScopedSpan scoped{&t, "registry_query", "registry"};
-    id = scoped.id();
-    scoped.annotate("grants", "2");
-    clock.advance(Duration::millis(4.0));
-  }
-  ASSERT_NE(t.find(id), nullptr);
-  EXPECT_FALSE(t.find(id)->open);
-  EXPECT_EQ(t.find(id)->duration(), Duration::millis(4.0));
+  span_annotate(&t, kNoSpan, "k", value);
+  EXPECT_EQ(calls, 0);
+  // Stash/take/stashed/current degrade to kNoSpan.
+  span_stash(nullptr, span_key("attach", 1, 2), 1);
+  EXPECT_EQ(span_stashed(nullptr, span_key("attach", 1, 2)), kNoSpan);
+  EXPECT_EQ(span_take(nullptr, span_key("attach", 1, 2)), kNoSpan);
+  EXPECT_EQ(span_current(nullptr), kNoSpan);
+}
+
+TEST(NullSafeHelpers, ForwardToLiveTracer) {
+  FakeClock clock;
+  SpanTracer t{clock.fn()};
+  const SpanId id = span_begin(&t, std::string_view{"attach"}, "ran");
+  ASSERT_NE(id, kNoSpan);
+  int calls = 0;
+  span_annotate(&t, id, "imsi", [&calls] {
+    ++calls;
+    return std::to_string(1001);
+  });
+  EXPECT_EQ(calls, 1);
   ASSERT_EQ(t.find(id)->annotations.size(), 1u);
-  EXPECT_EQ(t.find(id)->annotations[0].key, "grants");
+  EXPECT_EQ(t.find(id)->annotations[0].key, "imsi");
+  EXPECT_EQ(t.find(id)->annotations[0].value, "1001");
+
+  const auto key = span_key("attach", 1, 2);
+  span_stash(&t, key, id);
+  EXPECT_EQ(span_stashed(&t, key), id);
+  EXPECT_EQ(span_take(&t, key), id);
+  EXPECT_EQ(span_take(&t, key), kNoSpan);
+
+  EXPECT_EQ(span_current(&t), kNoSpan);
+  {
+    ScopedActivation act{&t, id};
+    EXPECT_EQ(span_current(&t), id);
+  }
+  span_end(&t, id);
+  EXPECT_FALSE(t.find(id)->open);
 }
 
 TEST(ScopedActivation, RestoresPreviousCurrent) {

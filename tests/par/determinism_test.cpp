@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
+#include "par/metro.h"
+#include "par/registry_plane.h"
 #include "par/town.h"
 
 namespace dlte::par {
@@ -97,6 +100,63 @@ TEST(ParDeterminism, SeedChangesArtifacts) {
   town_b.run();
   EXPECT_NE(town_a.runtime().merged_metrics_json(),
             town_b.runtime().merged_metrics_json());
+}
+
+// DESIGN §16's partition rule, checked rather than trusted: every
+// counter, gauge and histogram name lives in exactly one shard's
+// registry. A name written from two shards would merge to the right
+// total yet digest differently per shard in the audit plane.
+void expect_no_name_spans_shards(ShardedSimulator& rt,
+                                 const std::string& scenario) {
+  std::map<std::string, std::size_t> owners;
+  for (std::size_t shard = 0; shard < rt.shard_count(); ++shard) {
+    const obs::MetricsRegistry& reg = rt.shard_registry(shard);
+    const auto claim = [&](const std::string& name) {
+      const auto [it, fresh] = owners.emplace(name, shard);
+      EXPECT_TRUE(fresh) << scenario << ": " << name << " in shard "
+                         << it->second << " and shard " << shard;
+    };
+    for (const auto& [name, c] : reg.counters()) claim(name);
+    for (const auto& [name, g] : reg.gauges()) claim(name);
+    for (const auto& [name, h] : reg.histograms()) claim(name);
+  }
+  EXPECT_FALSE(owners.empty()) << scenario;
+}
+
+TEST(ParDeterminism, NoMetricNameSpansShards) {
+  ShardedTown town{town_config(4, 4)};
+  town.run();
+  expect_no_name_spans_shards(town.runtime(), "town");
+
+  MetroConfig metro_cfg;
+  metro_cfg.aps = 16;
+  metro_cfg.ues_per_ap = 8;
+  metro_cfg.districts = 4;
+  metro_cfg.shards = 4;
+  metro_cfg.threads = 4;
+  metro_cfg.horizon = Duration::seconds(1.0);
+  metro_cfg.attach_window = Duration::millis(500);
+  metro_cfg.flow_bytes_per_ue = 20'000;
+  MetroScenario metro{metro_cfg};
+  metro.run();
+  expect_no_name_spans_shards(metro.runtime(), "metro");
+
+  RegistryPlaneConfig plane_cfg;
+  plane_cfg.blocks = 8;
+  plane_cfg.leases_per_block = 16;
+  plane_cfg.zones_x = 2;
+  plane_cfg.zones_y = 2;
+  plane_cfg.shards = 4;
+  plane_cfg.threads = 4;
+  plane_cfg.horizon = Duration::seconds(30.0);
+  plane_cfg.lease_lifetime = Duration::seconds(8.0);
+  plane_cfg.heartbeat_grace = Duration::seconds(4.0);
+  plane_cfg.heartbeat_interval = Duration::seconds(5.0);
+  plane_cfg.outage_at = Duration::seconds(10.0);
+  plane_cfg.outage_duration = Duration::seconds(15.0);
+  RegistryPlaneScenario plane{plane_cfg};
+  plane.run();
+  expect_no_name_spans_shards(plane.runtime(), "registry_plane");
 }
 
 }  // namespace

@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <optional>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "common/bytes.h"
 #include "obs/audit_export.h"
@@ -122,17 +126,27 @@ TEST(RegistryPlaneTest, QuietZonesKeepTheirLeases) {
   EXPECT_EQ(r.leases_held, 12u * 40u);
 }
 
-// A probe endpoint beside the blocks posts one grant batch once the
-// initial mass grant has settled (t = 5 s, well before the outage), and
-// reports what the registry did with it. Block 0's own location and
-// channel, so a served batch is grantable. post == false is the control.
-struct ProbeOutcome {
-  std::uint64_t grants_issued{0};
-  int replies{0};
+// A probe endpoint beside the blocks posts one message — any kind, any
+// payload — to the registry once the initial mass grant has settled
+// (t = 5 s, well before the outage), and reports what the registry did
+// with it: every `reg.registry.*` counter and the replies that came back.
+// No post is the control.
+struct ProbePost {
+  std::uint16_t kind{0};
+  std::vector<std::uint8_t> payload;
 };
 
-ProbeOutcome probe_grant_batch(bool post, std::uint32_t block,
-                               std::uint32_t count) {
+struct ProbeOutcome {
+  std::map<std::string, std::uint64_t> counters;  // reg.registry.*
+  int replies{0};
+
+  [[nodiscard]] std::uint64_t counter(const std::string& name) const {
+    const auto it = counters.find("reg.registry." + name);
+    return it == counters.end() ? 0 : it->second;
+  }
+};
+
+ProbeOutcome probe(const std::optional<ProbePost>& post) {
   auto config = small_config(2);
   config.horizon = Duration::seconds(5.0);
   RegistryPlaneScenario plane{config};
@@ -140,52 +154,123 @@ ProbeOutcome probe_grant_batch(bool post, std::uint32_t block,
   ShardedSimulator& rt = plane.runtime();
   constexpr EndpointId kProbe = 1'000'000;
   ProbeOutcome out;
-  rt.register_endpoint(kProbe, 1, [&out](const Message& m) {
-    if (m.kind == workload::kLeaseGrantReply) ++out.replies;
-  });
+  rt.register_endpoint(kProbe, 1, [&out](const Message&) { ++out.replies; });
   if (post) {
-    const double zs = spectrum::Registry::kZoneSizeM;
-    ByteWriter w;
-    w.u32(block);
-    w.u32(count);
-    w.f64(0.1 * zs);
-    w.f64(0.1 * zs);
-    w.f64(Hertz::mhz(3550.0).hz());
-    w.f64(Hertz::mhz(10.0).hz());
-    rt.post(kProbe, 0, config.registry_delay, workload::kLeaseGrantBatch,
-            w.take());
+    rt.post(kProbe, 0, config.registry_delay, post->kind, post->payload);
   }
   rt.run_until(rt.now() + Duration::seconds(2.0));
   obs::MetricsRegistry merged;
   rt.merged_metrics_into(merged);
-  out.grants_issued = merged.counter("reg.registry.grants_issued").value();
+  for (const auto& [name, c] : merged.counters()) {
+    if (name.starts_with("reg.registry.")) out.counters[name] = c.value();
+  }
   return out;
+}
+
+// Block 0's own location and channel, so a served batch is grantable.
+ProbePost grant_batch(std::uint32_t block, std::uint32_t count) {
+  const double zs = spectrum::Registry::kZoneSizeM;
+  ByteWriter w;
+  w.u32(block);
+  w.u32(count);
+  w.f64(0.1 * zs);
+  w.f64(0.1 * zs);
+  w.f64(Hertz::mhz(3550.0).hz());
+  w.f64(Hertz::mhz(10.0).hz());
+  return {workload::kLeaseGrantBatch, w.take()};
+}
+
+// Grant ids 1..3 belong to the initial mass grant and are live at 5 s.
+ProbePost heartbeat_batch(std::uint32_t count, std::uint32_t ids_written) {
+  ByteWriter w;
+  w.u32(0);
+  w.u32(count);
+  for (std::uint64_t id = 1; id <= ids_written; ++id) w.u64(id);
+  return {workload::kLeaseHeartbeatBatch, w.take()};
+}
+
+ProbePost lease_query() {
+  const double zs = spectrum::Registry::kZoneSizeM;
+  ByteWriter w;
+  w.u32(0);
+  w.f64(0.1 * zs);
+  w.f64(0.1 * zs);
+  return {workload::kLeaseQuery, w.take()};
 }
 
 TEST(RegistryPlaneTest, GrantReplyGoesToTheSenderNotThePayloadBlock) {
   // Block 9999 does not exist: a reply addressed by the payload's block
   // field would name an unregistered endpoint and throw at the barrier.
   ProbeOutcome out;
-  EXPECT_NO_THROW(out = probe_grant_batch(true, 9999, 1));
+  EXPECT_NO_THROW(out = probe(grant_batch(9999, 1)));
   EXPECT_EQ(out.replies, 1);
 }
 
 TEST(RegistryPlaneTest, GrantBatchAboveTheQuotaIsRejected) {
-  const ProbeOutcome control = probe_grant_batch(false, 0, 0);
+  const ProbeOutcome control = probe(std::nullopt);
   const std::uint32_t quota =
       static_cast<std::uint32_t>(small_config(1).leases_per_block);
   // The probe path is live: a batch within the quota is served.
-  const ProbeOutcome served = probe_grant_batch(true, 0, quota);
+  const ProbeOutcome served = probe(grant_batch(0, quota));
   EXPECT_EQ(served.replies, 1);
-  EXPECT_GT(served.grants_issued, control.grants_issued);
+  EXPECT_GT(served.counter("grants_issued"), control.counter("grants_issued"));
   // Over the quota, by one lease or by four billion: dropped unserved,
   // no grant, no reply.
-  const ProbeOutcome over = probe_grant_batch(true, 0, quota + 1);
-  ASSERT_EQ(over.grants_issued, control.grants_issued);
+  const ProbeOutcome over = probe(grant_batch(0, quota + 1));
+  ASSERT_EQ(over.counter("grants_issued"), control.counter("grants_issued"));
   EXPECT_EQ(over.replies, 0);
-  const ProbeOutcome huge = probe_grant_batch(true, 0, 0xffffffffu);
-  EXPECT_EQ(huge.grants_issued, control.grants_issued);
+  const ProbeOutcome huge = probe(grant_batch(0, 0xffffffffu));
+  EXPECT_EQ(huge.counter("grants_issued"), control.counter("grants_issued"));
   EXPECT_EQ(huge.replies, 0);
+}
+
+TEST(RegistryPlaneTest, TruncatedHeartbeatBatchIsRejectedWhole) {
+  const ProbeOutcome control = probe(std::nullopt);
+  // A whole batch renews all three leases and is answered.
+  const ProbeOutcome whole = probe(heartbeat_batch(3, 3));
+  EXPECT_EQ(whole.replies, 1);
+  EXPECT_EQ(whole.counter("heartbeats_ok"),
+            control.counter("heartbeats_ok") + 3);
+  // Count 3 with two ids: not a batch of two. Nothing is renewed and
+  // nothing is answered.
+  const ProbeOutcome truncated = probe(heartbeat_batch(3, 2));
+  EXPECT_EQ(truncated.replies, 0);
+  EXPECT_EQ(truncated.counters, control.counters);
+}
+
+TEST(RegistryPlaneTest, MalformedRequestsNeverServeOrThrow) {
+  // Decoder fuzz for the registry endpoint: every proper prefix of a
+  // valid request, and a few seeded single-bit flips. A truncated request
+  // is rejected whole — no reply, every registry counter untouched; a
+  // flipped one may be served as whatever it now says, but must not
+  // throw, and if it goes unanswered it must have changed nothing.
+  const ProbeOutcome control = probe(std::nullopt);
+  std::mt19937_64 rng{17};
+  for (const ProbePost& valid :
+       {grant_batch(0, 2), heartbeat_batch(3, 3), lease_query()}) {
+    SCOPED_TRACE("kind " + std::to_string(valid.kind));
+    ASSERT_EQ(probe(valid).replies, 1);
+    for (std::size_t len = 0; len < valid.payload.size(); ++len) {
+      SCOPED_TRACE("prefix " + std::to_string(len));
+      ProbePost cut = valid;
+      cut.payload.resize(len);
+      ProbeOutcome out;
+      ASSERT_NO_THROW(out = probe(cut));
+      EXPECT_EQ(out.replies, 0);
+      EXPECT_EQ(out.counters, control.counters);
+    }
+    for (int flip = 0; flip < 4; ++flip) {
+      const std::size_t bit = rng() % (valid.payload.size() * 8);
+      SCOPED_TRACE("bit " + std::to_string(bit));
+      ProbePost flipped = valid;
+      flipped.payload[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      ProbeOutcome out;
+      ASSERT_NO_THROW(out = probe(flipped));
+      if (out.replies == 0) {
+        EXPECT_EQ(out.counters, control.counters);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -185,7 +185,7 @@ TEST(Registry, LeasedGrantLapsesWithoutHeartbeat) {
   EXPECT_TRUE(reg.grants_near(Position{}).empty());
   EXPECT_EQ(reg.grants_lapsed(), 1u);
   // A heartbeat on a lapsed grant is refused: the operator re-applies.
-  EXPECT_FALSE(reg.heartbeat(g->id).ok());
+  EXPECT_EQ(reg.heartbeat_outcome(g->id), HeartbeatOutcome::kLapsed);
 }
 
 TEST(Registry, HeartbeatKeepsGrantAlive) {
@@ -196,7 +196,7 @@ TEST(Registry, HeartbeatKeepsGrantAlive) {
   ASSERT_TRUE(g.ok());
   for (int i = 0; i < 10; ++i) {
     sim.run_until(sim.now() + Duration::seconds(20.0));
-    EXPECT_TRUE(reg.heartbeat(g->id).ok());
+    EXPECT_EQ(reg.heartbeat_outcome(g->id), HeartbeatOutcome::kRenewed);
   }
   EXPECT_EQ(reg.grants_near(Position{}).size(), 1u);
   EXPECT_EQ(reg.grants_lapsed(), 0u);
@@ -216,7 +216,7 @@ TEST(Registry, DeadApVanishesFromContentionDomain) {
   // Only AP1 heartbeats.
   for (int i = 0; i < 6; ++i) {
     sim.run_until(sim.now() + Duration::seconds(20.0));
-    (void)reg.heartbeat(alive->id);
+    (void)reg.heartbeat_outcome(alive->id);
   }
   EXPECT_TRUE(reg.contention_domain(*alive).empty());
   EXPECT_EQ(reg.grant_count(), 1u);
@@ -258,9 +258,8 @@ TEST(Registry, GrantSurvivesZoneOutageShorterThanGrace) {
 
   reg.set_zone_offline(Registry::zone_of(pos), true);
   sim.run_until(sim.now() + Duration::seconds(70.0));  // Past expiry.
-  const auto hb = reg.heartbeat(g->id);
-  ASSERT_FALSE(hb.ok());
-  EXPECT_EQ(hb.error(), "registry unreachable");  // NOT "lapsed".
+  EXPECT_EQ(reg.heartbeat_outcome(g->id),
+            HeartbeatOutcome::kUnreachable);  // NOT kLapsed.
   // In grace the grant is still listed, degraded.
   const auto visible = reg.grants_near(pos);
   ASSERT_EQ(visible.size(), 1u);
@@ -269,7 +268,7 @@ TEST(Registry, GrantSurvivesZoneOutageShorterThanGrace) {
   // Zone recovers at expiry+50 s, inside the 60 s grace.
   sim.run_until(sim.now() + Duration::seconds(40.0));
   reg.set_zone_offline(Registry::zone_of(pos), false);
-  EXPECT_TRUE(reg.heartbeat(g->id).ok());
+  EXPECT_EQ(reg.heartbeat_outcome(g->id), HeartbeatOutcome::kRenewed);
   sim.run_until(sim.now() + Duration::seconds(30.0));
   EXPECT_EQ(reg.grants_near(pos).size(), 1u);
   EXPECT_FALSE(reg.grants_near(pos)[0].degraded);
@@ -290,9 +289,7 @@ TEST(Registry, ZoneOutageLongerThanGraceForcesRegrant) {
   reg.set_zone_offline(Registry::zone_of(pos), false);
   // The lease lapsed during the outage: the heartbeat now says so (the
   // re-apply signal), and the grant is gone from queries.
-  const auto hb = reg.heartbeat(g->id);
-  ASSERT_FALSE(hb.ok());
-  EXPECT_EQ(hb.error(), "grant lapsed or unknown: re-apply");
+  EXPECT_EQ(reg.heartbeat_outcome(g->id), HeartbeatOutcome::kLapsed);
   EXPECT_TRUE(reg.grants_near(pos).empty());
   EXPECT_EQ(reg.grants_lapsed(), 1u);
   // The re-grant path: a fresh application on the healed zone succeeds
@@ -301,7 +298,7 @@ TEST(Registry, ZoneOutageLongerThanGraceForcesRegrant) {
   ASSERT_TRUE(fresh.ok());
   EXPECT_NE(fresh->id, g->id);
   sim.run_until(sim.now() + Duration::seconds(20.0));
-  EXPECT_TRUE(reg.heartbeat(fresh->id).ok());
+  EXPECT_EQ(reg.heartbeat_outcome(fresh->id), HeartbeatOutcome::kRenewed);
 }
 
 TEST(Registry, RevokeKeepsSlotMapsConsistent) {
@@ -316,9 +313,9 @@ TEST(Registry, RevokeKeepsSlotMapsConsistent) {
   ASSERT_TRUE(a.ok() && b.ok() && c.ok());
   reg.revoke(a->id);  // c swaps into a's slot.
   EXPECT_EQ(reg.grant_count(), 2u);
-  EXPECT_TRUE(reg.heartbeat(b->id).ok());
-  EXPECT_TRUE(reg.heartbeat(c->id).ok());
-  EXPECT_FALSE(reg.heartbeat(a->id).ok());
+  EXPECT_EQ(reg.heartbeat_outcome(b->id), HeartbeatOutcome::kRenewed);
+  EXPECT_EQ(reg.heartbeat_outcome(c->id), HeartbeatOutcome::kRenewed);
+  EXPECT_EQ(reg.heartbeat_outcome(a->id), HeartbeatOutcome::kLapsed);
   const auto near = reg.grants_near(Position{0.0, 0.0});
   ASSERT_EQ(near.size(), 2u);
   // Canonical order: ascending grant id.
@@ -341,14 +338,16 @@ TEST(Registry, MassExpiryPrunesOnlyTheDead) {
   // Every third grant heartbeats at t=50; the rest go silent.
   sim.run_until(sim.now() + Duration::seconds(50.0));
   for (std::size_t i = 0; i < ids.size(); i += 3) {
-    ASSERT_TRUE(reg.heartbeat(ids[i]).ok());
+    ASSERT_EQ(reg.heartbeat_outcome(ids[i]), HeartbeatOutcome::kRenewed);
   }
   sim.run_until(sim.now() + Duration::seconds(30.0));  // t=80.
   reg.prune_expired();
   EXPECT_EQ(reg.grant_count(), (ids.size() + 2) / 3);
   EXPECT_EQ(reg.grants_lapsed(), ids.size() - (ids.size() + 2) / 3);
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(reg.heartbeat(ids[i]).ok(), i % 3 == 0) << i;
+    const HeartbeatOutcome expected =
+        i % 3 == 0 ? HeartbeatOutcome::kRenewed : HeartbeatOutcome::kLapsed;
+    EXPECT_EQ(reg.heartbeat_outcome(ids[i]), expected) << i;
   }
 }
 
