@@ -10,9 +10,9 @@
 // and 4 shards, verifies IN PROCESS that every merged artifact is
 // byte-identical and the event totals equal, and records the engine
 // throughput (events/sec) the CI perf gate compares against
-// bench/baselines/BENCH_c10_metro.json. With --shards=N
-// --par-artifacts=PREFIX it instead runs one configuration and dumps
-// its artifact set (par_bench.h) — the par-determinism drive mode.
+// bench/baselines/BENCH_c10_metro.json. With --shards=N it instead runs
+// one configuration (par_bench.h), whose --artifacts=PREFIX documents
+// the par-determinism gate compares.
 #include <cstdlib>
 #include <cstring>
 #include <iostream>

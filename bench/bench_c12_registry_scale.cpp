@@ -15,9 +15,9 @@
 //      runs 1/2/4 shards and byte-compares merged metrics, series
 //      (with the churn SLO alert timeline), openmetrics, the
 //      event-attribution profile, and the audit merged section IN
-//      PROCESS. With --shards=N --par-artifacts=PREFIX it runs only the
-//      storm at one configuration and dumps its artifact set
-//      (par_bench.h) — the par-determinism / health-gate drive mode.
+//      PROCESS. With --shards=N it runs only the storm at one
+//      configuration (par_bench.h), whose --artifacts=PREFIX documents
+//      the par-determinism and churn SLO gates read.
 #include <chrono>
 #include <cmath>
 #include <cstdlib>

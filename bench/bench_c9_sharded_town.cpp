@@ -10,9 +10,9 @@
 // event-attribution profile, and the merged audit digests — is
 // byte-identical to the 1-shard run at every shard count, and (b) records
 // the wall-time scaling in the (non-deterministic) "timings" section.
-// With --shards=N [--par-threads=T] --par-artifacts=PREFIX it instead
-// runs one configuration and dumps the artifact set (par_bench.h) — the
-// mode the CI par-determinism gate drives twice and compares.
+// With --shards=N [--par-threads=T] it instead runs one configuration
+// (par_bench.h), whose --artifacts=PREFIX documents the CI
+// par-determinism gate drives twice and compares.
 // --audit-inject=<ms>:<shard> arms the deliberate exchange-reorder the
 // CI localization self-test drives through tools/audit_diff.py.
 #include <cstdlib>
@@ -44,7 +44,7 @@ par::TownConfig town_config(std::size_t shards, std::size_t threads) {
   cfg.backbone_delay = Duration::millis(5);
   cfg.sample_interval = Duration::millis(500);
   // Always profile: attribution is deterministic and byte-compared in
-  // the sweep; the wall-clock shard profile rides out via --prof-out.
+  // the sweep; the wall-clock shard profile rides out via --artifacts.
   cfg.profile = true;
   // Always audit: the merged digest section is deterministic and
   // byte-compared in the sweep, like the attribution profile.

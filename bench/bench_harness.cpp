@@ -2,16 +2,18 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "obs/audit_export.h"
 #include "obs/json.h"
+#include "obs/merge.h"
 #include "obs/openmetrics.h"
 #include "obs/prof_export.h"
-#include "obs/series_export.h"
 #include "obs/snapshot.h"
+#include "obs/text_file.h"
 #include "obs/trace_export.h"
 
 namespace dlte::bench {
@@ -35,9 +37,27 @@ Harness::Harness(std::string name)
     : name_(std::move(name)),
       wall_start_(std::chrono::steady_clock::now()) {}
 
-void Harness::enable_tracing(std::string path) {
-  trace_path_ = std::move(path);
-  if (tracer_ == nullptr) {
+void Harness::parse_args(int argc, char** argv) {
+  // The text after `flag` ("--name=") when `arg` starts with it, else null.
+  const auto value = [](const char* arg, std::string_view flag) {
+    return std::string_view{arg}.substr(0, flag.size()) == flag
+               ? arg + flag.size()
+               : nullptr;
+  };
+  for (int i = 1; i < argc; ++i) {
+    if (const char* v = value(argv[i], "--trace-out=")) {
+      trace_path_ = v;
+    } else if (const char* v = value(argv[i], "--shards=")) {
+      const long n = std::atol(v);
+      if (n > 0) shards_ = static_cast<std::size_t>(n);
+    } else if (const char* v = value(argv[i], "--par-threads=")) {
+      const long n = std::atol(v);
+      if (n >= 0) par_threads_ = static_cast<std::size_t>(n);
+    } else if (const char* v = value(argv[i], "--artifacts=")) {
+      artifacts_ = v;
+    }
+  }
+  if (!trace_path_.empty() && tracer_ == nullptr) {
     // No clock yet — the bench attaches its Simulator's via
     // set_trace_clock(). Latency rollups land in the shared registry.
     tracer_ = std::make_unique<obs::SpanTracer>();
@@ -45,11 +65,11 @@ void Harness::enable_tracing(std::string path) {
   }
 }
 
-void Harness::enable_series(std::string path) {
-  series_path_ = std::move(path);
+obs::TimeSeriesSampler* Harness::sampler() {
+  if (artifacts_.empty()) return nullptr;
   if (sampler_ == nullptr) {
     obs::SamplerConfig config;
-    config.interval = series_interval_;
+    config.interval = Duration::millis(500);
     sampler_ = std::make_unique<obs::TimeSeriesSampler>(registry_, config);
     monitor_ = std::make_unique<obs::SloMonitor>(registry_);
     // Alert state rolls back into the same registry, so the sampler
@@ -57,57 +77,15 @@ void Harness::enable_series(std::string path) {
     monitor_->set_metrics(&registry_);
     if (tracer_ != nullptr) monitor_->set_tracer(tracer_.get());
   }
+  return sampler_.get();
 }
 
-void Harness::parse_args(int argc, char** argv) {
-  constexpr const char kFlag[] = "--trace-out=";
-  constexpr const char kSeries[] = "--series-out=";
-  constexpr const char kInterval[] = "--series-interval-ms=";
-  constexpr const char kOpenMetrics[] = "--openmetrics-out=";
-  constexpr const char kShards[] = "--shards=";
-  constexpr const char kParThreads[] = "--par-threads=";
-  constexpr const char kParArtifacts[] = "--par-artifacts=";
-  constexpr const char kProfOut[] = "--prof-out=";
-  constexpr const char kProfTrace[] = "--prof-trace-out=";
-  constexpr const char kProfFolded[] = "--prof-folded=";
-  constexpr const char kAuditOut[] = "--audit-out=";
-  // Interval first: enable_series latches it into the sampler.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], kInterval, sizeof(kInterval) - 1) == 0) {
-      const double ms = std::atof(argv[i] + sizeof(kInterval) - 1);
-      if (ms > 0.0) series_interval_ = Duration::seconds(ms / 1000.0);
-    }
-  }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {
-      enable_tracing(argv[i] + sizeof(kFlag) - 1);
-    } else if (std::strncmp(argv[i], kSeries, sizeof(kSeries) - 1) == 0) {
-      enable_series(argv[i] + sizeof(kSeries) - 1);
-    } else if (std::strncmp(argv[i], kOpenMetrics,
-                            sizeof(kOpenMetrics) - 1) == 0) {
-      openmetrics_path_ = argv[i] + sizeof(kOpenMetrics) - 1;
-    } else if (std::strncmp(argv[i], kShards, sizeof(kShards) - 1) == 0) {
-      const long n = std::atol(argv[i] + sizeof(kShards) - 1);
-      if (n > 0) shards_ = static_cast<std::size_t>(n);
-    } else if (std::strncmp(argv[i], kParThreads,
-                            sizeof(kParThreads) - 1) == 0) {
-      const long n = std::atol(argv[i] + sizeof(kParThreads) - 1);
-      if (n >= 0) par_threads_ = static_cast<std::size_t>(n);
-    } else if (std::strncmp(argv[i], kParArtifacts,
-                            sizeof(kParArtifacts) - 1) == 0) {
-      par_artifacts_ = argv[i] + sizeof(kParArtifacts) - 1;
-    } else if (std::strncmp(argv[i], kProfOut, sizeof(kProfOut) - 1) == 0) {
-      prof_path_ = argv[i] + sizeof(kProfOut) - 1;
-    } else if (std::strncmp(argv[i], kProfTrace,
-                            sizeof(kProfTrace) - 1) == 0) {
-      prof_trace_path_ = argv[i] + sizeof(kProfTrace) - 1;
-    } else if (std::strncmp(argv[i], kProfFolded,
-                            sizeof(kProfFolded) - 1) == 0) {
-      prof_folded_path_ = argv[i] + sizeof(kProfFolded) - 1;
-    } else if (std::strncmp(argv[i], kAuditOut, sizeof(kAuditOut) - 1) == 0) {
-      audit_path_ = argv[i] + sizeof(kAuditOut) - 1;
-    }
-  }
+obs::SloMonitor* Harness::slo() {
+  return sampler() == nullptr ? nullptr : monitor_.get();
+}
+
+void Harness::set_document(const std::string& doc, std::string text) {
+  documents_[doc] = std::move(text);
 }
 
 void Harness::set_profile(obs::ProfileDoc doc) {
@@ -152,95 +130,61 @@ std::string Harness::to_json() const {
 }
 
 int Harness::finish(int exit_code) {
-  if (tracer_ != nullptr && !trace_path_.empty()) {
-    if (obs::ChromeTraceExporter::write_file(*tracer_, trace_path_)) {
-      std::cout << "\n[trace json] " << trace_path_ << "\n";
-    } else {
-      std::cerr << "bench_harness: failed to write " << trace_path_ << "\n";
-      if (exit_code == 0) exit_code = 1;
-    }
+  const auto fail = [&exit_code](const std::string& why) {
+    std::cerr << "bench_harness: " << why << "\n";
+    if (exit_code == 0) exit_code = 1;
+  };
+  // (path, text) of every file this run writes, in write order.
+  std::vector<std::pair<std::string, std::string>> files;
+  const bool traced = tracer_ != nullptr && !tracer_->spans().empty();
+  if (tracer_ != nullptr && !traced) {
+    fail("--trace-out given but " + name_ +
+         " recorded no span (it has no span source); no trace written");
+  } else if (traced) {
+    files.emplace_back(trace_path_,
+                       obs::ChromeTraceExporter::to_json(*tracer_) + "\n");
   }
-  if (sampler_ != nullptr && !series_path_.empty()) {
-    if (obs::SeriesExporter::write_file(*sampler_, monitor_.get(), name_,
-                                        series_path_)) {
-      std::cout << "\n[series json] " << series_path_ << "\n";
-    } else {
-      std::cerr << "bench_harness: failed to write " << series_path_ << "\n";
-      if (exit_code == 0) exit_code = 1;
+  if (!artifacts_.empty()) {
+    // The harness's own renderings fill only the documents the bench
+    // did not set itself (emplace never overwrites).
+    if (sampler_ != nullptr && sampler_->samples() > 0) {
+      documents_.emplace("series.json",
+                         obs::merged_series_json({sampler_.get()}, name_,
+                                                 monitor_.get()) +
+                             "\n");
     }
-  }
-  if (!openmetrics_path_.empty()) {
-    if (obs::OpenMetricsExporter::write_file(registry_, openmetrics_path_)) {
-      std::cout << "[openmetrics] " << openmetrics_path_ << "\n";
-    } else {
-      std::cerr << "bench_harness: failed to write " << openmetrics_path_
-                << "\n";
-      if (exit_code == 0) exit_code = 1;
+    documents_.emplace("openmetrics.txt",
+                       obs::OpenMetricsExporter::render(registry_));
+    if (profile_ != nullptr) {
+      documents_.emplace("prof.json",
+                         obs::ProfExporter::to_json(*profile_, name_) + "\n");
+      documents_.emplace(
+          "prof-trace.json",
+          obs::ProfExporter::to_counter_trace(*profile_, name_) + "\n");
     }
-  }
-  if (!prof_path_.empty() || !prof_trace_path_.empty()) {
-    if (profile_ == nullptr) {
-      std::cerr << "bench_harness: profiling output requested but the bench "
-                   "never called set_profile()\n";
-      if (exit_code == 0) exit_code = 1;
-    } else {
-      if (!prof_path_.empty()) {
-        if (obs::ProfExporter::write_file(*profile_, name_, prof_path_)) {
-          std::cout << "[prof json] " << prof_path_ << "\n";
-        } else {
-          std::cerr << "bench_harness: failed to write " << prof_path_
-                    << "\n";
-          if (exit_code == 0) exit_code = 1;
-        }
-      }
-      if (!prof_trace_path_.empty()) {
-        if (obs::ProfExporter::write_counter_trace(*profile_, name_,
-                                                   prof_trace_path_)) {
-          std::cout << "[prof trace] " << prof_trace_path_ << "\n";
-        } else {
-          std::cerr << "bench_harness: failed to write " << prof_trace_path_
-                    << "\n";
-          if (exit_code == 0) exit_code = 1;
-        }
-      }
+    if (audit_ != nullptr) {
+      documents_.emplace("audit.json",
+                         obs::AuditExporter::to_json(*audit_, name_) + "\n");
     }
-  }
-  if (!audit_path_.empty()) {
-    if (audit_ == nullptr) {
-      std::cerr << "bench_harness: audit output requested but the bench "
-                   "never called set_audit()\n";
-      if (exit_code == 0) exit_code = 1;
-    } else if (obs::AuditExporter::write_file(*audit_, name_, audit_path_)) {
-      std::cout << "[audit json] " << audit_path_ << "\n";
-    } else {
-      std::cerr << "bench_harness: failed to write " << audit_path_ << "\n";
-      if (exit_code == 0) exit_code = 1;
+    if (traced) {
+      documents_.emplace("folded.txt",
+                         obs::ProfExporter::to_collapsed(*tracer_));
     }
-  }
-  if (!prof_folded_path_.empty()) {
-    if (tracer_ == nullptr) {
-      std::cerr << "bench_harness: --prof-folded needs --trace-out (no span "
-                   "tracer active)\n";
-      if (exit_code == 0) exit_code = 1;
-    } else if (obs::ProfExporter::write_collapsed(*tracer_,
-                                                  prof_folded_path_)) {
-      std::cout << "[prof folded] " << prof_folded_path_ << "\n";
-    } else {
-      std::cerr << "bench_harness: failed to write " << prof_folded_path_
-                << "\n";
-      if (exit_code == 0) exit_code = 1;
+    for (const auto& [doc, text] : documents_) {
+      files.emplace_back(artifacts_ + "." + doc, text);
     }
   }
   std::string dir = ".";
   if (const char* env = std::getenv("DLTE_BENCH_DIR")) dir = env;
-  const std::string path = dir + "/BENCH_" + name_ + ".json";
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  out << to_json() << "\n";
-  if (!out) {
-    std::cerr << "bench_harness: failed to write " << path << "\n";
-    return exit_code == 0 ? 1 : exit_code;
+  files.emplace_back(dir + "/BENCH_" + name_ + ".json", to_json() + "\n");
+  std::cout << "\n";
+  for (const auto& [path, text] : files) {
+    if (obs::write_text_file(path, text)) {
+      std::cout << "[wrote] " << path << "\n";
+    } else {
+      fail("failed to write " + path);
+    }
   }
-  std::cout << "\n[bench json] " << path << "\n";
   return exit_code;
 }
 

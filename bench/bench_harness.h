@@ -18,6 +18,18 @@
 // byte-identical "metrics" object (CI checks this). "wall_seconds" and
 // "timings" are wall-clock and vary run to run — they are what the CI
 // perf-regression gate compares against bench/baselines/.
+//
+// Observability documents: with --artifacts=<prefix>, finish() writes
+// each document the bench produced, and only those, as <prefix>.<doc>:
+//   metrics.json     merged metrics snapshot            sharded benches
+//   series.json      dlte-series-v1: merged (sharded), or the harness
+//                    sampler's once it took a sample    when produced
+//   openmetrics.txt  the merged registry (sharded) or metrics(), as
+//                    OpenMetrics text                   every bench
+//   prof.json        dlte-prof-v1 profile               sharded benches
+//   prof-trace.json  the profile as Perfetto counters   sharded benches
+//   audit.json       dlte-audit-v1 digests              sharded benches
+//   folded.txt       flamegraph-folded span self time   with --trace-out
 #pragma once
 
 #include <chrono>
@@ -49,13 +61,21 @@ class Harness {
   // The registry scenario components attach to via set_metrics().
   [[nodiscard]] obs::MetricsRegistry& metrics() { return registry_; }
 
-  // Opt-in causal tracing: `--trace-out=<file>` on the command line
-  // creates a SpanTracer whose latency rollups land in metrics() as
-  // `span.*` histograms; finish() writes the Chrome
-  // trace-event JSON to the given path. Unknown flags are ignored, so a
-  // bench just forwards its argc/argv.
+  // The command line: exactly four flags, each `--flag=<value>`. Unknown
+  // flags are ignored, so a bench forwards its argc/argv and parses its
+  // own scenario flags beside them.
+  //   --trace-out=<file>    causal span tracing: a SpanTracer whose
+  //                         latency rollups land in metrics() as span.*
+  //                         histograms; finish() writes the Chrome
+  //                         trace-event JSON to <file>.
+  //   --shards=<n>          sharded benches run gate mode: one run at n
+  //                         shards instead of the 1/2/4 sweep.
+  //   --par-threads=<n>     gate mode's worker threads (0 = one per shard).
+  //   --artifacts=<prefix>  finish() writes every observability document
+  //                         the bench produced as <prefix>.<document>
+  //                         (DESIGN.md §8 lists them).
   void parse_args(int argc, char** argv);
-  void enable_tracing(std::string path);
+
   [[nodiscard]] bool tracing() const { return tracer_ != nullptr; }
   // nullptr unless tracing was enabled — scenario components take it via
   // their null-safe set_tracer().
@@ -64,55 +84,34 @@ class Harness {
   // (e.g. `[&sim] { return sim.now(); }`). No-op when not tracing.
   void set_trace_clock(obs::SpanTracer::NowFn now);
 
-  // Opt-in time-series telemetry: `--series-out=<file>` creates a
-  // TimeSeriesSampler + SloMonitor over metrics(); finish() writes the
-  // dlte-series-v1 JSON there. `--series-interval-ms=<n>` tunes the
-  // sampling cadence (default 500 ms of simulated time).
-  // `--openmetrics-out=<file>` additionally writes the final registry
-  // state as OpenMetrics text. The harness stays sim-free: the scenario
-  // constructs a sim::TelemetryDriver next to its Simulator and points
-  // it at sampler()/slo().
-  void enable_series(std::string path);
-  [[nodiscard]] bool series_enabled() const { return sampler_ != nullptr; }
-  // nullptr unless series output was enabled.
-  [[nodiscard]] obs::TimeSeriesSampler* sampler() { return sampler_.get(); }
-  [[nodiscard]] obs::SloMonitor* slo() { return monitor_.get(); }
+  // Time-series telemetry, under --artifacts only: the first call creates
+  // a TimeSeriesSampler (one sample per 500 ms of simulated time) and an
+  // SloMonitor over metrics(); without --artifacts both return nullptr.
+  // The harness stays sim-free: the scenario constructs a
+  // sim::TelemetryDriver next to its Simulator and points it at
+  // sampler()/slo(). <prefix>.series.json is written once the sampler
+  // has taken a sample.
+  [[nodiscard]] obs::TimeSeriesSampler* sampler();
+  [[nodiscard]] obs::SloMonitor* slo();
 
-  // Parallel-runtime knobs for sharded benches: `--shards=<n>` and
-  // `--par-threads=<n>` (0 = one thread per shard) select the partition,
-  // `--par-artifacts=<prefix>` asks the bench to dump its merged
-  // artifacts to <prefix>.{metrics.json,series.json,openmetrics.txt,
-  // prof.json,audit.json} — what the CI par-determinism gate compares
-  // across shard counts. parse_args() fills these; sharded benches read
-  // them through bench::ParBench (par_bench.h).
   [[nodiscard]] std::size_t shards() const { return shards_; }
   [[nodiscard]] std::size_t par_threads() const { return par_threads_; }
-  [[nodiscard]] const std::string& par_artifacts() const {
-    return par_artifacts_;
-  }
 
-  // Self-profiling plane: `--prof-out=<file>` asks the bench to produce
-  // a dlte-prof-v1 document; the bench builds a ProfileDoc (merged event
-  // attribution + wall-clock shard profile) and hands it over via
-  // set_profile(); finish() writes it. Optional companions:
-  // `--prof-trace-out=` for Perfetto counter tracks and `--prof-folded=`
-  // for flamegraph-folded text from the span tracer (requires
-  // --trace-out).
-  [[nodiscard]] bool profiling_requested() const {
-    return !prof_path_.empty() || !prof_trace_path_.empty();
-  }
-  [[nodiscard]] const std::string& prof_path() const { return prof_path_; }
+  // A document the bench rendered itself (the sharded benches' merged
+  // metrics.json, series.json and openmetrics.txt); finish() writes it
+  // as <prefix>.<doc>, in place of the harness's own rendering of that
+  // document. A later call replaces an earlier one.
+  void set_document(const std::string& doc, std::string text);
+
+  // The self-profiling and determinism-audit documents of a sharded run
+  // (merged event attribution + wall-clock shard profile; the
+  // dlte-audit-v1 digests). finish() renders them as prof.json,
+  // prof-trace.json and audit.json.
   void set_profile(obs::ProfileDoc doc);
   [[nodiscard]] bool has_profile() const { return profile_ != nullptr; }
   [[nodiscard]] const obs::ProfileDoc* profile() const {
     return profile_.get();
   }
-
-  // Determinism audit plane: `--audit-out=<file>` asks the bench for a
-  // dlte-audit-v1 document; the bench hands its runtime's AuditDoc over
-  // via set_audit(); finish() writes it.
-  [[nodiscard]] bool audit_requested() const { return !audit_path_.empty(); }
-  [[nodiscard]] const std::string& audit_path() const { return audit_path_; }
   void set_audit(obs::AuditDoc doc);
   [[nodiscard]] bool has_audit() const { return audit_ != nullptr; }
   [[nodiscard]] const obs::AuditDoc* audit() const { return audit_.get(); }
@@ -151,10 +150,14 @@ class Harness {
     registry_.counter(name).inc(value);
   }
 
-  // Serialize and write BENCH_<name>.json into $DLTE_BENCH_DIR (or the
-  // working directory), then pass `exit_code` through — benches end with
-  // `return harness.finish(code);`. Returns 1 if the write failed and
-  // `exit_code` was 0.
+  // Write every document in one pass, then pass `exit_code` through —
+  // benches end with `return harness.finish(code);`:
+  //   --trace-out=<file>  the span trace;
+  //   --artifacts=P       P.<doc> for each document the bench produced;
+  //   always              BENCH_<name>.json into $DLTE_BENCH_DIR (or the
+  //                       working directory).
+  // Returns 1 (when `exit_code` was 0) if a write failed or --trace-out
+  // was given to a bench that recorded no span.
   [[nodiscard]] int finish(int exit_code = 0);
 
   // The full JSON document (what finish() writes). Exposed for tests.
@@ -165,20 +168,15 @@ class Harness {
   obs::MetricsRegistry registry_;
   std::unique_ptr<obs::SpanTracer> tracer_;
   std::string trace_path_;
-  std::unique_ptr<obs::TimeSeriesSampler> sampler_;
-  std::unique_ptr<obs::SloMonitor> monitor_;
-  std::string series_path_;
-  std::string openmetrics_path_;
   std::size_t shards_{0};
   std::size_t par_threads_{0};
-  std::string par_artifacts_;
-  std::string prof_path_;
-  std::string prof_trace_path_;
-  std::string prof_folded_path_;
-  std::string audit_path_;
+  std::string artifacts_;
+  std::unique_ptr<obs::TimeSeriesSampler> sampler_;
+  std::unique_ptr<obs::SloMonitor> monitor_;
   std::unique_ptr<obs::ProfileDoc> profile_;
   std::unique_ptr<obs::AuditDoc> audit_;
-  Duration series_interval_{Duration::millis(500)};
+  // Document name ("metrics.json", ...) -> rendered text.
+  std::map<std::string, std::string> documents_;
   double sim_seconds_{0.0};
   std::uint64_t events_total_{0};
   double events_wall_s_{0.0};

@@ -1,7 +1,6 @@
 #include "par_bench.h"
 
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <utility>
 
@@ -11,12 +10,6 @@
 namespace dlte::bench {
 
 namespace {
-
-bool write_text(const std::string& path, const std::string& text) {
-  std::ofstream f{path, std::ios::binary | std::ios::trunc};
-  f << text;
-  return static_cast<bool>(f);
-}
 
 // Every merged artifact plus the event total: all partition-invariant.
 bool same_artifacts(const ParRun& a, const ParRun& b) {
@@ -53,45 +46,43 @@ ParRun ParBench::measure(
   out.prof = obs::ProfExporter::event_attribution_json(out.profile.attribution);
   out.audit_doc = runtime.audit_doc();
   out.audit = obs::AuditExporter::merged_json(out.audit_doc);
+  out.shared_metrics = runtime.shared_metric_names();
   return out;
 }
 
-void ParBench::record(ParRun& run) {
+bool ParBench::record(ParRun& run) {
   harness_.add_sim_seconds(run.sim_seconds);
   harness_.timing("run_s" + std::to_string(run.shards), run.wall_s);
   harness_.throughput(run.events, run.wall_s);
-  // Last run wins: --prof-out carries the widest partition's shard
-  // profile (the interesting load matrix) with identical attribution.
+  // Last run wins: the sweep's documents carry the widest partition's
+  // shard profile (the interesting load matrix); everything compared is
+  // identical across the sweep's runs.
+  harness_.set_document("metrics.json", std::move(run.metrics));
+  harness_.set_document("series.json", std::move(run.series));
+  harness_.set_document("openmetrics.txt", std::move(run.openmetrics));
   harness_.set_profile(std::move(run.profile));
   harness_.set_audit(std::move(run.audit_doc));
+  if (run.shared_metrics.empty()) return true;
+  std::cerr << tag_ << ": " << run.shared_metrics.size()
+            << " metric name(s) written from more than one shard at "
+            << run.shards << " shards (DESIGN.md §16):";
+  for (const std::string& name : run.shared_metrics) std::cerr << ' ' << name;
+  std::cerr << "\n";
+  return false;
 }
 
 int ParBench::gate(const RunFn& run, const ReportFn& report) {
-  const std::size_t shards = harness_.shards() == 0 ? 1 : harness_.shards();
-  ParRun out = run(shards, harness_.par_threads());
-  const std::string& prefix = harness_.par_artifacts();
-  bool ok = write_text(prefix + ".metrics.json", out.metrics);
-  ok = write_text(prefix + ".series.json", out.series) && ok;
-  ok = write_text(prefix + ".openmetrics.txt", out.openmetrics) && ok;
-  ok = write_text(prefix + ".prof.json", out.prof + "\n") && ok;
-  // Full document (merged + shards + ledger): same-config double runs
-  // byte-compare it whole; cross-shard-count compares go through
-  // audit_diff.py --merged-only.
-  ok = write_text(prefix + ".audit.json",
-                  obs::AuditExporter::to_json(out.audit_doc, harness_.name()) +
-                      "\n") &&
-       ok;
+  ParRun out = run(harness_.shards(), harness_.par_threads());
   report(out, true, 1.0);
-  record(out);
-  std::cout << tag_ << " gate mode: shards=" << shards
-            << " artifacts=" << prefix << ".*\n";
-  if (!ok) std::cerr << tag_ << ": failed to write artifacts\n";
+  const bool ok = record(out);
+  std::cout << tag_ << " gate mode: shards=" << harness_.shards() << "\n";
   return ok ? 0 : 1;
 }
 
 int ParBench::sweep(const RunFn& run, const ReportFn& report) {
   ParRun base;
   bool all_identical = true;
+  bool partitioned = true;
   for (const std::size_t shards : {1u, 2u, 4u}) {
     ParRun out = run(shards, shards);
     bool identical = true;
@@ -110,12 +101,12 @@ int ParBench::sweep(const RunFn& run, const ReportFn& report) {
     harness_.counter(tag_ + ".s" + std::to_string(shards) + ".identical",
                      identical ? 1 : 0);
     report(out, identical, speedup);
-    record(out);
+    partitioned = record(out) && partitioned;
   }
   if (!all_identical) {
     std::cerr << tag_ << ": sharded artifacts diverged from the 1-shard run\n";
   }
-  return all_identical ? 0 : 1;
+  return all_identical && partitioned ? 0 : 1;
 }
 
 }  // namespace dlte::bench

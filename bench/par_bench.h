@@ -6,27 +6,26 @@
 //           byte-compared IN PROCESS against the 1-shard run, recorded as
 //           `<tag>.s<N>.identical`, with `run_s<N>`/`speedup_s<N>` wall
 //           timings and engine throughput in the harness timings;
-//   gate  — `--par-artifacts=<prefix>`: one run at --shards/--par-threads
-//           writing the artifact set the CI par-determinism gate
-//           (tools/obs_check.sh par) compares across shard counts:
-//             <prefix>.metrics.json     merged metrics snapshot
-//             <prefix>.series.json      merged dlte-series-v1 document
-//             <prefix>.openmetrics.txt  merged metrics as OpenMetrics
-//             <prefix>.prof.json        merged event attribution
-//             <prefix>.audit.json       full dlte-audit-v1 document
+//   gate  — `--shards=<n>`: one run at --shards/--par-threads, whose
+//           documents the CI par-determinism gate (tools/obs_check.sh
+//           par) compares across shard counts.
 //
-// Either way the last run's profile and audit documents go to the
-// harness, so --prof-out= and --audit-out= work for every sharded bench.
-// A bench supplies only what differs: how to build and run its scenario
-// at (shards, threads), and how to record one finished run (its result
-// counters and table row). Kept apart from the sim-free bench harness
-// because it links the parallel runtime.
+// ParBench writes no file: each run's merged metrics, series and
+// OpenMetrics text, its profile and its audit document go to the
+// harness (the last run's documents win), and --artifacts=<prefix> has
+// finish() write them. In both modes a run whose shards share an
+// instrument name fails the bench (DESIGN.md §16). A bench supplies only what differs:
+// how to build and run its scenario at (shards, threads), and how to
+// record one finished run (its result counters and table row). Kept
+// apart from the sim-free bench harness because it links the parallel
+// runtime.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "bench_harness.h"
 #include "obs/audit.h"
@@ -52,6 +51,8 @@ struct ParRun {
   // with the partition, so they are handed over but never compared.
   obs::ProfileDoc profile;
   obs::AuditDoc audit_doc;
+  // Instrument names written from more than one shard; must be empty.
+  std::vector<std::string> shared_metrics;
 };
 
 class ParBench {
@@ -67,9 +68,7 @@ class ParBench {
   // Per-run runtime metrics land under `<tag>.s<N>.` in the harness.
   ParBench(Harness& harness, std::string tag);
 
-  [[nodiscard]] bool gate_mode() const {
-    return !harness_.par_artifacts().empty();
-  }
+  [[nodiscard]] bool gate_mode() const { return harness_.shards() > 0; }
 
   // Attach `runtime`'s par.* metrics, time `run` (which drives the
   // scenario to its horizon), and capture the merged artifacts. A
@@ -79,14 +78,18 @@ class ParBench {
       par::ShardedSimulator& runtime, const std::function<void()>& run,
       const std::function<const obs::SloMonitor*()>& monitor = {});
 
-  // Gate mode: one run, five artifacts. Returns 0, or 1 if a write failed.
+  // Gate mode: one run. Returns 0, or 1 if its shards shared a metric
+  // name.
   [[nodiscard]] int gate(const RunFn& run, const ReportFn& report);
-  // Sweep mode. Returns 0 when every run matched the 1-shard run, else 1.
+  // Sweep mode. Returns 0 when every run matched the 1-shard run and no
+  // run's shards shared a metric name, else 1.
   [[nodiscard]] int sweep(const RunFn& run, const ReportFn& report);
 
  private:
-  // Hand a finished run's timings and documents to the harness.
-  void record(ParRun& run);
+  // Hand a finished run's timings and documents to the harness (moving
+  // them out of `run`); false, with the offending names on stderr, if
+  // its shards share a metric name.
+  bool record(ParRun& run);
 
   Harness& harness_;
   std::string tag_;

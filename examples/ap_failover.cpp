@@ -17,9 +17,10 @@
 #include "fault/fault.h"
 #include "fault/health.h"
 #include "fault/resilience.h"
+#include "obs/merge.h"
 #include "obs/series.h"
-#include "obs/series_export.h"
 #include "obs/slo.h"
+#include "obs/text_file.h"
 #include "obs/trace_export.h"
 #include "sim/telemetry.h"
 #include "ue/mobility.h"
@@ -175,8 +176,10 @@ int main(int argc, char** argv) {
   std::cout << "\nno carrier NOC was paged; the town healed itself.\n";
 
   if (!series_out.empty()) {
-    if (obs::SeriesExporter::write_file(sampler, &monitor, "ap_failover",
-                                        series_out)) {
+    if (obs::write_text_file(
+            series_out,
+            obs::merged_series_json({&sampler}, "ap_failover", &monitor) +
+                "\n")) {
       std::cout << "series json (" << sampler.series().size()
                 << " series) written to " << series_out
                 << " — render with tools/health_report.py\n";
@@ -187,7 +190,8 @@ int main(int argc, char** argv) {
   }
 
   if (!trace_out.empty()) {
-    if (obs::ChromeTraceExporter::write_file(tracer, trace_out)) {
+    if (obs::write_text_file(
+            trace_out, obs::ChromeTraceExporter::to_json(tracer) + "\n")) {
       std::cout << "span trace (" << tracer.spans().size()
                 << " spans) written to " << trace_out
                 << " — load it in ui.perfetto.dev\n";

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "core/access_point.h"
+#include "obs/text_file.h"
 #include "obs/trace_export.h"
 #include "ue/mobility.h"
 
@@ -106,7 +107,8 @@ int main(int argc, char** argv) {
             << " (the stub does not bill — §4.1)\n";
 
   if (tracer != nullptr) {
-    if (obs::ChromeTraceExporter::write_file(*tracer, trace_out)) {
+    if (obs::write_text_file(
+            trace_out, obs::ChromeTraceExporter::to_json(*tracer) + "\n")) {
       std::cout << "span trace (" << tracer->spans().size()
                 << " spans) written to " << trace_out
                 << " — load it in ui.perfetto.dev\n";

@@ -27,6 +27,7 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "core/access_point.h"
+#include "obs/text_file.h"
 #include "obs/trace_export.h"
 #include "par/town.h"
 #include "spectrum/chain.h"
@@ -270,7 +271,8 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::cout << "client fairness (Jain): " << jain_fairness(per_ue) << "\n";
   if (tracer != nullptr) {
-    if (!obs::ChromeTraceExporter::write_file(*tracer, opt.trace_out)) {
+    if (!obs::write_text_file(
+            opt.trace_out, obs::ChromeTraceExporter::to_json(*tracer) + "\n")) {
       std::cerr << "failed to write trace to " << opt.trace_out << "\n";
       return 1;
     }

@@ -1,7 +1,5 @@
 #include "obs/audit_export.h"
 
-#include <fstream>
-
 #include "obs/json.h"
 
 namespace dlte::obs {
@@ -125,13 +123,6 @@ std::string AuditExporter::merged_json(const AuditDoc& doc) {
   merged_object(w, doc);
   w.end_object();
   return w.str();
-}
-
-bool AuditExporter::write_file(const AuditDoc& doc, const std::string& source,
-                               const std::string& path) {
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  out << to_json(doc, source) << "\n";
-  return static_cast<bool>(out);
 }
 
 }  // namespace dlte::obs

@@ -36,10 +36,6 @@ class AuditExporter {
   // The partition-invariant section alone — what cross-shard-count
   // comparisons byte-compare.
   [[nodiscard]] static std::string merged_json(const AuditDoc& doc);
-
-  // false on I/O failure, like the other exporters.
-  static bool write_file(const AuditDoc& doc, const std::string& source,
-                         const std::string& path);
 };
 
 }  // namespace dlte::obs

@@ -57,8 +57,7 @@ std::string merged_series_json(
     w.end_object();
   }
   w.end_object();
-  // Rules/alerts/health render exactly as SeriesExporter::to_json does
-  // (byte-for-byte), empty when no monitor rides along.
+  // Rules/alerts/health render empty when no monitor rides along.
   w.key("rules").begin_array();
   if (monitor != nullptr) {
     for (const auto& rule : monitor->rule_descriptions()) w.value(rule);

@@ -29,18 +29,37 @@ namespace dlte::obs {
 void merge_registry(MetricsRegistry& dst, const MetricsRegistry& src,
                     const std::string& prefix = "");
 
-// One dlte-series-v1 document over the union of several samplers' series
-// (sorted by name, first sampler wins on a duplicate name — scenarios
-// keep shard series disjoint via per-AP prefixes, so in practice there
-// are none). With a single sampler this is byte-identical to
-// SeriesExporter::to_json(sampler, nullptr, source), which is what makes
-// the 1-shard-vs-N-shard series comparison meaningful.
+// The dlte-series-v1 document (DESIGN.md §10) — its one renderer, for
+// a single-sim sampler and for the union of every shard's samplers
+// alike:
 //
-// `monitor` (optional) embeds an SloMonitor's rules/alerts/health
-// sections exactly as SeriesExporter does — a scenario that pins its
-// monitor to one shard's registry (so its alert timeline is partition-
-// invariant) can then ship alerts inside the merged document and the
-// health-report gate reads them like any single-sim series file.
+//   {
+//     "schema": dlte-series-v1,
+//     "source": "<bench/example name>",
+//     "interval_s": 0.5,
+//     "samples": 180,
+//     "series": {
+//       "<name>": {"kind": "counter", "dropped": 0,
+//                  "points": [[t_s, value], ...]}, ...
+//     },
+//     "rules": ["<rule description>", ...],
+//     "alerts": [{"t_s":..., "event":"fire"|"resolve", "rule":...,
+//                 "scope":..., "metric":..., "value":...,
+//                 "threshold":...}, ...],
+//     "health": {"<scope>": <final score>, ...}
+//   }
+//
+// Series are the union over `samplers`, sorted by name; the first
+// sampler wins on a duplicate name (scenarios keep shard series disjoint
+// via per-AP prefixes, so in practice there are none). Everything
+// derives from simulated time, sorted maps and JsonWriter doubles, so
+// same-seed runs render byte-identical text — tools/health_report.py
+// validates it and CI byte-compares double runs and 1-vs-N-shard runs.
+//
+// `monitor` (optional; null renders the rules/alerts/health sections
+// empty) embeds an SloMonitor's rule set, alert timeline and final
+// health scores. A sharded scenario pins its monitor to one shard's
+// registry so its alert timeline is partition-invariant.
 [[nodiscard]] std::string merged_series_json(
     const std::vector<const TimeSeriesSampler*>& samplers,
     const std::string& source, const SloMonitor* monitor = nullptr);

@@ -1,7 +1,5 @@
 #include "obs/openmetrics.h"
 
-#include <fstream>
-
 #include "obs/json.h"
 
 namespace dlte::obs {
@@ -67,13 +65,6 @@ std::string OpenMetricsExporter::render(const MetricsSnapshot& snapshot) {
   }
   out += "# EOF\n";
   return out;
-}
-
-bool OpenMetricsExporter::write_file(const MetricsRegistry& registry,
-                                     const std::string& path) {
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  out << render(registry);
-  return static_cast<bool>(out);
 }
 
 }  // namespace dlte::obs

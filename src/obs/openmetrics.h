@@ -28,10 +28,6 @@ class OpenMetricsExporter {
     return render(MetricsSnapshot{registry});
   }
 
-  // Writes render() to `path`; false on I/O failure.
-  static bool write_file(const MetricsRegistry& registry,
-                         const std::string& path);
-
   // "c8.dlte.epc.attach_latency_ms" -> "c8_dlte_epc_attach_latency_ms".
   [[nodiscard]] static std::string sanitize(const std::string& name);
 };

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <map>
 
 #include "obs/json.h"
@@ -112,12 +111,6 @@ std::string fold_name(const std::string& name) {
     if (c == ';' || c == ' ' || c == '\n') c = '_';
   }
   return out;
-}
-
-bool write_text_file(const std::string& path, const std::string& text) {
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  out << text;
-  return static_cast<bool>(out);
 }
 
 }  // namespace
@@ -249,22 +242,6 @@ std::string ProfExporter::to_collapsed(const SpanTracer& tracer) {
     out += '\n';
   }
   return out;
-}
-
-bool ProfExporter::write_file(const ProfileDoc& doc, const std::string& source,
-                              const std::string& path) {
-  return write_text_file(path, to_json(doc, source) + "\n");
-}
-
-bool ProfExporter::write_counter_trace(const ProfileDoc& doc,
-                                       const std::string& source,
-                                       const std::string& path) {
-  return write_text_file(path, to_counter_trace(doc, source) + "\n");
-}
-
-bool ProfExporter::write_collapsed(const SpanTracer& tracer,
-                                   const std::string& path) {
-  return write_text_file(path, to_collapsed(tracer));
 }
 
 }  // namespace dlte::obs

@@ -49,15 +49,6 @@ class ProfExporter {
 
   // Collapsed-stack (flamegraph-folded) text from span nesting.
   [[nodiscard]] static std::string to_collapsed(const SpanTracer& tracer);
-
-  // write_* helpers mirror the other exporters: false on I/O failure.
-  static bool write_file(const ProfileDoc& doc, const std::string& source,
-                         const std::string& path);
-  static bool write_counter_trace(const ProfileDoc& doc,
-                                  const std::string& source,
-                                  const std::string& path);
-  static bool write_collapsed(const SpanTracer& tracer,
-                              const std::string& path);
 };
 
 }  // namespace dlte::obs

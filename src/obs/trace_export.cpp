@@ -1,7 +1,6 @@
 #include "obs/trace_export.h"
 
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <string>
 
@@ -99,13 +98,6 @@ std::string ChromeTraceExporter::to_json(const SpanTracer& tracer) {
   w.end_array();
   w.end_object();
   return w.str();
-}
-
-bool ChromeTraceExporter::write_file(const SpanTracer& tracer,
-                                     const std::string& path) {
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  out << to_json(tracer) << "\n";
-  return static_cast<bool>(out);
 }
 
 }  // namespace dlte::obs

@@ -25,9 +25,6 @@ class ChromeTraceExporter {
  public:
   // The full trace document: {"displayTimeUnit","otherData","traceEvents"}.
   [[nodiscard]] static std::string to_json(const SpanTracer& tracer);
-
-  // Writes to_json() to `path`; returns false on I/O failure.
-  static bool write_file(const SpanTracer& tracer, const std::string& path);
 };
 
 }  // namespace dlte::obs

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <chrono>
 #include <limits>
+#include <map>
+#include <set>
 #include <utility>
 
 #include "obs/merge.h"
@@ -439,6 +441,22 @@ std::string ShardedSimulator::merged_series_json(
   // the sample grid, so it belongs in the compared merged document.
   if (engine_sampler_ != nullptr) samplers.push_back(engine_sampler_.get());
   return obs::merged_series_json(samplers, source, monitor);
+}
+
+std::vector<std::string> ShardedSimulator::shared_metric_names() const {
+  std::map<std::string, std::size_t> owner;
+  std::set<std::string> shared;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const obs::MetricsRegistry& reg = shards_[s]->domain;
+    const auto claim = [&](const std::string& name) {
+      const auto [it, fresh] = owner.emplace(name, s);
+      if (!fresh && it->second != s) shared.insert(name);
+    };
+    for (const auto& [name, c] : reg.counters()) claim(name);
+    for (const auto& [name, g] : reg.gauges()) claim(name);
+    for (const auto& [name, h] : reg.histograms()) claim(name);
+  }
+  return {shared.begin(), shared.end()};
 }
 
 const obs::TimeSeriesSampler* ShardedSimulator::shard_sampler(

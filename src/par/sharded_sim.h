@@ -139,6 +139,12 @@ class ShardedSimulator {
       const obs::SloMonitor* monitor = nullptr) const;
   [[nodiscard]] const obs::TimeSeriesSampler* shard_sampler(
       std::size_t shard) const;
+  // Every instrument name (counter, gauge or histogram) found in more
+  // than one shard's domain registry, sorted. DESIGN.md §16 forbids
+  // them: the merge sums such a name to the right total, yet its
+  // histogram sum and the per-shard audit digests then depend on the
+  // partition. Sharded benches fail a run that reports any.
+  [[nodiscard]] std::vector<std::string> shared_metric_names() const;
 
   // --- Parallel-runtime metrics (NOT shard-count invariant) ----------
   // par.windows, par.messages, par.posts_clamped counters plus

@@ -12,8 +12,8 @@
 #include "fault/fault.h"
 #include "fault/health.h"
 #include "fault/resilience.h"
+#include "obs/merge.h"
 #include "obs/openmetrics.h"
-#include "obs/series_export.h"
 #include "sim/telemetry.h"
 #include "spectrum/health.h"
 #include "ue/mobility.h"
@@ -118,7 +118,7 @@ Artifacts run_once(std::uint64_t seed) {
 
   Artifacts out;
   out.series_json =
-      obs::SeriesExporter::to_json(sampler, &monitor, "telemetry_determinism");
+      obs::merged_series_json({&sampler}, "telemetry_determinism", &monitor);
   out.openmetrics = obs::OpenMetricsExporter::render(metrics);
   for (const auto& event : monitor.events()) {
     out.alert_timeline += event.describe() + "\n";

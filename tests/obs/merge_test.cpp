@@ -6,7 +6,6 @@
 #include <iterator>
 #include <vector>
 
-#include "obs/series_export.h"
 #include "obs/snapshot.h"
 
 namespace dlte::obs {
@@ -124,19 +123,6 @@ TEST(MergeRegistry, PrefixRelocatesNames) {
   merge_registry(dst, src, "par.shard0.");
   EXPECT_EQ(dst.counter("par.shard0.sim.events_executed").value(), 11u);
   EXPECT_EQ(dst.find_counter("sim.events_executed"), nullptr);
-}
-
-TEST(MergedSeriesJson, SingleSamplerMatchesSeriesExporter) {
-  MetricsRegistry reg;
-  reg.counter("ap0.x2.tx").inc(2);
-  reg.gauge("ap0.load").set(0.5);
-  TimeSeriesSampler sampler{reg};
-  sampler.sample(TimePoint::from_ns(0) + Duration::millis(500));
-  reg.counter("ap0.x2.tx").inc(3);
-  sampler.sample(TimePoint::from_ns(0) + Duration::millis(1000));
-
-  EXPECT_EQ(merged_series_json({&sampler}, "t"),
-            SeriesExporter::to_json(sampler, nullptr, "t"));
 }
 
 TEST(MergedSeriesJson, UnionOfDisjointSamplersEqualsCombinedRun) {

@@ -4,7 +4,7 @@
 
 #include <string>
 
-#include "obs/series_export.h"
+#include "obs/merge.h"
 #include "obs/slo.h"
 
 namespace dlte::obs {
@@ -120,6 +120,7 @@ TEST(SeriesKindNames, MatchToolingContract) {
                "hist_quantile");
 }
 
+// The dlte-series-v1 document rendered from a single sampler.
 TEST(SeriesExporter, JsonHasSchemaAndSortedSeries) {
   MetricsRegistry reg;
   reg.counter("b.count").inc(2);
@@ -129,7 +130,7 @@ TEST(SeriesExporter, JsonHasSchemaAndSortedSeries) {
   sampler.sample(at(1.0));
 
   const std::string json =
-      SeriesExporter::to_json(sampler, nullptr, "unit_test");
+      merged_series_json({&sampler}, "unit_test");
   EXPECT_NE(json.find("\"schema\":\"dlte-series-v1\""), std::string::npos);
   EXPECT_NE(json.find("\"source\":\"unit_test\""), std::string::npos);
   EXPECT_NE(json.find("\"samples\":2"), std::string::npos);
@@ -160,7 +161,7 @@ TEST(SeriesExporter, ByteIdenticalAcrossIdenticalRuns) {
       monitor.evaluate(now);
       sampler.sample(now);
     }
-    return SeriesExporter::to_json(sampler, &monitor, "determinism");
+    return merged_series_json({&sampler}, "determinism", &monitor);
   };
   const std::string first = render();
   const std::string second = render();

@@ -9,6 +9,7 @@
 
 #include "common/time.h"
 #include "obs/span.h"
+#include "obs/text_file.h"
 
 namespace dlte::obs {
 namespace {
@@ -113,7 +114,7 @@ TEST(ChromeTraceExporter, WriteFileMatchesToJson) {
   drive(t);
   const std::string path =
       testing::TempDir() + "/dlte_trace_export_test.json";
-  ASSERT_TRUE(ChromeTraceExporter::write_file(t, path));
+  ASSERT_TRUE(write_text_file(path, ChromeTraceExporter::to_json(t) + "\n"));
   std::ifstream in{path, std::ios::binary};
   std::stringstream buf;
   buf << in.rdbuf();
@@ -124,8 +125,8 @@ TEST(ChromeTraceExporter, WriteFileMatchesToJson) {
 TEST(ChromeTraceExporter, FailsCleanlyOnUnwritablePath) {
   SpanTracer t;
   drive(t);
-  EXPECT_FALSE(
-      ChromeTraceExporter::write_file(t, "/nonexistent-dir/trace.json"));
+  EXPECT_FALSE(write_text_file("/nonexistent-dir/trace.json",
+                               ChromeTraceExporter::to_json(t)));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
+#include <vector>
 
 #include "par/metro.h"
 #include "par/registry_plane.h"
@@ -106,21 +106,16 @@ TEST(ParDeterminism, SeedChangesArtifacts) {
 // counter, gauge and histogram name lives in exactly one shard's
 // registry. A name written from two shards would merge to the right
 // total yet digest differently per shard in the audit plane.
-void expect_no_name_spans_shards(ShardedSimulator& rt,
+void expect_no_name_spans_shards(const ShardedSimulator& rt,
                                  const std::string& scenario) {
-  std::map<std::string, std::size_t> owners;
-  for (std::size_t shard = 0; shard < rt.shard_count(); ++shard) {
-    const obs::MetricsRegistry& reg = rt.shard_registry(shard);
-    const auto claim = [&](const std::string& name) {
-      const auto [it, fresh] = owners.emplace(name, shard);
-      EXPECT_TRUE(fresh) << scenario << ": " << name << " in shard "
-                         << it->second << " and shard " << shard;
-    };
-    for (const auto& [name, c] : reg.counters()) claim(name);
-    for (const auto& [name, g] : reg.gauges()) claim(name);
-    for (const auto& [name, h] : reg.histograms()) claim(name);
-  }
-  EXPECT_FALSE(owners.empty()) << scenario;
+  EXPECT_EQ(rt.shared_metric_names(), std::vector<std::string>{})
+      << scenario;
+  obs::MetricsRegistry merged;
+  rt.merged_metrics_into(merged);
+  EXPECT_GT(merged.counters().size() + merged.gauges().size() +
+                merged.histograms().size(),
+            0u)
+      << scenario;
 }
 
 TEST(ParDeterminism, NoMetricNameSpansShards) {

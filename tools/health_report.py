@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Validate and render dlte-series-v1 health/telemetry files.
 
-Input is the series JSON written by bench binaries (`--series-out=`)
-and examples — the TimeSeriesSampler's ring buffers
-plus the SloMonitor's rule set, alert timeline, and final per-scope
+Input is the <prefix>.series.json document bench binaries write under
+`--artifacts=<prefix>` (and ap_failover's `--series-out=`) — the
+TimeSeriesSampler's ring buffers plus the SloMonitor's rule set, alert
+timeline, and final per-scope
 health scores. The tool validates the schema, prints a per-scope report
 (series summary, alert timeline, health scores), and can gate CI:
 

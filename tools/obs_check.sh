@@ -14,13 +14,15 @@
 # EXPERIMENTS.md go through this wrapper so the dispatch lives in one
 # place. Exit codes pass through from the underlying tool.
 #
-# `par` compares two sharded-run artifact sets written by a bench's
-# --par-artifacts=<prefix> mode — the determinism gate that a parallel
-# run is identical to the sequential one. Every sharded bench writes all
-# five files, so a file missing on either side fails the gate;
-# <prefix>.metrics.json, .series.json, .openmetrics.txt, and .prof.json
-# (the event-attribution section) must be byte-identical, and the
-# .audit.json merged sections must agree (audit_diff.py --merged-only).
+# `par` compares the documents two sharded-bench runs wrote under
+# --artifacts=<prefix> — the determinism gate that a parallel run is
+# identical to the sequential one (or a sweep to a gate run). Every
+# sharded bench writes all six, so a file missing on either side fails
+# the gate; <prefix>.metrics.json, .series.json and .openmetrics.txt
+# must be byte-identical, the .prof.json event-attribution sections
+# must agree (prof_report.py --compare), and so must the .audit.json
+# merged sections (audit_diff.py --merged-only). .prof-trace.json is
+# wall-clock and only has to exist.
 #
 # `metrics` byte-compares the deterministic "metrics" objects of two
 # BENCH_<name>.json files (same bench run twice, e.g. the C11
@@ -39,7 +41,7 @@ set -euo pipefail
 here="$(cd "$(dirname "$0")" && pwd)"
 
 usage() {
-  sed -n '2,36p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,38p' "$0" | sed 's/^# \{0,1\}//'
   exit 2
 }
 
@@ -59,7 +61,8 @@ case "$mode" in
     a="$1"
     b="$2"
     rc=0
-    for ext in metrics.json series.json openmetrics.txt prof.json audit.json; do
+    for ext in metrics.json series.json openmetrics.txt prof.json \
+               prof-trace.json audit.json; do
       for f in "$a.$ext" "$b.$ext"; do
         if [ ! -e "$f" ]; then
           echo "par: $ext MISSING ($f)" >&2
@@ -68,7 +71,7 @@ case "$mode" in
       done
     done
     [ "$rc" -eq 0 ] || exit "$rc"
-    for ext in metrics.json series.json openmetrics.txt prof.json; do
+    for ext in metrics.json series.json openmetrics.txt; do
       if cmp -s "$a.$ext" "$b.$ext"; then
         echo "par: $ext identical"
       else
@@ -77,6 +80,17 @@ case "$mode" in
         rc=1
       fi
     done
+    # Both documents carry a wall-clock or per-partition half, so only
+    # their deterministic sections compare.
+    if python3 "$here/prof_report.py" --compare \
+        "$a.prof.json" "$b.prof.json" > /dev/null; then
+      echo "par: prof.json event attribution identical"
+    else
+      echo "par: prof.json DIVERGED ($a.prof.json vs $b.prof.json)" >&2
+      python3 "$here/prof_report.py" --compare \
+        "$a.prof.json" "$b.prof.json" >&2 || true
+      rc=1
+    fi
     # The audit document's per-shard section legitimately differs across
     # partitions, so it goes through audit_diff.py --merged-only instead
     # of cmp. On any divergence above, the audit diagnosis is the
@@ -92,7 +106,7 @@ case "$mode" in
       echo "par: audit diagnosis (full compare):" >&2
       python3 "$here/audit_diff.py" "$a.audit.json" "$b.audit.json" >&2 || true
     fi
-    [ "$rc" -eq 0 ] && echo "par: all artifacts byte-identical"
+    [ "$rc" -eq 0 ] && echo "par: all documents agree"
     exit "$rc"
     ;;
   metrics)

@@ -1,14 +1,12 @@
 #!/usr/bin/env python3
 """Validate and render dlte-prof-v1 self-profiling documents.
 
-Input is the profile JSON written by bench binaries (`--prof-out=`):
-the deterministic event-attribution section (per-label
-schedule/execute/past-clamp/residency counts, byte-identical across
-shard and thread counts) plus the wall-clock shard profile (per-shard
-lane timing, shard-pair message matrix, per-window samples — never
-byte-compared). Bench gate modes also write a bare attribution document
-(<prefix>.prof.json) with only the deterministic section; both forms
-validate here.
+Input is the <prefix>.prof.json document sharded bench binaries write
+under `--artifacts=<prefix>`: the deterministic event-attribution
+section (per-label schedule/execute/past-clamp/residency counts,
+byte-identical across shard and thread counts) plus the wall-clock
+shard profile (per-shard lane timing, shard-pair message matrix,
+per-window samples — never byte-compared).
 
     tools/prof_report.py out/c10.prof.json
     tools/prof_report.py out/c10.prof.json --top 10 --require-label 'sim.*'
@@ -61,6 +59,8 @@ def validate(doc: dict, path: pathlib.Path) -> None:
         die(f"{path}: top level is not an object")
     if doc.get("schema") != SCHEMA:
         die(f"{path}: schema is {doc.get('schema')!r}, expected {SCHEMA!r}")
+    if not isinstance(doc.get("source"), str):
+        die(f"{path}: missing source string")
     attribution = doc.get("event_attribution")
     if not isinstance(attribution, dict):
         die(f"{path}: missing event_attribution object")
@@ -94,11 +94,7 @@ def validate(doc: dict, path: pathlib.Path) -> None:
         if summed != totals[key]:
             die(f"{path}: totals.{key}={totals[key]} but labels sum "
                 f"to {summed}")
-    # The wall-clock section is optional: bench gate modes write a bare
-    # attribution document for the determinism byte-compare.
     profile = doc.get("shard_profile")
-    if profile is None:
-        return
     if not isinstance(profile, dict):
         die(f"{path}: shard_profile is not an object")
     for key in ("shards", "threads", "windows", "messages"):
@@ -254,11 +250,9 @@ def main() -> int:
     if args.prof_file is None:
         parser.error("prof_file is required unless --compare is given")
     doc = load(args.prof_file)
-    source = doc.get("source", "(attribution only)")
-    print(f"{args.prof_file}: source={source!r} schema ok")
+    print(f"{args.prof_file}: source={doc['source']!r} schema ok")
     label_table(doc, args.top)
-    if "shard_profile" in doc:
-        shard_report(doc["shard_profile"])
+    shard_report(doc["shard_profile"])
     if args.require_label:
         print()
         return check_labels(doc, args.require_label)
