@@ -18,16 +18,6 @@ namespace {
 // Registry service endpoint id; block i lives at 1 + i.
 constexpr EndpointId kRegistryEndpoint = 0;
 
-// In-flight grant batch: per-lease request_grant callbacks complete at
-// the same commit latency, so the last one posts the combined reply.
-struct GrantBatch {
-  EndpointId reply_to{0};
-  std::uint32_t block{0};
-  std::uint32_t expected{0};
-  std::uint32_t done{0};
-  std::vector<std::uint64_t> ids;
-};
-
 }  // namespace
 
 struct RegistryPlaneScenario::Block {
@@ -202,31 +192,23 @@ void RegistryPlaneScenario::handle_registry_message(const Message& m) {
       if (*count > static_cast<std::uint32_t>(config_.leases_per_block)) {
         return;
       }
-      auto batch = std::make_shared<GrantBatch>();
-      batch->reply_to = m.src;
-      batch->block = *block;
-      batch->expected = *count;
       spectrum::GrantRequest req;
       req.ap = ApId{*block};
       req.location = Position{*x, *y};
       req.center_frequency = Hertz{*center};
       req.bandwidth = Hertz{*bw};
       req.operator_contact = "block-" + std::to_string(*block) + "@dlte";
-      for (std::uint32_t i = 0; i < *count; ++i) {
-        reg.request_grant(
-            req, [this, batch](Result<spectrum::SpectrumGrant> result) {
-              if (result) batch->ids.push_back(result->id.value());
-              if (++batch->done < batch->expected) return;
-              ByteWriter w;
-              w.u32(batch->block);
-              w.u8(batch->ids.empty() ? 0 : 1);
-              w.u32(static_cast<std::uint32_t>(batch->ids.size()));
-              for (const std::uint64_t id : batch->ids) w.u64(id);
-              runtime_.post(kRegistryEndpoint, batch->reply_to,
-                            config_.registry_delay,
-                            workload::kLeaseGrantReply, w.take());
-            });
-      }
+      reg.request_grants(
+          req, *count,
+          [this, reply_to = m.src, block = *block](std::vector<GrantId> ids) {
+            ByteWriter w;
+            w.u32(block);
+            w.u8(ids.empty() ? 0 : 1);
+            w.u32(static_cast<std::uint32_t>(ids.size()));
+            for (const GrantId id : ids) w.u64(id.value());
+            runtime_.post(kRegistryEndpoint, reply_to, config_.registry_delay,
+                          workload::kLeaseGrantReply, w.take());
+          });
       return;
     }
     case workload::kLeaseHeartbeatBatch: {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "common/bytes.h"
 #include "phy/propagation.h"
@@ -71,7 +72,11 @@ double interference_range_m(const SpectrumGrant& grant) {
 }
 
 Registry::Registry(sim::Simulator& sim, RegistryKind kind)
-    : sim_(sim), kind_(kind) {}
+    : sim_(sim),
+      kind_(kind),
+      commit_label_(sim_.label("registry.commit")),
+      failure_label_(sim_.label("registry.failure")),
+      query_label_(sim_.label("registry.query")) {}
 
 void Registry::attach_chain(SpectrumChain* chain) {
   chain_ = chain;
@@ -105,7 +110,7 @@ std::uint64_t Registry::zone_version(Position location) const {
   return index_.zone_version(registry::zone_key(location, kZoneSizeM));
 }
 
-Result<SpectrumGrant> Registry::grant_now(GrantRequest request) {
+Result<SpectrumGrant> Registry::grant_now(const GrantRequest& request) {
   if (request.operator_contact.empty()) {
     obs::inc(m_grant_failures_);
     return fail("grant requires an operator contact for recourse");
@@ -278,21 +283,31 @@ void Registry::set_outage(RegistryOutage outage) {
   }
 }
 
-void Registry::request_grant(GrantRequest request, GrantCallback callback) {
+obs::SpanId Registry::begin_grant_span(const GrantRequest& request) {
   const obs::SpanId span =
       obs::span_begin(tracer_, "registry_grant", span_cat_);
   obs::span_annotate(tracer_, span, "ap",
                      [&] { return std::to_string(request.ap.value()); });
+  return span;
+}
+
+void Registry::end_grant_span(obs::SpanId span,
+                              const Result<SpectrumGrant>& result) {
+  obs::span_annotate(tracer_, span, "result", [&] {
+    return result ? "grant " + std::to_string(result->id.value())
+                  : "failed: " + result.error();
+  });
+  obs::span_end(tracer_, span);
+}
+
+void Registry::request_grant(GrantRequest request, GrantCallback callback) {
+  const obs::SpanId span = begin_grant_span(request);
   if (span != obs::kNoSpan) {
     // The span closes when the caller learns the outcome, so its duration
     // is the full request→callback latency (stalls and all).
     callback = [this, span,
                 cb = std::move(callback)](Result<SpectrumGrant> result) {
-      obs::span_annotate(tracer_, span, "result", [&] {
-        return result ? "grant " + std::to_string(result->id.value())
-                      : "failed: " + result.error();
-      });
-      obs::span_end(tracer_, span);
+      end_grant_span(span, result);
       cb(std::move(result));
     };
   }
@@ -303,9 +318,12 @@ void Registry::do_request_grant(GrantRequest request, GrantCallback callback,
                                 obs::SpanId span) {
   if (!reachable_for(request.location)) {
     obs::inc(m_grant_failures_);
-    sim_.schedule(failure_timeout_, [callback = std::move(callback)] {
-      callback(fail("registry unreachable"));
-    });
+    sim_.schedule(
+        failure_timeout_,
+        [callback = std::move(callback)] {
+          callback(fail("registry unreachable"));
+        },
+        failure_label_);
     return;
   }
   if (outage_ == RegistryOutage::kCommitStall) {
@@ -328,17 +346,68 @@ void Registry::do_request_grant(GrantRequest request, GrantCallback callback,
     chain_->submit(
         ChainRecord{ChainRecordKind::kGrant, std::move(record_payload)},
         [this, request = std::move(request),
-         callback = std::move(callback)](std::uint64_t) mutable {
-          callback(grant_now(std::move(request)));
+         callback = std::move(callback)](std::uint64_t) {
+          callback(grant_now(request));
         });
     return;
   }
-  const auto latency = registry_latency(kind_);
-  sim_.schedule(latency.commit,
-                [this, request = std::move(request),
-                 callback = std::move(callback)]() mutable {
-                  callback(grant_now(std::move(request)));
-                });
+  sim_.schedule(
+      registry_latency(kind_).commit,
+      [this, request = std::move(request), callback = std::move(callback)] {
+        callback(grant_now(request));
+      },
+      commit_label_);
+}
+
+void Registry::request_grants(const GrantRequest& request,
+                              std::uint32_t count, BatchCallback callback) {
+  if (count == 0) return;
+  if (outage_ != RegistryOutage::kCommitStall &&
+      reachable_for(request.location) &&
+      !(kind_ == RegistryKind::kBlockchain && chain_ != nullptr)) {
+    // `count` request_grant calls would each open a span and schedule a
+    // commit here, all at the same instant with consecutive sequence
+    // numbers: no other event could run between them, so one event
+    // running the same grant_now loop, closing the same spans, yields
+    // the same ids, metrics, spans and callback time. A full tracer
+    // refuses every span after its first refusal, so the live spans
+    // belong to a prefix of the leases.
+    std::vector<obs::SpanId> spans;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const obs::SpanId span = begin_grant_span(request);
+      if (span != obs::kNoSpan) spans.push_back(span);
+    }
+    sim_.schedule(
+        registry_latency(kind_).commit,
+        [this, request, count, spans = std::move(spans),
+         callback = std::move(callback)] {
+          std::vector<GrantId> ids;
+          ids.reserve(count);
+          for (std::uint32_t i = 0; i < count; ++i) {
+            const Result<SpectrumGrant> grant = grant_now(request);
+            if (i < spans.size()) end_grant_span(spans[i], grant);
+            if (grant) ids.push_back(grant->id);
+          }
+          callback(std::move(ids));
+        },
+        commit_label_);
+    return;
+  }
+  // Per-lease path: every lease keeps its own chain record, stalled
+  // entry or failure timeout; the last completion answers the batch.
+  struct Pending {
+    std::uint32_t left;
+    std::vector<GrantId> ids;
+    BatchCallback callback;
+  };
+  auto pending =
+      std::make_shared<Pending>(Pending{count, {}, std::move(callback)});
+  for (std::uint32_t i = 0; i < count; ++i) {
+    request_grant(request, [pending](Result<SpectrumGrant> result) {
+      if (result) pending->ids.push_back(result->id);
+      if (--pending->left == 0) pending->callback(std::move(pending->ids));
+    });
+  }
 }
 
 std::vector<SpectrumGrant> Registry::grants_near(Position location) const {
@@ -417,9 +486,9 @@ void Registry::query_region_as(std::uint64_t requester, Position location,
     // the blindness the fault model wants to expose.
     obs::span_annotate(tracer_, span, "unreachable",
                        "registry down: empty reply after timeout");
-    sim_.schedule(failure_timeout_, [callback = std::move(callback)] {
-      callback({});
-    });
+    sim_.schedule(
+        failure_timeout_, [callback = std::move(callback)] { callback({}); },
+        failure_label_);
     return;
   }
   serve_query(requester, location, std::move(callback), span);
@@ -429,10 +498,12 @@ void Registry::serve_query(std::uint64_t requester, Position location,
                            QueryCallback callback, obs::SpanId span) {
   const auto latency = registry_latency(kind_);
   if (cache_ == nullptr || kind_ != RegistryKind::kFederated) {
-    sim_.schedule(latency.query, [this, location,
-                                  callback = std::move(callback)] {
-      callback(grants_near(location));
-    });
+    sim_.schedule(
+        latency.query,
+        [this, location, callback = std::move(callback)] {
+          callback(grants_near(location));
+        },
+        query_label_);
     return;
   }
   prune_expired();
@@ -465,19 +536,23 @@ void Registry::serve_query(std::uint64_t requester, Position location,
             out.back().degraded = degraded_now(g, now);
           }
           callback(std::move(out));
-        });
+        },
+        query_label_);
     return;
   }
   const bool refill = look.tier == registry::CacheTier::kAuthoritative;
-  sim_.schedule(latency.query, [this, requester, zone, location, refill,
-                                callback = std::move(callback)] {
-    auto out = grants_near(location);
-    if (refill && cache_ != nullptr) {
-      cache_->fill(requester, zone, zone_version(location),
-                   zone_snapshot(zone), sim_.now());
-    }
-    callback(std::move(out));
-  });
+  sim_.schedule(
+      latency.query,
+      [this, requester, zone, location, refill,
+       callback = std::move(callback)] {
+        auto out = grants_near(location);
+        if (refill && cache_ != nullptr) {
+          cache_->fill(requester, zone, zone_version(location),
+                       zone_snapshot(zone), sim_.now());
+        }
+        callback(std::move(out));
+      },
+      query_label_);
 }
 
 void Registry::revoke(GrantId id) {

@@ -127,6 +127,21 @@ class Registry {
   // registry's recourse mechanism is mandatory).
   void request_grant(GrantRequest request, GrantCallback callback);
 
+  // Apply for `count` identical licenses at once (a block of APs
+  // re-applying together). The callback runs once, when the last lease
+  // completes, with the granted ids in grant order; failed leases are
+  // absent. Outputs, spans included, equal those of `count` back-to-back
+  // request_grant calls. When every lease would take the plain commit
+  // path (registrar reachable, no commit stall, no chain), those calls
+  // would schedule `count` commits at one instant with consecutive
+  // sequence numbers, so the whole batch commits in ONE event instead;
+  // otherwise each lease goes through request_grant (its chain record,
+  // stalled entry or failure timeout). A zero count is a no-op: the
+  // callback never runs.
+  using BatchCallback = std::function<void(std::vector<GrantId>)>;
+  void request_grants(const GrantRequest& request, std::uint32_t count,
+                      BatchCallback callback);
+
   // All grants whose interference reach touches the queried location.
   void query_region(Position location, QueryCallback callback);
   // Same, but with a requester identity for the hierarchical cache (the
@@ -211,7 +226,7 @@ class Registry {
   [[nodiscard]] std::uint32_t wifi_occupants(Hertz center_frequency) const;
 
   // --- Synchronous accessors (no latency; used by tests/benches) -------
-  [[nodiscard]] Result<SpectrumGrant> grant_now(GrantRequest request);
+  [[nodiscard]] Result<SpectrumGrant> grant_now(const GrantRequest& request);
   [[nodiscard]] std::vector<SpectrumGrant> grants_near(
       Position location) const;
   // Count-only variant: same predicate as grants_near without
@@ -259,6 +274,10 @@ class Registry {
   [[nodiscard]] bool co_channel(const SpectrumGrant& a,
                                 const SpectrumGrant& b) const;
   [[nodiscard]] bool reachable_for(Position location) const;
+  // One "registry_grant" span per lease: opened at request time,
+  // closed with the outcome when the caller learns it.
+  obs::SpanId begin_grant_span(const GrantRequest& request);
+  void end_grant_span(obs::SpanId span, const Result<SpectrumGrant>& result);
   // Grant machinery behind the traced facade; `span` survives the
   // commit-stall replay so the trace shows the stall as latency.
   void do_request_grant(GrantRequest request, GrantCallback callback,
@@ -279,6 +298,11 @@ class Registry {
 
   sim::Simulator& sim_;
   RegistryKind kind_;
+  // Event attribution (sim::Simulator::label): commits (per lease or per
+  // batch), unreachable-registry failure timeouts, query serves.
+  std::uint32_t commit_label_;
+  std::uint32_t failure_label_;
+  std::uint32_t query_label_;
   SpectrumChain* chain_{nullptr};
   registry::LeaseCache* cache_{nullptr};
   Duration lifetime_{};  // Zero: perpetual grants.

@@ -11,18 +11,30 @@ LeaseChurnStorm::LeaseChurnStorm(sim::Simulator& sim, ChurnConfig config,
     : sim_(sim),
       config_(config),
       send_(std::move(send)),
-      hooks_(hooks) {}
+      hooks_(hooks),
+      heartbeat_label_(sim_.label("workload.heartbeat")),
+      query_label_(sim_.label("workload.query")),
+      regrant_label_(sim_.label("workload.regrant")) {}
 
 void LeaseChurnStorm::start() {
   apply_for_missing();
-  sim_.schedule(config_.heartbeat_phase, [this] {
-    heartbeat_tick();
-    sim_.every(config_.heartbeat_interval, [this] { heartbeat_tick(); });
-  });
-  sim_.schedule(config_.query_phase, [this] {
-    query_tick();
-    sim_.every(config_.query_interval, [this] { query_tick(); });
-  });
+  sim_.schedule(
+      config_.heartbeat_phase,
+      [this] {
+        heartbeat_tick();
+        sim_.every(
+            config_.heartbeat_interval, [this] { heartbeat_tick(); },
+            heartbeat_label_);
+      },
+      heartbeat_label_);
+  sim_.schedule(
+      config_.query_phase,
+      [this] {
+        query_tick();
+        sim_.every(
+            config_.query_interval, [this] { query_tick(); }, query_label_);
+      },
+      query_label_);
 }
 
 void LeaseChurnStorm::apply_for_missing() {
@@ -91,7 +103,9 @@ void LeaseChurnStorm::on_grant_reply(
     // grant-failure symptom the SLO watches.
     ++grant_rejections_;
     obs::inc(hooks_.grant_rejections);
-    sim_.schedule(config_.regrant_backoff, [this] { apply_for_missing(); });
+    sim_.schedule(
+        config_.regrant_backoff, [this] { apply_for_missing(); },
+        regrant_label_);
     return;
   }
   // Count only ids actually carried, and never past the quota: a
@@ -113,7 +127,9 @@ void LeaseChurnStorm::on_grant_reply(
     // some requests landed. Without a re-apply here the block would sit
     // under quota forever — lapse-driven re-grants only cover leases it
     // once held. Same backoff as a bounced batch.
-    sim_.schedule(config_.regrant_backoff, [this] { apply_for_missing(); });
+    sim_.schedule(
+        config_.regrant_backoff, [this] { apply_for_missing(); },
+        regrant_label_);
   }
 }
 

@@ -136,6 +136,10 @@ class LeaseChurnStorm {
   ChurnConfig config_;
   Send send_;
   Hooks hooks_;
+  // Event attribution (sim::Simulator::label) for the storm's timers.
+  std::uint32_t heartbeat_label_;
+  std::uint32_t query_label_;
+  std::uint32_t regrant_label_;
 
   std::vector<std::uint64_t> held_;  // Sorted ascending (grant order).
   bool awaiting_grant_{false};

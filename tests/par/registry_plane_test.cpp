@@ -126,6 +126,29 @@ TEST(RegistryPlaneTest, QuietZonesKeepTheirLeases) {
   EXPECT_EQ(r.leases_held, 12u * 40u);
 }
 
+TEST(RegistryPlaneTest, GrantBatchCommitsInOneEvent) {
+  // The initial mass grant lands at 2 × registry_delay + the federated
+  // commit latency (360 ms). Up to just past it, nothing else in the run
+  // depends on how many leases a block asks for — so if a batch commits
+  // in one event, the event total cannot depend on leases_per_block
+  // either. One event per lease would add blocks × 192 here.
+  for (const std::size_t shards : {1u, 3u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    std::vector<std::uint64_t> events;
+    for (const int leases : {64, 256}) {
+      auto config = small_config(shards);
+      config.leases_per_block = leases;
+      config.horizon = Duration::millis(400);
+      RegistryPlaneScenario plane{config};
+      const RegistryPlaneResult r = plane.run();
+      // Past the first reply: every block holds its full quota.
+      ASSERT_EQ(r.leases_held, 12u * static_cast<std::uint64_t>(leases));
+      events.push_back(r.events_executed);
+    }
+    EXPECT_EQ(events[0], events[1]);
+  }
+}
+
 // A probe endpoint beside the blocks posts one message — any kind, any
 // payload — to the registry once the initial mass grant has settled
 // (t = 5 s, well before the outage), and reports what the registry did

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "obs/snapshot.h"
+#include "obs/span.h"
 #include "registry/cache.h"
+#include "spectrum/chain.h"
 
 namespace dlte::spectrum {
 namespace {
@@ -464,6 +470,193 @@ TEST(Registry, CachedServeDropsGrantsLapsingBeforeServeTime) {
   sim.run_until(sim.now() + Duration::millis(100));
   EXPECT_TRUE(served.empty());
   EXPECT_EQ(reg.grants_lapsed(), 1u);
+}
+
+
+// request_grants against `count` back-to-back request_grant calls: two
+// twin registries take the same batch, one through each entry point, and
+// must agree on everything observable — ids and their order, the time
+// the batch is answered, every registry metric, spans and chain records.
+// Only the number of simulator events may differ.
+constexpr std::uint32_t kBatch = 6;
+
+struct GrantTwin {
+  explicit GrantTwin(RegistryKind kind) : reg{sim, kind} {
+    reg.set_metrics(&metrics, "reg.");
+    reg.set_grant_lifetime(Duration::seconds(30.0));
+  }
+  void attach_chain() {
+    chain = std::make_unique<SpectrumChain>(sim, Duration::seconds(60.0));
+    reg.attach_chain(chain.get());
+  }
+  void attach_tracer(std::size_t capacity) {
+    tracer = std::make_unique<obs::SpanTracer>([this] { return sim.now(); },
+                                               capacity);
+    reg.set_tracer(tracer.get());
+  }
+  void answer(std::vector<GrantId> granted) {
+    for (const GrantId id : granted) ids.push_back(id.value());
+    ++answers;
+    answered_at = sim.now();
+  }
+
+  sim::Simulator sim;
+  obs::MetricsRegistry metrics;
+  Registry reg;
+  std::unique_ptr<SpectrumChain> chain;
+  std::unique_ptr<obs::SpanTracer> tracer;
+  std::vector<std::uint64_t> ids;
+  int answers{0};
+  TimePoint answered_at;
+};
+
+// The twins: `batch` takes one request_grants call, `per_lease` takes
+// kBatch request_grant calls whose last completion answers, as the
+// registry plane's endpoint did before the batch entry point existed.
+struct Twins {
+  explicit Twins(RegistryKind kind) : batch{kind}, per_lease{kind} {}
+  void both(const std::function<void(GrantTwin&)>& step) {
+    step(batch);
+    step(per_lease);
+  }
+  void submit(const GrantRequest& request) {
+    batch.reg.request_grants(request, kBatch, [this](std::vector<GrantId> g) {
+      batch.answer(std::move(g));
+    });
+    auto left = std::make_shared<std::uint32_t>(kBatch);
+    auto granted = std::make_shared<std::vector<GrantId>>();
+    for (std::uint32_t i = 0; i < kBatch; ++i) {
+      per_lease.reg.request_grant(
+          request, [this, left, granted](Result<SpectrumGrant> g) {
+            if (g) granted->push_back(g->id);
+            if (--*left == 0) per_lease.answer(std::move(*granted));
+          });
+    }
+  }
+  void run_until(TimePoint t) {
+    both([t](GrantTwin& twin) { twin.sim.run_until(t); });
+  }
+
+  GrantTwin batch;
+  GrantTwin per_lease;
+};
+
+std::string metrics_json(const GrantTwin& twin) {
+  return obs::MetricsSnapshot{twin.metrics}.to_json();
+}
+
+std::string spans_text(const GrantTwin& twin) {
+  std::string out;
+  for (const obs::Span& span : twin.tracer->spans()) {
+    out += span.name + "|" + span.category + "|" +
+           std::to_string(span.start.ns()) + "|" +
+           std::to_string(span.end.ns()) + (span.open ? "|open" : "|closed");
+    for (const auto& a : span.annotations) out += "|" + a.key + "=" + a.value;
+    out += "\n";
+  }
+  return out;
+}
+
+void expect_twins_agree(const Twins& t) {
+  EXPECT_EQ(t.batch.answers, 1);
+  EXPECT_EQ(t.per_lease.answers, 1);
+  EXPECT_EQ(t.batch.ids, t.per_lease.ids);
+  EXPECT_EQ(t.batch.answered_at, t.per_lease.answered_at);
+  EXPECT_EQ(metrics_json(t.batch), metrics_json(t.per_lease));
+  EXPECT_EQ(t.batch.reg.grant_count(), t.per_lease.reg.grant_count());
+}
+
+TEST(RegistryGrantBatch, HealthyBatchCommitsInOneEvent) {
+  Twins t{RegistryKind::kFederated};
+  t.submit(band5_request(1, Position{1'000.0, 1'000.0}));
+  t.run_until(TimePoint{} + Duration::seconds(5.0));
+  expect_twins_agree(t);
+  EXPECT_EQ(t.batch.ids.size(), kBatch);
+  EXPECT_EQ(t.batch.answered_at,
+            TimePoint{} + registry_latency(RegistryKind::kFederated).commit);
+  EXPECT_EQ(t.batch.sim.events_executed(), 1u);
+  EXPECT_EQ(t.per_lease.sim.events_executed(), kBatch);
+}
+
+TEST(RegistryGrantBatch, OfflineZoneFailsEveryLeaseAfterTheTimeout) {
+  Twins t{RegistryKind::kFederated};
+  const Position pos{1'000.0, 1'000.0};
+  t.both([&](GrantTwin& twin) {
+    twin.reg.set_zone_offline(Registry::zone_of(pos), true);
+  });
+  t.submit(band5_request(1, pos));
+  t.run_until(TimePoint{} + Duration::seconds(5.0));
+  expect_twins_agree(t);
+  EXPECT_TRUE(t.batch.ids.empty());
+  EXPECT_EQ(t.batch.answered_at, TimePoint{} + Duration::seconds(2.0));
+  EXPECT_EQ(t.batch.metrics.counter("reg.registry.grant_failures").value(),
+            kBatch);
+  EXPECT_EQ(t.batch.sim.events_executed(), t.per_lease.sim.events_executed());
+}
+
+TEST(RegistryGrantBatch, CommitStallHealingMidRunReplaysEveryLease) {
+  Twins t{RegistryKind::kCentralizedSas};
+  t.both([](GrantTwin& twin) {
+    twin.reg.set_outage(RegistryOutage::kCommitStall);
+  });
+  t.submit(band5_request(1, Position{}));
+  t.run_until(TimePoint{} + Duration::seconds(1.0));
+  // The gauge counts stalled leases, not batches.
+  EXPECT_EQ(t.batch.metrics.gauge("reg.registry.stalled_commits").value(),
+            static_cast<double>(kBatch));
+  EXPECT_EQ(metrics_json(t.batch), metrics_json(t.per_lease));
+  EXPECT_EQ(t.batch.answers, 0);
+  t.both([](GrantTwin& twin) { twin.reg.set_outage(RegistryOutage::kNone); });
+  t.run_until(TimePoint{} + Duration::seconds(5.0));
+  expect_twins_agree(t);
+  EXPECT_EQ(t.batch.ids.size(), kBatch);
+  EXPECT_EQ(t.batch.answered_at,
+            TimePoint{} + Duration::seconds(1.0) +
+                registry_latency(RegistryKind::kCentralizedSas).commit);
+  EXPECT_EQ(t.batch.metrics.gauge("reg.registry.stalled_commits").value(),
+            0.0);
+}
+
+TEST(RegistryGrantBatch, TracedBatchKeepsOneSpanPerLease) {
+  // Tracing does not split the batch: it still commits in one event and
+  // closes one registry_grant span per lease. A tracer that fills up
+  // mid-batch refuses (and counts) the same spans on both twins.
+  for (const std::size_t capacity :
+       {obs::SpanTracer::kDefaultCapacity, std::size_t{kBatch / 2}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    Twins t{RegistryKind::kFederated};
+    t.both([capacity](GrantTwin& twin) { twin.attach_tracer(capacity); });
+    t.submit(band5_request(1, Position{1'000.0, 1'000.0}));
+    t.run_until(TimePoint{} + Duration::seconds(5.0));
+    expect_twins_agree(t);
+    EXPECT_EQ(t.batch.ids.size(), kBatch);
+    EXPECT_EQ(t.batch.sim.events_executed(), 1u);
+    std::size_t grant_spans = 0;
+    for (const obs::Span& span : t.batch.tracer->spans()) {
+      if (span.name == "registry_grant" && !span.open) ++grant_spans;
+    }
+    EXPECT_EQ(grant_spans, std::min<std::size_t>(kBatch, capacity));
+    EXPECT_EQ(spans_text(t.batch), spans_text(t.per_lease));
+    EXPECT_EQ(t.batch.tracer->dropped_spans(),
+              t.per_lease.tracer->dropped_spans());
+  }
+}
+
+TEST(RegistryGrantBatch, ChainBackedBatchCommitsAtBlockInclusion) {
+  Twins t{RegistryKind::kBlockchain};
+  t.both([](GrantTwin& twin) { twin.attach_chain(); });
+  t.submit(band5_request(1, Position{}));
+  t.run_until(TimePoint{} + Duration::seconds(90.0));
+  expect_twins_agree(t);
+  EXPECT_EQ(t.batch.ids.size(), kBatch);
+  EXPECT_EQ(t.batch.answered_at, TimePoint{} + Duration::seconds(60.0));
+  // One chain record per lease, sealed into the same block.
+  std::size_t records = 0;
+  t.batch.chain->for_each_record(ChainRecordKind::kGrant,
+                                 [&](const ChainRecord&) { ++records; });
+  EXPECT_EQ(records, kBatch);
+  EXPECT_EQ(t.batch.chain->block_count(), t.per_lease.chain->block_count());
+  EXPECT_TRUE(t.batch.chain->verify());
 }
 
 }  // namespace
