@@ -168,9 +168,10 @@ std::pair<std::uint64_t, std::uint64_t> FaultInjector::link_key(
 
 void FaultInjector::arm(const FaultPlan& plan) {
   for (const auto& spec : plan.specs()) {
-    sim_.schedule_at(spec.at, [this, spec] { inject(spec); });
+    sim_.schedule_at(spec.at, [this, spec] { inject(spec); }, inject_label_);
     if (!spec.duration.is_zero()) {
-      sim_.schedule_at(spec.at + spec.duration, [this, spec] { heal(spec); });
+      sim_.schedule_at(spec.at + spec.duration, [this, spec] { heal(spec); },
+                       heal_label_);
     }
   }
 }

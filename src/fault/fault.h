@@ -100,7 +100,10 @@ struct FaultInjectorStats {
 // then arm(); injection and healing run as simulator events.
 class FaultInjector {
  public:
-  explicit FaultInjector(sim::Simulator& sim) : sim_(sim) {}
+  explicit FaultInjector(sim::Simulator& sim)
+      : sim_(sim),
+        inject_label_(sim_.label("fault.inject")),
+        heal_label_(sim_.label("fault.heal")) {}
 
   void register_ap(core::DlteAccessPoint* ap);
   void set_network(net::Network* net) { net_ = net; }
@@ -134,6 +137,8 @@ class FaultInjector {
       const FaultSpec& spec);
 
   sim::Simulator& sim_;
+  std::uint32_t inject_label_;
+  std::uint32_t heal_label_;
   std::vector<core::DlteAccessPoint*> aps_;
   net::Network* net_{nullptr};
   spectrum::Registry* registry_{nullptr};

@@ -115,6 +115,10 @@ class Histogram {
 // for the registry's lifetime (node-based storage), so hot paths cache
 // the pointer once and skip the name lookup thereafter. Iteration order
 // is the sorted name order, which is what makes snapshots deterministic.
+//
+// A registry only grows: no instrument is ever removed. So a change of
+// size() means exactly "an instrument appeared", which is all the
+// TimeSeriesSampler checks before reusing its bound instruments.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -148,12 +152,6 @@ class MetricsRegistry {
 
   [[nodiscard]] std::size_t size() const {
     return counters_.size() + gauges_.size() + histograms_.size();
-  }
-
-  void clear() {
-    counters_.clear();
-    gauges_.clear();
-    histograms_.clear();
   }
 
  private:

@@ -107,13 +107,23 @@ class EventProfiler {
 
 // ---- Layer 2: wall-clock shard profile (NOT byte-compared) -----------
 
-// One shard's lane: how its wall time splits between running windows and
+// One shard's lane: how its wall time splits between running windows,
+// sampling its series at the window's end (on the same thread) and
 // waiting for the barrier. `events / windows` is the lookahead
 // efficiency — how much work each conservative window actually carries.
 struct ShardLane {
   std::uint64_t events{0};
   double run_s{0.0};
   double barrier_wait_s{0.0};
+  double sample_s{0.0};
+};
+
+// The coordinator's serial work between windows, by phase: the barrier
+// exchange, the engine sampler (sim.queue_depth) and the audit seal.
+struct CoordinatorPhases {
+  double exchange_s{0.0};
+  double engine_sample_s{0.0};
+  double audit_s{0.0};
 };
 
 // One cell of the shard-pair coupling matrix: messages/bytes posted from
@@ -148,6 +158,7 @@ struct ShardProfile {
   std::uint64_t messages{0};
   double lookahead_s{0.0};
   std::vector<ShardLane> lanes;           // size == shards
+  CoordinatorPhases coordinator;
   std::vector<ShardMatrixCell> matrix;    // nonzero cells, (src,dst) order
   std::vector<ShardWindowSample> samples;  // barrier checkpoints
 };

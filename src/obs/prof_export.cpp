@@ -53,6 +53,7 @@ void shard_profile_object(JsonWriter& w, const ShardProfile& profile) {
     w.key("events").value(lane.events);
     w.key("run_s").value(lane.run_s);
     w.key("barrier_wait_s").value(lane.barrier_wait_s);
+    w.key("sample_s").value(lane.sample_s);
     w.key("events_per_window")
         .value(profile.windows > 0
                    ? static_cast<double>(lane.events) /
@@ -61,6 +62,12 @@ void shard_profile_object(JsonWriter& w, const ShardProfile& profile) {
     w.end_object();
   }
   w.end_array();
+  w.key("coordinator");
+  w.begin_object();
+  w.key("exchange_s").value(profile.coordinator.exchange_s);
+  w.key("engine_sample_s").value(profile.coordinator.engine_sample_s);
+  w.key("audit_s").value(profile.coordinator.audit_s);
+  w.end_object();
   w.key("matrix");
   w.begin_array();
   for (const ShardMatrixCell& cell : profile.matrix) {

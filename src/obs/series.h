@@ -22,6 +22,7 @@
 #include <deque>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/time.h"
 #include "obs/metrics.h"
@@ -94,6 +95,11 @@ class TimeSeriesSampler {
   // Append one point per instrument at simulated time `now`. Metrics
   // that appear mid-run start their series at the first sample after
   // creation; rates are 0 at each counter's first sample.
+  //
+  // Each instrument is bound to its series once: the sampler keeps one
+  // slot per instrument and rebuilds the slots only when the registry
+  // grew (it never shrinks, and its references are node-stable), so a
+  // steady-state sample builds no name and does no map lookup.
   void sample(TimePoint now);
 
   [[nodiscard]] Duration interval() const { return config_.interval; }
@@ -104,13 +110,39 @@ class TimeSeriesSampler {
   [[nodiscard]] const TimeSeries* find(const std::string& name) const;
 
  private:
+  // A counter's previous cumulative value (valid once `seen`) drives
+  // its rate series.
+  struct CounterSlot {
+    const Counter* instrument;
+    TimeSeries* value;
+    TimeSeries* rate;
+    std::uint64_t last{0};
+    bool seen{false};
+  };
+  struct GaugeSlot {
+    const Gauge* instrument;
+    TimeSeries* value;
+  };
+  struct HistogramSlot {
+    const Histogram* instrument;
+    TimeSeries* count;
+    TimeSeries* p50;
+    TimeSeries* p95;
+    TimeSeries* p99;
+  };
+
   TimeSeries& get(const std::string& name, SeriesKind kind);
+  // Bring the slots up to the registry: slots stay in registry (name)
+  // order, so sample() pushes in the order a per-name walk would.
+  void bind();
 
   const MetricsRegistry& registry_;
   SamplerConfig config_;
   std::map<std::string, TimeSeries> series_;
-  // Previous cumulative counter values, for rate derivation.
-  std::map<std::string, std::uint64_t> last_counters_;
+  std::vector<CounterSlot> counters_;
+  std::vector<GaugeSlot> gauges_;
+  std::vector<HistogramSlot> histograms_;
+  std::size_t bound_size_{0};
   double last_t_s_{0.0};
   std::uint64_t samples_{0};
 };

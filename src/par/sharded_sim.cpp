@@ -22,6 +22,18 @@ double wall_seconds_since(std::chrono::steady_clock::time_point start) {
                                        start)
       .count();
 }
+
+// Run `phase`, adding its wall time to `total_s` when `timed`.
+template <typename Phase>
+void run_phase(bool timed, double& total_s, Phase phase) {
+  if (!timed) {
+    phase();
+    return;
+  }
+  const auto start = std::chrono::steady_clock::now();
+  phase();
+  total_s += wall_seconds_since(start);
+}
 }  // namespace
 
 ShardedSimulator::ShardedSimulator(ShardedConfig config)
@@ -132,15 +144,15 @@ void ShardedSimulator::run_shards(TimePoint end) {
     const std::size_t i = next_shard_.fetch_add(1);
     if (i >= shards_.size()) return;
     Shard& shard = *shards_[i];
-    if (config_.profile) {
-      const auto start = std::chrono::steady_clock::now();
-      shard.sim.run_until(end);
-      // Only the claiming thread touches shard i inside the window; the
-      // coordinator reads window_run_s after the barrier.
-      shard.window_run_s = wall_seconds_since(start);
-    } else {
-      shard.sim.run_until(end);
-    }
+    // Only the claiming thread touches shard i inside the window; the
+    // coordinator reads window_run_s/window_sample_s after the barrier.
+    // Sampling here reads the same values the barrier would: exchange()
+    // only schedules events and never touches a domain registry.
+    run_phase(config_.profile, shard.window_run_s,
+              [&] { shard.sim.run_until(end); });
+    run_phase(config_.profile, shard.window_sample_s, [&] {
+      for (const TimePoint t : due_samples_) shard.sampler->sample(t);
+    });
   }
 }
 
@@ -166,6 +178,15 @@ void ShardedSimulator::worker_loop() {
 }
 
 void ShardedSimulator::run_window(TimePoint end) {
+  // Sample points the window reaches; the claiming threads sample their
+  // shards at its end. Only the coordinator writes this, between windows.
+  due_samples_.clear();
+  if (config_.sample_interval.ns() > 0) {
+    while (next_sample_ <= end) {
+      due_samples_.push_back(next_sample_);
+      next_sample_ = next_sample_ + config_.sample_interval;
+    }
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     window_end_ = end;
@@ -251,12 +272,8 @@ void ShardedSimulator::exchange() {
 }
 
 void ShardedSimulator::emit_samples(TimePoint up_to) {
-  if (config_.sample_interval.ns() > 0) {
-    while (next_sample_ <= up_to) {
-      for (auto& shard : shards_) shard->sampler->sample(next_sample_);
-      next_sample_ = next_sample_ + config_.sample_interval;
-    }
-  }
+  // The shards' own samplers ran on their claiming threads; the engine
+  // sampler stays here because it sums the queues exchange() filled.
   if (engine_sampler_ != nullptr) {
     while (next_engine_sample_ <= up_to) {
       // Global pending count: the partition decides which shard holds a
@@ -289,7 +306,7 @@ void ShardedSimulator::run_until(TimePoint horizon) {
   const std::int64_t window_ns = config_.lookahead.ns();
   // Drain setup-time posts so messages due inside the first window are
   // already in place before it runs.
-  exchange();
+  run_phase(config_.profile, coordinator_.exchange_s, [this] { exchange(); });
   while (now_ < horizon) {
     std::int64_t earliest = kNever;
     for (const auto& shard : shards_) {
@@ -310,16 +327,15 @@ void ShardedSimulator::run_until(TimePoint horizon) {
       if (end_ns <= now_.ns()) end_ns = now_.ns() + window_ns;
       end = TimePoint::from_ns(std::min(horizon.ns(), end_ns));
     }
-    if (config_.profile) {
-      const auto start = std::chrono::steady_clock::now();
-      run_window(end);
-      record_profile_window(end, wall_seconds_since(start));
-    } else {
-      run_window(end);
-    }
-    exchange();
-    emit_samples(end);
-    audit_tick(end);
+    double window_wall_s = 0.0;
+    run_phase(config_.profile, window_wall_s, [this, end] { run_window(end); });
+    if (config_.profile) record_profile_window(end, window_wall_s);
+    run_phase(config_.profile, coordinator_.exchange_s,
+              [this] { exchange(); });
+    run_phase(config_.profile, coordinator_.engine_sample_s,
+              [this, end] { emit_samples(end); });
+    run_phase(config_.profile, coordinator_.audit_s,
+              [this, end] { audit_tick(end); });
     now_ = end;
     ++windows_;
   }
@@ -329,13 +345,16 @@ void ShardedSimulator::run_until(TimePoint horizon) {
 void ShardedSimulator::record_profile_window(TimePoint end,
                                              double window_wall_s) {
   // Coordinator-only, between barriers. A shard's barrier wait is the
-  // slack between its own run time and the whole window's wall time
-  // (the slowest lane sets the pace; everyone else waited).
+  // slack between its own run and sample time and the whole window's
+  // wall time (the slowest lane sets the pace; everyone else waited).
   for (auto& shard : shards_) {
     shard->run_s += shard->window_run_s;
-    const double wait = window_wall_s - shard->window_run_s;
+    shard->sample_s += shard->window_sample_s;
+    const double wait =
+        window_wall_s - shard->window_run_s - shard->window_sample_s;
     if (wait > 0) shard->barrier_wait_s += wait;
     shard->window_run_s = 0.0;
+    shard->window_sample_s = 0.0;
   }
   if (windows_ % sample_stride_ != 0) return;
   obs::ShardWindowSample sample;
@@ -397,8 +416,10 @@ obs::ShardProfile ShardedSimulator::profile() const {
     lane.events = shard->sim.events_executed();
     lane.run_s = shard->run_s;
     lane.barrier_wait_s = shard->barrier_wait_s;
+    lane.sample_s = shard->sample_s;
     out.lanes.push_back(lane);
   }
+  out.coordinator = coordinator_;
   for (std::size_t src = 0; src < shards_.size(); ++src) {
     for (std::size_t dst = 0; dst < shards_.size(); ++dst) {
       const std::size_t cell = src * shards_.size() + dst;

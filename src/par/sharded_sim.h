@@ -27,9 +27,12 @@
 // coordinator (the run_until caller) plus a pool of threads − 1 workers;
 // within a window each of them claims shards through one atomic counter,
 // so each shard is run by exactly one thread and touched by no one else.
-// The coordinator touches a shard it did not claim only between windows,
-// with the barrier mutex ordering every hand-off. post() appends only to
-// the posting shard's own outbox.
+// The claiming thread also samples its shard's series at every sample
+// point the window reached, right after running it. The coordinator
+// touches a shard it did not claim only between windows, with the
+// barrier mutex ordering every hand-off; between windows it keeps the
+// serial phases: exchange, the engine sampler and the audit seal.
+// post() appends only to the posting shard's own outbox.
 #pragma once
 
 #include <atomic>
@@ -66,8 +69,8 @@ struct ShardedConfig {
   // post() accepts. Must be ≤ the scenario's minimum cross-endpoint
   // latency (net::Network::min_remote_link_delay() is the query).
   Duration lookahead{Duration::millis(1)};
-  // Simulated-time cadence for the coordinator-driven series samplers;
-  // zero disables sampling.
+  // Simulated-time cadence for the per-shard series samplers (each run
+  // by the thread that ran its shard); zero disables sampling.
   Duration sample_interval{};
   // Enable the self-profiling plane (DESIGN.md §14): per-shard event
   // attribution (deterministic) plus wall-clock lane timing, per-window
@@ -187,9 +190,9 @@ class ShardedSimulator {
   // CI byte-compares its JSON across shard counts. No-op when profiling
   // is off.
   void merged_profiler_into(obs::EventProfiler& dst) const;
-  // The wall-clock side: lanes, load matrix, window samples. Values vary
-  // run to run — never byte-compare this. Zeroed struct when profiling
-  // is off.
+  // The wall-clock side: lanes (run, sample, barrier wait), coordinator
+  // phases, load matrix, window samples. Values vary run to run — never
+  // byte-compare this. Zeroed struct when profiling is off.
   [[nodiscard]] obs::ShardProfile profile() const;
 
   [[nodiscard]] std::uint64_t windows_run() const { return windows_; }
@@ -235,28 +238,34 @@ class ShardedSimulator {
     std::uint64_t posts_clamped{0};
     ObjectPool<Delivery> deliveries{256};
     // Profiling state (null/zero unless config_.profile). window_run_s
-    // is written by the thread that claims the shard inside the window
-    // and read by the coordinator after the barrier — never concurrently.
+    // and window_sample_s are written by the thread that claims the
+    // shard inside the window and read by the coordinator after the
+    // barrier — never concurrently.
     std::unique_ptr<obs::EventProfiler> profiler;
     // Audit timeline (null unless config_.audit); fed by the claiming
     // thread inside windows, read by the coordinator after the run.
     std::unique_ptr<obs::DigestTimeline> auditor;
     std::uint32_t delivery_label{0};
     double window_run_s{0.0};
+    double window_sample_s{0.0};
     double run_s{0.0};
+    double sample_s{0.0};
     double barrier_wait_s{0.0};
   };
 
   // Publish the window, run shards beside the workers, wait for them.
   void run_window(TimePoint end);
   // The one claim loop, run by the coordinator and every worker: take
-  // shards off next_shard_ until none is left, run each to `end`.
+  // shards off next_shard_ until none is left, run each to `end`, then
+  // sample it at every due_samples_ point.
   void run_shards(TimePoint end);
   void worker_loop();
   // Roll the finished window's wall time into lanes and samples.
   void record_profile_window(TimePoint end, double window_wall_s);
   // Collect all outboxes, sort by message_order, inject at the barrier.
   void exchange();
+  // Sample the engine series (the shard series are sampled in
+  // run_shards).
   void emit_samples(TimePoint up_to);
   // Seal audit windows whose close time the barrier at `end` crossed:
   // the per-window metric-state digest is taken at the first barrier at
@@ -269,6 +278,8 @@ class ShardedSimulator {
   std::unordered_map<EndpointId, Endpoint> endpoints_;
   TimePoint now_{};
   TimePoint next_sample_{};
+  // The window's sample points, published with it (see run_window).
+  std::vector<TimePoint> due_samples_;
   std::uint64_t windows_{0};
   std::uint64_t messages_{0};
   std::uint64_t max_exchange_{0};
@@ -300,6 +311,7 @@ class ShardedSimulator {
   static constexpr std::size_t kMaxProfileSamples = 512;
   std::vector<obs::ShardWindowSample> prof_samples_;
   std::uint64_t sample_stride_{1};
+  obs::CoordinatorPhases coordinator_;
 
   // Worker pool: threads − 1 workers (none when config_.threads == 1).
   std::vector<std::thread> workers_;

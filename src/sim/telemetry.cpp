@@ -7,7 +7,7 @@ void TelemetryDriver::start(Duration interval) {
     interval = sampler_ != nullptr ? sampler_->interval()
                                    : Duration::millis(500);
   }
-  handle_ = sim_.every_cancellable(interval, [this] { tick(); });
+  handle_ = sim_.every_cancellable(interval, [this] { tick(); }, tick_label_);
 }
 
 void TelemetryDriver::tick() {

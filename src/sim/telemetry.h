@@ -31,7 +31,10 @@ class TelemetryDriver {
   // monitoring, a null monitor gives plain sampling.
   TelemetryDriver(Simulator& sim, obs::TimeSeriesSampler* sampler,
                   obs::SloMonitor* monitor)
-      : sim_(sim), sampler_(sampler), monitor_(monitor) {}
+      : sim_(sim),
+        sampler_(sampler),
+        monitor_(monitor),
+        tick_label_(sim_.label("obs.telemetry")) {}
   TelemetryDriver(const TelemetryDriver&) = delete;
   TelemetryDriver& operator=(const TelemetryDriver&) = delete;
 
@@ -50,6 +53,7 @@ class TelemetryDriver {
   Simulator& sim_;
   obs::TimeSeriesSampler* sampler_;
   obs::SloMonitor* monitor_;
+  std::uint32_t tick_label_;
   Simulator::PeriodicHandle handle_;
   std::uint64_t ticks_{0};
 };

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "obs/merge.h"
 #include "obs/slo.h"
@@ -108,6 +112,150 @@ TEST(TimeSeriesSampler, CapacityBoundsEverySeries) {
   EXPECT_EQ(s->points().size(), 4u);
   EXPECT_EQ(s->dropped(), 6u);
   EXPECT_DOUBLE_EQ(s->points().front().t_s, 7.0);
+}
+
+// The per-name algorithm the bound sampler replaced: every sample walks
+// the registry, rebuilds each derived name and looks its series and the
+// counter's previous value up by name. Kept here as the reference.
+class PerNameSampler {
+ public:
+  PerNameSampler(const MetricsRegistry& registry, std::size_t capacity)
+      : registry_(registry), capacity_(capacity) {}
+
+  void sample(TimePoint now) {
+    const double t_s = (now - TimePoint{}).to_seconds();
+    for (const auto& [name, c] : registry_.counters()) {
+      const std::uint64_t value = c.value();
+      get(name, SeriesKind::kCounter).push(t_s, static_cast<double>(value));
+      double rate = 0.0;
+      const auto last = last_counters_.find(name);
+      const double dt = t_s - last_t_s_;
+      if (last != last_counters_.end() && dt > 0.0) {
+        rate = static_cast<double>(value - last->second) / dt;
+      }
+      get(name + ".rate", SeriesKind::kCounterRate).push(t_s, rate);
+      last_counters_[name] = value;
+    }
+    for (const auto& [name, g] : registry_.gauges()) {
+      get(name, SeriesKind::kGauge).push(t_s, g.value());
+    }
+    for (const auto& [name, h] : registry_.histograms()) {
+      get(name + ".count", SeriesKind::kHistogramCount)
+          .push(t_s, static_cast<double>(h.count()));
+      get(name + ".p50", SeriesKind::kHistogramQuantile).push(t_s, h.p50());
+      get(name + ".p95", SeriesKind::kHistogramQuantile).push(t_s, h.p95());
+      get(name + ".p99", SeriesKind::kHistogramQuantile).push(t_s, h.p99());
+    }
+    last_t_s_ = t_s;
+  }
+
+  std::map<std::string, TimeSeries> series;
+
+ private:
+  TimeSeries& get(const std::string& name, SeriesKind kind) {
+    return series.try_emplace(name, kind, capacity_).first->second;
+  }
+
+  const MetricsRegistry& registry_;
+  std::size_t capacity_;
+  std::map<std::string, std::uint64_t> last_counters_;
+  double last_t_s_{0.0};
+};
+
+TEST(TimeSeriesSampler, BoundSlotsMatchNameLookupUnderGrowth) {
+  std::mt19937_64 rng{20181115};
+  auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  MetricsRegistry reg;
+  SamplerConfig config;
+  config.capacity = 24;  // Small enough that long series drop points.
+  TimeSeriesSampler sampler{reg, config};
+  PerNameSampler reference{reg, config.capacity};
+
+  std::vector<Counter*> counters;
+  std::vector<Gauge*> gauges;
+  std::vector<Histogram*> histograms;
+  std::vector<std::string> names;
+  // Names that sort before, between and after the ones already there,
+  // plus names that collide with another kind's (derived) series.
+  auto fresh_name = [&]() -> std::string {
+    switch (pick(4)) {
+      case 0:
+        return "a" + std::to_string(pick(100000));
+      case 1:
+        return "m" + std::to_string(pick(100000));
+      case 2:
+        return "z" + std::to_string(pick(100000));
+      default:
+        if (names.empty()) return "m";
+        return names[pick(names.size())] +
+               (pick(2) == 0 ? "" : (pick(2) == 0 ? ".rate" : ".count"));
+    }
+  };
+
+  double t_s = 0.0;
+  for (int step = 0; step < 60; ++step) {
+    // Grow the registry between some samples, not all.
+    const std::size_t added = step % 3 == 2 ? 0 : pick(4);
+    for (std::size_t i = 0; i < added; ++i) {
+      const std::string name = fresh_name();
+      names.push_back(name);
+      switch (pick(3)) {
+        case 0:
+          counters.push_back(&reg.counter(name));
+          break;
+        case 1:
+          gauges.push_back(&reg.gauge(name));
+          break;
+        default:
+          histograms.push_back(&reg.histogram(name));
+          break;
+      }
+    }
+    for (Counter* c : counters) {
+      if (pick(2) == 0) c->inc(pick(50));
+    }
+    for (Gauge* g : gauges) g->set(static_cast<double>(pick(1000)) / 8.0);
+    for (Histogram* h : histograms) {
+      for (std::size_t i = pick(4); i > 0; --i) {
+        h->record(static_cast<double>(pick(500)) / 4.0);
+      }
+    }
+    // Every fifth step samples twice at one instant (dt = 0).
+    if (step % 5 != 4) t_s += 0.25 * static_cast<double>(1 + pick(4));
+    sampler.sample(at(t_s));
+    reference.sample(at(t_s));
+  }
+
+  EXPECT_EQ(sampler.samples(), 60u);
+  ASSERT_EQ(sampler.series().size(), reference.series.size());
+  auto expected = reference.series.begin();
+  for (const auto& [name, series] : sampler.series()) {
+    ASSERT_EQ(name, expected->first);
+    const TimeSeries& want = expected->second;
+    EXPECT_EQ(series.kind(), want.kind()) << name;
+    EXPECT_EQ(series.dropped(), want.dropped()) << name;
+    ASSERT_EQ(series.points().size(), want.points().size()) << name;
+    for (std::size_t i = 0; i < want.points().size(); ++i) {
+      EXPECT_EQ(series.points()[i].t_s, want.points()[i].t_s) << name;
+      EXPECT_EQ(series.points()[i].value, want.points()[i].value) << name;
+    }
+    ++expected;
+  }
+  // Growth, collisions and drops all happened: fewer series than the
+  // instruments derive means two instruments shared a series name.
+  EXPECT_GT(reg.counters().size(), 5u);
+  EXPECT_GT(reg.gauges().size(), 5u);
+  EXPECT_GT(reg.histograms().size(), 5u);
+  EXPECT_LT(sampler.series().size(), 2 * reg.counters().size() +
+                                         reg.gauges().size() +
+                                         4 * reg.histograms().size());
+  std::uint64_t dropped = 0;
+  for (const auto& [name, series] : sampler.series()) {
+    dropped += series.dropped();
+  }
+  EXPECT_GT(dropped, 0u);
 }
 
 TEST(SeriesKindNames, MatchToolingContract) {

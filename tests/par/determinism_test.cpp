@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "par/metro.h"
 #include "par/registry_plane.h"
+#include "par/sharded_sim.h"
 #include "par/town.h"
 
 namespace dlte::par {
@@ -100,6 +102,77 @@ TEST(ParDeterminism, SeedChangesArtifacts) {
   town_b.run();
   EXPECT_NE(town_a.runtime().merged_metrics_json(),
             town_b.runtime().merged_metrics_json());
+}
+
+// A sparse token ring on raw endpoints: four tokens hop around eight
+// endpoints every 20–48 ms against a 1 ms lookahead and a 5 ms sample
+// cadence, so most windows are idle fast-forwards that reach several
+// sample points at once. Instruments appear at each endpoint's first
+// delivery, so the shard samplers rebind on the threads that run them.
+constexpr std::uint32_t kRingEndpoints = 8;
+constexpr std::uint64_t kRingSamples = 200;  // 1 s horizon / 5 ms.
+
+struct SparseRing {
+  std::string series;
+  std::vector<std::uint64_t> shard_samples;
+  std::uint64_t windows{0};
+};
+
+SparseRing run_sparse_ring(std::size_t shards, std::size_t threads) {
+  ShardedConfig cfg;
+  cfg.shards = shards;
+  cfg.threads = threads;
+  cfg.lookahead = Duration::millis(1);
+  cfg.sample_interval = Duration::millis(5);
+  ShardedSimulator rt{cfg};
+  const auto hop_delay = [](std::uint32_t ep, std::uint8_t hops) {
+    return Duration::millis(20 + 7 * ((ep + hops) % 5));
+  };
+  for (std::uint32_t ep = 0; ep < kRingEndpoints; ++ep) {
+    const std::size_t shard = ep % shards;
+    rt.register_endpoint(ep, shard, [&rt, ep, shard, hop_delay](
+                                        const Message& m) {
+      const std::uint8_t hops = m.payload.at(0);
+      obs::MetricsRegistry& reg = rt.shard_registry(shard);
+      const std::string prefix = "ep" + std::to_string(ep);
+      reg.counter(prefix + ".rx").inc();
+      reg.gauge(prefix + ".last_src").set(static_cast<double>(m.src));
+      reg.histogram(prefix + ".hops").record(static_cast<double>(hops));
+      rt.post(ep, (ep + 1) % kRingEndpoints, hop_delay(ep, hops), 0,
+              {static_cast<std::uint8_t>(hops + 1)});
+    });
+  }
+  for (std::uint32_t ep = 0; ep < kRingEndpoints; ep += 2) {
+    rt.post(ep, ep + 1, hop_delay(ep, 0), 0, {0});
+  }
+  rt.run_until(TimePoint{} + Duration::seconds(1.0));
+  SparseRing ring;
+  ring.series = rt.merged_series_json("sparse_ring");
+  for (std::size_t s = 0; s < shards; ++s) {
+    ring.shard_samples.push_back(rt.shard_sampler(s)->samples());
+  }
+  ring.windows = rt.windows_run();
+  return ring;
+}
+
+// Each shard is sampled by the thread that ran it, at the end of the
+// window; the merged series must not depend on which thread that was.
+TEST(ParDeterminism, SeriesSampledOnWorkersMatchOneThread) {
+  const SparseRing one = run_sparse_ring(1, 1);
+  EXPECT_EQ(one.shard_samples, std::vector<std::uint64_t>{kRingSamples});
+  // Every sample point is taken in exactly one window, so fewer windows
+  // than points means some window crossed two or more of them.
+  EXPECT_LT(one.windows, kRingSamples);
+  EXPECT_NE(one.series.find("\"ep7.hops.p50\""), std::string::npos);
+  for (const std::size_t threads :
+       {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+    const SparseRing many = run_sparse_ring(4, threads);
+    EXPECT_EQ(one.series, many.series) << "threads=" << threads;
+    EXPECT_EQ(many.shard_samples,
+              std::vector<std::uint64_t>(4, kRingSamples))
+        << "threads=" << threads;
+    EXPECT_EQ(one.windows, many.windows) << "threads=" << threads;
+  }
 }
 
 // DESIGN §16's partition rule, checked rather than trusted: every

@@ -105,6 +105,43 @@ TEST(ProfDeterminism, ShardProfileDescribesTheRun) {
   }
 }
 
+// The coordinator's serial phases and each lane's sampling time are
+// timed apart from the shard run time; all are wall clock, so only their
+// presence and sign are checked.
+TEST(ProfDeterminism, CoordinatorPhasesAndLaneSamplingAreTimed) {
+  TownConfig cfg = prof_town_config(4, 2);
+  cfg.audit = true;
+  ShardedTown town{cfg};
+  town.run();
+  const obs::ShardProfile prof = town.runtime().profile();
+  EXPECT_GE(prof.coordinator.exchange_s, 0.0);
+  EXPECT_GE(prof.coordinator.engine_sample_s, 0.0);
+  EXPECT_GE(prof.coordinator.audit_s, 0.0);
+  ASSERT_EQ(prof.lanes.size(), 4u);
+  for (const obs::ShardLane& lane : prof.lanes) {
+    EXPECT_GE(lane.sample_s, 0.0);
+    EXPECT_GE(lane.run_s, 0.0);
+    EXPECT_GE(lane.barrier_wait_s, 0.0);
+  }
+  obs::ProfileDoc doc;
+  doc.shard_profile = prof;
+  const std::string json = obs::ProfExporter::to_json(doc, "phases");
+  EXPECT_NE(json.find("\"coordinator\":{\"exchange_s\":"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"engine_sample_s\":"), std::string::npos);
+  EXPECT_NE(json.find("\"audit_s\":"), std::string::npos);
+  EXPECT_NE(json.find("\"sample_s\":"), std::string::npos);
+
+  cfg.profile = false;
+  ShardedTown quiet{cfg};
+  quiet.run();
+  const obs::ShardProfile off = quiet.runtime().profile();
+  EXPECT_EQ(off.coordinator.exchange_s, 0.0);
+  EXPECT_EQ(off.coordinator.engine_sample_s, 0.0);
+  EXPECT_EQ(off.coordinator.audit_s, 0.0);
+  EXPECT_TRUE(off.lanes.empty());
+}
+
 TEST(ProfDeterminism, ProfilingOffYieldsEmptyPlane) {
   TownConfig cfg = prof_town_config(2, 2);
   cfg.profile = false;

@@ -15,7 +15,9 @@ per-window samples — never byte-compared).
 `--require-label PATTERN` fails (exit 1) unless some label matches the
 glob PATTERN (repeatable). `--compare A B` byte-compares only the
 deterministic event_attribution sections of two documents — the CI
-prof-determinism gate. Exit 2 = unreadable or schema-invalid input.
+prof-determinism gate; the wall-clock lanes (run, sample, barrier wait)
+and coordinator phases (exchange, engine sample, audit) are rendered but
+never compared. Exit 2 = unreadable or schema-invalid input.
 Stdlib only.
 """
 
@@ -28,8 +30,9 @@ import sys
 SCHEMA = "dlte-prof-v1"
 LABEL_KEYS = ("schedules", "executed", "past_clamps", "residency_ns")
 TOTALS_KEYS = ("labels",) + LABEL_KEYS
-LANE_KEYS = ("shard", "events", "run_s", "barrier_wait_s",
+LANE_KEYS = ("shard", "events", "run_s", "barrier_wait_s", "sample_s",
              "events_per_window")
+COORDINATOR_KEYS = ("exchange_s", "engine_sample_s", "audit_s")
 CELL_KEYS = ("src", "dst", "messages", "bytes")
 
 
@@ -109,6 +112,12 @@ def validate(doc: dict, path: pathlib.Path) -> None:
         missing = [k for k in LANE_KEYS if k not in lane]
         if missing:
             die(f"{path}: shard lane lacks keys: {', '.join(missing)}")
+    coordinator = profile.get("coordinator")
+    if not isinstance(coordinator, dict):
+        die(f"{path}: shard_profile.coordinator is not an object")
+    for key in COORDINATOR_KEYS:
+        if not isinstance(coordinator.get(key), (int, float)):
+            die(f"{path}: shard_profile.coordinator lacks {key!r}")
     for cell in profile.get("matrix", []):
         missing = [k for k in CELL_KEYS if k not in cell]
         if missing:
@@ -164,8 +173,14 @@ def shard_report(profile: dict) -> None:
         print(f"  shard {lane['shard']}: {lane['events']} events "
               f"({lane['events_per_window']:.1f}/window), "
               f"run {lane['run_s'] * 1e3:.1f}ms, "
+              f"sample {lane['sample_s'] * 1e3:.1f}ms, "
               f"barrier wait {lane['barrier_wait_s'] * 1e3:.1f}ms "
               f"({wait_share:.0%})")
+    coordinator = profile["coordinator"]
+    print(f"  coordinator: exchange "
+          f"{coordinator['exchange_s'] * 1e3:.1f}ms, engine sample "
+          f"{coordinator['engine_sample_s'] * 1e3:.1f}ms, audit "
+          f"{coordinator['audit_s'] * 1e3:.1f}ms")
     render_matrix(profile)
     t_s = profile["samples"]["t_s"]
     if t_s:
