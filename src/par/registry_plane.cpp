@@ -199,13 +199,18 @@ void RegistryPlaneScenario::handle_registry_message(const Message& m) {
       req.bandwidth = Hertz{*bw};
       req.operator_contact = "block-" + std::to_string(*block) + "@dlte";
       reg.request_grants(
-          req, *count,
-          [this, reply_to = m.src, block = *block](std::vector<GrantId> ids) {
+          std::move(req), *count,
+          [this, reply_to = m.src, block = *block](
+              std::vector<Result<spectrum::SpectrumGrant>> results) {
+            std::vector<std::uint64_t> ids;
+            for (const auto& grant : results) {
+              if (grant) ids.push_back(grant->id.value());
+            }
             ByteWriter w;
             w.u32(block);
             w.u8(ids.empty() ? 0 : 1);
             w.u32(static_cast<std::uint32_t>(ids.size()));
-            for (const GrantId id : ids) w.u64(id.value());
+            for (const std::uint64_t id : ids) w.u64(id);
             runtime_.post(kRegistryEndpoint, reply_to, config_.registry_delay,
                           workload::kLeaseGrantReply, w.take());
           });
@@ -298,6 +303,7 @@ RegistryPlaneResult RegistryPlaneScenario::run() {
       merged.counter("reg.registry.cache.root_sheds").value();
   for (const auto& block : blocks_) {
     result.regrant_batches += block->storm->regrant_batches();
+    result.grant_rejections += block->storm->grant_rejections();
     result.queries_answered += block->storm->queries_answered();
     result.leases_held += block->storm->leases_held();
   }

@@ -80,6 +80,7 @@ struct RegistryPlaneResult {
   std::uint64_t heartbeats_failed{0};
   std::uint64_t grants_lapsed{0};
   std::uint64_t regrant_batches{0};
+  std::uint64_t grant_rejections{0};  // Grant batches bounced whole.
   std::uint64_t queries_answered{0};
   std::uint64_t cache_hits{0};
   std::uint64_t cache_misses{0};

@@ -35,7 +35,7 @@ void SpectrumChain::submit(ChainRecord record, InclusionCallback on_included) {
 void SpectrumChain::start() {
   if (started_) return;
   started_ = true;
-  sim_.every(interval_, [this] { seal_block(); });
+  sim_.every(interval_, [this] { seal_block(); }, sim_.label("registry.seal"));
 }
 
 void SpectrumChain::seal_block() {

@@ -49,7 +49,8 @@ class SpectrumChain {
   using InclusionCallback = std::function<void(std::uint64_t height)>;
   void submit(ChainRecord record, InclusionCallback on_included = nullptr);
 
-  // Start sealing blocks every interval (idempotent).
+  // Start sealing blocks every interval (idempotent); the seal timer's
+  // events are attributed to `registry.seal`.
   void start();
 
   // Batched commit windows (DESIGN.md §16): cap how many queued records

@@ -272,14 +272,15 @@ void Registry::set_outage(RegistryOutage outage) {
   obs::set(m_outage_active_, outage == RegistryOutage::kNone ? 0.0 : 1.0);
   if (previous == RegistryOutage::kCommitStall &&
       outage != RegistryOutage::kCommitStall) {
-    // The chain caught up / the service recovered: stalled commits land
-    // now, in submission order. With a chain attached they queue into
-    // the same open commit window, so a whole stalled batch commits at
-    // the next block inclusion together.
-    auto pending = std::move(stalled_commits_);
-    stalled_commits_.clear();
-    obs::set(m_stalled_commits_, 0.0);
-    for (auto& commit : pending) commit();
+    // The chain caught up / the service recovered: stalled batches
+    // re-enter the dispatcher now, in submission order. With a chain
+    // attached they queue into the same open commit window, so a whole
+    // stalled backlog commits at the next block inclusion together; a
+    // stall that heals into kOffline fails each batch after the timeout.
+    auto pending = std::move(stalled_);
+    stalled_.clear();
+    publish_stalled_leases();
+    for (GrantBatch& batch : pending) dispatch_grants(std::move(batch));
   }
 }
 
@@ -301,113 +302,90 @@ void Registry::end_grant_span(obs::SpanId span,
 }
 
 void Registry::request_grant(GrantRequest request, GrantCallback callback) {
-  const obs::SpanId span = begin_grant_span(request);
-  if (span != obs::kNoSpan) {
-    // The span closes when the caller learns the outcome, so its duration
-    // is the full request→callback latency (stalls and all).
-    callback = [this, span,
-                cb = std::move(callback)](Result<SpectrumGrant> result) {
-      end_grant_span(span, result);
-      cb(std::move(result));
-    };
-  }
-  do_request_grant(std::move(request), std::move(callback), span);
+  request_grants(std::move(request), 1,
+                 [callback = std::move(callback)](
+                     std::vector<Result<SpectrumGrant>> results) {
+                   callback(std::move(results.front()));
+                 });
 }
 
-void Registry::do_request_grant(GrantRequest request, GrantCallback callback,
-                                obs::SpanId span) {
-  if (!reachable_for(request.location)) {
-    obs::inc(m_grant_failures_);
-    sim_.schedule(
-        failure_timeout_,
-        [callback = std::move(callback)] {
-          callback(fail("registry unreachable"));
-        },
-        failure_label_);
-    return;
-  }
-  if (outage_ == RegistryOutage::kCommitStall) {
-    // Reads still work; the commit waits for the stall to clear, then
-    // pays the normal commit latency on top. The span stays open across
-    // the stall — the replay must not open a second one.
-    obs::span_annotate(tracer_, span, "stalled",
-                       "commit deferred: registry commit stall");
-    stalled_commits_.push_back([this, span, request = std::move(request),
-                                callback = std::move(callback)]() mutable {
-      do_request_grant(std::move(request), std::move(callback), span);
-    });
-    obs::set(m_stalled_commits_, static_cast<double>(stalled_commits_.size()));
-    return;
-  }
-  if (kind_ == RegistryKind::kBlockchain && chain_ != nullptr) {
-    // Commit-by-inclusion: the grant becomes effective when the record is
-    // sealed into a block.
-    auto record_payload = encode_grant_record(request);
-    chain_->submit(
-        ChainRecord{ChainRecordKind::kGrant, std::move(record_payload)},
-        [this, request = std::move(request),
-         callback = std::move(callback)](std::uint64_t) {
-          callback(grant_now(request));
-        });
-    return;
-  }
-  sim_.schedule(
-      registry_latency(kind_).commit,
-      [this, request = std::move(request), callback = std::move(callback)] {
-        callback(grant_now(request));
-      },
-      commit_label_);
-}
-
-void Registry::request_grants(const GrantRequest& request,
-                              std::uint32_t count, BatchCallback callback) {
+void Registry::request_grants(GrantRequest request, std::uint32_t count,
+                              BatchCallback callback) {
   if (count == 0) return;
-  if (outage_ != RegistryOutage::kCommitStall &&
-      reachable_for(request.location) &&
-      !(kind_ == RegistryKind::kBlockchain && chain_ != nullptr)) {
-    // `count` request_grant calls would each open a span and schedule a
-    // commit here, all at the same instant with consecutive sequence
-    // numbers: no other event could run between them, so one event
-    // running the same grant_now loop, closing the same spans, yields
-    // the same ids, metrics, spans and callback time. A full tracer
-    // refuses every span after its first refusal, so the live spans
-    // belong to a prefix of the leases.
-    std::vector<obs::SpanId> spans;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const obs::SpanId span = begin_grant_span(request);
-      if (span != obs::kNoSpan) spans.push_back(span);
+  GrantBatch batch{std::move(request), count, {}, std::move(callback), {}};
+  // Each span closes when its lease's outcome is known, so its duration
+  // is the full request→answer latency (stalls and all).
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const obs::SpanId span = begin_grant_span(batch.request);
+    if (span != obs::kNoSpan) batch.spans.push_back(span);
+  }
+  dispatch_grants(std::move(batch));
+}
+
+// `count` single-lease requests would schedule `count` timeouts, stalled
+// entries or commits at one instant with consecutive sequence numbers: no
+// other event could run between them, so one event (or entry) running the
+// same per-lease loop yields the same ids, metrics, spans and answer time.
+void Registry::dispatch_grants(GrantBatch batch) {
+  const bool reachable = reachable_for(batch.request.location);
+  if (reachable && outage_ == RegistryOutage::kCommitStall) {
+    // Reads still work; the batch waits for the stall to clear, then
+    // pays the normal commit latency on top. Its spans stay open across
+    // the stall — the replay must not open new ones.
+    for (const obs::SpanId span : batch.spans) {
+      obs::span_annotate(tracer_, span, "stalled",
+                         "commit deferred: registry commit stall");
     }
-    sim_.schedule(
-        registry_latency(kind_).commit,
-        [this, request, count, spans = std::move(spans),
-         callback = std::move(callback)] {
-          std::vector<GrantId> ids;
-          ids.reserve(count);
-          for (std::uint32_t i = 0; i < count; ++i) {
-            const Result<SpectrumGrant> grant = grant_now(request);
-            if (i < spans.size()) end_grant_span(spans[i], grant);
-            if (grant) ids.push_back(grant->id);
-          }
-          callback(std::move(ids));
-        },
-        commit_label_);
+    stalled_.push_back(std::move(batch));
+    publish_stalled_leases();
     return;
   }
-  // Per-lease path: every lease keeps its own chain record, stalled
-  // entry or failure timeout; the last completion answers the batch.
-  struct Pending {
-    std::uint32_t left;
-    std::vector<GrantId> ids;
-    BatchCallback callback;
-  };
-  auto pending =
-      std::make_shared<Pending>(Pending{count, {}, std::move(callback)});
-  for (std::uint32_t i = 0; i < count; ++i) {
-    request_grant(request, [pending](Result<SpectrumGrant> result) {
-      if (result) pending->ids.push_back(result->id);
-      if (--pending->left == 0) pending->callback(std::move(pending->ids));
-    });
+  if (reachable && kind_ == RegistryKind::kBlockchain && chain_ != nullptr) {
+    // Commit-by-inclusion, one record per lease (records per block is a
+    // modelled quantity): each lease is granted when its record is
+    // sealed, and a capped block may split the batch. The last
+    // inclusion answers.
+    auto shared = std::make_shared<GrantBatch>(std::move(batch));
+    for (std::uint32_t i = 0; i < shared->count; ++i) {
+      chain_->submit(
+          ChainRecord{ChainRecordKind::kGrant,
+                      encode_grant_record(shared->request)},
+          [this, shared](std::uint64_t) {
+            settle_lease(*shared, grant_now(shared->request));
+            if (shared->results.size() == shared->count) {
+              shared->callback(std::move(shared->results));
+            }
+          });
+    }
+    return;
   }
+  // One event answers the batch: a commit granting every lease, or —
+  // the registrar unreachable — a client-side timeout failing every
+  // lease, whose failures count from the moment of refusal.
+  if (!reachable) obs::inc(m_grant_failures_, batch.count);
+  sim_.schedule(
+      reachable ? registry_latency(kind_).commit : failure_timeout_,
+      [this, reachable, batch = std::move(batch)]() mutable {
+        batch.results.reserve(batch.count);
+        for (std::uint32_t i = 0; i < batch.count; ++i) {
+          settle_lease(batch, reachable ? grant_now(batch.request)
+                                        : fail("registry unreachable"));
+        }
+        batch.callback(std::move(batch.results));
+      },
+      reachable ? commit_label_ : failure_label_);
+}
+
+void Registry::settle_lease(GrantBatch& batch, Result<SpectrumGrant> result) {
+  const std::size_t lease = batch.results.size();
+  if (lease < batch.spans.size()) end_grant_span(batch.spans[lease], result);
+  batch.results.push_back(std::move(result));
+}
+
+void Registry::publish_stalled_leases() {
+  std::size_t leases = 0;
+  for (const GrantBatch& batch : stalled_) leases += batch.count;
+  obs::set(m_stalled_commits_, static_cast<double>(leases));
 }
 
 std::vector<SpectrumGrant> Registry::grants_near(Position location) const {
@@ -587,7 +565,7 @@ void Registry::set_metrics(obs::MetricsRegistry* metrics,
   m_stalled_commits_ = &metrics->gauge(prefix + "registry.stalled_commits");
   m_active_grants_ = &metrics->gauge(prefix + "registry.active_grants");
   m_outage_active_->set(outage_ == RegistryOutage::kNone ? 0.0 : 1.0);
-  m_stalled_commits_->set(static_cast<double>(stalled_commits_.size()));
+  publish_stalled_leases();
   m_active_grants_->set(static_cast<double>(grants_.size()));
 }
 

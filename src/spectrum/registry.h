@@ -12,7 +12,7 @@
 //   * Blockchain       — no central trust; commits wait for a block.
 //
 // The registry holds state synchronously; latency is modelled at the
-// async facade (request_grant / query_region) through the simulator.
+// async facade (request_grants / query_region) through the simulator.
 #pragma once
 
 #include <functional>
@@ -122,25 +122,20 @@ class Registry {
   using GrantCallback = std::function<void(Result<SpectrumGrant>)>;
   using QueryCallback = std::function<void(std::vector<SpectrumGrant>)>;
 
-  // Apply for a license. Open admission (§4.3): any conforming request is
-  // granted; the only rejections are malformed requests (no contact — the
-  // registry's recourse mechanism is mandatory).
-  void request_grant(GrantRequest request, GrantCallback callback);
-
   // Apply for `count` identical licenses at once (a block of APs
-  // re-applying together). The callback runs once, when the last lease
-  // completes, with the granted ids in grant order; failed leases are
-  // absent. Outputs, spans included, equal those of `count` back-to-back
-  // request_grant calls. When every lease would take the plain commit
-  // path (registrar reachable, no commit stall, no chain), those calls
-  // would schedule `count` commits at one instant with consecutive
-  // sequence numbers, so the whole batch commits in ONE event instead;
-  // otherwise each lease goes through request_grant (its chain record,
-  // stalled entry or failure timeout). A zero count is a no-op: the
-  // callback never runs.
-  using BatchCallback = std::function<void(std::vector<GrantId>)>;
-  void request_grants(const GrantRequest& request, std::uint32_t count,
+  // re-applying together). Open admission (§4.3): any conforming request
+  // is granted; the only rejections are malformed requests (no contact —
+  // the registry's recourse mechanism is mandatory). The batch is the
+  // unit of grant work: it commits in one event, waits out a commit stall
+  // as one entry, and fails an unreachable registrar in one timeout event;
+  // only a chain-backed registry keeps one record per lease. The callback
+  // runs once, with one result per lease in lease order. A zero count is a
+  // no-op: the callback never runs.
+  using BatchCallback = std::function<void(std::vector<Result<SpectrumGrant>>)>;
+  void request_grants(GrantRequest request, std::uint32_t count,
                       BatchCallback callback);
+  // A batch of one.
+  void request_grant(GrantRequest request, GrantCallback callback);
 
   // All grants whose interference reach touches the queried location.
   void query_region(Position location, QueryCallback callback);
@@ -242,11 +237,11 @@ class Registry {
     return grants_;
   }
 
-  // Causal tracing: request_grant opens a "registry_grant" span that
-  // covers request → callback (a commit-stalled request keeps its span
-  // open across the whole stall), query_region a "registry_query" span,
-  // heartbeat_outcome a zero-duration "registry_heartbeat" marker. Category is
-  // `<prefix>registry`. Null-safe.
+  // Causal tracing: a grant request opens one "registry_grant" span per
+  // lease that covers request → callback (a commit-stalled lease keeps its
+  // span open across the whole stall), query_region a "registry_query"
+  // span, heartbeat_outcome a zero-duration "registry_heartbeat" marker.
+  // Category is `<prefix>registry`. Null-safe.
   void set_tracer(obs::SpanTracer* tracer, const std::string& prefix = "");
 
   // Health source (DESIGN.md §10): counters
@@ -278,10 +273,23 @@ class Registry {
   // closed with the outcome when the caller learns it.
   obs::SpanId begin_grant_span(const GrantRequest& request);
   void end_grant_span(obs::SpanId span, const Result<SpectrumGrant>& result);
-  // Grant machinery behind the traced facade; `span` survives the
-  // commit-stall replay so the trace shows the stall as latency.
-  void do_request_grant(GrantRequest request, GrantCallback callback,
-                        obs::SpanId span);
+  // A grant batch in flight. `spans` holds the live "registry_grant"
+  // spans: a full tracer refuses every span after its first refusal, so
+  // they belong to a prefix of the leases. `results` fills in lease order.
+  struct GrantBatch {
+    GrantRequest request;
+    std::uint32_t count{0};
+    std::vector<obs::SpanId> spans;
+    BatchCallback callback;
+    std::vector<Result<SpectrumGrant>> results;
+  };
+  // Routes a whole batch: unreachable, commit stall, chain-backed or
+  // healthy commit. A healed stall replays its entries through here.
+  void dispatch_grants(GrantBatch batch);
+  // Records the next lease's result and closes its span.
+  void settle_lease(GrantBatch& batch, Result<SpectrumGrant> result);
+  // The stalled_commits gauge counts leases, not batches.
+  void publish_stalled_leases();
   // interference_range_m memoized per (center frequency, EIRP): the
   // 60-step path-loss bisection is far too hot to run per grant per scan.
   [[nodiscard]] double cached_range_m(const SpectrumGrant& grant) const;
@@ -298,8 +306,8 @@ class Registry {
 
   sim::Simulator& sim_;
   RegistryKind kind_;
-  // Event attribution (sim::Simulator::label): commits (per lease or per
-  // batch), unreachable-registry failure timeouts, query serves.
+  // Event attribution (sim::Simulator::label): batch commits, unreachable-
+  // registry failure timeouts (one per batch or query), query serves.
   std::uint32_t commit_label_;
   std::uint32_t failure_label_;
   std::uint32_t query_label_;
@@ -349,8 +357,8 @@ class Registry {
   RegistryOutage outage_{RegistryOutage::kNone};
   std::vector<int> offline_zones_;
   Duration failure_timeout_{Duration::seconds(2.0)};
-  // Commits deferred by a kCommitStall outage, replayed on recovery.
-  std::vector<std::function<void()>> stalled_commits_;
+  // Batches deferred by a kCommitStall outage, replayed on recovery.
+  std::vector<GrantBatch> stalled_;
 };
 
 }  // namespace dlte::spectrum

@@ -15,6 +15,7 @@
 
 #include "common/bytes.h"
 #include "obs/audit_export.h"
+#include "obs/prof.h"
 #include "spectrum/registry.h"
 #include "workload/lease_churn.h"
 
@@ -294,6 +295,30 @@ TEST(RegistryPlaneTest, MalformedRequestsNeverServeOrThrow) {
       }
     }
   }
+}
+
+TEST(RegistryPlaneTest, BouncedGrantBatchFailsInOneEvent) {
+  // Through the 15–35 s zone outage the storm zone's blocks re-apply and
+  // bounce. Each bounced batch is answered by ONE registry.failure
+  // timeout, whatever its lease count: doubling leases_per_block must not
+  // move the failure events, and each is one rejected batch.
+  std::vector<std::uint64_t> failures;
+  for (const int leases : {40, 80}) {
+    SCOPED_TRACE("leases_per_block=" + std::to_string(leases));
+    auto config = small_config(2);
+    config.leases_per_block = leases;
+    config.profile = true;
+    RegistryPlaneScenario plane{config};
+    const RegistryPlaneResult r = plane.run();
+    ASSERT_GT(r.grant_rejections, 0u);
+    obs::EventProfiler merged;
+    plane.runtime().merged_profiler_into(merged);
+    const std::uint64_t executed =
+        merged.stats(merged.intern("registry.failure")).executed;
+    EXPECT_EQ(executed, r.grant_rejections);
+    failures.push_back(executed);
+  }
+  EXPECT_EQ(failures[0], failures[1]);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/prof.h"
 #include "spectrum/registry.h"
 
 namespace dlte::spectrum {
@@ -52,6 +53,23 @@ TEST(SpectrumChain, NoEmptyBlocks) {
   chain.start();
   sim.run_until(sim.now() + Duration::seconds(600.0));
   EXPECT_EQ(chain.block_count(), 1u);  // Only genesis.
+}
+
+TEST(SpectrumChain, SealTimerIsAttributedToItsLabel) {
+  // A profiled run books every seal-timer event under registry.seal,
+  // empty intervals included; nothing falls to sim.unlabeled.
+  sim::Simulator sim;
+  obs::EventProfiler profiler;
+  sim.set_profiler(&profiler);
+  SpectrumChain chain{sim, Duration::seconds(60.0)};
+  chain.start();
+  chain.submit(grant_record(1));
+  sim.run_until(sim.now() + Duration::seconds(150.0));
+  ASSERT_EQ(chain.block_count(), 2u);
+  const std::uint32_t seal = profiler.intern("registry.seal");
+  EXPECT_EQ(profiler.stats(seal).executed, 2u);
+  EXPECT_EQ(profiler.stats(obs::kUnlabeledEvent).executed, 0u);
+  EXPECT_EQ(profiler.totals().executed, 2u);
 }
 
 TEST(SpectrumChain, HashChainLinksBlocks) {

@@ -473,11 +473,12 @@ TEST(Registry, CachedServeDropsGrantsLapsingBeforeServeTime) {
 }
 
 
-// request_grants against `count` back-to-back request_grant calls: two
-// twin registries take the same batch, one through each entry point, and
-// must agree on everything observable — ids and their order, the time
-// the batch is answered, every registry metric, spans and chain records.
-// Only the number of simulator events may differ.
+// request_grants against `count` back-to-back request_grant calls (each
+// a batch of one): two twin registries take the same batch, one through
+// each entry point, and must agree on everything observable — ids and
+// their order, lease expiries, the time the batch is answered, every
+// registry metric, spans and chain records. Only the number of simulator
+// events may differ.
 constexpr std::uint32_t kBatch = 6;
 
 struct GrantTwin {
@@ -494,8 +495,12 @@ struct GrantTwin {
                                                capacity);
     reg.set_tracer(tracer.get());
   }
-  void answer(std::vector<GrantId> granted) {
-    for (const GrantId id : granted) ids.push_back(id.value());
+  void answer(const std::vector<Result<SpectrumGrant>>& results) {
+    for (const auto& grant : results) {
+      if (!grant) continue;
+      ids.push_back(grant->id.value());
+      expiries.push_back(grant->expires_at);
+    }
     ++answers;
     answered_at = sim.now();
   }
@@ -506,6 +511,7 @@ struct GrantTwin {
   std::unique_ptr<SpectrumChain> chain;
   std::unique_ptr<obs::SpanTracer> tracer;
   std::vector<std::uint64_t> ids;
+  std::vector<TimePoint> expiries;
   int answers{0};
   TimePoint answered_at;
 };
@@ -520,16 +526,17 @@ struct Twins {
     step(per_lease);
   }
   void submit(const GrantRequest& request) {
-    batch.reg.request_grants(request, kBatch, [this](std::vector<GrantId> g) {
-      batch.answer(std::move(g));
-    });
-    auto left = std::make_shared<std::uint32_t>(kBatch);
-    auto granted = std::make_shared<std::vector<GrantId>>();
+    batch.reg.request_grants(
+        request, kBatch,
+        [this](std::vector<Result<SpectrumGrant>> results) {
+          batch.answer(results);
+        });
+    auto results = std::make_shared<std::vector<Result<SpectrumGrant>>>();
     for (std::uint32_t i = 0; i < kBatch; ++i) {
       per_lease.reg.request_grant(
-          request, [this, left, granted](Result<SpectrumGrant> g) {
-            if (g) granted->push_back(g->id);
-            if (--*left == 0) per_lease.answer(std::move(*granted));
+          request, [this, results](Result<SpectrumGrant> g) {
+            results->push_back(std::move(g));
+            if (results->size() == kBatch) per_lease.answer(*results);
           });
     }
   }
@@ -547,6 +554,7 @@ std::string metrics_json(const GrantTwin& twin) {
 
 std::string spans_text(const GrantTwin& twin) {
   std::string out;
+  if (twin.tracer == nullptr) return out;
   for (const obs::Span& span : twin.tracer->spans()) {
     out += span.name + "|" + span.category + "|" +
            std::to_string(span.start.ns()) + "|" +
@@ -557,13 +565,25 @@ std::string spans_text(const GrantTwin& twin) {
   return out;
 }
 
+// How many lines of a spans_text dump contain `needle`.
+std::size_t spans_with(const std::string& text, const std::string& needle) {
+  std::size_t lines = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++lines;
+  }
+  return lines;
+}
+
 void expect_twins_agree(const Twins& t) {
   EXPECT_EQ(t.batch.answers, 1);
   EXPECT_EQ(t.per_lease.answers, 1);
   EXPECT_EQ(t.batch.ids, t.per_lease.ids);
+  EXPECT_EQ(t.batch.expiries, t.per_lease.expiries);
   EXPECT_EQ(t.batch.answered_at, t.per_lease.answered_at);
   EXPECT_EQ(metrics_json(t.batch), metrics_json(t.per_lease));
   EXPECT_EQ(t.batch.reg.grant_count(), t.per_lease.reg.grant_count());
+  EXPECT_EQ(spans_text(t.batch), spans_text(t.per_lease));
 }
 
 TEST(RegistryGrantBatch, HealthyBatchCommitsInOneEvent) {
@@ -579,42 +599,90 @@ TEST(RegistryGrantBatch, HealthyBatchCommitsInOneEvent) {
 }
 
 TEST(RegistryGrantBatch, OfflineZoneFailsEveryLeaseAfterTheTimeout) {
-  Twins t{RegistryKind::kFederated};
-  const Position pos{1'000.0, 1'000.0};
-  t.both([&](GrantTwin& twin) {
-    twin.reg.set_zone_offline(Registry::zone_of(pos), true);
-  });
-  t.submit(band5_request(1, pos));
-  t.run_until(TimePoint{} + Duration::seconds(5.0));
-  expect_twins_agree(t);
-  EXPECT_TRUE(t.batch.ids.empty());
-  EXPECT_EQ(t.batch.answered_at, TimePoint{} + Duration::seconds(2.0));
-  EXPECT_EQ(t.batch.metrics.counter("reg.registry.grant_failures").value(),
-            kBatch);
-  EXPECT_EQ(t.batch.sim.events_executed(), t.per_lease.sim.events_executed());
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    Twins t{RegistryKind::kFederated};
+    const Position pos{1'000.0, 1'000.0};
+    t.both([&](GrantTwin& twin) {
+      if (traced) twin.attach_tracer(obs::SpanTracer::kDefaultCapacity);
+      twin.reg.set_zone_offline(Registry::zone_of(pos), true);
+    });
+    t.submit(band5_request(1, pos));
+    t.run_until(TimePoint{} + Duration::seconds(5.0));
+    expect_twins_agree(t);
+    EXPECT_TRUE(t.batch.ids.empty());
+    EXPECT_EQ(t.batch.answered_at, TimePoint{} + Duration::seconds(2.0));
+    EXPECT_EQ(t.batch.metrics.counter("reg.registry.grant_failures").value(),
+              kBatch);
+    // One failure timeout answers the whole batch.
+    EXPECT_EQ(t.batch.sim.events_executed(), 1u);
+    EXPECT_EQ(t.per_lease.sim.events_executed(), kBatch);
+    EXPECT_EQ(spans_with(spans_text(t.batch), "failed: registry unreachable"),
+              traced ? kBatch : 0u);
+  }
 }
 
 TEST(RegistryGrantBatch, CommitStallHealingMidRunReplaysEveryLease) {
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    Twins t{RegistryKind::kCentralizedSas};
+    t.both([traced](GrantTwin& twin) {
+      if (traced) twin.attach_tracer(obs::SpanTracer::kDefaultCapacity);
+      twin.reg.set_outage(RegistryOutage::kCommitStall);
+    });
+    t.submit(band5_request(1, Position{}));
+    t.run_until(TimePoint{} + Duration::seconds(1.0));
+    // The gauge counts stalled leases, not batches.
+    EXPECT_EQ(t.batch.metrics.gauge("reg.registry.stalled_commits").value(),
+              static_cast<double>(kBatch));
+    EXPECT_EQ(metrics_json(t.batch), metrics_json(t.per_lease));
+    EXPECT_EQ(spans_text(t.batch), spans_text(t.per_lease));
+    EXPECT_EQ(t.batch.answers, 0);
+    t.both(
+        [](GrantTwin& twin) { twin.reg.set_outage(RegistryOutage::kNone); });
+    t.run_until(TimePoint{} + Duration::seconds(5.0));
+    expect_twins_agree(t);
+    EXPECT_EQ(t.batch.ids.size(), kBatch);
+    EXPECT_EQ(t.batch.answered_at,
+              TimePoint{} + Duration::seconds(1.0) +
+                  registry_latency(RegistryKind::kCentralizedSas).commit);
+    EXPECT_EQ(t.batch.metrics.gauge("reg.registry.stalled_commits").value(),
+              0.0);
+    // The healed batch commits in one event.
+    EXPECT_EQ(t.batch.sim.events_executed(), 1u);
+    EXPECT_EQ(t.per_lease.sim.events_executed(), kBatch);
+    EXPECT_EQ(spans_with(spans_text(t.batch), "stalled="),
+              traced ? kBatch : 0u);
+  }
+}
+
+TEST(RegistryGrantBatch, CommitStallHealingIntoOfflineFailsTheBatch) {
+  // The stall clears straight into a full outage: the replayed batch is
+  // refused like a fresh one, failing every lease one failure timeout
+  // after the heal.
   Twins t{RegistryKind::kCentralizedSas};
   t.both([](GrantTwin& twin) {
+    twin.attach_tracer(obs::SpanTracer::kDefaultCapacity);
     twin.reg.set_outage(RegistryOutage::kCommitStall);
   });
   t.submit(band5_request(1, Position{}));
   t.run_until(TimePoint{} + Duration::seconds(1.0));
-  // The gauge counts stalled leases, not batches.
-  EXPECT_EQ(t.batch.metrics.gauge("reg.registry.stalled_commits").value(),
-            static_cast<double>(kBatch));
-  EXPECT_EQ(metrics_json(t.batch), metrics_json(t.per_lease));
-  EXPECT_EQ(t.batch.answers, 0);
-  t.both([](GrantTwin& twin) { twin.reg.set_outage(RegistryOutage::kNone); });
+  t.both(
+      [](GrantTwin& twin) { twin.reg.set_outage(RegistryOutage::kOffline); });
   t.run_until(TimePoint{} + Duration::seconds(5.0));
   expect_twins_agree(t);
-  EXPECT_EQ(t.batch.ids.size(), kBatch);
+  EXPECT_TRUE(t.batch.ids.empty());
   EXPECT_EQ(t.batch.answered_at,
-            TimePoint{} + Duration::seconds(1.0) +
-                registry_latency(RegistryKind::kCentralizedSas).commit);
+            TimePoint{} + Duration::seconds(1.0) + Duration::seconds(2.0));
+  EXPECT_EQ(t.batch.metrics.counter("reg.registry.grant_failures").value(),
+            kBatch);
   EXPECT_EQ(t.batch.metrics.gauge("reg.registry.stalled_commits").value(),
             0.0);
+  EXPECT_EQ(t.batch.sim.events_executed(), 1u);
+  EXPECT_EQ(t.per_lease.sim.events_executed(), kBatch);
+  const std::string spans = spans_text(t.batch);
+  EXPECT_EQ(spans_with(spans, "stalled="), kBatch);
+  EXPECT_EQ(spans_with(spans, "failed: registry unreachable"), kBatch);
 }
 
 TEST(RegistryGrantBatch, TracedBatchKeepsOneSpanPerLease) {
@@ -636,10 +704,17 @@ TEST(RegistryGrantBatch, TracedBatchKeepsOneSpanPerLease) {
       if (span.name == "registry_grant" && !span.open) ++grant_spans;
     }
     EXPECT_EQ(grant_spans, std::min<std::size_t>(kBatch, capacity));
-    EXPECT_EQ(spans_text(t.batch), spans_text(t.per_lease));
     EXPECT_EQ(t.batch.tracer->dropped_spans(),
               t.per_lease.tracer->dropped_spans());
   }
+}
+
+std::vector<std::vector<std::uint8_t>> grant_records(const GrantTwin& twin) {
+  std::vector<std::vector<std::uint8_t>> out;
+  twin.chain->for_each_record(
+      ChainRecordKind::kGrant,
+      [&](const ChainRecord& record) { out.push_back(record.payload); });
+  return out;
 }
 
 TEST(RegistryGrantBatch, ChainBackedBatchCommitsAtBlockInclusion) {
@@ -651,12 +726,40 @@ TEST(RegistryGrantBatch, ChainBackedBatchCommitsAtBlockInclusion) {
   EXPECT_EQ(t.batch.ids.size(), kBatch);
   EXPECT_EQ(t.batch.answered_at, TimePoint{} + Duration::seconds(60.0));
   // One chain record per lease, sealed into the same block.
-  std::size_t records = 0;
-  t.batch.chain->for_each_record(ChainRecordKind::kGrant,
-                                 [&](const ChainRecord&) { ++records; });
-  EXPECT_EQ(records, kBatch);
+  EXPECT_EQ(grant_records(t.batch).size(), kBatch);
+  EXPECT_EQ(grant_records(t.batch), grant_records(t.per_lease));
   EXPECT_EQ(t.batch.chain->block_count(), t.per_lease.chain->block_count());
   EXPECT_TRUE(t.batch.chain->verify());
+}
+
+TEST(RegistryGrantBatch, CappedBlockSplitsAChainBackedBatch) {
+  // Half a batch fits in a block: the first half is granted (and its
+  // lease clock starts) at the first seal, the rest at the second, and
+  // the batch is answered only then.
+  Twins t{RegistryKind::kBlockchain};
+  t.both([](GrantTwin& twin) {
+    twin.attach_chain();
+    twin.chain->set_max_records_per_block(kBatch / 2);
+  });
+  t.submit(band5_request(1, Position{}));
+  t.run_until(TimePoint{} + Duration::seconds(90.0));
+  EXPECT_EQ(t.batch.answers, 0);
+  EXPECT_EQ(t.batch.metrics.counter("reg.registry.grants_issued").value(),
+            kBatch / 2);
+  EXPECT_EQ(metrics_json(t.batch), metrics_json(t.per_lease));
+  t.run_until(TimePoint{} + Duration::seconds(130.0));
+  expect_twins_agree(t);
+  ASSERT_EQ(t.batch.ids.size(), kBatch);
+  EXPECT_EQ(t.batch.answered_at, TimePoint{} + Duration::seconds(120.0));
+  const Duration lifetime = Duration::seconds(30.0);
+  for (std::uint32_t i = 0; i < kBatch; ++i) {
+    const TimePoint sealed =
+        TimePoint{} + Duration::seconds(i < kBatch / 2 ? 60.0 : 120.0);
+    EXPECT_EQ(t.batch.expiries[i], sealed + lifetime) << "lease " << i;
+  }
+  EXPECT_EQ(grant_records(t.batch), grant_records(t.per_lease));
+  EXPECT_EQ(t.batch.chain->block_count(), 3u);  // Genesis + two seals.
+  EXPECT_EQ(t.batch.chain->block_count(), t.per_lease.chain->block_count());
 }
 
 }  // namespace
