@@ -109,13 +109,17 @@ class EventProfiler {
 
 // One shard's lane: how its wall time splits between running windows,
 // sampling its series at the window's end (on the same thread) and
-// waiting for the barrier. `events / windows` is the lookahead
-// efficiency — how much work each conservative window actually carries.
+// waiting for the barrier. `start_s` is the part of the barrier wait
+// from the window's publication to a thread starting this shard:
+// wake-up plus queueing behind other shards. `events / windows` is the
+// lookahead efficiency — how much work each conservative window
+// actually carries.
 struct ShardLane {
   std::uint64_t events{0};
   double run_s{0.0};
   double barrier_wait_s{0.0};
   double sample_s{0.0};
+  double start_s{0.0};
 };
 
 // The coordinator's serial work between windows, by phase: the barrier

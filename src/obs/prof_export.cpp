@@ -54,6 +54,7 @@ void shard_profile_object(JsonWriter& w, const ShardProfile& profile) {
     w.key("run_s").value(lane.run_s);
     w.key("barrier_wait_s").value(lane.barrier_wait_s);
     w.key("sample_s").value(lane.sample_s);
+    w.key("start_s").value(lane.start_s);
     w.key("events_per_window")
         .value(profile.windows > 0
                    ? static_cast<double>(lane.events) /

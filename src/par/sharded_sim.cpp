@@ -145,9 +145,12 @@ void ShardedSimulator::run_shards(TimePoint end) {
     if (i >= shards_.size()) return;
     Shard& shard = *shards_[i];
     // Only the claiming thread touches shard i inside the window; the
-    // coordinator reads window_run_s/window_sample_s after the barrier.
-    // Sampling here reads the same values the barrier would: exchange()
-    // only schedules events and never touches a domain registry.
+    // coordinator reads its window_* times after the barrier. Sampling
+    // here reads the same values the barrier would: exchange() only
+    // schedules events and never touches a domain registry.
+    if (config_.profile) {
+      shard.window_start_s = wall_seconds_since(window_published_);
+    }
     run_phase(config_.profile, shard.window_run_s,
               [&] { shard.sim.run_until(end); });
     run_phase(config_.profile, shard.window_sample_s, [&] {
@@ -187,6 +190,7 @@ void ShardedSimulator::run_window(TimePoint end) {
       next_sample_ = next_sample_ + config_.sample_interval;
     }
   }
+  if (config_.profile) window_published_ = std::chrono::steady_clock::now();
   {
     std::lock_guard<std::mutex> lock(mu_);
     window_end_ = end;
@@ -347,12 +351,16 @@ void ShardedSimulator::record_profile_window(TimePoint end,
   // Coordinator-only, between barriers. A shard's barrier wait is the
   // slack between its own run and sample time and the whole window's
   // wall time (the slowest lane sets the pace; everyone else waited).
+  // Its start delay — wake-up plus queueing behind other shards — is a
+  // part of that wait.
   for (auto& shard : shards_) {
+    shard->start_s += shard->window_start_s;
     shard->run_s += shard->window_run_s;
     shard->sample_s += shard->window_sample_s;
     const double wait =
         window_wall_s - shard->window_run_s - shard->window_sample_s;
     if (wait > 0) shard->barrier_wait_s += wait;
+    shard->window_start_s = 0.0;
     shard->window_run_s = 0.0;
     shard->window_sample_s = 0.0;
   }
@@ -417,6 +425,7 @@ obs::ShardProfile ShardedSimulator::profile() const {
     lane.run_s = shard->run_s;
     lane.barrier_wait_s = shard->barrier_wait_s;
     lane.sample_s = shard->sample_s;
+    lane.start_s = shard->start_s;
     out.lanes.push_back(lane);
   }
   out.coordinator = coordinator_;

@@ -36,6 +36,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -237,17 +238,19 @@ class ShardedSimulator {
     std::unordered_map<EndpointId, std::uint64_t> next_seq;
     std::uint64_t posts_clamped{0};
     ObjectPool<Delivery> deliveries{256};
-    // Profiling state (null/zero unless config_.profile). window_run_s
-    // and window_sample_s are written by the thread that claims the
-    // shard inside the window and read by the coordinator after the
-    // barrier — never concurrently.
+    // Profiling state (null/zero unless config_.profile). window_start_s,
+    // window_run_s and window_sample_s are written by the thread that
+    // claims the shard inside the window and read by the coordinator
+    // after the barrier — never concurrently.
     std::unique_ptr<obs::EventProfiler> profiler;
     // Audit timeline (null unless config_.audit); fed by the claiming
     // thread inside windows, read by the coordinator after the run.
     std::unique_ptr<obs::DigestTimeline> auditor;
     std::uint32_t delivery_label{0};
+    double window_start_s{0.0};
     double window_run_s{0.0};
     double window_sample_s{0.0};
+    double start_s{0.0};
     double run_s{0.0};
     double sample_s{0.0};
     double barrier_wait_s{0.0};
@@ -321,6 +324,10 @@ class ShardedSimulator {
   std::uint64_t generation_{0};
   std::size_t done_count_{0};
   TimePoint window_end_{};
+  // When the coordinator published the window (profiling only): a lane's
+  // start_s runs from here to its claim. Written before the publishing
+  // lock, read by claimers after it.
+  std::chrono::steady_clock::time_point window_published_{};
   bool shutdown_{false};
   std::atomic<std::size_t> next_shard_{0};
 

@@ -1,6 +1,7 @@
 #include "spectrum/registry.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <memory>
 
@@ -129,12 +130,13 @@ Result<SpectrumGrant> Registry::grant_now(const GrantRequest& request) {
   g.operator_contact = request.operator_contact;
   g.secondary_use = request.secondary_use;
   g.coordination_node = request.coordination_node;
-  if (!lifetime_.is_zero()) {
-    g.expires_at = sim_.now() + lifetime_;
-    expiry_.push({(g.expires_at + grace_).ns(), g.id.value()});
-  }
-  slot_of_[g.id.value()] = grants_.size();
+  if (!lifetime_.is_zero()) g.expires_at = sim_.now() + lifetime_;
+  const std::size_t slot = grants_.size();
+  assert(slot < kNil && "expiry list indexes slots in 32 bits");
+  slot_of_[g.id.value()] = slot;
   grants_.push_back(g);
+  due_.emplace_back();
+  if (g.expires_at.ns() != 0) link_due(static_cast<std::uint32_t>(slot));
   index_.insert(registry::SiteEntry{g.id.value(), g.location,
                                     cached_range_m(g),
                                     g.center_frequency.hz(),
@@ -146,14 +148,42 @@ Result<SpectrumGrant> Registry::grant_now(const GrantRequest& request) {
 
 void Registry::erase_slot(std::size_t slot) {
   SpectrumGrant& g = grants_[slot];
+  if (g.expires_at.ns() != 0) unlink_due(static_cast<std::uint32_t>(slot));
   index_.erase(g.id.value(), g.location);
   slot_of_.erase(g.id.value());
   const std::size_t last = grants_.size() - 1;
   if (slot != last) {
     grants_[slot] = std::move(grants_[last]);
     slot_of_[grants_[slot].id.value()] = slot;
+    // The moved lease keeps its place in expiry order: repoint its
+    // neighbours (or the ends) at the new slot. Its old neighbour may
+    // have been `slot` itself, but that link went with the unlink above.
+    const DueLink moved = due_[last];
+    due_[slot] = moved;
+    if (grants_[slot].expires_at.ns() != 0) {
+      const auto at = static_cast<std::uint32_t>(slot);
+      (moved.prev == kNil ? due_head_ : due_[moved.prev].next) = at;
+      (moved.next == kNil ? due_tail_ : due_[moved.next].prev) = at;
+    }
   }
   grants_.pop_back();
+  due_.pop_back();
+}
+
+void Registry::link_due(std::uint32_t slot) {
+  const TimePoint at = grants_[slot].expires_at;
+  std::uint32_t prev = due_tail_;
+  while (prev != kNil && grants_[prev].expires_at > at) prev = due_[prev].prev;
+  const std::uint32_t next = prev == kNil ? due_head_ : due_[prev].next;
+  due_[slot] = DueLink{prev, next};
+  (prev == kNil ? due_head_ : due_[prev].next) = slot;
+  (next == kNil ? due_tail_ : due_[next].prev) = slot;
+}
+
+void Registry::unlink_due(std::uint32_t slot) {
+  const DueLink link = due_[slot];
+  (link.prev == kNil ? due_head_ : due_[link.prev].next) = link.next;
+  (link.next == kNil ? due_tail_ : due_[link.next].prev) = link.prev;
 }
 
 void Registry::set_tracer(obs::SpanTracer* tracer,
@@ -176,7 +206,15 @@ HeartbeatOutcome Registry::heartbeat_outcome(GrantId id) {
     // lease itself keeps aging — if the zone comes back inside the
     // grace window, the next heartbeat fully renews it.
     if (!reachable_for(g.location)) return HeartbeatOutcome::kUnreachable;
-    if (!lifetime_.is_zero()) g.expires_at = sim_.now() + lifetime_;
+    if (!lifetime_.is_zero()) {
+      // Move the lease to its new place in expiry order. A grant issued
+      // perpetual and renewed after a lifetime was set is linked here for
+      // the first time, so it lapses like any leased grant.
+      const auto slot = static_cast<std::uint32_t>(it->second);
+      if (g.expires_at.ns() != 0) unlink_due(slot);
+      g.expires_at = sim_.now() + lifetime_;
+      link_due(slot);
+    }
     g.degraded = false;
     return HeartbeatOutcome::kRenewed;
   }();
@@ -199,31 +237,25 @@ HeartbeatOutcome Registry::heartbeat_outcome(GrantId id) {
 void Registry::prune_expired() {
   // Leases expire in two steps: past `expires_at` the grant is merely
   // degraded (reported on copy-out, holder expected at conservative
-  // power); past `expires_at + grace` it lapses for good. The lazy heap
-  // makes mass expiry O(lapsed · log n): a popped entry whose recorded
-  // due predates a heartbeat renewal is simply re-queued at the live due.
-  const TimePoint now = sim_.now();
-  std::uint64_t lapsed_now = 0;
-  while (!expiry_.empty() && expiry_.top().first < now.ns()) {
-    const ExpiryEntry entry = expiry_.top();
-    expiry_.pop();
-    const auto it = slot_of_.find(entry.second);
-    if (it == slot_of_.end()) continue;  // Revoked since queued.
-    const SpectrumGrant& g = grants_[it->second];
-    if (g.expires_at.ns() == 0) continue;  // Became perpetual.
-    const std::int64_t due = (g.expires_at + grace_).ns();
-    if (due < now.ns()) {
-      erase_slot(it->second);
-      ++lapsed_now;
-    } else {
-      expiry_.push({due, entry.second});
-    }
+  // power); past `expires_at + grace` it lapses for good. The expiry
+  // list is in lapse order, so a prune that lapses nothing is one head
+  // check and a mass expiry walks only the lapsed prefix.
+  const std::int64_t now = sim_.now().ns();
+  const auto due_of = [this](std::uint32_t slot) {
+    return (grants_[slot].expires_at + grace_).ns();
+  };
+  if (due_head_ == kNil || due_of(due_head_) >= now) return;
+  // Erase in (due, id) order: list order breaks expiry ties by link time.
+  std::vector<std::pair<std::int64_t, std::uint64_t>> lapsing;
+  for (std::uint32_t slot = due_head_; slot != kNil && due_of(slot) < now;
+       slot = due_[slot].next) {
+    lapsing.emplace_back(due_of(slot), grants_[slot].id.value());
   }
-  if (lapsed_now > 0) {
-    lapsed_ += lapsed_now;
-    obs::inc(m_grants_lapsed_, lapsed_now);
-    obs::set(m_active_grants_, static_cast<double>(grants_.size()));
-  }
+  std::sort(lapsing.begin(), lapsing.end());
+  for (const auto& lapse : lapsing) erase_slot(slot_of_.at(lapse.second));
+  lapsed_ += lapsing.size();
+  obs::inc(m_grants_lapsed_, lapsing.size());
+  obs::set(m_active_grants_, static_cast<double>(grants_.size()));
 }
 
 int Registry::zone_of(Position location) {

@@ -15,9 +15,10 @@
 // async facade (request_grants / query_region) through the simulator.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
-#include <queue>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -151,7 +152,9 @@ class Registry {
   // Grants issued after this call carry a lease of `lifetime` and must be
   // renewed by heartbeat, or they lapse and vanish from queries — a dead
   // AP cannot haunt its neighbours' contention domains (§7's ecosystem-
-  // health concern). Zero restores perpetual grants (the default).
+  // health concern). A perpetual grant renewed after this call takes a
+  // lease too. Zero restores perpetual grants (the default); renewals
+  // then leave a lease's expiry where it is.
   void set_grant_lifetime(Duration lifetime) { lifetime_ = lifetime; }
   [[nodiscard]] Duration grant_lifetime() const { return lifetime_; }
   // Renews a lease; the outcome says whether it was renewed, the registry
@@ -295,6 +298,11 @@ class Registry {
   [[nodiscard]] double cached_range_m(const SpectrumGrant& grant) const;
   // Remove slot `slot` from grants_ + every side index (swap-pop).
   void erase_slot(std::size_t slot);
+  // Expiry-list maintenance (see due_). link_due inserts a slot whose
+  // expires_at is set, scanning back from the tail past later leases;
+  // unlink_due removes a linked slot.
+  void link_due(std::uint32_t slot);
+  void unlink_due(std::uint32_t slot);
   // A grant past expires_at (but inside grace) is degraded; computed on
   // copy-out so the stored flag needs no O(n) refresh pass.
   [[nodiscard]] bool degraded_now(const SpectrumGrant& grant,
@@ -322,14 +330,23 @@ class Registry {
   registry::SpatialIndex index_{kZoneSizeM};
   mutable std::map<std::pair<std::int64_t, std::int64_t>, double>
       range_cache_;  // (hz, milli-dBm) → interference reach.
-  // Lazy min-heap of (lapse-due ns, grant id): heartbeat renewals only
-  // move expires_at forward, so prune pops entries whose recorded due
-  // has passed and re-queues any grant whose live due moved later —
-  // mass expiry is O(k log n) instead of the old O(n²) erase loop.
-  using ExpiryEntry = std::pair<std::int64_t, std::uint64_t>;
-  std::priority_queue<ExpiryEntry, std::vector<ExpiryEntry>,
-                      std::greater<ExpiryEntry>>
-      expiry_;
+  // Expiry order: an intrusive doubly linked list over grant slots in
+  // ascending expires_at, `due_` parallel to grants_. A slot is linked
+  // exactly when its grant has a nonzero expires_at (perpetual grants
+  // never are). Lapse is `expires_at + grace_ < now` with one grace_ for
+  // every grant, so expiry order is lapse order at any grace. A renewal
+  // moves its lease to the tail in O(1) (the scan back from the tail
+  // stops at once while the lifetime is constant), and a prune that
+  // lapses nothing is one head check; mass expiry walks only the dead.
+  static constexpr std::uint32_t kNil =
+      std::numeric_limits<std::uint32_t>::max();
+  struct DueLink {
+    std::uint32_t prev{kNil};
+    std::uint32_t next{kNil};
+  };
+  std::vector<DueLink> due_;
+  std::uint32_t due_head_{kNil};  // Earliest expiry.
+  std::uint32_t due_tail_{kNil};  // Latest expiry.
   // WiFi BSS count per shared band, keyed by center frequency in hertz.
   std::map<std::int64_t, std::uint32_t> shared_bands_;
   std::vector<epc::PublishedKeys> published_;

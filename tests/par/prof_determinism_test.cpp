@@ -107,7 +107,8 @@ TEST(ProfDeterminism, ShardProfileDescribesTheRun) {
 
 // The coordinator's serial phases and each lane's sampling time are
 // timed apart from the shard run time; all are wall clock, so only their
-// presence and sign are checked.
+// presence and sign are checked — plus that a lane's start delay is a
+// part of its barrier wait.
 TEST(ProfDeterminism, CoordinatorPhasesAndLaneSamplingAreTimed) {
   TownConfig cfg = prof_town_config(4, 2);
   cfg.audit = true;
@@ -122,6 +123,8 @@ TEST(ProfDeterminism, CoordinatorPhasesAndLaneSamplingAreTimed) {
     EXPECT_GE(lane.sample_s, 0.0);
     EXPECT_GE(lane.run_s, 0.0);
     EXPECT_GE(lane.barrier_wait_s, 0.0);
+    EXPECT_GE(lane.start_s, 0.0);
+    EXPECT_LE(lane.start_s, lane.barrier_wait_s);
   }
   obs::ProfileDoc doc;
   doc.shard_profile = prof;
@@ -131,6 +134,7 @@ TEST(ProfDeterminism, CoordinatorPhasesAndLaneSamplingAreTimed) {
   EXPECT_NE(json.find("\"engine_sample_s\":"), std::string::npos);
   EXPECT_NE(json.find("\"audit_s\":"), std::string::npos);
   EXPECT_NE(json.find("\"sample_s\":"), std::string::npos);
+  EXPECT_NE(json.find("\"start_s\":"), std::string::npos);
 
   cfg.profile = false;
   ShardedTown quiet{cfg};

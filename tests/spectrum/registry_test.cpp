@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -330,8 +334,9 @@ TEST(Registry, RevokeKeepsSlotMapsConsistent) {
 }
 
 TEST(Registry, MassExpiryPrunesOnlyTheDead) {
-  // The lazy expiry heap: renewals move expires_at without re-pushing,
-  // so a mass prune must drop exactly the silent grants.
+  // The expiry list: renewals move their lease to the tail, so a mass
+  // prune walks the silent grants at the head and must drop exactly
+  // them.
   sim::Simulator sim;
   Registry reg{sim, RegistryKind::kCentralizedSas};
   reg.set_grant_lifetime(Duration::seconds(60.0));
@@ -470,6 +475,258 @@ TEST(Registry, CachedServeDropsGrantsLapsingBeforeServeTime) {
   sim.run_until(sim.now() + Duration::millis(100));
   EXPECT_TRUE(served.empty());
   EXPECT_EQ(reg.grants_lapsed(), 1u);
+}
+
+
+TEST(Registry, PerpetualGrantRenewedUnderALifetimeLapses) {
+  // A grant issued perpetual and renewed after set_grant_lifetime takes
+  // the lease the renewal stamps: once that lease (plus grace) runs out
+  // it lapses like any leased grant, rather than sitting degraded
+  // forever.
+  sim::Simulator sim;
+  Registry reg{sim, RegistryKind::kCentralizedSas};
+  auto g = reg.grant_now(band5_request(1, Position{}));
+  ASSERT_TRUE(g.ok());
+  EXPECT_EQ(g->expires_at.ns(), 0);
+  reg.set_grant_lifetime(Duration::seconds(60.0));
+  reg.set_heartbeat_grace(Duration::seconds(10.0));
+  sim.run_until(sim.now() + Duration::seconds(10.0));
+  ASSERT_EQ(reg.heartbeat_outcome(g->id), HeartbeatOutcome::kRenewed);
+  sim.run_until(sim.now() + Duration::seconds(65.0));  // t=75: in grace.
+  const auto degraded = reg.grants_near(Position{});
+  ASSERT_EQ(degraded.size(), 1u);
+  EXPECT_TRUE(degraded[0].degraded);
+  sim.run_until(sim.now() + Duration::seconds(10.0));  // t=85: past grace.
+  EXPECT_TRUE(reg.grants_near(Position{}).empty());
+  EXPECT_EQ(reg.grants_lapsed(), 1u);
+  EXPECT_EQ(reg.heartbeat_outcome(g->id), HeartbeatOutcome::kLapsed);
+}
+
+// The expiry list's splices, seen from outside: `offsets_s` grants, one
+// per offset (seconds after t=0, in issue order), each with a 100 s
+// lease and no grace. `alive(t)` steps the clock to t seconds, prunes
+// and returns the surviving ids in ascending order.
+struct ExpiryFixture {
+  explicit ExpiryFixture(const std::vector<double>& offsets_s) {
+    reg.set_grant_lifetime(Duration::seconds(100.0));
+    std::uint32_t ap = 0;
+    for (const double at : offsets_s) {
+      sim.run_until(TimePoint{} + Duration::seconds(at));
+      auto g = reg.grant_now(band5_request(++ap, Position{ap * 10.0, 0.0}));
+      ids.push_back(g->id.value());
+    }
+  }
+  std::vector<std::uint64_t> alive(double t_s) {
+    sim.run_until(TimePoint{} + Duration::seconds(t_s));
+    reg.prune_expired();
+    std::vector<std::uint64_t> out;
+    for (const SpectrumGrant& g : reg.grants()) out.push_back(g.id.value());
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+  sim::Simulator sim;
+  Registry reg{sim, RegistryKind::kCentralizedSas};
+  std::vector<std::uint64_t> ids;
+};
+
+TEST(RegistryExpiryList, RevokingHeadTailAndMiddleKeepsLapseOrder) {
+  ExpiryFixture f{{0.0, 1.0, 2.0, 3.0, 4.0}};  // Expire at 100..104 s.
+  const auto& id = f.ids;
+  f.reg.revoke(GrantId{id[0]});  // Head.
+  f.reg.revoke(GrantId{id[4]});  // Tail.
+  f.reg.revoke(GrantId{id[2]});  // Middle.
+  EXPECT_EQ(f.alive(100.5), (std::vector<std::uint64_t>{id[1], id[3]}));
+  // A new lease links behind the survivors: the list's tail is sound.
+  auto late = f.reg.grant_now(band5_request(9, Position{}));
+  ASSERT_TRUE(late.ok());  // Expires at 200.5 s.
+  EXPECT_EQ(f.alive(101.5), (std::vector<std::uint64_t>{id[3],
+                                                        late->id.value()}));
+  EXPECT_EQ(f.alive(103.5), (std::vector<std::uint64_t>{late->id.value()}));
+  EXPECT_EQ(f.alive(201.0), std::vector<std::uint64_t>{});
+  EXPECT_EQ(f.reg.grants_lapsed(), 3u);
+}
+
+TEST(RegistryExpiryList, ErasingTheLastSlotMovesNothing) {
+  ExpiryFixture f{{0.0, 1.0, 2.0}};
+  const auto& id = f.ids;
+  f.reg.revoke(GrantId{id[2]});  // Last slot and list tail: no swap.
+  ASSERT_EQ(f.reg.heartbeat_outcome(GrantId{id[0]}),
+            HeartbeatOutcome::kRenewed);  // Now expires at 102 s.
+  EXPECT_EQ(f.alive(101.5), (std::vector<std::uint64_t>{id[0]}));
+  EXPECT_EQ(f.alive(102.5), std::vector<std::uint64_t>{});
+  EXPECT_EQ(f.reg.grants_lapsed(), 2u);
+}
+
+TEST(RegistryExpiryList, SwappedInNeighbourKeepsItsPlace) {
+  // Erase a slot whose swap-pop replacement (the last slot) is its own
+  // list neighbour: successor by revoke, predecessor by revoke, then
+  // successor by lapse.
+  ExpiryFixture f{{0.0, 1.0, 2.0, 3.0}};  // a..d expire at 100..103 s.
+  const auto& id = f.ids;
+  const auto renew = [&](std::uint64_t grant, double t_s) {
+    f.sim.run_until(TimePoint{} + Duration::seconds(t_s));
+    ASSERT_EQ(f.reg.heartbeat_outcome(GrantId{grant}),
+              HeartbeatOutcome::kRenewed);
+  };
+  // Slots a b c d, list a b c d: d follows c and moves into c's slot.
+  f.reg.revoke(GrantId{id[2]});
+  // Slots a b d, list b d a after a renews: d precedes a and moves into
+  // a's slot.
+  renew(id[0], 60.0);  // a expires at 160 s.
+  f.reg.revoke(GrantId{id[0]});
+  EXPECT_EQ(f.alive(65.0), (std::vector<std::uint64_t>{id[1], id[3]}));
+  // Slots d b, list d b after b renews: d lapses at 103 s and b — its
+  // successor and the last slot — moves into d's slot.
+  renew(id[1], 70.0);  // b expires at 170 s.
+  EXPECT_EQ(f.alive(103.5), (std::vector<std::uint64_t>{id[1]}));
+  auto e = f.reg.grant_now(band5_request(9, Position{}));  // 203.5 s.
+  ASSERT_TRUE(e.ok());
+  EXPECT_EQ(f.alive(170.5), (std::vector<std::uint64_t>{e->id.value()}));
+  EXPECT_EQ(f.alive(204.0), std::vector<std::uint64_t>{});
+  EXPECT_EQ(f.reg.grants_lapsed(), 3u);
+}
+
+// Seeded reference model: random sequences of grants, heartbeats,
+// revokes, clock steps, lifetime changes (shrinks included) and grace
+// changes, with one federated zone going on and offline, checked after
+// every step against an O(n) scan over a plain map. The registry prunes
+// inside heartbeat_outcome and grants_near; the model prunes at exactly
+// those points, so grace changes lapse the same grants in both.
+class RegistryModel {
+ public:
+  explicit RegistryModel(std::uint64_t seed) : rng_(seed) {}
+
+  void run(int steps) {
+    for (int step = 0; step < steps; ++step) {
+      act();
+      check(step);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+
+ private:
+  // Grants straddle the x = 50 km zone boundary, well inside each
+  // other's reach, so one grants_near probe lists every live grant.
+  static constexpr double kBoundaryM = Registry::kZoneSizeM;
+  static Position probe() { return Position{kBoundaryM, 500.0}; }
+
+  struct Lease {
+    Position location;
+    std::int64_t expires_ns{0};  // Zero: perpetual.
+  };
+
+  std::uint64_t pick(std::uint64_t n) {
+    return std::uniform_int_distribution<std::uint64_t>{0, n - 1}(rng_);
+  }
+  Duration pick_seconds(std::initializer_list<double> choices) {
+    const auto* it = choices.begin() + pick(choices.size());
+    return Duration::seconds(*it);
+  }
+  std::int64_t now() const { return sim_.now().ns(); }
+  bool in_offline_zone(Position p) const {
+    return offline_ && Registry::zone_of(p) == Registry::zone_of(east_);
+  }
+  void model_prune() {
+    for (auto it = live_.begin(); it != live_.end();) {
+      const std::int64_t expires = it->second.expires_ns;
+      if (expires != 0 && expires + grace_.ns() < now()) {
+        lapsed_.insert(it->first);
+        it = live_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  // Any id ever issued (live, lapsed or revoked), or one never issued.
+  GrantId any_id() { return GrantId{1 + pick(next_id_)}; }
+
+  void act() {
+    const std::uint64_t op = pick(100);
+    if (op < 30) {
+      const bool east = pick(2) == 1;
+      const Position at{(east ? east_.x_m : kBoundaryM - 400.0) +
+                            static_cast<double>(pick(300)),
+                        static_cast<double>(pick(1'000))};
+      auto g = reg_.grant_now(band5_request(static_cast<std::uint32_t>(op),
+                                            at));
+      ASSERT_TRUE(g.ok());
+      ASSERT_EQ(g->id.value(), next_id_);
+      ++next_id_;
+      live_[g->id.value()] =
+          Lease{at, lifetime_.is_zero() ? 0 : (sim_.now() + lifetime_).ns()};
+    } else if (op < 60) {
+      const GrantId id = any_id();
+      const HeartbeatOutcome got = reg_.heartbeat_outcome(id);
+      model_prune();
+      HeartbeatOutcome want = HeartbeatOutcome::kRenewed;
+      const auto it = live_.find(id.value());
+      if (it == live_.end()) {
+        want = HeartbeatOutcome::kLapsed;
+      } else if (in_offline_zone(it->second.location)) {
+        want = HeartbeatOutcome::kUnreachable;
+      } else if (!lifetime_.is_zero()) {
+        it->second.expires_ns = (sim_.now() + lifetime_).ns();
+      }
+      ASSERT_EQ(got, want) << "heartbeat " << id.value();
+    } else if (op < 66) {
+      const GrantId id = any_id();
+      reg_.revoke(id);
+      if (live_.erase(id.value()) > 0) revoked_.insert(id.value());
+    } else if (op < 88) {
+      sim_.run_until(sim_.now() + pick_seconds({0.0, 1.0, 3.0, 7.0, 15.0}));
+    } else if (op < 93) {
+      // Shrinks (60 s → 5 s) make renewals link behind later leases.
+      lifetime_ = pick_seconds({0.0, 5.0, 20.0, 60.0});
+      reg_.set_grant_lifetime(lifetime_);
+    } else if (op < 97) {
+      grace_ = pick_seconds({0.0, 4.0, 30.0});
+      reg_.set_heartbeat_grace(grace_);
+    } else {
+      offline_ = !offline_;
+      reg_.set_zone_offline(Registry::zone_of(east_), offline_);
+    }
+  }
+
+  void check(int step) {
+    const std::vector<SpectrumGrant> near = reg_.grants_near(probe());
+    model_prune();
+    ASSERT_EQ(reg_.grant_count(), live_.size()) << "step " << step;
+    ASSERT_EQ(near.size(), live_.size()) << "step " << step;
+    ASSERT_EQ(reg_.grants_lapsed(), lapsed_.size()) << "step " << step;
+    std::set<std::uint64_t> gone;
+    for (std::uint64_t id = 1; id < next_id_; ++id) gone.insert(id);
+    for (const SpectrumGrant& g : near) {
+      const auto it = live_.find(g.id.value());
+      ASSERT_NE(it, live_.end()) << "step " << step << " id " << g.id.value();
+      EXPECT_EQ(g.expires_at.ns(), it->second.expires_ns) << "step " << step;
+      const bool degraded =
+          it->second.expires_ns != 0 && it->second.expires_ns < now();
+      EXPECT_EQ(g.degraded, degraded) << "step " << step;
+      gone.erase(g.id.value());
+    }
+    // What is neither live nor revoked lapsed: the same ids as the model.
+    for (const std::uint64_t id : revoked_) gone.erase(id);
+    ASSERT_EQ(gone, lapsed_) << "step " << step;
+  }
+
+  std::mt19937_64 rng_;
+  sim::Simulator sim_;
+  Registry reg_{sim_, RegistryKind::kFederated};
+  const Position east_{kBoundaryM + 100.0, 0.0};
+  Duration lifetime_{};
+  Duration grace_{};
+  bool offline_{false};
+  std::uint64_t next_id_{1};
+  std::map<std::uint64_t, Lease> live_;
+  std::set<std::uint64_t> lapsed_;
+  std::set<std::uint64_t> revoked_;
+};
+
+TEST(RegistryExpiryList, MatchesAScanModelOverSeededRuns) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 7u, 42u, 1234u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RegistryModel{seed}.run(2'000);
+  }
 }
 
 
