@@ -1,7 +1,9 @@
 #include "obs/audit.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
+#include <utility>
 
 namespace dlte::obs {
 
@@ -100,7 +102,7 @@ MultisetDigest digest_registry(const MetricsRegistry& registry) {
 }
 
 AuditDoc build_audit_doc(const std::vector<const DigestTimeline*>& timelines,
-                         const MessageLedger* ledger,
+                         const std::vector<const MessageLedger*>& ledgers,
                          std::vector<AuditDoc::MetricWindow> metric_windows) {
   AuditDoc doc;
   doc.shards = timelines.size();
@@ -112,7 +114,8 @@ AuditDoc build_audit_doc(const std::vector<const DigestTimeline*>& timelines,
     doc.window_ns = timeline->window_ns();
     window_count = std::max(window_count, timeline->windows().size());
   }
-  if (ledger != nullptr) {
+  for (const MessageLedger* ledger : ledgers) {
+    if (ledger == nullptr) continue;
     doc.window_ns = doc.window_ns == 0 ? ledger->window_ns() : doc.window_ns;
     if (!ledger->windows().empty()) {
       const std::int64_t last = ledger->windows().rbegin()->first;
@@ -136,13 +139,26 @@ AuditDoc build_audit_doc(const std::vector<const DigestTimeline*>& timelines,
     }
     doc.events_total += timeline->events_total();
   }
-  if (ledger != nullptr) {
+  // Ledger pairs by window, folded across the per-destination ledgers.
+  // A pair lives in its destination's ledger only, so no cell is folded
+  // twice and each keeps its own injection-order chain.
+  std::map<std::int64_t,
+           std::map<std::pair<std::uint32_t, std::uint32_t>,
+                    MessageLedger::PairCell>>
+      pairs;
+  for (const MessageLedger* ledger : ledgers) {
+    if (ledger == nullptr) continue;
     for (const auto& [index, window] : ledger->windows()) {
       auto& merged = doc.merged[static_cast<std::size_t>(index)];
       merged.messages += window.messages;
       merged.messages_digest.merge(window.all);
+      auto& cells = pairs[index];
+      for (const auto& [key, cell] : window.pairs) {
+        [[maybe_unused]] const bool fresh = cells.emplace(key, cell).second;
+        assert(fresh && "a shard pair spans two ledgers");
+      }
     }
-    doc.messages_total = ledger->messages_total();
+    doc.messages_total += ledger->messages_total();
   }
 
   // Per-shard section: chains and per-label digests, labels resolved to
@@ -176,14 +192,12 @@ AuditDoc build_audit_doc(const std::vector<const DigestTimeline*>& timelines,
     doc.shard_timelines.push_back(std::move(shard));
   }
 
-  if (ledger != nullptr) {
-    for (const auto& [index, window] : ledger->windows()) {
-      AuditDoc::LedgerWindow out;
-      out.index = index;
-      out.pairs.reserve(window.pairs.size());
-      for (const auto& [key, cell] : window.pairs) out.pairs.push_back(cell);
-      doc.ledger.push_back(std::move(out));
-    }
+  for (const auto& [index, cells] : pairs) {
+    AuditDoc::LedgerWindow out;
+    out.index = index;
+    out.pairs.reserve(cells.size());
+    for (const auto& [key, cell] : cells) out.pairs.push_back(cell);
+    doc.ledger.push_back(std::move(out));
   }
   return doc;
 }

@@ -7,12 +7,12 @@
 // CI job) can only say "differs" — this plane says WHERE. A
 // DigestTimeline rides next to the EventProfiler hook in the engine and
 // folds every executed event's (when, seq, label) into fixed windows of
-// simulated time; a MessageLedger does the same for every cross-shard
-// message a barrier exchange injects. tools/audit_diff.py then compares
-// two audit documents window by window and names the first divergent
-// window, the shard(s) whose chains split, and the event labels whose
-// digests moved — the simulation equivalent of drive-test localization
-// in an operational LTE network.
+// simulated time; a MessageLedger per destination shard does the same
+// for every cross-shard message injected into that shard.
+// tools/audit_diff.py then compares two audit documents window by window
+// and names the first divergent window, the shard(s) whose chains split,
+// and the event labels whose digests moved — the simulation equivalent
+// of drive-test localization in an operational LTE network.
 //
 // Digest algebra. Two kinds of fold, chosen per section:
 //
@@ -176,8 +176,8 @@ class DigestTimeline {
 
 // ---- Cross-shard message ledger --------------------------------------
 
-// Every message a barrier exchange injects, digested twice per audit
-// window (windowed by deliver_at on the same t=0 grid):
+// Every message injected into one destination shard, digested twice per
+// audit window (windowed by deliver_at on the same t=0 grid):
 //
 //   * merged — multiset over H(deliver_at, src, seq, kind, payload).
 //     The global message multiset is partition-invariant (src is a
@@ -188,7 +188,11 @@ class DigestTimeline {
 //     lives in the per-shard section; a reordered injection shows up
 //     here and nowhere in the metrics.
 //
-// obs knows nothing about par: the runtime passes raw shard indices.
+// The runtime keeps one ledger per destination shard, fed by the thread
+// that injects into it, and build_audit_doc folds them: counts add,
+// multisets merge, and each (src, dst) pair chain lives in exactly one
+// ledger — its destination's. obs knows nothing about par: the runtime
+// passes raw shard indices.
 class MessageLedger {
  public:
   struct PairCell {
@@ -207,7 +211,8 @@ class MessageLedger {
   explicit MessageLedger(std::int64_t window_ns)
       : window_ns_(window_ns > 0 ? window_ns : 1) {}
 
-  // Called at the barrier, in global injection order (single-threaded).
+  // Called in injection order: the global message order filtered to this
+  // ledger's destination shard.
   void on_message(std::int64_t deliver_at_ns, std::uint64_t src_endpoint,
                   std::uint64_t seq, std::uint16_t kind,
                   const std::uint8_t* payload, std::size_t payload_len,
@@ -289,14 +294,15 @@ struct AuditDoc {
   std::vector<LedgerWindow> ledger;
 };
 
-// Fold per-shard timelines + the ledger + per-window metric digests
-// into one AuditDoc. `timelines` may contain shards that executed
-// nothing (their windows simply contribute identity digests — the
-// empty-shard fold is a no-op, like EventProfiler::merge_from of an
-// empty profiler). `ledger` may be null (no cross-shard plane).
+// Fold per-shard timelines + the per-destination ledgers + per-window
+// metric digests into one AuditDoc. `timelines` may contain shards that
+// executed nothing (their windows simply contribute identity digests —
+// the empty-shard fold is a no-op, like EventProfiler::merge_from of an
+// empty profiler). `ledgers` may be empty (no cross-shard plane) or hold
+// nulls; no two of them may hold the same (src, dst) pair.
 [[nodiscard]] AuditDoc build_audit_doc(
     const std::vector<const DigestTimeline*>& timelines,
-    const MessageLedger* ledger,
+    const std::vector<const MessageLedger*>& ledgers,
     std::vector<AuditDoc::MetricWindow> metric_windows);
 
 }  // namespace dlte::obs

@@ -107,23 +107,26 @@ class EventProfiler {
 
 // ---- Layer 2: wall-clock shard profile (NOT byte-compared) -----------
 
-// One shard's lane: how its wall time splits between running windows,
-// sampling its series at the window's end (on the same thread) and
-// waiting for the barrier. `start_s` is the part of the barrier wait
-// from the window's publication to a thread starting this shard:
-// wake-up plus queueing behind other shards. `events / windows` is the
+// One shard's lane: how its wall time splits between injecting its
+// inbound messages at the window's start, running windows, sampling its
+// series at the window's end (all on the claiming thread) and waiting
+// for the barrier. `start_s` is the part of the barrier wait from the
+// window's publication to a thread starting this shard: wake-up plus
+// queueing behind other shards. `events / windows` is the
 // lookahead efficiency — how much work each conservative window
 // actually carries.
 struct ShardLane {
   std::uint64_t events{0};
+  double inject_s{0.0};
   double run_s{0.0};
   double barrier_wait_s{0.0};
   double sample_s{0.0};
   double start_s{0.0};
 };
 
-// The coordinator's serial work between windows, by phase: the barrier
-// exchange, the engine sampler (sim.queue_depth) and the audit seal.
+// The coordinator's serial work, by phase: the closing injection at the
+// end of each run_until call (`exchange_s`), and between windows the
+// engine sampler (sim.queue_depth) and the audit seal.
 struct CoordinatorPhases {
   double exchange_s{0.0};
   double engine_sample_s{0.0};

@@ -51,6 +51,7 @@ void shard_profile_object(JsonWriter& w, const ShardProfile& profile) {
     w.begin_object();
     w.key("shard").value(std::uint64_t{i});
     w.key("events").value(lane.events);
+    w.key("inject_s").value(lane.inject_s);
     w.key("run_s").value(lane.run_s);
     w.key("barrier_wait_s").value(lane.barrier_wait_s);
     w.key("sample_s").value(lane.sample_s);

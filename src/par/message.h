@@ -3,12 +3,14 @@
 //
 // Everything a shard wants another shard to see — an X2 PDU, a packet
 // leaving through an egress portal, a control notification — is frozen
-// into one of these, parked in the posting shard's outbox, and injected
-// into the destination shard's event queue at the next barrier. The
+// into one of these, parked in the posting shard's outbox under its
+// destination shard, and injected into that shard's event queue at the
+// start of the next window, by the thread that claims the shard. The
 // merge key (deliver_at, src, seq) is deliberately free of any shard
 // identity: src is a stable endpoint id and seq counts that endpoint's
-// posts, so the globally sorted injection order is the same at every
-// shard count — the heart of the byte-identical-replay guarantee.
+// posts, so each shard's sorted injection order is the global order
+// filtered to that shard, the same at every shard count — the heart of
+// the byte-identical-replay guarantee.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +36,7 @@ struct Message {
   std::vector<std::uint8_t> payload;
 };
 
-// Deterministic global injection order: earliest delivery first, then by
+// Deterministic injection order: earliest delivery first, then by
 // source endpoint, then by that source's posting order. Strict weak
 // ordering over distinct messages (an endpoint never reuses a seq).
 inline bool message_order(const Message& a, const Message& b) {

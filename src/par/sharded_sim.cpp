@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <exception>
 #include <limits>
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/merge.h"
@@ -63,6 +66,11 @@ ShardedSimulator::ShardedSimulator(ShardedConfig config)
     if (config_.profile) {
       shard->delivery_label = shard->sim.label("par.delivery");
     }
+    if (config_.audit) {
+      shard->ledger =
+          std::make_unique<obs::MessageLedger>(config_.audit_window.ns());
+    }
+    for (auto& parity : shard->outbox) parity.resize(config_.shards);
     shards_.push_back(std::move(shard));
   }
   if (config_.profile) {
@@ -70,7 +78,6 @@ ShardedSimulator::ShardedSimulator(ShardedConfig config)
     matrix_bytes_.assign(config_.shards * config_.shards, 0);
   }
   if (config_.audit) {
-    ledger_ = std::make_unique<obs::MessageLedger>(config_.audit_window.ns());
     next_audit_boundary_ = TimePoint{} + config_.audit_window;
   }
   if (config_.sample_interval.ns() > 0) {
@@ -115,28 +122,42 @@ void ShardedSimulator::register_endpoint(EndpointId ep, std::size_t shard,
   endpoints_[ep] = Endpoint{shard, std::move(handler)};
 }
 
-std::size_t ShardedSimulator::owner_of(EndpointId ep) const {
+const ShardedSimulator::Endpoint& ShardedSimulator::endpoint(
+    EndpointId ep) const {
   const auto it = endpoints_.find(ep);
-  assert(it != endpoints_.end() && "unregistered endpoint");
-  return it->second.shard;
+  if (it == endpoints_.end()) {
+    throw std::out_of_range("par: unregistered endpoint " +
+                            std::to_string(ep));
+  }
+  return it->second;
+}
+
+std::size_t ShardedSimulator::owner_of(EndpointId ep) const {
+  return endpoint(ep).shard;
 }
 
 void ShardedSimulator::post(EndpointId src, EndpointId dst, Duration delay,
                             std::uint16_t kind,
                             std::vector<std::uint8_t> payload) {
-  Shard& shard = *shards_[owner_of(src)];
+  const std::size_t src_shard = owner_of(src);
+  const Endpoint& to = endpoint(dst);
+  Shard& shard = *shards_[src_shard];
   if (delay < config_.lookahead) {
     delay = config_.lookahead;
     ++shard.posts_clamped;
   }
-  Message msg;
-  msg.src = src;
-  msg.dst = dst;
-  msg.deliver_at = shard.sim.now() + delay;
-  msg.seq = shard.next_seq[src]++;
-  msg.kind = kind;
-  msg.payload = std::move(payload);
-  shard.outbox.push_back(std::move(msg));
+  Posted& posted = shard.outbox[fill_][to.shard].emplace_back();
+  posted.msg.src = src;
+  posted.msg.dst = dst;
+  posted.msg.deliver_at = shard.sim.now() + delay;
+  posted.msg.seq = shard.next_seq[src]++;
+  posted.msg.kind = kind;
+  posted.msg.payload = std::move(payload);
+  posted.endpoint = &to;
+  posted.src_shard = static_cast<std::uint32_t>(src_shard);
+  ++shard.in_flight;
+  shard.in_flight_earliest_ns =
+      std::min(shard.in_flight_earliest_ns, posted.msg.deliver_at.ns());
 }
 
 void ShardedSimulator::run_shards(TimePoint end) {
@@ -144,13 +165,15 @@ void ShardedSimulator::run_shards(TimePoint end) {
     const std::size_t i = next_shard_.fetch_add(1);
     if (i >= shards_.size()) return;
     Shard& shard = *shards_[i];
-    // Only the claiming thread touches shard i inside the window; the
-    // coordinator reads its window_* times after the barrier. Sampling
-    // here reads the same values the barrier would: exchange() only
-    // schedules events and never touches a domain registry.
+    // Only the claiming thread runs shard i inside the window; other
+    // claimers touch only its outbox's drain parity, each in its own
+    // destination's column. The coordinator reads its window_* times
+    // after the barrier. Sampling here reads the same values the barrier
+    // would: nothing between windows touches a domain registry.
     if (config_.profile) {
       shard.window_start_s = wall_seconds_since(window_published_);
     }
+    run_phase(config_.profile, shard.window_inject_s, [&] { inject(i); });
     run_phase(config_.profile, shard.window_run_s,
               [&] { shard.sim.run_until(end); });
     run_phase(config_.profile, shard.window_sample_s, [&] {
@@ -172,9 +195,19 @@ void ShardedSimulator::worker_loop() {
       seen_generation = generation_;
       end = window_end_;
     }
-    run_shards(end);
+    // An exception must not end the program from this thread: hand the
+    // first one to the coordinator, which rethrows it after the barrier.
+    std::exception_ptr failure;
+    try {
+      run_shards(end);
+    } catch (...) {
+      failure = std::current_exception();
+    }
     {
       std::lock_guard<std::mutex> lock(mu_);
+      if (failure != nullptr && worker_failure_ == nullptr) {
+        worker_failure_ = failure;
+      }
       if (++done_count_ == workers_.size()) cv_done_.notify_one();
     }
   }
@@ -200,70 +233,109 @@ void ShardedSimulator::run_window(TimePoint end) {
   }
   cv_work_.notify_all();
   // The coordinator claims shards beside the workers, then waits for the
-  // ones still running theirs.
-  run_shards(end);
+  // ones still running theirs, even when its own claim threw.
+  std::exception_ptr failure;
+  try {
+    run_shards(end);
+  } catch (...) {
+    failure = std::current_exception();
+  }
   std::unique_lock<std::mutex> lock(mu_);
   cv_done_.wait(lock, [this] { return done_count_ == workers_.size(); });
+  std::exception_ptr worker_failure = std::exchange(worker_failure_, nullptr);
+  if (failure == nullptr) failure = std::move(worker_failure);
+  if (failure != nullptr) std::rethrow_exception(failure);
 }
 
-void ShardedSimulator::exchange() {
-  // Single-threaded (all workers parked at the barrier): gather every
-  // shard's outbox, order globally, inject. The injection order fixes
-  // the tie-break sequence numbers in the destination simulators, so it
-  // must be — and is — independent of the partition.
-  std::vector<Message> batch;
-  for (auto& shard : shards_) {
-    if (shard->outbox.empty()) continue;
-    batch.insert(batch.end(),
-                 std::make_move_iterator(shard->outbox.begin()),
-                 std::make_move_iterator(shard->outbox.end()));
-    shard->outbox.clear();
+std::int64_t ShardedSimulator::earliest_pending_ns() const {
+  std::int64_t earliest = kNever;
+  for (const auto& shard : shards_) {
+    earliest = std::min({earliest, shard->sim.next_event_time().ns(),
+                         shard->in_flight_earliest_ns});
   }
   if (inject_held_ != nullptr) {
-    // Deliberate divergence (test hook), step 2: the message captured at
-    // the previous barrier rejoins the stream one exchange late.
-    batch.push_back(std::move(*inject_held_));
+    earliest = std::min(earliest, inject_held_->msg.deliver_at.ns());
+  }
+  return earliest;
+}
+
+std::uint64_t ShardedSimulator::pending_work() const {
+  std::uint64_t pending = inject_held_ != nullptr ? 1 : 0;
+  for (const auto& shard : shards_) {
+    pending += shard->sim.pending_events() + shard->in_flight;
+  }
+  return pending;
+}
+
+void ShardedSimulator::flip_outboxes() {
+  // Coordinator-only, between windows: every claimer has drained the old
+  // drain parity, so it becomes the fill parity, and the posts still in
+  // flight are the ones the next window injects.
+  fill_ ^= 1;
+  for (auto& shard : shards_) {
+    shard->in_flight = 0;
+    shard->in_flight_earliest_ns = kNever;
+  }
+}
+
+void ShardedSimulator::inject(std::size_t dst) {
+  // Run by the thread that claimed `dst` (or by the coordinator between
+  // windows). The other threads only append to the fill parity, so the
+  // drain parity's column `dst` is this thread's alone. The messages come
+  // out in the global message_order filtered to `dst`, which fixes the
+  // tie-break sequence numbers the destination engine hands out — the
+  // same at every shard and thread count.
+  Shard& shard = *shards_[dst];
+  std::vector<Posted>& inbox = shard.inbox;
+  const std::size_t drain = fill_ ^ 1;
+  for (auto& src : shards_) {
+    std::vector<Posted>& from = src->outbox[drain][dst];
+    inbox.insert(inbox.end(), std::make_move_iterator(from.begin()),
+                 std::make_move_iterator(from.end()));
+    from.clear();
+  }
+  const bool hooked = dst == inject_dst_;
+  if (hooked && inject_held_ != nullptr) {
+    // Deliberate divergence (test hook), step 2: the message captured by
+    // the previous injection rejoins the stream one window late.
+    inbox.push_back(std::move(*inject_held_));
     inject_held_.reset();
   }
-  if (batch.empty()) return;
-  std::sort(batch.begin(), batch.end(), message_order);
-  if (inject_armed_) {
+  if (inbox.empty()) return;
+  std::sort(inbox.begin(), inbox.end(),
+            [](const Posted& a, const Posted& b) {
+              return message_order(a.msg, b.msg);
+            });
+  if (hooked && inject_armed_) {
     // Deliberate divergence (test hook), step 1: pull the first message
-    // for the target shard past the trigger time out of its barrier —
-    // exactly the missed-window bug a broken lookahead or an unseeded
-    // reorder in a future partitioner would introduce.
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (endpoints_.at(batch[i].dst).shard != inject_dst_) continue;
-      if (batch[i].deliver_at < inject_after_) continue;
-      inject_held_ = std::make_unique<Message>(std::move(batch[i]));
-      batch.erase(batch.begin() + static_cast<std::ptrdiff_t>(i));
+    // past the trigger time out of its injection — exactly the
+    // missed-window bug a broken lookahead or an unseeded reorder in a
+    // future partitioner would introduce.
+    const auto it = std::find_if(
+        inbox.begin(), inbox.end(),
+        [this](const Posted& p) { return p.msg.deliver_at >= inject_after_; });
+    if (it != inbox.end()) {
+      inject_held_ = std::make_unique<Posted>(std::move(*it));
+      inbox.erase(it);
       inject_armed_ = false;
-      break;
     }
-    if (batch.empty()) return;
   }
-  messages_ += batch.size();
-  max_exchange_ = std::max(max_exchange_, batch.size());
-  for (Message& msg : batch) {
-    // Node-stable map: the Endpoint address outlives the run.
-    const Endpoint* endpoint = &endpoints_.at(msg.dst);
-    Shard& shard = *shards_[endpoint->shard];
-    if (ledger_ != nullptr) {
-      ledger_->on_message(
-          msg.deliver_at.ns(), msg.src, msg.seq, msg.kind,
-          msg.payload.data(), msg.payload.size(),
-          static_cast<std::uint32_t>(owner_of(msg.src)),
-          static_cast<std::uint32_t>(endpoint->shard));
+  for (Posted& posted : inbox) {
+    const Message& msg = posted.msg;
+    if (shard.ledger != nullptr) {
+      shard.ledger->on_message(msg.deliver_at.ns(), msg.src, msg.seq,
+                               msg.kind, msg.payload.data(),
+                               msg.payload.size(), posted.src_shard,
+                               static_cast<std::uint32_t>(dst));
     }
     if (config_.profile) {
-      const std::size_t cell =
-          owner_of(msg.src) * shards_.size() + endpoint->shard;
+      const std::size_t cell = posted.src_shard * shards_.size() + dst;
       ++matrix_messages_[cell];
       matrix_bytes_[cell] += msg.payload.size();
     }
     Delivery* delivery = shard.deliveries.acquire();
-    delivery->msg = std::move(msg);
-    delivery->endpoint = endpoint;
+    delivery->msg = std::move(posted.msg);
+    delivery->endpoint = posted.endpoint;
     delivery->home = &shard;
     shard.sim.schedule_at(
         delivery->msg.deliver_at,
@@ -273,19 +345,29 @@ void ShardedSimulator::exchange() {
         },
         shard.delivery_label);
   }
+  shard.injected += inbox.size();
+  inbox.clear();
+}
+
+void ShardedSimulator::count_injected() {
+  std::uint64_t batch = 0;
+  for (auto& shard : shards_) {
+    batch += shard->injected;
+    shard->injected = 0;
+  }
+  messages_ += batch;
+  max_exchange_ = std::max(max_exchange_, batch);
 }
 
 void ShardedSimulator::emit_samples(TimePoint up_to) {
   // The shards' own samplers ran on their claiming threads; the engine
-  // sampler stays here because it sums the queues exchange() filled.
+  // sampler stays here because it sums over every shard.
   if (engine_sampler_ != nullptr) {
     while (next_engine_sample_ <= up_to) {
       // Global pending count: the partition decides which shard holds a
       // future event, never whether it exists, so the sum at a barrier
       // is invariant — safe inside the compared merged series.
-      std::uint64_t pending = 0;
-      for (const auto& shard : shards_) pending += shard->sim.pending_events();
-      engine_queue_depth_->set(static_cast<double>(pending));
+      engine_queue_depth_->set(static_cast<double>(pending_work()));
       engine_sampler_->sample(next_engine_sample_);
       next_engine_sample_ = next_engine_sample_ + engine_interval_;
     }
@@ -308,14 +390,8 @@ void ShardedSimulator::audit_tick(TimePoint end) {
 
 void ShardedSimulator::run_until(TimePoint horizon) {
   const std::int64_t window_ns = config_.lookahead.ns();
-  // Drain setup-time posts so messages due inside the first window are
-  // already in place before it runs.
-  run_phase(config_.profile, coordinator_.exchange_s, [this] { exchange(); });
   while (now_ < horizon) {
-    std::int64_t earliest = kNever;
-    for (const auto& shard : shards_) {
-      earliest = std::min(earliest, shard->sim.next_event_time().ns());
-    }
+    const std::int64_t earliest = earliest_pending_ns();
     TimePoint end;
     if (earliest > horizon.ns()) {
       // Nothing due before the horizon: one final (possibly empty)
@@ -331,11 +407,11 @@ void ShardedSimulator::run_until(TimePoint horizon) {
       if (end_ns <= now_.ns()) end_ns = now_.ns() + window_ns;
       end = TimePoint::from_ns(std::min(horizon.ns(), end_ns));
     }
+    flip_outboxes();
     double window_wall_s = 0.0;
     run_phase(config_.profile, window_wall_s, [this, end] { run_window(end); });
+    count_injected();
     if (config_.profile) record_profile_window(end, window_wall_s);
-    run_phase(config_.profile, coordinator_.exchange_s,
-              [this] { exchange(); });
     run_phase(config_.profile, coordinator_.engine_sample_s,
               [this, end] { emit_samples(end); });
     run_phase(config_.profile, coordinator_.audit_s,
@@ -343,24 +419,33 @@ void ShardedSimulator::run_until(TimePoint horizon) {
     now_ = end;
     ++windows_;
   }
+  // Inject what the last window (or the caller, before this call) posted,
+  // so every posted message sits in its destination queue on return.
+  run_phase(config_.profile, coordinator_.exchange_s, [this] {
+    flip_outboxes();
+    for (std::size_t dst = 0; dst < shards_.size(); ++dst) inject(dst);
+    count_injected();
+  });
   flush_metrics();
 }
 
 void ShardedSimulator::record_profile_window(TimePoint end,
                                              double window_wall_s) {
   // Coordinator-only, between barriers. A shard's barrier wait is the
-  // slack between its own run and sample time and the whole window's
-  // wall time (the slowest lane sets the pace; everyone else waited).
-  // Its start delay — wake-up plus queueing behind other shards — is a
-  // part of that wait.
+  // slack between its own inject, run and sample time and the whole
+  // window's wall time (the slowest lane sets the pace; everyone else
+  // waited). Its start delay — wake-up plus queueing behind other
+  // shards — is a part of that wait.
   for (auto& shard : shards_) {
     shard->start_s += shard->window_start_s;
+    shard->inject_s += shard->window_inject_s;
     shard->run_s += shard->window_run_s;
     shard->sample_s += shard->window_sample_s;
-    const double wait =
-        window_wall_s - shard->window_run_s - shard->window_sample_s;
+    const double wait = window_wall_s - shard->window_inject_s -
+                        shard->window_run_s - shard->window_sample_s;
     if (wait > 0) shard->barrier_wait_s += wait;
     shard->window_start_s = 0.0;
+    shard->window_inject_s = 0.0;
     shard->window_run_s = 0.0;
     shard->window_sample_s = 0.0;
   }
@@ -372,8 +457,8 @@ void ShardedSimulator::record_profile_window(TimePoint end,
     sample.shard_events.push_back(shard->sim.events_executed());
   }
   sample.messages = messages_;
+  sample.queue_depth = pending_work();
   for (const auto& shard : shards_) {
-    sample.queue_depth += shard->sim.pending_events();
     sample.queue_resizes += shard->sim.queue_resizes();
   }
   prof_samples_.push_back(std::move(sample));
@@ -392,9 +477,14 @@ void ShardedSimulator::record_profile_window(TimePoint end,
 obs::AuditDoc ShardedSimulator::audit_doc() const {
   if (!config_.audit) return obs::AuditDoc{};
   std::vector<const obs::DigestTimeline*> timelines;
+  std::vector<const obs::MessageLedger*> ledgers;
   timelines.reserve(shards_.size());
-  for (const auto& shard : shards_) timelines.push_back(shard->auditor.get());
-  return obs::build_audit_doc(timelines, ledger_.get(), metric_windows_);
+  ledgers.reserve(shards_.size());
+  for (const auto& shard : shards_) {
+    timelines.push_back(shard->auditor.get());
+    ledgers.push_back(shard->ledger.get());
+  }
+  return obs::build_audit_doc(timelines, ledgers, metric_windows_);
 }
 
 void ShardedSimulator::inject_exchange_reorder(TimePoint after,
@@ -422,6 +512,7 @@ obs::ShardProfile ShardedSimulator::profile() const {
   for (const auto& shard : shards_) {
     obs::ShardLane lane;
     lane.events = shard->sim.events_executed();
+    lane.inject_s = shard->inject_s;
     lane.run_s = shard->run_s;
     lane.barrier_wait_s = shard->barrier_wait_s;
     lane.sample_s = shard->sample_s;

@@ -3,12 +3,13 @@
 // A ShardedSimulator owns N independent sim::Simulator instances
 // ("shards") and advances them together in conservative bounded-lookahead
 // windows: every shard runs [t, t+L] in parallel, then all shards stop at
-// a barrier where cross-shard messages are exchanged, then the next
-// window starts. The window width L is the minimum latency of any
-// cross-shard interaction (post() refuses shorter delays), so no message
-// posted during a window can be due inside it — each shard can run its
-// window without hearing from the others, the classic conservative-PDES
-// lookahead argument.
+// a barrier, then the next window starts. A message posted in one window
+// is injected into its destination shard's queue at the start of the
+// next, by the thread that claims that shard. The window width L is the
+// minimum latency of any cross-shard interaction (post() refuses shorter
+// delays), so no message posted during a window can be due inside it —
+// each shard can run its window without hearing from the others, the
+// classic conservative-PDES lookahead argument.
 //
 // Determinism is stronger than "same seed, same thread count": a run is
 // byte-identical at ANY shard count and ANY worker-thread count, because
@@ -17,29 +18,37 @@
 //      not depend on the partition;
 //   2. the window grid is fixed multiples of L from t=0 — never derived
 //      from the partition;
-//   3. messages collected at a barrier are injected in the global
-//      (deliver_at, src endpoint, per-source seq) order, which no shard
-//      or thread identity can perturb;
+//   3. the messages posted in a window are injected into each shard in
+//      the global (deliver_at, src endpoint, per-source seq) order
+//      filtered to that shard, which no shard or thread identity can
+//      perturb;
 //   4. per-shard observability (domain registries, series samplers) uses
 //      shard-unique metric names (per-AP prefixes) and merges by name.
 //
 // Threading model (ThreadSanitizer-clean by construction): the
 // coordinator (the run_until caller) plus a pool of threads − 1 workers;
 // within a window each of them claims shards through one atomic counter,
-// so each shard is run by exactly one thread and touched by no one else.
-// The claiming thread also samples its shard's series at every sample
-// point the window reached, right after running it. The coordinator
-// touches a shard it did not claim only between windows, with the
-// barrier mutex ordering every hand-off; between windows it keeps the
-// serial phases: exchange, the engine sampler and the audit seal.
-// post() appends only to the posting shard's own outbox.
+// so each shard is run by exactly one thread. The claiming thread first
+// injects the shard's inbound messages, gathered from every shard's
+// outbox, then runs the window, then samples the shard's series at every
+// sample point the window reached. post() appends to the posting shard's
+// outbox for the current parity; the claimers drain the other parity,
+// which the last window filled, and the coordinator flips the two between
+// windows — the barrier's mutex orders every such hand-off. Between
+// windows the coordinator keeps two serial phases: the engine sampler and
+// the audit seal. run_until ends by injecting whatever the last window
+// posted, so every posted message sits in its destination queue when it
+// returns.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -78,9 +87,10 @@ struct ShardedConfig {
   // samples, and the shard-pair message matrix (not deterministic).
   bool profile{false};
   // Enable the determinism audit plane (DESIGN.md §15): per-shard
-  // DigestTimelines on the engine execute hook, the cross-shard message
-  // ledger at every barrier exchange, and per-window metric-state
-  // digests. audit_window is the digest window width on the t=0 grid.
+  // DigestTimelines on the engine execute hook, a message ledger per
+  // destination shard fed at every injection, and per-window
+  // metric-state digests. audit_window is the digest window width on
+  // the t=0 grid.
   bool audit{false};
   Duration audit_window{Duration::millis(250)};
   // Simulated-time cadence for the coordinator's ENGINE sampler (the
@@ -111,17 +121,21 @@ class ShardedSimulator {
   // Declare that endpoint `ep` lives on `shard`; cross-shard messages
   // addressed to it run `handler` there. Call before run_until().
   void register_endpoint(EndpointId ep, std::size_t shard, Handler handler);
+  // Throws std::out_of_range naming `ep` if it was never registered.
   [[nodiscard]] std::size_t owner_of(EndpointId ep) const;
 
   // Post a message from `src` (must be called from the owning shard's
   // event context, or before the run starts). Delivery is at
   // now + max(delay, lookahead); a shorter delay is clamped up and
-  // counted under par.posts_clamped.
+  // counted under par.posts_clamped. Both endpoints are resolved here:
+  // an unregistered `src` or `dst` throws std::out_of_range.
   void post(EndpointId src, EndpointId dst, Duration delay,
             std::uint16_t kind, std::vector<std::uint8_t> payload);
 
   // Advance every shard to `horizon` through the barrier-window loop.
-  // Callable repeatedly; the window grid stays anchored at t=0.
+  // Callable repeatedly; the window grid stays anchored at t=0. An
+  // exception thrown inside a window, on any thread, is rethrown here
+  // once every thread has reached the barrier; the run cannot go on.
   void run_until(TimePoint horizon);
 
   [[nodiscard]] TimePoint now() const { return now_; }
@@ -163,12 +177,13 @@ class ShardedSimulator {
   [[nodiscard]] bool auditing() const { return config_.audit; }
   // Assemble the dlte-audit-v1 document: the partition-invariant merged
   // section (windowed event/message multiset digests + metric-state
-  // digests) plus the per-shard chains and the shard-pair ledger.
+  // digests) plus the per-shard chains and the shard-pair ledger, folded
+  // from one message ledger per destination shard.
   // Zeroed doc when auditing is off.
   [[nodiscard]] obs::AuditDoc audit_doc() const;
   // TEST HOOK for the divergence-localization self-test: hold the first
   // message destined for `dst_shard` with deliver_at >= `after` out of
-  // its barrier exchange and inject it one barrier late — the classic
+  // its injection and inject it one window late — the classic
   // conservative-PDES bug of a message missing its window. Delivery
   // still lands at deliver_at, so the scenario's metrics, series, and
   // OpenMetrics artifacts stay byte-identical — the classic
@@ -178,9 +193,9 @@ class ShardedSimulator {
   // chains and per-label digests split from the delivery's window on),
   // and the re-bound execution order of same-timestamp work cascades
   // into downstream event times (the merged event digests corroborate
-  // the window). One-shot: disarms after capturing. The trigger needs
-  // at least one barrier between `after` + lookahead and the horizon or
-  // the held message is silently dropped (loudly visible in metrics).
+  // the window). One-shot: disarms after capturing. A message held by
+  // run_until's closing injection waits for the next run_until call; with
+  // none, it is silently dropped (loudly visible in metrics).
   void inject_exchange_reorder(TimePoint after, std::size_t dst_shard);
 
   // --- Self-profiling plane (config_.profile) ------------------------
@@ -191,9 +206,9 @@ class ShardedSimulator {
   // CI byte-compares its JSON across shard counts. No-op when profiling
   // is off.
   void merged_profiler_into(obs::EventProfiler& dst) const;
-  // The wall-clock side: lanes (run, sample, barrier wait), coordinator
-  // phases, load matrix, window samples. Values vary run to run — never
-  // byte-compare this. Zeroed struct when profiling is off.
+  // The wall-clock side: lanes (inject, run, sample, barrier wait),
+  // coordinator phases, load matrix, window samples. Values vary run to
+  // run — never byte-compare this. Zeroed struct when profiling is off.
   [[nodiscard]] obs::ShardProfile profile() const;
 
   [[nodiscard]] std::uint64_t windows_run() const { return windows_; }
@@ -218,12 +233,19 @@ class ShardedSimulator {
     Handler handler;
   };
   struct Shard;
+  // A message on its way to its destination shard. post() resolves both
+  // endpoints once; inject() needs no lookup.
+  struct Posted {
+    Message msg;
+    const Endpoint* endpoint{nullptr};
+    std::uint32_t src_shard{0};
+  };
   // One injected cross-shard delivery, pooled per destination shard: the
   // metro scenario injects hundreds of thousands of these per run, and a
   // pooled record (lambda captures one pointer) costs no heap traffic
-  // where the previous shared_ptr cost two allocations per message. The
-  // pool is touched by the coordinator at barriers and by the thread that
-  // claimed the shard inside windows — phases that never overlap.
+  // where the previous shared_ptr cost two allocations per message. Only
+  // the thread that claimed the shard touches its pool (injecting, then
+  // delivering), or the coordinator between windows.
   struct Delivery {
     Message msg;
     const Endpoint* endpoint{nullptr};
@@ -233,40 +255,73 @@ class ShardedSimulator {
     sim::Simulator sim;
     obs::MetricsRegistry domain;
     std::unique_ptr<obs::TimeSeriesSampler> sampler;
-    std::vector<Message> outbox;
+    // This shard's posts by parity and destination shard. post() appends
+    // to outbox[fill_][dst]; the claimer of dst drains outbox[drain][dst]
+    // of every shard. A window's posts land in one parity while it drains
+    // the other, even when one thread runs every shard.
+    std::array<std::vector<std::vector<Posted>>, 2> outbox;
+    // Posts since the last flip (none injected yet) and their earliest
+    // deliver_at: the barrier's in-flight view.
+    std::uint64_t in_flight{0};
+    std::int64_t in_flight_earliest_ns{
+        std::numeric_limits<std::int64_t>::max()};
+    // Messages inject() scheduled into this shard since the coordinator
+    // last counted them; `inbox` is inject()'s reused gather buffer.
+    std::uint64_t injected{0};
+    std::vector<Posted> inbox;
     // Per-source post counters (sources owned by this shard only).
     std::unordered_map<EndpointId, std::uint64_t> next_seq;
     std::uint64_t posts_clamped{0};
     ObjectPool<Delivery> deliveries{256};
-    // Profiling state (null/zero unless config_.profile). window_start_s,
-    // window_run_s and window_sample_s are written by the thread that
-    // claims the shard inside the window and read by the coordinator
-    // after the barrier — never concurrently.
+    // Profiling state (null/zero unless config_.profile). The window_*
+    // times are written by the thread that claims the shard inside the
+    // window and read by the coordinator after the barrier — never
+    // concurrently.
     std::unique_ptr<obs::EventProfiler> profiler;
-    // Audit timeline (null unless config_.audit); fed by the claiming
-    // thread inside windows, read by the coordinator after the run.
+    // Audit state (null unless config_.audit), fed by the claiming
+    // thread inside windows and read by the coordinator after the run:
+    // the shard's execution timeline, and the ledger of the messages
+    // injected into it.
     std::unique_ptr<obs::DigestTimeline> auditor;
+    std::unique_ptr<obs::MessageLedger> ledger;
     std::uint32_t delivery_label{0};
     double window_start_s{0.0};
+    double window_inject_s{0.0};
     double window_run_s{0.0};
     double window_sample_s{0.0};
     double start_s{0.0};
+    double inject_s{0.0};
     double run_s{0.0};
     double sample_s{0.0};
     double barrier_wait_s{0.0};
   };
 
+  // Throws std::out_of_range for an unregistered id.
+  [[nodiscard]] const Endpoint& endpoint(EndpointId ep) const;
   // Publish the window, run shards beside the workers, wait for them.
   void run_window(TimePoint end);
   // The one claim loop, run by the coordinator and every worker: take
-  // shards off next_shard_ until none is left, run each to `end`, then
-  // sample it at every due_samples_ point.
+  // shards off next_shard_ until none is left; for each, inject its
+  // inbound messages, run it to `end`, then sample it at every
+  // due_samples_ point.
   void run_shards(TimePoint end);
   void worker_loop();
+  // Earliest pending work at the barrier: queued events, and messages
+  // posted (or held back by the test hook) but not yet injected.
+  [[nodiscard]] std::int64_t earliest_pending_ns() const;
+  // Pending events plus in-flight messages: what the queues would hold
+  // if every posted message were already injected.
+  [[nodiscard]] std::uint64_t pending_work() const;
+  // Between windows: the parity the last window filled becomes the one
+  // the next window drains.
+  void flip_outboxes();
+  // Gather the messages for shard `dst` from every outbox's drain parity,
+  // order them by message_order, and schedule their deliveries.
+  void inject(std::size_t dst);
+  // Fold the shards' injected counts into messages_ and max_exchange_.
+  void count_injected();
   // Roll the finished window's wall time into lanes and samples.
   void record_profile_window(TimePoint end, double window_wall_s);
-  // Collect all outboxes, sort by message_order, inject at the barrier.
-  void exchange();
   // Sample the engine series (the shard series are sampled in
   // run_shards).
   void emit_samples(TimePoint up_to);
@@ -286,26 +341,31 @@ class ShardedSimulator {
   std::uint64_t windows_{0};
   std::uint64_t messages_{0};
   std::uint64_t max_exchange_{0};
+  // The outbox parity post() appends to; inject() drains the other one.
+  std::size_t fill_{0};
 
-  // Audit plane (null/empty unless config_.audit).
-  std::unique_ptr<obs::MessageLedger> ledger_;
+  // Audit plane (empty unless config_.audit).
   std::vector<obs::AuditDoc::MetricWindow> metric_windows_;
   TimePoint next_audit_boundary_{};
+  // Test hook state, touched only by inject(inject_dst_) and, between
+  // windows, the coordinator.
   bool inject_armed_{false};
   TimePoint inject_after_{};
   std::size_t inject_dst_{0};
-  std::unique_ptr<Message> inject_held_;
+  std::unique_ptr<Posted> inject_held_;
 
   // Coordinator-owned engine registry + sampler: the global
-  // sim.queue_depth gauge (sum of pending events at the sample grid —
-  // partition-invariant at barriers) sampled into the merged series.
+  // sim.queue_depth gauge (pending events plus in-flight messages at the
+  // sample grid — partition-invariant at barriers) sampled into the
+  // merged series.
   obs::MetricsRegistry engine_domain_;
   std::unique_ptr<obs::TimeSeriesSampler> engine_sampler_;
   obs::Gauge* engine_queue_depth_{nullptr};
   Duration engine_interval_{};
   TimePoint next_engine_sample_{};
 
-  // Shard-pair load matrix (messages/bytes), dense S×S, profiling only.
+  // Shard-pair load matrix (messages/bytes), dense S×S, profiling only;
+  // inject(d) writes column d only.
   std::vector<std::uint64_t> matrix_messages_;
   std::vector<std::uint64_t> matrix_bytes_;
   // Per-window samples, kept bounded: when the buffer hits the cap every
@@ -323,6 +383,9 @@ class ShardedSimulator {
   std::condition_variable cv_done_;
   std::uint64_t generation_{0};
   std::size_t done_count_{0};
+  // The first exception a worker's claim threw this window; the
+  // coordinator rethrows it after the barrier unless its own claim threw.
+  std::exception_ptr worker_failure_;
   TimePoint window_end_{};
   // When the coordinator published the window (profiling only): a lane's
   // start_s runs from here to its claim. Written before the publishing

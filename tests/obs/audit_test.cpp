@@ -212,8 +212,8 @@ TEST(AuditDoc, EmptyShardsFoldAsIdentity) {
   busy.on_execute(1200, 1, 2);
   DigestTimeline idle{1000};
   idle.register_label(0, "sim.unlabeled");
-  const AuditDoc solo = build_audit_doc({&busy}, nullptr, {});
-  const AuditDoc with_idle = build_audit_doc({&busy, &idle}, nullptr, {});
+  const AuditDoc solo = build_audit_doc({&busy}, {}, {});
+  const AuditDoc with_idle = build_audit_doc({&busy, &idle}, {}, {});
   EXPECT_EQ(with_idle.shards, 2u);
   EXPECT_EQ(with_idle.events_total, solo.events_total);
   ASSERT_EQ(with_idle.merged.size(), solo.merged.size());
@@ -233,7 +233,7 @@ TEST(AuditDoc, BuildCoversLedgerLabelsAndMetricWindows) {
   metrics[0].index = 0;
   metrics[0].t_ns = 1000;
   metrics[0].digest.add(42);
-  const AuditDoc doc = build_audit_doc({&timeline}, &ledger,
+  const AuditDoc doc = build_audit_doc({&timeline}, {&ledger},
                                        std::move(metrics));
   EXPECT_EQ(doc.window_ns, 1000);
   EXPECT_EQ(doc.events_total, 1u);
@@ -251,6 +251,54 @@ TEST(AuditDoc, BuildCoversLedgerLabelsAndMetricWindows) {
   ASSERT_EQ(doc.ledger[0].pairs.size(), 1u);
   EXPECT_EQ(doc.ledger[0].pairs[0].src_shard, 0u);
   EXPECT_EQ(doc.ledger[0].pairs[0].dst_shard, 1u);
+}
+
+TEST(AuditDoc, PerDestinationLedgersFoldToOneLedger) {
+  // The runtime feeds one ledger per destination shard, each in the
+  // global order filtered to its shard; the folded document must equal
+  // the one a single ledger fed the whole stream in global order builds.
+  struct Msg {
+    std::int64_t at;
+    std::uint64_t src;
+    std::uint64_t seq;
+    std::uint32_t src_shard;
+    std::uint32_t dst_shard;
+  };
+  const std::vector<Msg> global{{100, 1, 0, 0, 1}, {100, 2, 0, 1, 0},
+                                {150, 1, 1, 0, 0}, {900, 3, 0, 1, 1},
+                                {1100, 1, 2, 0, 1}, {1100, 2, 1, 1, 1},
+                                {2500, 3, 1, 1, 0}};
+  const std::uint8_t payload[] = {4, 2};
+  MessageLedger whole{1000};
+  std::vector<MessageLedger> by_dst(2, MessageLedger{1000});
+  for (const Msg& m : global) {
+    whole.on_message(m.at, m.src, m.seq, 7, payload, sizeof payload,
+                     m.src_shard, m.dst_shard);
+    by_dst[m.dst_shard].on_message(m.at, m.src, m.seq, 7, payload,
+                                   sizeof payload, m.src_shard,
+                                   m.dst_shard);
+  }
+  const AuditDoc one = build_audit_doc({}, {&whole}, {});
+  const AuditDoc folded = build_audit_doc({}, {&by_dst[0], &by_dst[1]}, {});
+  EXPECT_EQ(folded.messages_total, one.messages_total);
+  ASSERT_EQ(folded.merged.size(), one.merged.size());
+  for (std::size_t w = 0; w < one.merged.size(); ++w) {
+    EXPECT_EQ(folded.merged[w].messages, one.merged[w].messages);
+    EXPECT_EQ(folded.merged[w].messages_digest, one.merged[w].messages_digest);
+  }
+  ASSERT_EQ(folded.ledger.size(), one.ledger.size());
+  for (std::size_t w = 0; w < one.ledger.size(); ++w) {
+    EXPECT_EQ(folded.ledger[w].index, one.ledger[w].index);
+    ASSERT_EQ(folded.ledger[w].pairs.size(), one.ledger[w].pairs.size());
+    for (std::size_t i = 0; i < one.ledger[w].pairs.size(); ++i) {
+      const MessageLedger::PairCell& a = folded.ledger[w].pairs[i];
+      const MessageLedger::PairCell& b = one.ledger[w].pairs[i];
+      EXPECT_EQ(a.src_shard, b.src_shard);
+      EXPECT_EQ(a.dst_shard, b.dst_shard);
+      EXPECT_EQ(a.messages, b.messages);
+      EXPECT_EQ(a.chain, b.chain);
+    }
+  }
 }
 
 TEST(AuditDoc, EmptyProfilerMergeStaysNeutralBesideTheAudit) {

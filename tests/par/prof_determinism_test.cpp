@@ -105,10 +105,11 @@ TEST(ProfDeterminism, ShardProfileDescribesTheRun) {
   }
 }
 
-// The coordinator's serial phases and each lane's sampling time are
-// timed apart from the shard run time; all are wall clock, so only their
-// presence and sign are checked — plus that a lane's start delay is a
-// part of its barrier wait.
+// The coordinator's serial phases and each lane's inject and sampling
+// time are timed apart from the shard run time; all are wall clock, so
+// only their presence and sign are checked — plus that a lane's start
+// delay is a part of its barrier wait, and that every lane of the town
+// (each receives X2 reports) spent some time injecting.
 TEST(ProfDeterminism, CoordinatorPhasesAndLaneSamplingAreTimed) {
   TownConfig cfg = prof_town_config(4, 2);
   cfg.audit = true;
@@ -120,6 +121,7 @@ TEST(ProfDeterminism, CoordinatorPhasesAndLaneSamplingAreTimed) {
   EXPECT_GE(prof.coordinator.audit_s, 0.0);
   ASSERT_EQ(prof.lanes.size(), 4u);
   for (const obs::ShardLane& lane : prof.lanes) {
+    EXPECT_GT(lane.inject_s, 0.0);
     EXPECT_GE(lane.sample_s, 0.0);
     EXPECT_GE(lane.run_s, 0.0);
     EXPECT_GE(lane.barrier_wait_s, 0.0);
@@ -135,6 +137,7 @@ TEST(ProfDeterminism, CoordinatorPhasesAndLaneSamplingAreTimed) {
   EXPECT_NE(json.find("\"audit_s\":"), std::string::npos);
   EXPECT_NE(json.find("\"sample_s\":"), std::string::npos);
   EXPECT_NE(json.find("\"start_s\":"), std::string::npos);
+  EXPECT_NE(json.find("\"inject_s\":"), std::string::npos);
 
   cfg.profile = false;
   ShardedTown quiet{cfg};

@@ -224,7 +224,7 @@ ProbePost lease_query() {
 
 TEST(RegistryPlaneTest, GrantReplyGoesToTheSenderNotThePayloadBlock) {
   // Block 9999 does not exist: a reply addressed by the payload's block
-  // field would name an unregistered endpoint and throw at the barrier.
+  // field would name an unregistered endpoint, and post() would throw.
   ProbeOutcome out;
   EXPECT_NO_THROW(out = probe(grant_batch(9999, 1)));
   EXPECT_EQ(out.replies, 1);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -79,6 +80,53 @@ TEST(ShardedSimulator, SimultaneousMessagesInjectInEndpointSeqOrder) {
   EXPECT_EQ(order, expected);
 }
 
+// An unregistered endpoint is a scenario bug: post() must name it in
+// every build type, not dereference a missing map entry (source) or
+// leave it for a later lookup to trip over (destination).
+TEST(ShardedSimulator, PostFromAnUnregisteredSourceThrows) {
+  ShardedSimulator rt{two_shards(1)};
+  rt.register_endpoint(1, 1, [](const Message&) {});
+  EXPECT_THROW(rt.post(7, 1, Duration::millis(1), 0, {}), std::out_of_range);
+  try {
+    (void)rt.owner_of(7);
+    ADD_FAILURE() << "owner_of(7) did not throw";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find('7'), std::string::npos);
+  }
+}
+
+TEST(ShardedSimulator, PostToAnUnregisteredDestinationThrows) {
+  ShardedSimulator rt{two_shards(1)};
+  int delivered = 0;
+  rt.register_endpoint(0, 0, [&](const Message&) { ++delivered; });
+  EXPECT_THROW(rt.post(0, 7, Duration::millis(1), 0, {}), std::out_of_range);
+  // The refused post left nothing behind: the run is clean.
+  rt.post(0, 0, Duration::millis(1), 0, {});
+  EXPECT_NO_THROW(rt.run_until(TimePoint::from_ns(0) + Duration::millis(3)));
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(rt.messages_exchanged(), 1u);
+}
+
+// The same bug inside a window reaches the run_until caller instead of
+// ending the program. Both shards throw, and a thread stops claiming
+// after its throw, so with two threads the worker's claim throws too.
+TEST(ShardedSimulator, PostToAnUnregisteredEndpointInAWindowThrowsToTheCaller) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    ShardedSimulator rt{two_shards(threads)};
+    rt.register_endpoint(0, 0, [&](const Message&) {
+      rt.post(0, 7, Duration::millis(1), 0, {});
+    });
+    rt.register_endpoint(1, 1, [&](const Message&) {
+      rt.post(1, 7, Duration::millis(1), 0, {});
+    });
+    rt.post(0, 1, Duration::millis(1), 0, {});
+    rt.post(1, 0, Duration::millis(1), 0, {});
+    EXPECT_THROW(rt.run_until(TimePoint::from_ns(0) + Duration::millis(5)),
+                 std::out_of_range)
+        << "threads=" << threads;
+  }
+}
+
 TEST(ShardedSimulator, IdleWindowsAreSkippedOnTheGrid) {
   // One event a second into the run with a 1 ms lookahead: the runtime
   // must jump to it rather than grind through ~1000 empty windows.
@@ -92,6 +140,30 @@ TEST(ShardedSimulator, IdleWindowsAreSkippedOnTheGrid) {
   rt.run_until(TimePoint::from_ns(0) + Duration::seconds(2.0));
   EXPECT_DOUBLE_EQ(seen_ms, 1000.0);
   EXPECT_LE(rt.windows_run(), 4u);
+}
+
+TEST(ShardedSimulator, QueueDepthCountsMessagesStillInFlight) {
+  // A message posted in the window (0, 1ms] waits in its outbox until
+  // the next window injects it; the barrier at 1 ms must still count it
+  // as pending, as a queue filled at the barrier would.
+  ShardedConfig cfg = two_shards(2);
+  cfg.engine_sample_interval = Duration::millis(1);
+  ShardedSimulator rt{cfg};
+  rt.register_endpoint(0, 0, [](const Message&) {});
+  rt.register_endpoint(1, 1, [](const Message&) {});
+  rt.shard_sim(0).schedule(Duration::micros(500), [&] {
+    rt.post(0, 1, Duration::millis(5), 0, {});
+  });
+  rt.run_until(TimePoint::from_ns(0) + Duration::millis(8));
+  const std::string series = rt.merged_series_json("depth");
+  const std::size_t at = series.find("\"sim.queue_depth\"");
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t points = series.find("\"points\":", at);
+  ASSERT_NE(points, std::string::npos);
+  // 1 ms: in flight; 2–5 ms: sampled at the 6 ms barrier, delivered.
+  const std::string expected = "\"points\":[[0.001,1],[0.002,0]";
+  EXPECT_EQ(series.compare(points, expected.size(), expected), 0)
+      << series.substr(at, 160);
 }
 
 TEST(ShardedSimulator, MergedMetricsFoldDomainRegistries) {

@@ -15,10 +15,10 @@ per-window samples — never byte-compared).
 `--require-label PATTERN` fails (exit 1) unless some label matches the
 glob PATTERN (repeatable). `--compare A B` byte-compares only the
 deterministic event_attribution sections of two documents — the CI
-prof-determinism gate; the wall-clock lanes (run, sample, barrier wait
-and the start delay inside it) and coordinator phases (exchange, engine
-sample, audit) are rendered but never compared. Exit 2 = unreadable or
-schema-invalid input. Stdlib only.
+prof-determinism gate; the wall-clock lanes (inject, run, sample,
+barrier wait and the start delay inside it) and coordinator phases
+(exchange, engine sample, audit) are rendered but never compared.
+Exit 2 = unreadable or schema-invalid input. Stdlib only.
 """
 
 import argparse
@@ -30,8 +30,8 @@ import sys
 SCHEMA = "dlte-prof-v1"
 LABEL_KEYS = ("schedules", "executed", "past_clamps", "residency_ns")
 TOTALS_KEYS = ("labels",) + LABEL_KEYS
-LANE_KEYS = ("shard", "events", "run_s", "barrier_wait_s", "sample_s",
-             "start_s", "events_per_window")
+LANE_KEYS = ("shard", "events", "inject_s", "run_s", "barrier_wait_s",
+             "sample_s", "start_s", "events_per_window")
 COORDINATOR_KEYS = ("exchange_s", "engine_sample_s", "audit_s")
 CELL_KEYS = ("src", "dst", "messages", "bytes")
 
@@ -112,9 +112,11 @@ def validate(doc: dict, path: pathlib.Path) -> None:
         missing = [k for k in LANE_KEYS if k not in lane]
         if missing:
             die(f"{path}: shard lane lacks keys: {', '.join(missing)}")
-        start_s = lane["start_s"]
-        if not isinstance(start_s, (int, float)) or start_s < 0:
-            die(f"{path}: shard lane start_s is not a non-negative number")
+        for key in ("inject_s", "start_s"):
+            value = lane[key]
+            if not isinstance(value, (int, float)) or value < 0:
+                die(f"{path}: shard lane {key} is not a non-negative "
+                    "number")
     coordinator = profile.get("coordinator")
     if not isinstance(coordinator, dict):
         die(f"{path}: shard_profile.coordinator is not an object")
@@ -175,6 +177,7 @@ def shard_report(profile: dict) -> None:
         wait_share = lane["barrier_wait_s"] / busy if busy > 0 else 0.0
         print(f"  shard {lane['shard']}: {lane['events']} events "
               f"({lane['events_per_window']:.1f}/window), "
+              f"inject {lane['inject_s'] * 1e3:.1f}ms, "
               f"run {lane['run_s'] * 1e3:.1f}ms, "
               f"sample {lane['sample_s'] * 1e3:.1f}ms, "
               f"barrier wait {lane['barrier_wait_s'] * 1e3:.1f}ms "
