@@ -85,9 +85,10 @@ StormResult centralized_storm(int n_aps, obs::MetricsRegistry* reg,
   for (int a = 0; a < n_aps; ++a) {
     for (int u = 0; u < kUesPerAp; ++u) {
       ++imsi;
-      core.hss().provision(Imsi{imsi}, key_for(imsi), kOp);
-      ue::SimProfile p{Imsi{imsi}, key_for(imsi),
-                       crypto::derive_opc(key_for(imsi), kOp), true, "t"};
+      const crypto::Key128 k = key_for(imsi);
+      const crypto::Block128 opc = crypto::derive_opc(k, kOp);
+      core.hss().provision_with_opc(Imsi{imsi}, k, opc);
+      ue::SimProfile p{Imsi{imsi}, k, opc, true, "t"};
       clients.push_back(
           std::make_unique<ue::NasClient>(ue::Usim{p}, "carrier"));
       enbs[static_cast<std::size_t>(a)]->attach_ue(
@@ -145,10 +146,11 @@ StormResult dlte_storm(int n_aps, obs::MetricsRegistry* reg,
   for (int a = 0; a < n_aps; ++a) {
     for (int u = 0; u < kUesPerAp; ++u) {
       ++imsi;
-      sites[static_cast<std::size_t>(a)].core->hss().provision(
-          Imsi{imsi}, key_for(imsi), kOp);
-      ue::SimProfile p{Imsi{imsi}, key_for(imsi),
-                       crypto::derive_opc(key_for(imsi), kOp), true, "t"};
+      const crypto::Key128 k = key_for(imsi);
+      const crypto::Block128 opc = crypto::derive_opc(k, kOp);
+      sites[static_cast<std::size_t>(a)].core->hss().provision_with_opc(
+          Imsi{imsi}, k, opc);
+      ue::SimProfile p{Imsi{imsi}, k, opc, true, "t"};
       clients.push_back(std::make_unique<ue::NasClient>(
           ue::Usim{p}, "dlte-ap-" + std::to_string(a)));
       sites[static_cast<std::size_t>(a)].enb->attach_ue(

@@ -32,81 +32,106 @@ constexpr std::uint8_t kRcon[10] = {0x01, 0x02, 0x04, 0x08, 0x10,
                                     0x20, 0x40, 0x80, 0x1b, 0x36};
 
 // Multiply by x (i.e. {02}) in GF(2^8) with the AES polynomial.
-std::uint8_t xtime(std::uint8_t a) {
+constexpr std::uint8_t xtime(std::uint8_t a) {
   return static_cast<std::uint8_t>((a << 1) ^ ((a & 0x80) ? 0x1b : 0x00));
+}
+
+// A column of the state is a big-endian word: row 0 in the top byte.
+constexpr std::uint32_t be_word(std::uint8_t b0, std::uint8_t b1,
+                                std::uint8_t b2, std::uint8_t b3) {
+  return (std::uint32_t{b0} << 24) | (std::uint32_t{b1} << 16) |
+         (std::uint32_t{b2} << 8) | b3;
+}
+
+constexpr std::uint8_t row(std::uint32_t column, int r) {
+  return static_cast<std::uint8_t>(column >> (24 - 8 * r));
+}
+
+// T-tables: kTe[r][x] is the column that byte x entering row r of a column
+// contributes after SubBytes and MixColumns, i.e. {02,01,01,03}·S[x]
+// rotated down by r rows. A full round of one column is then four lookups
+// XORed with the round key.
+using TTable = std::array<std::uint32_t, 256>;
+constexpr std::array<TTable, 4> make_t_tables() {
+  std::array<TTable, 4> t{};
+  for (std::size_t x = 0; x < 256; ++x) {
+    const std::uint8_t s = kSbox[x];
+    const std::uint8_t s2 = xtime(s);
+    const std::uint8_t s3 = static_cast<std::uint8_t>(s2 ^ s);
+    t[0][x] = be_word(s2, s, s, s3);
+    t[1][x] = be_word(s3, s2, s, s);
+    t[2][x] = be_word(s, s3, s2, s);
+    t[3][x] = be_word(s, s, s3, s2);
+  }
+  return t;
+}
+constexpr std::array<TTable, 4> kTe = make_t_tables();
+
+// ShiftRows moves row r of column c to column c - r, so the new column c
+// takes row r from column c + r: a, b, c, d are those four columns.
+std::uint32_t round_column(std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                           std::uint32_t d, std::uint32_t rk) {
+  return kTe[0][row(a, 0)] ^ kTe[1][row(b, 1)] ^ kTe[2][row(c, 2)] ^
+         kTe[3][row(d, 3)] ^ rk;
+}
+
+// SubBytes and ShiftRows without MixColumns: the last round, and (with
+// a = b = c = d) the key schedule's SubWord.
+constexpr std::uint32_t sub_rows(std::uint32_t a, std::uint32_t b,
+                                 std::uint32_t c, std::uint32_t d) {
+  return be_word(kSbox[row(a, 0)], kSbox[row(b, 1)], kSbox[row(c, 2)],
+                 kSbox[row(d, 3)]);
+}
+
+std::uint32_t load_column(const std::uint8_t* p) {
+  return be_word(p[0], p[1], p[2], p[3]);
+}
+
+void store_column(std::uint8_t* p, std::uint32_t column) {
+  for (int r = 0; r < 4; ++r) p[r] = row(column, r);
 }
 
 }  // namespace
 
 Aes128::Aes128(const Key128& key) {
-  for (int i = 0; i < 16; ++i) round_keys_[static_cast<std::size_t>(i)] = key[static_cast<std::size_t>(i)];
-  for (int round = 1; round <= 10; ++round) {
-    const std::size_t base = static_cast<std::size_t>(round) * 16;
-    // RotWord + SubWord + Rcon on the previous word.
-    std::uint8_t t0 = kSbox[round_keys_[base - 3]];
-    std::uint8_t t1 = kSbox[round_keys_[base - 2]];
-    std::uint8_t t2 = kSbox[round_keys_[base - 1]];
-    std::uint8_t t3 = kSbox[round_keys_[base - 4]];
-    t0 = static_cast<std::uint8_t>(t0 ^ kRcon[round - 1]);
-    round_keys_[base + 0] = static_cast<std::uint8_t>(round_keys_[base - 16] ^ t0);
-    round_keys_[base + 1] = static_cast<std::uint8_t>(round_keys_[base - 15] ^ t1);
-    round_keys_[base + 2] = static_cast<std::uint8_t>(round_keys_[base - 14] ^ t2);
-    round_keys_[base + 3] = static_cast<std::uint8_t>(round_keys_[base - 13] ^ t3);
-    for (std::size_t i = 4; i < 16; ++i) {
-      round_keys_[base + i] =
-          static_cast<std::uint8_t>(round_keys_[base + i - 4] ^
-                                    round_keys_[base + i - 16]);
+  for (std::size_t i = 0; i < 4; ++i) {
+    round_keys_[i] = load_column(key.data() + 4 * i);
+  }
+  for (std::size_t i = 4; i < round_keys_.size(); ++i) {
+    std::uint32_t t = round_keys_[i - 1];
+    if (i % 4 == 0) {
+      // RotWord, SubWord and Rcon.
+      t = (t << 8) | (t >> 24);
+      t = sub_rows(t, t, t, t) ^ (std::uint32_t{kRcon[i / 4 - 1]} << 24);
     }
+    round_keys_[i] = round_keys_[i - 4] ^ t;
   }
 }
 
 Block128 Aes128::encrypt(const Block128& plaintext) const {
-  Block128 s = plaintext;
-  auto add_round_key = [&](int round) {
-    const std::size_t base = static_cast<std::size_t>(round) * 16;
-    for (std::size_t i = 0; i < 16; ++i) s[i] ^= round_keys_[base + i];
-  };
-  auto sub_bytes = [&] {
-    for (auto& b : s) b = kSbox[b];
-  };
-  auto shift_rows = [&] {
-    // State is column-major: s[c*4 + r].
-    Block128 t = s;
-    for (int r = 1; r < 4; ++r) {
-      for (int c = 0; c < 4; ++c) {
-        s[static_cast<std::size_t>(c * 4 + r)] =
-            t[static_cast<std::size_t>(((c + r) % 4) * 4 + r)];
-      }
-    }
-  };
-  auto mix_columns = [&] {
-    for (int c = 0; c < 4; ++c) {
-      const std::size_t i = static_cast<std::size_t>(c) * 4;
-      const std::uint8_t a0 = s[i], a1 = s[i + 1], a2 = s[i + 2],
-                         a3 = s[i + 3];
-      const std::uint8_t all = static_cast<std::uint8_t>(a0 ^ a1 ^ a2 ^ a3);
-      s[i + 0] = static_cast<std::uint8_t>(
-          a0 ^ all ^ xtime(static_cast<std::uint8_t>(a0 ^ a1)));
-      s[i + 1] = static_cast<std::uint8_t>(
-          a1 ^ all ^ xtime(static_cast<std::uint8_t>(a1 ^ a2)));
-      s[i + 2] = static_cast<std::uint8_t>(
-          a2 ^ all ^ xtime(static_cast<std::uint8_t>(a2 ^ a3)));
-      s[i + 3] = static_cast<std::uint8_t>(
-          a3 ^ all ^ xtime(static_cast<std::uint8_t>(a3 ^ a0)));
-    }
-  };
-
-  add_round_key(0);
-  for (int round = 1; round <= 9; ++round) {
-    sub_bytes();
-    shift_rows();
-    mix_columns();
-    add_round_key(round);
+  const std::uint32_t* rk = round_keys_.data();
+  std::uint32_t s0 = load_column(plaintext.data()) ^ rk[0];
+  std::uint32_t s1 = load_column(plaintext.data() + 4) ^ rk[1];
+  std::uint32_t s2 = load_column(plaintext.data() + 8) ^ rk[2];
+  std::uint32_t s3 = load_column(plaintext.data() + 12) ^ rk[3];
+  for (int round = 1; round < 10; ++round) {
+    rk += 4;
+    const std::uint32_t t0 = round_column(s0, s1, s2, s3, rk[0]);
+    const std::uint32_t t1 = round_column(s1, s2, s3, s0, rk[1]);
+    const std::uint32_t t2 = round_column(s2, s3, s0, s1, rk[2]);
+    const std::uint32_t t3 = round_column(s3, s0, s1, s2, rk[3]);
+    s0 = t0;
+    s1 = t1;
+    s2 = t2;
+    s3 = t3;
   }
-  sub_bytes();
-  shift_rows();
-  add_round_key(10);
-  return s;
+  rk += 4;
+  Block128 out;
+  store_column(out.data(), sub_rows(s0, s1, s2, s3) ^ rk[0]);
+  store_column(out.data() + 4, sub_rows(s1, s2, s3, s0) ^ rk[1]);
+  store_column(out.data() + 8, sub_rows(s2, s3, s0, s1) ^ rk[2]);
+  store_column(out.data() + 12, sub_rows(s3, s0, s1, s2) ^ rk[3]);
+  return out;
 }
 
 Block128 xor_blocks(const Block128& a, const Block128& b) {

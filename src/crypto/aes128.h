@@ -2,8 +2,12 @@
 //
 // Milenage (the 3GPP authentication-and-key-agreement kernel) is defined
 // purely in terms of AES-128 encryption, so decryption is intentionally
-// not implemented. This is a straightforward table-based implementation;
-// side-channel hardening is out of scope for a simulator.
+// not implemented. The state is four 32-bit big-endian column words; each
+// of the nine full rounds is SubBytes+ShiftRows+MixColumns done as four
+// lookups per column into 32-bit T-tables built from the S-box at compile
+// time, and the last round goes through the S-box alone. The lookups are
+// data-dependent, so this is not constant-time; side-channel hardening is
+// out of scope for a simulator.
 #pragma once
 
 #include <array>
@@ -23,8 +27,9 @@ class Aes128 {
   [[nodiscard]] Block128 encrypt(const Block128& plaintext) const;
 
  private:
-  // 11 round keys of 16 bytes each.
-  std::array<std::uint8_t, 176> round_keys_{};
+  // The 11 round keys as the 44 big-endian words w[0..43] of FIPS-197
+  // §5.2.
+  std::array<std::uint32_t, 44> round_keys_{};
 };
 
 // XOR of two 128-bit blocks; used pervasively by Milenage.

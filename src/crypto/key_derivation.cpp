@@ -1,52 +1,61 @@
 #include "crypto/key_derivation.h"
 
-#include <vector>
+#include <cstring>
+
+#include "crypto/sha256_internal.h"
 
 namespace dlte::crypto {
 
 namespace {
-void append_param(std::vector<std::uint8_t>& s,
-                  std::span<const std::uint8_t> p) {
-  s.insert(s.end(), p.begin(), p.end());
-  s.push_back(static_cast<std::uint8_t>(p.size() >> 8));
-  s.push_back(static_cast<std::uint8_t>(p.size()));
+// The two-byte big-endian length L of a KDF parameter.
+void put_length(std::uint8_t* out, std::size_t length) {
+  out[0] = static_cast<std::uint8_t>(length >> 8);
+  out[1] = static_cast<std::uint8_t>(length);
 }
 }  // namespace
 
 Kasme derive_kasme(const Ck128& ck, const Ik128& ik,
                    std::string_view serving_network_id,
                    const Sqn48& sqn_xor_ak) {
-  std::vector<std::uint8_t> key;
-  key.insert(key.end(), ck.begin(), ck.end());
-  key.insert(key.end(), ik.begin(), ik.end());
+  std::uint8_t key[32];
+  std::memcpy(key, ck.data(), ck.size());
+  std::memcpy(key + ck.size(), ik.data(), ik.size());
 
-  std::vector<std::uint8_t> s;
-  s.push_back(0x10);  // FC for KASME derivation.
-  append_param(s, std::span{reinterpret_cast<const std::uint8_t*>(
-                                serving_network_id.data()),
-                            serving_network_id.size()});
-  append_param(s, std::span{sqn_xor_ak.data(), sqn_xor_ak.size()});
-  return hmac_sha256(key, s);
+  // S = FC || P0 || L0 || P1 || L1, with P0 the serving network id and P1
+  // SQN xor AK. P0 has no fixed size, so S goes to the MAC in three
+  // pieces: FC, P0 as the caller's bytes, and L0 || P1 || L1.
+  const std::uint8_t fc = 0x10;  // FC for KASME derivation.
+  std::uint8_t rest[2 + 6 + 2];
+  put_length(rest, serving_network_id.size());
+  std::memcpy(rest + 2, sqn_xor_ak.data(), sqn_xor_ak.size());
+  put_length(rest + 8, sqn_xor_ak.size());
+
+  const auto* sn =
+      reinterpret_cast<const std::uint8_t*>(serving_network_id.data());
+  detail::HmacSha256 mac{detail::sha256_compress(), key};
+  mac.update({&fc, 1});
+  mac.update({sn, serving_network_id.size()});
+  mac.update(rest);
+  return mac.finish();
 }
 
 Digest256 derive_kenb(const Kasme& kasme, std::uint32_t nas_uplink_count) {
-  std::vector<std::uint8_t> s;
-  s.push_back(0x11);  // FC for K_eNB derivation.
-  const std::uint8_t count[4] = {
-      static_cast<std::uint8_t>(nas_uplink_count >> 24),
-      static_cast<std::uint8_t>(nas_uplink_count >> 16),
-      static_cast<std::uint8_t>(nas_uplink_count >> 8),
-      static_cast<std::uint8_t>(nas_uplink_count)};
-  append_param(s, std::span{count, 4});
+  // S = FC || uplink NAS COUNT || L0, with FC 0x11 for K_eNB derivation.
+  std::uint8_t s[1 + 4 + 2] = {0x11};
+  for (std::size_t i = 0; i < 4; ++i) {
+    s[1 + i] = static_cast<std::uint8_t>(nas_uplink_count >> (24 - 8 * i));
+  }
+  put_length(s + 5, 4);
   return hmac_sha256(kasme, s);
 }
 
 Digest256 derive_nas_key(const Kasme& kasme, std::uint8_t algorithm_type,
                          std::uint8_t algorithm_id) {
-  std::vector<std::uint8_t> s;
-  s.push_back(0x15);  // FC for algorithm key derivation.
-  append_param(s, std::span{&algorithm_type, 1});
-  append_param(s, std::span{&algorithm_id, 1});
+  // S = FC || type || L0 || id || L1, with FC 0x15 for algorithm keys.
+  std::uint8_t s[1 + 3 + 3] = {0x15, algorithm_type};
+  put_length(s + 2, 1);
+  s[4] = algorithm_id;
+  put_length(s + 5, 1);
   return hmac_sha256(kasme, s);
 }
 

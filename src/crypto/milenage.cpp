@@ -25,10 +25,12 @@ Block128 derive_opc(const Key128& k, const Block128& op) {
 Milenage::Milenage(const Key128& k, const Block128& opc)
     : cipher_(k), opc_(opc) {}
 
-Milenage::F1Output Milenage::f1(const Rand128& rand, const Sqn48& sqn,
-                                const Amf16& amf) const {
-  const Block128 temp = cipher_.encrypt(xor_blocks(rand, opc_));
+Milenage::Challenge Milenage::challenge(const Rand128& rand) const& {
+  return Challenge{*this, cipher_.encrypt(xor_blocks(rand, opc_))};
+}
 
+Milenage::F1Output Milenage::Challenge::f1(const Sqn48& sqn,
+                                           const Amf16& amf) const {
   // IN1 = SQN || AMF || SQN || AMF.
   Block128 in1;
   std::memcpy(in1.data(), sqn.data(), 6);
@@ -38,9 +40,9 @@ Milenage::F1Output Milenage::f1(const Rand128& rand, const Sqn48& sqn,
 
   // OUT1 = E_K(TEMP xor rot(IN1 xor OPc, r1) xor c1) xor OPc, with r1 = 64
   // bits and c1 = 0.
-  Block128 t = rotate_left(xor_blocks(in1, opc_), 64);
-  t = xor_blocks(t, temp);
-  const Block128 out1 = xor_blocks(cipher_.encrypt(t), opc_);
+  Block128 t = rotate_left(xor_blocks(in1, m_->opc_), 64);
+  t = xor_blocks(t, temp_);
+  const Block128 out1 = xor_blocks(m_->cipher_.encrypt(t), m_->opc_);
 
   F1Output out;
   std::memcpy(out.mac_a.data(), out1.data(), 8);
@@ -48,36 +50,36 @@ Milenage::F1Output Milenage::f1(const Rand128& rand, const Sqn48& sqn,
   return out;
 }
 
-Block128 Milenage::out_block(const Rand128& rand, int rotate_bits,
-                             std::uint8_t c_last_byte) const {
-  const Block128 temp = cipher_.encrypt(xor_blocks(rand, opc_));
-  Block128 t = rotate_left(xor_blocks(temp, opc_), rotate_bits);
+// OUTn = E_K(rot(TEMP xor OPc, rn) xor cn) xor OPc for n = 2..5.
+Block128 Milenage::Challenge::out_block(int rotate_bits,
+                                        std::uint8_t c_last_byte) const {
+  Block128 t = rotate_left(xor_blocks(temp_, m_->opc_), rotate_bits);
   t[15] = static_cast<std::uint8_t>(t[15] ^ c_last_byte);
-  return xor_blocks(cipher_.encrypt(t), opc_);
+  return xor_blocks(m_->cipher_.encrypt(t), m_->opc_);
 }
 
-Milenage::F2F5Output Milenage::f2_f5(const Rand128& rand) const {
+Milenage::F2F5Output Milenage::Challenge::f2_f5() const {
   // r2 = 0, c2 = ...0001.
-  const Block128 out2 = out_block(rand, 0, 0x01);
+  const Block128 out2 = out_block(0, 0x01);
   F2F5Output out;
   std::memcpy(out.res.data(), out2.data() + 8, 8);
   std::memcpy(out.ak.data(), out2.data(), 6);
   return out;
 }
 
-Ck128 Milenage::f3(const Rand128& rand) const {
+Ck128 Milenage::Challenge::f3() const {
   // r3 = 32, c3 = ...0010.
-  return out_block(rand, 32, 0x02);
+  return out_block(32, 0x02);
 }
 
-Ik128 Milenage::f4(const Rand128& rand) const {
+Ik128 Milenage::Challenge::f4() const {
   // r4 = 64, c4 = ...0100.
-  return out_block(rand, 64, 0x04);
+  return out_block(64, 0x04);
 }
 
-Ak48 Milenage::f5_star(const Rand128& rand) const {
+Ak48 Milenage::Challenge::f5_star() const {
   // r5 = 96, c5 = ...1000.
-  const Block128 out5 = out_block(rand, 96, 0x08);
+  const Block128 out5 = out_block(96, 0x08);
   Ak48 ak;
   std::memcpy(ak.data(), out5.data(), 6);
   return ak;

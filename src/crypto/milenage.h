@@ -1,7 +1,9 @@
 // Milenage authentication-and-key-agreement kernel (3GPP TS 35.205/35.206).
 //
 // The HSS uses f1–f5 to build authentication vectors; the USIM uses the
-// same functions to verify the network and answer the challenge. dLTE's
+// same functions to verify the network and answer the challenge. Both
+// take the functions from one Milenage::Challenge per RAND, which holds
+// the TEMP block they all share. dLTE's
 // "open key" mode (paper §4.2) publishes K/OPc in the registry so any AP's
 // local core can run this same procedure — the cryptography is unchanged,
 // only the key distribution differs.
@@ -36,23 +38,41 @@ class Milenage {
     Mac64 mac_a;  // Network authentication code (f1).
     Mac64 mac_s;  // Resynchronisation code (f1*).
   };
-  [[nodiscard]] F1Output f1(const Rand128& rand, const Sqn48& sqn,
-                            const Amf16& amf) const;
-
   struct F2F5Output {
     Res64 res;  // Expected user response (f2).
     Ak48 ak;    // Anonymity key (f5).
   };
-  [[nodiscard]] F2F5Output f2_f5(const Rand128& rand) const;
 
-  [[nodiscard]] Ck128 f3(const Rand128& rand) const;  // Cipher key.
-  [[nodiscard]] Ik128 f4(const Rand128& rand) const;  // Integrity key.
-  [[nodiscard]] Ak48 f5_star(const Rand128& rand) const;  // Resync AK.
+  // The functions of one RAND. Every one of them starts from
+  // TEMP = E_K(RAND xor OPc), so a Challenge computes TEMP once, at
+  // construction, and each function costs one more AES block: an HSS
+  // vector or a USIM answer (f1, f2/f5, f3, f4) is 5 blocks. A Challenge
+  // refers to its Milenage and must not outlive it.
+  class Challenge {
+   public:
+    [[nodiscard]] F1Output f1(const Sqn48& sqn, const Amf16& amf) const;
+    [[nodiscard]] F2F5Output f2_f5() const;
+    // The cipher key (f3), the integrity key (f4) and the resync AK (f5*).
+    [[nodiscard]] Ck128 f3() const;
+    [[nodiscard]] Ik128 f4() const;
+    [[nodiscard]] Ak48 f5_star() const;
+
+   private:
+    friend class Milenage;
+    Challenge(const Milenage& m, const Block128& temp) : m_(&m), temp_(temp) {}
+
+    [[nodiscard]] Block128 out_block(int rotate_bits,
+                                     std::uint8_t c_last_byte) const;
+
+    const Milenage* m_;
+    Block128 temp_;
+  };
+
+  [[nodiscard]] Challenge challenge(const Rand128& rand) const&;
+  // A Challenge of a temporary Milenage would dangle.
+  Challenge challenge(const Rand128& rand) const&& = delete;
 
  private:
-  [[nodiscard]] Block128 out_block(const Rand128& rand, int rotate_bits,
-                                   std::uint8_t c_last_byte) const;
-
   Aes128 cipher_;
   Block128 opc_;
 };

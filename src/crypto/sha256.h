@@ -3,6 +3,13 @@
 // Used by the key-derivation function (3GPP TS 33.401 Annex A style) that
 // turns CK/IK from Milenage into the session key hierarchy, and by the
 // blockchain-like registry's block hashing.
+//
+// There are two block compressions, chosen once from CPUID: on x86-64
+// CPUs with the SHA extensions (plus SSSE3 and SSE4.1) it runs on the
+// SHA-NI instructions, elsewhere it is the portable scalar one, which is
+// also the reference the tests check the other against. Both give the
+// same digest. HMAC streams its key block and message through the
+// compression without a heap allocation.
 #pragma once
 
 #include <array>

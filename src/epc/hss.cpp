@@ -40,15 +40,15 @@ Result<AuthVector> Hss::generate_auth_vector(
   v.amf = {0x80, 0x00};
 
   const crypto::Milenage m{sub.k, sub.opc};
-  const auto f1 = m.f1(v.rand, sqn, v.amf);
-  v.mac_a = f1.mac_a;
-  const auto f25 = m.f2_f5(v.rand);
+  const auto c = m.challenge(v.rand);
+  v.mac_a = c.f1(sqn, v.amf).mac_a;
+  const auto f25 = c.f2_f5();
   v.xres = f25.res;
   for (std::size_t i = 0; i < 6; ++i) {
     v.sqn_xor_ak[i] = static_cast<std::uint8_t>(sqn[i] ^ f25.ak[i]);
   }
-  const auto ck = m.f3(v.rand);
-  const auto ik = m.f4(v.rand);
+  const auto ck = c.f3();
+  const auto ik = c.f4();
   v.kasme = crypto::derive_kasme(ck, ik, serving_network_id, v.sqn_xor_ak);
   return v;
 }

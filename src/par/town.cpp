@@ -184,10 +184,10 @@ void ShardedTown::build() {
     const double window_s = config_.horizon.to_seconds() * 0.6;
     for (int u = 0; u < config_.ues_per_ap; ++u) {
       ++imsi;
-      isl->core->hss().provision(Imsi{imsi}, key_for(imsi), kOp);
-      ue::SimProfile profile{Imsi{imsi}, key_for(imsi),
-                             crypto::derive_opc(key_for(imsi), kOp), true,
-                             "t"};
+      const crypto::Key128 k = key_for(imsi);
+      const crypto::Block128 opc = crypto::derive_opc(k, kOp);
+      isl->core->hss().provision_with_opc(Imsi{imsi}, k, opc);
+      ue::SimProfile profile{Imsi{imsi}, k, opc, true, "t"};
       isl->clients.push_back(std::make_unique<ue::NasClient>(
           ue::Usim{profile}, "dlte-ap-" + std::to_string(i)));
       ue::NasClient* client = isl->clients.back().get();

@@ -42,6 +42,14 @@ TEST(Aes128, Fips197AppendixB) {
   EXPECT_EQ(to_hex(aes.encrypt(pt)), "3925841d02dc09fbdc118597196a0b32");
 }
 
+// NIST SP 800-38A F.1.1 (ECB-AES128), block 1.
+TEST(Aes128, Sp80038aF11Block1) {
+  const Key128 key = from_hex("2b7e151628aed2a6abf7158809cf4f3c");
+  const Block128 pt = from_hex("6bc1bee22e409f96e93d7e117393172a");
+  Aes128 aes{key};
+  EXPECT_EQ(to_hex(aes.encrypt(pt)), "3ad77bb40d7a3660a89ecaf32466ef97");
+}
+
 TEST(Aes128, DifferentKeysDifferentCiphertext) {
   const Block128 pt = from_hex("00000000000000000000000000000000");
   Aes128 a{from_hex("00000000000000000000000000000001")};

@@ -45,46 +45,48 @@ TEST(Milenage, OpcDerivation) {
 
 TEST(Milenage, F1MacA) {
   TestSet1 t;
-  Milenage m{t.k, derive_opc(t.k, t.op)};
-  const auto out = m.f1(t.rand, t.sqn, t.amf);
+  const Milenage m{t.k, derive_opc(t.k, t.op)};
+  const auto out = m.challenge(t.rand).f1(t.sqn, t.amf);
   EXPECT_EQ(to_hex(out.mac_a), "4a9ffac354dfafb3");
 }
 
 TEST(Milenage, F1StarMacS) {
   TestSet1 t;
-  Milenage m{t.k, derive_opc(t.k, t.op)};
-  const auto out = m.f1(t.rand, t.sqn, t.amf);
+  const Milenage m{t.k, derive_opc(t.k, t.op)};
+  const auto out = m.challenge(t.rand).f1(t.sqn, t.amf);
   EXPECT_EQ(to_hex(out.mac_s), "01cfaf9ec4e871e9");
 }
 
 TEST(Milenage, F2Response) {
   TestSet1 t;
-  Milenage m{t.k, derive_opc(t.k, t.op)};
-  EXPECT_EQ(to_hex(m.f2_f5(t.rand).res), "a54211d5e3ba50bf");
+  const Milenage m{t.k, derive_opc(t.k, t.op)};
+  EXPECT_EQ(to_hex(m.challenge(t.rand).f2_f5().res), "a54211d5e3ba50bf");
 }
 
 TEST(Milenage, F5AnonymityKey) {
   TestSet1 t;
-  Milenage m{t.k, derive_opc(t.k, t.op)};
-  EXPECT_EQ(to_hex(m.f2_f5(t.rand).ak), "aa689c648370");
+  const Milenage m{t.k, derive_opc(t.k, t.op)};
+  EXPECT_EQ(to_hex(m.challenge(t.rand).f2_f5().ak), "aa689c648370");
 }
 
 TEST(Milenage, F3CipherKey) {
   TestSet1 t;
-  Milenage m{t.k, derive_opc(t.k, t.op)};
-  EXPECT_EQ(to_hex(m.f3(t.rand)), "b40ba9a3c58b2a05bbf0d987b21bf8cb");
+  const Milenage m{t.k, derive_opc(t.k, t.op)};
+  EXPECT_EQ(to_hex(m.challenge(t.rand).f3()),
+            "b40ba9a3c58b2a05bbf0d987b21bf8cb");
 }
 
 TEST(Milenage, F4IntegrityKey) {
   TestSet1 t;
-  Milenage m{t.k, derive_opc(t.k, t.op)};
-  EXPECT_EQ(to_hex(m.f4(t.rand)), "f769bcd751044604127672711c6d3441");
+  const Milenage m{t.k, derive_opc(t.k, t.op)};
+  EXPECT_EQ(to_hex(m.challenge(t.rand).f4()),
+            "f769bcd751044604127672711c6d3441");
 }
 
 TEST(Milenage, F5StarResyncKey) {
   TestSet1 t;
-  Milenage m{t.k, derive_opc(t.k, t.op)};
-  EXPECT_EQ(to_hex(m.f5_star(t.rand)), "451e8beca43b");
+  const Milenage m{t.k, derive_opc(t.k, t.op)};
+  EXPECT_EQ(to_hex(m.challenge(t.rand).f5_star()), "451e8beca43b");
 }
 
 // The mutual-authentication property dLTE's open-key mode rests on: any
@@ -93,12 +95,14 @@ TEST(Milenage, F5StarResyncKey) {
 TEST(Milenage, TwoPartiesAgree) {
   TestSet1 t;
   const Block128 opc = derive_opc(t.k, t.op);
-  Milenage hss{t.k, opc};
-  Milenage usim{t.k, opc};
-  EXPECT_EQ(to_hex(hss.f2_f5(t.rand).res), to_hex(usim.f2_f5(t.rand).res));
-  EXPECT_EQ(to_hex(hss.f3(t.rand)), to_hex(usim.f3(t.rand)));
-  EXPECT_EQ(to_hex(hss.f1(t.rand, t.sqn, t.amf).mac_a),
-            to_hex(usim.f1(t.rand, t.sqn, t.amf).mac_a));
+  const Milenage hss{t.k, opc};
+  const Milenage usim{t.k, opc};
+  const auto hc = hss.challenge(t.rand);
+  const auto uc = usim.challenge(t.rand);
+  EXPECT_EQ(to_hex(hc.f2_f5().res), to_hex(uc.f2_f5().res));
+  EXPECT_EQ(to_hex(hc.f3()), to_hex(uc.f3()));
+  EXPECT_EQ(to_hex(hc.f1(t.sqn, t.amf).mac_a),
+            to_hex(uc.f1(t.sqn, t.amf).mac_a));
 }
 
 TEST(Milenage, WrongKeyFailsAgreement) {
@@ -106,10 +110,24 @@ TEST(Milenage, WrongKeyFailsAgreement) {
   const Block128 opc = derive_opc(t.k, t.op);
   Key128 wrong = t.k;
   wrong[0] ^= 0x01;
-  Milenage hss{t.k, opc};
-  Milenage impostor{wrong, opc};
-  EXPECT_NE(to_hex(hss.f2_f5(t.rand).res),
-            to_hex(impostor.f2_f5(t.rand).res));
+  const Milenage hss{t.k, opc};
+  const Milenage impostor{wrong, opc};
+  EXPECT_NE(to_hex(hss.challenge(t.rand).f2_f5().res),
+            to_hex(impostor.challenge(t.rand).f2_f5().res));
+}
+
+// One Milenage serves many challenges: each RAND gets its own TEMP, and a
+// challenge's outputs do not depend on which challenges came before it.
+TEST(Milenage, ChallengesAreIndependent) {
+  TestSet1 t;
+  const Milenage m{t.k, derive_opc(t.k, t.op)};
+  Rand128 other = t.rand;
+  other[15] ^= 0x01;
+  const auto first = m.challenge(t.rand);
+  const auto second = m.challenge(other);
+  EXPECT_NE(to_hex(first.f3()), to_hex(second.f3()));
+  EXPECT_EQ(to_hex(first.f3()), "b40ba9a3c58b2a05bbf0d987b21bf8cb");
+  EXPECT_EQ(to_hex(m.challenge(other).f3()), to_hex(second.f3()));
 }
 
 }  // namespace
