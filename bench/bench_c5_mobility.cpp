@@ -310,11 +310,11 @@ void run_traced_scenario(dlte::bench::Harness& harness) {
   const crypto::Key128 k = key_for(imsi.value());
   crypto::Block128 op{};
   op[0] = 0xcd;
-  registry.publish_subscriber(
-      epc::PublishedKeys{imsi, k, crypto::derive_opc(k, op)});
+  const crypto::Block128 opc = crypto::derive_opc(k, op);
+  registry.publish_subscriber(epc::PublishedKeys{imsi, k, opc});
   for (auto& ap : aps) ap->import_published_subscribers(registry);
   core::UeDevice ue{
-      ue::SimProfile{imsi, k, crypto::derive_opc(k, op), true, "trace"},
+      ue::SimProfile{imsi, k, opc, true, "trace"},
       std::make_unique<ue::StaticMobility>(Position{2'500.0, 0.0})};
   aps[0]->attach(ue, mac::UeTrafficConfig{.full_buffer = true});
   sim.run_until(sim.now() + Duration::seconds(2.0));

@@ -71,8 +71,8 @@ int main(int argc, char** argv) {
   crypto::Block128 op{};
   op[0] = 0xcd;
   const Imsi imsi{510995550001234ULL};
-  registry.publish_subscriber(
-      epc::PublishedKeys{imsi, k, crypto::derive_opc(k, op)});
+  const crypto::Block128 opc = crypto::derive_opc(k, op);
+  registry.publish_subscriber(epc::PublishedKeys{imsi, k, opc});
   std::cout << "published subscriber keys for IMSI " << imsi.value()
             << " (open identity)\n";
   const std::size_t imported = ap.import_published_subscribers(registry);
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
             << " published identities into its local HSS\n";
 
   core::UeDevice phone{
-      ue::SimProfile{imsi, k, crypto::derive_opc(k, op), true, "open-dlte"},
+      ue::SimProfile{imsi, k, opc, true, "open-dlte"},
       std::make_unique<ue::StaticMobility>(Position{1800.0, 400.0})};
 
   // 5. Attach: the standard LTE dialogue, served entirely on the AP.

@@ -53,13 +53,13 @@ int main() {
   crypto::Block128 op{};
   op[0] = 0xcd;
   const Imsi imsi{510991234500042ULL};
-  registry.publish_subscriber(
-      epc::PublishedKeys{imsi, k, crypto::derive_opc(k, op)});
+  const crypto::Block128 opc = crypto::derive_opc(k, op);
+  registry.publish_subscriber(epc::PublishedKeys{imsi, k, opc});
   coop->import_published_subscribers(registry);
   school->import_published_subscribers(registry);
 
   core::UeDevice phone{
-      ue::SimProfile{imsi, k, crypto::derive_opc(k, op), true, "open"},
+      ue::SimProfile{imsi, k, opc, true, "open"},
       std::make_unique<ue::LinearMobility>(Position{1'000.0, 100.0}, 1.5,
                                            0.0)};
 

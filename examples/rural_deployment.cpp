@@ -51,12 +51,12 @@ int main() {
       k[i] = static_cast<std::uint8_t>(h * 11 + i);
     }
     const Imsi imsi{510990000000100ULL + h};
-    registry.publish_subscriber(
-        epc::PublishedKeys{imsi, k, crypto::derive_opc(k, op)});
+    const crypto::Block128 opc = crypto::derive_opc(k, op);
+    registry.publish_subscriber(epc::PublishedKeys{imsi, k, opc});
     const double angle = placement.uniform(0.0, 6.283);
     const double dist = 300.0 + placement.uniform(0.0, 5'700.0);
     homes.push_back(std::make_unique<core::UeDevice>(
-        ue::SimProfile{imsi, k, crypto::derive_opc(k, op), true, "home"},
+        ue::SimProfile{imsi, k, opc, true, "home"},
         std::make_unique<ue::StaticMobility>(Position{
             dist * std::cos(angle), dist * std::sin(angle)})));
   }

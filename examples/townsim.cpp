@@ -219,12 +219,12 @@ int main(int argc, char** argv) {
       k[i] = static_cast<std::uint8_t>(u * 17 + i);
     }
     const Imsi imsi{900000000000000ULL + static_cast<std::uint64_t>(u)};
-    registry.publish_subscriber(
-        epc::PublishedKeys{imsi, k, crypto::derive_opc(k, op)});
+    const crypto::Block128 opc = crypto::derive_opc(k, op);
+    registry.publish_subscriber(epc::PublishedKeys{imsi, k, opc});
     const int home = u % opt.aps;
     const double off = placement.uniform(-0.25, 0.25) * opt.spacing_m;
     ues.push_back(std::make_unique<core::UeDevice>(
-        ue::SimProfile{imsi, k, crypto::derive_opc(k, op), true, "u"},
+        ue::SimProfile{imsi, k, opc, true, "u"},
         std::make_unique<ue::StaticMobility>(
             Position{home * opt.spacing_m + off,
                      placement.uniform(100.0, 800.0)})));

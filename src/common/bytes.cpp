@@ -30,15 +30,6 @@ Result<std::uint16_t> ByteReader::u16() {
   return v;
 }
 
-Result<std::uint32_t> ByteReader::u24() {
-  if (remaining() < 3) return fail("short buffer reading u24");
-  std::uint32_t v = (static_cast<std::uint32_t>(data_[pos_]) << 16) |
-                    (static_cast<std::uint32_t>(data_[pos_ + 1]) << 8) |
-                    data_[pos_ + 2];
-  pos_ += 3;
-  return v;
-}
-
 Result<std::uint32_t> ByteReader::u32() {
   if (remaining() < 4) return fail("short buffer reading u32");
   std::uint32_t v = (static_cast<std::uint32_t>(data_[pos_]) << 24) |

@@ -22,11 +22,6 @@ class ByteWriter {
     buf_.push_back(static_cast<std::uint8_t>(v >> 8));
     buf_.push_back(static_cast<std::uint8_t>(v));
   }
-  void u24(std::uint32_t v) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> 16));
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-    buf_.push_back(static_cast<std::uint8_t>(v));
-  }
   void u32(std::uint32_t v) {
     u16(static_cast<std::uint16_t>(v >> 16));
     u16(static_cast<std::uint16_t>(v));
@@ -58,7 +53,6 @@ class ByteReader {
 
   [[nodiscard]] Result<std::uint8_t> u8();
   [[nodiscard]] Result<std::uint16_t> u16();
-  [[nodiscard]] Result<std::uint32_t> u24();
   [[nodiscard]] Result<std::uint32_t> u32();
   [[nodiscard]] Result<std::uint64_t> u64();
   [[nodiscard]] Result<double> f64();

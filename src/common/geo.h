@@ -22,9 +22,4 @@ struct Position {
   return std::sqrt(dx * dx + dy * dy);
 }
 
-// Linear interpolation between two positions, t in [0,1].
-[[nodiscard]] inline Position lerp(Position a, Position b, double t) {
-  return Position{a.x_m + (b.x_m - a.x_m) * t, a.y_m + (b.y_m - a.y_m) * t};
-}
-
 }  // namespace dlte

@@ -68,23 +68,4 @@ class [[nodiscard]] Result {
   std::variant<T, E> storage_;
 };
 
-// Result for operations with no payload.
-template <typename E = std::string>
-class [[nodiscard]] Status {
- public:
-  Status() = default;  // Success.
-  Status(Err<E> error) : error_(std::move(error.value)), failed_(true) {}
-
-  [[nodiscard]] bool ok() const { return !failed_; }
-  explicit operator bool() const { return ok(); }
-  [[nodiscard]] const E& error() const {
-    assert(failed_);
-    return error_;
-  }
-
- private:
-  E error_{};
-  bool failed_{false};
-};
-
 }  // namespace dlte

@@ -174,11 +174,6 @@ std::size_t DlteAccessPoint::import_published_subscribers(
   return imported;
 }
 
-void DlteAccessPoint::provision_subscriber(Imsi imsi, const crypto::Key128& k,
-                                           const crypto::Block128& opc) {
-  core_->hss().provision_with_opc(imsi, k, opc);
-}
-
 void DlteAccessPoint::attach(UeDevice& ue, mac::UeTrafficConfig traffic,
                              std::function<void(AttachOutcome)> on_done) {
   if (failed_) {

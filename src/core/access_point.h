@@ -70,10 +70,6 @@ class DlteAccessPoint {
   std::size_t import_published_subscribers(
       const spectrum::Registry& registry);
 
-  // Directly provision a subscriber on this AP's local HSS.
-  void provision_subscriber(Imsi imsi, const crypto::Key128& k,
-                            const crypto::Block128& opc);
-
   // Radio-level attach of a UE camping on this cell. Also registers the
   // UE's traffic with the cell MAC using the radio environment's SINR.
   void attach(UeDevice& ue, mac::UeTrafficConfig traffic,

@@ -52,11 +52,6 @@ class RadioEnvironment {
   // conservative power instead of going dark.
   void set_power_backoff_db(CellId id, double backoff_db);
 
-  // UE receiver profile used for downlink computations.
-  void set_ue_profile(const phy::RadioProfile& profile) {
-    ue_profile_ = profile;
-  }
-
   [[nodiscard]] PowerDbm rsrp(CellId cell, Position ue) const;
   [[nodiscard]] Decibels downlink_sinr(CellId serving, Position ue) const;
   // Uplink is scheduled (orthogonal within a cell); interference-free

@@ -49,14 +49,4 @@ Digest256 derive_kenb(const Kasme& kasme, std::uint32_t nas_uplink_count) {
   return hmac_sha256(kasme, s);
 }
 
-Digest256 derive_nas_key(const Kasme& kasme, std::uint8_t algorithm_type,
-                         std::uint8_t algorithm_id) {
-  // S = FC || type || L0 || id || L1, with FC 0x15 for algorithm keys.
-  std::uint8_t s[1 + 3 + 3] = {0x15, algorithm_type};
-  put_length(s + 2, 1);
-  s[4] = algorithm_id;
-  put_length(s + 5, 1);
-  return hmac_sha256(kasme, s);
-}
-
 }  // namespace dlte::crypto

@@ -1,8 +1,9 @@
 // EPS key hierarchy derivation (3GPP TS 33.401 Annex A style).
 //
 // KASME is derived from CK/IK and the serving network identity with the
-// standard FC-prefixed HMAC-SHA-256 KDF; eNodeB and NAS keys descend from
-// it. In dLTE each AP's local core is its own "serving network", so the
+// standard FC-prefixed HMAC-SHA-256 KDF; the eNodeB key descends from it
+// (NAS security is not simulated, so NAS keys are not derived). In dLTE
+// each AP's local core is its own "serving network", so the
 // serving-network binding is what scopes a session key to one AP.
 #pragma once
 
@@ -26,10 +27,5 @@ using Kasme = Digest256;  // 256-bit root session key.
 // K_eNB derived from KASME and the NAS uplink count.
 [[nodiscard]] Digest256 derive_kenb(const Kasme& kasme,
                                     std::uint32_t nas_uplink_count);
-
-// NAS integrity/cipher keys (truncated to 128 bits by callers as needed).
-[[nodiscard]] Digest256 derive_nas_key(const Kasme& kasme,
-                                       std::uint8_t algorithm_type,
-                                       std::uint8_t algorithm_id);
 
 }  // namespace dlte::crypto

@@ -77,12 +77,4 @@ Ik128 Milenage::Challenge::f4() const {
   return out_block(64, 0x04);
 }
 
-Ak48 Milenage::Challenge::f5_star() const {
-  // r5 = 96, c5 = ...1000.
-  const Block128 out5 = out_block(96, 0x08);
-  Ak48 ak;
-  std::memcpy(ak.data(), out5.data(), 6);
-  return ak;
-}
-
 }  // namespace dlte::crypto

@@ -52,10 +52,10 @@ class Milenage {
    public:
     [[nodiscard]] F1Output f1(const Sqn48& sqn, const Amf16& amf) const;
     [[nodiscard]] F2F5Output f2_f5() const;
-    // The cipher key (f3), the integrity key (f4) and the resync AK (f5*).
+    // The cipher key (f3) and the integrity key (f4). Re-synchronisation
+    // (f5*) is not modelled.
     [[nodiscard]] Ck128 f3() const;
     [[nodiscard]] Ik128 f4() const;
-    [[nodiscard]] Ak48 f5_star() const;
 
    private:
     friend class Milenage;

@@ -52,7 +52,7 @@ std::string FaultSpec::describe() const {
       s += outage == spectrum::RegistryOutage::kCommitStall
                ? " mode=commit-stall"
                : " mode=offline";
-      s += zone >= 0 ? " zone=" + std::to_string(zone) : " zone=all";
+      s += zone ? " zone=" + std::to_string(*zone) : " zone=all";
       break;
     case FaultKind::kX2Impairment:
       s += " ap=" + std::to_string(ap.value()) + " drop=" + fmt3(loss) +
@@ -77,75 +77,6 @@ std::string FaultPlan::summary() const {
     out += "\n";
   }
   return out;
-}
-
-FaultPlan FaultPlan::random(std::uint64_t seed, const std::vector<ApId>& aps,
-                            const std::vector<std::pair<NodeId, NodeId>>& links,
-                            const RandomFaultProfile& profile) {
-  FaultPlan plan;
-  auto rng = sim::RngStream::derive(seed, "fault-plan");
-  // Faults start inside the first 70% of the horizon so finite ones get a
-  // chance to heal (and their aftermath to be observed) before the end.
-  const double start_span = profile.horizon.to_seconds() * 0.7;
-  const auto draw_at = [&] {
-    return TimePoint{} + Duration::seconds(rng.uniform(1.0, start_span));
-  };
-  const auto draw_dur = [&] {
-    return Duration::seconds(rng.uniform(profile.min_duration.to_seconds(),
-                                         profile.max_duration.to_seconds()));
-  };
-
-  if (!aps.empty()) {
-    for (int i = 0; i < profile.ap_crashes; ++i) {
-      FaultSpec s;
-      s.kind = FaultKind::kApCrash;
-      s.at = draw_at();
-      s.duration = draw_dur();
-      s.ap = aps[rng.uniform_int(0, aps.size() - 1)];
-      plan.add(s);
-    }
-  }
-  if (!links.empty()) {
-    for (int i = 0; i < profile.link_partitions; ++i) {
-      FaultSpec s;
-      s.kind = FaultKind::kLinkPartition;
-      s.at = draw_at();
-      s.duration = draw_dur();
-      const auto& link = links[rng.uniform_int(0, links.size() - 1)];
-      s.link_a = link.first;
-      s.link_b = link.second;
-      plan.add(s);
-    }
-    for (int i = 0; i < profile.link_degrades; ++i) {
-      FaultSpec s;
-      s.kind = FaultKind::kLinkDegrade;
-      s.at = draw_at();
-      s.duration = draw_dur();
-      const auto& link = links[rng.uniform_int(0, links.size() - 1)];
-      s.link_a = link.first;
-      s.link_b = link.second;
-      s.loss = rng.uniform(0.05, 0.3);
-      s.extra_latency = Duration::millis(
-          static_cast<std::int64_t>(rng.uniform_int(20, 200)));
-      plan.add(s);
-    }
-  }
-  for (int i = 0; i < profile.registry_outages; ++i) {
-    FaultSpec s;
-    s.kind = FaultKind::kRegistryOutage;
-    s.at = draw_at();
-    s.duration = draw_dur();
-    s.outage = rng.uniform_int(0, 1) == 0
-                   ? spectrum::RegistryOutage::kOffline
-                   : spectrum::RegistryOutage::kCommitStall;
-    plan.add(s);
-  }
-
-  std::stable_sort(plan.specs_.begin(), plan.specs_.end(),
-                   [](const FaultSpec& a, const FaultSpec& b) {
-                     return a.at < b.at;
-                   });
-  return plan;
 }
 
 void FaultInjector::register_ap(core::DlteAccessPoint* ap) {
@@ -235,8 +166,8 @@ void FaultInjector::inject(const FaultSpec& spec) {
       break;
     case FaultKind::kRegistryOutage:
       if (registry_ != nullptr) {
-        if (spec.zone >= 0) {
-          registry_->set_zone_offline(spec.zone, true);
+        if (spec.zone) {
+          registry_->set_zone_offline(*spec.zone, true);
         } else {
           registry_->set_outage(spec.outage ==
                                         spectrum::RegistryOutage::kNone
@@ -279,8 +210,8 @@ void FaultInjector::heal(const FaultSpec& spec) {
       break;
     case FaultKind::kRegistryOutage:
       if (registry_ != nullptr) {
-        if (spec.zone >= 0) {
-          registry_->set_zone_offline(spec.zone, false);
+        if (spec.zone) {
+          registry_->set_zone_offline(*spec.zone, false);
         } else {
           registry_->set_outage(spectrum::RegistryOutage::kNone);
         }

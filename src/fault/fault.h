@@ -1,7 +1,7 @@
 // Deterministic fault injection (the resilience half of §7's "ecosystem
 // health" story).
 //
-// A FaultPlan is a seeded, fully-reproducible schedule of failures — AP
+// A FaultPlan is a fully-reproducible schedule of failures — AP
 // crashes, backhaul partitions and degradations, registry outages, X2
 // message corruption. The FaultInjector arms the plan against live
 // components on the simulator clock: every fault and its heal is an
@@ -10,7 +10,9 @@
 // A/B comparison instead of an anecdote.
 #pragma once
 
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -22,7 +24,6 @@
 #include "net/network.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "sim/random.h"
 #include "sim/simulator.h"
 #include "spectrum/registry.h"
 
@@ -51,20 +52,11 @@ struct FaultSpec {
   Duration extra_latency{};    // kLinkDegrade added one-way delay.
   double duplicate{0.0};       // kX2Impairment duplication probability.
   spectrum::RegistryOutage outage{spectrum::RegistryOutage::kNone};
-  int zone{-1};                // kRegistryOutage: federated zone, -1 = all.
+  // kRegistryOutage: the federated zone (spectrum::Registry::zone_of)
+  // that fails; none takes the whole registry down.
+  std::optional<std::int64_t> zone;
 
   [[nodiscard]] std::string describe() const;
-};
-
-// Knobs for FaultPlan::random().
-struct RandomFaultProfile {
-  int ap_crashes{2};
-  int link_partitions{2};
-  int link_degrades{2};
-  int registry_outages{1};
-  Duration horizon{Duration::seconds(120.0)};
-  Duration min_duration{Duration::seconds(5.0)};
-  Duration max_duration{Duration::seconds(20.0)};
 };
 
 class FaultPlan {
@@ -78,14 +70,6 @@ class FaultPlan {
   // One line per fault in schedule order. Byte-stable for a given plan —
   // the determinism check in tests/bench compares these strings.
   [[nodiscard]] std::string summary() const;
-
-  // Seeded random plan over the given APs and links. Same seed + same
-  // inputs = identical plan; the draws depend only on the seed, never on
-  // wall-clock or address ordering.
-  [[nodiscard]] static FaultPlan random(
-      std::uint64_t seed, const std::vector<ApId>& aps,
-      const std::vector<std::pair<NodeId, NodeId>>& links,
-      const RandomFaultProfile& profile = {});
 
  private:
   std::vector<FaultSpec> specs_;

@@ -36,53 +36,6 @@ Result<GtpUHeader> decode_gtpu(std::span<const std::uint8_t> bytes) {
   return h;
 }
 
-std::vector<std::uint8_t> encode_gtpc_create_req(
-    const CreateSessionRequest& m) {
-  ByteWriter w;
-  w.u8(0x20);  // Create Session Request.
-  w.u64(m.imsi.value());
-  w.u8(m.bearer.value());
-  w.u32(m.uplink_teid.value());
-  return w.take();
-}
-
-Result<CreateSessionRequest> decode_gtpc_create_req(
-    std::span<const std::uint8_t> bytes) {
-  ByteReader r{bytes};
-  auto type = r.u8();
-  if (!type) return Err{type.error()};
-  if (*type != 0x20) return fail("not a Create Session Request");
-  auto imsi = r.u64();
-  if (!imsi) return Err{imsi.error()};
-  auto bearer = r.u8();
-  if (!bearer) return Err{bearer.error()};
-  auto teid = r.u32();
-  if (!teid) return Err{teid.error()};
-  return CreateSessionRequest{Imsi{*imsi}, BearerId{*bearer}, Teid{*teid}};
-}
-
-std::vector<std::uint8_t> encode_gtpc_create_resp(
-    const CreateSessionResponse& m) {
-  ByteWriter w;
-  w.u8(0x21);  // Create Session Response.
-  w.u32(m.downlink_teid.value());
-  w.u32(m.ue_ip);
-  return w.take();
-}
-
-Result<CreateSessionResponse> decode_gtpc_create_resp(
-    std::span<const std::uint8_t> bytes) {
-  ByteReader r{bytes};
-  auto type = r.u8();
-  if (!type) return Err{type.error()};
-  if (*type != 0x21) return fail("not a Create Session Response");
-  auto teid = r.u32();
-  if (!teid) return Err{teid.error()};
-  auto ip = r.u32();
-  if (!ip) return Err{ip.error()};
-  return CreateSessionResponse{Teid{*teid}, *ip};
-}
-
 std::string gtpu_brief(const GtpUHeader& h) {
   return "teid=" + std::to_string(h.teid.value()) +
          " seq=" + std::to_string(h.sequence) +

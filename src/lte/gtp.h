@@ -1,12 +1,12 @@
 // GTP: the tunneling protocol between radio and core.
 //
-// GTP-U carries user IP packets through the access network; GTP-C (here a
-// minimal Create/Delete Session pair) sets the tunnels up. In telecom LTE
+// GTP-U carries user IP packets through the access network. In telecom LTE
 // every user packet is GTP-encapsulated all the way to the remote P-GW —
 // the "trombone" of Fig. 1; in dLTE the tunnel terminates a few
 // centimetres away in the AP's local core stub, and the encapsulation
 // overhead + detour this module models is exactly what experiment F1
-// quantifies.
+// quantifies. GTP-C is not modelled: the local core stub collapses the
+// S11/S5 session set-up into function calls (§4.1).
 #pragma once
 
 #include <cstdint>
@@ -36,30 +36,5 @@ inline constexpr int kGtpTunnelOverheadBytes = 20 + 8 + kGtpUHeaderBytes;
 
 // One-line "teid=<t> seq=<s> len=<l>" description for span annotations.
 [[nodiscard]] std::string gtpu_brief(const GtpUHeader& h);
-
-// GTP-C session management (S11/S5 collapsed).
-struct CreateSessionRequest {
-  Imsi imsi;
-  BearerId bearer{5};
-  Teid uplink_teid;    // Where the S-GW wants uplink traffic.
-};
-
-struct CreateSessionResponse {
-  Teid downlink_teid;  // Where the eNodeB should send... (mirror).
-  std::uint32_t ue_ip{0};
-};
-
-struct DeleteSessionRequest {
-  Teid teid;
-};
-
-[[nodiscard]] std::vector<std::uint8_t> encode_gtpc_create_req(
-    const CreateSessionRequest& m);
-[[nodiscard]] Result<CreateSessionRequest> decode_gtpc_create_req(
-    std::span<const std::uint8_t> bytes);
-[[nodiscard]] std::vector<std::uint8_t> encode_gtpc_create_resp(
-    const CreateSessionResponse& m);
-[[nodiscard]] Result<CreateSessionResponse> decode_gtpc_create_resp(
-    std::span<const std::uint8_t> bytes);
 
 }  // namespace dlte::lte

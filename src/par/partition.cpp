@@ -1,8 +1,5 @@
 #include "par/partition.h"
 
-#include <algorithm>
-#include <numeric>
-
 namespace dlte::par {
 
 std::size_t shard_of_block(std::size_t item, std::size_t n_items,
@@ -13,31 +10,6 @@ std::size_t shard_of_block(std::size_t item, std::size_t n_items,
   // item*S/N is monotone in item and yields block sizes within one of
   // each other (the classic balanced block formula).
   return item * n_shards / n_items;
-}
-
-std::size_t block_size(std::size_t shard, std::size_t n_items,
-                       std::size_t n_shards) {
-  if (n_items == 0 || n_shards == 0) return 0;
-  if (n_shards > n_items) n_shards = n_items;
-  if (shard >= n_shards) return 0;
-  // First item of shard k is ceil(k*N/S).
-  const std::size_t begin = (shard * n_items + n_shards - 1) / n_shards;
-  const std::size_t end = ((shard + 1) * n_items + n_shards - 1) / n_shards;
-  return end - begin;
-}
-
-std::vector<std::size_t> partition_by_position(const std::vector<double>& x,
-                                               std::size_t n_shards) {
-  const std::size_t n = x.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&x](std::size_t a, std::size_t b) { return x[a] < x[b]; });
-  std::vector<std::size_t> shard(n, 0);
-  for (std::size_t rank = 0; rank < n; ++rank) {
-    shard[order[rank]] = shard_of_block(rank, n, n_shards);
-  }
-  return shard;
 }
 
 }  // namespace dlte::par

@@ -3,16 +3,13 @@
 // The only property the determinism machinery needs from a partition is
 // that it is a pure function of (item count, shard count) — never of
 // thread timing. The block partition is additionally MONOTONE (shard
-// index is non-decreasing in item index), which makes the ISSUE's
+// index is non-decreasing in item index), which makes the
 // (timestamp, source_shard, sequence) exchange ordering coincide with
 // the shard-count-invariant (timestamp, source_endpoint, sequence) order
-// actually used for injection. The position-aware variant keeps
-// geographic neighbours (who exchange the most X2 traffic) on the same
-// shard, minimising cross-shard messages.
+// actually used for injection.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace dlte::par {
 
@@ -21,16 +18,5 @@ namespace dlte::par {
 [[nodiscard]] std::size_t shard_of_block(std::size_t item,
                                          std::size_t n_items,
                                          std::size_t n_shards);
-
-// Number of items shard_of_block assigns to `shard`.
-[[nodiscard]] std::size_t block_size(std::size_t shard, std::size_t n_items,
-                                     std::size_t n_shards);
-
-// Partition by 1-D position (APs along the paper's street deployment):
-// rank items by (x, index) and block-partition the ranks, so each shard
-// owns a contiguous stretch of geography. Returns shard per original
-// index. Deterministic for identical inputs.
-[[nodiscard]] std::vector<std::size_t> partition_by_position(
-    const std::vector<double>& x, std::size_t n_shards);
 
 }  // namespace dlte::par

@@ -17,7 +17,6 @@
 #include <memory>
 
 #include "common/units.h"
-#include "sim/random.h"
 
 namespace dlte::phy {
 
@@ -89,22 +88,5 @@ class Cost231HataModel final : public PropagationModel {
 // log-distance (n = 3.0) above — covering 5 GHz ISM.
 [[nodiscard]] std::unique_ptr<PropagationModel> make_rural_model(
     Hertz frequency);
-
-// Lognormal shadowing: a zero-mean normal draw in dB, correlated per link
-// (each link object should hold one ShadowingProcess).
-class ShadowingProcess {
- public:
-  ShadowingProcess(double stddev_db, sim::RngStream rng)
-      : stddev_db_(stddev_db), rng_(std::move(rng)) {}
-
-  // Redraw (e.g. when the mobile moves beyond the decorrelation distance).
-  void redraw() { current_db_ = rng_.normal(0.0, stddev_db_); }
-  [[nodiscard]] Decibels current() const { return Decibels{current_db_}; }
-
- private:
-  double stddev_db_;
-  sim::RngStream rng_;
-  double current_db_{0.0};
-};
 
 }  // namespace dlte::phy

@@ -2,22 +2,6 @@
 
 namespace dlte::registry {
 
-const char* cache_tier_name(CacheTier tier) {
-  switch (tier) {
-    case CacheTier::kLocal:
-      return "local";
-    case CacheTier::kZone:
-      return "zone";
-    case CacheTier::kRoot:
-      return "root";
-    case CacheTier::kAuthoritative:
-      return "authoritative";
-    case CacheTier::kShed:
-      return "shed";
-  }
-  return "?";
-}
-
 LeaseCache::LeaseCache(CacheConfig config) : config_(config) {}
 
 Duration LeaseCache::tier_latency(CacheTier tier) const {
@@ -118,14 +102,6 @@ void LeaseCache::fill(std::uint64_t requester, std::int64_t zone,
   root_[zone] = entry;
   zone_[zone] = entry;
   local_[{requester, zone}] = entry;
-}
-
-void LeaseCache::invalidate(std::int64_t zone) {
-  root_.erase(zone);
-  zone_.erase(zone);
-  for (auto it = local_.begin(); it != local_.end();) {
-    it = it->first.second == zone ? local_.erase(it) : std::next(it);
-  }
 }
 
 void LeaseCache::set_metrics(obs::MetricsRegistry* metrics,

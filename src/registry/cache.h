@@ -22,8 +22,9 @@
 // Shedding is the SLO symptom of an under-provisioned registry.
 //
 // The cache is clock-free (every method takes `now`) and spectrum-free
-// (snapshots are bare grant ids) so it unit-tests without a simulator
-// and the registry resolves ids to live grants at serve time.
+// (snapshots are bare grant ids) so it unit-tests without a simulator.
+// Its one client is spectrum::Registry::zone_occupancy, which reports a
+// served snapshot's member count.
 #pragma once
 
 #include <cstdint>
@@ -46,9 +47,9 @@ struct CacheConfig {
   // exactly at capacity is still served, the next one sheds.
   std::uint32_t root_capacity{256};
   Duration capacity_window{Duration::seconds(1.0)};
-  // Serve latencies by tier, used by the registry's async facade (the
-  // cache itself is synchronous). Authoritative/shed lookups pay the
-  // registry's own query latency instead.
+  // Serve latencies by tier: the delay of an occupancy reply the tier
+  // answers (the cache itself is synchronous). Authoritative/shed
+  // lookups pay the registry's own query latency instead.
   Duration local_latency{Duration::millis(5)};
   Duration zone_latency{Duration::millis(40)};
   Duration root_latency{Duration::millis(80)};
@@ -61,8 +62,6 @@ enum class CacheTier : std::uint8_t {
   kAuthoritative = 3,  // Full miss: nothing fresh anywhere.
   kShed = 4,           // Root over capacity: authoritative fallback.
 };
-
-[[nodiscard]] const char* cache_tier_name(CacheTier tier);
 
 struct CacheLookup {
   CacheTier tier{CacheTier::kAuthoritative};
@@ -89,10 +88,6 @@ class LeaseCache {
   // kAuthoritative miss).
   void fill(std::uint64_t requester, std::int64_t zone, std::uint64_t version,
             ZoneSnapshot snapshot, TimePoint now);
-
-  // Drop every tier's entries for `zone` (e.g. when its registrar goes
-  // offline: a recovering zone must not serve pre-outage state).
-  void invalidate(std::int64_t zone);
 
   [[nodiscard]] Duration tier_latency(CacheTier tier) const;
 

@@ -43,12 +43,10 @@ void SpatialIndex::insert(const SiteEntry& entry) {
     }
   }
   if (bucket == nullptr) {
-    zone.buckets.push_back(Bucket{entry.center_hz, 0.0, 0.0, {}});
+    zone.buckets.push_back(Bucket{entry.center_hz, {}});
     bucket = &zone.buckets.back();
   }
   bucket->entries.push_back(entry);
-  bucket->max_half_bw_hz = std::max(bucket->max_half_bw_hz, entry.half_bw_hz);
-  bucket->max_range_m = std::max(bucket->max_range_m, entry.range_m);
   zone.max_range_m = std::max(zone.max_range_m, entry.range_m);
   max_range_m_ = std::max(max_range_m_, entry.range_m);
   ++size_;
@@ -64,8 +62,8 @@ bool SpatialIndex::erase(std::uint64_t id, Position location) {
     for (std::size_t ei = 0; ei < bucket.entries.size(); ++ei) {
       if (bucket.entries[ei].id != id) continue;
       // Order inside a bucket carries no meaning (callers sort by id),
-      // so swap-pop keeps erase O(1). Bucket/zone max bounds stay
-      // conservative — like max_range_m_ they never shrink.
+      // so swap-pop keeps erase O(1). The zone's max reach stays
+      // conservative — like max_range_m_ it never shrinks.
       const SiteEntry gone = bucket.entries[ei];
       bucket.entries[ei] = bucket.entries.back();
       bucket.entries.pop_back();
@@ -123,71 +121,34 @@ std::uint64_t SpatialIndex::zone_version(std::int64_t zone) const {
   return it == membership_.end() ? 0 : it->second.version;
 }
 
-void SpatialIndex::for_each_zone_near(
-    Position location, double radius_m, double floor_range_m,
-    const std::function<void(const Zone&)>& visit) const {
+void SpatialIndex::for_each_reaching(Position location,
+                                     const Visitor& visit) const {
   if (zones_.empty()) return;
-  const std::int32_t zx0 = axis_zone(location.x_m - radius_m, zone_size_m_);
-  const std::int32_t zx1 = axis_zone(location.x_m + radius_m, zone_size_m_);
-  const std::int32_t zy0 = axis_zone(location.y_m - radius_m, zone_size_m_);
-  const std::int32_t zy1 = axis_zone(location.y_m + radius_m, zone_size_m_);
+  // Only zones within the longest indexed reach can hold a match.
+  const double r = max_range_m_;
+  const std::int32_t zx0 = axis_zone(location.x_m - r, zone_size_m_);
+  const std::int32_t zx1 = axis_zone(location.x_m + r, zone_size_m_);
+  const std::int32_t zy0 = axis_zone(location.y_m - r, zone_size_m_);
+  const std::int32_t zy1 = axis_zone(location.y_m + r, zone_size_m_);
   for (std::int32_t zx = zx0; zx <= zx1; ++zx) {
     for (std::int32_t zy = zy0; zy <= zy1; ++zy) {
       const auto it = zones_.find(zone_key_of(zx, zy));
       if (it == zones_.end()) continue;
-      // Zone-level reject: skip when neither the zone's longest reach
-      // nor the querier-side floor can bridge the gap to the query
-      // point. The floor matters for the contending predicate, where a
-      // short-reach entry still contends if it sits inside the
-      // querier's own range.
+      // Zone-level reject: skip when the zone's longest reach cannot
+      // bridge the gap to the query point.
       const double gap =
           point_to_square_m(location, zx * zone_size_m_, zy * zone_size_m_,
                             zone_size_m_);
-      if (gap > std::max(it->second.max_range_m, floor_range_m)) continue;
-      visit(it->second);
+      if (gap > it->second.max_range_m) continue;
+      for (const Bucket& bucket : it->second.buckets) {
+        for (const SiteEntry& entry : bucket.entries) {
+          if (distance_m(entry.location, location) <= entry.range_m) {
+            visit(entry);
+          }
+        }
+      }
     }
   }
-}
-
-void SpatialIndex::for_each_reaching(Position location,
-                                     const Visitor& visit) const {
-  for_each_zone_near(location, max_range_m_, /*floor_range_m=*/0.0,
-                     [&](const Zone& zone) {
-    for (const Bucket& bucket : zone.buckets) {
-      for (const SiteEntry& entry : bucket.entries) {
-        if (distance_m(entry.location, location) <= entry.range_m) {
-          visit(entry);
-        }
-      }
-    }
-  });
-}
-
-void SpatialIndex::for_each_contending(Position location, double center_hz,
-                                       double half_bw_hz, double own_range_m,
-                                       std::uint64_t skip_id,
-                                       const Visitor& visit) const {
-  // Reach in a contention pair is the max of the two sides, so the scan
-  // radius must cover the larger of own_range and any indexed reach.
-  const double radius = std::max(own_range_m, max_range_m_);
-  for_each_zone_near(location, radius, own_range_m, [&](const Zone& zone) {
-    for (const Bucket& bucket : zone.buckets) {
-      // Band-level reject: overlap requires |Δcenter| < half_a + half_b.
-      if (std::abs(bucket.center_hz - center_hz) >=
-          half_bw_hz + bucket.max_half_bw_hz) {
-        continue;
-      }
-      for (const SiteEntry& entry : bucket.entries) {
-        if (entry.id == skip_id) continue;
-        if (std::abs(entry.center_hz - center_hz) >=
-            half_bw_hz + entry.half_bw_hz) {
-          continue;
-        }
-        const double reach = std::max(own_range_m, entry.range_m);
-        if (distance_m(entry.location, location) <= reach) visit(entry);
-      }
-    }
-  });
 }
 
 void SpatialIndex::for_each_touching_zone(std::int64_t zone,

@@ -7,8 +7,7 @@
 // grid zones (the same coarse grid the federated registry uses as its
 // failure domain) and, inside each zone, buckets entries per band
 // (center frequency). A query then touches only the zones within the
-// largest interference reach of any indexed entry, and a contention
-// query additionally skips buckets whose band cannot overlap.
+// largest interference reach of any indexed entry.
 //
 // Zone membership (the entries whose reach touches a zone's square) is
 // memoized per zone and carries a version. Both are maintained at the one
@@ -34,9 +33,8 @@
 namespace dlte::registry {
 
 // Packed (zx, zy) grid coordinate of `location` on a `zone_size_m` grid.
-// Unlike spectrum::Registry::zone_of's hash interleave this is exact
-// (32 bits per axis), so distinct zones never collide — cache and index
-// keys must not merge unrelated zones.
+// Exact (32 bits per axis), so distinct zones never collide — cache,
+// index and federated failure-domain keys must not merge unrelated zones.
 [[nodiscard]] std::int64_t zone_key(Position location, double zone_size_m);
 [[nodiscard]] std::int64_t zone_key_of(std::int32_t zx, std::int32_t zy);
 
@@ -47,7 +45,7 @@ namespace dlte::registry {
 using ZoneSnapshot = std::shared_ptr<const std::vector<std::uint64_t>>;
 
 // What the index knows about a grant: identity, placement, precomputed
-// interference reach, and band extent. The owner (spectrum::Registry)
+// interference reach, and band. The owner (spectrum::Registry)
 // maps ids back to full grants; keeping the entry POD-small means a
 // zone scan stays cache-friendly at millions of leases.
 struct SiteEntry {
@@ -55,7 +53,6 @@ struct SiteEntry {
   Position location;
   double range_m{0.0};    // Interference reach (precomputed, metres).
   double center_hz{0.0};  // Band center.
-  double half_bw_hz{0.0};  // Half the occupied bandwidth.
 };
 
 class SpatialIndex {
@@ -80,13 +77,6 @@ class SpatialIndex {
   // predicate): distance(entry, location) <= entry.range_m.
   void for_each_reaching(Position location, const Visitor& visit) const;
 
-  // Every entry (except `skip_id`) whose band overlaps
-  // [center_hz ± half_bw_hz] and whose distance to `location` is within
-  // max(own_range_m, entry.range_m) — the contention-domain predicate.
-  void for_each_contending(Position location, double center_hz,
-                           double half_bw_hz, double own_range_m,
-                           std::uint64_t skip_id, const Visitor& visit) const;
-
   // Every entry whose reach touches the axis-aligned square of `zone`
   // (a packed zone_key) — the membership snapshot the hierarchical
   // cache serves for that zone.
@@ -102,29 +92,17 @@ class SpatialIndex {
   [[nodiscard]] std::uint64_t zone_version(std::int64_t zone) const;
 
  private:
-  // Entries of one band within one zone. A bucket caches the largest
-  // reach and half-bandwidth of its members so a whole band can be
-  // skipped without touching its entries.
+  // Entries of one band within one zone.
   struct Bucket {
     double center_hz{0.0};
-    double max_half_bw_hz{0.0};
-    double max_range_m{0.0};
     std::vector<SiteEntry> entries;
   };
+  // A zone caches the largest reach of its members so a whole zone can
+  // be skipped without touching its entries.
   struct Zone {
     double max_range_m{0.0};
     std::vector<Bucket> buckets;
   };
-
-  // Visit all zones whose square could hold an entry matching within
-  // `radius_m` of `location`, in fixed (zx, zy) ascending order. A zone
-  // is skipped only when its gap to `location` exceeds both the zone's
-  // own longest reach and `floor_range_m` — the querier-side reach that
-  // the contending predicate (max(own, entry) ranges) contributes.
-  // Reaching queries pass a zero floor.
-  void for_each_zone_near(Position location, double radius_m,
-                          double floor_range_m,
-                          const std::function<void(const Zone&)>& visit) const;
 
   // Bump the version and drop the memo of every zone whose square
   // `entry`'s reach touches — for_each_touching_zone's predicate seen

@@ -87,12 +87,6 @@ void Registry::attach_chain(SpectrumChain* chain) {
   }
 }
 
-bool Registry::co_channel(const SpectrumGrant& a,
-                          const SpectrumGrant& b) const {
-  const double half = (a.bandwidth.hz() + b.bandwidth.hz()) / 2.0;
-  return std::abs(a.center_frequency.hz() - b.center_frequency.hz()) < half;
-}
-
 double Registry::cached_range_m(const SpectrumGrant& grant) const {
   // Sub-dBm EIRP differences don't matter for a reach bound; quantizing
   // to milli-dBm keys the memo exactly for the repeated (band, power)
@@ -137,10 +131,8 @@ Result<SpectrumGrant> Registry::grant_now(const GrantRequest& request) {
   grants_.push_back(g);
   due_.emplace_back();
   if (g.expires_at.ns() != 0) link_due(static_cast<std::uint32_t>(slot));
-  index_.insert(registry::SiteEntry{g.id.value(), g.location,
-                                    cached_range_m(g),
-                                    g.center_frequency.hz(),
-                                    g.bandwidth.hz() / 2.0});
+  index_.insert({g.id.value(), g.location, cached_range_m(g),
+                 g.center_frequency.hz()});
   obs::inc(m_grants_issued_);
   obs::set(m_active_grants_, static_cast<double>(grants_.size()));
   return g;
@@ -258,12 +250,8 @@ void Registry::prune_expired() {
   obs::set(m_active_grants_, static_cast<double>(grants_.size()));
 }
 
-int Registry::zone_of(Position location) {
-  const int zx = static_cast<int>(std::floor(location.x_m / kZoneSizeM));
-  const int zy = static_cast<int>(std::floor(location.y_m / kZoneSizeM));
-  // Interleave into a single id; fine for the handful of zones a scenario
-  // touches (collisions would only merge two zones' failure domains).
-  return zx * 73'856'093 + zy * 19'349'663;
+std::int64_t Registry::zone_of(Position location) {
+  return registry::zone_key(location, kZoneSizeM);
 }
 
 bool Registry::reachable_for(Position location) const {
@@ -276,7 +264,7 @@ bool Registry::reachable_for(Position location) const {
   return true;
 }
 
-void Registry::set_zone_offline(int zone, bool offline) {
+void Registry::set_zone_offline(std::int64_t zone, bool offline) {
   const auto it =
       std::find(offline_zones_.begin(), offline_zones_.end(), zone);
   if (offline && it == offline_zones_.end()) {
@@ -396,7 +384,7 @@ void Registry::dispatch_grants(GrantBatch batch) {
   // lease, whose failures count from the moment of refusal.
   if (!reachable) obs::inc(m_grant_failures_, batch.count);
   sim_.schedule(
-      reachable ? registry_latency(kind_).commit : failure_timeout_,
+      reachable ? registry_latency(kind_).commit : kFailureTimeout,
       [this, reachable, batch = std::move(batch)]() mutable {
         batch.results.reserve(batch.count);
         for (std::uint32_t i = 0; i < batch.count; ++i) {
@@ -475,11 +463,6 @@ Registry::ZoneOccupancy Registry::zone_occupancy(std::uint64_t requester,
 }
 
 void Registry::query_region(Position location, QueryCallback callback) {
-  query_region_as(0, location, std::move(callback));
-}
-
-void Registry::query_region_as(std::uint64_t requester, Position location,
-                               QueryCallback callback) {
   const obs::SpanId span =
       obs::span_begin(tracer_, "registry_query", span_cat_);
   if (span != obs::kNoSpan) {
@@ -497,70 +480,14 @@ void Registry::query_region_as(std::uint64_t requester, Position location,
     obs::span_annotate(tracer_, span, "unreachable",
                        "registry down: empty reply after timeout");
     sim_.schedule(
-        failure_timeout_, [callback = std::move(callback)] { callback({}); },
+        kFailureTimeout, [callback = std::move(callback)] { callback({}); },
         failure_label_);
     return;
   }
-  serve_query(requester, location, std::move(callback), span);
-}
-
-void Registry::serve_query(std::uint64_t requester, Position location,
-                           QueryCallback callback, obs::SpanId span) {
-  const auto latency = registry_latency(kind_);
-  if (cache_ == nullptr || kind_ != RegistryKind::kFederated) {
-    sim_.schedule(
-        latency.query,
-        [this, location, callback = std::move(callback)] {
-          callback(grants_near(location));
-        },
-        query_label_);
-    return;
-  }
-  prune_expired();
-  const std::int64_t zone = registry::zone_key(location, kZoneSizeM);
-  const std::uint64_t version = zone_version(location);
-  const registry::CacheLookup look =
-      cache_->lookup(requester, zone, version, sim_.now());
-  obs::span_annotate(tracer_, span, "cache",
-                     registry::cache_tier_name(look.tier));
-  if (look.snapshot != nullptr) {
-    sim_.schedule(
-        cache_->tier_latency(look.tier),
-        [this, location, snapshot = look.snapshot,
-         callback = std::move(callback)] {
-          // Resolve the cached membership against live grants at serve
-          // time; ids that lapsed meanwhile simply drop out. Prune
-          // first — lazy expiry means a lapsed grant may still sit in
-          // slot_of_ until something sweeps it.
-          prune_expired();
-          const TimePoint now = sim_.now();
-          std::vector<SpectrumGrant> out;
-          for (const std::uint64_t id : *snapshot) {
-            const auto it = slot_of_.find(id);
-            if (it == slot_of_.end()) continue;
-            const SpectrumGrant& g = grants_[it->second];
-            if (distance_m(g.location, location) > cached_range_m(g)) {
-              continue;
-            }
-            out.push_back(g);
-            out.back().degraded = degraded_now(g, now);
-          }
-          callback(std::move(out));
-        },
-        query_label_);
-    return;
-  }
-  const bool refill = look.tier == registry::CacheTier::kAuthoritative;
   sim_.schedule(
-      latency.query,
-      [this, requester, zone, location, refill,
-       callback = std::move(callback)] {
-        auto out = grants_near(location);
-        if (refill && cache_ != nullptr) {
-          cache_->fill(requester, zone, zone_version(location),
-                       zone_snapshot(zone), sim_.now());
-        }
-        callback(std::move(out));
+      registry_latency(kind_).query,
+      [this, location, callback = std::move(callback)] {
+        callback(grants_near(location));
       },
       query_label_);
 }
@@ -599,25 +526,6 @@ void Registry::set_metrics(obs::MetricsRegistry* metrics,
   m_outage_active_->set(outage_ == RegistryOutage::kNone ? 0.0 : 1.0);
   publish_stalled_leases();
   m_active_grants_->set(static_cast<double>(grants_.size()));
-}
-
-std::vector<SpectrumGrant> Registry::contention_domain(
-    const SpectrumGrant& grant) const {
-  const_cast<Registry*>(this)->prune_expired();
-  const TimePoint now = sim_.now();
-  const double own_range = cached_range_m(grant);
-  std::vector<SpectrumGrant> out;
-  index_.for_each_contending(
-      grant.location, grant.center_frequency.hz(), grant.bandwidth.hz() / 2.0,
-      own_range, grant.id.value(), [&](const registry::SiteEntry& entry) {
-        out.push_back(grants_[slot_of_.at(entry.id)]);
-        out.back().degraded = degraded_now(out.back(), now);
-      });
-  std::sort(out.begin(), out.end(),
-            [](const SpectrumGrant& a, const SpectrumGrant& b) {
-              return a.id.value() < b.id.value();
-            });
-  return out;
 }
 
 void Registry::publish_subscriber(const epc::PublishedKeys& keys) {

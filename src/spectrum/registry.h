@@ -100,8 +100,8 @@ struct RegistryLatency {
 
 // Predicted interference reach of a grant: the distance at which its
 // signal falls to the -100 dBm coordination threshold under the rural
-// model for its band. Grants whose reaches overlap are put in the same
-// contention domain.
+// model for its band. grants_near lists a grant at every point its reach
+// covers.
 [[nodiscard]] double interference_range_m(const SpectrumGrant& grant);
 
 class SpectrumChain;
@@ -138,13 +138,10 @@ class Registry {
   // A batch of one.
   void request_grant(GrantRequest request, GrantCallback callback);
 
-  // All grants whose interference reach touches the queried location.
+  // All grants whose interference reach touches the queried location
+  // (grants_near), answered after the design's query latency; an
+  // unreachable registry answers nothing after kFailureTimeout.
   void query_region(Position location, QueryCallback callback);
-  // Same, but with a requester identity for the hierarchical cache (the
-  // federated design's per-requester local tier). With no cache attached
-  // (or a non-federated registry) this is identical to query_region.
-  void query_region_as(std::uint64_t requester, Position location,
-                       QueryCallback callback);
 
   void revoke(GrantId id);
 
@@ -175,22 +172,24 @@ class Registry {
   [[nodiscard]] RegistryOutage outage() const { return outage_; }
   // Federated zone failure: requests and queries whose location falls in
   // an offline zone fail; other zones keep working. Zones partition the
-  // plane into a coarse grid (kZoneSizeM squares).
-  void set_zone_offline(int zone, bool offline);
-  [[nodiscard]] static int zone_of(Position location);
-  // How long an unreachable registry takes to fail a request (client-side
-  // request timeout).
-  void set_failure_timeout(Duration timeout) { failure_timeout_ = timeout; }
+  // plane into a coarse grid (kZoneSizeM squares); a zone's id is its
+  // exact registry::zone_key, the key the spatial index and cache use.
+  void set_zone_offline(std::int64_t zone, bool offline);
+  [[nodiscard]] static std::int64_t zone_of(Position location);
 
   static constexpr double kZoneSizeM = 50'000.0;
+  // How long an unreachable registry takes to fail a request (client-side
+  // request timeout).
+  static constexpr Duration kFailureTimeout = Duration::seconds(2.0);
 
   // --- Hierarchical cache (federated design, DESIGN.md §16) ------------
-  // Attach a resolver hierarchy: federated query_region_as calls then
-  // walk local → zone → root caches before the authoritative store, with
-  // per-tier latency, and authoritative misses refill the tiers. The
-  // cache observes staleness against per-zone membership versions that
-  // every grant/lapse/revoke bumps in each zone the grant's reach touches
-  // (its own zone and any neighbour it spills into).
+  // Attach a resolver hierarchy: a federated registry's zone_occupancy
+  // then walks local → zone → root caches before the authoritative
+  // store, and authoritative misses refill the tiers. The cache observes
+  // staleness against per-zone membership versions that every
+  // grant/lapse/revoke bumps in each zone the grant's reach touches (its
+  // own zone and any neighbour it spills into). query_region never
+  // consults the cache.
   void attach_cache(registry::LeaseCache* cache) { cache_ = cache; }
   [[nodiscard]] registry::LeaseCache* cache() const { return cache_; }
   // Current membership version of the (exact, packed) zone holding
@@ -231,8 +230,6 @@ class Registry {
   // materializing (at 1M leases a dense region query can match tens of
   // thousands of grants; occupancy probes only want the number).
   [[nodiscard]] std::size_t count_grants_near(Position location) const;
-  [[nodiscard]] std::vector<SpectrumGrant> contention_domain(
-      const SpectrumGrant& grant) const;
   [[nodiscard]] std::size_t grant_count() const { return grants_.size(); }
   // Flat storage view (slot order is arbitrary: erase is swap-pop). The
   // C12 microbench scans this as the pre-index baseline.
@@ -269,8 +266,6 @@ class Registry {
   }
 
  private:
-  [[nodiscard]] bool co_channel(const SpectrumGrant& a,
-                                const SpectrumGrant& b) const;
   [[nodiscard]] bool reachable_for(Position location) const;
   // One "registry_grant" span per lease: opened at request time,
   // closed with the outcome when the caller learns it.
@@ -309,8 +304,6 @@ class Registry {
                                   TimePoint now) const {
     return grant.expires_at.ns() != 0 && grant.expires_at < now;
   }
-  void serve_query(std::uint64_t requester, Position location,
-                   QueryCallback callback, obs::SpanId span);
 
   sim::Simulator& sim_;
   RegistryKind kind_;
@@ -372,8 +365,7 @@ class Registry {
   obs::Gauge* m_active_grants_{nullptr};
 
   RegistryOutage outage_{RegistryOutage::kNone};
-  std::vector<int> offline_zones_;
-  Duration failure_timeout_{Duration::seconds(2.0)};
+  std::vector<std::int64_t> offline_zones_;
   // Batches deferred by a kCommitStall outage, replayed on recovery.
   std::vector<GrantBatch> stalled_;
 };

@@ -3,15 +3,13 @@
 // The C5 experiment sweeps a UE down a road through a string of APs at
 // increasing speed until its dwell time per AP approaches the RTT to the
 // OTT service — the breakdown regime the paper itself predicts for dLTE
-// (§4.2). RandomWaypoint provides gentler ambient movement for the
-// campus/roaming scenarios.
+// (§4.2).
 #pragma once
 
-#include <memory>
+#include <cmath>
 
 #include "common/geo.h"
 #include "common/time.h"
-#include "sim/random.h"
 
 namespace dlte::ue {
 
@@ -53,28 +51,6 @@ class LinearMobility final : public MobilityModel {
   Position pos_;
   double vx_;
   double vy_;
-};
-
-// Random waypoint inside a rectangle: pick a point, walk to it at the
-// configured speed, repeat.
-class RandomWaypointMobility final : public MobilityModel {
- public:
-  RandomWaypointMobility(Position origin, double width_m, double height_m,
-                         double speed_mps, sim::RngStream rng);
-
-  Position advance(Duration dt) override;
-  [[nodiscard]] Position position() const override { return pos_; }
-
- private:
-  void pick_waypoint();
-
-  Position origin_;
-  double width_;
-  double height_;
-  double speed_;
-  sim::RngStream rng_;
-  Position pos_;
-  Position waypoint_;
 };
 
 }  // namespace dlte::ue

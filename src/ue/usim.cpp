@@ -48,11 +48,4 @@ const SimProfile* EsimStore::find_by_imsi(Imsi imsi) const {
   return nullptr;
 }
 
-const SimProfile* EsimStore::find_by_label(const std::string& l) const {
-  for (const auto& p : profiles_) {
-    if (p.label == l) return &p;
-  }
-  return nullptr;
-}
-
 }  // namespace dlte::ue

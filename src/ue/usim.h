@@ -63,7 +63,6 @@ class EsimStore {
   // operator profile otherwise.
   [[nodiscard]] const SimProfile* find_open() const;
   [[nodiscard]] const SimProfile* find_by_imsi(Imsi imsi) const;
-  [[nodiscard]] const SimProfile* find_by_label(const std::string& l) const;
 
  private:
   std::vector<SimProfile> profiles_;

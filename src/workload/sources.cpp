@@ -22,32 +22,4 @@ void CbrSource::tick() {
   sim_.schedule(interval_, [this] { tick(); });
 }
 
-WebSource::WebSource(sim::Simulator& sim, transport::Connection& conn,
-                     double requests_per_s, double mean_object_bytes,
-                     sim::RngStream rng)
-    : sim_(sim),
-      conn_(conn),
-      rate_(requests_per_s),
-      mean_bytes_(mean_object_bytes),
-      rng_(std::move(rng)) {}
-
-void WebSource::start() {
-  if (running_) return;
-  running_ = true;
-  schedule_next();
-}
-
-void WebSource::schedule_next() {
-  if (!running_) return;
-  const Duration think = Duration::seconds(rng_.exponential(1.0 / rate_));
-  sim_.schedule(think, [this] {
-    if (!running_) return;
-    const double object = rng_.exponential(mean_bytes_);
-    conn_.send(object);
-    offered_ += object;
-    ++requests_;
-    schedule_next();
-  });
-}
-
 }  // namespace dlte::workload

@@ -2,16 +2,14 @@
 //
 // dLTE deliberately provides "nothing more than a public Internet
 // connection" (§4.2), so all user-visible behaviour comes from
-// over-the-top applications. These sources model the workloads the
-// paper's deployment reports (§5): messaging/VoIP-like constant bitrate,
-// bursty web browsing, and bulk transfer.
+// over-the-top applications. The source here models the messaging/VoIP-
+// like constant-bitrate load of the paper's deployment reports (§5).
 #pragma once
 
 #include <functional>
 
 #include "common/time.h"
 #include "common/units.h"
-#include "sim/random.h"
 #include "sim/simulator.h"
 #include "transport/transport.h"
 
@@ -37,50 +35,6 @@ class CbrSource {
   Duration interval_;
   bool running_{false};
   double offered_{0.0};
-};
-
-// Poisson on/off web-like source: exponential think times between
-// requests, lognormal-ish (here: exponential) response sizes pushed as a
-// burst.
-class WebSource {
- public:
-  WebSource(sim::Simulator& sim, transport::Connection& conn,
-            double requests_per_s, double mean_object_bytes,
-            sim::RngStream rng);
-
-  void start();
-  void stop() { running_ = false; }
-  [[nodiscard]] int requests_issued() const { return requests_; }
-  [[nodiscard]] double bytes_offered() const { return offered_; }
-
- private:
-  void schedule_next();
-
-  sim::Simulator& sim_;
-  transport::Connection& conn_;
-  double rate_;
-  double mean_bytes_;
-  sim::RngStream rng_;
-  bool running_{false};
-  int requests_{0};
-  double offered_{0.0};
-};
-
-// One-shot bulk transfer of a fixed volume.
-class BulkSource {
- public:
-  BulkSource(transport::Connection& conn, double total_bytes)
-      : conn_(conn), total_(total_bytes) {}
-
-  void start() { conn_.send(total_); }
-  [[nodiscard]] bool complete() const {
-    return conn_.stats().bytes_acked >= total_;
-  }
-  [[nodiscard]] double total_bytes() const { return total_; }
-
- private:
-  transport::Connection& conn_;
-  double total_;
 };
 
 }  // namespace dlte::workload

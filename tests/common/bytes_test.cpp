@@ -23,19 +23,10 @@ TEST(ByteWriter, EncodesBigEndianU32) {
   EXPECT_EQ(w.data()[3], 0xef);
 }
 
-TEST(ByteWriter, EncodesU24ThreeBytes) {
-  ByteWriter w;
-  w.u24(0x00abcdef);
-  ASSERT_EQ(w.size(), 3u);
-  EXPECT_EQ(w.data()[0], 0xab);
-  EXPECT_EQ(w.data()[2], 0xef);
-}
-
 TEST(ByteRoundTrip, AllScalarTypes) {
   ByteWriter w;
   w.u8(0x7f);
   w.u16(0xbeef);
-  w.u24(0x123456);
   w.u32(0xcafebabe);
   w.u64(0x0123456789abcdefULL);
   w.f64(-273.15);
@@ -44,7 +35,6 @@ TEST(ByteRoundTrip, AllScalarTypes) {
   ByteReader r{w.data()};
   EXPECT_EQ(r.u8().value(), 0x7f);
   EXPECT_EQ(r.u16().value(), 0xbeef);
-  EXPECT_EQ(r.u24().value(), 0x123456u);
   EXPECT_EQ(r.u32().value(), 0xcafebabeu);
   EXPECT_EQ(r.u64().value(), 0x0123456789abcdefULL);
   EXPECT_DOUBLE_EQ(r.f64().value(), -273.15);

@@ -45,17 +45,6 @@ TEST(Result, MoveOutValue) {
   EXPECT_EQ(taken.size(), 1000u);
 }
 
-TEST(Status, DefaultIsOk) {
-  Status<> s;
-  EXPECT_TRUE(s.ok());
-}
-
-TEST(Status, ErrorCarriesMessage) {
-  Status<> s{fail("denied")};
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.error(), "denied");
-}
-
 TEST(Result, ArrowOperator) {
   Result<std::string> r{std::string{"abc"}};
   EXPECT_EQ(r->size(), 3u);

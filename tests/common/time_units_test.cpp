@@ -67,13 +67,10 @@ TEST(DataRate, Conversions) {
                    1.0);
 }
 
-TEST(Geo, DistanceAndLerp) {
+TEST(Geo, Distance) {
   const Position a{0.0, 0.0};
   const Position b{3000.0, 4000.0};
   EXPECT_DOUBLE_EQ(distance_m(a, b), 5000.0);
-  const Position mid = lerp(a, b, 0.5);
-  EXPECT_DOUBLE_EQ(mid.x_m, 1500.0);
-  EXPECT_DOUBLE_EQ(mid.y_m, 2000.0);
 }
 
 }  // namespace

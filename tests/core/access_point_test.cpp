@@ -257,7 +257,9 @@ TEST(AccessPoint, HeartbeatsKeepLeaseAliveAndCrashLapses) {
   EXPECT_EQ(town.registry.grant_count(), 1u);   // B lapsed.
   EXPECT_TRUE(a.has_grant());                   // A kept renewing.
   EXPECT_GE(town.registry.grants_lapsed(), 1u);
-  EXPECT_TRUE(town.registry.contention_domain(a.grant()).empty());
+  const auto neighbours = town.registry.grants_near(a.grant().location);
+  ASSERT_EQ(neighbours.size(), 1u);  // A's own grant only.
+  EXPECT_EQ(neighbours.front().ap, a.grant().ap);
   (void)b;
 }
 

@@ -51,14 +51,5 @@ TEST(KeyDerivation, KenbDependsOnNasCount) {
   EXPECT_EQ(derive_kenb(kasme, 7), derive_kenb(kasme, 7));
 }
 
-TEST(KeyDerivation, NasKeysSeparatedByAlgorithmIdentity) {
-  const auto kasme =
-      derive_kasme(test_ck(), test_ik(), "net", Sqn48{1, 2, 3, 4, 5, 6});
-  // Integrity (type 0x02) vs ciphering (type 0x01) keys must differ, as
-  // must different algorithm ids of the same type.
-  EXPECT_NE(derive_nas_key(kasme, 0x01, 1), derive_nas_key(kasme, 0x02, 1));
-  EXPECT_NE(derive_nas_key(kasme, 0x01, 1), derive_nas_key(kasme, 0x01, 2));
-}
-
 }  // namespace
 }  // namespace dlte::crypto

@@ -83,12 +83,6 @@ TEST(Milenage, F4IntegrityKey) {
             "f769bcd751044604127672711c6d3441");
 }
 
-TEST(Milenage, F5StarResyncKey) {
-  TestSet1 t;
-  const Milenage m{t.k, derive_opc(t.k, t.op)};
-  EXPECT_EQ(to_hex(m.challenge(t.rand).f5_star()), "451e8beca43b");
-}
-
 // The mutual-authentication property dLTE's open-key mode rests on: any
 // party holding (K, OPc) — e.g. an AP that fetched published keys from
 // the registry — computes the same vector the USIM expects.

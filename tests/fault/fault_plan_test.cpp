@@ -1,72 +1,11 @@
-// FaultPlan determinism: the resilience experiment is only an experiment
-// if the failure schedule is exactly reproducible from its seed.
+// FaultPlan rendering: the resilience experiment compares plan summaries
+// byte for byte, so each fault's one-line description must be exact.
 #include "fault/fault.h"
 
 #include <gtest/gtest.h>
 
 namespace dlte::fault {
 namespace {
-
-std::vector<ApId> three_aps() { return {ApId{1}, ApId{2}, ApId{3}}; }
-
-std::vector<std::pair<NodeId, NodeId>> two_links() {
-  return {{NodeId{10}, NodeId{20}}, {NodeId{20}, NodeId{30}}};
-}
-
-TEST(FaultPlan, SameSeedSameSchedule) {
-  const auto a = FaultPlan::random(42, three_aps(), two_links());
-  const auto b = FaultPlan::random(42, three_aps(), two_links());
-  EXPECT_FALSE(a.summary().empty());
-  EXPECT_EQ(a.summary(), b.summary());
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.specs()[i].at, b.specs()[i].at);
-    EXPECT_EQ(a.specs()[i].kind, b.specs()[i].kind);
-  }
-}
-
-TEST(FaultPlan, DifferentSeedDifferentSchedule) {
-  const auto a = FaultPlan::random(42, three_aps(), two_links());
-  const auto b = FaultPlan::random(43, three_aps(), two_links());
-  EXPECT_NE(a.summary(), b.summary());
-}
-
-TEST(FaultPlan, RandomPlanHonorsProfileCounts) {
-  RandomFaultProfile profile;
-  profile.ap_crashes = 3;
-  profile.link_partitions = 1;
-  profile.link_degrades = 2;
-  profile.registry_outages = 1;
-  const auto plan = FaultPlan::random(7, three_aps(), two_links(), profile);
-  int crashes = 0, partitions = 0, degrades = 0, outages = 0;
-  for (const auto& s : plan.specs()) {
-    switch (s.kind) {
-      case FaultKind::kApCrash: ++crashes; break;
-      case FaultKind::kLinkPartition: ++partitions; break;
-      case FaultKind::kLinkDegrade: ++degrades; break;
-      case FaultKind::kRegistryOutage: ++outages; break;
-      case FaultKind::kX2Impairment: break;
-    }
-  }
-  EXPECT_EQ(crashes, 3);
-  EXPECT_EQ(partitions, 1);
-  EXPECT_EQ(degrades, 2);
-  EXPECT_EQ(outages, 1);
-}
-
-TEST(FaultPlan, SpecsSortedByInjectionTime) {
-  const auto plan = FaultPlan::random(11, three_aps(), two_links());
-  for (std::size_t i = 1; i < plan.size(); ++i) {
-    EXPECT_LE(plan.specs()[i - 1].at, plan.specs()[i].at);
-  }
-}
-
-TEST(FaultPlan, NoApsOrLinksYieldsOnlyRegistryFaults) {
-  const auto plan = FaultPlan::random(5, {}, {});
-  for (const auto& s : plan.specs()) {
-    EXPECT_EQ(s.kind, FaultKind::kRegistryOutage);
-  }
-}
 
 TEST(FaultSpec, DescribeNamesKindAndTarget) {
   FaultSpec s;

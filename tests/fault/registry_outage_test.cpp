@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "fault/fault.h"
+#include "registry/spatial.h"
 #include "ue/mobility.h"
 
 namespace dlte::fault {
@@ -135,6 +136,68 @@ TEST(RegistryOutage, ZoneOutageDoesNotAffectCentralizedSas) {
                     [&](Result<spectrum::SpectrumGrant> r) { ok = r.ok(); });
   sim.run_all();
   EXPECT_TRUE(ok);
+}
+
+// Arms a federated zone outage at `dark_pos` from t=1 s to t=11 s through
+// the fault plane, runs to t=2 s, then applies for a grant at `dark_pos`
+// and at `lit_pos` and reports whether each one was granted.
+struct ZoneOutageRun {
+  spectrum::RegistryOutage outage;
+  std::string described;
+  bool dark_granted;
+  bool lit_granted;
+};
+
+ZoneOutageRun run_zone_outage(Position dark_pos, Position lit_pos) {
+  sim::Simulator sim;
+  spectrum::Registry reg{sim, spectrum::RegistryKind::kFederated};
+  FaultInjector injector{sim};
+  injector.set_registry(&reg);
+  FaultSpec spec;
+  spec.kind = FaultKind::kRegistryOutage;
+  spec.at = TimePoint{} + Duration::seconds(1.0);
+  spec.duration = Duration::seconds(10.0);
+  spec.outage = spectrum::RegistryOutage::kOffline;
+  spec.zone = spectrum::Registry::zone_of(dark_pos);
+  injector.arm(FaultPlan{}.add(spec));
+  sim.run_until(TimePoint{} + Duration::seconds(2.0));
+
+  ZoneOutageRun run{reg.outage(), spec.describe(), false, false};
+  reg.request_grant(request_at(1, dark_pos),
+                    [&](Result<spectrum::SpectrumGrant> r) {
+                      run.dark_granted = r.ok();
+                    });
+  reg.request_grant(request_at(2, lit_pos),
+                    [&](Result<spectrum::SpectrumGrant> r) {
+                      run.lit_granted = r.ok();
+                    });
+  sim.run_until(TimePoint{} + Duration::seconds(5.0));
+  return run;
+}
+
+TEST(RegistryOutage, ZoneOutageWestOfTheOriginDarkensOnlyItsZone) {
+  // A zone left of (or below) the origin has negative grid coordinates;
+  // its id must still name that one zone, not "every zone".
+  const Position dark{-10'000.0, 10'000.0};
+  EXPECT_EQ(spectrum::Registry::zone_of(dark),
+            registry::zone_key(dark, spectrum::Registry::kZoneSizeM));
+  const ZoneOutageRun run = run_zone_outage(dark, Position{10'000.0, 10'000.0});
+  EXPECT_EQ(run.outage, spectrum::RegistryOutage::kNone);
+  EXPECT_EQ(run.described.find("zone=all"), std::string::npos) << run.described;
+  EXPECT_FALSE(run.dark_granted);
+  EXPECT_TRUE(run.lit_granted);
+}
+
+TEST(RegistryOutage, ZoneOutageTwoThousandKilometresOutDarkensOnlyItsZone) {
+  // Far from the origin a zone id must not overflow (run under UBSan).
+  const Position dark{2'000'000.0, 0.0};
+  const Position lit{2'100'000.0, 0.0};
+  ASSERT_NE(spectrum::Registry::zone_of(dark),
+            spectrum::Registry::zone_of(lit));
+  const ZoneOutageRun run = run_zone_outage(dark, lit);
+  EXPECT_EQ(run.outage, spectrum::RegistryOutage::kNone);
+  EXPECT_FALSE(run.dark_granted);
+  EXPECT_TRUE(run.lit_granted);
 }
 
 TEST(RegistryOutage, GraceKeepsExpiredGrantDegradedThenLapses) {

@@ -50,11 +50,6 @@ TEST(FuzzDecoders, GtpU) {
   fuzz([](const auto& b) { return lte::decode_gtpu(b).ok(); }, 4);
 }
 
-TEST(FuzzDecoders, GtpC) {
-  fuzz([](const auto& b) { return lte::decode_gtpc_create_req(b).ok(); }, 5);
-  fuzz([](const auto& b) { return lte::decode_gtpc_create_resp(b).ok(); }, 6);
-}
-
 TEST(FuzzDecoders, TransportSegment) {
   fuzz([](const auto& b) {
     return transport::decode_segment(b).has_value();

@@ -35,26 +35,6 @@ TEST(GtpU, TunnelOverheadIsForty) {
   EXPECT_EQ(kGtpTunnelOverheadBytes, 40);
 }
 
-TEST(GtpC, CreateSessionRoundTrip) {
-  CreateSessionRequest req{Imsi{310150123456789ULL}, BearerId{5},
-                           Teid{0xdead}};
-  auto req_back = decode_gtpc_create_req(encode_gtpc_create_req(req));
-  ASSERT_TRUE(req_back.ok());
-  EXPECT_EQ(req_back->imsi, req.imsi);
-  EXPECT_EQ(req_back->uplink_teid, req.uplink_teid);
-
-  CreateSessionResponse resp{Teid{0xbeef}, 0x0a00000a};
-  auto resp_back = decode_gtpc_create_resp(encode_gtpc_create_resp(resp));
-  ASSERT_TRUE(resp_back.ok());
-  EXPECT_EQ(resp_back->downlink_teid, resp.downlink_teid);
-  EXPECT_EQ(resp_back->ue_ip, resp.ue_ip);
-}
-
-TEST(GtpC, CrossDecodingFails) {
-  const auto req = encode_gtpc_create_req(CreateSessionRequest{});
-  EXPECT_FALSE(decode_gtpc_create_resp(req).ok());
-}
-
 TEST(S1ap, InitialUeMessageRoundTrip) {
   InitialUeMessage m{EnbUeId{7}, CellId{100}, {0x41, 0x01, 0x02}};
   auto back = decode_s1ap(encode_s1ap(S1apMessage{m}));

@@ -19,8 +19,6 @@ TEST(Partition, BlockIsMonotoneAndBalanced) {
       }
       std::size_t lo = n, hi = 0, total = 0;
       for (std::size_t shard = 0; shard < s; ++shard) {
-        EXPECT_EQ(sizes[shard], block_size(shard, n, s))
-            << "n=" << n << " s=" << s << " shard=" << shard;
         total += sizes[shard];
         if (sizes[shard] > 0) lo = std::min(lo, sizes[shard]);
         hi = std::max(hi, sizes[shard]);
@@ -35,27 +33,6 @@ TEST(Partition, OneShardOwnsEverything) {
   for (std::size_t item = 0; item < 10; ++item) {
     EXPECT_EQ(shard_of_block(item, 10, 1), 0u);
   }
-  EXPECT_EQ(block_size(0, 10, 1), 10u);
-}
-
-TEST(Partition, ByPositionKeepsNeighboursTogether) {
-  // Positions deliberately out of index order.
-  const std::vector<double> x{5.0, 1.0, 9.0, 3.0, 7.0, 0.0, 8.0, 2.0};
-  const auto shard = partition_by_position(x, 2);
-  ASSERT_EQ(shard.size(), x.size());
-  // Left half of the street (x < 5) on shard 0, right half on shard 1.
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_EQ(shard[i], x[i] < 5.0 ? 0u : 1u) << "i=" << i;
-  }
-}
-
-TEST(Partition, ByPositionIsDeterministicForTies) {
-  const std::vector<double> x{1.0, 1.0, 1.0, 1.0};
-  const auto a = partition_by_position(x, 2);
-  const auto b = partition_by_position(x, 2);
-  EXPECT_EQ(a, b);
-  // Ties break by original index (stable sort), so the split is 0,0,1,1.
-  EXPECT_EQ(a, (std::vector<std::size_t>{0, 0, 1, 1}));
 }
 
 }  // namespace

@@ -103,25 +103,5 @@ TEST(RuralModelSelector, PicksByFrequency) {
   EXPECT_STREQ(make_rural_model(Hertz::ghz(5.8))->name(), "log-distance");
 }
 
-TEST(Shadowing, RedrawChangesValue) {
-  ShadowingProcess s{8.0, sim::RngStream{42}};
-  EXPECT_DOUBLE_EQ(s.current().value(), 0.0);  // Before first draw.
-  s.redraw();
-  const double v1 = s.current().value();
-  s.redraw();
-  const double v2 = s.current().value();
-  EXPECT_NE(v1, v2);
-}
-
-TEST(Shadowing, RoughlyZeroMean) {
-  ShadowingProcess s{8.0, sim::RngStream{43}};
-  double sum = 0.0;
-  for (int i = 0; i < 5000; ++i) {
-    s.redraw();
-    sum += s.current().value();
-  }
-  EXPECT_NEAR(sum / 5000.0, 0.0, 0.5);
-}
-
 }  // namespace
 }  // namespace dlte::phy

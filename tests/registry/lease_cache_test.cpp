@@ -105,16 +105,6 @@ TEST(LeaseCache, RootShedsExactlyPastCapacity) {
   EXPECT_EQ(cache.lookup(4, 1, 1, at(21.0)).tier, CacheTier::kRoot);
 }
 
-TEST(LeaseCache, InvalidateDropsEveryTier) {
-  LeaseCache cache{small_config()};
-  cache.fill(7, 1, 1, snap({10}), at(0.0));
-  cache.fill(7, 2, 1, snap({20}), at(0.0));
-  cache.invalidate(1);
-  EXPECT_EQ(cache.lookup(7, 1, 1, at(0.5)).tier, CacheTier::kAuthoritative);
-  // Other zones untouched.
-  EXPECT_EQ(cache.lookup(7, 2, 1, at(0.5)).tier, CacheTier::kLocal);
-}
-
 TEST(LeaseCache, MetricsMirrorTallies) {
   obs::MetricsRegistry metrics;
   LeaseCache cache{small_config()};

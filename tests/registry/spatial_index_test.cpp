@@ -15,13 +15,12 @@ namespace {
 constexpr double kZone = 50'000.0;
 
 SiteEntry site(std::uint64_t id, double x, double y, double range_m,
-               double center_mhz = 3550.0, double bw_mhz = 10.0) {
+               double center_mhz = 3550.0) {
   SiteEntry e;
   e.id = id;
   e.location = Position{x, y};
   e.range_m = range_m;
   e.center_hz = center_mhz * 1e6;
-  e.half_bw_hz = bw_mhz * 1e6 / 2.0;
   return e;
 }
 
@@ -55,9 +54,10 @@ TEST(SpatialIndex, ReachingMatchesPredicate) {
   index.insert(site(2, 8'000.0, 0.0, 10'000.0));    // Also covers origin.
   index.insert(site(3, 30'000.0, 0.0, 10'000.0));   // Too far.
   index.insert(site(4, 60'000.0, 0.0, 70'000.0));   // Next zone, huge reach.
+  index.insert(site(5, -60'000.0, 0.0, 1'000.0));   // Zone out of its reach.
   EXPECT_EQ(reaching_ids(index, Position{0.0, 0.0}),
             (std::vector<std::uint64_t>{1, 2, 4}));
-  EXPECT_EQ(index.size(), 4u);
+  EXPECT_EQ(index.size(), 5u);
 }
 
 TEST(SpatialIndex, CrossZoneReachIsFound) {
@@ -80,49 +80,6 @@ TEST(SpatialIndex, EraseRemovesExactly) {
   EXPECT_EQ(reaching_ids(index, Position{0.0, 0.0}),
             (std::vector<std::uint64_t>{2}));
   EXPECT_EQ(index.size(), 1u);
-}
-
-TEST(SpatialIndex, ContendingFiltersBandAndSelf) {
-  SpatialIndex index{kZone};
-  index.insert(site(1, 0.0, 0.0, 10'000.0, 3550.0));
-  index.insert(site(2, 1'000.0, 0.0, 10'000.0, 3550.0));  // Co-channel.
-  index.insert(site(3, 1'000.0, 0.0, 10'000.0, 3555.0));  // Overlapping.
-  index.insert(site(4, 1'000.0, 0.0, 10'000.0, 3580.0));  // Disjoint band.
-  std::vector<std::uint64_t> ids;
-  index.for_each_contending(Position{0.0, 0.0}, 3550.0 * 1e6, 5.0 * 1e6,
-                            10'000.0, /*skip_id=*/1,
-                            [&](const SiteEntry& e) { ids.push_back(e.id); });
-  std::sort(ids.begin(), ids.end());
-  EXPECT_EQ(ids, (std::vector<std::uint64_t>{2, 3}));
-}
-
-TEST(SpatialIndex, ContendingUsesMaxOfRanges) {
-  SpatialIndex index{kZone};
-  // Entry too far for its own 1 km reach, but the querier reaches 30 km:
-  // contention is symmetric, max(own, entry) applies.
-  index.insert(site(5, 20'000.0, 0.0, 1'000.0, 3550.0));
-  std::vector<std::uint64_t> ids;
-  index.for_each_contending(Position{0.0, 0.0}, 3550.0 * 1e6, 5.0 * 1e6,
-                            30'000.0, 0,
-                            [&](const SiteEntry& e) { ids.push_back(e.id); });
-  EXPECT_EQ(ids, (std::vector<std::uint64_t>{5}));
-}
-
-TEST(SpatialIndex, ContendingFindsShortReachEntryAcrossZones) {
-  SpatialIndex index{kZone};
-  // Entry in the next zone with a tiny 1 km reach: the gap from the
-  // query point to its zone (10 km) exceeds every reach indexed there,
-  // but the querier's own 70 km range still covers it. The zone-level
-  // reject must honour the querier-side floor, not just the zone max.
-  index.insert(site(6, 60'000.0, 0.0, 1'000.0, 3550.0));
-  std::vector<std::uint64_t> ids;
-  index.for_each_contending(Position{0.0, 0.0}, 3550.0 * 1e6, 5.0 * 1e6,
-                            70'000.0, 0,
-                            [&](const SiteEntry& e) { ids.push_back(e.id); });
-  EXPECT_EQ(ids, (std::vector<std::uint64_t>{6}));
-  // A reaching query at the same point must NOT see it: 1 km reach
-  // cannot cover the origin, floor only applies to contention.
-  EXPECT_TRUE(reaching_ids(index, Position{0.0, 0.0}).empty());
 }
 
 TEST(SpatialIndex, TouchingZoneSnapshot) {

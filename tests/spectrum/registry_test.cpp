@@ -59,38 +59,6 @@ TEST(Registry, ZeroBandwidthRejected) {
   EXPECT_FALSE(reg.grant_now(req).ok());
 }
 
-TEST(Registry, ContentionDomainByDistanceAndChannel) {
-  sim::Simulator sim;
-  Registry reg{sim, RegistryKind::kCentralizedSas};
-  auto a = reg.grant_now(band5_request(1, Position{0.0, 0.0}));
-  auto near_cochannel =
-      reg.grant_now(band5_request(2, Position{5'000.0, 0.0}));
-  auto far_cochannel =
-      reg.grant_now(band5_request(3, Position{500'000.0, 0.0}));
-  auto near_other_band =
-      reg.grant_now(band5_request(4, Position{5'000.0, 0.0}, 900.0));
-  ASSERT_TRUE(a.ok());
-
-  const auto domain = reg.contention_domain(*a);
-  std::vector<std::uint32_t> members;
-  for (const auto& g : domain) members.push_back(g.ap.value());
-  EXPECT_EQ(members, (std::vector<std::uint32_t>{2}));
-  (void)near_cochannel;
-  (void)far_cochannel;
-  (void)near_other_band;
-}
-
-TEST(Registry, AdjacentChannelsWithOverlapContend) {
-  sim::Simulator sim;
-  Registry reg{sim, RegistryKind::kCentralizedSas};
-  auto a = reg.grant_now(band5_request(1, Position{0.0, 0.0}, 850.0));
-  // 855 MHz with 10 MHz bandwidth overlaps [845,855]x[850,860].
-  auto b = reg.grant_now(band5_request(2, Position{1'000.0, 0.0}, 855.0));
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(reg.contention_domain(*a).size(), 1u);
-}
-
 TEST(Registry, InterferenceRangeLargerAtLowerFrequency) {
   sim::Simulator sim;
   Registry reg{sim, RegistryKind::kCentralizedSas};
@@ -222,13 +190,20 @@ TEST(Registry, DeadApVanishesFromContentionDomain) {
   auto dead = reg.grant_now(band5_request(2, Position{5'000.0, 0.0}));
   ASSERT_TRUE(alive.ok());
   ASSERT_TRUE(dead.ok());
-  EXPECT_EQ(reg.contention_domain(*alive).size(), 1u);
+  const auto aps_near = [&] {
+    std::vector<std::uint32_t> aps;
+    for (const auto& g : reg.grants_near(alive->location)) {
+      aps.push_back(g.ap.value());
+    }
+    return aps;
+  };
+  EXPECT_EQ(aps_near(), (std::vector<std::uint32_t>{1, 2}));
   // Only AP1 heartbeats.
   for (int i = 0; i < 6; ++i) {
     sim.run_until(sim.now() + Duration::seconds(20.0));
     (void)reg.heartbeat_outcome(alive->id);
   }
-  EXPECT_TRUE(reg.contention_domain(*alive).empty());
+  EXPECT_EQ(aps_near(), (std::vector<std::uint32_t>{1}));
   EXPECT_EQ(reg.grant_count(), 1u);
 }
 
@@ -444,11 +419,10 @@ TEST(Registry, NeighbourZoneGrantMakesCachedServeStale) {
   EXPECT_GT(reg.zone_version(in_b), before);
 }
 
-TEST(Registry, CachedServeDropsGrantsLapsingBeforeServeTime) {
-  // A cached query resolves its snapshot at *serve* time (request +
-  // tier latency). A grant whose lapse due falls inside that window must
-  // drop out of the reply — the serve-time resolution prunes, it does
-  // not trust slot_of_ to have been swept already.
+TEST(Registry, LapsedGrantDropsOutOfZoneOccupancy) {
+  // zone_occupancy prunes before it counts: a grant past its lapse due
+  // leaves the authoritative count at once. A cache tier may go on
+  // serving the pre-lapse snapshot, flagged stale, until its TTL runs out.
   sim::Simulator sim;
   Registry reg{sim, RegistryKind::kFederated};
   registry::LeaseCache cache;
@@ -456,27 +430,33 @@ TEST(Registry, CachedServeDropsGrantsLapsingBeforeServeTime) {
   reg.set_grant_lifetime(Duration::seconds(1.0));  // No grace.
   const Position pos{1'000.0, 1'000.0};
   ASSERT_TRUE(reg.grant_now(band5_request(1, pos)).ok());
+  EXPECT_EQ(reg.zone_occupancy(7, pos).grants, 1u);  // Fills every tier.
 
-  // Warm the cache through the authoritative path.
-  std::vector<SpectrumGrant> warm;
-  reg.query_region_as(7, pos, [&](std::vector<SpectrumGrant> g) {
-    warm = std::move(g);
-  });
-  sim.run_until(sim.now() + Duration::millis(500));
-  ASSERT_EQ(warm.size(), 1u);
-
-  // Query just before expiry (t=0.998s): the local tier serves, but its
-  // 5 ms latency lands the serve at t=1.003s — past the lapse due.
-  sim.run_until(TimePoint{} + Duration::millis(998));
-  std::vector<SpectrumGrant> served{warm};
-  reg.query_region_as(7, pos, [&](std::vector<SpectrumGrant> g) {
-    served = std::move(g);
-  });
-  sim.run_until(sim.now() + Duration::millis(100));
-  EXPECT_TRUE(served.empty());
+  sim.run_until(TimePoint{} + Duration::millis(1'001));
+  const auto cached = reg.zone_occupancy(7, pos);
   EXPECT_EQ(reg.grants_lapsed(), 1u);
-}
+  EXPECT_EQ(cached.tier, registry::CacheTier::kLocal);
+  EXPECT_TRUE(cached.stale);
+  EXPECT_EQ(cached.grants, 1u);
 
+  // Past the root TTL no tier holds the zone: the authoritative count.
+  sim.run_until(TimePoint{} + Duration::seconds(61.0));
+  const auto fresh = reg.zone_occupancy(7, pos);
+  EXPECT_EQ(fresh.tier, registry::CacheTier::kAuthoritative);
+  EXPECT_EQ(fresh.grants, 0u);
+
+  // Without a cache every probe is authoritative, lapse included.
+  sim::Simulator bare_sim;
+  Registry bare{bare_sim, RegistryKind::kFederated};
+  bare.set_grant_lifetime(Duration::seconds(1.0));
+  ASSERT_TRUE(bare.grant_now(band5_request(1, pos)).ok());
+  bare_sim.run_until(TimePoint{} + Duration::millis(999));
+  EXPECT_EQ(bare.zone_occupancy(7, pos).grants, 1u);
+  bare_sim.run_until(TimePoint{} + Duration::millis(1'001));
+  const auto lapsed = bare.zone_occupancy(7, pos);
+  EXPECT_EQ(lapsed.tier, registry::CacheTier::kAuthoritative);
+  EXPECT_EQ(lapsed.grants, 0u);
+}
 
 TEST(Registry, PerpetualGrantRenewedUnderALifetimeLapses) {
   // A grant issued perpetual and renewed after set_grant_lifetime takes

@@ -32,8 +32,6 @@ TEST(EsimStore, HoldsMultipleIdentities) {
   EXPECT_EQ(store.find_open()->imsi, Imsi{100});
   ASSERT_NE(store.find_by_imsi(Imsi{200}), nullptr);
   EXPECT_FALSE(store.find_by_imsi(Imsi{200})->open_identity);
-  EXPECT_EQ(store.find_by_label("carrier")->imsi, Imsi{200});
-  EXPECT_EQ(store.find_by_label("nope"), nullptr);
   EXPECT_EQ(store.find_by_imsi(Imsi{300}), nullptr);
 }
 
@@ -71,40 +69,6 @@ TEST(LinearMobility, DiagonalSpeed) {
   m.advance(Duration::seconds(2.0));
   EXPECT_NEAR(m.position().x_m, 6.0, 1e-9);
   EXPECT_NEAR(m.position().y_m, 8.0, 1e-9);
-}
-
-TEST(RandomWaypoint, StaysInBounds) {
-  RandomWaypointMobility m{Position{100.0, 200.0}, 500.0, 300.0, 1.5,
-                           sim::RngStream{5}};
-  for (int i = 0; i < 1000; ++i) {
-    const Position p = m.advance(Duration::seconds(1.0));
-    EXPECT_GE(p.x_m, 100.0 - 1e-9);
-    EXPECT_LE(p.x_m, 600.0 + 1e-9);
-    EXPECT_GE(p.y_m, 200.0 - 1e-9);
-    EXPECT_LE(p.y_m, 500.0 + 1e-9);
-  }
-}
-
-TEST(RandomWaypoint, CoversDistanceAtSpeed) {
-  RandomWaypointMobility m{Position{0.0, 0.0}, 10000.0, 10000.0, 2.0,
-                           sim::RngStream{6}};
-  const Position start = m.position();
-  m.advance(Duration::seconds(10.0));
-  // Moves at most speed*dt (can be less only when waypoints force turns;
-  // in a huge area the first leg is almost surely straight).
-  EXPECT_LE(distance_m(start, m.position()), 20.0 + 1e-6);
-  EXPECT_GT(distance_m(start, m.position()), 1.0);
-}
-
-TEST(RandomWaypoint, DeterministicPerSeed) {
-  RandomWaypointMobility a{Position{0, 0}, 100, 100, 1.0,
-                           sim::RngStream{7}};
-  RandomWaypointMobility b{Position{0, 0}, 100, 100, 1.0,
-                           sim::RngStream{7}};
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(a.advance(Duration::seconds(1.0)),
-              b.advance(Duration::seconds(1.0)));
-  }
 }
 
 }  // namespace

@@ -45,28 +45,6 @@ TEST(CbrSource, StopHalts) {
   EXPECT_EQ(cbr.bytes_offered(), at_stop);
 }
 
-TEST(WebSource, IssuesRequestsAtRate) {
-  Fixture f;
-  auto& conn = f.client.connect(f.server_node, transport::TransportConfig{});
-  WebSource web{f.sim, conn, 2.0, 50'000.0, sim::RngStream{11}};
-  web.start();
-  f.run_for(30.0);
-  // ~60 requests of ~50 kB each.
-  EXPECT_NEAR(web.requests_issued(), 60, 25);
-  EXPECT_GT(web.bytes_offered(), 1e6);
-}
-
-TEST(BulkSource, CompletesAndReports) {
-  Fixture f;
-  auto& conn = f.client.connect(f.server_node, transport::TransportConfig{});
-  BulkSource bulk{conn, 500'000.0};
-  EXPECT_FALSE(bulk.complete());
-  bulk.start();
-  f.run_for(10.0);
-  EXPECT_TRUE(bulk.complete());
-  EXPECT_DOUBLE_EQ(f.ott.delivered_bytes(conn.id()), 500'000.0);
-}
-
 TEST(OttService, ProgressTimelineMonotone) {
   Fixture f;
   auto& conn = f.client.connect(f.server_node, transport::TransportConfig{});
