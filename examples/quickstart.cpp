@@ -103,7 +103,8 @@ int main(int argc, char** argv) {
   }
   std::cout << "sessions on the local core: "
             << ap.core().gateway().session_count()
-            << ", billing records: " << ap.core().cdr_count()
+            << ", bills subscribers: "
+            << (ap.core().bills_subscribers() ? "yes" : "no")
             << " (the stub does not bill — §4.1)\n";
 
   if (tracer != nullptr) {

@@ -105,7 +105,7 @@ int main() {
             << " kb/s, min " << rates.quantile(0.0) << " kb/s\n";
   std::cout << "what this deployment did not need: a carrier contract, a "
                "remote EPC site,\nSIM provisioning through an operator, or "
-               "a billing system (CDRs: "
-            << ap.core().cdr_count() << ").\n";
+               "a billing system (bills subscribers: "
+            << (ap.core().bills_subscribers() ? "yes" : "no") << ").\n";
   return 0;
 }

@@ -102,43 +102,8 @@ int SharedChannel::add_lte_transmitter(const LteTransmitterConfig& config) {
   return index;
 }
 
-void SharedChannel::attach_cell(int lte_index, mac::LteCellMac* cell) {
-  entries_[static_cast<std::size_t>(lte_index)].cell = cell;
-}
-
-Waveform SharedChannel::waveform(int index) const {
-  return entries_[static_cast<std::size_t>(index)].waveform;
-}
-
 const CoexStats& SharedChannel::stats(int index) const {
   return entries_[static_cast<std::size_t>(index)].stats;
-}
-
-PowerDbm SharedChannel::power_at(int tx, Position where) const {
-  const Entry& e = entries_[static_cast<std::size_t>(tx)];
-  const double distance =
-      std::max(1.0, distance_m(e.site.tx_pos, where));
-  // A bare probe receiver: isotropic, no gain.
-  return phy::received_power(e.site.tx_profile, phy::RadioProfile{}, model_,
-                             config_.frequency, distance);
-}
-
-bool SharedChannel::senses(int listener, int tx) const {
-  if (listener == tx) return false;
-  const Entry& l = entries_[static_cast<std::size_t>(listener)];
-  const Entry& t = entries_[static_cast<std::size_t>(tx)];
-  const double distance =
-      std::max(1.0, distance_m(t.site.tx_pos, l.site.tx_pos));
-  const PowerDbm power =
-      phy::received_power(t.site.tx_profile, l.site.tx_profile, model_,
-                          config_.frequency, distance);
-  return power.value() > l.cca_dbm;
-}
-
-double SharedChannel::duty_on_fraction(int lte_index) const {
-  const Entry& e = entries_[static_cast<std::size_t>(lte_index)];
-  const double cycle = static_cast<double>(e.on_slots + e.off_slots);
-  return cycle > 0.0 ? static_cast<double>(e.on_slots) / cycle : 0.0;
 }
 
 void SharedChannel::rebuild_energy_tables() {
@@ -411,17 +376,6 @@ void SharedChannel::run(Duration duration) {
       static_cast<std::int64_t>(duration.ns() / phy::kSlot.ns());
   for (std::int64_t i = 0; i < slots; ++i) step_slot();
   elapsed_ += Duration::nanos(slots * phy::kSlot.ns());
-
-  // Couple measured airtime back into attached cell MACs and publish the
-  // end-of-run gauges.
-  for (auto& e : entries_) {
-    if (e.cell != nullptr && slot_index_ > 0) {
-      e.cell->set_prb_share(std::clamp(
-          static_cast<double>(e.stats.tx_slots) /
-              static_cast<double>(slot_index_),
-          0.0, 1.0));
-    }
-  }
   flush_run_gauges();
 }
 

@@ -42,7 +42,6 @@
 #include "common/time.h"
 #include "common/units.h"
 #include "mac/dcf_backoff.h"
-#include "mac/lte_cell_mac.h"
 #include "obs/metrics.h"
 #include "phy/link_budget.h"
 #include "phy/propagation.h"
@@ -139,19 +138,11 @@ class SharedChannel {
   int add_wifi_station(const WifiStationConfig& config);
   int add_lte_transmitter(const LteTransmitterConfig& config);
 
-  // Couple a registered dLTE transmitter to a cell MAC: after each run()
-  // the cell's PRB share is set to the airtime fraction the policy
-  // actually won, so per-UE scheduling downstream sees the coexistence
-  // cost. (On a shared band the X2 share rounds are off — this is the
-  // path that replaces them.)
-  void attach_cell(int lte_index, mac::LteCellMac* cell);
-
   void run(Duration duration);
 
   [[nodiscard]] int transmitter_count() const {
     return static_cast<int>(entries_.size());
   }
-  [[nodiscard]] Waveform waveform(int index) const;
   [[nodiscard]] const CoexStats& stats(int index) const;
   [[nodiscard]] Duration elapsed() const { return elapsed_; }
 
@@ -161,15 +152,6 @@ class SharedChannel {
   // Per-transmitter airtime fractions, registration order — the input to
   // jain_fairness in the C11 summary.
   [[nodiscard]] std::vector<double> airtime_fractions() const;
-
-  // --- Medium introspection (tests, benches) ---------------------------
-  // Received power of `tx`'s transmitter at an arbitrary point.
-  [[nodiscard]] PowerDbm power_at(int tx, Position where) const;
-  // Would `listener`'s CCA flag `tx` alone as busy? (Energy at the
-  // listener's transmitter position vs. the listener's own threshold.)
-  [[nodiscard]] bool senses(int listener, int tx) const;
-  // Current adaptive duty-cycle on-fraction of a dLTE transmitter.
-  [[nodiscard]] double duty_on_fraction(int lte_index) const;
 
   // Observability: per-waveform counters `<prefix>coex.{wifi,dlte}.*`
   // (attempts, delivered, collisions, drops, defer_slots), access-latency
@@ -219,7 +201,6 @@ class SharedChannel {
     double min_on_fraction{0.1};
     double max_on_fraction{0.8};
     std::int64_t off_busy_slots{0};  // Medium-busy samples this off-window.
-    mac::LteCellMac* cell{nullptr};
 
     CoexStats stats;
   };

@@ -1,7 +1,6 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace dlte {
 
@@ -14,17 +13,8 @@ void RunningStats::add(double x) {
   }
   ++n_;
   sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(n_);
 }
-
-double RunningStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double Quantiles::quantile(double q) const {
   if (samples_.empty()) return 0.0;
@@ -39,13 +29,6 @@ double Quantiles::quantile(double q) const {
   const double frac = pos - static_cast<double>(lo);
   if (lo + 1 >= samples_.size()) return samples_.back();
   return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
-}
-
-double Quantiles::mean() const {
-  if (samples_.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : samples_) s += x;
-  return s / static_cast<double>(samples_.size());
 }
 
 double jain_fairness(std::span<const double> allocations) {

@@ -7,15 +7,13 @@
 
 namespace dlte {
 
-// Streaming mean/variance/min/max (Welford). O(1) memory.
+// Streaming mean/min/max (Welford's running mean). O(1) memory.
 class RunningStats {
  public:
   void add(double x);
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const { return n_ > 0 ? min_ : 0.0; }
   [[nodiscard]] double max() const { return n_ > 0 ? max_ : 0.0; }
   [[nodiscard]] double sum() const { return sum_; }
@@ -23,7 +21,6 @@ class RunningStats {
  private:
   std::size_t n_{0};
   double mean_{0.0};
-  double m2_{0.0};
   double min_{0.0};
   double max_{0.0};
   double sum_{0.0};
@@ -50,7 +47,6 @@ class Quantiles {
   [[nodiscard]] double median() const { return quantile(0.5); }
   [[nodiscard]] double p95() const { return quantile(0.95); }
   [[nodiscard]] double p99() const { return quantile(0.99); }
-  [[nodiscard]] double mean() const;
 
  private:
   mutable std::vector<double> samples_;

@@ -69,22 +69,6 @@ void EnodeB::attach_ue(ue::NasClient& client,
       ev_label_);
 }
 
-void EnodeB::detach_ue(ue::NasClient& client) {
-  const auto it = camped_.find(client.tmsi().value());
-  if (it == camped_.end()) return;
-  lte::UplinkNasTransport up;
-  up.enb_ue_id = it->second.enb_ue_id;
-  up.mme_ue_id = it->second.mme_ue_id;
-  up.nas_pdu = lte::encode_nas(lte::NasMessage{lte::DetachRequest{}});
-  camped_.erase(it);
-  sim_.schedule(
-      config_.radio_one_way,
-      [this, up = std::move(up)] {
-        fabric_.enb_send(config_.cell, lte::S1apMessage{up});
-      },
-      ev_label_);
-}
-
 void EnodeB::on_s1ap(const lte::S1apMessage& message) {
   if (const auto* down = std::get_if<lte::DownlinkNasTransport>(&message)) {
     auto it = pending_.find(down->enb_ue_id.value());
@@ -111,27 +95,6 @@ void EnodeB::on_s1ap(const lte::S1apMessage& message) {
       }
       check_completion(enb_id, ue);
     },
-        ev_label_);
-    return;
-  }
-  if (const auto* paging = std::get_if<lte::Paging>(&message)) {
-    ++pages_received_;
-    const auto it = camped_.find(paging->tmsi.value());
-    if (it == camped_.end()) return;  // Not camped here.
-    // Paging occasion + RRC re-establishment, then the service request
-    // rides an InitialUeMessage (as in ECM-idle → connected).
-    const Tmsi tmsi = paging->tmsi;
-    sim_.schedule(
-        config_.rrc_setup + config_.radio_one_way,
-        [this, tmsi] {
-      ++pages_answered_;
-      lte::InitialUeMessage init;
-      init.enb_ue_id = EnbUeId{next_enb_ue_id_++};
-      init.cell = config_.cell;
-      init.nas_pdu =
-          lte::encode_nas(lte::NasMessage{lte::ServiceRequest{tmsi}});
-      fabric_.enb_send(config_.cell, lte::S1apMessage{init});
-        },
         ev_label_);
     return;
   }
@@ -183,9 +146,6 @@ void EnodeB::check_completion(EnbUeId id, PendingUe& ue) {
     out.success = true;
     out.elapsed = sim_.now() - ue.started_at;
     out.ue_ip = ue.client->ue_ip();
-    // Pageable / detachable from now on.
-    camped_[ue.client->tmsi().value()] =
-        CampedUe{ue.client, id, ue.mme_ue_id};
     if (ue.on_done) ue.on_done(out);
     pending_.erase(id.value());
   }

@@ -45,10 +45,6 @@ class EnodeB {
   void attach_ue(ue::NasClient& client,
                  std::function<void(AttachOutcome)> on_done);
 
-  // UE-initiated detach: tears the session down at the core and removes
-  // the UE from the camped set. Requires a previously completed attach.
-  void detach_ue(ue::NasClient& client);
-
   // Handler to register with the S1Fabric for this cell.
   void on_s1ap(const lte::S1apMessage& message);
 
@@ -56,8 +52,6 @@ class EnodeB {
   [[nodiscard]] int attaches_started() const { return started_; }
   [[nodiscard]] int attaches_succeeded() const { return succeeded_; }
   [[nodiscard]] int attaches_failed() const { return failed_; }
-  [[nodiscard]] int pages_received() const { return pages_received_; }
-  [[nodiscard]] int pages_answered() const { return pages_answered_; }
 
   // Causal tracing: each attach_ue() opens an "attach" root span in
   // category `<prefix>ran`, covering RRC setup through completion/guard
@@ -75,11 +69,6 @@ class EnodeB {
     bool done{false};
     obs::SpanId span{obs::kNoSpan};
   };
-  struct CampedUe {
-    ue::NasClient* client{nullptr};
-    EnbUeId enb_ue_id{};
-    MmeUeId mme_ue_id{};
-  };
 
   void deliver_nas_to_ue(EnbUeId id, const std::vector<std::uint8_t>& pdu);
   void send_nas_to_mme(EnbUeId enb_id, MmeUeId mme_id,
@@ -93,17 +82,12 @@ class EnodeB {
   S1Fabric& fabric_;
   EnbConfig config_;
   std::unordered_map<std::uint32_t, PendingUe> pending_;
-  // UEs camped on this cell after attach (by TMSI): these can answer a
-  // page with a ServiceRequest or originate a detach.
-  std::unordered_map<std::uint32_t, CampedUe> camped_;
   std::uint32_t next_enb_ue_id_{1};
   obs::SpanTracer* tracer_{nullptr};
   std::string span_cat_{"ran"};
   int started_{0};
   int succeeded_{0};
   int failed_{0};
-  int pages_received_{0};
-  int pages_answered_{0};
 };
 
 }  // namespace dlte::core

@@ -1,7 +1,6 @@
 #include "core/radio_env.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace dlte::core {
@@ -26,20 +25,8 @@ void RadioEnvironment::add_cell(const CellSiteConfig& config) {
   cells_.emplace(config.id, std::move(site));
 }
 
-std::vector<CellId> RadioEnvironment::cell_ids() const {
-  std::vector<CellId> out;
-  out.reserve(cells_.size());
-  for (const auto& [id, site] : cells_) out.push_back(id);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 void RadioEnvironment::set_coordinated(CellId id, bool coordinated) {
   cells_.at(id).coordinated = coordinated;
-}
-
-void RadioEnvironment::set_activity(CellId id, double duty_cycle) {
-  cells_.at(id).activity = std::clamp(duty_cycle, 0.0, 1.0);
 }
 
 void RadioEnvironment::set_cell_active(CellId id, bool active) {
@@ -88,17 +75,9 @@ Decibels RadioEnvironment::downlink_sinr(CellId serving, Position ue) const {
     if (!co_channel(s, other)) continue;
     // Coordinated cells hold orthogonal shares: no mutual interference.
     if (s.coordinated && other.coordinated) continue;
-    denom_mw += rx_power(other, ue).milliwatts() * other.activity;
+    denom_mw += rx_power(other, ue).milliwatts();
   }
   return Decibels::from_linear(desired.milliwatts() / denom_mw);
-}
-
-Decibels RadioEnvironment::uplink_sinr(CellId serving, Position ue) const {
-  const Site& s = cells_.at(serving);
-  if (!s.active) return Decibels{-300.0};
-  const double d = distance_m(s.config.position, ue);
-  return phy::link_snr(ue_profile_, s.config.profile, *s.model,
-                       s.config.frequency, d);
 }
 
 std::optional<CellId> RadioEnvironment::best_cell(Position ue) const {
@@ -112,10 +91,6 @@ std::optional<CellId> RadioEnvironment::best_cell(Position ue) const {
     }
   }
   return best;
-}
-
-const CellSiteConfig& RadioEnvironment::cell(CellId id) const {
-  return cells_.at(id).config;
 }
 
 double RadioEnvironment::cell_distance_m(CellId id, Position ue) const {

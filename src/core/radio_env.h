@@ -5,14 +5,13 @@
 // positions, and encodes the coordination semantics of §4.3: cells that
 // belong to a coordination domain hold *orthogonal* time-frequency shares
 // (no co-channel interference between them — that is the point of the
-// agreement), while uncoordinated co-channel cells interfere in
-// proportion to their transmit duty cycle.
+// agreement), while uncoordinated co-channel cells interfere at full
+// power.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "common/geo.h"
 #include "common/ids.h"
@@ -36,11 +35,9 @@ class RadioEnvironment {
 
   void add_cell(const CellSiteConfig& config);
   [[nodiscard]] bool has_cell(CellId id) const { return cells_.contains(id); }
-  [[nodiscard]] std::vector<CellId> cell_ids() const;
 
   // Coordination state (driven by the PeerCoordinator / scenario).
   void set_coordinated(CellId id, bool coordinated);
-  void set_activity(CellId id, double duty_cycle);  // 0..1.
 
   // Failure state (driven by fault injection): an inactive cell is off the
   // air — it neither serves (RSRP at the noise floor) nor interferes.
@@ -54,13 +51,9 @@ class RadioEnvironment {
 
   [[nodiscard]] PowerDbm rsrp(CellId cell, Position ue) const;
   [[nodiscard]] Decibels downlink_sinr(CellId serving, Position ue) const;
-  // Uplink is scheduled (orthogonal within a cell); interference-free
-  // SINR at the basestation.
-  [[nodiscard]] Decibels uplink_sinr(CellId serving, Position ue) const;
 
   // Strongest cell by RSRP, if any is above the detection floor.
   [[nodiscard]] std::optional<CellId> best_cell(Position ue) const;
-  [[nodiscard]] const CellSiteConfig& cell(CellId id) const;
   [[nodiscard]] double cell_distance_m(CellId id, Position ue) const;
 
  private:
@@ -68,7 +61,6 @@ class RadioEnvironment {
     CellSiteConfig config;
     std::unique_ptr<phy::PropagationModel> model;
     bool coordinated{false};
-    double activity{1.0};
     bool active{true};
     double power_backoff_db{0.0};
   };

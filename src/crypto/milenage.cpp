@@ -46,7 +46,6 @@ Milenage::F1Output Milenage::Challenge::f1(const Sqn48& sqn,
 
   F1Output out;
   std::memcpy(out.mac_a.data(), out1.data(), 8);
-  std::memcpy(out.mac_s.data(), out1.data() + 8, 8);
   return out;
 }
 

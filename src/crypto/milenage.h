@@ -35,8 +35,9 @@ class Milenage {
   Milenage(const Key128& k, const Block128& opc);
 
   struct F1Output {
-    Mac64 mac_a;  // Network authentication code (f1).
-    Mac64 mac_s;  // Resynchronisation code (f1*).
+    // Network authentication code (f1). Re-synchronisation (f1*) is not
+    // modelled.
+    Mac64 mac_a;
   };
   struct F2F5Output {
     Res64 res;  // Expected user response (f2).

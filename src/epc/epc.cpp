@@ -13,14 +13,4 @@ EpcCore::EpcCore(sim::Simulator& sim, EpcConfig config, sim::RngStream rng)
              return c;
            }()) {}
 
-void EpcCore::record_usage(Imsi imsi, std::uint64_t bytes) {
-  if (!bills_subscribers()) return;
-  cdrs_[imsi] += bytes;
-}
-
-std::uint64_t EpcCore::usage_bytes(Imsi imsi) const {
-  const auto it = cdrs_.find(imsi);
-  return it == cdrs_.end() ? 0 : it->second;
-}
-
 }  // namespace dlte::epc

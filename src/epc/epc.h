@@ -4,13 +4,10 @@
 // the deployment flag controls only what the paper says should differ
 // (§4.1): the local stub does not anchor mobility, does not bill, and is
 // expected to sit on the AP itself (so its S1 latency is ~zero), while
-// the centralized core anchors every tunnel and meters every subscriber
-// at a remote site.
+// the centralized core anchors every tunnel at a remote site.
 #pragma once
 
-#include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "epc/gateway.h"
 #include "epc/hss.h"
@@ -56,7 +53,7 @@ class EpcCore {
 
   // Crash-and-restart of the core process (src/fault): MME contexts and
   // gateway bearers are volatile and vanish; the HSS subscriber database
-  // (flash-backed) and CDRs (already shipped off-box) survive.
+  // (flash-backed) survives.
   void crash() {
     mme_.lose_volatile_state();
     gateway_.clear_sessions();
@@ -74,18 +71,11 @@ class EpcCore {
     return config_.deployment == CoreDeployment::kCentralized;
   }
 
-  // Usage metering (CDRs). No-op on a local stub — dLTE explicitly leaves
-  // billing to OTT services.
-  void record_usage(Imsi imsi, std::uint64_t bytes);
-  [[nodiscard]] std::uint64_t usage_bytes(Imsi imsi) const;
-  [[nodiscard]] std::size_t cdr_count() const { return cdrs_.size(); }
-
  private:
   EpcConfig config_;
   Hss hss_;
   Gateway gateway_;
   Mme mme_;
-  std::unordered_map<Imsi, std::uint64_t> cdrs_;
 };
 
 }  // namespace dlte::epc

@@ -72,22 +72,6 @@ void GatewayDataPlane::bind_enb(Teid enb_downlink_teid, NodeId enb_node) {
   enb_nodes_[enb_downlink_teid] = enb_node;
 }
 
-void GatewayDataPlane::set_metrics(obs::MetricsRegistry* registry,
-                                   const std::string& prefix) {
-  if (registry == nullptr) {
-    m_up_ = nullptr;
-    m_down_ = nullptr;
-    m_unknown_teid_ = nullptr;
-    m_unknown_ue_ = nullptr;
-    return;
-  }
-  m_up_ = &registry->counter(prefix + "epc.gtp.uplink_decapsulated");
-  m_down_ = &registry->counter(prefix + "epc.gtp.downlink_encapsulated");
-  m_unknown_teid_ =
-      &registry->counter(prefix + "epc.gtp.unknown_teid_drops");
-  m_unknown_ue_ = &registry->counter(prefix + "epc.gtp.unknown_ue_drops");
-}
-
 void GatewayDataPlane::set_tracer(obs::SpanTracer* tracer,
                                   const std::string& prefix) {
   tracer_ = tracer;
@@ -105,14 +89,12 @@ void GatewayDataPlane::on_gtp(const net::Packet& packet) {
   const auto* bearer = gateway_.find_by_uplink_teid(frame->header.teid);
   if (bearer == nullptr) {
     ++unknown_teid_;
-    obs::inc(m_unknown_teid_);
     obs::span_annotate(tracer_, span, "drop", "unknown uplink teid");
     obs::span_end(tracer_, span);
     return;
   }
   gateway_.count_uplink(frame->inner.size_bytes);
   ++up_count_;
-  obs::inc(m_up_);
   obs::span_annotate(tracer_, span, "decapsulated",
                      [&] { return lte::gtpu_brief(frame->header); });
   {
@@ -132,18 +114,15 @@ void GatewayDataPlane::on_user_ip(const net::Packet& packet) {
   const auto* bearer = gateway_.find_by_ue_ip(inner->ue_ip);
   if (bearer == nullptr) {
     ++unknown_ue_;
-    obs::inc(m_unknown_ue_);
     return;
   }
   const auto node_it = enb_nodes_.find(bearer->downlink_teid);
   if (node_it == enb_nodes_.end()) {
     ++unknown_ue_;
-    obs::inc(m_unknown_ue_);
     return;
   }
   gateway_.count_downlink(inner->size_bytes);
   ++down_count_;
-  obs::inc(m_down_);
   const std::uint16_t seq = next_seq_++;
   const obs::SpanId span =
       obs::span_begin(tracer_, "gtp_downlink", span_cat_);
@@ -175,20 +154,6 @@ void EnbDataPlane::configure_bearer(net::Ipv4 ue_ip, Teid sgw_uplink_teid) {
   uplink_teids_[ue_ip.addr] = sgw_uplink_teid;
 }
 
-void EnbDataPlane::set_metrics(obs::MetricsRegistry* registry,
-                               const std::string& prefix) {
-  if (registry == nullptr) {
-    m_up_ = nullptr;
-    m_down_ = nullptr;
-    m_unconfigured_ = nullptr;
-    return;
-  }
-  m_up_ = &registry->counter(prefix + "epc.gtp.enb.uplink_sent");
-  m_down_ = &registry->counter(prefix + "epc.gtp.enb.downlink_received");
-  m_unconfigured_ =
-      &registry->counter(prefix + "epc.gtp.enb.unconfigured_drops");
-}
-
 void EnbDataPlane::set_tracer(obs::SpanTracer* tracer,
                               const std::string& prefix) {
   tracer_ = tracer;
@@ -200,7 +165,6 @@ void EnbDataPlane::send_uplink(net::Ipv4 ue_ip, NodeId remote,
   const auto it = uplink_teids_.find(ue_ip.addr);
   if (it == uplink_teids_.end()) {
     ++unconfigured_;
-    obs::inc(m_unconfigured_);
     // Zero-duration marker: the datagram died here, trace says why.
     const obs::SpanId s = obs::span_begin(tracer_, "gtp_uplink", span_cat_);
     obs::span_annotate(tracer_, s, "drop", "no uplink teid for ue");
@@ -209,7 +173,6 @@ void EnbDataPlane::send_uplink(net::Ipv4 ue_ip, NodeId remote,
   }
   InnerDatagram inner{ue_ip, remote, size_bytes};
   ++up_count_;
-  obs::inc(m_up_);
   const std::uint16_t seq = next_seq_++;
   const obs::SpanId span = obs::span_begin(tracer_, "gtp_uplink", span_cat_);
   obs::span_annotate(tracer_, span, "tunnel", [&] {
@@ -229,7 +192,6 @@ void EnbDataPlane::on_gtp(const net::Packet& packet) {
   auto frame = deframe_gtp(packet.payload);
   if (!frame) return;
   ++down_count_;
-  obs::inc(m_down_);
   // Close the gateway's stashed "gtp_downlink" span: the tunnel leg
   // ends where the datagram reaches the serving eNodeB.
   const obs::SpanId span = obs::span_take(

@@ -16,7 +16,6 @@
 #include "epc/gateway.h"
 #include "lte/gtp.h"
 #include "net/network.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace dlte::epc {
@@ -56,10 +55,6 @@ class GatewayDataPlane {
   }
   [[nodiscard]] std::uint64_t unknown_ue_drops() const { return unknown_ue_; }
 
-  // Export tunnel packet/drop counters under `<prefix>epc.gtp.*`.
-  void set_metrics(obs::MetricsRegistry* registry,
-                   const std::string& prefix = "");
-
   // Causal tracing: closes the eNodeB's stashed "gtp_uplink" span at
   // decapsulation and opens a "gtp_downlink" span per tunnelled downlink
   // datagram (closed by the eNodeB endpoint). Category `<prefix>gtp`.
@@ -82,11 +77,6 @@ class GatewayDataPlane {
   std::uint64_t down_count_{0};
   std::uint64_t unknown_teid_{0};
   std::uint64_t unknown_ue_{0};
-
-  obs::Counter* m_up_{nullptr};
-  obs::Counter* m_down_{nullptr};
-  obs::Counter* m_unknown_teid_{nullptr};
-  obs::Counter* m_unknown_ue_{nullptr};
 };
 
 // eNodeB-side endpoint.
@@ -114,10 +104,6 @@ class EnbDataPlane {
     return unconfigured_;
   }
 
-  // Export eNodeB-side tunnel counters under `<prefix>epc.gtp.enb.*`.
-  void set_metrics(obs::MetricsRegistry* registry,
-                   const std::string& prefix = "");
-
   // Causal tracing: send_uplink opens a "gtp_uplink" span stashed under
   // span_key("gtpu", teid, seq) for the gateway endpoint to close; the
   // gateway's "gtp_downlink" spans are closed here. Category
@@ -138,10 +124,6 @@ class EnbDataPlane {
   std::uint64_t up_count_{0};
   std::uint64_t down_count_{0};
   std::uint64_t unconfigured_{0};
-
-  obs::Counter* m_up_{nullptr};
-  obs::Counter* m_down_{nullptr};
-  obs::Counter* m_unconfigured_{nullptr};
 };
 
 }  // namespace dlte::epc

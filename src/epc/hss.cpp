@@ -22,7 +22,7 @@ void Hss::provision(Imsi imsi, const crypto::Key128& k,
 
 void Hss::provision_with_opc(Imsi imsi, const crypto::Key128& k,
                              const crypto::Block128& opc) {
-  subscribers_[imsi] = Subscriber{k, opc, 0, false};
+  subscribers_[imsi] = Subscriber{k, opc, 0};
 }
 
 Result<AuthVector> Hss::generate_auth_vector(
@@ -51,13 +51,6 @@ Result<AuthVector> Hss::generate_auth_vector(
   const auto ik = c.f4();
   v.kasme = crypto::derive_kasme(ck, ik, serving_network_id, v.sqn_xor_ak);
   return v;
-}
-
-Result<PublishedKeys> Hss::published_keys(Imsi imsi) const {
-  const auto it = subscribers_.find(imsi);
-  if (it == subscribers_.end()) return fail("unknown IMSI");
-  if (!it->second.published) return fail("keys not published");
-  return PublishedKeys{imsi, it->second.k, it->second.opc};
 }
 
 }  // namespace dlte::epc

@@ -59,21 +59,11 @@ class Hss {
   [[nodiscard]] Result<AuthVector> generate_auth_vector(
       Imsi imsi, const std::string& serving_network_id);
 
-  // dLTE open-identity flow: mark a subscriber's keys as published, and
-  // fetch them (registry-side accessor).
-  void publish_keys(Imsi imsi) {
-    if (auto it = subscribers_.find(imsi); it != subscribers_.end()) {
-      it->second.published = true;
-    }
-  }
-  [[nodiscard]] Result<PublishedKeys> published_keys(Imsi imsi) const;
-
  private:
   struct Subscriber {
     crypto::Key128 k{};
     crypto::Block128 opc{};
     std::uint64_t sqn{0};
-    bool published{false};
   };
 
   std::unordered_map<Imsi, Subscriber> subscribers_;

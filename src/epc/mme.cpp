@@ -17,12 +17,8 @@ void Mme::set_metrics(obs::MetricsRegistry* registry,
     m_messages_ = nullptr;
     m_attaches_ = nullptr;
     m_auth_failures_ = nullptr;
-    m_detaches_ = nullptr;
-    m_path_switches_ = nullptr;
     m_handovers_in_ = nullptr;
     m_handovers_out_ = nullptr;
-    m_paging_ = nullptr;
-    m_service_requests_ = nullptr;
     m_nas_retx_ = nullptr;
     m_throttled_ = nullptr;
     m_state_losses_ = nullptr;
@@ -33,12 +29,15 @@ void Mme::set_metrics(obs::MetricsRegistry* registry,
   m_messages_ = &registry->counter(prefix + "epc.messages_processed");
   m_attaches_ = &registry->counter(prefix + "epc.attaches_completed");
   m_auth_failures_ = &registry->counter(prefix + "epc.auth_failures");
-  m_detaches_ = &registry->counter(prefix + "epc.detaches");
-  m_path_switches_ = &registry->counter(prefix + "epc.path_switches");
+  // Never incremented: detach and S1 path switch are not modelled, but
+  // the names are part of every metrics document.
+  (void)registry->counter(prefix + "epc.detaches");
+  (void)registry->counter(prefix + "epc.path_switches");
   m_handovers_in_ = &registry->counter(prefix + "epc.handovers_in");
   m_handovers_out_ = &registry->counter(prefix + "epc.handovers_out");
-  m_paging_ = &registry->counter(prefix + "epc.paging_messages");
-  m_service_requests_ = &registry->counter(prefix + "epc.service_requests");
+  // Never incremented either: ECM-idle and paging are not modelled.
+  (void)registry->counter(prefix + "epc.paging_messages");
+  (void)registry->counter(prefix + "epc.service_requests");
   m_nas_retx_ = &registry->counter(prefix + "epc.nas_retransmissions");
   m_throttled_ = &registry->counter(prefix + "epc.attaches_throttled");
   m_state_losses_ = &registry->counter(prefix + "epc.state_losses");
@@ -91,26 +90,6 @@ void Mme::process(CellId from_cell, const lte::S1apMessage& message) {
     if (!nas) return;
     if (const auto* attach = std::get_if<lte::AttachRequest>(&*nas)) {
       start_attach(init->cell, init->enb_ue_id, *attach);
-      return;
-    }
-    if (const auto* service = std::get_if<lte::ServiceRequest>(&*nas)) {
-      // Paging response: an idle UE re-established RRC and asks back in.
-      for (auto& [imsi, ue] : ues_) {
-        if (ue.tmsi == service->tmsi &&
-            ue.state == EmmState::kRegistered && ue.ecm_idle) {
-          ue.ecm_idle = false;
-          ue.cell = init->cell;
-          ue.enb_ue_id = init->enb_ue_id;
-          ++stats_.service_requests;
-          obs::inc(m_service_requests_);
-          if (ue.on_paged) {
-            auto cb = std::move(ue.on_paged);
-            ue.on_paged = nullptr;
-            cb();
-          }
-          return;
-        }
-      }
     }
     return;
   }
@@ -272,16 +251,7 @@ void Mme::handle_nas(UeContext& ue, const lte::NasMessage& nas) {
       }
       return;
     }
-    case EmmState::kRegistered: {
-      if (std::holds_alternative<lte::DetachRequest>(nas)) {
-        gateway_.delete_session(ue.imsi);
-        by_mme_id_.erase(ue.mme_ue_id.value());
-        ++stats_.detaches;
-        obs::inc(m_detaches_);
-        ues_.erase(ue.imsi);  // `ue` invalid beyond this point.
-      }
-      return;
-    }
+    case EmmState::kRegistered:
     case EmmState::kDeregistered:
       return;
   }
@@ -359,60 +329,6 @@ void Mme::arm_nas_retx(UeContext& ue) {
       ev_label_);
 }
 
-void Mme::path_switch(Imsi imsi, CellId new_cell, Teid new_enb_teid) {
-  const TimePoint now = sim_.now();
-  const TimePoint start = std::max(now, busy_until_);
-  busy_until_ = start + config_.nas_processing;
-  stats_.queueing_delay_ms.add((start - now).to_millis());
-  obs::observe(m_queueing_delay_ms_, (start - now).to_millis());
-  sim_.schedule_at(
-      busy_until_,
-      [this, imsi, new_cell, new_enb_teid] {
-        ++stats_.messages_processed;
-        obs::inc(m_messages_);
-        auto it = ues_.find(imsi);
-        if (it == ues_.end()) return;
-        it->second.cell = new_cell;
-        gateway_.complete_session(imsi, new_enb_teid);
-        ++stats_.path_switches;
-        obs::inc(m_path_switches_);
-      },
-      ev_label_);
-}
-
-void Mme::release_to_idle(Imsi imsi) {
-  const auto it = ues_.find(imsi);
-  if (it == ues_.end() || it->second.state != EmmState::kRegistered) return;
-  it->second.ecm_idle = true;
-}
-
-bool Mme::is_idle(Imsi imsi) const {
-  const auto it = ues_.find(imsi);
-  return it != ues_.end() && it->second.ecm_idle;
-}
-
-void Mme::page(Imsi imsi, std::function<void()> on_connected) {
-  const auto it = ues_.find(imsi);
-  if (it == ues_.end() || !it->second.ecm_idle) {
-    if (on_connected) on_connected();  // Already connected: no page needed.
-    return;
-  }
-  UeContext& ue = it->second;
-  ue.on_paged = std::move(on_connected);
-  // Page the last-known cell and the configured tracking area: the stub's
-  // TA is its single cell; the centralized core fans out.
-  const lte::Paging message{ue.tmsi};
-  sender_(ue.cell, lte::S1apMessage{message});
-  ++stats_.paging_messages;
-  obs::inc(m_paging_);
-  for (CellId cell : config_.tracking_area) {
-    if (cell == ue.cell) continue;
-    sender_(cell, lte::S1apMessage{message});
-    ++stats_.paging_messages;
-    obs::inc(m_paging_);
-  }
-}
-
 Result<BearerContext> Mme::admit_handover(
     Imsi imsi, CellId cell, std::span<const std::uint8_t> security_context) {
   if (security_context.empty()) {
@@ -481,14 +397,6 @@ std::size_t Mme::attaches_in_progress() const {
 bool Mme::is_registered(Imsi imsi) const {
   const auto it = ues_.find(imsi);
   return it != ues_.end() && it->second.state == EmmState::kRegistered;
-}
-
-std::size_t Mme::registered_count() const {
-  std::size_t n = 0;
-  for (const auto& [imsi, ue] : ues_) {
-    if (ue.state == EmmState::kRegistered) ++n;
-  }
-  return n;
 }
 
 }  // namespace dlte::epc

@@ -39,10 +39,6 @@ struct MmeConfig {
   std::string serving_network_id{"dlte-net"};
   // CPU cost of handling one signaling message (single-server queue).
   Duration nas_processing{Duration::micros(500)};
-  // Cells paged in addition to the UE's last cell. A centralized core
-  // pages a whole tracking area; a dLTE stub has exactly one cell, so
-  // this stays empty and paging costs one message.
-  std::vector<CellId> tracking_area{};
   // NAS retransmission (T3460/T3450-style): a downlink NAS message that
   // has not advanced the UE's state is re-sent up to `nas_max_retx`
   // times, `nas_retx_timeout` apart. Lets an attach survive transient
@@ -61,12 +57,8 @@ struct MmeStats {
   std::uint64_t messages_processed{0};
   std::uint64_t attaches_completed{0};
   std::uint64_t auth_failures{0};
-  std::uint64_t detaches{0};
-  std::uint64_t path_switches{0};
   std::uint64_t handovers_in{0};
   std::uint64_t handovers_out{0};
-  std::uint64_t paging_messages{0};
-  std::uint64_t service_requests{0};
   std::uint64_t nas_retransmissions{0};
   std::uint64_t attaches_throttled{0};  // Rejected by storm admission.
   std::uint64_t state_losses{0};        // Crashes wiping volatile state.
@@ -86,10 +78,6 @@ class Mme {
   // queue: handling happens after queueing + service time.
   void handle_s1ap(CellId from_cell, lte::S1apMessage message);
 
-  // S1 path switch after an inter-eNodeB handover (centralized LTE
-  // mobility): repoints the downlink tunnel to the new cell's eNodeB.
-  void path_switch(Imsi imsi, CellId new_cell, Teid new_enb_teid);
-
   // dLTE cooperative handover admission (§4.3/§6): the source AP forwards
   // the UE's security context over X2, so the target core creates a
   // registered session without re-running EPS-AKA. Returns the new bearer
@@ -100,14 +88,6 @@ class Mme {
   // Release a UE's context (source side of a completed handover).
   void release_ue(Imsi imsi);
 
-  // ECM state management: S1 release parks a registered UE in idle
-  // (context kept, radio released); downlink data for an idle UE triggers
-  // paging across the cell(s), and the UE's ServiceRequest reconnects it.
-  void release_to_idle(Imsi imsi);
-  [[nodiscard]] bool is_idle(Imsi imsi) const;
-  // `on_connected` fires when the UE answers the page.
-  void page(Imsi imsi, std::function<void()> on_connected = nullptr);
-
   // Crash semantics (src/fault): an MME process restart loses every EMM
   // context and in-flight dialogue — exactly what a dLTE AP reboot does to
   // its local core. The HSS subscriber DB (persistent storage) survives;
@@ -116,7 +96,6 @@ class Mme {
   void lose_volatile_state();
 
   [[nodiscard]] bool is_registered(Imsi imsi) const;
-  [[nodiscard]] std::size_t registered_count() const;
   [[nodiscard]] std::size_t attaches_in_progress() const;
   [[nodiscard]] const MmeStats& stats() const { return stats_; }
 
@@ -146,8 +125,6 @@ class Mme {
     crypto::Kasme kasme{};
     bool context_setup_done{false};
     bool attach_complete_seen{false};
-    bool ecm_idle{false};
-    std::function<void()> on_paged;
     // NAS retransmission state: the last downlink NAS message, re-sent
     // while the EMM state has not advanced.
     std::uint64_t retx_epoch{0};
@@ -196,12 +173,8 @@ class Mme {
   obs::Counter* m_messages_{nullptr};
   obs::Counter* m_attaches_{nullptr};
   obs::Counter* m_auth_failures_{nullptr};
-  obs::Counter* m_detaches_{nullptr};
-  obs::Counter* m_path_switches_{nullptr};
   obs::Counter* m_handovers_in_{nullptr};
   obs::Counter* m_handovers_out_{nullptr};
-  obs::Counter* m_paging_{nullptr};
-  obs::Counter* m_service_requests_{nullptr};
   obs::Counter* m_nas_retx_{nullptr};
   obs::Counter* m_throttled_{nullptr};
   obs::Counter* m_state_losses_{nullptr};

@@ -15,9 +15,7 @@ enum class NasType : std::uint8_t {
   kSecurityModeComplete = 0x5e,
   kAttachAccept = 0x42,
   kAttachComplete = 0x43,
-  kDetachRequest = 0x45,
   kAttachReject = 0x44,
-  kServiceRequest = 0x4d,
 };
 
 void put_bytes(ByteWriter& w, std::span<const std::uint8_t> b) {
@@ -72,16 +70,9 @@ struct Encoder {
   void operator()(const AttachComplete&) {
     w.u8(static_cast<std::uint8_t>(NasType::kAttachComplete));
   }
-  void operator()(const DetachRequest&) {
-    w.u8(static_cast<std::uint8_t>(NasType::kDetachRequest));
-  }
   void operator()(const AttachReject& m) {
     w.u8(static_cast<std::uint8_t>(NasType::kAttachReject));
     w.u8(m.cause);
-  }
-  void operator()(const ServiceRequest& m) {
-    w.u8(static_cast<std::uint8_t>(NasType::kServiceRequest));
-    w.u32(m.tmsi.value());
   }
 };
 
@@ -148,17 +139,10 @@ Result<NasMessage> decode_nas(std::span<const std::uint8_t> bytes) {
     }
     case NasType::kAttachComplete:
       return NasMessage{AttachComplete{}};
-    case NasType::kDetachRequest:
-      return NasMessage{DetachRequest{}};
     case NasType::kAttachReject: {
       auto cause = r.u8();
       if (!cause) return Err{cause.error()};
       return NasMessage{AttachReject{*cause}};
-    }
-    case NasType::kServiceRequest: {
-      auto tmsi = r.u32();
-      if (!tmsi) return Err{tmsi.error()};
-      return NasMessage{ServiceRequest{Tmsi{*tmsi}}};
     }
   }
   return fail("unknown NAS message type");
@@ -184,9 +168,7 @@ const char* nas_message_name(const NasMessage& message) {
     }
     const char* operator()(const AttachAccept&) { return "AttachAccept"; }
     const char* operator()(const AttachComplete&) { return "AttachComplete"; }
-    const char* operator()(const DetachRequest&) { return "DetachRequest"; }
     const char* operator()(const AttachReject&) { return "AttachReject"; }
-    const char* operator()(const ServiceRequest&) { return "ServiceRequest"; }
   };
   return std::visit(Namer{}, message);
 }
@@ -205,8 +187,6 @@ std::string nas_brief(const NasMessage& message) {
                  " ue_ip=" + std::to_string(m.ue_ip);
         } else if constexpr (std::is_same_v<T, AttachReject>) {
           return " cause=" + std::to_string(m.cause);
-        } else if constexpr (std::is_same_v<T, ServiceRequest>) {
-          return " tmsi=" + std::to_string(m.tmsi.value());
         } else {
           return "";
         }

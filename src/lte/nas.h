@@ -59,22 +59,15 @@ struct AttachAccept {
 
 struct AttachComplete {};
 
-struct DetachRequest {};
-
 struct AttachReject {
   std::uint8_t cause{0};
-};
-
-// ECM-idle → connected transition in response to paging (or uplink data).
-struct ServiceRequest {
-  Tmsi tmsi;
 };
 
 using NasMessage =
     std::variant<AttachRequest, AuthenticationRequest, AuthenticationResponse,
                  AuthenticationReject, SecurityModeCommand,
                  SecurityModeComplete, AttachAccept, AttachComplete,
-                 DetachRequest, AttachReject, ServiceRequest>;
+                 AttachReject>;
 
 [[nodiscard]] std::vector<std::uint8_t> encode_nas(const NasMessage& message);
 [[nodiscard]] Result<NasMessage> decode_nas(

@@ -13,7 +13,6 @@ enum class S1apType : std::uint8_t {
   kInitialContextSetupRequest = 4,
   kInitialContextSetupResponse = 5,
   kUeContextReleaseCommand = 6,
-  kPaging = 7,
 };
 
 void put_pdu(ByteWriter& w, const std::vector<std::uint8_t>& pdu) {
@@ -65,10 +64,6 @@ struct Encoder {
     w.u32(m.enb_ue_id.value());
     w.u32(m.mme_ue_id.value());
     w.u8(m.cause);
-  }
-  void operator()(const Paging& m) {
-    w.u8(static_cast<std::uint8_t>(S1apType::kPaging));
-    w.u32(m.tmsi.value());
   }
 };
 
@@ -147,11 +142,6 @@ Result<S1apMessage> decode_s1ap(std::span<const std::uint8_t> bytes) {
       if (!cause) return Err{cause.error()};
       return S1apMessage{
           UeContextReleaseCommand{EnbUeId{*enb}, MmeUeId{*mme}, *cause}};
-    }
-    case S1apType::kPaging: {
-      auto tmsi = u32();
-      if (!tmsi) return Err{tmsi.error()};
-      return S1apMessage{Paging{Tmsi{*tmsi}}};
     }
   }
   return fail("unknown S1AP message type");

@@ -56,15 +56,10 @@ struct UeContextReleaseCommand {
   std::uint8_t cause{0};
 };
 
-// MME → eNodeB: wake an ECM-idle UE for pending downlink traffic.
-struct Paging {
-  Tmsi tmsi;
-};
-
 using S1apMessage =
     std::variant<InitialUeMessage, UplinkNasTransport, DownlinkNasTransport,
                  InitialContextSetupRequest, InitialContextSetupResponse,
-                 UeContextReleaseCommand, Paging>;
+                 UeContextReleaseCommand>;
 
 [[nodiscard]] std::vector<std::uint8_t> encode_s1ap(const S1apMessage& m);
 [[nodiscard]] Result<S1apMessage> decode_s1ap(

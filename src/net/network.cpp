@@ -1,7 +1,6 @@
 #include "net/network.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <queue>
 
@@ -25,26 +24,19 @@ NodeId Network::add_node(std::string name) {
 
 NodeId Network::add_remote_node(std::string name, Handler egress) {
   const NodeId id = add_node(std::move(name));
-  Node& node = nodes_[id.value()];
-  node.remote = true;
-  node.handler = std::move(egress);
+  nodes_[id.value()].egress = std::move(egress);
   return id;
 }
 
 void Network::add_link(NodeId a, NodeId b, LinkConfig config) {
   const auto add_directed = [&](NodeId from, NodeId to) {
     const std::size_t index = links_.size();
-    links_.push_back(DirectedLink{to, config, {}, {}});
-    link_sources_.push_back(from);
+    links_.push_back(DirectedLink{to, config});
     nodes_[from.value()].links.push_back(index);
   };
   add_directed(a, b);
   add_directed(b, a);
   routes_dirty_ = true;
-}
-
-void Network::set_handler(NodeId node, Handler handler) {
-  nodes_[node.value()].handler = std::move(handler);
 }
 
 void Network::set_protocol_handler(NodeId node, std::uint16_t protocol,
@@ -141,18 +133,16 @@ void Network::forward(Packet&& packet, NodeId at) {
   if (at == packet.dst) {
     obs::span_end(tracer_, packet.trace_span);
     Node& node = nodes_[at.value()];
-    if (node.remote) {
+    if (node.egress) {
       // Egress portal: this shard's view of the packet ends here; the
       // registered egress hands it to the parallel runtime.
       obs::inc(m_remote_forwards_);
-      if (node.handler) node.handler(std::move(packet));
+      node.egress(std::move(packet));
       return;
     }
     if (const auto it = node.protocol_handlers.find(packet.protocol);
         it != node.protocol_handlers.end()) {
       it->second(std::move(packet));
-    } else if (node.handler) {
-      node.handler(std::move(packet));
     }
     return;
   }
@@ -168,8 +158,6 @@ void Network::forward(Packet&& packet, NodeId at) {
 
   if (link.impairment.loss > 0.0 &&
       impairment_rng_.bernoulli(link.impairment.loss)) {
-    ++link.stats.packets_dropped;
-    ++link.stats.packets_lost_impaired;
     obs::inc(m_impaired_drops_);
     obs::span_annotate(tracer_, packet.trace_span, "drop", "impaired_loss");
     obs::span_end(tracer_, packet.trace_span);
@@ -182,7 +170,6 @@ void Network::forward(Packet&& packet, NodeId at) {
   const double backlog_bytes =
       (start - now).to_seconds() * link.config.rate.bps() / 8.0;
   if (backlog_bytes > static_cast<double>(link.config.queue_bytes)) {
-    ++link.stats.packets_dropped;
     obs::inc(m_queue_drops_);
     obs::span_annotate(tracer_, packet.trace_span, "drop", "queue_overflow");
     obs::span_end(tracer_, packet.trace_span);
@@ -191,8 +178,6 @@ void Network::forward(Packet&& packet, NodeId at) {
   const Duration tx = Duration::seconds(
       packet.size_bytes * 8.0 / link.config.rate.bps());
   link.busy_until = start + tx;
-  ++link.stats.packets_sent;
-  link.stats.bytes_sent += static_cast<std::uint64_t>(packet.size_bytes);
   obs::inc(m_packets_sent_);
   obs::inc(m_bytes_sent_, static_cast<std::uint64_t>(packet.size_bytes));
 
@@ -230,29 +215,6 @@ Duration Network::path_latency(NodeId from, NodeId to, int size_bytes) const {
   return total;
 }
 
-Duration Network::min_link_delay() const {
-  std::int64_t min_ns = std::numeric_limits<std::int64_t>::max();
-  for (const DirectedLink& link : links_) {
-    if (!link.enabled) continue;
-    min_ns = std::min(min_ns, link.config.delay.ns());
-  }
-  return Duration::nanos(min_ns);
-}
-
-Duration Network::min_remote_link_delay() const {
-  std::int64_t min_ns = std::numeric_limits<std::int64_t>::max();
-  for (std::size_t li = 0; li < links_.size(); ++li) {
-    const DirectedLink& link = links_[li];
-    if (!link.enabled) continue;
-    if (!nodes_[link.to.value()].remote &&
-        !nodes_[link_sources_[li].value()].remote) {
-      continue;
-    }
-    min_ns = std::min(min_ns, link.config.delay.ns());
-  }
-  return Duration::nanos(min_ns);
-}
-
 int Network::hop_count(NodeId from, NodeId to) const {
   int hops = 0;
   NodeId at = from;
@@ -263,19 +225,6 @@ int Network::hop_count(NodeId from, NodeId to) const {
     if (++hops > static_cast<int>(nodes_.size())) return -1;
   }
   return hops;
-}
-
-bool Network::has_route(NodeId from, NodeId to) const {
-  return from == to || next_hop(from, to) != nullptr;
-}
-
-const LinkStats& Network::link_stats(NodeId a, NodeId b) const {
-  for (std::size_t li : nodes_[a.value()].links) {
-    if (links_[li].to == b) return links_[li].stats;
-  }
-  assert(false && "no such link");
-  static LinkStats empty;
-  return empty;
 }
 
 void Network::set_link_impairment(NodeId a, NodeId b,

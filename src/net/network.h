@@ -53,13 +53,6 @@ struct LinkConfig {
   std::size_t queue_bytes{256 * 1024};
 };
 
-struct LinkStats {
-  std::uint64_t packets_sent{0};
-  std::uint64_t packets_dropped{0};
-  std::uint64_t bytes_sent{0};
-  std::uint64_t packets_lost_impaired{0};  // Dropped by injected loss.
-};
-
 // Runtime degradation of a link (fault injection / weather / congestion
 // modelling): random loss and added one-way latency on top of the link's
 // configured delay. Draws come from the network's deterministic RNG
@@ -85,26 +78,24 @@ class Network {
   NodeId add_node(std::string name);
   // A node whose traffic leaves this Network instance: packets addressed
   // to it are handed to `egress` at their local delivery time instead of
-  // a local handler. This is the cross-shard routing seam — the parallel
+  // a protocol handler. This is the cross-shard routing seam — the parallel
   // runtime registers one remote node per egress portal and forwards the
   // packet to the owning shard through its inbox queues. Counted under
   // `net.remote_forwards`.
   NodeId add_remote_node(std::string name, Handler egress);
   [[nodiscard]] bool is_remote(NodeId node) const {
-    return nodes_[node.value()].remote;
+    return static_cast<bool>(nodes_[node.value()].egress);
   }
   // Bidirectional link (two independent directed queues).
   void add_link(NodeId a, NodeId b, LinkConfig config);
-  // Catch-all handler for packets addressed to `node` (any protocol not
-  // claimed by a protocol handler).
-  void set_handler(NodeId node, Handler handler);
   // Protocol-specific handler; several stacks (transport, X2, GTP) can
-  // share one node.
+  // share one node. A packet of a protocol with no handler is dropped at
+  // delivery.
   void set_protocol_handler(NodeId node, std::uint16_t protocol,
                             Handler handler);
 
   // Route and deliver; silently drops if no route or a queue overflows
-  // (drop statistics are recorded on the link).
+  // (drops are counted under `net.*`).
   void send(Packet packet);
 
   // One-way latency along the current best path for a packet of the given
@@ -112,18 +103,8 @@ class Network {
   [[nodiscard]] Duration path_latency(NodeId from, NodeId to,
                                       int size_bytes) const;
 
-  // Minimum propagation delay over all enabled links — the conservative
-  // lookahead bound a windowed parallel runtime may advance without
-  // hearing from this network. Duration::nanos(INT64_MAX) when empty.
-  [[nodiscard]] Duration min_link_delay() const;
-  // Same, restricted to links that touch a remote node: the tightest
-  // latency at which traffic can leave this shard (the inter-shard
-  // component of the window size).
-  [[nodiscard]] Duration min_remote_link_delay() const;
   [[nodiscard]] int hop_count(NodeId from, NodeId to) const;
-  [[nodiscard]] bool has_route(NodeId from, NodeId to) const;
 
-  [[nodiscard]] const LinkStats& link_stats(NodeId a, NodeId b) const;
   [[nodiscard]] const std::string& node_name(NodeId node) const;
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
 
@@ -161,7 +142,6 @@ class Network {
     NodeId to;
     LinkConfig config;
     TimePoint busy_until{};
-    LinkStats stats;
     bool enabled{true};
     LinkImpairment impairment{};
     TimePoint down_since{};
@@ -169,9 +149,8 @@ class Network {
   struct Node {
     std::string name;
     std::vector<std::size_t> links;  // Indices into links_.
-    Handler handler;
     std::unordered_map<std::uint16_t, Handler> protocol_handlers;
-    bool remote{false};  // Delivery goes to `handler` as cross-shard egress.
+    Handler egress;  // Set on a remote node: takes every packet for it.
   };
 
   void forward(Packet&& packet, NodeId at);
@@ -191,7 +170,6 @@ class Network {
   const std::uint32_t hop_label_;
   std::vector<Node> nodes_;
   std::vector<DirectedLink> links_;
-  std::vector<NodeId> link_sources_;
   // next_hop_[from][to] = link index, or npos.
   std::vector<std::vector<std::size_t>> next_hop_;
   bool routes_dirty_{true};

@@ -86,18 +86,6 @@ JsonWriter& JsonWriter::value(std::int64_t v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::value(bool v) {
-  before_value();
-  out_ += v ? "true" : "false";
-  return *this;
-}
-
-JsonWriter& JsonWriter::null() {
-  before_value();
-  out_ += "null";
-  return *this;
-}
-
 std::string JsonWriter::escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());

@@ -27,8 +27,8 @@ class JsonWriter {
   JsonWriter& value(std::uint64_t v);
   JsonWriter& value(std::int64_t v);
   JsonWriter& value(int v) { return value(static_cast<std::int64_t>(v)); }
-  JsonWriter& value(bool v);
-  JsonWriter& null();
+  // No document has a boolean; deleted so one cannot print as an int.
+  JsonWriter& value(bool) = delete;
 
   [[nodiscard]] const std::string& str() const { return out_; }
 

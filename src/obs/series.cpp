@@ -110,9 +110,4 @@ void TimeSeriesSampler::sample(TimePoint now) {
   ++samples_;
 }
 
-const TimeSeries* TimeSeriesSampler::find(const std::string& name) const {
-  const auto it = series_.find(name);
-  return it != series_.end() ? &it->second : nullptr;
-}
-
 }  // namespace dlte::obs

@@ -107,7 +107,6 @@ class TimeSeriesSampler {
   [[nodiscard]] const std::map<std::string, TimeSeries>& series() const {
     return series_;
   }
-  [[nodiscard]] const TimeSeries* find(const std::string& name) const;
 
  private:
   // A counter's previous cumulative value (valid once `seen`) drives

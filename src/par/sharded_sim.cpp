@@ -580,11 +580,6 @@ std::vector<std::string> ShardedSimulator::shared_metric_names() const {
   return {shared.begin(), shared.end()};
 }
 
-const obs::TimeSeriesSampler* ShardedSimulator::shard_sampler(
-    std::size_t shard) const {
-  return shards_[shard]->sampler.get();
-}
-
 std::uint64_t ShardedSimulator::posts_clamped() const {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) total += shard->posts_clamped;

@@ -155,8 +155,6 @@ class ShardedSimulator {
   [[nodiscard]] std::string merged_series_json(
       const std::string& source,
       const obs::SloMonitor* monitor = nullptr) const;
-  [[nodiscard]] const obs::TimeSeriesSampler* shard_sampler(
-      std::size_t shard) const;
   // Every instrument name (counter, gauge or histogram) found in more
   // than one shard's domain registry, sorted. DESIGN.md §16 forbids
   // them: the merge sums such a name to the right total, yet its

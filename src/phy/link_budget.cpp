@@ -73,11 +73,4 @@ Decibels link_snr(const RadioProfile& tx, const RadioProfile& rx,
   return prx - noise;
 }
 
-Decibels sinr(PowerDbm desired, const std::vector<PowerDbm>& interferers,
-              PowerDbm noise_floor) {
-  double denom_mw = noise_floor.milliwatts();
-  for (PowerDbm p : interferers) denom_mw += p.milliwatts();
-  return Decibels::from_linear(desired.milliwatts() / denom_mw);
-}
-
 }  // namespace dlte::phy

@@ -7,7 +7,6 @@
 // rules and omni antennas.
 #pragma once
 
-#include <vector>
 
 #include "common/units.h"
 #include "phy/propagation.h"
@@ -54,11 +53,5 @@ struct DeviceProfiles {
                                 const PropagationModel& model,
                                 Hertz frequency, double distance_m,
                                 Decibels shadowing = Decibels{0.0});
-
-// SINR given a desired received power and a set of co-channel interferer
-// powers; powers are summed in linear milliwatts.
-[[nodiscard]] Decibels sinr(PowerDbm desired,
-                            const std::vector<PowerDbm>& interferers,
-                            PowerDbm noise_floor);
 
 }  // namespace dlte::phy

@@ -35,18 +35,7 @@ SpatialIndex::SpatialIndex(double zone_size_m) : zone_size_m_(zone_size_m) {}
 
 void SpatialIndex::insert(const SiteEntry& entry) {
   Zone& zone = zones_[zone_key(entry.location, zone_size_m_)];
-  Bucket* bucket = nullptr;
-  for (auto& b : zone.buckets) {
-    if (b.center_hz == entry.center_hz) {
-      bucket = &b;
-      break;
-    }
-  }
-  if (bucket == nullptr) {
-    zone.buckets.push_back(Bucket{entry.center_hz, {}});
-    bucket = &zone.buckets.back();
-  }
-  bucket->entries.push_back(entry);
+  zone.entries.push_back(entry);
   zone.max_range_m = std::max(zone.max_range_m, entry.range_m);
   max_range_m_ = std::max(max_range_m_, entry.range_m);
   ++size_;
@@ -56,26 +45,19 @@ void SpatialIndex::insert(const SiteEntry& entry) {
 bool SpatialIndex::erase(std::uint64_t id, Position location) {
   const auto zit = zones_.find(zone_key(location, zone_size_m_));
   if (zit == zones_.end()) return false;
-  Zone& zone = zit->second;
-  for (std::size_t bi = 0; bi < zone.buckets.size(); ++bi) {
-    Bucket& bucket = zone.buckets[bi];
-    for (std::size_t ei = 0; ei < bucket.entries.size(); ++ei) {
-      if (bucket.entries[ei].id != id) continue;
-      // Order inside a bucket carries no meaning (callers sort by id),
-      // so swap-pop keeps erase O(1). The zone's max reach stays
-      // conservative — like max_range_m_ it never shrinks.
-      const SiteEntry gone = bucket.entries[ei];
-      bucket.entries[ei] = bucket.entries.back();
-      bucket.entries.pop_back();
-      if (bucket.entries.empty()) {
-        zone.buckets[bi] = zone.buckets.back();
-        zone.buckets.pop_back();
-        if (zone.buckets.empty()) zones_.erase(zit);
-      }
-      --size_;
-      touch_reached_zones(gone);
-      return true;
-    }
+  std::vector<SiteEntry>& entries = zit->second.entries;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].id != id) continue;
+    // Order inside a zone carries no meaning (callers sort by id), so
+    // swap-pop keeps the removal O(1). The zone's max reach stays
+    // conservative — like max_range_m_ it never shrinks.
+    const SiteEntry gone = entries[i];
+    entries[i] = entries.back();
+    entries.pop_back();
+    if (entries.empty()) zones_.erase(zit);
+    --size_;
+    touch_reached_zones(gone);
+    return true;
   }
   return false;
 }
@@ -140,11 +122,9 @@ void SpatialIndex::for_each_reaching(Position location,
           point_to_square_m(location, zx * zone_size_m_, zy * zone_size_m_,
                             zone_size_m_);
       if (gap > it->second.max_range_m) continue;
-      for (const Bucket& bucket : it->second.buckets) {
-        for (const SiteEntry& entry : bucket.entries) {
-          if (distance_m(entry.location, location) <= entry.range_m) {
-            visit(entry);
-          }
+      for (const SiteEntry& entry : it->second.entries) {
+        if (distance_m(entry.location, location) <= entry.range_m) {
+          visit(entry);
         }
       }
     }
@@ -171,12 +151,10 @@ void SpatialIndex::for_each_touching_zone(std::int64_t zone,
     for (std::int32_t iy = iy0; iy <= iy1; ++iy) {
       const auto it = zones_.find(zone_key_of(ix, iy));
       if (it == zones_.end()) continue;
-      for (const Bucket& bucket : it->second.buckets) {
-        for (const SiteEntry& entry : bucket.entries) {
-          if (point_to_square_m(entry.location, x0, y0, zone_size_m_) <=
-              entry.range_m) {
-            visit(entry);
-          }
+      for (const SiteEntry& entry : it->second.entries) {
+        if (point_to_square_m(entry.location, x0, y0, zone_size_m_) <=
+            entry.range_m) {
+          visit(entry);
         }
       }
     }

@@ -5,8 +5,7 @@
 // scan — fine for a town, hopeless for the millions of leases ROADMAP
 // item 4 asks for. This index partitions the plane into kZoneSizeM-sized
 // grid zones (the same coarse grid the federated registry uses as its
-// failure domain) and, inside each zone, buckets entries per band
-// (center frequency). A query then touches only the zones within the
+// failure domain). A query then touches only the zones within the
 // largest interference reach of any indexed entry.
 //
 // Zone membership (the entries whose reach touches a zone's square) is
@@ -16,8 +15,9 @@
 // rebuilt only after a change that can alter it.
 //
 // Determinism: zones are visited in a fixed (zx ascending, zy ascending)
-// order and bucket/entry order is insertion order, so a visit sequence
-// is a pure function of the insert/erase history. Callers that need a
+// order and a zone's entries in insertion order (an erase moves the
+// zone's last entry into the gap), so a visit sequence is a pure
+// function of the insert/erase history. Callers that need a
 // canonical result order sort by id — the index itself promises only
 // "every matching entry exactly once".
 #pragma once
@@ -44,15 +44,14 @@ namespace dlte::registry {
 // entry — at millions of leases, copying id vectors would dominate memory.
 using ZoneSnapshot = std::shared_ptr<const std::vector<std::uint64_t>>;
 
-// What the index knows about a grant: identity, placement, precomputed
-// interference reach, and band. The owner (spectrum::Registry)
+// What the index knows about a grant: identity, placement and precomputed
+// interference reach. The owner (spectrum::Registry)
 // maps ids back to full grants; keeping the entry POD-small means a
 // zone scan stays cache-friendly at millions of leases.
 struct SiteEntry {
   std::uint64_t id{0};
   Position location;
-  double range_m{0.0};    // Interference reach (precomputed, metres).
-  double center_hz{0.0};  // Band center.
+  double range_m{0.0};  // Interference reach (precomputed, metres).
 };
 
 class SpatialIndex {
@@ -92,16 +91,11 @@ class SpatialIndex {
   [[nodiscard]] std::uint64_t zone_version(std::int64_t zone) const;
 
  private:
-  // Entries of one band within one zone.
-  struct Bucket {
-    double center_hz{0.0};
-    std::vector<SiteEntry> entries;
-  };
   // A zone caches the largest reach of its members so a whole zone can
   // be skipped without touching its entries.
   struct Zone {
     double max_range_m{0.0};
-    std::vector<Bucket> buckets;
+    std::vector<SiteEntry> entries;
   };
 
   // Bump the version and drop the memo of every zone whose square

@@ -55,11 +55,6 @@ double RngStream::exponential(double mean) {
   return d(engine_);
 }
 
-double RngStream::normal(double mean, double stddev) {
-  std::normal_distribution<double> d(mean, stddev);
-  return d(engine_);
-}
-
 bool RngStream::bernoulli(double p) {
   std::bernoulli_distribution d(p);
   return d(engine_);

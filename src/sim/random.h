@@ -41,7 +41,6 @@ class RngStream {
   [[nodiscard]] double uniform(double lo = 0.0, double hi = 1.0);
   [[nodiscard]] std::uint64_t uniform_int(std::uint64_t lo, std::uint64_t hi);
   [[nodiscard]] double exponential(double mean);
-  [[nodiscard]] double normal(double mean, double stddev);
   [[nodiscard]] bool bernoulli(double p);
 
  private:

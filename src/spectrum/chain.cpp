@@ -92,14 +92,4 @@ bool SpectrumChain::verify() const {
   return true;
 }
 
-void SpectrumChain::for_each_record(
-    ChainRecordKind kind,
-    const std::function<void(const ChainRecord&)>& visit) const {
-  for (const auto& b : blocks_) {
-    for (const auto& r : b.records) {
-      if (r.kind == kind) visit(r);
-    }
-  }
-}
-
 }  // namespace dlte::spectrum

@@ -82,11 +82,6 @@ class SpectrumChain {
   // in a central registry operator.
   [[nodiscard]] bool verify() const;
 
-  // Visit all committed records of one kind (oldest first).
-  void for_each_record(
-      ChainRecordKind kind,
-      const std::function<void(const ChainRecord&)>& visit) const;
-
   // Test/attack hook: expose a mutable record so tamper-evidence can be
   // demonstrated.
   [[nodiscard]] Block& mutable_block(std::size_t index) {

@@ -318,9 +318,4 @@ std::optional<NodeId> PeerCoordinator::peer_node(ApId peer) const {
   return it->second;
 }
 
-const lte::DltePeerStatus* PeerCoordinator::peer_status(ApId ap) const {
-  const auto it = latest_status_.find(ap);
-  return it == latest_status_.end() ? nullptr : &it->second;
-}
-
 }  // namespace dlte::spectrum

@@ -134,9 +134,6 @@ class PeerCoordinator {
   [[nodiscard]] lte::DlteMode mode() const { return config_.mode; }
   [[nodiscard]] ApId ap() const { return config_.ap; }
   [[nodiscard]] std::size_t peer_count() const { return peers_.size(); }
-  // Latest status heard from a peer (used by cooperative client
-  // assignment in core/).
-  [[nodiscard]] const lte::DltePeerStatus* peer_status(ApId ap) const;
 
   // Export X2 coordination counters under `<prefix>x2.*`, including
   // grant churn (share changes that actually moved the PRB quota).

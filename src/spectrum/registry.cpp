@@ -131,8 +131,7 @@ Result<SpectrumGrant> Registry::grant_now(const GrantRequest& request) {
   grants_.push_back(g);
   due_.emplace_back();
   if (g.expires_at.ns() != 0) link_due(static_cast<std::uint32_t>(slot));
-  index_.insert({g.id.value(), g.location, cached_range_m(g),
-                 g.center_frequency.hz()});
+  index_.insert({g.id.value(), g.location, cached_range_m(g)});
   obs::inc(m_grants_issued_);
   obs::set(m_active_grants_, static_cast<double>(grants_.size()));
   return g;
@@ -540,12 +539,6 @@ void Registry::publish_subscriber(const epc::PublishedKeys& keys) {
   }
   imsi_slot_[keys.imsi.value()] = published_.size();
   published_.push_back(keys);
-}
-
-Result<epc::PublishedKeys> Registry::lookup_subscriber(Imsi imsi) const {
-  const auto it = imsi_slot_.find(imsi.value());
-  if (it == imsi_slot_.end()) return fail("subscriber not published");
-  return published_[it->second];
 }
 
 }  // namespace dlte::spectrum

@@ -256,7 +256,6 @@ class Registry {
 
   // --- Open-identity key publication (§4.2) ----------------------------
   void publish_subscriber(const epc::PublishedKeys& keys);
-  [[nodiscard]] Result<epc::PublishedKeys> lookup_subscriber(Imsi imsi) const;
   [[nodiscard]] const std::vector<epc::PublishedKeys>&
   published_subscribers() const {
     return published_;

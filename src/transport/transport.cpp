@@ -76,12 +76,6 @@ void TransportHost::listen(std::function<void(ServerConnection&)> on_accept) {
   on_accept_ = std::move(on_accept);
 }
 
-const ServerConnection* TransportHost::server_connection(
-    ConnectionId id) const {
-  const auto it = servers_.find(id);
-  return it == servers_.end() ? nullptr : &it->second;
-}
-
 void TransportHost::dispatch(net::Packet&& packet) {
   if (packet.protocol != kTransportProtocol) return;
   const auto header = decode_segment(packet.payload);
@@ -395,14 +389,6 @@ void Connection::on_rto() {
 void Connection::rewind_to_acked() {
   sent_offset_ = acked_offset_;
   send_times_.clear();
-}
-
-void Connection::retransmit_one_at_ack() {
-  const int len = static_cast<int>(std::min<double>(
-      config_.mss_bytes, max_sent_offset_ - acked_offset_));
-  if (len <= 0) return;
-  send_segment(kSegData, acked_offset_, len);
-  ++stats_.retransmissions;
 }
 
 }  // namespace dlte::transport

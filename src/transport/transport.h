@@ -110,9 +110,6 @@ class Connection {
   // Go back to the cumulative ack point (RTO / migration recovery); the
   // selective-repeat receiver absorbs any duplicates cheaply.
   void rewind_to_acked();
-  // Resend exactly one MSS at the cumulative ack point (fast retransmit /
-  // NewReno partial-ack hole fill).
-  void retransmit_one_at_ack();
 
   // Congestion control (packet units of mss).
   double cwnd_{10.0};
@@ -173,9 +170,6 @@ class TransportHost {
   [[nodiscard]] NodeId node() const { return node_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] net::Network& network() { return net_; }
-
-  [[nodiscard]] const ServerConnection* server_connection(
-      ConnectionId id) const;
 
  private:
   friend class Connection;

@@ -81,11 +81,4 @@ std::optional<lte::NasMessage> NasClient::handle(
   return std::nullopt;
 }
 
-void NasClient::reset(std::string new_serving_network_id) {
-  serving_network_id_ = std::move(new_serving_network_id);
-  state_ = NasClientState::kIdle;
-  ue_ip_ = 0;
-  tmsi_ = Tmsi{0};
-}
-
 }  // namespace dlte::ue

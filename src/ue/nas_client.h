@@ -64,10 +64,6 @@ class NasClient {
   [[nodiscard]] std::optional<lte::NasMessage> handle(
       const lte::NasMessage& message);
 
-  // Reset to idle (e.g. after moving to a new AP: in dLTE the UE simply
-  // re-attaches at the new cell).
-  void reset(std::string new_serving_network_id);
-
   [[nodiscard]] NasClientState state() const { return state_; }
   [[nodiscard]] bool registered() const {
     return state_ == NasClientState::kRegistered;

@@ -1,6 +1,5 @@
 #include "workload/ott_service.h"
 
-#include <limits>
 
 namespace dlte::workload {
 
@@ -41,14 +40,6 @@ Duration OttService::longest_stall(ConnectionId id, TimePoint from,
   }
   if (to - last > longest) longest = to - last;
   return longest;
-}
-
-TimePoint OttService::first_progress_after(ConnectionId id,
-                                           TimePoint t) const {
-  for (const auto& s : progress(id)) {
-    if (s.when >= t) return s.when;
-  }
-  return TimePoint::from_ns(std::numeric_limits<std::int64_t>::max());
 }
 
 }  // namespace dlte::workload

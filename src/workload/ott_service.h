@@ -37,9 +37,6 @@ class OttService {
   // the application-level interruption metric.
   [[nodiscard]] Duration longest_stall(ConnectionId id, TimePoint from,
                                        TimePoint to) const;
-  // First progress at or after `t` (e.g. first byte after a migration).
-  [[nodiscard]] TimePoint first_progress_after(ConnectionId id,
-                                               TimePoint t) const;
 
  private:
   sim::Simulator& sim_;

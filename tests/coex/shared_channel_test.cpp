@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "obs/metrics.h"
 #include "phy/wifi_phy.h"
 
@@ -65,39 +67,59 @@ struct HiddenCell {
 
 // --- Medium model ---------------------------------------------------------
 
+// Slots a saturated transmitter at `listener` defers behind an always-on
+// (oblivious) dLTE AP at `tx`: nonzero exactly when its CCA flags that
+// AP's energy. The listener is a dLTE LBT transmitter with energy-detect
+// threshold `lte_cca_dbm`, or a WiFi station when that is empty.
+std::int64_t defer_behind(const TransmitterSite& listener,
+                          std::optional<double> lte_cca_dbm,
+                          const TransmitterSite& tx) {
+  SharedChannel ch{SharedChannelConfig{}};
+  int index = -1;
+  if (lte_cca_dbm) {
+    LteTransmitterConfig lc;
+    lc.site = listener;
+    lc.policy = LteCoexPolicy::kLbt;
+    lc.cca_dbm = *lte_cca_dbm;
+    index = ch.add_lte_transmitter(lc);
+  } else {
+    WifiStationConfig w;
+    w.site = listener;
+    index = ch.add_wifi_station(w);
+  }
+  LteTransmitterConfig always_on;
+  always_on.site = tx;
+  always_on.policy = LteCoexPolicy::kOblivious;
+  ch.add_lte_transmitter(always_on);
+  ch.run(Duration::millis(100));
+  return ch.stats(index).defer_slots;
+}
+
 TEST(SharedChannel, SensingFollowsGeometry) {
-  HiddenCell cell{LteCoexPolicy::kLbt};
-  // The distant WiFi pair is mutually hidden…
-  EXPECT_FALSE(cell.ch.senses(cell.a, cell.b));
-  EXPECT_FALSE(cell.ch.senses(cell.b, cell.a));
-  // …but everyone hears the midpoint dLTE AP and (at -82 dBm energy
-  // detect) it hears them.
-  EXPECT_TRUE(cell.ch.senses(cell.a, cell.l));
-  EXPECT_TRUE(cell.ch.senses(cell.b, cell.l));
-  EXPECT_TRUE(cell.ch.senses(cell.l, cell.a));
-  EXPECT_TRUE(cell.ch.senses(cell.l, cell.b));
+  // HiddenCell's geometry: the WiFi APs 1800 m apart are mutually
+  // hidden…
+  EXPECT_EQ(defer_behind(ap_site(0.0, 600.0), std::nullopt,
+                         ap_site(1800.0, 1200.0)),
+            0);
+  // …but a WiFi AP hears the midpoint dLTE AP, and (at -82 dBm energy
+  // detect) the dLTE AP hears it.
+  EXPECT_GT(defer_behind(ap_site(0.0, 600.0), std::nullopt,
+                         ap_site(900.0, 940.0)),
+            0);
+  EXPECT_GT(defer_behind(ap_site(900.0, 940.0), -82.0, ap_site(0.0, 600.0)),
+            0);
 }
 
 TEST(SharedChannel, LaaDefaultCcaIsDeafWhereWifiStillHears) {
   // Same geometry, LAA's -72 dBm energy-detect default: the dLTE AP no
-  // longer hears the WiFi APs 900 m away (≈ -75 dBm), although a WiFi
+  // longer hears the WiFi AP 900 m away (≈ -75 dBm), although a WiFi
   // radio at the same spot would. This asymmetry is why the LAA
   // threshold debate existed.
-  HiddenCell deaf{LteCoexPolicy::kLbt, -72.0};
-  EXPECT_FALSE(deaf.ch.senses(deaf.l, deaf.a));
-  EXPECT_FALSE(deaf.ch.senses(deaf.l, deaf.b));
-  EXPECT_TRUE(deaf.ch.senses(deaf.a, deaf.l));
-}
-
-TEST(SharedChannel, PowerAtFallsWithDistance) {
-  DenseCell cell{LteCoexPolicy::kLbt};
-  const double near = cell.ch.power_at(cell.a, Position{50.0, 0.0}).value();
-  const double far = cell.ch.power_at(cell.a, Position{500.0, 0.0}).value();
-  EXPECT_GT(near, far);
-  // 2.6 exponent: each distance decade costs 26 dB.
-  const double d1 = cell.ch.power_at(cell.a, Position{100.0, 0.0}).value();
-  const double d2 = cell.ch.power_at(cell.a, Position{1000.0, 0.0}).value();
-  EXPECT_NEAR(d1 - d2, 26.0, 1e-6);
+  EXPECT_EQ(defer_behind(ap_site(900.0, 940.0), -72.0, ap_site(0.0, 600.0)),
+            0);
+  EXPECT_GT(defer_behind(ap_site(900.0, 940.0), std::nullopt,
+                         ap_site(0.0, 600.0)),
+            0);
 }
 
 TEST(SharedChannel, WifiOnlyPairSharesCleanly) {
@@ -161,13 +183,31 @@ TEST(SharedChannel, DutyCycleHonoursConfiguredSplit) {
   ch.run(Duration::seconds(1.0));
   const double share = static_cast<double>(ch.stats(l).tx_slots) / 111111.0;
   EXPECT_NEAR(share, 0.25, 0.03);
-  EXPECT_DOUBLE_EQ(ch.duty_on_fraction(l), 0.25);
+}
+
+// On-fraction a duty-cycled transmitter has settled at. The controller
+// adapts once per cycle, so one second of run-in lets it converge; the
+// next second is measured over whole cycles (the default 20 ms on + 20 ms
+// off, which adaptation keeps fixed), as the share of slots it sent in.
+// A frame starts only if it fits what is left of the on-window, so this
+// falls short of the configured fraction by less than one 18-slot frame
+// per 4444-slot cycle (0.004).
+double settled_on_fraction(SharedChannel& ch, int l) {
+  constexpr std::int64_t kCycleSlots = 2 * 2222;
+  constexpr std::int64_t kCycles = 25;
+  const Duration window =
+      Duration::nanos(kCycles * kCycleSlots * phy::kSlot.ns());
+  ch.run(window);
+  const std::int64_t before = ch.stats(l).tx_slots;
+  ch.run(window);
+  return static_cast<double>(ch.stats(l).tx_slots - before) /
+         static_cast<double>(kCycles * kCycleSlots);
 }
 
 TEST(SharedChannel, AdaptiveDutyCycleYieldsToBusyWifi) {
   // Saturated WiFi next door keeps the off-window occupied, so adaptive
   // CSAT shrinks toward its floor; blind CSAT never moves.
-  auto on_fraction_after = [](bool adaptive) {
+  auto on_fraction = [](bool adaptive) {
     SharedChannel ch{SharedChannelConfig{}};
     WifiStationConfig w;
     w.site = ap_site(0.0, 40.0);
@@ -178,11 +218,10 @@ TEST(SharedChannel, AdaptiveDutyCycleYieldsToBusyWifi) {
     lc.adaptive = adaptive;
     lc.min_on_fraction = 0.1;
     const int l = ch.add_lte_transmitter(lc);
-    ch.run(Duration::seconds(1.0));
-    return ch.duty_on_fraction(l);
+    return settled_on_fraction(ch, l);
   };
-  EXPECT_DOUBLE_EQ(on_fraction_after(false), 0.5);
-  EXPECT_LT(on_fraction_after(true), 0.2);
+  EXPECT_NEAR(on_fraction(false), 0.5, 0.005);
+  EXPECT_LT(on_fraction(true), 0.2);
 }
 
 TEST(SharedChannel, AdaptiveDutyCycleReclaimsIdleChannel) {
@@ -195,8 +234,7 @@ TEST(SharedChannel, AdaptiveDutyCycleReclaimsIdleChannel) {
   lc.adaptive = true;
   lc.max_on_fraction = 0.8;
   const int l = ch.add_lte_transmitter(lc);
-  ch.run(Duration::seconds(0.5));
-  EXPECT_NEAR(ch.duty_on_fraction(l), 0.8, 0.02);
+  EXPECT_NEAR(settled_on_fraction(ch, l), 0.8, 0.02);
 }
 
 // --- The acceptance criterion: hidden-terminal stress ---------------------
@@ -261,19 +299,7 @@ TEST(SharedChannel, AddingTransmitterDoesNotPerturbOthersStreams) {
   EXPECT_EQ(delivered_by_first_two(false), delivered_by_first_two(true));
 }
 
-// --- Integration: cell MAC coupling and metrics ---------------------------
-
-TEST(SharedChannel, AttachCellAppliesWonAirtimeAsPrbShare) {
-  mac::LteCellMac cell{mac::CellMacConfig{}};
-  DenseCell dense{LteCoexPolicy::kDutyCycle};
-  dense.ch.attach_cell(dense.l, &cell);
-  dense.ch.run(Duration::seconds(1.0));
-  const double won =
-      static_cast<double>(dense.ch.stats(dense.l).tx_slots) / 111111.0;
-  EXPECT_NEAR(cell.prb_share(), won, 1e-9);
-  EXPECT_LT(cell.prb_share(), 0.6);  // Duty-cycled, not the full carrier.
-  EXPECT_GT(cell.prb_share(), 0.0);
-}
+// --- Integration: metrics ------------------------------------------------
 
 TEST(SharedChannel, MetricsExportPerWaveformCountersAndGauges) {
   obs::MetricsRegistry reg;

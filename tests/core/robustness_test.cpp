@@ -32,7 +32,7 @@ TEST(Robustness, MmeIgnoresGarbageNasPdus) {
   up.nas_pdu = lte::encode_nas(lte::NasMessage{lte::AttachComplete{}});
   core.mme().handle_s1ap(CellId{1}, lte::S1apMessage{up});
   sim.run_all();
-  EXPECT_EQ(core.mme().registered_count(), 0u);
+  EXPECT_EQ(core.mme().stats().attaches_completed, 0u);
   EXPECT_EQ(core.mme().stats().messages_processed, 2u);
 }
 
@@ -50,7 +50,7 @@ TEST(Robustness, MmeIgnoresOutOfOrderDialogue) {
   resp.enb_downlink_teid = Teid{7};
   core.mme().handle_s1ap(CellId{1}, lte::S1apMessage{resp});
   sim.run_all();
-  EXPECT_EQ(core.mme().registered_count(), 0u);
+  EXPECT_EQ(core.mme().stats().attaches_completed, 0u);
 }
 
 TEST(Robustness, EnodebIgnoresUnknownUeIds) {

@@ -216,7 +216,10 @@ TEST(AttachFlow, MultipleUesAttachConcurrently) {
   });
   for (std::size_t i = 0; i < 10; ++i) shims[i].start(clients[i]);
   f.sim.run_all();
-  EXPECT_EQ(f.core.mme().registered_count(), 10u);
+  EXPECT_EQ(f.core.mme().stats().attaches_completed, 10u);
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    EXPECT_TRUE(f.core.mme().is_registered(Imsi{2000 + i}));
+  }
   // Distinct IPs allocated.
   std::set<std::uint32_t> ips;
   for (const auto& c : clients) ips.insert(c.ue_ip());
@@ -249,7 +252,8 @@ TEST(AttachFlow, MmeProcessingDelayQueues) {
   });
   for (std::size_t i = 0; i < n; ++i) shims[i].start(clients[i]);
   f.sim.run_all();
-  EXPECT_EQ(f.core.mme().registered_count(), static_cast<std::size_t>(n));
+  EXPECT_EQ(f.core.mme().stats().attaches_completed,
+            static_cast<std::uint64_t>(n));
   EXPECT_GT(f.core.mme().stats().queueing_delay_ms.p95(), 0.5);
 }
 
@@ -291,9 +295,15 @@ TEST(AttachFlow, StormAdmissionThrottleRejectsExcessDialogues) {
   sim.run_all();
 
   EXPECT_GT(core.mme().stats().attaches_throttled, 0u);
-  EXPECT_LT(core.mme().registered_count(), static_cast<std::size_t>(n));
+  int registered = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    registered += core.mme().is_registered(Imsi{5000 + i}) ? 1 : 0;
+  }
+  EXPECT_LT(registered, n);
   // The admitted dialogues completed normally.
-  EXPECT_GT(core.mme().registered_count(), 0u);
+  EXPECT_GT(registered, 0);
+  EXPECT_EQ(static_cast<std::uint64_t>(registered),
+            core.mme().stats().attaches_completed);
   int rejected = 0;
   for (const auto& c : clients) {
     if (c.state() == ue::NasClientState::kRejected) ++rejected;
@@ -311,16 +321,17 @@ TEST(AttachFlow, CoreCrashWipesVolatileStateButNotHss) {
   ASSERT_EQ(f.core.gateway().session_count(), 1u);
 
   f.core.crash();
-  EXPECT_EQ(f.core.mme().registered_count(), 0u);
+  EXPECT_FALSE(f.core.mme().is_registered(Imsi{1001}));
   EXPECT_EQ(f.core.gateway().session_count(), 0u);
   EXPECT_EQ(f.core.mme().stats().state_losses, 1u);
   EXPECT_TRUE(f.core.hss().has_subscriber(Imsi{1001}));
 
-  // The subscriber re-attaches from scratch against the restarted core.
-  client.reset("test-net");
-  f.enb.start(client);
+  // The subscriber's SIM re-attaches from scratch against the restarted
+  // core.
+  ue::NasClient again{client.usim(), "test-net"};
+  f.enb.start(again);
   f.sim.run_all();
-  EXPECT_TRUE(client.registered());
+  EXPECT_TRUE(again.registered());
   EXPECT_TRUE(f.core.mme().is_registered(Imsi{1001}));
 }
 
@@ -336,21 +347,6 @@ TEST(EpcCore, DeploymentCapabilities) {
   EXPECT_FALSE(stub.anchors_mobility());
   EXPECT_FALSE(stub.bills_subscribers());
   EXPECT_FALSE(stub.tunnels_user_traffic());
-}
-
-TEST(EpcCore, BillingOnlyOnCentralized) {
-  sim::Simulator sim;
-  EpcCore central{sim, EpcConfig{.deployment = CoreDeployment::kCentralized},
-                  sim::RngStream{1}};
-  EpcCore stub{sim, EpcConfig{.deployment = CoreDeployment::kLocalStub},
-               sim::RngStream{2}};
-  central.record_usage(Imsi{1}, 1000);
-  central.record_usage(Imsi{1}, 500);
-  stub.record_usage(Imsi{1}, 1000);
-  EXPECT_EQ(central.usage_bytes(Imsi{1}), 1500u);
-  EXPECT_EQ(central.cdr_count(), 1u);
-  EXPECT_EQ(stub.usage_bytes(Imsi{1}), 0u);
-  EXPECT_EQ(stub.cdr_count(), 0u);
 }
 
 }  // namespace

@@ -55,19 +55,6 @@ TEST(Hss, KasmeBoundToServingNetwork) {
   EXPECT_TRUE(hss.generate_auth_vector(Imsi{1001}, "dlte-ap-2").ok());
 }
 
-TEST(Hss, PublishedKeysGatedByFlag) {
-  Hss hss{sim::RngStream{3}};
-  hss.provision(Imsi{1001}, test_key(), test_op());
-  EXPECT_FALSE(hss.published_keys(Imsi{1001}).ok());  // Not yet published.
-  hss.publish_keys(Imsi{1001});
-  auto keys = hss.published_keys(Imsi{1001});
-  ASSERT_TRUE(keys.ok());
-  EXPECT_EQ(keys->imsi, Imsi{1001});
-  EXPECT_EQ(keys->k, test_key());
-  EXPECT_EQ(keys->opc, crypto::derive_opc(test_key(), test_op()));
-  EXPECT_FALSE(hss.published_keys(Imsi{2002}).ok());  // Unknown.
-}
-
 TEST(Hss, SqnAdvancesMonotonically) {
   Hss hss{sim::RngStream{4}};
   hss.provision(Imsi{1001}, test_key(), test_op());

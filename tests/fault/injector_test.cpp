@@ -41,7 +41,7 @@ TEST(FaultInjector, OverlappingPartitionsHealWhenLastWindowCloses) {
   injector.arm(plan);
 
   int received = 0;
-  net.set_handler(b, [&](net::Packet&&) { ++received; });
+  net.set_protocol_handler(b, 0, [&](net::Packet&&) { ++received; });
 
   // t=35: inner window closed, outer still open — link must be DOWN.
   sim.run_until(at_s(35.0));
@@ -65,6 +65,8 @@ TEST(FaultInjector, LinkDegradeDropsAndDelays) {
   const NodeId b = net.add_node("b");
   net.add_link(a, b, net::LinkConfig{DataRate::mbps(100.0),
                                      Duration::millis(1)});
+  obs::MetricsRegistry metrics;
+  net.set_metrics(&metrics);
 
   FaultInjector injector{sim};
   injector.set_network(&net);
@@ -81,14 +83,14 @@ TEST(FaultInjector, LinkDegradeDropsAndDelays) {
   injector.arm(plan);
 
   int received = 0;
-  net.set_handler(b, [&](net::Packet&&) { ++received; });
+  net.set_protocol_handler(b, 0, [&](net::Packet&&) { ++received; });
   sim.run_until(at_s(2.0));
   for (int i = 0; i < 200; ++i) net.send(net::Packet{a, b, 100, 0, {}});
   sim.run_until(at_s(5.0));
   // Half the packets die, statistically.
   EXPECT_GT(received, 50);
   EXPECT_LT(received, 150);
-  EXPECT_GT(net.link_stats(a, b).packets_lost_impaired, 0u);
+  EXPECT_GT(metrics.counter("net.impaired_drops").value(), 0u);
 
   // After heal the link is clean again.
   sim.run_until(at_s(12.0));
@@ -171,8 +173,8 @@ TEST(FaultInjector, ApCrashLosesVolatileStateAndRecovers) {
   EXPECT_TRUE(ap.failed());
   // Volatile state gone: sessions, EMM contexts, MAC bearers, the cell.
   EXPECT_EQ(ap.core().gateway().session_count(), 0u);
-  EXPECT_EQ(ap.core().mme().registered_count(), 0u);
   EXPECT_FALSE(ap.core().mme().is_registered(Imsi{700001}));
+  EXPECT_EQ(ap.core().mme().attaches_in_progress(), 0u);
   EXPECT_FALSE(town.radio.cell_active(CellId{1}));
   EXPECT_EQ(ap.core().mme().stats().state_losses, 1u);
   // Persistent state survives: the HSS still knows the subscriber.

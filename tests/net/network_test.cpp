@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
-
 namespace dlte::net {
 namespace {
 
 struct Fixture {
+  Fixture() { net.set_metrics(&metrics); }
+
+  [[nodiscard]] std::uint64_t count(const std::string& name) {
+    return metrics.counter(name).value();
+  }
+
   sim::Simulator sim;
   Network net{sim};
+  obs::MetricsRegistry metrics;
 };
 
 TEST(Ipv4, Formatting) {
@@ -25,7 +30,7 @@ TEST(Network, DirectDelivery) {
 
   int received = 0;
   TimePoint arrival;
-  f.net.set_handler(b, [&](Packet&& p) {
+  f.net.set_protocol_handler(b, 0, [&](Packet&& p) {
     ++received;
     arrival = f.sim.now();
     EXPECT_EQ(p.src, a);
@@ -52,33 +57,33 @@ TEST(Network, MultiHopRoutesViaShortestDelay) {
   EXPECT_EQ(f.net.hop_count(a, b), 2);
   EXPECT_NEAR(f.net.path_latency(a, b, 0).to_millis(), 4.0, 0.01);
 
-  bool got = false;
-  f.net.set_handler(b, [&](Packet&&) { got = true; });
+  TimePoint arrival;
+  f.net.set_protocol_handler(b, 0, [&](Packet&&) { arrival = f.sim.now(); });
   f.net.send(Packet{a, b, 100, 0, {}});
   f.sim.run_all();
-  EXPECT_TRUE(got);
-  EXPECT_GT(f.net.link_stats(a, m1).packets_sent, 0u);
-  EXPECT_EQ(f.net.link_stats(a, m2).packets_sent, 0u);
+  // Two 2 ms hops (plus 8 us of serialization each), not two 10 ms ones.
+  EXPECT_NEAR((arrival - TimePoint{}).to_millis(), 4.016, 0.001);
+  EXPECT_EQ(f.count("net.packets_sent"), 2u);
 }
 
 TEST(Network, NoRouteDropsSilently) {
   Fixture f;
   const NodeId a = f.net.add_node("a");
   const NodeId b = f.net.add_node("b");  // Unconnected.
-  EXPECT_FALSE(f.net.has_route(a, b));
   EXPECT_EQ(f.net.hop_count(a, b), -1);
   int received = 0;
-  f.net.set_handler(b, [&](Packet&&) { ++received; });
+  f.net.set_protocol_handler(b, 0, [&](Packet&&) { ++received; });
   f.net.send(Packet{a, b, 100, 0, {}});
   f.sim.run_all();
   EXPECT_EQ(received, 0);
+  EXPECT_EQ(f.count("net.unroutable_drops"), 1u);
 }
 
 TEST(Network, SelfDeliveryIsImmediate) {
   Fixture f;
   const NodeId a = f.net.add_node("a");
   int received = 0;
-  f.net.set_handler(a, [&](Packet&&) { ++received; });
+  f.net.set_protocol_handler(a, 0, [&](Packet&&) { ++received; });
   f.net.send(Packet{a, a, 100, 0, {}});
   f.sim.run_all();
   EXPECT_EQ(received, 1);
@@ -92,7 +97,7 @@ TEST(Network, SerializationQueuesBackToBackPackets) {
   f.net.add_link(a, b, LinkConfig{DataRate::mbps(1.0), Duration::millis(0),
                                   1 << 20});
   std::vector<double> arrivals;
-  f.net.set_handler(b, [&](Packet&&) {
+  f.net.set_protocol_handler(b, 0, [&](Packet&&) {
     arrivals.push_back(f.sim.now().to_millis());
   });
   for (int i = 0; i < 3; ++i) f.net.send(Packet{a, b, 1250, 0, {}});
@@ -111,14 +116,14 @@ TEST(Network, QueueOverflowDrops) {
   f.net.add_link(a, b, LinkConfig{DataRate::mbps(1.0), Duration::millis(0),
                                   2000});
   int received = 0;
-  f.net.set_handler(b, [&](Packet&&) { ++received; });
+  f.net.set_protocol_handler(b, 0, [&](Packet&&) { ++received; });
   for (int i = 0; i < 20; ++i) f.net.send(Packet{a, b, 1250, 0, {}});
   f.sim.run_all();
   EXPECT_LT(received, 20);
-  EXPECT_GT(f.net.link_stats(a, b).packets_dropped, 0u);
-  EXPECT_EQ(f.net.link_stats(a, b).packets_sent +
-                f.net.link_stats(a, b).packets_dropped,
-            20u);
+  EXPECT_GT(f.count("net.queue_drops"), 0u);
+  EXPECT_EQ(f.count("net.packets_sent"),
+            static_cast<std::uint64_t>(received));
+  EXPECT_EQ(f.count("net.packets_sent") + f.count("net.queue_drops"), 20u);
 }
 
 TEST(Network, PathLatencyAccountsForPacketSize) {
@@ -144,7 +149,7 @@ TEST(Network, TopologyGrowsAfterTraffic) {
   const NodeId c = f.net.add_node("c");
   f.net.add_link(b, c, LinkConfig{});
   int received = 0;
-  f.net.set_handler(c, [&](Packet&&) { ++received; });
+  f.net.set_protocol_handler(c, 0, [&](Packet&&) { ++received; });
   f.net.send(Packet{a, c, 10, 0, {}});
   f.sim.run_all();
   EXPECT_EQ(received, 1);
@@ -165,18 +170,17 @@ TEST(Network, ImpairedLinkDropsProbabilistically) {
   f.net.set_impairment_seed(42);
   f.net.set_link_impairment(a, b, LinkImpairment{0.5, Duration{}});
   int received = 0;
-  f.net.set_handler(b, [&](Packet&&) { ++received; });
+  f.net.set_protocol_handler(b, 0, [&](Packet&&) { ++received; });
   const int sent = 400;
   for (int i = 0; i < sent; ++i) f.net.send(Packet{a, b, 100, 0, {}});
   f.sim.run_all();
   // ~50% loss; generous statistical bounds.
   EXPECT_GT(received, sent / 4);
   EXPECT_LT(received, sent * 3 / 4);
-  const auto& stats = f.net.link_stats(a, b);
-  EXPECT_EQ(stats.packets_lost_impaired + static_cast<std::uint64_t>(received),
+  EXPECT_EQ(f.count("net.impaired_drops") +
+                static_cast<std::uint64_t>(received),
             static_cast<std::uint64_t>(sent));
-  // Impairment drops are also counted in the aggregate drop counter.
-  EXPECT_EQ(stats.packets_dropped, stats.packets_lost_impaired);
+  EXPECT_EQ(f.count("net.queue_drops"), 0u);
 }
 
 TEST(Network, ImpairedLinkAddsLatency) {
@@ -188,7 +192,7 @@ TEST(Network, ImpairedLinkAddsLatency) {
   f.net.set_link_impairment(a, b,
                             LinkImpairment{0.0, Duration::millis(40)});
   TimePoint arrival;
-  f.net.set_handler(b, [&](Packet&&) { arrival = f.sim.now(); });
+  f.net.set_protocol_handler(b, 0, [&](Packet&&) { arrival = f.sim.now(); });
   f.net.send(Packet{a, b, 0, 0, {}});
   f.sim.run_all();
   EXPECT_NEAR((arrival - TimePoint{}).to_millis(), 45.0, 0.1);
@@ -204,7 +208,7 @@ TEST(Network, ClearingImpairmentRestoresCleanLink) {
                                   Duration::millis(1)});
   f.net.set_link_impairment(a, b, LinkImpairment{1.0, Duration{}});
   int received = 0;
-  f.net.set_handler(b, [&](Packet&&) { ++received; });
+  f.net.set_protocol_handler(b, 0, [&](Packet&&) { ++received; });
   f.net.send(Packet{a, b, 100, 0, {}});
   f.sim.run_all();
   EXPECT_EQ(received, 0);
@@ -216,8 +220,6 @@ TEST(Network, ClearingImpairmentRestoresCleanLink) {
 
 TEST(Network, RemoteNodeHandsDeliveredPacketsToEgress) {
   Fixture f;
-  obs::MetricsRegistry reg;
-  f.net.set_metrics(&reg);
   const NodeId a = f.net.add_node("a");
   int egressed = 0;
   TimePoint at;
@@ -234,27 +236,7 @@ TEST(Network, RemoteNodeHandsDeliveredPacketsToEgress) {
   f.sim.run_all();
   EXPECT_EQ(egressed, 1);
   EXPECT_NEAR((at - TimePoint{}).to_millis(), 3.0, 0.01);
-  EXPECT_EQ(reg.counter("net.remote_forwards").value(), 1u);
-}
-
-TEST(Network, MinLinkDelayQueries) {
-  Fixture f;
-  // No links at all: "never".
-  EXPECT_EQ(f.net.min_link_delay().ns(),
-            std::numeric_limits<std::int64_t>::max());
-  const NodeId a = f.net.add_node("a");
-  const NodeId b = f.net.add_node("b");
-  const NodeId xg = f.net.add_remote_node("xg", [](Packet&&) {});
-  f.net.add_link(a, b, LinkConfig{DataRate::mbps(100.0),
-                                  Duration::millis(2)});
-  f.net.add_link(b, xg, LinkConfig{DataRate::mbps(100.0),
-                                   Duration::millis(5)});
-  EXPECT_DOUBLE_EQ(f.net.min_link_delay().to_millis(), 2.0);
-  // Only the b—xg link touches a remote node.
-  EXPECT_DOUBLE_EQ(f.net.min_remote_link_delay().to_millis(), 5.0);
-  // Disabling the local link leaves the remote one as the global min.
-  f.net.set_link_enabled(a, b, false);
-  EXPECT_DOUBLE_EQ(f.net.min_link_delay().to_millis(), 5.0);
+  EXPECT_EQ(f.count("net.remote_forwards"), 1u);
 }
 
 }  // namespace

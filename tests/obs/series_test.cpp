@@ -40,21 +40,21 @@ TEST(TimeSeriesSampler, CounterSeriesCumulativeAndRate) {
   sampler.sample(at(3.0));
   sampler.sample(at(4.0));
 
-  const TimeSeries* cumulative = sampler.find("pkts");
-  ASSERT_NE(cumulative, nullptr);
-  EXPECT_EQ(cumulative->kind(), SeriesKind::kCounter);
-  ASSERT_EQ(cumulative->points().size(), 3u);
-  EXPECT_DOUBLE_EQ(cumulative->points()[0].value, 10.0);
-  EXPECT_DOUBLE_EQ(cumulative->points()[1].value, 40.0);
-  EXPECT_DOUBLE_EQ(cumulative->points()[2].value, 40.0);
+  ASSERT_TRUE(sampler.series().contains("pkts"));
+  const TimeSeries& cumulative = sampler.series().at("pkts");
+  EXPECT_EQ(cumulative.kind(), SeriesKind::kCounter);
+  ASSERT_EQ(cumulative.points().size(), 3u);
+  EXPECT_DOUBLE_EQ(cumulative.points()[0].value, 10.0);
+  EXPECT_DOUBLE_EQ(cumulative.points()[1].value, 40.0);
+  EXPECT_DOUBLE_EQ(cumulative.points()[2].value, 40.0);
 
-  const TimeSeries* rate = sampler.find("pkts.rate");
-  ASSERT_NE(rate, nullptr);
-  EXPECT_EQ(rate->kind(), SeriesKind::kCounterRate);
-  ASSERT_EQ(rate->points().size(), 3u);
-  EXPECT_DOUBLE_EQ(rate->points()[0].value, 0.0);  // No previous sample.
-  EXPECT_DOUBLE_EQ(rate->points()[1].value, 15.0);  // +30 over 2 s.
-  EXPECT_DOUBLE_EQ(rate->points()[2].value, 0.0);
+  ASSERT_TRUE(sampler.series().contains("pkts.rate"));
+  const TimeSeries& rate = sampler.series().at("pkts.rate");
+  EXPECT_EQ(rate.kind(), SeriesKind::kCounterRate);
+  ASSERT_EQ(rate.points().size(), 3u);
+  EXPECT_DOUBLE_EQ(rate.points()[0].value, 0.0);  // No previous sample.
+  EXPECT_DOUBLE_EQ(rate.points()[1].value, 15.0);  // +30 over 2 s.
+  EXPECT_DOUBLE_EQ(rate.points()[2].value, 0.0);
   EXPECT_EQ(sampler.samples(), 3u);
 }
 
@@ -66,21 +66,21 @@ TEST(TimeSeriesSampler, GaugeAndHistogramDerivedSeries) {
   TimeSeriesSampler sampler{reg};
   sampler.sample(at(0.5));
 
-  const TimeSeries* load = sampler.find("load");
-  ASSERT_NE(load, nullptr);
-  EXPECT_EQ(load->kind(), SeriesKind::kGauge);
-  EXPECT_DOUBLE_EQ(load->latest(), 0.25);
+  ASSERT_TRUE(sampler.series().contains("load"));
+  const TimeSeries& load = sampler.series().at("load");
+  EXPECT_EQ(load.kind(), SeriesKind::kGauge);
+  EXPECT_DOUBLE_EQ(load.latest(), 0.25);
 
-  const TimeSeries* count = sampler.find("lat_ms.count");
-  ASSERT_NE(count, nullptr);
-  EXPECT_EQ(count->kind(), SeriesKind::kHistogramCount);
-  EXPECT_DOUBLE_EQ(count->latest(), 100.0);
-  const TimeSeries* p95 = sampler.find("lat_ms.p95");
-  ASSERT_NE(p95, nullptr);
-  EXPECT_EQ(p95->kind(), SeriesKind::kHistogramQuantile);
-  EXPECT_NEAR(p95->latest(), 95.0, 95.0 / Histogram::kSubBuckets);
-  EXPECT_NE(sampler.find("lat_ms.p50"), nullptr);
-  EXPECT_NE(sampler.find("lat_ms.p99"), nullptr);
+  ASSERT_TRUE(sampler.series().contains("lat_ms.count"));
+  const TimeSeries& count = sampler.series().at("lat_ms.count");
+  EXPECT_EQ(count.kind(), SeriesKind::kHistogramCount);
+  EXPECT_DOUBLE_EQ(count.latest(), 100.0);
+  ASSERT_TRUE(sampler.series().contains("lat_ms.p95"));
+  const TimeSeries& p95 = sampler.series().at("lat_ms.p95");
+  EXPECT_EQ(p95.kind(), SeriesKind::kHistogramQuantile);
+  EXPECT_NEAR(p95.latest(), 95.0, 95.0 / Histogram::kSubBuckets);
+  EXPECT_TRUE(sampler.series().contains("lat_ms.p50"));
+  EXPECT_TRUE(sampler.series().contains("lat_ms.p99"));
 }
 
 TEST(TimeSeriesSampler, MetricAppearingMidRunStartsLate) {
@@ -91,10 +91,11 @@ TEST(TimeSeriesSampler, MetricAppearingMidRunStartsLate) {
   reg.gauge("late").set(7.0);
   sampler.sample(at(2.0));
 
-  ASSERT_NE(sampler.find("late"), nullptr);
-  ASSERT_EQ(sampler.find("late")->points().size(), 1u);
-  EXPECT_DOUBLE_EQ(sampler.find("late")->points()[0].t_s, 2.0);
-  EXPECT_EQ(sampler.find("early")->points().size(), 2u);
+  ASSERT_TRUE(sampler.series().contains("late"));
+  const TimeSeries& late = sampler.series().at("late");
+  ASSERT_EQ(late.points().size(), 1u);
+  EXPECT_DOUBLE_EQ(late.points()[0].t_s, 2.0);
+  EXPECT_EQ(sampler.series().at("early").points().size(), 2u);
 }
 
 TEST(TimeSeriesSampler, CapacityBoundsEverySeries) {
@@ -107,11 +108,11 @@ TEST(TimeSeriesSampler, CapacityBoundsEverySeries) {
     c.inc();
     sampler.sample(at(static_cast<double>(i)));
   }
-  const TimeSeries* s = sampler.find("c");
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->points().size(), 4u);
-  EXPECT_EQ(s->dropped(), 6u);
-  EXPECT_DOUBLE_EQ(s->points().front().t_s, 7.0);
+  ASSERT_TRUE(sampler.series().contains("c"));
+  const TimeSeries& s = sampler.series().at("c");
+  EXPECT_EQ(s.points().size(), 4u);
+  EXPECT_EQ(s.dropped(), 6u);
+  EXPECT_DOUBLE_EQ(s.points().front().t_s, 7.0);
 }
 
 // The per-name algorithm the bound sampler replaced: every sample walks

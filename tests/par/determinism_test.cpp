@@ -114,7 +114,6 @@ constexpr std::uint64_t kRingSamples = 200;  // 1 s horizon / 5 ms.
 
 struct SparseRing {
   std::string series;
-  std::vector<std::uint64_t> shard_samples;
   std::uint64_t windows{0};
 };
 
@@ -148,9 +147,6 @@ SparseRing run_sparse_ring(std::size_t shards, std::size_t threads) {
   rt.run_until(TimePoint{} + Duration::seconds(1.0));
   SparseRing ring;
   ring.series = rt.merged_series_json("sparse_ring");
-  for (std::size_t s = 0; s < shards; ++s) {
-    ring.shard_samples.push_back(rt.shard_sampler(s)->samples());
-  }
   ring.windows = rt.windows_run();
   return ring;
 }
@@ -159,7 +155,9 @@ SparseRing run_sparse_ring(std::size_t shards, std::size_t threads) {
 // window; the merged series must not depend on which thread that was.
 TEST(ParDeterminism, SeriesSampledOnWorkersMatchOneThread) {
   const SparseRing one = run_sparse_ring(1, 1);
-  EXPECT_EQ(one.shard_samples, std::vector<std::uint64_t>{kRingSamples});
+  EXPECT_NE(one.series.find("\"samples\":" + std::to_string(kRingSamples) +
+                            ",\"series\""),
+            std::string::npos);
   // Every sample point is taken in exactly one window, so fewer windows
   // than points means some window crossed two or more of them.
   EXPECT_LT(one.windows, kRingSamples);
@@ -167,10 +165,9 @@ TEST(ParDeterminism, SeriesSampledOnWorkersMatchOneThread) {
   for (const std::size_t threads :
        {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
     const SparseRing many = run_sparse_ring(4, threads);
+    // Every shard hosts ring endpoints, so a shard that missed a sample
+    // point would lack that point in its series.
     EXPECT_EQ(one.series, many.series) << "threads=" << threads;
-    EXPECT_EQ(many.shard_samples,
-              std::vector<std::uint64_t>(4, kRingSamples))
-        << "threads=" << threads;
     EXPECT_EQ(one.windows, many.windows) << "threads=" << threads;
   }
 }

@@ -202,13 +202,14 @@ TEST(ShardedSimulator, CoordinatorSamplingIsOnTheConfiguredCadence) {
   rt.register_endpoint(1, 1, [](const Message&) {});
   rt.shard_registry(0).counter("ap0.c").inc(1);
   rt.run_until(TimePoint::from_ns(0) + Duration::millis(50));
-  const obs::TimeSeriesSampler* sampler = rt.shard_sampler(0);
-  ASSERT_NE(sampler, nullptr);
-  EXPECT_EQ(sampler->samples(), 5u);
-  const obs::TimeSeries* series = sampler->find("ap0.c");
-  ASSERT_NE(series, nullptr);
-  EXPECT_EQ(series->points().size(), 5u);
-  EXPECT_DOUBLE_EQ(series->points().front().t_s, 0.01);
+  // Five samples, the first at t = 10 ms.
+  const std::string json = rt.merged_series_json("cadence");
+  EXPECT_NE(json.find("\"samples\":5,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"ap0.c\":{\"kind\":\"counter\",\"dropped\":0,"
+                      "\"points\":[[0.01,1],[0.02,1],[0.03,1],[0.04,1],"
+                      "[0.05,1]]}"),
+            std::string::npos)
+      << json;
 }
 
 }  // namespace

@@ -59,27 +59,6 @@ TEST(LinkBudget, SnrAtCellEdgeIsUsable) {
   EXPECT_GE(select_cqi(snr), 7);
 }
 
-TEST(Sinr, NoInterferenceEqualsSnr) {
-  const PowerDbm desired{-80.0};
-  const PowerDbm noise{-100.0};
-  EXPECT_NEAR(sinr(desired, {}, noise).value(), 20.0, 1e-9);
-}
-
-TEST(Sinr, EqualInterfererDominatesNoise) {
-  const PowerDbm desired{-80.0};
-  const PowerDbm noise{-120.0};
-  const auto s = sinr(desired, {PowerDbm{-80.0}}, noise);
-  EXPECT_NEAR(s.value(), 0.0, 0.05);  // Desired ≈ interference.
-}
-
-TEST(Sinr, MultipleInterferersSumLinearly) {
-  const PowerDbm desired{-80.0};
-  const PowerDbm noise{-150.0};
-  // Two equal interferers at -90: total interference -87.
-  const auto s = sinr(desired, {PowerDbm{-90.0}, PowerDbm{-90.0}}, noise);
-  EXPECT_NEAR(s.value(), 7.0, 0.05);
-}
-
 TEST(Profiles, WifiClientHasLessUplinkEirpThanLteUe) {
   // §3.2 uplink asymmetry: SC-FDMA keeps full PA headroom, OFDM backs off.
   const auto lte = DeviceProfiles::lte_ue();

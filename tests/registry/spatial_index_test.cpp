@@ -14,13 +14,11 @@ namespace {
 
 constexpr double kZone = 50'000.0;
 
-SiteEntry site(std::uint64_t id, double x, double y, double range_m,
-               double center_mhz = 3550.0) {
+SiteEntry site(std::uint64_t id, double x, double y, double range_m) {
   SiteEntry e;
   e.id = id;
   e.location = Position{x, y};
   e.range_m = range_m;
-  e.center_hz = center_mhz * 1e6;
   return e;
 }
 
@@ -229,8 +227,7 @@ TEST(SpatialIndex, VisitOrderIsDeterministic) {
   SpatialIndex b{kZone};
   for (int i = 0; i < 200; ++i) {
     const auto e = site(static_cast<std::uint64_t>(i + 1),
-                        (i % 17) * 9'000.0, (i % 13) * 11'000.0, 12'000.0,
-                        3550.0 + (i % 4) * 10.0);
+                        (i % 17) * 9'000.0, (i % 13) * 11'000.0, 12'000.0);
     a.insert(e);
     b.insert(e);
   }

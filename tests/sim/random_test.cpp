@@ -84,20 +84,6 @@ TEST(RngStream, ExponentialMeanRoughlyCorrect) {
   EXPECT_NEAR(sum / n, 4.0, 0.15);
 }
 
-TEST(RngStream, NormalMomentsRoughlyCorrect) {
-  RngStream r{8};
-  double sum = 0.0, sumsq = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const double x = r.normal(10.0, 2.0);
-    sum += x;
-    sumsq += x * x;
-  }
-  const double mean = sum / n;
-  EXPECT_NEAR(mean, 10.0, 0.1);
-  EXPECT_NEAR(sumsq / n - mean * mean, 4.0, 0.3);
-}
-
 TEST(RngStream, BernoulliProbability) {
   RngStream r{13};
   int hits = 0;

@@ -21,9 +21,9 @@ TEST(TelemetryDriver, TicksAtSamplerInterval) {
   sim.run_until(at(5.0));
   EXPECT_EQ(driver.ticks(), 5u);
   EXPECT_EQ(sampler.samples(), 5u);
-  const obs::TimeSeries* s = sampler.find("events");
-  ASSERT_NE(s, nullptr);
-  EXPECT_DOUBLE_EQ(s->points().front().t_s, 1.0);  // First tick at t=1.
+  ASSERT_TRUE(sampler.series().contains("events"));
+  const obs::TimeSeries& s = sampler.series().at("events");
+  EXPECT_DOUBLE_EQ(s.points().front().t_s, 1.0);  // First tick at t=1.
 }
 
 TEST(TelemetryDriver, EvaluatesMonitorBeforeSampling) {
@@ -50,10 +50,10 @@ TEST(TelemetryDriver, EvaluatesMonitorBeforeSampling) {
   // Evaluate-then-sample: the very tick that fired the alert already
   // samples the refreshed health gauge as unhealthy.
   EXPECT_TRUE(monitor.alert_active("ap1_down"));
-  const obs::TimeSeries* health = sampler.find("health.ap1");
-  ASSERT_NE(health, nullptr);
-  ASSERT_EQ(health->points().size(), 1u);
-  EXPECT_DOUBLE_EQ(health->points()[0].value, 0.0);
+  ASSERT_TRUE(sampler.series().contains("health.ap1"));
+  const obs::TimeSeries& health = sampler.series().at("health.ap1");
+  ASSERT_EQ(health.points().size(), 1u);
+  EXPECT_DOUBLE_EQ(health.points()[0].value, 0.0);
 }
 
 TEST(TelemetryDriver, StopHaltsTicksAndStartRestarts) {

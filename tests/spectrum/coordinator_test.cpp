@@ -145,12 +145,14 @@ TEST(Coordinator, NewPeerJoiningRebalances) {
 TEST(Coordinator, StatusMessagesFlowBothWays) {
   Fixture f;
   f.build(2, lte::DlteMode::kFairShare);
-  f.coords[0]->set_offered_load(0.7);
+  f.coords[1]->set_offered_load(0.2);
   f.start_all();
   f.run_for(3.0);
-  const auto* status = f.coords[1]->peer_status(ApId{1});
-  ASSERT_NE(status, nullptr);
-  EXPECT_DOUBLE_EQ(status->offered_load, 0.7);
+  // AP 1 leads: its split shows it heard AP 2's load, and AP 2 applied
+  // the share AP 1 sent back.
+  EXPECT_NEAR(f.coords[0]->current_share(), 0.8, 1e-9);
+  EXPECT_NEAR(f.coords[1]->current_share(), 0.2, 1e-9);
+  EXPECT_GT(f.coords[0]->stats().messages_received, 0u);
   EXPECT_GT(f.coords[1]->stats().messages_received, 0u);
 }
 

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "chain_records.h"
 #include "obs/snapshot.h"
 #include "obs/span.h"
 #include "registry/cache.h"
@@ -138,16 +139,14 @@ TEST(Registry, SubscriberKeyPublication) {
   keys.imsi = Imsi{12345};
   keys.k[0] = 0xaa;
   reg.publish_subscriber(keys);
-  EXPECT_EQ(reg.published_subscriber_count(), 1u);
-  auto got = reg.lookup_subscriber(Imsi{12345});
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->k[0], 0xaa);
-  EXPECT_FALSE(reg.lookup_subscriber(Imsi{999}).ok());
+  ASSERT_EQ(reg.published_subscriber_count(), 1u);
+  EXPECT_EQ(reg.published_subscribers()[0].imsi, Imsi{12345});
+  EXPECT_EQ(reg.published_subscribers()[0].k[0], 0xaa);
   // Re-publication replaces.
   keys.k[0] = 0xbb;
   reg.publish_subscriber(keys);
-  EXPECT_EQ(reg.published_subscriber_count(), 1u);
-  EXPECT_EQ(reg.lookup_subscriber(Imsi{12345})->k[0], 0xbb);
+  ASSERT_EQ(reg.published_subscriber_count(), 1u);
+  EXPECT_EQ(reg.published_subscribers()[0].k[0], 0xbb);
 }
 
 
@@ -947,11 +946,7 @@ TEST(RegistryGrantBatch, TracedBatchKeepsOneSpanPerLease) {
 }
 
 std::vector<std::vector<std::uint8_t>> grant_records(const GrantTwin& twin) {
-  std::vector<std::vector<std::uint8_t>> out;
-  twin.chain->for_each_record(
-      ChainRecordKind::kGrant,
-      [&](const ChainRecord& record) { out.push_back(record.payload); });
-  return out;
+  return committed_payloads(*twin.chain, ChainRecordKind::kGrant);
 }
 
 TEST(RegistryGrantBatch, ChainBackedBatchCommitsAtBlockInclusion) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 namespace dlte::transport {
 namespace {
 
@@ -24,10 +26,19 @@ struct Fixture {
     net.add_link(client_node, router, edge);
     net.add_link(client_node2, router, edge);
     net.add_link(router, server_node, edge);
-    server.listen();
+    server.listen([this](ServerConnection& sc) { accepted[sc.id] = &sc; });
   }
 
   void run_for(Duration d) { sim.run_until(sim.now() + d); }
+
+  // The server's side of a connection, as handed out at accept.
+  [[nodiscard]] const ServerConnection* server_connection(
+      ConnectionId id) const {
+    const auto it = accepted.find(id);
+    return it == accepted.end() ? nullptr : it->second;
+  }
+
+  std::map<ConnectionId, const ServerConnection*> accepted;
 };
 
 TEST(SegmentCodec, RoundTrip) {
@@ -82,7 +93,7 @@ TEST(Transport, ZeroRttResumptionIsImmediate) {
   EXPECT_TRUE(ready);  // Established synchronously, before any RTT.
   conn.send(5000.0);
   f.run_for(Duration::seconds(1.0));
-  const auto* sc = f.server.server_connection(conn.id());
+  const auto* sc = f.server_connection(conn.id());
   ASSERT_NE(sc, nullptr);
   EXPECT_DOUBLE_EQ(sc->received_offset, 5000.0);
 }
@@ -93,7 +104,7 @@ TEST(Transport, BulkTransferCompletes) {
   conn.send(1e6);  // 1 MB.
   f.run_for(Duration::seconds(10.0));
   EXPECT_DOUBLE_EQ(conn.stats().bytes_acked, 1e6);
-  const auto* sc = f.server.server_connection(conn.id());
+  const auto* sc = f.server_connection(conn.id());
   ASSERT_NE(sc, nullptr);
   EXPECT_DOUBLE_EQ(sc->received_offset, 1e6);
 }
@@ -129,7 +140,7 @@ TEST(Transport, QuicMigrationContinuesStream) {
   f.run_for(Duration::seconds(20.0));
   EXPECT_DOUBLE_EQ(conn.stats().bytes_acked, 20e6);
   // Server followed the client to its new address.
-  EXPECT_EQ(f.server.server_connection(conn.id())->client_node,
+  EXPECT_EQ(f.server_connection(conn.id())->client_node,
             f.client_node2);
 }
 
@@ -212,9 +223,9 @@ TEST(Transport, ServerTracksMultipleConnections) {
   c2.send(2000.0);
   f.run_for(Duration::seconds(1.0));
   EXPECT_NE(c1.id(), c2.id());
-  EXPECT_DOUBLE_EQ(f.server.server_connection(c1.id())->received_offset,
+  EXPECT_DOUBLE_EQ(f.server_connection(c1.id())->received_offset,
                    1000.0);
-  EXPECT_DOUBLE_EQ(f.server.server_connection(c2.id())->received_offset,
+  EXPECT_DOUBLE_EQ(f.server_connection(c2.id())->received_offset,
                    2000.0);
 }
 

@@ -56,16 +56,6 @@ TEST(NasClient, ForgedAuthRequestRejected) {
   EXPECT_EQ(c.state(), NasClientState::kRejected);
 }
 
-TEST(NasClient, ResetAllowsFreshAttachAtNewNetwork) {
-  NasClient c{Usim{profile()}, "net-a"};
-  (void)c.start_attach();
-  c.reset("net-b");
-  EXPECT_EQ(c.state(), NasClientState::kIdle);
-  EXPECT_EQ(c.ue_ip(), 0u);
-  const auto msg = c.start_attach();
-  EXPECT_TRUE(std::holds_alternative<lte::AttachRequest>(msg));
-}
-
 TEST(AttachRetryPolicy, BackoffGrowsExponentiallyAndClamps) {
   AttachRetryPolicy p;
   p.initial_backoff = Duration::millis(500);

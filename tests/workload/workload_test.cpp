@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "workload/ott_service.h"
 #include "workload/sources.h"
 
@@ -82,8 +84,13 @@ TEST(OttService, FirstProgressAfter) {
   auto& conn = f.client.connect(f.server_node, transport::TransportConfig{});
   f.sim.schedule(Duration::seconds(2.0), [&] { conn.send(10'000.0); });
   f.run_for(5.0);
-  const auto t = f.ott.first_progress_after(
-      conn.id(), TimePoint::from_ns(0) + Duration::seconds(1.0));
+  // The first progress sample after t = 1 s comes with the first byte.
+  const auto& samples = f.ott.progress(conn.id());
+  const auto first = std::find_if(
+      samples.begin(), samples.end(),
+      [](const auto& s) { return s.when.to_seconds() >= 1.0; });
+  ASSERT_NE(first, samples.end());
+  const TimePoint t = first->when;
   EXPECT_GT(t.to_seconds(), 2.0);
   EXPECT_LT(t.to_seconds(), 2.2);
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Fail when a src/ header, or a symbol it declares, is reachable only
-from tests.
+"""Fail when a src/ header, a symbol it declares or a function it defines
+is reachable only from tests.
 
 Builds the `#include "..."` graph over src/ bench/ examples/ perfbench/
 tests/ and computes which src/ headers are live:
@@ -33,28 +33,48 @@ Then, to a fixed point:
 So a symbol named only by tests, or only by another dead symbol of its
 module (a struct that only a dead codec takes), is dead. Names are
 matched as bare identifiers, so a symbol that shares its name with a
-live one elsewhere passes; the pass errs towards live. Members are out
-of its reach: it never reports a dead member function or data member,
-it only declines to let one keep a symbol alive.
+live one elsewhere passes; the pass errs towards live. It never reports
+a member, it only declines to let one keep a symbol alive.
 
-Dead headers and dead symbols are listed one per line and the exit
-status is 1; 0 means every src/ header and namespace-scope symbol has a
-non-test user. KEEP lists symbols exempt from the pass, each with the
-reason it stays.
+A third pass asks the linker. It configures its own tree under
+build-linkpass/ and builds every dlte_bench and dlte_example target of
+bench/ and examples/CMakeLists.txt, plus the benchmark job runner
+dlte_perfjob from perfbench/, at -O0 -ffunction-sections, linked with
+-Wl,--gc-sections. At -O0 nothing is inlined, so a function is called by
+some executable exactly when it survives that executable's link. Every
+global function (nm type T) that a src/ archive defines and no
+executable keeps is dead, whatever its name: out-of-line member
+functions are in reach. Inline (COMDAT) functions and data members are
+not, and neither is a branch or a codec alternative that only dead code
+reaches. The pass fails, rather than passing vacuously, unless every
+compile of the tree used -O0 and -ffunction-sections, every executable
+was linked with --gc-sections, and every target produced an executable.
+It needs cmake, make, a C++ compiler and nm, and takes a few minutes.
+
+Dead headers, symbols and functions are listed one per line and the exit
+status is 1; 0 means every src/ header, namespace-scope symbol and
+out-of-line function has a non-test user. KEEP lists what is exempt from
+the passes, each entry with the reason it stays.
 
     tools/check_reachability.py [--root DIR]
 """
 
 import argparse
+import json
+import os
 import pathlib
 import re
+import shlex
+import subprocess
 import sys
 
 SCAN_DIRS = ("src", "bench", "examples", "perfbench", "tests")
 SOURCE_SUFFIXES = {".h", ".hpp", ".cpp", ".cc"}
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
 
-# (header relative to src/, symbol) -> why it stays without a non-test user.
+# Why an item stays without a non-test user, keyed by (header relative to
+# src/, symbol) for the symbol pass and by (source relative to src/,
+# demangled function as nm -C prints it) for the link pass.
 KEEP = {}
 
 
@@ -408,6 +428,94 @@ def dead_symbols(texts, live):
                    and (path[len("src/"):], owner[2]) not in KEEP})
 
 
+# --- Link pass ----------------------------------------------------------
+
+LINK_TREE = "build-linkpass"
+# -O0 so nothing is inlined, one section per function so the linker can
+# drop each one, and NDEBUG as in every shipped build type.
+CMAKE_FLAGS = (
+    "-G", "Unix Makefiles", "-DCMAKE_BUILD_TYPE=Release",
+    "-DCMAKE_CXX_FLAGS_RELEASE=-O0 -g0 -DNDEBUG",
+    "-DCMAKE_CXX_FLAGS=-ffunction-sections",
+    "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections",
+    "-DCMAKE_EXPORT_COMPILE_COMMANDS=ON",
+)
+TARGET_RES = (("bench", re.compile(r"^dlte_bench\((\w+)\)", re.MULTILINE)),
+              ("examples", re.compile(r"^dlte_example\((\w+)\)", re.MULTILINE)))
+PERFJOB = "dlte_perfjob"
+
+
+def run(cmd):
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{' '.join(map(str, cmd))} failed:\n"
+                           + (done.stdout + done.stderr)[-4000:])
+    return done.stdout
+
+
+def build_tree(source, build, targets):
+    """Configure and build `targets` with the pass's flags, then check
+    that every compile and every link of them used those flags. Returns
+    the executables."""
+    jobs = str(min(os.cpu_count() or 1, 4))
+    run(["cmake", "-S", source, "-B", build, *CMAKE_FLAGS])
+    run(["cmake", "--build", build, "-j", jobs, "--target", *targets])
+    for entry in json.loads((build / "compile_commands.json").read_text()):
+        args = shlex.split(entry.get("command", ""))
+        levels = [a for a in args if a.startswith("-O")]
+        if levels[-1:] != ["-O0"] or "-ffunction-sections" not in args:
+            raise RuntimeError(f"{entry['file']} was not compiled with -O0 "
+                               "-ffunction-sections")
+    exes = []
+    for target in targets:
+        links = list(build.rglob(f"CMakeFiles/{target}.dir/link.txt"))
+        if len(links) != 1 or "--gc-sections" not in links[0].read_text():
+            raise RuntimeError(f"{target} was not linked with --gc-sections")
+        exe = links[0].parents[2] / target
+        if not exe.is_file():
+            raise RuntimeError(f"{target} produced no executable")
+        exes.append(exe)
+    return exes
+
+
+def nm(path):
+    """[(object member or None, symbol type, demangled name)] of the
+    symbols `path` defines."""
+    symbols, member = [], None
+    for line in run(["nm", "-C", "--defined-only", path]).splitlines():
+        if line.endswith(":") and " " not in line:
+            member = line[:-1]
+        elif line.count(" ") >= 2:
+            _, kind, name = line.split(" ", 2)
+            symbols.append((member, kind, name))
+    return symbols
+
+
+def dead_functions(root):
+    """The link pass: [(source relative to src/, function)] for each global
+    function a src/ archive defines that no bench, example or benchmark job
+    executable keeps."""
+    main_targets = []
+    for top, target_re in TARGET_RES:
+        found = target_re.findall((root / top / "CMakeLists.txt").read_text())
+        if not found:
+            raise RuntimeError(f"{top}/CMakeLists.txt declares no target")
+        main_targets += found
+    tree = root / LINK_TREE
+    exes = (build_tree(root, tree / "main", main_targets)
+            + build_tree(root / "perfbench", tree / "perfbench", [PERFJOB]))
+    kept = {name for exe in exes for _, _, name in nm(exe)}
+    src = tree / "main" / "src"
+    dead = set()
+    for archive in sorted(src.rglob("*.a")):
+        module = archive.parent.relative_to(src).as_posix()
+        for member, kind, name in nm(archive):
+            source = f"{module}/{member.removesuffix('.o')}"
+            if kind == "T" and name not in kept and (source, name) not in KEEP:
+                dead.add((source, name))
+    return sorted(dead)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=pathlib.Path,
@@ -419,9 +527,14 @@ def main(argv=None):
     dead = sorted(h[len("src/"):] for h in texts
                   if h.startswith("src/") and is_header(h) and h not in live)
     symbols = dead_symbols(texts, live)
-    if not dead and not symbols:
-        print("reachability: every src/ header and namespace-scope symbol "
-              "has a non-test user")
+    try:
+        functions = dead_functions(args.root)
+    except (OSError, RuntimeError) as err:
+        print(f"reachability: link pass failed: {err}", file=sys.stderr)
+        return 1
+    if not dead and not symbols and not functions:
+        print("reachability: every src/ header, namespace-scope symbol and "
+              "out-of-line function has a non-test user")
         return 0
     if dead:
         print(f"reachability: {len(dead)} src/ header(s) reached only from "
@@ -434,6 +547,11 @@ def main(argv=None):
               "reached only from tests:", file=sys.stderr)
         for header, kind, name in symbols:
             print(f"{header}: {kind} {name}")
+    if functions:
+        print(f"reachability: {len(functions)} src/ function(s) that no bench, "
+              "example or benchmark job executable links:", file=sys.stderr)
+        for source, name in functions:
+            print(f"{source}: {name}")
     return 1
 
 
