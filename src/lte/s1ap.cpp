@@ -12,7 +12,6 @@ enum class S1apType : std::uint8_t {
   kDownlinkNasTransport = 3,
   kInitialContextSetupRequest = 4,
   kInitialContextSetupResponse = 5,
-  kUeContextReleaseCommand = 6,
 };
 
 void put_pdu(ByteWriter& w, const std::vector<std::uint8_t>& pdu) {
@@ -58,12 +57,6 @@ struct Encoder {
     w.u32(m.enb_ue_id.value());
     w.u32(m.mme_ue_id.value());
     w.u32(m.enb_downlink_teid.value());
-  }
-  void operator()(const UeContextReleaseCommand& m) {
-    w.u8(static_cast<std::uint8_t>(S1apType::kUeContextReleaseCommand));
-    w.u32(m.enb_ue_id.value());
-    w.u32(m.mme_ue_id.value());
-    w.u8(m.cause);
   }
 };
 
@@ -132,16 +125,6 @@ Result<S1apMessage> decode_s1ap(std::span<const std::uint8_t> bytes) {
       if (!teid) return Err{teid.error()};
       return S1apMessage{InitialContextSetupResponse{
           EnbUeId{*enb}, MmeUeId{*mme}, Teid{*teid}}};
-    }
-    case S1apType::kUeContextReleaseCommand: {
-      auto enb = u32();
-      if (!enb) return Err{enb.error()};
-      auto mme = u32();
-      if (!mme) return Err{mme.error()};
-      auto cause = r.u8();
-      if (!cause) return Err{cause.error()};
-      return S1apMessage{
-          UeContextReleaseCommand{EnbUeId{*enb}, MmeUeId{*mme}, *cause}};
     }
   }
   return fail("unknown S1AP message type");

@@ -50,16 +50,9 @@ struct InitialContextSetupResponse {
   Teid enb_downlink_teid;  // Where the S-GW sends downlink GTP-U.
 };
 
-struct UeContextReleaseCommand {
-  EnbUeId enb_ue_id;
-  MmeUeId mme_ue_id;
-  std::uint8_t cause{0};
-};
-
 using S1apMessage =
     std::variant<InitialUeMessage, UplinkNasTransport, DownlinkNasTransport,
-                 InitialContextSetupRequest, InitialContextSetupResponse,
-                 UeContextReleaseCommand>;
+                 InitialContextSetupRequest, InitialContextSetupResponse>;
 
 [[nodiscard]] std::vector<std::uint8_t> encode_s1ap(const S1apMessage& m);
 [[nodiscard]] Result<S1apMessage> decode_s1ap(

@@ -83,9 +83,6 @@ class Network {
   // packet to the owning shard through its inbox queues. Counted under
   // `net.remote_forwards`.
   NodeId add_remote_node(std::string name, Handler egress);
-  [[nodiscard]] bool is_remote(NodeId node) const {
-    return static_cast<bool>(nodes_[node.value()].egress);
-  }
   // Bidirectional link (two independent directed queues).
   void add_link(NodeId a, NodeId b, LinkConfig config);
   // Protocol-specific handler; several stacks (transport, X2, GTP) can

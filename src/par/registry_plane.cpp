@@ -224,29 +224,15 @@ void RegistryPlaneScenario::handle_registry_message(const Message& m) {
       if (!block || !count || r.remaining() != 8 * std::size_t{*count}) {
         return;
       }
-      std::uint32_t ok = 0;
-      std::uint32_t unreachable = 0;
-      std::vector<std::uint64_t> lapsed;
-      for (std::uint32_t i = 0; i < *count; ++i) {
-        const std::uint64_t id = *r.u64();
-        switch (reg.heartbeat_outcome(GrantId{id})) {
-          case spectrum::HeartbeatOutcome::kRenewed:
-            ++ok;
-            break;
-          case spectrum::HeartbeatOutcome::kUnreachable:
-            ++unreachable;
-            break;
-          case spectrum::HeartbeatOutcome::kLapsed:
-            lapsed.push_back(id);
-            break;
-        }
-      }
+      std::vector<std::uint64_t> ids(*count);
+      for (std::uint64_t& id : ids) id = *r.u64();
+      const spectrum::HeartbeatBatchOutcome beat = reg.heartbeat_batch(ids);
       ByteWriter w;
       w.u32(*block);
-      w.u32(ok);
-      w.u32(unreachable);
-      w.u32(static_cast<std::uint32_t>(lapsed.size()));
-      for (const std::uint64_t id : lapsed) w.u64(id);
+      w.u32(static_cast<std::uint32_t>(beat.renewed));
+      w.u32(static_cast<std::uint32_t>(beat.unreachable));
+      w.u32(static_cast<std::uint32_t>(beat.lapsed.size()));
+      for (const std::uint64_t id : beat.lapsed) w.u64(id);
       runtime_.post(kRegistryEndpoint, m.src, config_.registry_delay,
                     workload::kLeaseHeartbeatReply, w.take());
       return;

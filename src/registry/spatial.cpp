@@ -34,12 +34,22 @@ std::int64_t zone_key(Position location, double zone_size_m) {
 SpatialIndex::SpatialIndex(double zone_size_m) : zone_size_m_(zone_size_m) {}
 
 void SpatialIndex::insert(const SiteEntry& entry) {
-  Zone& zone = zones_[zone_key(entry.location, zone_size_m_)];
-  zone.entries.push_back(entry);
-  zone.max_range_m = std::max(zone.max_range_m, entry.range_m);
-  max_range_m_ = std::max(max_range_m_, entry.range_m);
-  ++size_;
-  touch_reached_zones(entry);
+  insert_run({&entry.id, 1}, entry.location, entry.range_m);
+}
+
+void SpatialIndex::insert_run(std::span<const std::uint64_t> ids,
+                              Position location, double range_m) {
+  if (ids.empty()) return;
+  Zone& zone = zones_[zone_key(location, zone_size_m_)];
+  // No reserve: an exact fit per run would defeat the vector's geometric
+  // growth across the many runs a zone takes.
+  for (const std::uint64_t id : ids) {
+    zone.entries.push_back(SiteEntry{id, location, range_m});
+  }
+  zone.max_range_m = std::max(zone.max_range_m, range_m);
+  max_range_m_ = std::max(max_range_m_, range_m);
+  size_ += ids.size();
+  touch_reached_zones(location, range_m, ids.size());
 }
 
 bool SpatialIndex::erase(std::uint64_t id, Position location) {
@@ -56,17 +66,16 @@ bool SpatialIndex::erase(std::uint64_t id, Position location) {
     entries.pop_back();
     if (entries.empty()) zones_.erase(zit);
     --size_;
-    touch_reached_zones(gone);
+    touch_reached_zones(gone.location, gone.range_m, 1);
     return true;
   }
   return false;
 }
 
-void SpatialIndex::touch_reached_zones(const SiteEntry& entry) {
+void SpatialIndex::touch_reached_zones(Position p, double r,
+                                       std::uint64_t changes) {
   // The entry's bounding box, widened by one zone on every side so that
   // rounding in axis_zone can never drop a zone the exact test accepts.
-  const Position p = entry.location;
-  const double r = entry.range_m;
   const std::int32_t zx0 = axis_zone(p.x_m - r, zone_size_m_) - 1;
   const std::int32_t zx1 = axis_zone(p.x_m + r, zone_size_m_) + 1;
   const std::int32_t zy0 = axis_zone(p.y_m - r, zone_size_m_) - 1;
@@ -80,7 +89,7 @@ void SpatialIndex::touch_reached_zones(const SiteEntry& entry) {
         continue;
       }
       Membership& m = membership_[zone_key_of(zx, zy)];
-      ++m.version;
+      m.version += changes;
       m.members.reset();
     }
   }

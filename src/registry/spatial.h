@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -59,6 +60,12 @@ class SpatialIndex {
   explicit SpatialIndex(double zone_size_m = 50'000.0);
 
   void insert(const SiteEntry& entry);
+  // Index a run of entries that share one location and one reach, in id
+  // order: one zone lookup and one pass over the reached zones, each of
+  // whose versions moves by ids.size(). Same entries, zone order,
+  // versions and memo drops as inserting them one at a time.
+  void insert_run(std::span<const std::uint64_t> ids, Position location,
+                  double range_m);
   // Erase by id; `location` routes the lookup to the owning zone.
   // Returns false when no such entry is indexed there.
   bool erase(std::uint64_t id, Position location);
@@ -98,11 +105,11 @@ class SpatialIndex {
     std::vector<SiteEntry> entries;
   };
 
-  // Bump the version and drop the memo of every zone whose square
-  // `entry`'s reach touches — for_each_touching_zone's predicate seen
-  // from the entry's side. max_range_m_ only bounds that scan, so it
-  // never invalidates anything.
-  void touch_reached_zones(const SiteEntry& entry);
+  // Add `changes` to the version and drop the memo of every zone whose
+  // square a reach of `r` from `p` touches — for_each_touching_zone's
+  // predicate seen from the entry's side. max_range_m_ only bounds that
+  // scan, so it never invalidates anything.
+  void touch_reached_zones(Position p, double r, std::uint64_t changes);
 
   struct Membership {
     std::uint64_t version{0};

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
+#include <optional>
 
 #include "common/bytes.h"
 #include "phy/propagation.h"
@@ -106,6 +107,12 @@ std::uint64_t Registry::zone_version(Position location) const {
 }
 
 Result<SpectrumGrant> Registry::grant_now(const GrantRequest& request) {
+  Result<SpectrumGrant> g = issue_lease(request);
+  if (g) index_.insert({g->id.value(), g->location, cached_range_m(*g)});
+  return g;
+}
+
+Result<SpectrumGrant> Registry::issue_lease(const GrantRequest& request) {
   if (request.operator_contact.empty()) {
     obs::inc(m_grant_failures_);
     return fail("grant requires an operator contact for recourse");
@@ -125,13 +132,13 @@ Result<SpectrumGrant> Registry::grant_now(const GrantRequest& request) {
   g.secondary_use = request.secondary_use;
   g.coordination_node = request.coordination_node;
   if (!lifetime_.is_zero()) g.expires_at = sim_.now() + lifetime_;
-  const std::size_t slot = grants_.size();
-  assert(slot < kNil && "expiry list indexes slots in 32 bits");
-  slot_of_[g.id.value()] = slot;
+  const auto slot = static_cast<std::uint32_t>(grants_.size());
+  assert(grants_.size() < kNil && "slots are indexed in 32 bits");
+  assert(slot_of_.size() == g.id.value() && "the id table stays dense");
+  slot_of_.push_back(slot);
   grants_.push_back(g);
   due_.emplace_back();
-  if (g.expires_at.ns() != 0) link_due(static_cast<std::uint32_t>(slot));
-  index_.insert({g.id.value(), g.location, cached_range_m(g)});
+  if (g.expires_at.ns() != 0) link_due(slot);
   obs::inc(m_grants_issued_);
   obs::set(m_active_grants_, static_cast<double>(grants_.size()));
   return g;
@@ -141,11 +148,11 @@ void Registry::erase_slot(std::size_t slot) {
   SpectrumGrant& g = grants_[slot];
   if (g.expires_at.ns() != 0) unlink_due(static_cast<std::uint32_t>(slot));
   index_.erase(g.id.value(), g.location);
-  slot_of_.erase(g.id.value());
+  slot_of_[g.id.value()] = kNil;
   const std::size_t last = grants_.size() - 1;
   if (slot != last) {
     grants_[slot] = std::move(grants_[last]);
-    slot_of_[grants_[slot].id.value()] = slot;
+    slot_of_[grants_[slot].id.value()] = static_cast<std::uint32_t>(slot);
     // The moved lease keeps its place in expiry order: repoint its
     // neighbours (or the ends) at the new slot. Its old neighbour may
     // have been `slot` itself, but that link went with the unlink above.
@@ -183,46 +190,78 @@ void Registry::set_tracer(obs::SpanTracer* tracer,
   span_cat_ = prefix + "registry";
 }
 
-HeartbeatOutcome Registry::heartbeat_outcome(GrantId id) {
-  const HeartbeatOutcome outcome = [&] {
-    if (outage_ == RegistryOutage::kOffline) {
-      return HeartbeatOutcome::kUnreachable;
+HeartbeatBatchOutcome Registry::heartbeat_batch(
+    std::span<const std::uint64_t> ids) {
+  // The whole batch runs at one instant with no event inside it, so the
+  // outage cannot change under it, and after the first prune nothing is
+  // due: a renewal's new expiry (plus grace) lies at or after now.
+  const bool offline = outage_ == RegistryOutage::kOffline;
+  if (!offline) prune_expired();
+  // Reachability of the last location resolved: a block's leases share
+  // one, so its zone is looked up once per run of them.
+  std::optional<std::pair<Position, bool>> last_reach;
+  const auto renew = [&](std::uint64_t id) {
+    if (offline) return HeartbeatOutcome::kUnreachable;
+    const std::uint32_t slot = slot_of(id);
+    if (slot == kNil) return HeartbeatOutcome::kLapsed;
+    SpectrumGrant& g = grants_[slot];
+    if (!last_reach || last_reach->first != g.location) {
+      last_reach.emplace(g.location, reachable_for(g.location));
     }
-    prune_expired();
-    const auto it = slot_of_.find(id.value());
-    if (it == slot_of_.end()) return HeartbeatOutcome::kLapsed;
-    SpectrumGrant& g = grants_[it->second];
     // A federated registrar renews its own zone's leases: a heartbeat
     // into an offline zone fails like any other request there. The
     // lease itself keeps aging — if the zone comes back inside the
     // grace window, the next heartbeat fully renews it.
-    if (!reachable_for(g.location)) return HeartbeatOutcome::kUnreachable;
+    if (!last_reach->second) return HeartbeatOutcome::kUnreachable;
     if (!lifetime_.is_zero()) {
       // Move the lease to its new place in expiry order. A grant issued
       // perpetual and renewed after a lifetime was set is linked here for
       // the first time, so it lapses like any leased grant.
-      const auto slot = static_cast<std::uint32_t>(it->second);
       if (g.expires_at.ns() != 0) unlink_due(slot);
       g.expires_at = sim_.now() + lifetime_;
       link_due(slot);
     }
     g.degraded = false;
     return HeartbeatOutcome::kRenewed;
-  }();
-  obs::inc(outcome == HeartbeatOutcome::kRenewed ? m_hb_ok_ : m_hb_failed_);
-  // Zero-duration marker: heartbeats are instantaneous in the model, but
-  // their cadence and failures belong in the trace.
-  const obs::SpanId span =
-      obs::span_begin(tracer_, "registry_heartbeat", span_cat_);
-  obs::span_annotate(tracer_, span, "grant",
-                     [&] { return std::to_string(id.value()); });
-  obs::span_annotate(tracer_, span, "result",
-                     outcome == HeartbeatOutcome::kRenewed ? "renewed"
-                     : outcome == HeartbeatOutcome::kUnreachable
-                         ? "registry unreachable"
-                         : "grant lapsed or unknown: re-apply");
-  obs::span_end(tracer_, span);
-  return outcome;
+  };
+  HeartbeatBatchOutcome out;
+  for (const std::uint64_t id : ids) {
+    const HeartbeatOutcome outcome = renew(id);
+    switch (outcome) {
+      case HeartbeatOutcome::kRenewed:
+        ++out.renewed;
+        break;
+      case HeartbeatOutcome::kUnreachable:
+        ++out.unreachable;
+        break;
+      case HeartbeatOutcome::kLapsed:
+        out.lapsed.push_back(id);
+        break;
+    }
+    // Zero-duration marker: heartbeats are instantaneous in the model,
+    // but their cadence and failures belong in the trace.
+    const obs::SpanId span =
+        obs::span_begin(tracer_, "registry_heartbeat", span_cat_);
+    obs::span_annotate(tracer_, span, "grant",
+                       [&] { return std::to_string(id); });
+    obs::span_annotate(tracer_, span, "result",
+                       outcome == HeartbeatOutcome::kRenewed ? "renewed"
+                       : outcome == HeartbeatOutcome::kUnreachable
+                           ? "registry unreachable"
+                           : "grant lapsed or unknown: re-apply");
+    obs::span_end(tracer_, span);
+  }
+  obs::inc(m_hb_ok_, out.renewed);
+  obs::inc(m_hb_failed_, out.unreachable + out.lapsed.size());
+  return out;
+}
+
+HeartbeatOutcome Registry::heartbeat_outcome(GrantId id) {
+  const std::uint64_t raw = id.value();
+  const HeartbeatBatchOutcome beat = heartbeat_batch({&raw, 1});
+  if (beat.renewed != 0) return HeartbeatOutcome::kRenewed;
+  return beat.unreachable != 0 ? HeartbeatOutcome::kUnreachable
+                               : HeartbeatOutcome::kLapsed;
 }
 
 void Registry::prune_expired() {
@@ -243,7 +282,7 @@ void Registry::prune_expired() {
     lapsing.emplace_back(due_of(slot), grants_[slot].id.value());
   }
   std::sort(lapsing.begin(), lapsing.end());
-  for (const auto& lapse : lapsing) erase_slot(slot_of_.at(lapse.second));
+  for (const auto& lapse : lapsing) erase_slot(slot_of_[lapse.second]);
   lapsed_ += lapsing.size();
   obs::inc(m_grants_lapsed_, lapsing.size());
   obs::set(m_active_grants_, static_cast<double>(grants_.size()));
@@ -386,9 +425,19 @@ void Registry::dispatch_grants(GrantBatch batch) {
       reachable ? registry_latency(kind_).commit : kFailureTimeout,
       [this, reachable, batch = std::move(batch)]() mutable {
         batch.results.reserve(batch.count);
+        std::vector<std::uint64_t> granted;
         for (std::uint32_t i = 0; i < batch.count; ++i) {
-          settle_lease(batch, reachable ? grant_now(batch.request)
-                                        : fail("registry unreachable"));
+          Result<SpectrumGrant> lease = reachable
+                                            ? issue_lease(batch.request)
+                                            : fail("registry unreachable");
+          if (lease) granted.push_back(lease->id.value());
+          settle_lease(batch, std::move(lease));
+        }
+        // The batch's leases share the request's location and reach, and
+        // nothing reads the index between them: index them as one run.
+        if (!granted.empty()) {
+          index_.insert_run(granted, batch.request.location,
+                            cached_range_m(*batch.results.front()));
         }
         batch.callback(std::move(batch.results));
       },
@@ -412,7 +461,7 @@ std::vector<SpectrumGrant> Registry::grants_near(Position location) const {
   const TimePoint now = sim_.now();
   std::vector<SpectrumGrant> out;
   index_.for_each_reaching(location, [&](const registry::SiteEntry& entry) {
-    out.push_back(grants_[slot_of_.at(entry.id)]);
+    out.push_back(grants_[slot_of_[entry.id]]);
     out.back().degraded = degraded_now(out.back(), now);
   });
   // Zone visit order is an index detail; GrantId order is the canonical
@@ -492,9 +541,9 @@ void Registry::query_region(Position location, QueryCallback callback) {
 }
 
 void Registry::revoke(GrantId id) {
-  const auto it = slot_of_.find(id.value());
-  if (it == slot_of_.end()) return;
-  erase_slot(it->second);
+  const std::uint32_t slot = slot_of(id.value());
+  if (slot == kNil) return;
+  erase_slot(slot);
   obs::set(m_active_grants_, static_cast<double>(grants_.size()));
 }
 

@@ -19,6 +19,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -55,6 +56,15 @@ enum class RegistryOutage { kNone, kOffline, kCommitStall };
 // re-applies only on kLapsed) branch on this, never on error-message
 // text.
 enum class HeartbeatOutcome { kRenewed, kUnreachable, kLapsed };
+
+// What a batch of heartbeats came to: how many leases were renewed, how
+// many found the registry (or their zone) unreachable, and which ids are
+// gone, in batch order (a duplicate id counts once per occurrence).
+struct HeartbeatBatchOutcome {
+  std::size_t renewed{0};
+  std::size_t unreachable{0};
+  std::vector<std::uint64_t> lapsed;
+};
 
 struct SpectrumGrant {
   GrantId id;
@@ -151,16 +161,26 @@ class Registry {
   // AP cannot haunt its neighbours' contention domains (§7's ecosystem-
   // health concern). A perpetual grant renewed after this call takes a
   // lease too. Zero restores perpetual grants (the default); renewals
-  // then leave a lease's expiry where it is.
+  // then leave a lease's expiry where it is. Never negative.
   void set_grant_lifetime(Duration lifetime) { lifetime_ = lifetime; }
   [[nodiscard]] Duration grant_lifetime() const { return lifetime_; }
-  // Renews a lease; the outcome says whether it was renewed, the registry
-  // (or the grant's zone) was unreachable, or the grant is gone.
+  // Renews a batch of leases at one instant, in order, exactly as that
+  // many heartbeat_outcome calls would: same outcomes, counters, expiry
+  // order and one "registry_heartbeat" marker per id. The outage check
+  // and the prune run once per batch (the first prune leaves nothing due
+  // before a renewed lease), and reachability once per run of ids whose
+  // grants share a location, as a block's leases do.
+  [[nodiscard]] HeartbeatBatchOutcome heartbeat_batch(
+      std::span<const std::uint64_t> ids);
+  // A batch of one: renews a lease; the outcome says whether it was
+  // renewed, the registry (or the grant's zone) was unreachable, or the
+  // grant is gone.
   [[nodiscard]] HeartbeatOutcome heartbeat_outcome(GrantId id);
   // Grace period past lease expiry before a grant actually lapses. While
   // in grace the grant is listed as `degraded`; a heartbeat inside the
   // window fully renews it. This is what lets an AP survive a registry
-  // outage shorter than the grace without losing its license.
+  // outage shorter than the grace without losing its license. Never
+  // negative.
   void set_heartbeat_grace(Duration grace) { grace_ = grace; }
   [[nodiscard]] Duration heartbeat_grace() const { return grace_; }
   // Drop lapsed grants now (also happens lazily inside queries).
@@ -240,7 +260,7 @@ class Registry {
   // Causal tracing: a grant request opens one "registry_grant" span per
   // lease that covers request → callback (a commit-stalled lease keeps its
   // span open across the whole stall), query_region a "registry_query"
-  // span, heartbeat_outcome a zero-duration "registry_heartbeat" marker.
+  // span, each heartbeat a zero-duration "registry_heartbeat" marker.
   // Category is `<prefix>registry`. Null-safe.
   void set_tracer(obs::SpanTracer* tracer, const std::string& prefix = "");
 
@@ -285,6 +305,10 @@ class Registry {
   void dispatch_grants(GrantBatch batch);
   // Records the next lease's result and closes its span.
   void settle_lease(GrantBatch& batch, Result<SpectrumGrant> result);
+  // Validates the request and issues one lease: id, slot, expiry-list
+  // place and metrics, but no index entry — grant_now indexes its lease,
+  // a healthy batch commit indexes its whole run at once.
+  [[nodiscard]] Result<SpectrumGrant> issue_lease(const GrantRequest& request);
   // The stalled_commits gauge counts leases, not batches.
   void publish_stalled_leases();
   // interference_range_m memoized per (center frequency, EIRP): the
@@ -316,8 +340,18 @@ class Registry {
   Duration lifetime_{};  // Zero: perpetual grants.
   Duration grace_{};     // Zero: no grace — lapse exactly at expiry.
   std::vector<SpectrumGrant> grants_;
-  // GrantId → slot in grants_; maintained by grant_now / erase_slot.
-  std::unordered_map<std::uint64_t, std::size_t> slot_of_;
+  static constexpr std::uint32_t kNil =
+      std::numeric_limits<std::uint32_t>::max();
+  // GrantId → slot in grants_, kNil once the grant is gone; maintained by
+  // issue_lease / erase_slot. Ids run from 1 upward and are never reused,
+  // so the table is dense, indexed by id (entry 0 is never issued). It
+  // costs 4 B per id ever issued, live or not.
+  std::vector<std::uint32_t> slot_of_{kNil};
+  // Ids arrive off the wire: a lookup bounds-checks, and never grows the
+  // table.
+  [[nodiscard]] std::uint32_t slot_of(std::uint64_t id) const {
+    return id < slot_of_.size() ? slot_of_[id] : kNil;
+  }
   // Zone-bucketed spatial index over the same grants (DESIGN.md §16).
   registry::SpatialIndex index_{kZoneSizeM};
   mutable std::map<std::pair<std::int64_t, std::int64_t>, double>
@@ -330,8 +364,6 @@ class Registry {
   // moves its lease to the tail in O(1) (the scan back from the tail
   // stops at once while the lifetime is constant), and a prune that
   // lapses nothing is one head check; mass expiry walks only the dead.
-  static constexpr std::uint32_t kNil =
-      std::numeric_limits<std::uint32_t>::max();
   struct DueLink {
     std::uint32_t prev{kNil};
     std::uint32_t next{kNil};

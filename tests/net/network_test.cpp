@@ -228,8 +228,6 @@ TEST(Network, RemoteNodeHandsDeliveredPacketsToEgress) {
     at = f.sim.now();
     EXPECT_EQ(p.protocol, 7);  // Payload tag survives the hand-off.
   });
-  EXPECT_TRUE(f.net.is_remote(xg));
-  EXPECT_FALSE(f.net.is_remote(a));
   f.net.add_link(a, xg, LinkConfig{DataRate::mbps(100.0),
                                    Duration::millis(3)});
   f.net.send(Packet{a, xg, 0, 7, {}});

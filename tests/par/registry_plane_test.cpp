@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <random>
@@ -213,6 +214,15 @@ ProbePost heartbeat_batch(std::uint32_t count, std::uint32_t ids_written) {
   return {workload::kLeaseHeartbeatBatch, w.take()};
 }
 
+// A whole heartbeat batch of the given ids.
+ProbePost heartbeat_ids(const std::vector<std::uint64_t>& ids) {
+  ByteWriter w;
+  w.u32(0);
+  w.u32(static_cast<std::uint32_t>(ids.size()));
+  for (const std::uint64_t id : ids) w.u64(id);
+  return {workload::kLeaseHeartbeatBatch, w.take()};
+}
+
 ProbePost lease_query() {
   const double zs = spectrum::Registry::kZoneSizeM;
   ByteWriter w;
@@ -269,9 +279,21 @@ TEST(RegistryPlaneTest, MalformedRequestsNeverServeOrThrow) {
   // flipped one may be served as whatever it now says, but must not
   // throw, and if it goes unanswered it must have changed nothing.
   const ProbeOutcome control = probe(std::nullopt);
+  // Ids never issued, the next one included (ids are consumed only by
+  // grants): each is refused as lapsed, and none may grow the registry's
+  // dense id table.
+  const ProbePost unissued = heartbeat_ids(
+      {0, control.counter("grants_issued") + 1,
+       std::numeric_limits<std::uint64_t>::max()});
+  ProbeOutcome refused;
+  ASSERT_NO_THROW(refused = probe(unissued));
+  EXPECT_EQ(refused.replies, 1);
+  ProbeOutcome expected = control;
+  expected.counters["reg.registry.heartbeats_failed"] += 3;
+  EXPECT_EQ(refused.counters, expected.counters);
   std::mt19937_64 rng{17};
   for (const ProbePost& valid :
-       {grant_batch(0, 2), heartbeat_batch(3, 3), lease_query()}) {
+       {grant_batch(0, 2), heartbeat_batch(3, 3), lease_query(), unissued}) {
     SCOPED_TRACE("kind " + std::to_string(valid.kind));
     ASSERT_EQ(probe(valid).replies, 1);
     for (std::size_t len = 0; len < valid.payload.size(); ++len) {

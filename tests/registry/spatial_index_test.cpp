@@ -241,5 +241,67 @@ TEST(SpatialIndex, VisitOrderIsDeterministic) {
   EXPECT_EQ(seq_a, seq_b);
 }
 
+TEST(SpatialIndex, InsertRunMatchesOneInsertPerId) {
+  // A run of n ids at one location and reach against n single inserts,
+  // over seeded histories of runs and erases: every observed zone must
+  // have the same version and members, and every probe the same visit
+  // order, entry by entry.
+  constexpr std::int32_t kLo = -3;
+  constexpr std::int32_t kHi = 2;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    sim::RngStream rng{seed};
+    SpatialIndex runs{kZone};
+    SpatialIndex singles{kZone};
+    std::vector<SiteEntry> live;
+    std::uint64_t next_id = 1;
+    const auto visits = [](const SpatialIndex& index, Position at) {
+      std::vector<std::uint64_t> ids;
+      index.for_each_reaching(at,
+                              [&](const SiteEntry& e) { ids.push_back(e.id); });
+      return ids;
+    };
+    for (int step = 0; step < 120; ++step) {
+      if (live.empty() || rng.uniform_int(0, 3) != 0) {
+        const Position at{rng.uniform(-2.0 * kZone, 2.0 * kZone),
+                          rng.uniform(-2.0 * kZone, 2.0 * kZone)};
+        const double range = rng.uniform_int(0, 3) == 0
+                                 ? rng.uniform(30'000.0, 120'000.0)
+                                 : rng.uniform(500.0, 8'000.0);
+        std::vector<std::uint64_t> ids(rng.uniform_int(1, 8));
+        for (std::uint64_t& id : ids) {
+          id = next_id++;
+          singles.insert(site(id, at.x_m, at.y_m, range));
+          live.push_back(site(id, at.x_m, at.y_m, range));
+        }
+        runs.insert_run(ids, at, range);
+      } else {
+        const std::size_t i = rng.uniform_int(0, live.size() - 1);
+        const SiteEntry gone = live[i];
+        live[i] = live.back();
+        live.pop_back();
+        ASSERT_TRUE(runs.erase(gone.id, gone.location));
+        ASSERT_TRUE(singles.erase(gone.id, gone.location));
+      }
+      ASSERT_EQ(runs.size(), singles.size());
+      ASSERT_EQ(runs.max_range_m(), singles.max_range_m());
+      for (std::int32_t zx = kLo; zx <= kHi; ++zx) {
+        for (std::int32_t zy = kLo; zy <= kHi; ++zy) {
+          SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                       std::to_string(step) + " zone " + std::to_string(zx) +
+                       "," + std::to_string(zy));
+          const std::int64_t zone = zone_key_of(zx, zy);
+          EXPECT_EQ(runs.zone_version(zone), singles.zone_version(zone));
+          EXPECT_EQ(*runs.zone_members(zone), *singles.zone_members(zone));
+          const Position centre{(zx + 0.5) * kZone, (zy + 0.5) * kZone};
+          EXPECT_EQ(visits(runs, centre), visits(singles, centre));
+        }
+      }
+      for (const SiteEntry& e : live) {
+        ASSERT_EQ(visits(runs, e.location), visits(singles, e.location));
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dlte::registry

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
@@ -31,6 +32,30 @@ GrantRequest band5_request(std::uint32_t ap, Position pos,
   r.operator_contact = "op" + std::to_string(ap) + "@example.net";
   r.coordination_node = NodeId{ap};
   return r;
+}
+
+// Adds one heartbeat's outcome to `out` the way heartbeat_batch counts
+// it, so the outcomes of single heartbeats can be compared with a batch.
+void tally(HeartbeatBatchOutcome& out, std::uint64_t id,
+           HeartbeatOutcome outcome) {
+  switch (outcome) {
+    case HeartbeatOutcome::kRenewed:
+      ++out.renewed;
+      break;
+    case HeartbeatOutcome::kUnreachable:
+      ++out.unreachable;
+      break;
+    case HeartbeatOutcome::kLapsed:
+      out.lapsed.push_back(id);
+      break;
+  }
+}
+
+void expect_same_outcome(const HeartbeatBatchOutcome& got,
+                         const HeartbeatBatchOutcome& want) {
+  EXPECT_EQ(got.renewed, want.renewed);
+  EXPECT_EQ(got.unreachable, want.unreachable);
+  EXPECT_EQ(got.lapsed, want.lapsed);
 }
 
 TEST(Registry, OpenAdmission) {
@@ -336,6 +361,38 @@ TEST(Registry, MassExpiryPrunesOnlyTheDead) {
   }
 }
 
+TEST(Registry, HeartbeatForAnUnissuedIdNeverGrowsTheIdTable) {
+  // GrantId → slot is a dense table indexed by id, and heartbeat ids come
+  // off the wire: an id never issued is lapsed, whatever its size, and
+  // its lookup must not grow the table. A grown table would take an
+  // absurd allocation for UINT64_MAX, and for the next id it would put
+  // that id's slot out of place once it is issued.
+  sim::Simulator sim;
+  Registry reg{sim, RegistryKind::kCentralizedSas};
+  reg.set_grant_lifetime(Duration::seconds(60.0));
+  auto g = reg.grant_now(band5_request(1, Position{}));
+  ASSERT_TRUE(g.ok());
+  const std::uint64_t next = g->id.value() + 1;
+  const std::vector<std::uint64_t> unissued{
+      0, next, std::numeric_limits<std::uint64_t>::max()};
+  for (const std::uint64_t id : unissued) {
+    EXPECT_EQ(reg.heartbeat_outcome(GrantId{id}), HeartbeatOutcome::kLapsed)
+        << id;
+    reg.revoke(GrantId{id});
+  }
+  HeartbeatBatchOutcome all_lapsed;
+  all_lapsed.lapsed = unissued;
+  expect_same_outcome(reg.heartbeat_batch(unissued), all_lapsed);
+  EXPECT_EQ(reg.grant_count(), 1u);
+
+  auto h = reg.grant_now(band5_request(2, Position{100.0, 0.0}));
+  ASSERT_TRUE(h.ok());
+  ASSERT_EQ(h->id.value(), next);
+  EXPECT_EQ(reg.heartbeat_outcome(h->id), HeartbeatOutcome::kRenewed);
+  EXPECT_EQ(reg.heartbeat_outcome(g->id), HeartbeatOutcome::kRenewed);
+  EXPECT_EQ(reg.grants_near(Position{}).size(), 2u);
+}
+
 TEST(Registry, CountGrantsNearMatchesQuery) {
   sim::Simulator sim;
   Registry reg{sim, RegistryKind::kCentralizedSas};
@@ -568,9 +625,11 @@ TEST(RegistryExpiryList, SwappedInNeighbourKeepsItsPlace) {
 // Seeded reference model: random sequences of grants, heartbeats,
 // revokes, clock steps, lifetime changes (shrinks included) and grace
 // changes, with one federated zone going on and offline, checked after
-// every step against an O(n) scan over a plain map. The registry prunes
-// inside heartbeat_outcome and grants_near; the model prunes at exactly
-// those points, so grace changes lapse the same grants in both.
+// every step against an O(n) scan over a plain map. Heartbeats go one at
+// a time or as a batch of up to six ids (duplicates allowed). The
+// registry prunes inside each heartbeat call and grants_near; the model
+// prunes at exactly those points, so grace changes lapse the same grants
+// in both.
 class RegistryModel {
  public:
   explicit RegistryModel(std::uint64_t seed) : rng_(seed) {}
@@ -618,6 +677,19 @@ class RegistryModel {
   }
   // Any id ever issued (live, lapsed or revoked), or one never issued.
   GrantId any_id() { return GrantId{1 + pick(next_id_)}; }
+  // The model's heartbeat on a pruned model: renews a live lease outside
+  // the offline zone.
+  HeartbeatOutcome model_heartbeat(std::uint64_t id) {
+    const auto it = live_.find(id);
+    if (it == live_.end()) return HeartbeatOutcome::kLapsed;
+    if (in_offline_zone(it->second.location)) {
+      return HeartbeatOutcome::kUnreachable;
+    }
+    if (!lifetime_.is_zero()) {
+      it->second.expires_ns = (sim_.now() + lifetime_).ns();
+    }
+    return HeartbeatOutcome::kRenewed;
+  }
 
   void act() {
     const std::uint64_t op = pick(100);
@@ -633,20 +705,20 @@ class RegistryModel {
       ++next_id_;
       live_[g->id.value()] =
           Lease{at, lifetime_.is_zero() ? 0 : (sim_.now() + lifetime_).ns()};
-    } else if (op < 60) {
+    } else if (op < 45) {
       const GrantId id = any_id();
       const HeartbeatOutcome got = reg_.heartbeat_outcome(id);
       model_prune();
-      HeartbeatOutcome want = HeartbeatOutcome::kRenewed;
-      const auto it = live_.find(id.value());
-      if (it == live_.end()) {
-        want = HeartbeatOutcome::kLapsed;
-      } else if (in_offline_zone(it->second.location)) {
-        want = HeartbeatOutcome::kUnreachable;
-      } else if (!lifetime_.is_zero()) {
-        it->second.expires_ns = (sim_.now() + lifetime_).ns();
-      }
-      ASSERT_EQ(got, want) << "heartbeat " << id.value();
+      ASSERT_EQ(got, model_heartbeat(id.value())) << "heartbeat "
+                                                  << id.value();
+    } else if (op < 60) {
+      std::vector<std::uint64_t> ids(1 + pick(6));
+      for (std::uint64_t& id : ids) id = any_id().value();
+      const HeartbeatBatchOutcome got = reg_.heartbeat_batch(ids);
+      model_prune();
+      HeartbeatBatchOutcome want;
+      for (const std::uint64_t id : ids) tally(want, id, model_heartbeat(id));
+      expect_same_outcome(got, want);
     } else if (op < 66) {
       const GrantId id = any_id();
       reg_.revoke(id);
@@ -788,10 +860,9 @@ std::string metrics_json(const GrantTwin& twin) {
   return obs::MetricsSnapshot{twin.metrics}.to_json();
 }
 
-std::string spans_text(const GrantTwin& twin) {
+std::string spans_text(const obs::SpanTracer& tracer) {
   std::string out;
-  if (twin.tracer == nullptr) return out;
-  for (const obs::Span& span : twin.tracer->spans()) {
+  for (const obs::Span& span : tracer.spans()) {
     out += span.name + "|" + span.category + "|" +
            std::to_string(span.start.ns()) + "|" +
            std::to_string(span.end.ns()) + (span.open ? "|open" : "|closed");
@@ -799,6 +870,10 @@ std::string spans_text(const GrantTwin& twin) {
     out += "\n";
   }
   return out;
+}
+
+std::string spans_text(const GrantTwin& twin) {
+  return twin.tracer == nullptr ? std::string{} : spans_text(*twin.tracer);
 }
 
 // How many lines of a spans_text dump contain `needle`.
@@ -992,6 +1067,195 @@ TEST(RegistryGrantBatch, CappedBlockSplitsAChainBackedBatch) {
   EXPECT_EQ(grant_records(t.batch), grant_records(t.per_lease));
   EXPECT_EQ(t.batch.chain->block_count(), 3u);  // Genesis + two seals.
   EXPECT_EQ(t.batch.chain->block_count(), t.per_lease.chain->block_count());
+}
+
+
+// heartbeat_batch against the same ids sent one by one through
+// heartbeat_outcome: two twin federated registries hold the same leases,
+// one takes each batch whole and the other id by id, and they must agree
+// on the outcomes, every registry metric, the traced registry_heartbeat
+// markers and which leases lapse when afterwards.
+struct HeartbeatTwin {
+  HeartbeatTwin() {
+    reg.set_metrics(&metrics, "reg.");
+    reg.set_tracer(&tracer);
+    reg.set_grant_lifetime(Duration::seconds(60.0));
+    reg.set_heartbeat_grace(Duration::seconds(10.0));
+  }
+  // Steps the clock, prunes and lists the live ids, ascending.
+  std::vector<std::uint64_t> alive(TimePoint t) {
+    sim.run_until(t);
+    reg.prune_expired();
+    std::vector<std::uint64_t> out;
+    for (const SpectrumGrant& g : reg.grants()) out.push_back(g.id.value());
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  sim::Simulator sim;
+  obs::MetricsRegistry metrics;
+  Registry reg{sim, RegistryKind::kFederated};
+  obs::SpanTracer tracer{[this] { return sim.now(); }};
+};
+
+// Two blocks of three leases, one in each of two federated zones
+// (ids 1–3 west, 4–6 east), and one more west lease on a second site
+// (id 7), all granted at t = 0.
+const Position kWest{1'000.0, 1'000.0};
+const Position kWestSite{2'000.0, 1'000.0};
+const Position kEast{Registry::kZoneSizeM + 1'000.0, 1'000.0};
+
+struct HeartbeatTwins {
+  HeartbeatTwins() {
+    both([](HeartbeatTwin& twin) {
+      for (const Position at : {kWest, kWest, kWest, kEast, kEast, kEast,
+                                kWestSite}) {
+        ASSERT_TRUE(twin.reg.grant_now(band5_request(1, at)).ok());
+      }
+    });
+  }
+  void both(const std::function<void(HeartbeatTwin&)>& step) {
+    step(batch);
+    step(single);
+  }
+  void at(double t_s) {
+    both([t_s](HeartbeatTwin& twin) {
+      twin.sim.run_until(TimePoint{} + Duration::seconds(t_s));
+    });
+  }
+  // One heartbeat_batch on one twin, the same ids one at a time on the
+  // other; returns the batch's outcome.
+  HeartbeatBatchOutcome beat(const std::vector<std::uint64_t>& ids) {
+    const std::size_t spans_before = batch.tracer.spans().size();
+    const HeartbeatBatchOutcome got = batch.reg.heartbeat_batch(ids);
+    HeartbeatBatchOutcome want;
+    for (const std::uint64_t id : ids) {
+      tally(want, id, single.reg.heartbeat_outcome(GrantId{id}));
+    }
+    expect_same_outcome(got, want);
+    EXPECT_EQ(obs::MetricsSnapshot{batch.metrics}.to_json(),
+              obs::MetricsSnapshot{single.metrics}.to_json());
+    EXPECT_EQ(batch.reg.grants_lapsed(), single.reg.grants_lapsed());
+    EXPECT_EQ(spans_text(batch.tracer), spans_text(single.tracer));
+    // One marker per id, in batch order.
+    const auto& spans = batch.tracer.spans();
+    EXPECT_EQ(spans.size() - spans_before, ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const obs::Span& span = spans[spans_before + i];
+      EXPECT_EQ(span.name, "registry_heartbeat");
+      EXPECT_EQ(span.annotations.size(), 2u);
+      if (span.annotations.empty()) continue;
+      EXPECT_EQ(span.annotations.front().key, "grant");
+      EXPECT_EQ(span.annotations.front().value, std::to_string(ids[i]));
+    }
+    return got;
+  }
+  // Steps both twins a second at a time to `until_s`: the same leases
+  // must be live at every step, so they lapse in the same order.
+  void expect_same_lapses(double from_s, double until_s) {
+    for (double t = from_s; t <= until_s; t += 1.0) {
+      const TimePoint at = TimePoint{} + Duration::seconds(t);
+      ASSERT_EQ(batch.alive(at), single.alive(at)) << "t=" << t;
+    }
+    EXPECT_EQ(batch.reg.grants_lapsed(), single.reg.grants_lapsed());
+  }
+
+  HeartbeatTwin batch;
+  HeartbeatTwin single;
+};
+
+constexpr std::uint64_t kNeverIssued = 99;
+
+TEST(RegistryHeartbeatBatch, MixOfRenewedUnreachableAndLapsed) {
+  HeartbeatTwins t;
+  t.at(30.0);
+  (void)t.beat({1, 4});  // 1 and 4 now expire at 90 s, lapse after 100 s.
+  t.both([](HeartbeatTwin& twin) { twin.reg.revoke(GrantId{7}); });
+  t.at(75.0);  // 2, 3, 5 and 6 expired at 60 s and lapsed after 70 s.
+  t.both([](HeartbeatTwin& twin) {
+    twin.reg.set_zone_offline(Registry::zone_of(kEast), true);
+  });
+  const HeartbeatBatchOutcome out =
+      t.beat({1, 4, 2, 5, 7, 0, kNeverIssued,
+              std::numeric_limits<std::uint64_t>::max(), 4, 1});
+  EXPECT_EQ(out.renewed, 2u);      // 1, twice.
+  EXPECT_EQ(out.unreachable, 2u);  // 4 in the offline east zone, twice.
+  EXPECT_EQ(out.lapsed,
+            (std::vector<std::uint64_t>{
+                2, 5, 7, 0, kNeverIssued,
+                std::numeric_limits<std::uint64_t>::max()}));
+  // 4 keeps aging through the outage and lapses after 100 s; 1, renewed
+  // at 75 s, after 145 s.
+  t.expect_same_lapses(76.0, 150.0);
+  EXPECT_EQ(t.batch.reg.grant_count(), 0u);
+}
+
+TEST(RegistryHeartbeatBatch, DuplicateIdsActAsRepeatedHeartbeats) {
+  HeartbeatTwins t;
+  t.at(20.0);
+  (void)t.beat({1, 2});
+  t.at(40.0);
+  // 3 renews twice at one instant, 1 three times; 6 is renewed between
+  // its own duplicates; 99 lapses once per occurrence.
+  const HeartbeatBatchOutcome out =
+      t.beat({3, 1, 3, kNeverIssued, 1, 6, kNeverIssued, 1, 6});
+  EXPECT_EQ(out.renewed, 7u);
+  EXPECT_EQ(out.lapsed,
+            (std::vector<std::uint64_t>{kNeverIssued, kNeverIssued}));
+  t.expect_same_lapses(41.0, 120.0);
+}
+
+TEST(RegistryHeartbeatBatch, OfflineRegistryFailsTheWholeBatchUnpruned) {
+  HeartbeatTwins t;
+  t.at(30.0);
+  (void)t.beat({1, 2, 3});
+  t.at(75.0);  // 4–7 are past expiry and grace, but nothing pruned yet.
+  t.both([](HeartbeatTwin& twin) {
+    twin.reg.set_outage(RegistryOutage::kOffline);
+  });
+  const HeartbeatBatchOutcome out = t.beat({1, 4, kNeverIssued, 1});
+  EXPECT_EQ(out.unreachable, 4u);
+  EXPECT_TRUE(out.lapsed.empty());
+  // An offline registry does not prune: the dead leases are still held.
+  EXPECT_EQ(t.batch.reg.grants_lapsed(), 0u);
+  EXPECT_EQ(t.batch.reg.grant_count(), 7u);
+  t.both(
+      [](HeartbeatTwin& twin) { twin.reg.set_outage(RegistryOutage::kNone); });
+  const HeartbeatBatchOutcome healed = t.beat({1, 4, 2});
+  EXPECT_EQ(healed.renewed, 2u);
+  EXPECT_EQ(healed.lapsed, (std::vector<std::uint64_t>{4}));
+  t.expect_same_lapses(76.0, 150.0);
+}
+
+TEST(RegistryHeartbeatBatch, ZoneGoingOfflineBetweenBatches) {
+  HeartbeatTwins t;
+  // West and east ids alternate, so the batch's reachability changes
+  // from one lease to the next.
+  const std::vector<std::uint64_t> ids{1, 4, 2, 5, 7, 3, 6};
+  t.at(30.0);
+  EXPECT_EQ(t.beat(ids).renewed, ids.size());
+  t.both([](HeartbeatTwin& twin) {
+    twin.reg.set_zone_offline(Registry::zone_of(kEast), true);
+  });
+  t.at(50.0);
+  const HeartbeatBatchOutcome dark = t.beat(ids);
+  EXPECT_EQ(dark.renewed, 4u);
+  EXPECT_EQ(dark.unreachable, 3u);
+  // The east leases expired at 90 s; the zone heals inside their grace.
+  t.at(95.0);
+  t.both([](HeartbeatTwin& twin) {
+    twin.reg.set_zone_offline(Registry::zone_of(kEast), false);
+  });
+  EXPECT_EQ(t.beat(ids).renewed, ids.size());
+  t.at(96.0);
+  t.both([](HeartbeatTwin& twin) {
+    twin.reg.set_zone_offline(Registry::zone_of(kWest), true);
+  });
+  const HeartbeatBatchOutcome west_dark = t.beat(ids);
+  EXPECT_EQ(west_dark.renewed, 3u);
+  EXPECT_EQ(west_dark.unreachable, 4u);
+  t.expect_same_lapses(97.0, 180.0);
+  EXPECT_EQ(t.batch.reg.grants_lapsed(), ids.size());
 }
 
 }  // namespace
