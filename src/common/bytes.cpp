@@ -1,59 +1,44 @@
 #include "common/bytes.h"
 
-#include <bit>
-#include <cstring>
+#include <algorithm>
+#include <limits>
 
 namespace dlte {
 
-void ByteWriter::f64(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
+void ByteWriter::u64s(std::span<const std::uint64_t> vs) {
+  std::uint8_t* out = grow(8 * vs.size());
+  for (const std::uint64_t v : vs) {
+    detail::store_big_endian(out, v);
+    out += 8;
+  }
+}
+
+void ByteWriter::make_room(std::size_t n) {
+  buf_.reserve(std::max(2 * buf_.capacity(), buf_.size() + n));
 }
 
 void ByteWriter::str(const std::string& s) {
-  u16(static_cast<std::uint16_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
+  const std::uint16_t n = static_cast<std::uint16_t>(std::min<std::size_t>(
+      s.size(), std::numeric_limits<std::uint16_t>::max()));
+  u16(n);
+  buf_.insert(buf_.end(), s.begin(), s.begin() + n);
 }
 
-Result<std::uint8_t> ByteReader::u8() {
-  if (remaining() < 1) return fail("short buffer reading u8");
-  return data_[pos_++];
+Err<std::string> ByteReader::short_read(const char* what) {
+  return fail(what);
 }
 
-Result<std::uint16_t> ByteReader::u16() {
-  if (remaining() < 2) return fail("short buffer reading u16");
-  std::uint16_t v = static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(data_[pos_]) << 8) | data_[pos_ + 1]);
-  pos_ += 2;
-  return v;
-}
-
-Result<std::uint32_t> ByteReader::u32() {
-  if (remaining() < 4) return fail("short buffer reading u32");
-  std::uint32_t v = (static_cast<std::uint32_t>(data_[pos_]) << 24) |
-                    (static_cast<std::uint32_t>(data_[pos_ + 1]) << 16) |
-                    (static_cast<std::uint32_t>(data_[pos_ + 2]) << 8) |
-                    data_[pos_ + 3];
-  pos_ += 4;
-  return v;
-}
-
-Result<std::uint64_t> ByteReader::u64() {
-  auto hi = u32();
-  if (!hi) return Err{hi.error()};
-  auto lo = u32();
-  if (!lo) return Err{lo.error()};
-  return (static_cast<std::uint64_t>(*hi) << 32) | *lo;
-}
-
-Result<double> ByteReader::f64() {
-  auto bits = u64();
-  if (!bits) return Err{bits.error()};
-  double v;
-  std::memcpy(&v, &*bits, sizeof(v));
-  return v;
+bool ByteReader::u64s(std::size_t n, std::vector<std::uint64_t>& out) {
+  if (remaining() / 8 < n) return false;
+  const std::uint8_t* in = data_.data() + pos_;
+  const std::size_t at = out.size();
+  out.resize(at + n);
+  std::uint64_t* dst = out.data() + at;
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = detail::load_big_endian<std::uint64_t>(in + 8 * i);
+  }
+  pos_ += 8 * n;
+  return true;
 }
 
 Result<std::vector<std::uint8_t>> ByteReader::bytes(std::size_t n) {

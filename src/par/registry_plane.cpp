@@ -203,14 +203,16 @@ void RegistryPlaneScenario::handle_registry_message(const Message& m) {
           [this, reply_to = m.src, block = *block](
               std::vector<Result<spectrum::SpectrumGrant>> results) {
             std::vector<std::uint64_t> ids;
+            ids.reserve(results.size());
             for (const auto& grant : results) {
               if (grant) ids.push_back(grant->id.value());
             }
             ByteWriter w;
+            w.reserve(9 + 8 * ids.size());
             w.u32(block);
             w.u8(ids.empty() ? 0 : 1);
             w.u32(static_cast<std::uint32_t>(ids.size()));
-            for (const std::uint64_t id : ids) w.u64(id);
+            w.u64s(ids);
             runtime_.post(kRegistryEndpoint, reply_to, config_.registry_delay,
                           workload::kLeaseGrantReply, w.take());
           });
@@ -221,18 +223,19 @@ void RegistryPlaneScenario::handle_registry_message(const Message& m) {
       const auto count = r.u32();
       // The ids must fill the rest exactly: a truncated (or padded) batch
       // is rejected whole, never renewed in part.
-      if (!block || !count || r.remaining() != 8 * std::size_t{*count}) {
+      std::vector<std::uint64_t> ids;
+      if (!block || !count || r.remaining() != 8 * std::size_t{*count} ||
+          !r.u64s(*count, ids)) {
         return;
       }
-      std::vector<std::uint64_t> ids(*count);
-      for (std::uint64_t& id : ids) id = *r.u64();
       const spectrum::HeartbeatBatchOutcome beat = reg.heartbeat_batch(ids);
       ByteWriter w;
+      w.reserve(16 + 8 * beat.lapsed.size());
       w.u32(*block);
       w.u32(static_cast<std::uint32_t>(beat.renewed));
       w.u32(static_cast<std::uint32_t>(beat.unreachable));
       w.u32(static_cast<std::uint32_t>(beat.lapsed.size()));
-      for (const std::uint64_t id : beat.lapsed) w.u64(id);
+      w.u64s(beat.lapsed);
       runtime_.post(kRegistryEndpoint, m.src, config_.registry_delay,
                     workload::kLeaseHeartbeatReply, w.take());
       return;

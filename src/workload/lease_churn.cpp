@@ -56,9 +56,10 @@ void LeaseChurnStorm::apply_for_missing() {
 void LeaseChurnStorm::heartbeat_tick() {
   if (held_.empty()) return;
   ByteWriter w;
+  w.reserve(8 + 8 * held_.size());
   w.u32(config_.block);
   w.u32(static_cast<std::uint32_t>(held_.size()));
-  for (const std::uint64_t id : held_) w.u64(id);
+  w.u64s(held_);
   obs::inc(hooks_.heartbeats_sent, held_.size());
   send_(kLeaseHeartbeatBatch, w.take());
 }
@@ -111,14 +112,11 @@ void LeaseChurnStorm::on_grant_reply(
   // Count only ids actually carried, and never past the quota: a
   // truncated or duplicated reply must not inflate the confirmations or
   // underflow the next application's shortfall.
-  std::uint32_t accepted = 0;
-  for (std::uint32_t i = 0; i < *count && held_.size() < config_.leases;
-       ++i) {
-    const auto id = r.u64();
-    if (!id) break;
-    held_.push_back(*id);
-    ++accepted;
-  }
+  const std::size_t room =
+      config_.leases - std::min<std::size_t>(held_.size(), config_.leases);
+  const std::size_t accepted =
+      std::min({std::size_t{*count}, room, r.remaining() / 8});
+  (void)r.u64s(accepted, held_);  // Within the bytes present: cannot fail.
   grants_confirmed_ += accepted;
   obs::inc(hooks_.grants_confirmed, accepted);
   std::sort(held_.begin(), held_.end());
@@ -149,16 +147,12 @@ void LeaseChurnStorm::on_heartbeat_reply(
   if (*lapsed == 0) return;
   // The registrar no longer knows these leases: drop them and re-apply
   // for the shortfall — the re-grant storm after a zone outage.
-  // Reserve by the bytes present, not the claimed count (a corrupt count
-  // would otherwise size a multi-gigabyte allocation), and sort: the
-  // registry sends ids ascending, but set_difference must not rely on it.
+  // Read the whole ids present, however many the count claims (a cut
+  // reply still drops what it carries, and a corrupt count sizes
+  // nothing), and sort: the registry sends ids ascending, but
+  // set_difference must not rely on it.
   std::vector<std::uint64_t> gone;
-  gone.reserve(std::min<std::size_t>(*lapsed, r.remaining() / 8));
-  for (std::uint32_t i = 0; i < *lapsed; ++i) {
-    const auto id = r.u64();
-    if (!id) break;
-    gone.push_back(*id);
-  }
+  (void)r.u64s(std::min<std::size_t>(*lapsed, r.remaining() / 8), gone);
   std::sort(gone.begin(), gone.end());
   std::vector<std::uint64_t> kept;
   kept.reserve(held_.size());

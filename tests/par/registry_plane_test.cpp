@@ -164,6 +164,7 @@ struct ProbePost {
 struct ProbeOutcome {
   std::map<std::string, std::uint64_t> counters;  // reg.registry.*
   int replies{0};
+  std::vector<std::uint8_t> last_reply;  // Payload of the last reply.
 
   [[nodiscard]] std::uint64_t counter(const std::string& name) const {
     const auto it = counters.find("reg.registry." + name);
@@ -179,7 +180,10 @@ ProbeOutcome probe(const std::optional<ProbePost>& post) {
   ShardedSimulator& rt = plane.runtime();
   constexpr EndpointId kProbe = 1'000'000;
   ProbeOutcome out;
-  rt.register_endpoint(kProbe, 1, [&out](const Message&) { ++out.replies; });
+  rt.register_endpoint(kProbe, 1, [&out](const Message& m) {
+    ++out.replies;
+    out.last_reply = m.payload;
+  });
   if (post) {
     rt.post(kProbe, 0, config.registry_delay, post->kind, post->payload);
   }
@@ -270,6 +274,52 @@ TEST(RegistryPlaneTest, TruncatedHeartbeatBatchIsRejectedWhole) {
   const ProbeOutcome truncated = probe(heartbeat_batch(3, 2));
   EXPECT_EQ(truncated.replies, 0);
   EXPECT_EQ(truncated.counters, control.counters);
+  // Nor are ids that overfill the payload: count 2 with three ids, or
+  // three whole ids and half of a fourth.
+  ProbePost cut = heartbeat_batch(3, 3);
+  cut.payload.resize(cut.payload.size() + 4);
+  for (const ProbePost& overfull : {heartbeat_batch(2, 3), cut}) {
+    const ProbeOutcome out = probe(overfull);
+    EXPECT_EQ(out.replies, 0);
+    EXPECT_EQ(out.counters, control.counters);
+  }
+}
+
+TEST(RegistryPlaneTest, RepliesCarryIdRunsAsOneU64PerId) {
+  // The grant reply's and the heartbeat reply's id runs are written in
+  // bulk; their bytes must be those of one u64() per id, in order.
+  const ProbeOutcome control = probe(std::nullopt);
+  const std::uint64_t next = control.counter("grants_issued") + 1;
+
+  const ProbeOutcome granted = probe(grant_batch(0, 3));
+  ASSERT_EQ(granted.replies, 1);
+  ByteWriter grant;
+  grant.u32(0);
+  grant.u8(1);
+  grant.u32(3);
+  for (std::uint64_t id = next; id < next + 3; ++id) grant.u64(id);
+  EXPECT_EQ(granted.last_reply, grant.data());
+
+  const ProbeOutcome renewed = probe(heartbeat_batch(3, 3));
+  ASSERT_EQ(renewed.replies, 1);
+  ByteWriter beat;
+  beat.u32(0);
+  beat.u32(3);  // renewed
+  beat.u32(0);  // unreachable
+  beat.u32(0);  // lapsed
+  EXPECT_EQ(renewed.last_reply, beat.data());
+
+  const std::vector<std::uint64_t> unissued = {
+      0, next, std::numeric_limits<std::uint64_t>::max()};
+  const ProbeOutcome refused = probe(heartbeat_ids(unissued));
+  ASSERT_EQ(refused.replies, 1);
+  ByteWriter lapsed;
+  lapsed.u32(0);
+  lapsed.u32(0);
+  lapsed.u32(0);
+  lapsed.u32(3);
+  for (const std::uint64_t id : unissued) lapsed.u64(id);
+  EXPECT_EQ(refused.last_reply, lapsed.data());
 }
 
 TEST(RegistryPlaneTest, MalformedRequestsNeverServeOrThrow) {

@@ -7,7 +7,10 @@
 // nothing at all.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -199,6 +202,160 @@ TEST(FuzzLeaseChurn, ExtraGrantIdsNeverExceedQuota) {
   s.storm.on_message(kLeaseGrantReply, w.take());
   EXPECT_EQ(s.storm.leases_held(), kLeases);
   EXPECT_EQ(s.storm.grants_confirmed(), kLeases);
+}
+
+// A storm that keeps its last heartbeat batch: the ids it holds are read
+// back off the wire, exactly as the registry would see them.
+struct Recorder {
+  sim::Simulator sim;
+  std::vector<std::uint8_t> last_heartbeat;
+  LeaseChurnStorm storm;
+
+  Recorder()
+      : storm{sim, Storm::config(),
+              [this](std::uint16_t kind, std::vector<std::uint8_t> payload) {
+                if (kind == kLeaseHeartbeatBatch) {
+                  last_heartbeat = std::move(payload);
+                }
+              },
+              LeaseChurnStorm::Hooks{}} {
+    storm.start();
+  }
+
+  // The ids of the next heartbeat batch (one heartbeat interval on).
+  std::vector<std::uint64_t> held() {
+    last_heartbeat.clear();
+    sim.run_until(sim.now() + Storm::config().heartbeat_interval);
+    std::vector<std::uint64_t> ids;
+    ByteReader r{last_heartbeat};
+    (void)r.u32();
+    const auto count = r.u32();
+    for (std::uint32_t i = 0; count && i < *count; ++i) ids.push_back(*r.u64());
+    return ids;
+  }
+};
+
+std::vector<std::uint8_t> grant_reply_carrying(std::uint32_t count,
+                                               std::uint64_t first_id,
+                                               std::uint32_t ids,
+                                               std::uint32_t tail_bytes) {
+  ByteWriter w;
+  w.u32(kBlock);
+  w.u8(1);
+  w.u32(count);
+  for (std::uint32_t i = 0; i < ids; ++i) w.u64(first_id + i);
+  for (std::uint32_t i = 0; i < tail_bytes; ++i) w.u8(0xee);
+  return w.take();
+}
+
+// The per-field grant-reply decode: one u64() per claimed id, stopping at
+// the block's quota or at the first short read.
+std::vector<std::uint64_t> per_field_grants(
+    const std::vector<std::uint8_t>& reply, std::size_t held) {
+  ByteReader r{reply};
+  (void)r.u32();
+  (void)r.u8();
+  const auto count = r.u32();
+  std::vector<std::uint64_t> ids;
+  for (std::uint32_t i = 0; count && i < *count && held + ids.size() < kLeases;
+       ++i) {
+    const auto id = r.u64();
+    if (!id) break;
+    ids.push_back(*id);
+  }
+  return ids;
+}
+
+// The per-field lapsed-id decode: one u64() per claimed id until the
+// first short read.
+std::vector<std::uint64_t> per_field_lapsed(
+    const std::vector<std::uint8_t>& reply) {
+  ByteReader r{reply};
+  for (int i = 0; i < 3; ++i) (void)r.u32();
+  const auto lapsed = r.u32();
+  std::vector<std::uint64_t> ids;
+  for (std::uint32_t i = 0; lapsed && i < *lapsed; ++i) {
+    const auto id = r.u64();
+    if (!id) break;
+    ids.push_back(*id);
+  }
+  return ids;
+}
+
+TEST(FuzzLeaseChurn, GrantReplyAcceptsExactlyThePerFieldPrefix) {
+  // Counts above the ids carried (a truncated reply, a cut final id) and
+  // above the quota's room, from an empty, a part-filled and a full
+  // block: the storm holds what the per-field decode accepted, no more.
+  for (const std::uint32_t before : {0u, 3u, kLeases}) {
+    for (const std::uint32_t count : {0u, 1u, 5u, kLeases, 12u, 0xffffffffu}) {
+      for (const std::uint32_t ids : {0u, 2u, 5u, kLeases, 12u}) {
+        for (const std::uint32_t tail : {0u, 5u}) {
+          SCOPED_TRACE("before=" + std::to_string(before) + " count=" +
+                       std::to_string(count) + " ids=" + std::to_string(ids) +
+                       " tail=" + std::to_string(tail));
+          Recorder c;
+          if (before > 0) {
+            c.storm.on_message(kLeaseGrantReply,
+                               grant_reply_carrying(before, kFirstId, before,
+                                                    0));
+          }
+          ASSERT_EQ(c.storm.leases_held(), before);
+          const auto reply = grant_reply_carrying(count, 900, ids, tail);
+          std::vector<std::uint64_t> expected =
+              per_field_grants(reply, before);
+          const std::size_t accepted = expected.size();
+          for (std::uint32_t i = 0; i < before; ++i) {
+            expected.push_back(kFirstId + i);
+          }
+          std::sort(expected.begin(), expected.end());
+
+          c.storm.on_message(kLeaseGrantReply, reply);
+          EXPECT_EQ(c.storm.grants_confirmed(), before + accepted);
+          EXPECT_EQ(c.held(), expected);
+        }
+      }
+    }
+  }
+}
+
+TEST(FuzzLeaseChurn, LapsedCountAboveTheIdsCarriedDropsOnlyThoseCarried) {
+  // The block holds kFirstId .. kFirstId + 7. The reply claims more
+  // lapsed ids than it carries (one not held among them), sometimes with
+  // a cut id after them: only the whole ids present are dropped.
+  const std::vector<std::uint64_t> carried_ids = {
+      kFirstId + 5, kFirstId, 999, kFirstId + 2, kFirstId + 7};
+  for (const std::uint32_t lapsed : {1u, 3u, 5u, 6u, 0xffffffffu}) {
+    for (std::uint32_t carried = 0; carried <= carried_ids.size();
+         ++carried) {
+      for (const std::uint32_t tail : {0u, 3u, 7u}) {
+        SCOPED_TRACE("lapsed=" + std::to_string(lapsed) + " carried=" +
+                     std::to_string(carried) + " tail=" +
+                     std::to_string(tail));
+        Recorder c;
+        c.storm.on_message(kLeaseGrantReply,
+                           grant_reply_carrying(kLeases, kFirstId, kLeases, 0));
+        std::vector<std::uint64_t> held = c.held();
+        ASSERT_EQ(held.size(), kLeases);
+        ByteWriter w;
+        w.u32(kBlock);
+        w.u32(kLeases);
+        w.u32(0);
+        w.u32(lapsed);
+        for (std::uint32_t i = 0; i < carried; ++i) w.u64(carried_ids[i]);
+        for (std::uint32_t i = 0; i < tail; ++i) w.u8(0xee);
+        const auto reply = w.take();
+        std::vector<std::uint64_t> gone = per_field_lapsed(reply);
+        std::sort(gone.begin(), gone.end());
+        std::vector<std::uint64_t> expected;
+        std::set_difference(held.begin(), held.end(), gone.begin(), gone.end(),
+                            std::back_inserter(expected));
+
+        c.storm.on_message(kLeaseHeartbeatReply, reply);
+        EXPECT_EQ(c.storm.lapses_seen(), held.size() - expected.size());
+        EXPECT_EQ(c.held(), expected);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -14,6 +14,15 @@ Two modes:
       tools/check_bench_regression.py \
           --baseline-dir bench/baselines --result-dir out
 
+  --result-dir may be repeated, one directory per pass of the benches.
+  Each bench is then judged on the median wall time (and the median
+  throughput) over the directories that hold its result file, so one
+  noisy run on a shared host neither fails nor passes the gate alone.
+  A bench whose result is in none of them fails as missing.
+
+      tools/check_bench_regression.py --baseline-dir bench/baselines \
+          --result-dir out/run1 --result-dir out/run2 --result-dir out/run3
+
   With --json PATH the gate additionally writes a machine-readable
   dlte-bench-gate-v1 document (per-bench wall/throughput base, result,
   delta, limit, and verdict plus the overall status) to PATH; stdout
@@ -32,6 +41,7 @@ missing/malformed input.
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 
 REQUIRED_KEYS = ("bench", "git_rev", "sim_seconds", "wall_seconds", "metrics")
@@ -85,7 +95,7 @@ def compare_metrics(a_path: pathlib.Path, b_path: pathlib.Path) -> int:
     return 0
 
 
-def regression_gate(baseline_dir: pathlib.Path, result_dir: pathlib.Path,
+def regression_gate(baseline_dir: pathlib.Path, result_dirs: list,
                     threshold: float, slack: float,
                     json_path: pathlib.Path = None) -> int:
     if not baseline_dir.is_dir():
@@ -100,14 +110,20 @@ def regression_gate(baseline_dir: pathlib.Path, result_dir: pathlib.Path,
         record = {"bench": bench_name, "verdict": "ok",
                   "wall": None, "throughput": None}
         records.append(record)
-        result_path = result_dir / base_path.name
-        if not result_path.exists():
-            print(f"FAIL: {result_path} missing (baseline exists)")
+        result_paths = [d / base_path.name for d in result_dirs
+                        if (d / base_path.name).exists()]
+        if not result_paths:
+            where = ", ".join(str(d) for d in result_dirs)
+            print(f"FAIL: {base_path.name} missing from {where} "
+                  "(baseline exists)")
             record["verdict"] = "missing"
             failures += 1
             continue
-        base, result = load(base_path), load(result_path)
-        base_wall, result_wall = base["wall_seconds"], result["wall_seconds"]
+        base = load(base_path)
+        results = [load(p) for p in result_paths]
+        record["runs"] = len(results)
+        base_wall = base["wall_seconds"]
+        result_wall = statistics.median(r["wall_seconds"] for r in results)
         if base_wall <= 0:
             print(f"SKIP: {base_path.name} baseline wall_seconds <= 0")
             record["verdict"] = "skipped"
@@ -119,7 +135,8 @@ def regression_gate(baseline_dir: pathlib.Path, result_dir: pathlib.Path,
         # Always print the measured delta, pass or fail: a +20% "OK" is
         # the early warning the threshold alone would swallow.
         wall_delta = (result_wall - base_wall) / base_wall
-        print(f"{verdict}: {base_path.name} wall {result_wall:.3f}s vs "
+        runs = f" (median of {len(results)})" if len(results) > 1 else ""
+        print(f"{verdict}: {base_path.name} wall {result_wall:.3f}s{runs} vs "
               f"baseline {base_wall:.3f}s ({wall_delta:+.1%}, "
               f"limit {allowed:.3f}s = +{threshold:.0%} + {slack:.1f}s)")
         record["wall"] = {"base_s": base_wall, "result_s": result_wall,
@@ -132,13 +149,16 @@ def regression_gate(baseline_dir: pathlib.Path, result_dir: pathlib.Path,
         # throughput() to a bench does not fail until its baseline is
         # re-recorded with the new field.
         base_tp = base.get("timings", {}).get("events_per_sec", 0.0)
-        result_tp = result.get("timings", {}).get("events_per_sec", 0.0)
+        result_tps = [r.get("timings", {}).get("events_per_sec", 0.0)
+                      for r in results]
+        result_tp = (statistics.median(result_tps)
+                     if all(tp > 0.0 for tp in result_tps) else 0.0)
         if base_tp > 0.0 and result_tp > 0.0:
             floor = base_tp * (1.0 - threshold)
             verdict = "OK" if result_tp >= floor else "FAIL"
             tp_delta = (result_tp - base_tp) / base_tp
             print(f"{verdict}: {base_path.name} throughput "
-                  f"{result_tp / 1e6:.2f} Mev/s vs baseline "
+                  f"{result_tp / 1e6:.2f} Mev/s{runs} vs baseline "
                   f"{base_tp / 1e6:.2f} Mev/s ({tp_delta:+.1%}, "
                   f"floor {floor / 1e6:.2f} = -{threshold:.0%})")
             record["throughput"] = {
@@ -170,7 +190,10 @@ def main() -> int:
     parser.add_argument("--baseline-dir", type=pathlib.Path,
                         default=pathlib.Path("bench/baselines"))
     parser.add_argument("--result-dir", type=pathlib.Path,
-                        default=pathlib.Path("."))
+                        action="append", default=None,
+                        help="directory of BENCH_*.json results; repeat "
+                             "it to gate each bench on the median over "
+                             "the directories that hold it (default .)")
     parser.add_argument("--threshold", type=float, default=0.25,
                         help="allowed fractional wall-time growth "
                              "(default 0.25 = +25%%)")
@@ -190,7 +213,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.compare_metrics:
         return compare_metrics(*args.compare_metrics)
-    return regression_gate(args.baseline_dir, args.result_dir,
+    return regression_gate(args.baseline_dir,
+                           args.result_dir or [pathlib.Path(".")],
                            args.threshold, args.slack, args.json)
 
 
