@@ -162,6 +162,8 @@ struct ShardProfile {
   std::size_t shards{0};
   std::size_t threads{0};
   std::uint64_t windows{0};
+  // Windows the barrier judged light and ran on the coordinator alone.
+  std::uint64_t windows_inline{0};
   std::uint64_t messages{0};
   double lookahead_s{0.0};
   std::vector<ShardLane> lanes;           // size == shards

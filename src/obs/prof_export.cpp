@@ -42,6 +42,7 @@ void shard_profile_object(JsonWriter& w, const ShardProfile& profile) {
   w.key("shards").value(std::uint64_t{profile.shards});
   w.key("threads").value(std::uint64_t{profile.threads});
   w.key("windows").value(profile.windows);
+  w.key("windows_inline").value(profile.windows_inline);
   w.key("messages").value(profile.messages);
   w.key("lookahead_s").value(profile.lookahead_s);
   w.key("per_shard");

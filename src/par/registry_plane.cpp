@@ -254,6 +254,7 @@ void RegistryPlaneScenario::handle_registry_message(const Message& m) {
                     .query;
       }
       ByteWriter w;
+      w.reserve(4 + 1 + 1 + 8);
       w.u32(*block);
       w.u8(static_cast<std::uint8_t>(occ.tier));
       w.u8(occ.stale ? 1 : 0);

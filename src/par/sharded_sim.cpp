@@ -119,28 +119,27 @@ obs::MetricsRegistry& ShardedSimulator::shard_registry(std::size_t shard) {
 void ShardedSimulator::register_endpoint(EndpointId ep, std::size_t shard,
                                          Handler handler) {
   assert(shard < shards_.size());
-  endpoints_[ep] = Endpoint{shard, std::move(handler)};
+  if (ep >= endpoints_.size()) endpoints_.resize(std::size_t{ep} + 1);
+  std::unique_ptr<Endpoint>& slot = endpoints_[ep];
+  if (slot == nullptr) slot = std::make_unique<Endpoint>();
+  slot->shard = shard;
+  slot->handler = std::move(handler);
 }
 
-const ShardedSimulator::Endpoint& ShardedSimulator::endpoint(
-    EndpointId ep) const {
-  const auto it = endpoints_.find(ep);
-  if (it == endpoints_.end()) {
+ShardedSimulator::Endpoint& ShardedSimulator::endpoint(EndpointId ep) const {
+  if (ep >= endpoints_.size() || endpoints_[ep] == nullptr) {
     throw std::out_of_range("par: unregistered endpoint " +
                             std::to_string(ep));
   }
-  return it->second;
-}
-
-std::size_t ShardedSimulator::owner_of(EndpointId ep) const {
-  return endpoint(ep).shard;
+  return *endpoints_[ep];
 }
 
 void ShardedSimulator::post(EndpointId src, EndpointId dst, Duration delay,
                             std::uint16_t kind,
                             std::vector<std::uint8_t> payload) {
-  const std::size_t src_shard = owner_of(src);
+  Endpoint& from = endpoint(src);
   const Endpoint& to = endpoint(dst);
+  const std::size_t src_shard = from.shard;
   Shard& shard = *shards_[src_shard];
   if (delay < config_.lookahead) {
     delay = config_.lookahead;
@@ -150,7 +149,7 @@ void ShardedSimulator::post(EndpointId src, EndpointId dst, Duration delay,
   posted.msg.src = src;
   posted.msg.dst = dst;
   posted.msg.deliver_at = shard.sim.now() + delay;
-  posted.msg.seq = shard.next_seq[src]++;
+  posted.msg.seq = from.next_seq++;
   posted.msg.kind = kind;
   posted.msg.payload = std::move(payload);
   posted.endpoint = &to;
@@ -213,7 +212,21 @@ void ShardedSimulator::worker_loop() {
   }
 }
 
-void ShardedSimulator::run_window(TimePoint end) {
+bool ShardedSimulator::next_window_is_light() {
+  // The load is a sum of global totals at the barrier: events run since
+  // the last decision (nothing runs between windows, so that is the
+  // previous window's) plus the posts the next window injects. Neither
+  // depends on which thread ran what, so neither does the choice.
+  const std::uint64_t events = events_executed();
+  std::uint64_t load = events - events_at_decision_;
+  events_at_decision_ = events;
+  if (windows_ == 0) return false;  // No previous window to measure.
+  if (inject_held_ != nullptr) ++load;
+  for (const auto& shard : shards_) load += shard->in_flight;
+  return load < kInlineWindowLoad;
+}
+
+void ShardedSimulator::run_window(TimePoint end, bool light) {
   // Sample points the window reaches; the claiming threads sample their
   // shards at its end. Only the coordinator writes this, between windows.
   due_samples_.clear();
@@ -224,6 +237,13 @@ void ShardedSimulator::run_window(TimePoint end) {
     }
   }
   if (config_.profile) window_published_ = std::chrono::steady_clock::now();
+  if (light || workers_.empty()) {
+    // Every worker is parked between windows and stays parked: the
+    // coordinator is the only claimer, and an exception leaves from here.
+    next_shard_.store(0, std::memory_order_relaxed);
+    run_shards(end);
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     window_end_ = end;
@@ -407,9 +427,12 @@ void ShardedSimulator::run_until(TimePoint horizon) {
       if (end_ns <= now_.ns()) end_ns = now_.ns() + window_ns;
       end = TimePoint::from_ns(std::min(horizon.ns(), end_ns));
     }
+    const bool light = next_window_is_light();
+    if (light) ++windows_inline_;
     flip_outboxes();
     double window_wall_s = 0.0;
-    run_phase(config_.profile, window_wall_s, [this, end] { run_window(end); });
+    run_phase(config_.profile, window_wall_s,
+              [this, end, light] { run_window(end, light); });
     count_injected();
     if (config_.profile) record_profile_window(end, window_wall_s);
     run_phase(config_.profile, coordinator_.engine_sample_s,
@@ -506,6 +529,7 @@ obs::ShardProfile ShardedSimulator::profile() const {
   out.shards = shards_.size();
   out.threads = config_.threads;
   out.windows = windows_;
+  out.windows_inline = windows_inline_;
   out.messages = messages_;
   out.lookahead_s = config_.lookahead.to_seconds();
   out.lanes.reserve(shards_.size());

@@ -28,17 +28,24 @@
 // Threading model (ThreadSanitizer-clean by construction): the
 // coordinator (the run_until caller) plus a pool of threads − 1 workers;
 // within a window each of them claims shards through one atomic counter,
-// so each shard is run by exactly one thread. The claiming thread first
-// injects the shard's inbound messages, gathered from every shard's
-// outbox, then runs the window, then samples the shard's series at every
-// sample point the window reached. post() appends to the posting shard's
-// outbox for the current parity; the claimers drain the other parity,
-// which the last window filled, and the coordinator flips the two between
-// windows — the barrier's mutex orders every such hand-off. Between
-// windows the coordinator keeps two serial phases: the engine sampler and
-// the audit seal. run_until ends by injecting whatever the last window
-// posted, so every posted message sits in its destination queue when it
-// returns.
+// so each shard is run by exactly one thread. A light window skips the
+// pool: at the barrier the coordinator sums the events every shard ran
+// in the previous window and the messages about to be injected, and when
+// that load is below kInlineWindowLoad it claims every shard itself —
+// no publication, no wake, no wait. Both terms are global totals of the
+// barrier state, which the determinism contract already fixes, so the
+// choice, and with it the thread schedule, is the same at every thread
+// count; the first window, with no previous one to measure, is heavy.
+// The claiming thread first injects the shard's inbound messages,
+// gathered from every shard's outbox, then runs the window, then samples
+// the shard's series at every sample point the window reached. post()
+// appends to the posting shard's outbox for the current parity; the
+// claimers drain the other parity, which the last window filled, and the
+// coordinator flips the two between windows — the barrier's mutex orders
+// every such hand-off. Between windows the coordinator keeps two serial
+// phases: the engine sampler and the audit seal. run_until ends by
+// injecting whatever the last window posted, so every posted message
+// sits in its destination queue when it returns.
 #pragma once
 
 #include <array>
@@ -53,7 +60,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/pool.h"
@@ -119,16 +125,15 @@ class ShardedSimulator {
   [[nodiscard]] obs::MetricsRegistry& shard_registry(std::size_t shard);
 
   // Declare that endpoint `ep` lives on `shard`; cross-shard messages
-  // addressed to it run `handler` there. Call before run_until().
+  // addressed to it run `handler` there. Call before run_until(). Ids
+  // index a table as long as the largest one, so keep them dense.
   void register_endpoint(EndpointId ep, std::size_t shard, Handler handler);
-  // Throws std::out_of_range naming `ep` if it was never registered.
-  [[nodiscard]] std::size_t owner_of(EndpointId ep) const;
 
   // Post a message from `src` (must be called from the owning shard's
   // event context, or before the run starts). Delivery is at
   // now + max(delay, lookahead); a shorter delay is clamped up and
   // counted under par.posts_clamped. Both endpoints are resolved here:
-  // an unregistered `src` or `dst` throws std::out_of_range.
+  // an unregistered `src` or `dst` throws std::out_of_range naming it.
   void post(EndpointId src, EndpointId dst, Duration delay,
             std::uint16_t kind, std::vector<std::uint8_t> payload);
 
@@ -137,6 +142,15 @@ class ShardedSimulator {
   // exception thrown inside a window, on any thread, is rethrown here
   // once every thread has reached the barrier; the run cannot go on.
   void run_until(TimePoint horizon);
+
+  // A window whose predicted load (the previous window's events plus the
+  // messages about to be injected, summed over every shard) is below
+  // this runs on the coordinator alone. Events per window of the
+  // perfbench workloads at 4 shards, seed 42: registry_churn 4,591 of
+  // 4,594 windows below 64 (p50 13, p99 39), each cheaper to run than to
+  // publish to the pool; metro none below 64 (4 below 128, p10 583);
+  // town_attach none below 64 (11 below 128, all early, p10 317).
+  static constexpr std::uint64_t kInlineWindowLoad = 64;
 
   [[nodiscard]] TimePoint now() const { return now_; }
 
@@ -210,6 +224,12 @@ class ShardedSimulator {
   [[nodiscard]] obs::ShardProfile profile() const;
 
   [[nodiscard]] std::uint64_t windows_run() const { return windows_; }
+  // Windows judged light at their barrier (run without waking the pool).
+  // Equal at every thread count, 1 included; mirrored into the
+  // shard_profile of dlte-prof-v1, never into the par.* metrics.
+  [[nodiscard]] std::uint64_t windows_inline() const {
+    return windows_inline_;
+  }
   [[nodiscard]] std::uint64_t messages_exchanged() const { return messages_; }
   [[nodiscard]] std::uint64_t posts_clamped() const;
   // Total events dispatched across every shard engine. The event
@@ -229,6 +249,9 @@ class ShardedSimulator {
   struct Endpoint {
     std::size_t shard{0};
     Handler handler;
+    // Posts from this endpoint so far: its next Message::seq. Only the
+    // owning shard posts from it.
+    std::uint64_t next_seq{0};
   };
   struct Shard;
   // A message on its way to its destination shard. post() resolves both
@@ -267,8 +290,6 @@ class ShardedSimulator {
     // last counted them; `inbox` is inject()'s reused gather buffer.
     std::uint64_t injected{0};
     std::vector<Posted> inbox;
-    // Per-source post counters (sources owned by this shard only).
-    std::unordered_map<EndpointId, std::uint64_t> next_seq;
     std::uint64_t posts_clamped{0};
     ObjectPool<Delivery> deliveries{256};
     // Profiling state (null/zero unless config_.profile). The window_*
@@ -294,10 +315,14 @@ class ShardedSimulator {
     double barrier_wait_s{0.0};
   };
 
-  // Throws std::out_of_range for an unregistered id.
-  [[nodiscard]] const Endpoint& endpoint(EndpointId ep) const;
-  // Publish the window, run shards beside the workers, wait for them.
-  void run_window(TimePoint end);
+  // Throws std::out_of_range for an unregistered id, a gap included.
+  [[nodiscard]] Endpoint& endpoint(EndpointId ep) const;
+  // The barrier's choice for the next window (see kInlineWindowLoad).
+  // Call once per window, before the outboxes flip.
+  [[nodiscard]] bool next_window_is_light();
+  // Run a light window on the coordinator alone; otherwise publish it,
+  // run shards beside the workers, and wait for them.
+  void run_window(TimePoint end, bool light);
   // The one claim loop, run by the coordinator and every worker: take
   // shards off next_shard_ until none is left; for each, inject its
   // inbound messages, run it to `end`, then sample it at every
@@ -331,12 +356,17 @@ class ShardedSimulator {
 
   ShardedConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unordered_map<EndpointId, Endpoint> endpoints_;
+  // Indexed by id; null where no endpoint was registered. An endpoint
+  // keeps its address, since Posted and Delivery point at it.
+  std::vector<std::unique_ptr<Endpoint>> endpoints_;
   TimePoint now_{};
   TimePoint next_sample_{};
   // The window's sample points, published with it (see run_window).
   std::vector<TimePoint> due_samples_;
   std::uint64_t windows_{0};
+  std::uint64_t windows_inline_{0};
+  // events_executed() at the last window's barrier decision.
+  std::uint64_t events_at_decision_{0};
   std::uint64_t messages_{0};
   std::uint64_t max_exchange_{0};
   // The outbox parity post() appends to; inject() drains the other one.

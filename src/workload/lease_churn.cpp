@@ -43,6 +43,7 @@ void LeaseChurnStorm::apply_for_missing() {
   if (missing == 0 || awaiting_grant_) return;
   awaiting_grant_ = true;
   ByteWriter w;
+  w.reserve(4 + 4 + 4 * 8);
   w.u32(config_.block);
   w.u32(missing);
   w.f64(config_.location.x_m);
@@ -66,6 +67,7 @@ void LeaseChurnStorm::heartbeat_tick() {
 
 void LeaseChurnStorm::query_tick() {
   ByteWriter w;
+  w.reserve(4 + 2 * 8);
   w.u32(config_.block);
   w.f64(config_.location.x_m);
   w.f64(config_.location.y_m);

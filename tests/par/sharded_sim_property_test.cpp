@@ -4,9 +4,9 @@
 // run_until calls of random length. Every message must be delivered at
 // its deliver_at, and every configuration must reproduce the 1-shard,
 // 1-thread run exactly: each endpoint's delivery log, the runtime's
-// event, window, message and clamp totals, the earliest pending event
-// after every run_until call, and the partition-invariant merged
-// artifacts (metrics, series, audit digests).
+// event, window, inline-window, message and clamp totals, the earliest
+// pending event after every run_until call, and the partition-invariant
+// merged artifacts (metrics, series, audit digests).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -89,6 +89,7 @@ struct Outcome {
   std::vector<std::int64_t> earliest_after_call;
   std::uint64_t events{0};
   std::uint64_t windows{0};
+  std::uint64_t windows_inline{0};
   std::uint64_t messages{0};
   std::uint64_t clamped{0};
   std::uint64_t late{0};  // Deliveries off their deliver_at.
@@ -208,6 +209,7 @@ Outcome run(const Graph& g, std::size_t shards, std::size_t threads,
   }
   out.events = rt.events_executed();
   out.windows = rt.windows_run();
+  out.windows_inline = rt.windows_inline();
   out.messages = rt.messages_exchanged();
   out.clamped = rt.posts_clamped();
   out.metrics = rt.merged_metrics_json();
@@ -242,6 +244,7 @@ TEST(ShardedSimProperty, AnyPartitionAndThreadCountMatchesOneShard) {
       EXPECT_EQ(got.earliest_after_call, ref.earliest_after_call);
       EXPECT_EQ(got.events, ref.events);
       EXPECT_EQ(got.windows, ref.windows);
+      EXPECT_EQ(got.windows_inline, ref.windows_inline);
       EXPECT_EQ(got.messages, ref.messages);
       EXPECT_EQ(got.clamped, ref.clamped);
       EXPECT_EQ(got.late, 0u);

@@ -201,6 +201,10 @@ TEST(SpatialIndex, ZoneMembersMatchFreshScanUnderChurn) {
           EXPECT_EQ(*members, touching_ids(index, zone))
               << "seed " << seed << " step " << step << " zone " << zx
               << "," << zy;
+          // The snapshot reserves the zone's member count, kept by every
+          // insert and erase: exact, or the vector would have grown.
+          EXPECT_EQ(members->capacity(), members->size())
+              << "seed " << seed << " step " << step;
           const auto prev = seen.find(zone);
           if (prev != seen.end()) {
             if (touched) {

@@ -103,6 +103,9 @@ def validate(doc: dict, path: pathlib.Path) -> None:
     for key in ("shards", "threads", "windows", "messages"):
         if not isinstance(profile.get(key), int):
             die(f"{path}: shard_profile lacks integer key {key!r}")
+    # Documents written before light windows ran inline lack the count.
+    if not isinstance(profile.get("windows_inline", 0), int):
+        die(f"{path}: shard_profile.windows_inline is not an integer")
     if not isinstance(profile.get("lookahead_s"), (int, float)):
         die(f"{path}: shard_profile lacks lookahead_s")
     lanes = profile.get("per_shard")
@@ -170,7 +173,8 @@ def label_table(doc: dict, top: int) -> None:
 def shard_report(profile: dict) -> None:
     print(f"\nshard profile: {profile['shards']} shard(s), "
           f"{profile['threads']} thread(s), {profile['windows']} windows "
-          f"(lookahead {profile['lookahead_s']:g}s), "
+          f"({profile.get('windows_inline', 0)} inline, "
+          f"lookahead {profile['lookahead_s']:g}s), "
           f"{profile['messages']} cross-shard messages")
     for lane in profile["per_shard"]:
         busy = lane["run_s"] + lane["barrier_wait_s"]
