@@ -1,5 +1,7 @@
 #include "bench_harness.h"
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -32,6 +34,17 @@ std::string git_rev() {
   }
   return out.empty() ? "unknown" : out;
 }
+
+namespace {
+
+// The process's peak resident set so far, in MiB (0 if unknown).
+double peak_rss_mb() {
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux.
+}
+
+}  // namespace
 
 Harness::Harness(std::string name)
     : name_(std::move(name)),
@@ -111,6 +124,8 @@ std::string Harness::to_json() const {
   w.key("git_rev").value(git_rev());
   w.key("sim_seconds").value(sim_seconds_);
   w.key("wall_seconds").value(wall_seconds);
+  // Wall-clock-like (host dependent), so outside `metrics` and ungated.
+  w.key("peak_rss_mb").value(peak_rss_mb());
   // Only when the bench recorded throughput: keeps the schema of benches
   // that never call throughput() unchanged.
   if (events_total_ > 0) w.key("events_total").value(events_total_);

@@ -9,6 +9,7 @@
 //     "git_rev": "<sha or 'unknown'>",
 //     "sim_seconds": <total simulated seconds driven>,
 //     "wall_seconds": <process wall time>,
+//     "peak_rss_mb": <process peak resident set so far, MiB>,
 //     "metrics": { counters/gauges/histograms from the registry },
 //     "timings": { "<label>": <wall seconds>, ... }
 //   }
@@ -18,6 +19,8 @@
 // byte-identical "metrics" object (CI checks this). "wall_seconds" and
 // "timings" are wall-clock and vary run to run — they are what the CI
 // perf-regression gate compares against bench/baselines/.
+// "peak_rss_mb" (getrusage ru_maxrss) varies with the host too; it is
+// recorded, not gated.
 //
 // Observability documents: with --artifacts=<prefix>, finish() writes
 // each document the bench produced, and only those, as <prefix>.<doc>:

@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
             series_out,
             obs::merged_series_json({&sampler}, "ap_failover", &monitor) +
                 "\n")) {
-      std::cout << "series json (" << sampler.series().size()
+      std::cout << "series json (" << sampler.columns_by_name().size()
                 << " series) written to " << series_out
                 << " — render with tools/health_report.py\n";
     } else {

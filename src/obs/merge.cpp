@@ -22,16 +22,21 @@ void merge_registry(MetricsRegistry& dst, const MetricsRegistry& src,
 std::string merged_series_json(
     const std::vector<const TimeSeriesSampler*>& samplers,
     const std::string& source, const SloMonitor* monitor) {
-  // Union of series, sorted by name; first sampler wins on duplicates.
-  std::map<std::string, const TimeSeries*> merged;
+  // Union of series names, sorted; first sampler wins on duplicates.
+  // Points are rebuilt from the winner's columns one series at a time.
+  struct Source {
+    const TimeSeriesSampler* sampler;
+    TimeSeriesSampler::Columns columns;
+  };
+  std::map<std::string, Source> merged;
   double interval_s = 0.0;
   std::uint64_t samples = 0;
   for (const TimeSeriesSampler* sampler : samplers) {
     if (sampler == nullptr) continue;
     if (interval_s == 0.0) interval_s = sampler->interval().to_seconds();
     if (sampler->samples() > samples) samples = sampler->samples();
-    for (const auto& [name, series] : sampler->series()) {
-      merged.emplace(name, &series);
+    for (auto& [name, columns] : sampler->columns_by_name()) {
+      merged.try_emplace(name, Source{sampler, std::move(columns)});
     }
   }
 
@@ -42,12 +47,13 @@ std::string merged_series_json(
   w.key("interval_s").value(interval_s);
   w.key("samples").value(samples);
   w.key("series").begin_object();
-  for (const auto& [name, series] : merged) {
+  for (const auto& [name, source] : merged) {
+    const ExportedSeries series = source.sampler->export_series(source.columns);
     w.key(name).begin_object();
-    w.key("kind").value(series_kind_name(series->kind()));
-    w.key("dropped").value(series->dropped());
+    w.key("kind").value(series_kind_name(series.kind));
+    w.key("dropped").value(series.dropped);
     w.key("points").begin_array();
-    for (const auto& point : series->points()) {
+    for (const SeriesPoint& point : series.points) {
       w.begin_array();
       w.value(point.t_s);
       w.value(point.value);

@@ -51,7 +51,9 @@ void merge_registry(MetricsRegistry& dst, const MetricsRegistry& src,
 //
 // Series are the union over `samplers`, sorted by name; the first
 // sampler wins on a duplicate name (scenarios keep shard series disjoint
-// via per-AP prefixes, so in practice there are none). Everything
+// via per-AP prefixes, so in practice there are none). Each series'
+// points are rebuilt from its sampler's columns as it is written, so
+// export holds one series' points at a time. Everything
 // derives from simulated time, sorted maps and JsonWriter doubles, so
 // same-seed runs render byte-identical text — tools/health_report.py
 // validates it and CI byte-compares double runs and 1-vs-N-shard runs.

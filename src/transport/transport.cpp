@@ -52,7 +52,10 @@ std::optional<SegmentHeader> decode_segment(
 
 TransportHost::TransportHost(sim::Simulator& sim, net::Network& net,
                              NodeId node)
-    : sim_(sim), net_(net), node_(node) {
+    : sim_(sim),
+      net_(net),
+      node_(node),
+      rto_label_(sim.label("transport.rto")) {
   net_.set_protocol_handler(node_, kTransportProtocol,
                             [this](net::Packet&& p) {
                               dispatch(std::move(p));
@@ -361,9 +364,12 @@ Duration Connection::rto() const {
 
 void Connection::arm_rto() {
   const std::uint64_t epoch = ++rto_epoch_;
-  host_->simulator().schedule(rto(), [this, epoch] {
-    if (epoch == rto_epoch_) on_rto();
-  });
+  host_->simulator().schedule(
+      rto(),
+      [this, epoch] {
+        if (epoch == rto_epoch_) on_rto();
+      },
+      host_->rto_label_);
 }
 
 void Connection::on_rto() {

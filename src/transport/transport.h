@@ -182,6 +182,7 @@ class TransportHost {
   sim::Simulator& sim_;
   net::Network& net_;
   NodeId node_;
+  std::uint32_t rto_label_;  // "transport.rto": every connection's timer.
   bool listening_{false};
   std::function<void(ServerConnection&)> on_accept_;
   std::map<ConnectionId, std::unique_ptr<Connection>> clients_;

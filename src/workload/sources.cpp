@@ -7,7 +7,8 @@ CbrSource::CbrSource(sim::Simulator& sim, transport::Connection& conn,
     : sim_(sim),
       conn_(conn),
       bytes_per_tick_(rate.bps() / 8.0 * interval.to_seconds()),
-      interval_(interval) {}
+      interval_(interval),
+      tick_label_(sim.label("workload.cbr")) {}
 
 void CbrSource::start() {
   if (running_) return;
@@ -19,7 +20,7 @@ void CbrSource::tick() {
   if (!running_) return;
   conn_.send(bytes_per_tick_);
   offered_ += bytes_per_tick_;
-  sim_.schedule(interval_, [this] { tick(); });
+  sim_.schedule(interval_, [this] { tick(); }, tick_label_);
 }
 
 }  // namespace dlte::workload

@@ -33,6 +33,7 @@ class CbrSource {
   transport::Connection& conn_;
   double bytes_per_tick_;
   Duration interval_;
+  std::uint32_t tick_label_;  // "workload.cbr".
   bool running_{false};
   double offered_{0.0};
 };

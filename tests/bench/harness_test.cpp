@@ -100,6 +100,23 @@ TEST_F(HarnessArtifacts, SeriesWrittenOnlyOnceSampled) {
                 "\n");
 }
 
+// Peak memory rides next to the wall time, outside the byte-compared
+// "metrics" object.
+TEST(HarnessJson, RecordsPeakRssBesideWallSeconds) {
+  Harness harness{"harness_test"};
+  harness.metrics().counter("c").inc();
+  const std::string json = harness.to_json();
+  const std::string key = "\"peak_rss_mb\":";
+  const std::size_t wall = json.find("\"wall_seconds\":");
+  const std::size_t rss = json.find(key);
+  const std::size_t metrics = json.find("\"metrics\":");
+  ASSERT_NE(rss, std::string::npos) << json;
+  EXPECT_LT(wall, rss);
+  EXPECT_LT(rss, metrics);
+  EXPECT_GT(std::stod(json.substr(rss + key.size())), 0.0);
+  EXPECT_EQ(json.find("peak_rss_mb", metrics), std::string::npos);
+}
+
 TEST_F(HarnessArtifacts, SetDocumentReplacesTheHarnessRendering) {
   Harness harness{"harness_test"};
   parse_flags(harness, {"--artifacts=" + path("p")});

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <map>
+#include <stdexcept>
 #include <random>
 #include <string>
 #include <vector>
@@ -16,17 +18,49 @@ namespace {
 
 TimePoint at(double t_s) { return TimePoint{} + Duration::seconds(t_s); }
 
-TEST(TimeSeries, RingDropsOldestAndCounts) {
-  TimeSeries s{SeriesKind::kGauge, 3};
-  for (int i = 0; i < 5; ++i) {
-    s.push(static_cast<double>(i), static_cast<double>(i * 10));
+// Every series of `sampler` by name, as merged_series_json exports them.
+std::map<std::string, ExportedSeries> all_series(
+    const TimeSeriesSampler& sampler) {
+  std::map<std::string, ExportedSeries> out;
+  for (const auto& [name, columns] : sampler.columns_by_name()) {
+    out.emplace(name, sampler.export_series(columns));
   }
-  ASSERT_EQ(s.points().size(), 3u);
-  EXPECT_EQ(s.dropped(), 2u);
+  return out;
+}
+
+TEST(TimeSeries, RingDropsOldestAndCounts) {
+  MetricsRegistry reg;
+  Gauge& g = reg.gauge("g");
+  SamplerConfig config;
+  config.capacity = 3;
+  TimeSeriesSampler sampler{reg, config};
+  for (int i = 0; i < 5; ++i) {
+    g.set(static_cast<double>(i * 10));
+    sampler.sample(at(static_cast<double>(i)));
+  }
+  const auto all = all_series(sampler);
+  const ExportedSeries& s = all.at("g");
+  ASSERT_EQ(s.points.size(), 3u);
+  EXPECT_EQ(s.dropped, 2u);
   // The two oldest points fell out of the window.
-  EXPECT_DOUBLE_EQ(s.points().front().t_s, 2.0);
-  EXPECT_DOUBLE_EQ(s.points().front().value, 20.0);
-  EXPECT_DOUBLE_EQ(s.latest(), 40.0);
+  EXPECT_DOUBLE_EQ(s.points.front().t_s, 2.0);
+  EXPECT_DOUBLE_EQ(s.points.front().value, 20.0);
+  EXPECT_DOUBLE_EQ(s.points.back().value, 40.0);
+}
+
+TEST(TimeSeriesSampler, RejectsZeroCapacity) {
+  MetricsRegistry reg;
+  SamplerConfig config;
+  config.capacity = 0;
+  EXPECT_THROW(TimeSeriesSampler(reg, config), std::invalid_argument);
+  config.capacity = 1;
+  TimeSeriesSampler one{reg, config};
+  reg.counter("c").inc();
+  one.sample(at(1.0));
+  one.sample(at(2.0));
+  const auto all = all_series(one);
+  ASSERT_EQ(all.at("c").points.size(), 1u);
+  EXPECT_EQ(all.at("c").dropped, 1u);
 }
 
 TEST(TimeSeriesSampler, CounterSeriesCumulativeAndRate) {
@@ -40,21 +74,22 @@ TEST(TimeSeriesSampler, CounterSeriesCumulativeAndRate) {
   sampler.sample(at(3.0));
   sampler.sample(at(4.0));
 
-  ASSERT_TRUE(sampler.series().contains("pkts"));
-  const TimeSeries& cumulative = sampler.series().at("pkts");
-  EXPECT_EQ(cumulative.kind(), SeriesKind::kCounter);
-  ASSERT_EQ(cumulative.points().size(), 3u);
-  EXPECT_DOUBLE_EQ(cumulative.points()[0].value, 10.0);
-  EXPECT_DOUBLE_EQ(cumulative.points()[1].value, 40.0);
-  EXPECT_DOUBLE_EQ(cumulative.points()[2].value, 40.0);
+  const auto all = all_series(sampler);
+  ASSERT_TRUE(all.contains("pkts"));
+  const ExportedSeries& cumulative = all.at("pkts");
+  EXPECT_EQ(cumulative.kind, SeriesKind::kCounter);
+  ASSERT_EQ(cumulative.points.size(), 3u);
+  EXPECT_DOUBLE_EQ(cumulative.points[0].value, 10.0);
+  EXPECT_DOUBLE_EQ(cumulative.points[1].value, 40.0);
+  EXPECT_DOUBLE_EQ(cumulative.points[2].value, 40.0);
 
-  ASSERT_TRUE(sampler.series().contains("pkts.rate"));
-  const TimeSeries& rate = sampler.series().at("pkts.rate");
-  EXPECT_EQ(rate.kind(), SeriesKind::kCounterRate);
-  ASSERT_EQ(rate.points().size(), 3u);
-  EXPECT_DOUBLE_EQ(rate.points()[0].value, 0.0);  // No previous sample.
-  EXPECT_DOUBLE_EQ(rate.points()[1].value, 15.0);  // +30 over 2 s.
-  EXPECT_DOUBLE_EQ(rate.points()[2].value, 0.0);
+  ASSERT_TRUE(all.contains("pkts.rate"));
+  const ExportedSeries& rate = all.at("pkts.rate");
+  EXPECT_EQ(rate.kind, SeriesKind::kCounterRate);
+  ASSERT_EQ(rate.points.size(), 3u);
+  EXPECT_DOUBLE_EQ(rate.points[0].value, 0.0);  // No previous sample.
+  EXPECT_DOUBLE_EQ(rate.points[1].value, 15.0);  // +30 over 2 s.
+  EXPECT_DOUBLE_EQ(rate.points[2].value, 0.0);
   EXPECT_EQ(sampler.samples(), 3u);
 }
 
@@ -66,21 +101,25 @@ TEST(TimeSeriesSampler, GaugeAndHistogramDerivedSeries) {
   TimeSeriesSampler sampler{reg};
   sampler.sample(at(0.5));
 
-  ASSERT_TRUE(sampler.series().contains("load"));
-  const TimeSeries& load = sampler.series().at("load");
-  EXPECT_EQ(load.kind(), SeriesKind::kGauge);
-  EXPECT_DOUBLE_EQ(load.latest(), 0.25);
+  const auto all = all_series(sampler);
+  ASSERT_TRUE(all.contains("load"));
+  const ExportedSeries& load = all.at("load");
+  EXPECT_EQ(load.kind, SeriesKind::kGauge);
+  ASSERT_EQ(load.points.size(), 1u);
+  EXPECT_DOUBLE_EQ(load.points.back().value, 0.25);
 
-  ASSERT_TRUE(sampler.series().contains("lat_ms.count"));
-  const TimeSeries& count = sampler.series().at("lat_ms.count");
-  EXPECT_EQ(count.kind(), SeriesKind::kHistogramCount);
-  EXPECT_DOUBLE_EQ(count.latest(), 100.0);
-  ASSERT_TRUE(sampler.series().contains("lat_ms.p95"));
-  const TimeSeries& p95 = sampler.series().at("lat_ms.p95");
-  EXPECT_EQ(p95.kind(), SeriesKind::kHistogramQuantile);
-  EXPECT_NEAR(p95.latest(), 95.0, 95.0 / Histogram::kSubBuckets);
-  EXPECT_TRUE(sampler.series().contains("lat_ms.p50"));
-  EXPECT_TRUE(sampler.series().contains("lat_ms.p99"));
+  ASSERT_TRUE(all.contains("lat_ms.count"));
+  const ExportedSeries& count = all.at("lat_ms.count");
+  EXPECT_EQ(count.kind, SeriesKind::kHistogramCount);
+  ASSERT_EQ(count.points.size(), 1u);
+  EXPECT_DOUBLE_EQ(count.points.back().value, 100.0);
+  ASSERT_TRUE(all.contains("lat_ms.p95"));
+  const ExportedSeries& p95 = all.at("lat_ms.p95");
+  EXPECT_EQ(p95.kind, SeriesKind::kHistogramQuantile);
+  ASSERT_EQ(p95.points.size(), 1u);
+  EXPECT_NEAR(p95.points.back().value, 95.0, 95.0 / Histogram::kSubBuckets);
+  EXPECT_TRUE(all.contains("lat_ms.p50"));
+  EXPECT_TRUE(all.contains("lat_ms.p99"));
 }
 
 TEST(TimeSeriesSampler, MetricAppearingMidRunStartsLate) {
@@ -91,11 +130,12 @@ TEST(TimeSeriesSampler, MetricAppearingMidRunStartsLate) {
   reg.gauge("late").set(7.0);
   sampler.sample(at(2.0));
 
-  ASSERT_TRUE(sampler.series().contains("late"));
-  const TimeSeries& late = sampler.series().at("late");
-  ASSERT_EQ(late.points().size(), 1u);
-  EXPECT_DOUBLE_EQ(late.points()[0].t_s, 2.0);
-  EXPECT_EQ(sampler.series().at("early").points().size(), 2u);
+  const auto all = all_series(sampler);
+  ASSERT_TRUE(all.contains("late"));
+  const ExportedSeries& late = all.at("late");
+  ASSERT_EQ(late.points.size(), 1u);
+  EXPECT_DOUBLE_EQ(late.points[0].t_s, 2.0);
+  EXPECT_EQ(all.at("early").points.size(), 2u);
 }
 
 TEST(TimeSeriesSampler, CapacityBoundsEverySeries) {
@@ -108,16 +148,45 @@ TEST(TimeSeriesSampler, CapacityBoundsEverySeries) {
     c.inc();
     sampler.sample(at(static_cast<double>(i)));
   }
-  ASSERT_TRUE(sampler.series().contains("c"));
-  const TimeSeries& s = sampler.series().at("c");
-  EXPECT_EQ(s.points().size(), 4u);
-  EXPECT_EQ(s.dropped(), 6u);
-  EXPECT_DOUBLE_EQ(s.points().front().t_s, 7.0);
+  const auto all = all_series(sampler);
+  ASSERT_TRUE(all.contains("c"));
+  const ExportedSeries& s = all.at("c");
+  EXPECT_EQ(s.points.size(), 4u);
+  EXPECT_EQ(s.dropped, 6u);
+  EXPECT_DOUBLE_EQ(s.points.front().t_s, 7.0);
 }
 
-// The per-name algorithm the bound sampler replaced: every sample walks
-// the registry, rebuilds each derived name and looks its series and the
-// counter's previous value up by name. Kept here as the reference.
+// A per-name series: a bounded ring of points, oldest dropped first.
+class ReferenceSeries {
+ public:
+  ReferenceSeries(SeriesKind kind, std::size_t capacity)
+      : kind_(kind), capacity_(capacity) {}
+
+  void push(double t_s, double value) {
+    if (points_.size() == capacity_) {
+      points_.pop_front();
+      ++dropped_;
+    }
+    points_.push_back(SeriesPoint{t_s, value});
+  }
+
+  [[nodiscard]] SeriesKind kind() const { return kind_; }
+  [[nodiscard]] const std::deque<SeriesPoint>& points() const {
+    return points_;
+  }
+  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
+
+ private:
+  SeriesKind kind_;
+  std::size_t capacity_;
+  std::deque<SeriesPoint> points_;
+  std::uint64_t dropped_{0};
+};
+
+// The per-name algorithm the column store replaced: every sample walks
+// the registry, rebuilds each derived name and pushes onto that name's
+// own ring, looking the counter's previous value up by name. Kept here
+// as the reference.
 class PerNameSampler {
  public:
   PerNameSampler(const MetricsRegistry& registry, std::size_t capacity)
@@ -150,10 +219,10 @@ class PerNameSampler {
     last_t_s_ = t_s;
   }
 
-  std::map<std::string, TimeSeries> series;
+  std::map<std::string, ReferenceSeries> series;
 
  private:
-  TimeSeries& get(const std::string& name, SeriesKind kind) {
+  ReferenceSeries& get(const std::string& name, SeriesKind kind) {
     return series.try_emplace(name, kind, capacity_).first->second;
   }
 
@@ -230,17 +299,18 @@ TEST(TimeSeriesSampler, BoundSlotsMatchNameLookupUnderGrowth) {
   }
 
   EXPECT_EQ(sampler.samples(), 60u);
-  ASSERT_EQ(sampler.series().size(), reference.series.size());
+  const auto all = all_series(sampler);
+  ASSERT_EQ(all.size(), reference.series.size());
   auto expected = reference.series.begin();
-  for (const auto& [name, series] : sampler.series()) {
+  for (const auto& [name, series] : all) {
     ASSERT_EQ(name, expected->first);
-    const TimeSeries& want = expected->second;
-    EXPECT_EQ(series.kind(), want.kind()) << name;
-    EXPECT_EQ(series.dropped(), want.dropped()) << name;
-    ASSERT_EQ(series.points().size(), want.points().size()) << name;
+    const ReferenceSeries& want = expected->second;
+    EXPECT_EQ(series.kind, want.kind()) << name;
+    EXPECT_EQ(series.dropped, want.dropped()) << name;
+    ASSERT_EQ(series.points.size(), want.points().size()) << name;
     for (std::size_t i = 0; i < want.points().size(); ++i) {
-      EXPECT_EQ(series.points()[i].t_s, want.points()[i].t_s) << name;
-      EXPECT_EQ(series.points()[i].value, want.points()[i].value) << name;
+      EXPECT_EQ(series.points[i].t_s, want.points()[i].t_s) << name;
+      EXPECT_EQ(series.points[i].value, want.points()[i].value) << name;
     }
     ++expected;
   }
@@ -249,13 +319,10 @@ TEST(TimeSeriesSampler, BoundSlotsMatchNameLookupUnderGrowth) {
   EXPECT_GT(reg.counters().size(), 5u);
   EXPECT_GT(reg.gauges().size(), 5u);
   EXPECT_GT(reg.histograms().size(), 5u);
-  EXPECT_LT(sampler.series().size(), 2 * reg.counters().size() +
-                                         reg.gauges().size() +
-                                         4 * reg.histograms().size());
+  EXPECT_LT(all.size(), 2 * reg.counters().size() + reg.gauges().size() +
+                            4 * reg.histograms().size());
   std::uint64_t dropped = 0;
-  for (const auto& [name, series] : sampler.series()) {
-    dropped += series.dropped();
-  }
+  for (const auto& [name, series] : all) dropped += series.dropped;
   EXPECT_GT(dropped, 0u);
 }
 

@@ -2,12 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 namespace dlte::sim {
 namespace {
 
 TimePoint at(double t_s) { return TimePoint{} + Duration::seconds(t_s); }
+
+// Every series of `sampler` by name, as obs::merged_series_json exports
+// them.
+std::map<std::string, obs::ExportedSeries> all_series(
+    const obs::TimeSeriesSampler& sampler) {
+  std::map<std::string, obs::ExportedSeries> out;
+  for (const auto& [name, columns] : sampler.columns_by_name()) {
+    out.emplace(name, sampler.export_series(columns));
+  }
+  return out;
+}
 
 TEST(TelemetryDriver, TicksAtSamplerInterval) {
   Simulator sim;
@@ -21,9 +33,10 @@ TEST(TelemetryDriver, TicksAtSamplerInterval) {
   sim.run_until(at(5.0));
   EXPECT_EQ(driver.ticks(), 5u);
   EXPECT_EQ(sampler.samples(), 5u);
-  ASSERT_TRUE(sampler.series().contains("events"));
-  const obs::TimeSeries& s = sampler.series().at("events");
-  EXPECT_DOUBLE_EQ(s.points().front().t_s, 1.0);  // First tick at t=1.
+  const auto all = all_series(sampler);
+  ASSERT_TRUE(all.contains("events"));
+  const obs::ExportedSeries& s = all.at("events");
+  EXPECT_DOUBLE_EQ(s.points.front().t_s, 1.0);  // First tick at t=1.
 }
 
 TEST(TelemetryDriver, EvaluatesMonitorBeforeSampling) {
@@ -50,10 +63,11 @@ TEST(TelemetryDriver, EvaluatesMonitorBeforeSampling) {
   // Evaluate-then-sample: the very tick that fired the alert already
   // samples the refreshed health gauge as unhealthy.
   EXPECT_TRUE(monitor.alert_active("ap1_down"));
-  ASSERT_TRUE(sampler.series().contains("health.ap1"));
-  const obs::TimeSeries& health = sampler.series().at("health.ap1");
-  ASSERT_EQ(health.points().size(), 1u);
-  EXPECT_DOUBLE_EQ(health.points()[0].value, 0.0);
+  const auto all = all_series(sampler);
+  ASSERT_TRUE(all.contains("health.ap1"));
+  const obs::ExportedSeries& health = all.at("health.ap1");
+  ASSERT_EQ(health.points.size(), 1u);
+  EXPECT_DOUBLE_EQ(health.points[0].value, 0.0);
 }
 
 TEST(TelemetryDriver, StopHaltsTicksAndStartRestarts) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/prof.h"
 #include "workload/ott_service.h"
 #include "workload/sources.h"
 
@@ -45,6 +46,31 @@ TEST(CbrSource, StopHalts) {
   const double at_stop = cbr.bytes_offered();
   f.run_for(2.0);
   EXPECT_EQ(cbr.bytes_offered(), at_stop);
+}
+
+// Every event a CBR call schedules is attributed to a label: its ticks
+// ("workload.cbr"), the connection's retransmission timer
+// ("transport.rto"), and the network and server events they drive.
+TEST(CbrSource, TicksAndRetransmitTimersAreLabeled) {
+  sim::Simulator sim;
+  obs::EventProfiler profiler;
+  sim.set_profiler(&profiler);  // Before any component interns a label.
+  net::Network net{sim};
+  const NodeId client_node = net.add_node("client");
+  const NodeId server_node = net.add_node("server");
+  transport::TransportHost client{sim, net, client_node};
+  OttService ott{sim, net, server_node};
+  net.add_link(client_node, server_node,
+               net::LinkConfig{DataRate::mbps(20.0), Duration::millis(15)});
+  auto& conn = client.connect(server_node, transport::TransportConfig{});
+  CbrSource cbr{sim, conn, DataRate::kbps(64.0)};
+  cbr.start();
+  sim.run_until(TimePoint{} + Duration::seconds(2.0));
+
+  EXPECT_GT(profiler.stats(sim.label("workload.cbr")).executed, 0u);
+  EXPECT_GT(profiler.stats(sim.label("transport.rto")).executed, 0u);
+  EXPECT_EQ(profiler.stats(obs::kUnlabeledEvent).schedules, 0u);
+  EXPECT_EQ(profiler.stats(obs::kUnlabeledEvent).executed, 0u);
 }
 
 TEST(OttService, ProgressTimelineMonotone) {

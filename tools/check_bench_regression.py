@@ -29,8 +29,8 @@ Two modes:
   keeps the human one-line-per-gate format either way.
 
   Determinism compare: byte-compare the "metrics" objects of two result
-  files (the deterministic slice of the schema; wall_seconds and timings
-  are wall-clock and exempt).
+  files (the deterministic slice of the schema; wall_seconds, peak_rss_mb
+  and timings are host-dependent and exempt).
 
       tools/check_bench_regression.py --compare-metrics a.json b.json
 

@@ -3,7 +3,7 @@
 
 Input is the <prefix>.series.json document bench binaries write under
 `--artifacts=<prefix>` (and ap_failover's `--series-out=`) — the
-TimeSeriesSampler's ring buffers plus the SloMonitor's rule set, alert
+TimeSeriesSampler's ring of rows plus the SloMonitor's rule set, alert
 timeline, and final per-scope
 health scores. The tool validates the schema, prints a per-scope report
 (series summary, alert timeline, health scores), and can gate CI:
