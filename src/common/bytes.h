@@ -56,6 +56,13 @@ void store_big_endian(std::uint8_t* p, T v) {
 
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  // Writes into `buffer` from its start, reusing its capacity.
+  explicit ByteWriter(std::vector<std::uint8_t> buffer)
+      : buf_(std::move(buffer)) {
+    buf_.clear();
+  }
+
   void u8(std::uint8_t v) { put(v); }
   void u16(std::uint16_t v) { put(v); }
   void u32(std::uint32_t v) { put(v); }
@@ -123,6 +130,14 @@ class ByteReader {
   // 8 * n bytes fails: nothing is consumed and nothing appended.
   [[nodiscard]] bool u64s(std::size_t n, std::vector<std::uint64_t>& out);
   [[nodiscard]] Result<std::vector<std::uint8_t>> bytes(std::size_t n);
+  // Copies the next out.size() bytes into `out`, allocating nothing. A
+  // shorter buffer fails: nothing is consumed and `out` is untouched.
+  [[nodiscard]] bool copy_to(std::span<std::uint8_t> out) {
+    if (remaining() < out.size()) return false;
+    std::memcpy(out.data(), data_.data() + pos_, out.size());
+    pos_ += out.size();
+    return true;
+  }
   [[nodiscard]] Result<std::string> str();
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }

@@ -33,7 +33,7 @@ DlteAccessPoint::DlteAccessPoint(sim::Simulator& sim, net::Network& net,
   enodeb_ = std::make_unique<EnodeB>(sim_, *fabric_, enb_cfg);
   fabric_->register_enb_direct(
       config_.cell, config_.stub_s1_latency,
-      [this](const lte::S1apMessage& m) { enodeb_->on_s1ap(m); });
+      [this](lte::S1apMessage&& m) { enodeb_->on_s1ap(std::move(m)); });
 
   coordinator_ = std::make_unique<spectrum::PeerCoordinator>(
       sim_, net_, node_,

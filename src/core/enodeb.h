@@ -8,8 +8,9 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
+#include "common/pool.h"
 #include "core/s1_fabric.h"
 #include "lte/nas.h"
 #include "obs/span.h"
@@ -45,13 +46,34 @@ class EnodeB {
   void attach_ue(ue::NasClient& client,
                  std::function<void(AttachOutcome)> on_done);
 
-  // Handler to register with the S1Fabric for this cell.
-  void on_s1ap(const lte::S1apMessage& message);
+  // Handler to register with the S1Fabric for this cell. The rvalue form
+  // takes the message's NAS PDU over; the const form copies it first.
+  void on_s1ap(lte::S1apMessage&& message);
+  void on_s1ap(const lte::S1apMessage& message) {
+    on_s1ap(lte::S1apMessage{message});
+  }
 
   [[nodiscard]] CellId cell() const { return config_.cell; }
   [[nodiscard]] int attaches_started() const { return started_; }
   [[nodiscard]] int attaches_succeeded() const { return succeeded_; }
   [[nodiscard]] int attaches_failed() const { return failed_; }
+
+  // The pending-attach table, for tests. An eNB UE id (issued from 1
+  // upward, never reused) indexes a dense id → slot table; slots are
+  // reused through a free list once an attach completes, fails or
+  // expires. An id from the wire that was never issued finds nothing and
+  // never grows the table.
+  [[nodiscard]] bool is_pending(EnbUeId id) const {
+    return slot_of(id) != kNoSlot;
+  }
+  [[nodiscard]] std::size_t pending_count() const {
+    return pending_.size() - free_slots_.size();
+  }
+  [[nodiscard]] std::size_t pending_slots() const { return pending_.size(); }
+  // One entry per eNB UE id issued so far, plus the never-issued id 0.
+  [[nodiscard]] std::size_t enb_id_table_size() const {
+    return slot_of_enb_id_.size();
+  }
 
   // Causal tracing: each attach_ue() opens an "attach" root span in
   // category `<prefix>ran`, covering RRC setup through completion/guard
@@ -61,18 +83,37 @@ class EnodeB {
 
  private:
   struct PendingUe {
+    EnbUeId id;  // 0 while the slot is free.
     ue::NasClient* client{nullptr};
     std::function<void(AttachOutcome)> on_done;
     TimePoint started_at{};
     MmeUeId mme_ue_id{};
     bool context_setup{false};
-    bool done{false};
     obs::SpanId span{obs::kNoSpan};
   };
 
-  void deliver_nas_to_ue(EnbUeId id, const std::vector<std::uint8_t>& pdu);
-  void send_nas_to_mme(EnbUeId enb_id, MmeUeId mme_id,
-                       const lte::NasMessage& nas);
+  // A NAS PDU on the radio leg, in either direction: parked here for the
+  // radio latency so the event captures only the record's address.
+  struct RadioNas {
+    EnbUeId enb_id;
+    MmeUeId mme_id;
+    std::vector<std::uint8_t> pdu;
+  };
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  [[nodiscard]] std::uint32_t slot_of(EnbUeId id) const {
+    return id.value() < slot_of_enb_id_.size() ? slot_of_enb_id_[id.value()]
+                                                : kNoSlot;
+  }
+  [[nodiscard]] PendingUe* find_pending(EnbUeId id) {
+    const std::uint32_t slot = slot_of(id);
+    return slot == kNoSlot ? nullptr : &pending_[slot];
+  }
+  // Frees the slot and hands back its completion callback, moved out:
+  // the slot may be reused (or move) while the callback runs.
+  std::function<void(AttachOutcome)> finish(PendingUe& ue);
+  void deliver_nas_to_ue(RadioNas* down);
+  void send_nas_to_mme(RadioNas* up);
   void check_completion(EnbUeId id, PendingUe& ue);
   // Annotates the outcome, closes the attach span, and drops the stash.
   void close_attach_span(EnbUeId id, PendingUe& ue, const char* result);
@@ -81,8 +122,10 @@ class EnodeB {
   std::uint32_t ev_label_{0};
   S1Fabric& fabric_;
   EnbConfig config_;
-  std::unordered_map<std::uint32_t, PendingUe> pending_;
-  std::uint32_t next_enb_ue_id_{1};
+  std::vector<PendingUe> pending_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<std::uint32_t> slot_of_enb_id_{kNoSlot};
+  ObjectPool<RadioNas> radio_nas_{4};
   obs::SpanTracer* tracer_{nullptr};
   std::string span_cat_{"ran"};
   int started_{0};

@@ -10,9 +10,10 @@ namespace {
 // S1AP packets carry a cell-id prefix so one core node can serve many
 // eNodeBs and one eNodeB node can host several cells.
 std::vector<std::uint8_t> frame(CellId cell, const lte::S1apMessage& m) {
-  ByteWriter w;
-  w.u32(cell.value());
   const auto body = lte::encode_s1ap(m);
+  ByteWriter w;
+  w.reserve(4 + body.size());
+  w.u32(cell.value());
   w.bytes(body);
   return w.take();
 }
@@ -42,13 +43,23 @@ S1Fabric::S1Fabric(sim::Simulator& sim, epc::Mme& mme)
   });
 }
 
+void S1Fabric::add_endpoint(CellId cell, Endpoint endpoint) {
+  const auto [index, inserted] = endpoint_of_.try_emplace(cell);
+  if (!inserted) {
+    endpoints_[*index] = std::move(endpoint);
+    return;
+  }
+  *index = static_cast<std::uint32_t>(endpoints_.size());
+  endpoints_.push_back(std::move(endpoint));
+}
+
 void S1Fabric::register_enb_direct(CellId cell, Duration latency,
                                    EnbHandler handler) {
   Endpoint ep;
   ep.networked = false;
   ep.latency = latency;
   ep.handler = std::move(handler);
-  endpoints_[cell] = std::move(ep);
+  add_endpoint(cell, std::move(ep));
 }
 
 void S1Fabric::register_enb_networked(net::Network& net, CellId cell,
@@ -66,13 +77,15 @@ void S1Fabric::register_enb_networked(net::Network& net, CellId cell,
                            [this](net::Packet&& p) {
                              auto d = deframe(p.payload);
                              if (!d) return;
-                             const auto it = endpoints_.find(d->cell);
-                             if (it == endpoints_.end()) return;
+                             const std::uint32_t* index =
+                                 endpoint_of_.find(d->cell);
+                             if (index == nullptr) return;
                              ++down_count_;
-                             it->second.handler(d->message);
+                             endpoints_[*index].handler(
+                                 std::move(d->message));
                            });
   install_core_handler(net, core_node);
-  endpoints_[cell] = std::move(ep);
+  add_endpoint(cell, std::move(ep));
 }
 
 void S1Fabric::install_core_handler(net::Network& net, NodeId core_node) {
@@ -88,14 +101,22 @@ void S1Fabric::install_core_handler(net::Network& net, NodeId core_node) {
 }
 
 void S1Fabric::enb_send(CellId cell, lte::S1apMessage message) {
-  const auto it = endpoints_.find(cell);
-  if (it == endpoints_.end()) return;
-  const Endpoint& ep = it->second;
+  const std::uint32_t* index = endpoint_of_.find(cell);
+  if (index == nullptr) return;
+  const Endpoint& ep = endpoints_[*index];
   if (!ep.networked) {
     ++up_count_;
+    InFlight* rec = in_flight_.acquire();
+    rec->cell = cell;
+    rec->message = std::move(message);
     sim_.schedule(
         ep.latency,
-        [this, cell, m = std::move(message)] { mme_.handle_s1ap(cell, m); },
+        [this, rec] {
+          const CellId from = rec->cell;
+          lte::S1apMessage m = std::move(rec->message);
+          in_flight_.release(rec);
+          mme_.handle_s1ap(from, std::move(m));
+        },
         ev_label_);
     return;
   }
@@ -106,14 +127,22 @@ void S1Fabric::enb_send(CellId cell, lte::S1apMessage message) {
 }
 
 void S1Fabric::mme_send(CellId cell, lte::S1apMessage message) {
-  const auto it = endpoints_.find(cell);
-  if (it == endpoints_.end()) return;
-  const Endpoint& ep = it->second;
+  const std::uint32_t* index = endpoint_of_.find(cell);
+  if (index == nullptr) return;
+  const Endpoint& ep = endpoints_[*index];
   if (!ep.networked) {
     ++down_count_;
+    InFlight* rec = in_flight_.acquire();
+    rec->endpoint = *index;
+    rec->message = std::move(message);
     sim_.schedule(
         ep.latency,
-        [handler = ep.handler, m = std::move(message)] { handler(m); },
+        [this, rec] {
+          const Endpoint& to = endpoints_[rec->endpoint];
+          lte::S1apMessage m = std::move(rec->message);
+          in_flight_.release(rec);
+          to.handler(std::move(m));
+        },
         ev_label_);
     return;
   }

@@ -8,12 +8,18 @@
 //     and sharing links with user traffic.
 // The fabric installs itself as the MME's sender and routes downlink
 // S1AP by cell to the registered eNodeB handler.
+//
+// A message is moved, never copied, from its sender to its handler: on
+// the in-process path the fabric parks it in an in-flight record for the
+// S1 latency, and the delivery event captures only the record's address.
 #pragma once
 
+#include <deque>
 #include <functional>
-#include <unordered_map>
 
+#include "common/flat_map.h"
 #include "common/ids.h"
+#include "common/pool.h"
 #include "epc/mme.h"
 #include "lte/s1ap.h"
 #include "net/network.h"
@@ -26,7 +32,9 @@ inline constexpr std::uint16_t kS1apProtocol = 0x5331;  // "S1".
 
 class S1Fabric {
  public:
-  using EnbHandler = std::function<void(const lte::S1apMessage&)>;
+  // Takes the delivered message; a handler that wants a const reference
+  // (`[](const lte::S1apMessage&)`) binds to it just as well.
+  using EnbHandler = std::function<void(lte::S1apMessage&&)>;
 
   S1Fabric(sim::Simulator& sim, epc::Mme& mme);
 
@@ -56,13 +64,25 @@ class S1Fabric {
     EnbHandler handler;
   };
 
+  // One message on the in-process path, parked for the S1 latency.
+  struct InFlight {
+    CellId cell;
+    std::uint32_t endpoint{0};
+    lte::S1apMessage message;
+  };
+
   void mme_send(CellId cell, lte::S1apMessage message);
   void install_core_handler(net::Network& net, NodeId core_node);
+  void add_endpoint(CellId cell, Endpoint endpoint);
 
   sim::Simulator& sim_;
   std::uint32_t ev_label_{0};
   epc::Mme& mme_;
-  std::unordered_map<CellId, Endpoint> endpoints_;
+  // Endpoints keep their address (a handler may register another cell
+  // while it runs); endpoint_of_ maps a cell to its index here.
+  std::deque<Endpoint> endpoints_;
+  FlatMap<CellId, std::uint32_t> endpoint_of_;
+  ObjectPool<InFlight> in_flight_{4};
   bool core_handler_installed_{false};
   std::uint64_t up_count_{0};
   std::uint64_t down_count_{0};

@@ -28,37 +28,32 @@ BearerContext& Gateway::create_session(Imsi imsi, BearerId bearer) {
   ctx.uplink_teid = Teid{next_teid_++};
   ctx.ue_ip = net::Ipv4{ip_pool_base_ + next_host_++};
   obs::inc(m_bearers_created_);
-  return by_imsi_.insert_or_assign(imsi, ctx).first->second;
+  return by_imsi_.insert_or_assign(imsi, ctx);
 }
 
 void Gateway::complete_session(Imsi imsi, Teid enb_downlink_teid) {
-  if (auto it = by_imsi_.find(imsi); it != by_imsi_.end()) {
-    it->second.downlink_teid = enb_downlink_teid;
+  if (BearerContext* ctx = by_imsi_.find(imsi)) {
+    ctx->downlink_teid = enb_downlink_teid;
     obs::inc(m_bearers_completed_);
   }
 }
 
 void Gateway::delete_session(Imsi imsi) {
-  if (by_imsi_.erase(imsi) > 0) obs::inc(m_bearers_released_);
+  if (by_imsi_.erase(imsi)) obs::inc(m_bearers_released_);
 }
 
 const BearerContext* Gateway::find_by_imsi(Imsi imsi) const {
-  const auto it = by_imsi_.find(imsi);
-  return it == by_imsi_.end() ? nullptr : &it->second;
+  return by_imsi_.find(imsi);
 }
 
 const BearerContext* Gateway::find_by_uplink_teid(Teid teid) const {
-  for (const auto& [imsi, ctx] : by_imsi_) {
-    if (ctx.uplink_teid == teid) return &ctx;
-  }
-  return nullptr;
+  return by_imsi_.find_if(
+      [teid](const BearerContext& ctx) { return ctx.uplink_teid == teid; });
 }
 
 const BearerContext* Gateway::find_by_ue_ip(net::Ipv4 ip) const {
-  for (const auto& [imsi, ctx] : by_imsi_) {
-    if (ctx.ue_ip == ip) return &ctx;
-  }
-  return nullptr;
+  return by_imsi_.find_if(
+      [ip](const BearerContext& ctx) { return ctx.ue_ip == ip; });
 }
 
 }  // namespace dlte::epc

@@ -9,8 +9,8 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 
+#include "common/flat_map.h"
 #include "common/ids.h"
 #include "common/result.h"
 #include "net/network.h"
@@ -33,7 +33,9 @@ class Gateway {
       : ip_pool_base_(ip_pool_base) {}
 
   // Create a session: allocates the UE address and the core-side TEID.
-  // The eNodeB-side TEID arrives later via complete_session().
+  // The eNodeB-side TEID arrives later via complete_session(). The
+  // reference (like every find_*() pointer) is valid until the next
+  // create_session() or delete_session().
   [[nodiscard]] BearerContext& create_session(Imsi imsi, BearerId bearer);
   void complete_session(Imsi imsi, Teid enb_downlink_teid);
   void delete_session(Imsi imsi);
@@ -81,7 +83,7 @@ class Gateway {
   std::uint32_t ip_pool_base_;
   std::uint32_t next_host_{1};
   std::uint32_t next_teid_{1};
-  std::unordered_map<Imsi, BearerContext> by_imsi_;
+  FlatMap<Imsi, BearerContext> by_imsi_;
   std::uint64_t uplink_packets_{0};
   std::uint64_t downlink_packets_{0};
   std::uint64_t uplink_bytes_{0};

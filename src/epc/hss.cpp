@@ -27,9 +27,9 @@ void Hss::provision_with_opc(Imsi imsi, const crypto::Key128& k,
 
 Result<AuthVector> Hss::generate_auth_vector(
     Imsi imsi, const std::string& serving_network_id) {
-  auto it = subscribers_.find(imsi);
-  if (it == subscribers_.end()) return fail("unknown IMSI");
-  Subscriber& sub = it->second;
+  Subscriber* found = subscribers_.find(imsi);
+  if (found == nullptr) return fail("unknown IMSI");
+  Subscriber& sub = *found;
 
   AuthVector v;
   for (auto& b : v.rand) {

@@ -10,8 +10,8 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 
+#include "common/flat_map.h"
 #include "common/ids.h"
 #include "common/result.h"
 #include "crypto/key_derivation.h"
@@ -66,7 +66,7 @@ class Hss {
     std::uint64_t sqn{0};
   };
 
-  std::unordered_map<Imsi, Subscriber> subscribers_;
+  FlatMap<Imsi, Subscriber> subscribers_;
   sim::RngStream rng_;
 };
 

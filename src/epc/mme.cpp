@@ -74,12 +74,18 @@ void Mme::handle_s1ap(CellId from_cell, lte::S1apMessage message) {
   busy_until_ = start + config_.nas_processing;
   stats_.queueing_delay_ms.add((start - now).to_millis());
   obs::observe(m_queueing_delay_ms_, (start - now).to_millis());
+  Queued* queued = queued_.acquire();
+  queued->from = from_cell;
+  queued->message = std::move(message);
   sim_.schedule_at(
       busy_until_,
-      [this, from_cell, m = std::move(message)] {
+      [this, queued] {
         ++stats_.messages_processed;
         obs::inc(m_messages_);
-        process(from_cell, m);
+        const CellId from = queued->from;
+        const lte::S1apMessage m = std::move(queued->message);
+        queued_.release(queued);
+        process(from, m);
       },
       ev_label_);
 }
@@ -123,14 +129,14 @@ void Mme::start_attach(CellId cell, EnbUeId enb_ue_id,
   if (config_.max_concurrent_attaches > 0 &&
       attaches_in_progress() >=
           static_cast<std::size_t>(config_.max_concurrent_attaches) &&
-      !ues_.contains(request.imsi)) {
+      !slot_of_imsi_.contains(request.imsi)) {
     // Admission throttle: a re-attach storm (every UE of a dead neighbour
     // arriving at once) is spread out rather than allowed to stall every
     // dialogue at once. Known UEs mid-dialogue are exempt — rejecting a
     // retransmitted AttachRequest would deadlock the very UE being served.
     UeContext ghost;
     ghost.enb_ue_id = enb_ue_id;
-    ghost.mme_ue_id = MmeUeId{next_mme_id_++};
+    ghost.mme_ue_id = issue_mme_id();
     ghost.cell = cell;
     obs::span_annotate(tracer_, ran_span(cell, enb_ue_id), "reject",
                        "congestion (attach storm throttle)");
@@ -145,7 +151,7 @@ void Mme::start_attach(CellId cell, EnbUeId enb_ue_id,
     // Unknown subscriber: reject outright.
     UeContext ghost;
     ghost.enb_ue_id = enb_ue_id;
-    ghost.mme_ue_id = MmeUeId{next_mme_id_++};
+    ghost.mme_ue_id = issue_mme_id();
     ghost.cell = cell;
     obs::span_annotate(tracer_, ran_span(cell, enb_ue_id), "reject",
                        "unknown subscriber");
@@ -155,7 +161,7 @@ void Mme::start_attach(CellId cell, EnbUeId enb_ue_id,
     return;
   }
 
-  UeContext& ue = ues_[request.imsi];
+  UeContext& ue = context_for(request.imsi);
   // Latency is measured from the first AttachRequest of the dialogue: a
   // retransmitted request must not restart the clock (nor re-open spans).
   if (ue.state == EmmState::kDeregistered) {
@@ -169,12 +175,7 @@ void Mme::start_attach(CellId cell, EnbUeId enb_ue_id,
     obs::span_annotate(tracer_, ue.proc_span, "nas_retx",
                        "AttachRequest retransmitted");
   }
-  ue.imsi = request.imsi;
   ue.enb_ue_id = enb_ue_id;
-  if (ue.mme_ue_id.value() == 0) {
-    ue.mme_ue_id = MmeUeId{next_mme_id_++};
-    by_mme_id_[ue.mme_ue_id.value()] = ue.imsi;
-  }
   ue.cell = cell;
   ue.state = EmmState::kAuthPending;
   ue.xres = vector->xres;
@@ -219,7 +220,8 @@ void Mme::handle_nas(UeContext& ue, const lte::NasMessage& nas) {
       // Session setup: allocate bearer + UE address, push the radio-side
       // context, and accept the attach.
       end_phase(ue);
-      BearerContext& bearer = gateway_.create_session(ue.imsi, BearerId{5});
+      const BearerContext bearer =
+          gateway_.create_session(ue.imsi, BearerId{5});
       ue.tmsi = Tmsi{next_tmsi_++};
       ue.state = EmmState::kAttachAccepted;
       begin_phase(ue, "bearer_setup");
@@ -235,7 +237,7 @@ void Mme::handle_nas(UeContext& ue, const lte::NasMessage& nas) {
       ctx.mme_ue_id = ue.mme_ue_id;
       ctx.sgw_uplink_teid = bearer.uplink_teid;
       ctx.security_key.assign(kenb.begin(), kenb.end());
-      sender_(ue.cell, lte::S1apMessage{ctx});
+      sender_(ue.cell, lte::S1apMessage{std::move(ctx)});
 
       lte::AttachAccept accept;
       accept.tmsi = ue.tmsi;
@@ -282,19 +284,19 @@ void Mme::send_nas(UeContext& ue, const lte::NasMessage& nas) {
   ue.retx_state = ue.state;
   ue.retx_left = config_.nas_max_retx;
   arm_nas_retx(ue);
-  sender_(ue.cell, lte::S1apMessage{transport});
+  sender_(ue.cell, lte::S1apMessage{std::move(transport)});
 }
 
 void Mme::arm_nas_retx(UeContext& ue) {
   if (config_.nas_max_retx <= 0) return;
-  const std::uint64_t epoch = ++ue.retx_epoch;
-  const Imsi imsi = ue.imsi;
+  const std::uint32_t epoch = ++ue.retx_epoch;
+  const MmeUeId id = ue.mme_ue_id;
   sim_.schedule(
       config_.nas_retx_timeout,
-      [this, imsi, epoch] {
-    const auto it = ues_.find(imsi);
-    if (it == ues_.end()) return;  // Detached/released meanwhile.
-    UeContext& u = it->second;
+      [this, id, epoch] {
+    UeContext* found = find_by_mme_id(id);
+    if (found == nullptr) return;  // Released or wiped meanwhile.
+    UeContext& u = *found;
     if (u.retx_epoch != epoch) return;       // Newer message superseded.
     if (u.state != u.retx_state) return;     // Dialogue advanced.
     if (u.state == EmmState::kRegistered || u.retx_left <= 0) return;
@@ -309,14 +311,14 @@ void Mme::arm_nas_retx(UeContext& ue) {
     // InitialContextSetupRequest may have been the lost message: re-issue
     // it alongside the NAS retransmission.
     if (u.state == EmmState::kAttachAccepted && !u.context_setup_done) {
-      if (const auto* bearer = gateway_.find_by_imsi(imsi)) {
+      if (const auto* bearer = gateway_.find_by_imsi(u.imsi)) {
         const auto kenb = crypto::derive_kenb(u.kasme, 0);
         lte::InitialContextSetupRequest ctx;
         ctx.enb_ue_id = u.enb_ue_id;
         ctx.mme_ue_id = u.mme_ue_id;
         ctx.sgw_uplink_teid = bearer->uplink_teid;
         ctx.security_key.assign(kenb.begin(), kenb.end());
-        sender_(u.cell, lte::S1apMessage{ctx});
+        sender_(u.cell, lte::S1apMessage{std::move(ctx)});
       }
     }
     lte::DownlinkNasTransport transport;
@@ -324,7 +326,7 @@ void Mme::arm_nas_retx(UeContext& ue) {
     transport.mme_ue_id = u.mme_ue_id;
     transport.nas_pdu = u.retx_pdu;
     arm_nas_retx(u);
-    sender_(u.cell, lte::S1apMessage{transport});
+    sender_(u.cell, lte::S1apMessage{std::move(transport)});
       },
       ev_label_);
 }
@@ -334,12 +336,7 @@ Result<BearerContext> Mme::admit_handover(
   if (security_context.empty()) {
     return fail("handover requires a forwarded security context");
   }
-  UeContext& ue = ues_[imsi];
-  ue.imsi = imsi;
-  if (ue.mme_ue_id.value() == 0) {
-    ue.mme_ue_id = MmeUeId{next_mme_id_++};
-    by_mme_id_[ue.mme_ue_id.value()] = imsi;
-  }
+  UeContext& ue = context_for(imsi);
   ue.cell = cell;
   ue.tmsi = Tmsi{next_tmsi_++};
   ue.state = EmmState::kRegistered;
@@ -351,32 +348,64 @@ Result<BearerContext> Mme::admit_handover(
 }
 
 void Mme::release_ue(Imsi imsi) {
-  const auto it = ues_.find(imsi);
-  if (it == ues_.end()) return;
+  const std::uint32_t* slot = slot_of_imsi_.find(imsi);
+  if (slot == nullptr) return;
   gateway_.delete_session(imsi);
-  by_mme_id_.erase(it->second.mme_ue_id.value());
-  ues_.erase(it);
+  free_slot(*slot);
+  slot_of_imsi_.erase(imsi);
   ++stats_.handovers_out;
   obs::inc(m_handovers_out_);
 }
 
+MmeUeId Mme::issue_mme_id() {
+  const MmeUeId id{static_cast<std::uint32_t>(slot_of_mme_id_.size())};
+  slot_of_mme_id_.push_back(kNoSlot);
+  return id;
+}
+
+Mme::UeContext& Mme::context_for(Imsi imsi) {
+  const auto [entry, inserted] = slot_of_imsi_.try_emplace(imsi);
+  if (!inserted) return contexts_[*entry];
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(contexts_.size());
+    contexts_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  *entry = slot;
+  UeContext& ue = contexts_[slot];
+  ue.imsi = imsi;
+  ue.mme_ue_id = issue_mme_id();
+  slot_of_mme_id_[ue.mme_ue_id.value()] = slot;
+  return ue;
+}
+
+void Mme::free_slot(std::uint32_t slot) {
+  slot_of_mme_id_[contexts_[slot].mme_ue_id.value()] = kNoSlot;
+  contexts_[slot] = UeContext{};
+  free_slots_.push_back(slot);
+}
+
 Mme::UeContext* Mme::find_by_mme_id(MmeUeId id) {
-  const auto it = by_mme_id_.find(id.value());
-  if (it == by_mme_id_.end()) return nullptr;
-  const auto ue_it = ues_.find(it->second);
-  return ue_it == ues_.end() ? nullptr : &ue_it->second;
+  const std::uint32_t slot = slot_of(id);
+  return slot == kNoSlot ? nullptr : &contexts_[slot];
 }
 
 void Mme::lose_volatile_state() {
-  for (auto& [imsi, ue] : ues_) {
+  for (UeContext& ue : contexts_) {
+    if (ue.mme_ue_id.value() == 0) continue;  // Free slot.
     obs::span_annotate(tracer_, ue.phase_span, "fault",
                        "mme volatile state lost mid-dialogue");
     end_phase(ue);
     obs::span_annotate(tracer_, ue.proc_span, "fault",
                        "mme volatile state lost");
+    slot_of_mme_id_[ue.mme_ue_id.value()] = kNoSlot;
   }
-  ues_.clear();
-  by_mme_id_.clear();
+  contexts_.clear();
+  free_slots_.clear();
+  slot_of_imsi_.clear();
   busy_until_ = sim_.now();
   ++stats_.state_losses;
   obs::inc(m_state_losses_);
@@ -384,7 +413,7 @@ void Mme::lose_volatile_state() {
 
 std::size_t Mme::attaches_in_progress() const {
   std::size_t n = 0;
-  for (const auto& [imsi, ue] : ues_) {
+  for (const UeContext& ue : contexts_) {
     if (ue.state == EmmState::kAuthPending ||
         ue.state == EmmState::kSecurityPending ||
         ue.state == EmmState::kAttachAccepted) {
@@ -395,8 +424,8 @@ std::size_t Mme::attaches_in_progress() const {
 }
 
 bool Mme::is_registered(Imsi imsi) const {
-  const auto it = ues_.find(imsi);
-  return it != ues_.end() && it->second.state == EmmState::kRegistered;
+  const std::uint32_t* slot = slot_of_imsi_.find(imsi);
+  return slot != nullptr && contexts_[*slot].state == EmmState::kRegistered;
 }
 
 }  // namespace dlte::epc

@@ -9,12 +9,14 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/ids.h"
+#include "common/pool.h"
 #include "common/stats.h"
 #include "common/time.h"
 #include "epc/gateway.h"
@@ -99,6 +101,36 @@ class Mme {
   [[nodiscard]] std::size_t attaches_in_progress() const;
   [[nodiscard]] const MmeStats& stats() const { return stats_; }
 
+  // The EMM context tables, for tests. Contexts sit in reusable slots;
+  // an MME UE id (issued from 1 upward, never reused, not even across
+  // lose_volatile_state) indexes a dense id → slot table, and the IMSI
+  // finds its slot through a flat hash map. An id from the wire that was
+  // never issued finds nothing and never grows the table.
+  struct UeView {
+    Imsi imsi;
+    MmeUeId mme_ue_id;
+    EmmState state{EmmState::kDeregistered};
+    std::uint32_t slot{0};
+  };
+  [[nodiscard]] std::optional<UeView> find_ue(MmeUeId id) const {
+    const std::uint32_t slot = slot_of(id);
+    if (slot == kNoSlot) return std::nullopt;
+    return view(slot);
+  }
+  [[nodiscard]] std::optional<UeView> find_ue(Imsi imsi) const {
+    const std::uint32_t* slot = slot_of_imsi_.find(imsi);
+    if (slot == nullptr) return std::nullopt;
+    return view(*slot);
+  }
+  [[nodiscard]] std::size_t context_count() const {
+    return slot_of_imsi_.size();
+  }
+  [[nodiscard]] std::size_t context_slots() const { return contexts_.size(); }
+  // One entry per MME UE id issued so far, plus the never-issued id 0.
+  [[nodiscard]] std::size_t mme_id_table_size() const {
+    return slot_of_mme_id_.size();
+  }
+
   // Export signaling counters and the attach-latency / queueing-delay
   // histograms under `<prefix>epc.*` (all simulated-time derived, so
   // values are deterministic for a given seed).
@@ -126,8 +158,10 @@ class Mme {
     bool context_setup_done{false};
     bool attach_complete_seen{false};
     // NAS retransmission state: the last downlink NAS message, re-sent
-    // while the EMM state has not advanced.
-    std::uint64_t retx_epoch{0};
+    // while the EMM state has not advanced. A retransmission timer finds
+    // its context by MME UE id, which a later dialogue of the same IMSI
+    // never shares.
+    std::uint32_t retx_epoch{0};
     int retx_left{0};
     EmmState retx_state{EmmState::kDeregistered};
     std::vector<std::uint8_t> retx_pdu;
@@ -138,6 +172,13 @@ class Mme {
     obs::SpanId phase_span{obs::kNoSpan};
   };
 
+  // A message waiting for MME CPU in the processing queue.
+  struct Queued {
+    CellId from;
+    lte::S1apMessage message;
+  };
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
   void process(CellId from_cell, const lte::S1apMessage& message);
   void handle_nas(UeContext& ue, const lte::NasMessage& nas);
   void send_nas(UeContext& ue, const lte::NasMessage& nas);
@@ -145,7 +186,21 @@ class Mme {
   void start_attach(CellId cell, EnbUeId enb_ue_id,
                     const lte::AttachRequest& request);
   void maybe_finish_attach(UeContext& ue);
+  [[nodiscard]] MmeUeId issue_mme_id();
+  // The context of `imsi`, created (with a fresh MME UE id) when absent.
+  // Creating one may move every other context: hold no reference across.
+  UeContext& context_for(Imsi imsi);
+  // Resets a context and returns its slot to the free list.
+  void free_slot(std::uint32_t slot);
   UeContext* find_by_mme_id(MmeUeId id);
+  [[nodiscard]] std::uint32_t slot_of(MmeUeId id) const {
+    return id.value() < slot_of_mme_id_.size() ? slot_of_mme_id_[id.value()]
+                                                : kNoSlot;
+  }
+  [[nodiscard]] UeView view(std::uint32_t slot) const {
+    const UeContext& ue = contexts_[slot];
+    return UeView{ue.imsi, ue.mme_ue_id, ue.state, slot};
+  }
   // The RAN's stashed "attach" span for this dialogue (kNoSpan if the
   // eNodeB is untraced or the stash expired).
   [[nodiscard]] obs::SpanId ran_span(CellId cell, EnbUeId enb_ue_id) const;
@@ -161,9 +216,12 @@ class Mme {
   S1apSender sender_;
   TimePoint busy_until_{};
 
-  std::unordered_map<Imsi, UeContext> ues_;
-  std::unordered_map<std::uint32_t, Imsi> by_mme_id_;
-  std::uint32_t next_mme_id_{1};
+  // Context slots; a free slot has mme_ue_id 0 and waits in free_slots_.
+  std::vector<UeContext> contexts_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<std::uint32_t> slot_of_mme_id_{kNoSlot};
+  FlatMap<Imsi, std::uint32_t> slot_of_imsi_;
+  ObjectPool<Queued> queued_{4};
   std::uint32_t next_tmsi_{0x1000};
   MmeStats stats_;
 

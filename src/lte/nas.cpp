@@ -24,12 +24,29 @@ void put_bytes(ByteWriter& w, std::span<const std::uint8_t> b) {
 
 template <std::size_t N>
 Result<std::array<std::uint8_t, N>> get_array(ByteReader& r) {
-  auto v = r.bytes(N);
-  if (!v) return Err{v.error()};
   std::array<std::uint8_t, N> out{};
-  std::copy(v->begin(), v->end(), out.begin());
+  if (!r.copy_to(out)) return fail("short buffer reading bytes");
   return out;
 }
+
+// Encoded size of each message, so the encoder writes into a buffer
+// reserved once at its final size.
+struct WireSize {
+  std::size_t operator()(const AttachRequest&) const { return 1 + 8 + 4; }
+  std::size_t operator()(const AuthenticationRequest& m) const {
+    return 1 + m.rand.size() + m.autn.sqn_xor_ak.size() + m.autn.amf.size() +
+           m.autn.mac_a.size();
+  }
+  std::size_t operator()(const AuthenticationResponse& m) const {
+    return 1 + m.res.size();
+  }
+  std::size_t operator()(const AuthenticationReject&) const { return 1; }
+  std::size_t operator()(const SecurityModeCommand&) const { return 3; }
+  std::size_t operator()(const SecurityModeComplete&) const { return 1; }
+  std::size_t operator()(const AttachAccept&) const { return 1 + 4 + 4 + 1; }
+  std::size_t operator()(const AttachComplete&) const { return 1; }
+  std::size_t operator()(const AttachReject&) const { return 2; }
+};
 
 struct Encoder {
   ByteWriter& w;
@@ -79,9 +96,16 @@ struct Encoder {
 }  // namespace
 
 std::vector<std::uint8_t> encode_nas(const NasMessage& message) {
-  ByteWriter w;
+  std::vector<std::uint8_t> out;
+  encode_nas(message, out);
+  return out;
+}
+
+void encode_nas(const NasMessage& message, std::vector<std::uint8_t>& out) {
+  ByteWriter w{std::move(out)};
+  w.reserve(std::visit(WireSize{}, message));
   std::visit(Encoder{w}, message);
-  return w.take();
+  out = w.take();
 }
 
 Result<NasMessage> decode_nas(std::span<const std::uint8_t> bytes) {

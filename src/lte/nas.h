@@ -70,6 +70,8 @@ using NasMessage =
                  AttachReject>;
 
 [[nodiscard]] std::vector<std::uint8_t> encode_nas(const NasMessage& message);
+// The same bytes written over `out`, reusing its capacity.
+void encode_nas(const NasMessage& message, std::vector<std::uint8_t>& out);
 [[nodiscard]] Result<NasMessage> decode_nas(
     std::span<const std::uint8_t> bytes);
 

@@ -1,5 +1,7 @@
 #include "lte/s1ap.h"
 
+#include <type_traits>
+
 #include "common/bytes.h"
 
 namespace dlte::lte {
@@ -60,10 +62,28 @@ struct Encoder {
   }
 };
 
+// Encoded size: type byte, three u32 fields at most, and the PDU with its
+// u16 length prefix.
+std::size_t wire_size(const S1apMessage& m) {
+  return std::visit(
+      [](const auto& msg) -> std::size_t {
+        using T = std::decay_t<decltype(msg)>;
+        if constexpr (std::is_same_v<T, InitialContextSetupRequest>) {
+          return 1 + 12 + 2 + msg.security_key.size();
+        } else if constexpr (std::is_same_v<T, InitialContextSetupResponse>) {
+          return 1 + 12;
+        } else {
+          return 1 + 8 + 2 + msg.nas_pdu.size();
+        }
+      },
+      m);
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_s1ap(const S1apMessage& m) {
   ByteWriter w;
+  w.reserve(wire_size(m));
   std::visit(Encoder{w}, m);
   return w.take();
 }

@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace dlte::obs {
@@ -41,7 +42,18 @@ void Histogram::record(double v) {
   if (v <= 0.0) {
     ++underflow_;
   } else {
-    ++buckets_[bucket_index(v)];
+    add(bucket_index(v), 1);
+  }
+}
+
+void Histogram::add(std::int32_t index, std::uint64_t n) {
+  const auto it = std::lower_bound(
+      buckets_.begin(), buckets_.end(), index,
+      [](const Bucket& b, std::int32_t i) { return b.index < i; });
+  if (it != buckets_.end() && it->index == index) {
+    it->count += n;
+  } else {
+    buckets_.insert(it, Bucket{index, n});
   }
 }
 
@@ -57,7 +69,11 @@ void Histogram::merge_from(const Histogram& other) {
   count_ += other.count_;
   sum_ += other.sum_;
   underflow_ += other.underflow_;
-  for (const auto& [index, n] : other.buckets_) buckets_[index] += n;
+  if (buckets_.empty()) {
+    buckets_ = other.buckets_;  // The common case: one source per name.
+    return;
+  }
+  for (const Bucket& b : other.buckets_) add(b.index, b.count);
 }
 
 double Histogram::quantile(double q) const {
@@ -72,10 +88,10 @@ double Histogram::quantile(double q) const {
   // were seen, otherwise the bucket's nominal value of zero.
   if (rank <= seen) return min_ < 0.0 ? min_ : 0.0;
   double estimate = max_;
-  for (const auto& [index, n] : buckets_) {
-    seen += n;
+  for (const Bucket& b : buckets_) {
+    seen += b.count;
     if (seen >= rank) {
-      estimate = bucket_midpoint(index);
+      estimate = bucket_midpoint(b.index);
       break;
     }
   }
@@ -94,13 +110,17 @@ double Histogram::quantile_since(const Histogram& baseline, double q) const {
   std::uint64_t seen = underflow_ - baseline.underflow_;
   if (rank <= seen) return min_ < 0.0 ? min_ : 0.0;
   double estimate = max_;
-  for (const auto& [index, count] : buckets_) {
-    std::uint64_t delta = count;
-    const auto it = baseline.buckets_.find(index);
-    if (it != baseline.buckets_.end()) delta -= it->second;
+  // The baseline's buckets are a subset of ours: walk both in step.
+  auto base = baseline.buckets_.begin();
+  for (const Bucket& b : buckets_) {
+    std::uint64_t delta = b.count;
+    while (base != baseline.buckets_.end() && base->index < b.index) ++base;
+    if (base != baseline.buckets_.end() && base->index == b.index) {
+      delta -= base->count;
+    }
     seen += delta;
     if (seen >= rank) {
-      estimate = bucket_midpoint(index);
+      estimate = bucket_midpoint(b.index);
       break;
     }
   }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace dlte::obs {
 
@@ -57,7 +58,11 @@ class Gauge {
 // is at most 1/kSubBuckets (~3.1%) and a reported quantile — the bucket
 // midpoint, clamped to the observed [min, max] — is within ~1.6% of the
 // true sample quantile. Zero and negative samples share one underflow
-// bucket that reports as 0. Memory is O(occupied buckets), never O(n).
+// bucket that reports as 0. Memory is O(occupied buckets), never O(n):
+// the occupied buckets sit in one contiguous array sorted by bucket
+// index, so a record is a binary search over a few dozen entries (and an
+// insert only the first time a bucket is hit), and quantiles and
+// windowed views are linear walks over that array.
 class Histogram {
  public:
   static constexpr int kSubBuckets = 32;
@@ -100,10 +105,17 @@ class Histogram {
   [[nodiscard]] double p99() const { return quantile(0.99); }
 
  private:
+  // Adds n samples to bucket `index`, inserting it in order if new.
+  void add(std::int32_t index, std::uint64_t n);
   [[nodiscard]] static std::int32_t bucket_index(double v);
   [[nodiscard]] static double bucket_midpoint(std::int32_t index);
 
-  std::map<std::int32_t, std::uint64_t> buckets_;
+  struct Bucket {
+    std::int32_t index;
+    std::uint64_t count;
+  };
+
+  std::vector<Bucket> buckets_;  // Occupied buckets, ascending index.
   std::uint64_t underflow_{0};  // Samples <= 0.
   std::uint64_t count_{0};
   double sum_{0.0};

@@ -152,7 +152,7 @@ void ShardedTown::build() {
     core::EnodeB* enb = isl->enb.get();
     isl->fabric->register_enb_direct(
         cell, Duration::micros(50),
-        [enb](const lte::S1apMessage& m) { enb->on_s1ap(m); });
+        [enb](lte::S1apMessage&& m) { enb->on_s1ap(std::move(m)); });
 
     // Ring neighbours (deduplicated for tiny towns).
     if (n > 1) {

@@ -335,6 +335,52 @@ TEST(AttachFlow, CoreCrashWipesVolatileStateButNotHss) {
   EXPECT_TRUE(f.core.mme().is_registered(Imsi{1001}));
 }
 
+TEST(AttachFlow, RetxTimerFromBeforeACrashDoesNotFireOnTheNextDialogue) {
+  // Nobody answers the AuthenticationRequests, so each dialogue's
+  // retransmission timer stays armed. The first dialogue's timer (due at
+  // ~2.0005 s) outlives the crash at 1 s; the second dialogue, started at
+  // 1.5 s, must not be re-sent before its own timer (~3.5005 s).
+  sim::Simulator sim;
+  EpcCore core{sim,
+               EpcConfig{.deployment = CoreDeployment::kLocalStub,
+                         .network_id = "test-net"},
+               sim::RngStream{7}};
+  const Imsi imsi{1001};
+  core.hss().provision(imsi, key_for(1001), kOp);
+  std::vector<double> auth_requests_s;
+  core.mme().set_sender([&](CellId, lte::S1apMessage m) {
+    const auto* down = std::get_if<lte::DownlinkNasTransport>(&m);
+    ASSERT_NE(down, nullptr);
+    auto nas = lte::decode_nas(down->nas_pdu);
+    ASSERT_TRUE(nas.ok());
+    if (std::holds_alternative<lte::AuthenticationRequest>(*nas)) {
+      auth_requests_s.push_back(sim.now().to_seconds());
+    }
+  });
+  const auto attach = [&core, imsi] {
+    lte::InitialUeMessage init;
+    init.enb_ue_id = EnbUeId{1};
+    init.cell = CellId{1};
+    init.nas_pdu = lte::encode_nas(lte::AttachRequest{imsi, Tmsi{0}});
+    core.mme().handle_s1ap(CellId{1}, lte::S1apMessage{std::move(init)});
+  };
+  attach();
+  sim.schedule(Duration::seconds(1.0), [&core] { core.crash(); });
+  sim.schedule(Duration::seconds(1.5), attach);
+
+  sim.run_until(TimePoint{} + Duration::seconds(3.0));
+  EXPECT_EQ(core.mme().stats().nas_retransmissions, 0u);
+  ASSERT_EQ(auth_requests_s.size(), 2u);
+  EXPECT_LT(auth_requests_s[0], 0.01);
+  EXPECT_GE(auth_requests_s[1], 1.5);
+
+  // The second dialogue's own timer still fires when it is due.
+  sim.run_until(TimePoint{} + Duration::seconds(3.6));
+  EXPECT_EQ(core.mme().stats().nas_retransmissions, 1u);
+  ASSERT_EQ(auth_requests_s.size(), 3u);
+  EXPECT_GE(auth_requests_s[2], 3.5);
+}
+
 TEST(EpcCore, DeploymentCapabilities) {
   sim::Simulator sim;
   EpcCore central{sim, EpcConfig{.deployment = CoreDeployment::kCentralized},

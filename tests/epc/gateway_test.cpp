@@ -21,8 +21,9 @@ TEST(Gateway, SessionLifecycle) {
 
 TEST(Gateway, DistinctAddressesAndTeids) {
   Gateway gw{0x0A2D0000};
-  const auto& a = gw.create_session(Imsi{1}, BearerId{5});
-  const auto& b = gw.create_session(Imsi{2}, BearerId{5});
+  // Copies: a session reference is valid only until the next create.
+  const BearerContext a = gw.create_session(Imsi{1}, BearerId{5});
+  const BearerContext b = gw.create_session(Imsi{2}, BearerId{5});
   EXPECT_NE(a.ue_ip, b.ue_ip);
   EXPECT_NE(a.uplink_teid, b.uplink_teid);
 }

@@ -77,6 +77,21 @@ TEST(S1ap, ContextSetupKeysSurvive) {
             Teid{66});
 }
 
+TEST(S1ap, EncodesIntoABufferReservedAtItsFinalSize) {
+  const std::vector<S1apMessage> msgs{
+      InitialUeMessage{EnbUeId{7}, CellId{100}, {0x41, 0x01, 0x02}},
+      UplinkNasTransport{EnbUeId{1}, MmeUeId{2}, std::vector<std::uint8_t>(33)},
+      DownlinkNasTransport{EnbUeId{1}, MmeUeId{2}, {0x5d, 1, 1}},
+      InitialContextSetupRequest{EnbUeId{3}, MmeUeId{4}, Teid{55},
+                                 std::vector<std::uint8_t>(32)},
+      InitialContextSetupResponse{EnbUeId{3}, MmeUeId{4}, Teid{66}},
+  };
+  for (const auto& msg : msgs) {
+    const auto bytes = encode_s1ap(msg);
+    EXPECT_EQ(bytes.capacity(), bytes.size()) << "type " << msg.index();
+  }
+}
+
 TEST(S1ap, RetiredReleaseCommandTypeIsUnknown) {
   // Type 6 was UeContextReleaseCommand, which nothing sent or handled:
   // its well-formed frame (eNB id, MME id, cause) is now an unknown type.

@@ -85,6 +85,28 @@ TEST(NasCodec, MessageNames) {
   EXPECT_STREQ(nas_message_name(NasMessage{AttachAccept{}}), "AttachAccept");
 }
 
+// Every message type encodes into a buffer reserved once at its final
+// size, and encoding over a used buffer gives the same bytes in place.
+TEST(NasCodec, EncodesIntoABufferReservedAtItsFinalSize) {
+  const std::vector<NasMessage> msgs{
+      AttachRequest{Imsi{123}, Tmsi{9}}, AuthenticationRequest{},
+      AuthenticationResponse{},          AuthenticationReject{},
+      SecurityModeCommand{},             SecurityModeComplete{},
+      AttachAccept{Tmsi{1}, 2, BearerId{5}}, AttachComplete{},
+      AttachReject{1},
+  };
+  std::vector<std::uint8_t> reused(64, 0xee);
+  const std::uint8_t* const storage = reused.data();
+  for (const auto& msg : msgs) {
+    SCOPED_TRACE(nas_message_name(msg));
+    const auto bytes = encode_nas(msg);
+    EXPECT_EQ(bytes.capacity(), bytes.size());
+    encode_nas(msg, reused);
+    EXPECT_EQ(reused, bytes);
+    EXPECT_EQ(reused.data(), storage);  // No reallocation.
+  }
+}
+
 // Property: every prefix-truncation of a valid encoding fails to decode
 // rather than crashing or mis-decoding (except the trivial empty-body
 // messages whose whole encoding is the 1-byte type).
