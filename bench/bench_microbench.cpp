@@ -143,7 +143,12 @@ BENCHMARK(BM_PfScheduler32Ues);
 // heap's O(log n) hurts most right there. Run over both queue
 // implementations; the recorded "event_queue_speedup" timing is
 // calendar-vs-heap on exactly this loop (the DESIGN.md §13 claim).
-template <typename Queue>
+// With kCapture32 every event carries a 32-byte capture (a reference and
+// three words, the shape of FlowTrain's epoch lambda): each step runs the
+// popped action and schedules a fresh one, as the engine does. That row
+// records the cost of a schedule whose capture stays inline (it allocated
+// on every push while actions were std::function).
+template <typename Queue, bool kCapture32 = false>
 void queue_hold(benchmark::State& state) {
   constexpr std::size_t kPending = 1 << 17;
   Queue queue;
@@ -153,18 +158,34 @@ void queue_hold(benchmark::State& state) {
     lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
     return static_cast<std::int64_t>((lcg >> 40) % 1'000'000);  // <1 ms
   };
+  std::uint64_t ran = 0;
+  const auto make_action = [&ran](std::uint64_t s) -> sim::EventAction {
+    if constexpr (kCapture32) {
+      const auto action = [&ran, s, a = s * 3, b = s ^ 7] { ran += s + a + b; };
+      static_assert(sizeof(action) == sim::EventAction::kInlineBytes);
+      return action;
+    } else {
+      return {};
+    }
+  };
   std::int64_t now = 0;
   for (std::size_t i = 0; i < kPending; ++i) {
-    queue.push(
-        sim::QueuedEvent{TimePoint::from_ns(now + next_gap()), seq++, {}});
+    const std::uint64_t s = seq++;
+    queue.push(sim::QueuedEvent{TimePoint::from_ns(now + next_gap()), s,
+                                make_action(s)});
   }
   for (auto _ : state) {
     sim::QueuedEvent event = queue.pop();
     now = event.when.ns();
     event.when = TimePoint::from_ns(now + next_gap());
     event.seq = seq++;
+    if constexpr (kCapture32) {
+      event.action();
+      event.action = make_action(event.seq);
+    }
     queue.push(std::move(event));
   }
+  benchmark::DoNotOptimize(ran);
   state.SetItemsProcessed(state.iterations());
 }
 
@@ -177,6 +198,11 @@ void BM_EventQueueCalendarHold(benchmark::State& state) {
   queue_hold<sim::CalendarQueue>(state);
 }
 BENCHMARK(BM_EventQueueCalendarHold);
+
+void BM_EventQueueCalendarHoldCapture32(benchmark::State& state) {
+  queue_hold<sim::CalendarQueue, true>(state);
+}
+BENCHMARK(BM_EventQueueCalendarHoldCapture32);
 
 void BM_SimulatorEventThroughput(benchmark::State& state) {
   for (auto _ : state) {

@@ -72,7 +72,6 @@ void Mme::handle_s1ap(CellId from_cell, lte::S1apMessage message) {
   const TimePoint now = sim_.now();
   const TimePoint start = std::max(now, busy_until_);
   busy_until_ = start + config_.nas_processing;
-  stats_.queueing_delay_ms.add((start - now).to_millis());
   obs::observe(m_queueing_delay_ms_, (start - now).to_millis());
   Queued* queued = queued_.acquire();
   queued->from = from_cell;

@@ -17,7 +17,6 @@
 #include "common/flat_map.h"
 #include "common/ids.h"
 #include "common/pool.h"
-#include "common/stats.h"
 #include "common/time.h"
 #include "epc/gateway.h"
 #include "epc/hss.h"
@@ -64,7 +63,6 @@ struct MmeStats {
   std::uint64_t nas_retransmissions{0};
   std::uint64_t attaches_throttled{0};  // Rejected by storm admission.
   std::uint64_t state_losses{0};        // Crashes wiping volatile state.
-  Quantiles queueing_delay_ms;  // Time spent waiting for MME CPU.
 };
 
 class Mme {

@@ -1,5 +1,7 @@
 #include "lte/x2ap.h"
 
+#include <algorithm>
+
 #include "common/bytes.h"
 
 namespace dlte::lte {
@@ -74,10 +76,37 @@ struct Encoder {
   }
 };
 
+// Encoded size of each message, field for field as Encoder writes it.
+struct Sizer {
+  std::size_t operator()(const X2HandoverRequest& m) const {
+    return 1 + 4 + 4 + 8 + 4 + 2 + m.security_context.size();
+  }
+  std::size_t operator()(const X2HandoverRequestAck&) const {
+    return 1 + 4 + 8 + 4 + 4;
+  }
+  std::size_t operator()(const X2UeContextRelease&) const { return 1 + 4 + 8; }
+  std::size_t operator()(const X2LoadInformation&) const {
+    return 1 + 4 + 8 + 4;
+  }
+  std::size_t operator()(const DlteHello& m) const {
+    // ByteWriter::str cuts the body to what its u16 prefix can count.
+    const std::size_t contact = m.operator_contact.size();
+    return 1 + 4 + 1 + 2 + std::min<std::size_t>(contact, 0xffff);
+  }
+  std::size_t operator()(const DltePeerStatus&) const {
+    return 1 + 4 + 1 + 8 + 8 + 4;
+  }
+  std::size_t operator()(const DlteShareProposal& m) const {
+    return 1 + 4 + 2 + 4 * m.ap_ids.size() + 8 * m.shares.size();
+  }
+  std::size_t operator()(const DlteShareAccept&) const { return 1 + 4 + 4; }
+};
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_x2(const X2Message& m) {
   ByteWriter w;
+  w.reserve(std::visit(Sizer{}, m));
   std::visit(Encoder{w}, m);
   return w.take();
 }
@@ -189,9 +218,7 @@ Result<X2Message> decode_x2(std::span<const std::uint8_t> bytes) {
 }
 
 int x2_wire_size(const X2Message& m) {
-  // Encoded payload plus SCTP/IP framing as it would ride the backhaul.
-  constexpr int kFraming = 48;
-  return static_cast<int>(encode_x2(m).size()) + kFraming;
+  return static_cast<int>(std::visit(Sizer{}, m)) + kX2FramingBytes;
 }
 
 }  // namespace dlte::lte

@@ -109,7 +109,12 @@ using X2Message =
 [[nodiscard]] std::vector<std::uint8_t> encode_x2(const X2Message& m);
 [[nodiscard]] Result<X2Message> decode_x2(std::span<const std::uint8_t> bytes);
 
-// Wire size of a message (bytes): used by the C7 X2-bandwidth experiment.
+// SCTP/IP framing a message carries on the backhaul, on top of its
+// encoded bytes.
+inline constexpr int kX2FramingBytes = 48;
+
+// Wire size of a message (bytes): its encoded size plus kX2FramingBytes,
+// computed without encoding it. Used by the C7 X2-bandwidth experiment.
 [[nodiscard]] int x2_wire_size(const X2Message& m);
 
 }  // namespace dlte::lte

@@ -217,15 +217,17 @@ void ShardedTown::build() {
             isl->enb->cell(),
             std::min(1.0, static_cast<double>(isl->attached) / capacity),
             isl->attached};
-        const std::vector<std::uint8_t> bytes = lte::encode_x2(report);
-        const int wire = lte::x2_wire_size(report);
-        for (const int neighbor : isl->neighbors) {
+        std::vector<std::uint8_t> bytes = lte::encode_x2(report);
+        const int wire = static_cast<int>(bytes.size()) + lte::kX2FramingBytes;
+        const std::size_t last = isl->neighbors.size() - 1;
+        for (std::size_t i = 0; i <= last; ++i) {
           net::Packet p;
           p.src = isl->ap_node;
           p.dst = isl->xg_node;
           p.size_bytes = wire;
-          p.protocol = static_cast<std::uint16_t>(neighbor);
-          p.payload = bytes;
+          p.protocol = static_cast<std::uint16_t>(isl->neighbors[i]);
+          // Every neighbour but the last gets a copy; the last the bytes.
+          p.payload = i == last ? std::move(bytes) : bytes;
           isl->network->send(std::move(p));
           isl->x2_tx->inc();
         }

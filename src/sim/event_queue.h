@@ -21,18 +21,18 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <queue>
 #include <vector>
 
 #include "common/time.h"
+#include "sim/event_action.h"
 
 namespace dlte::sim {
 
 struct QueuedEvent {
   TimePoint when;
   std::uint64_t seq{0};
-  std::function<void()> action;
+  EventAction action;
   // Interned attribution label (obs::EventProfiler id); 0 = unlabeled.
   // Never participates in ordering — it rides along for the profiler.
   std::uint32_t label{0};
@@ -80,16 +80,16 @@ class BinaryHeapQueue {
 // [t, t + width) with (t / width) % nbuckets == b; width is a power of
 // two (a shift), nbuckets is a power of two (a mask), so the bucket of a
 // timestamp is two ALU ops. Buckets hold trivially-copyable sort keys
-// (when, seq, slot) kept (when, seq)-ascending behind a drained-head
-// index; the std::function payloads live in a slot slab off to the side
-// and move exactly twice — into the slab on push, out on pop — so the
-// sorted inserts and the recalibration rebuilds shuffle 24-byte PODs
-// (memmove), never callables. The common push (append at the bucket
-// back) and the common pop (head of the current bucket) are O(1); a
-// full lap without an in-window event falls back to a direct min
-// search, and the bucket count / width recalibrate as the queue grows
-// and shrinks. Timestamps must be non-negative — the engine clamps
-// past/negative targets before pushing.
+// (when, seq, slot, label) kept (when, seq)-ascending behind a drained-head
+// index; the EventAction payloads (40 bytes, captures inline) live in a
+// slot slab off to the side and move exactly twice — into the slab on
+// push, out on pop — so the sorted inserts and the recalibration
+// rebuilds shuffle 24-byte PODs (memmove), never callables. The common
+// push (append at the bucket back) and the common pop (head of the
+// current bucket) are O(1); a full lap without an in-window event falls
+// back to a direct min search, and the bucket count / width recalibrate
+// as the queue grows and shrinks. Timestamps must be non-negative — the
+// engine clamps past/negative targets before pushing.
 class CalendarQueue {
  public:
   CalendarQueue();
@@ -102,8 +102,8 @@ class CalendarQueue {
       seek_to(when_ns);
     }
     insert_key(buckets_[bucket_of(when_ns)],
-               Key{when_ns, event.seq,
-                   store_action(std::move(event.action), event.label)});
+               Key{when_ns, event.seq, store_action(std::move(event.action)),
+                   event.label});
     ++size_;
     // mask_ + 1 == buckets_.size(); comparing against the cached mask
     // keeps the common no-resize path free of vector-size loads.
@@ -122,9 +122,8 @@ class CalendarQueue {
     if (size_ * 4 <= mask_ && mask_ + 1 > kMinBuckets) {
       maybe_resize();
     }
-    const std::uint32_t label = labels_[key.slot];
     return QueuedEvent{TimePoint::from_ns(key.when_ns), key.seq,
-                       take_action(key.slot), label};
+                       take_action(key.slot), key.label};
   }
 
   // Minimum element, or nullptr when empty. Advances the internal scan
@@ -159,11 +158,15 @@ class CalendarQueue {
   static constexpr int kMaxShift = 45;
 
   // Sort key: everything the ordering needs, trivially copyable so the
-  // bucket vectors shift with memmove. `slot` indexes the action slab.
+  // bucket vectors shift with memmove. `slot` indexes the action slab
+  // (32 bits: a slab of 2^32 40-byte actions is far past any host's
+  // memory); the attribution label fills the rest of the 24 bytes and
+  // never takes part in ordering.
   struct Key {
     std::int64_t when_ns;
     std::uint64_t seq;
-    std::size_t slot;
+    std::uint32_t slot;
+    std::uint32_t label;
   };
   [[nodiscard]] static bool key_before(const Key& a, const Key& b) {
     if (a.when_ns != b.when_ns) return a.when_ns < b.when_ns;
@@ -197,24 +200,19 @@ class CalendarQueue {
     cur_window_start_ = window_start_of(when_ns);
   }
 
-  // Park the action (and its attribution label) in a recycled or fresh
-  // slab slot; the key carries the slot index through the sorted bucket.
-  // The label lives in a parallel vector, not in Key — the sort keys
-  // stay 24-byte PODs and the memmove-heavy paths never widen.
-  [[nodiscard]] std::size_t store_action(std::function<void()>&& action,
-                                         std::uint32_t label) {
+  // Park the action in a recycled or fresh slab slot; the key carries
+  // the slot index through the sorted bucket.
+  [[nodiscard]] std::uint32_t store_action(EventAction&& action) {
     if (free_slots_.empty()) {
       actions_.push_back(std::move(action));
-      labels_.push_back(label);
-      return actions_.size() - 1;
+      return static_cast<std::uint32_t>(actions_.size() - 1);
     }
-    const std::size_t slot = free_slots_.back();
+    const std::uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
     actions_[slot] = std::move(action);
-    labels_[slot] = label;
     return slot;
   }
-  [[nodiscard]] std::function<void()> take_action(std::size_t slot) {
+  [[nodiscard]] EventAction take_action(std::uint32_t slot) {
     free_slots_.push_back(slot);
     return std::move(actions_[slot]);
   }
@@ -271,11 +269,9 @@ class CalendarQueue {
   // Scan cursor: no live event exists before cur_window_start_.
   std::size_t cur_bucket_{0};
   std::int64_t cur_window_start_{0};
-  // Action slab + free list; keys index it via Key::slot. labels_ is
-  // the slot-parallel attribution-label slab.
-  std::vector<std::function<void()>> actions_;
-  std::vector<std::uint32_t> labels_;
-  std::vector<std::size_t> free_slots_;
+  // Action slab + free list; keys index it via Key::slot.
+  std::vector<EventAction> actions_;
+  std::vector<std::uint32_t> free_slots_;
   QueuedEvent peek_event_;
   std::uint64_t resizes_{0};
   std::uint64_t direct_searches_{0};

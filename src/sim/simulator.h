@@ -12,21 +12,24 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/time.h"
 #include "obs/audit.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
+#include "sim/event_action.h"
 #include "sim/event_queue.h"
 
 namespace dlte::sim {
 
 class Simulator {
  public:
-  using Action = std::function<void()>;
+  // Move-only, heap-free for captures up to EventAction::kInlineBytes;
+  // callers pass lambdas.
+  using Action = EventAction;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -133,11 +136,13 @@ class Simulator {
   [[nodiscard]] obs::DigestTimeline* auditor() const { return auditor_; }
   // Intern an attribution label for the schedule_* label overloads.
   // Without a profiler every name maps to the unlabeled id, so callsites
-  // can intern once at construction regardless of profiling state.
-  [[nodiscard]] std::uint32_t label(const std::string& name) {
+  // can intern once at construction regardless of profiling state. The
+  // name is copied into a string only when a profiler is attached.
+  [[nodiscard]] std::uint32_t label(std::string_view name) {
     if (profiler_ == nullptr) return obs::kUnlabeledEvent;
-    const std::uint32_t id = profiler_->intern(name);
-    if (auditor_ != nullptr) auditor_->register_label(id, name);
+    const std::string owned{name};
+    const std::uint32_t id = profiler_->intern(owned);
+    if (auditor_ != nullptr) auditor_->register_label(id, owned);
     return id;
   }
 

@@ -19,6 +19,11 @@ void UeCohort::start() {
   const int base = config_.ues / batches;
   const int extra = config_.ues % batches;
   const double window_s = std::max(0.0, config_.attach_window.to_seconds());
+  // One aggregate flow per batch at most: size the vector once instead
+  // of regrowing it as the batches attach.
+  if (config_.flow_bytes_per_ue != 0) {
+    flows_.reserve(static_cast<std::size_t>(batches));
+  }
   for (int k = 0; k < batches; ++k) {
     // Stratified: batch k lands uniformly inside its own slice of the
     // window, so the wave stays spread without per-UE draws.

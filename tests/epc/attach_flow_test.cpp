@@ -250,11 +250,13 @@ TEST(AttachFlow, MmeProcessingDelayQueues) {
     }
     shims.at(id - 100).on_s1ap(m);
   });
+  obs::MetricsRegistry metrics;
+  f.core.set_metrics(&metrics, "");
   for (std::size_t i = 0; i < n; ++i) shims[i].start(clients[i]);
   f.sim.run_all();
   EXPECT_EQ(f.core.mme().stats().attaches_completed,
             static_cast<std::uint64_t>(n));
-  EXPECT_GT(f.core.mme().stats().queueing_delay_ms.p95(), 0.5);
+  EXPECT_GT(metrics.histogram("epc.queueing_delay_ms").quantile(0.95), 0.5);
 }
 
 TEST(AttachFlow, StormAdmissionThrottleRejectsExcessDialogues) {

@@ -124,6 +124,29 @@ TEST(X2WireSize, GrowsWithMembership) {
   EXPECT_GT(x2_wire_size(X2Message{large}), x2_wire_size(X2Message{small}));
 }
 
+TEST(X2WireSize, IsTheEncodedSizePlusFramingForEveryKind) {
+  // x2_wire_size sizes a message without encoding it, and encode_x2
+  // reserves that size up front: both must agree with the real encoding.
+  const std::vector<X2Message> msgs{
+      X2HandoverRequest{CellId{1}, CellId{2}, Imsi{3}, Tmsi{4}, {1, 2, 3}},
+      X2HandoverRequestAck{CellId{1}, Imsi{2}, Teid{3}},
+      X2UeContextRelease{CellId{1}, Imsi{2}},
+      X2LoadInformation{CellId{1}, 0.5, 2},
+      DlteHello{ApId{1}, DlteMode::kFairShare, "contact"},
+      // Longer than the u16 length prefix can count: the body is cut.
+      DlteHello{ApId{1}, DlteMode::kLbt, std::string(70'000, 'x')},
+      DltePeerStatus{ApId{1}, DlteMode::kCooperative, 0.1, 0.2, 3},
+      DlteShareProposal{1, {1, 2, 3}, {0.5, 0.25, 0.25}},
+      DlteShareAccept{1, ApId{2}},
+  };
+  for (const X2Message& m : msgs) {
+    const std::vector<std::uint8_t> bytes = encode_x2(m);
+    const int expected = static_cast<int>(bytes.size()) + kX2FramingBytes;
+    EXPECT_EQ(x2_wire_size(m), expected) << "index " << m.index();
+    EXPECT_EQ(bytes.capacity(), bytes.size()) << "index " << m.index();
+  }
+}
+
 // Property: truncation of any prefix fails cleanly across message kinds.
 class X2Truncation : public ::testing::TestWithParam<int> {};
 
