@@ -17,6 +17,7 @@
 #include "mac/wifi_dcf.h"
 #include "phy/propagation.h"
 #include "sim/event_queue.h"
+#include "sim/random.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -217,6 +218,34 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SimulatorEventThroughput);
+
+// A metro cohort's random stream over its whole life: derived from the
+// scenario seed and the AP index, then 110 uniform draws (10 batch
+// offsets and 100 attach samples). A fresh stream per iteration, so the
+// row carries set-up (seeding) as well as the draws.
+void BM_RngStreamCohortLife(benchmark::State& state) {
+  std::uint64_t index = 0;
+  for (auto _ : state) {
+    auto rng = sim::RngStream::derive(42, "metro.cohort", index++);
+    double sum = 0.0;
+    for (int k = 0; k < 110; ++k) sum += rng.uniform();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * 110);
+}
+BENCHMARK(BM_RngStreamCohortLife);
+
+// One uniform draw from a long-lived stream, well past its first 156
+// draws: the steady-state cost a stream that draws all run long pays.
+void BM_RngStreamUniformSteadyState(benchmark::State& state) {
+  sim::RngStream rng{42};
+  for (int k = 0; k < 1000; ++k) (void)rng.uniform();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.uniform());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngStreamUniformSteadyState);
 
 void BM_DcfSimulatedSecond(benchmark::State& state) {
   for (auto _ : state) {

@@ -22,6 +22,21 @@ std::uint64_t splitmix64(std::uint64_t x) {
 }
 }  // namespace
 
+LazyMt19937_64::result_type LazyMt19937_64::start_or_spill() {
+  if (drawn_ == kUnstarted) {
+    low_ = seed_;
+    high_ = seed_;
+    for (result_type i = 1; i <= kPrefixDraws; ++i) {
+      high_ = seed_step(high_, i);
+    }
+    drawn_ = 0;
+    return prefix_draw();
+  }
+  full_ = std::make_unique<std::mt19937_64>(seed_);
+  full_->discard(kPrefixDraws);
+  return (*full_)();
+}
+
 RngStream RngStream::derive(std::uint64_t master_seed,
                             std::string_view component) {
   return RngStream{splitmix64(master_seed ^ fnv1a(component))};

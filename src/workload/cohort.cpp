@@ -7,7 +7,7 @@ namespace dlte::workload {
 
 UeCohort::UeCohort(sim::Simulator& sim, CohortConfig config,
                    sim::RngStream rng, Hooks hooks)
-    : sim_(sim), config_(config), rng_(rng), hooks_(hooks) {
+    : sim_(sim), config_(config), rng_(std::move(rng)), hooks_(hooks) {
   attach_label_ = sim_.label("workload.attach");
   if (config_.ues < 0) config_.ues = 0;
   config_.attach_batches =

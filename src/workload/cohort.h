@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/time.h"
@@ -55,7 +56,7 @@ class UeCohort {
   UeCohort(sim::Simulator& sim, CohortConfig config, sim::RngStream rng,
            Hooks hooks);
   UeCohort(sim::Simulator& sim, CohortConfig config, sim::RngStream rng)
-      : UeCohort(sim, config, rng, Hooks{}) {}
+      : UeCohort(sim, config, std::move(rng), Hooks{}) {}
 
   // Schedule the attach batches. Call once, before or during the run.
   void start();

@@ -6,9 +6,12 @@
 // reports and the engine's own queue storage. The bound holds that cost
 // well under what it was when every event with a capture of more than 16
 // bytes (the flow epochs, the periodic ticks) allocated its callable, so
-// a per-event allocation creeping back into the engine fails here. This
-// binary replaces the global operator new to count allocations, so it
-// holds this test alone.
+// a per-event allocation creeping back into the engine fails here. A
+// second test holds the bytes allocated while the metro is built, per
+// AP, under what it was when every cohort's random stream carried a full
+// 2,504-byte std::mt19937_64 state. This binary replaces the global
+// operator new to count allocations and their bytes, so it holds these
+// tests alone.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,15 +23,21 @@
 
 namespace {
 std::atomic<long> g_allocations{0};
+std::atomic<long> g_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(static_cast<long>(size), std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc{};
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: inlined into gtest's `new TestClass`, the free() reads to
+// GCC as a mismatch with operator new (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace dlte::par {
 namespace {
@@ -72,6 +81,19 @@ TEST(MetroAllocations, EnginePathStaysUnderItsBudget) {
   // and a heap string per flow label this read 10.47 (4.37 after); the
   // bound is under half of the former.
   EXPECT_LE(per_batch, 5.0);
+}
+
+TEST(MetroAllocations, BuildStaysUnderItsBudget) {
+  const long before = g_bytes.load();
+  MetroResult build_only;
+  (void)allocations_to(Duration::micros(1), build_only);
+  const MetroConfig config = small_metro(Duration::micros(1));
+  const double per_ap = static_cast<double>(g_bytes.load() - before) /
+                        static_cast<double>(config.aps);
+  std::printf("bytes allocated per AP while building: %.0f\n", per_ap);
+  // With an eagerly seeded std::mt19937_64 in every cohort's stream this
+  // read 6,264 B per AP (3,800 B after); the bound sits between them.
+  EXPECT_LE(per_ap, 5000.0);
 }
 
 }  // namespace
