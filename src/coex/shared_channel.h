@@ -140,9 +140,6 @@ class SharedChannel {
 
   void run(Duration duration);
 
-  [[nodiscard]] int transmitter_count() const {
-    return static_cast<int>(entries_.size());
-  }
   [[nodiscard]] const CoexStats& stats(int index) const;
   [[nodiscard]] Duration elapsed() const { return elapsed_; }
 

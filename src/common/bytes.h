@@ -85,7 +85,6 @@ class ByteWriter {
 
   [[nodiscard]] const std::vector<std::uint8_t>& data() const { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
  private:
   // n more bytes at the end, returned for the caller to overwrite.
@@ -141,7 +140,6 @@ class ByteReader {
   [[nodiscard]] Result<std::string> str();
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
-  [[nodiscard]] bool exhausted() const { return remaining() == 0; }
 
  private:
   // The failure path stays out of line: every fixed-width read inlines

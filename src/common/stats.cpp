@@ -5,14 +5,7 @@
 namespace dlte {
 
 void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++n_;
-  sum_ += x;
   mean_ += (x - mean_) / static_cast<double>(n_);
 }
 

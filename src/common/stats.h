@@ -7,23 +7,17 @@
 
 namespace dlte {
 
-// Streaming mean/min/max (Welford's running mean). O(1) memory.
+// Streaming mean (Welford's running mean). O(1) memory.
 class RunningStats {
  public:
   void add(double x);
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  [[nodiscard]] double min() const { return n_ > 0 ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return n_ > 0 ? max_ : 0.0; }
-  [[nodiscard]] double sum() const { return sum_; }
 
  private:
   std::size_t n_{0};
   double mean_{0.0};
-  double min_{0.0};
-  double max_{0.0};
-  double sum_{0.0};
 };
 
 // Stores samples for exact quantiles. Used where sample counts are modest
@@ -41,12 +35,10 @@ class Quantiles {
                     other.samples_.end());
     sorted_ = false;
   }
-  [[nodiscard]] std::size_t count() const { return samples_.size(); }
   // q in [0,1]; linear interpolation between order statistics.
   [[nodiscard]] double quantile(double q) const;
   [[nodiscard]] double median() const { return quantile(0.5); }
   [[nodiscard]] double p95() const { return quantile(0.95); }
-  [[nodiscard]] double p99() const { return quantile(0.99); }
 
  private:
   mutable std::vector<double> samples_;

@@ -77,7 +77,6 @@ class TimePoint {
   }
   [[nodiscard]] constexpr std::int64_t ns() const { return ns_; }
   [[nodiscard]] constexpr double to_seconds() const { return ns_ / 1e9; }
-  [[nodiscard]] constexpr double to_millis() const { return ns_ / 1e6; }
 
   friend constexpr TimePoint operator+(TimePoint t, Duration d) {
     return TimePoint{t.ns_ + d.ns()};

@@ -47,9 +47,6 @@ class PowerDbm {
   [[nodiscard]] double milliwatts() const {
     return std::pow(10.0, dbm_ / 10.0);
   }
-  [[nodiscard]] static PowerDbm from_milliwatts(double mw) {
-    return PowerDbm{10.0 * std::log10(mw)};
-  }
 
   // Power plus a gain (antenna, amplifier) or minus a loss (path, cable).
   friend constexpr PowerDbm operator+(PowerDbm p, Decibels g) {
@@ -82,7 +79,6 @@ class Hertz {
   }
   [[nodiscard]] constexpr double hz() const { return hz_; }
   [[nodiscard]] constexpr double to_mhz() const { return hz_ / 1e6; }
-  [[nodiscard]] constexpr double to_ghz() const { return hz_ / 1e9; }
 
   friend constexpr auto operator<=>(Hertz, Hertz) = default;
   friend constexpr Hertz operator+(Hertz a, Hertz b) {

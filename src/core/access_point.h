@@ -93,11 +93,6 @@ class DlteAccessPoint {
   // rediscovery); without one, just re-lights the cell and X2.
   void recover(spectrum::Registry* registry = nullptr);
   [[nodiscard]] bool failed() const { return failed_; }
-  // Lease renewals are failing but within ApConfig::lease_grace: the AP
-  // is transmitting at conservative power waiting for the registry.
-  [[nodiscard]] bool lease_degraded() const {
-    return degraded_since_.has_value();
-  }
 
   // Cooperative-handover radio plumbing: register an admitted UE's bearer
   // with this cell's MAC without an attach dialogue (the core context was
@@ -124,20 +119,15 @@ class DlteAccessPoint {
 
   [[nodiscard]] ApId id() const { return config_.id; }
   [[nodiscard]] CellId cell_id() const { return config_.cell; }
-  [[nodiscard]] NodeId node() const { return node_; }
-  [[nodiscard]] const std::string& network_id() const { return network_id_; }
-  [[nodiscard]] bool has_grant() const { return grant_.has_value(); }
   [[nodiscard]] const spectrum::SpectrumGrant& grant() const {
     return *grant_;
   }
 
   [[nodiscard]] epc::EpcCore& core() { return *core_; }
-  [[nodiscard]] EnodeB& enodeb() { return *enodeb_; }
   [[nodiscard]] mac::LteCellMac& cell_mac() { return cell_mac_; }
   [[nodiscard]] spectrum::PeerCoordinator& coordinator() {
     return *coordinator_;
   }
-  [[nodiscard]] RadioEnvironment& radio_env() { return radio_env_; }
 
  private:
   sim::Simulator& sim_;

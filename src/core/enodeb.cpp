@@ -45,7 +45,6 @@ void EnodeB::attach_ue(ue::NasClient& client,
   obs::span_stash(tracer_,
                   obs::span_key("attach", config_.cell.value(), id.value()),
                   ue.span);
-  ++started_;
 
   // RRC connection establishment, then the initial NAS message.
   sim_.schedule(
@@ -66,7 +65,6 @@ void EnodeB::attach_ue(ue::NasClient& client,
       [this, id] {
         PendingUe* pending = find_pending(id);
         if (pending == nullptr) return;
-        ++failed_;
         close_attach_span(id, *pending, "guard_expired");
         AttachOutcome out;
         out.success = false;
@@ -150,7 +148,6 @@ void EnodeB::send_nas_to_mme(RadioNas* up_nas) {
 
 void EnodeB::check_completion(EnbUeId id, PendingUe& ue) {
   if (ue.client->state() == ue::NasClientState::kRejected) {
-    ++failed_;
     close_attach_span(id, ue, "rejected");
     AttachOutcome out;
     out.success = false;
@@ -160,7 +157,6 @@ void EnodeB::check_completion(EnbUeId id, PendingUe& ue) {
     return;
   }
   if (ue.client->registered() && ue.context_setup) {
-    ++succeeded_;
     obs::span_annotate(tracer_, ue.span, "ue_ip",
                        [&] { return std::to_string(ue.client->ue_ip()); });
     close_attach_span(id, ue, "registered");

@@ -54,9 +54,6 @@ class EnodeB {
   }
 
   [[nodiscard]] CellId cell() const { return config_.cell; }
-  [[nodiscard]] int attaches_started() const { return started_; }
-  [[nodiscard]] int attaches_succeeded() const { return succeeded_; }
-  [[nodiscard]] int attaches_failed() const { return failed_; }
 
   // The pending-attach table, for tests. An eNB UE id (issued from 1
   // upward, never reused) indexes a dense id → slot table; slots are
@@ -128,9 +125,6 @@ class EnodeB {
   ObjectPool<RadioNas> radio_nas_{4};
   obs::SpanTracer* tracer_{nullptr};
   std::string span_cat_{"ran"};
-  int started_{0};
-  int succeeded_{0};
-  int failed_{0};
 };
 
 }  // namespace dlte::core

@@ -47,7 +47,6 @@ void HandoverManager::initiate(UeDevice& ue, ApId target_ap,
     if (on_done) on_done(fail_out);
     return;
   }
-  ++initiated_;
   Pending p;
   p.ue = &ue;
   p.traffic = traffic;
@@ -122,7 +121,6 @@ void HandoverManager::handle_request(const lte::X2HandoverRequest& request,
   obs::ScopedActivation act{tracer_, admit};
   // Cooperation is consensual: refuse silently unless we opted in.
   if (ap_.coordinator().mode() != lte::DlteMode::kCooperative) {
-    ++refused_;
     obs::span_annotate(tracer_, admit, "result", "refused: not cooperative");
     obs::span_end(tracer_, admit);
     return;
@@ -130,13 +128,11 @@ void HandoverManager::handle_request(const lte::X2HandoverRequest& request,
   auto bearer = ap_.core().mme().admit_handover(
       request.imsi, ap_.cell_id(), request.security_context);
   if (!bearer) {
-    ++refused_;
     obs::span_annotate(tracer_, admit, "result",
                        [&] { return "refused: " + bearer.error(); });
     obs::span_end(tracer_, admit);
     return;
   }
-  ++admitted_;
   obs::span_annotate(tracer_, admit, "result", "admitted");
   obs::span_annotate(tracer_, admit, "new_ue_ip",
                      [&] { return bearer->ue_ip.to_string(); });

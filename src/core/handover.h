@@ -46,10 +46,6 @@ class HandoverManager {
   void initiate(UeDevice& ue, ApId target_ap, mac::UeTrafficConfig traffic,
                 std::function<void(HandoverOutcome)> on_done);
 
-  [[nodiscard]] int handovers_initiated() const { return initiated_; }
-  [[nodiscard]] int handovers_admitted() const { return admitted_; }
-  [[nodiscard]] int handovers_refused() const { return refused_; }
-
   // Causal tracing: initiate() opens a "handover" root span (category
   // `<prefix>handover`) stashed under span_key("handover", imsi); the
   // target's admission becomes a "handover_admit" child (via the shared
@@ -76,9 +72,6 @@ class HandoverManager {
   std::unordered_map<std::uint64_t, Pending> pending_;  // By IMSI.
   // Target-side record of admitted-but-not-yet-arrived UEs.
   std::unordered_map<std::uint64_t, mac::UeTrafficConfig> expected_;
-  int initiated_{0};
-  int admitted_{0};
-  int refused_{0};
   obs::SpanTracer* tracer_{nullptr};
   std::string span_cat_{"handover"};
 

@@ -34,7 +34,6 @@ class RadioEnvironment {
       phy::Environment terrain = phy::Environment::kOpenRural);
 
   void add_cell(const CellSiteConfig& config);
-  [[nodiscard]] bool has_cell(CellId id) const { return cells_.contains(id); }
 
   // Coordination state (driven by the PeerCoordinator / scenario).
   void set_coordinated(CellId id, bool coordinated);

@@ -80,7 +80,6 @@ void S1Fabric::register_enb_networked(net::Network& net, CellId cell,
                              const std::uint32_t* index =
                                  endpoint_of_.find(d->cell);
                              if (index == nullptr) return;
-                             ++down_count_;
                              endpoints_[*index].handler(
                                  std::move(d->message));
                            });
@@ -95,7 +94,6 @@ void S1Fabric::install_core_handler(net::Network& net, NodeId core_node) {
                            [this](net::Packet&& p) {
                              auto d = deframe(p.payload);
                              if (!d) return;
-                             ++up_count_;
                              mme_.handle_s1ap(d->cell, std::move(d->message));
                            });
 }
@@ -105,7 +103,6 @@ void S1Fabric::enb_send(CellId cell, lte::S1apMessage message) {
   if (index == nullptr) return;
   const Endpoint& ep = endpoints_[*index];
   if (!ep.networked) {
-    ++up_count_;
     InFlight* rec = in_flight_.acquire();
     rec->cell = cell;
     rec->message = std::move(message);
@@ -131,7 +128,6 @@ void S1Fabric::mme_send(CellId cell, lte::S1apMessage message) {
   if (index == nullptr) return;
   const Endpoint& ep = endpoints_[*index];
   if (!ep.networked) {
-    ++down_count_;
     InFlight* rec = in_flight_.acquire();
     rec->endpoint = *index;
     rec->message = std::move(message);

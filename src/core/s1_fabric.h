@@ -51,9 +51,6 @@ class S1Fabric {
   // eNodeB → MME direction.
   void enb_send(CellId cell, lte::S1apMessage message);
 
-  [[nodiscard]] std::uint64_t uplink_messages() const { return up_count_; }
-  [[nodiscard]] std::uint64_t downlink_messages() const { return down_count_; }
-
  private:
   struct Endpoint {
     bool networked{false};
@@ -84,8 +81,6 @@ class S1Fabric {
   FlatMap<CellId, std::uint32_t> endpoint_of_;
   ObjectPool<InFlight> in_flight_{4};
   bool core_handler_installed_{false};
-  std::uint64_t up_count_{0};
-  std::uint64_t down_count_{0};
 };
 
 }  // namespace dlte::core

@@ -24,10 +24,8 @@ class UeDevice {
   [[nodiscard]] Imsi imsi() const { return esim_.find_open() != nullptr
                                         ? esim_.find_open()->imsi
                                         : primary_imsi_; }
-  [[nodiscard]] ue::EsimStore& esim() { return esim_; }
 
   [[nodiscard]] Position position() const { return mobility_->position(); }
-  Position advance(Duration dt) { return mobility_->advance(dt); }
 
   // Begin an attachment to a network: creates a fresh NAS client bound to
   // that network's serving id. Any previous attachment state is dropped
@@ -36,9 +34,6 @@ class UeDevice {
   [[nodiscard]] ue::NasClient* nas() { return nas_ ? &*nas_ : nullptr; }
   [[nodiscard]] bool attached() const {
     return nas_.has_value() && nas_->registered();
-  }
-  [[nodiscard]] std::uint32_t current_ip() const {
-    return nas_ ? nas_->ue_ip() : 0;
   }
 
  private:

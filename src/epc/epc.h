@@ -36,7 +36,6 @@ class EpcCore {
   [[nodiscard]] Hss& hss() { return hss_; }
   [[nodiscard]] Mme& mme() { return mme_; }
   [[nodiscard]] Gateway& gateway() { return gateway_; }
-  [[nodiscard]] const EpcConfig& config() const { return config_; }
 
   // Attach the whole core (MME + gateway) to a metrics registry.
   void set_metrics(obs::MetricsRegistry* registry,
@@ -59,15 +58,9 @@ class EpcCore {
     gateway_.clear_sessions();
   }
 
-  // Capability predicates per §4.1 / §4.4: the stub strips everything the
+  // Capability predicate per §4.1 / §4.4: the stub strips everything the
   // client doesn't strictly require.
-  [[nodiscard]] bool anchors_mobility() const {
-    return config_.deployment == CoreDeployment::kCentralized;
-  }
   [[nodiscard]] bool bills_subscribers() const {
-    return config_.deployment == CoreDeployment::kCentralized;
-  }
-  [[nodiscard]] bool tunnels_user_traffic() const {
     return config_.deployment == CoreDeployment::kCentralized;
   }
 

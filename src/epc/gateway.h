@@ -54,15 +54,11 @@ class Gateway {
 
   [[nodiscard]] std::size_t session_count() const { return by_imsi_.size(); }
 
-  // Data-plane accounting (experiments read these).
+  // User-plane byte accounting, into `epc.gw.{up,down}link_bytes`.
   void count_uplink(int bytes) {
-    uplink_packets_ += 1;
-    uplink_bytes_ += static_cast<std::uint64_t>(bytes);
     obs::inc(m_uplink_bytes_, static_cast<std::uint64_t>(bytes));
   }
   void count_downlink(int bytes) {
-    downlink_packets_ += 1;
-    downlink_bytes_ += static_cast<std::uint64_t>(bytes);
     obs::inc(m_downlink_bytes_, static_cast<std::uint64_t>(bytes));
   }
 
@@ -70,24 +66,12 @@ class Gateway {
   // `<prefix>epc.gw.*`.
   void set_metrics(obs::MetricsRegistry* registry,
                    const std::string& prefix = "");
-  [[nodiscard]] std::uint64_t uplink_packets() const { return uplink_packets_; }
-  [[nodiscard]] std::uint64_t downlink_packets() const {
-    return downlink_packets_;
-  }
-  [[nodiscard]] std::uint64_t uplink_bytes() const { return uplink_bytes_; }
-  [[nodiscard]] std::uint64_t downlink_bytes() const {
-    return downlink_bytes_;
-  }
 
  private:
   std::uint32_t ip_pool_base_;
   std::uint32_t next_host_{1};
   std::uint32_t next_teid_{1};
   FlatMap<Imsi, BearerContext> by_imsi_;
-  std::uint64_t uplink_packets_{0};
-  std::uint64_t downlink_packets_{0};
-  std::uint64_t uplink_bytes_{0};
-  std::uint64_t downlink_bytes_{0};
 
   obs::Counter* m_bearers_created_{nullptr};
   obs::Counter* m_bearers_completed_{nullptr};

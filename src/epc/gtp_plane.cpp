@@ -88,13 +88,11 @@ void GatewayDataPlane::on_gtp(const net::Packet& packet) {
                              frame->header.sequence));
   const auto* bearer = gateway_.find_by_uplink_teid(frame->header.teid);
   if (bearer == nullptr) {
-    ++unknown_teid_;
     obs::span_annotate(tracer_, span, "drop", "unknown uplink teid");
     obs::span_end(tracer_, span);
     return;
   }
   gateway_.count_uplink(frame->inner.size_bytes);
-  ++up_count_;
   obs::span_annotate(tracer_, span, "decapsulated",
                      [&] { return lte::gtpu_brief(frame->header); });
   {
@@ -112,17 +110,10 @@ void GatewayDataPlane::on_user_ip(const net::Packet& packet) {
   auto inner = decode_inner(packet.payload);
   if (!inner) return;
   const auto* bearer = gateway_.find_by_ue_ip(inner->ue_ip);
-  if (bearer == nullptr) {
-    ++unknown_ue_;
-    return;
-  }
+  if (bearer == nullptr) return;
   const auto node_it = enb_nodes_.find(bearer->downlink_teid);
-  if (node_it == enb_nodes_.end()) {
-    ++unknown_ue_;
-    return;
-  }
+  if (node_it == enb_nodes_.end()) return;
   gateway_.count_downlink(inner->size_bytes);
-  ++down_count_;
   const std::uint16_t seq = next_seq_++;
   const obs::SpanId span =
       obs::span_begin(tracer_, "gtp_downlink", span_cat_);
@@ -164,7 +155,6 @@ void EnbDataPlane::send_uplink(net::Ipv4 ue_ip, NodeId remote,
                                int size_bytes) {
   const auto it = uplink_teids_.find(ue_ip.addr);
   if (it == uplink_teids_.end()) {
-    ++unconfigured_;
     // Zero-duration marker: the datagram died here, trace says why.
     const obs::SpanId s = obs::span_begin(tracer_, "gtp_uplink", span_cat_);
     obs::span_annotate(tracer_, s, "drop", "no uplink teid for ue");
@@ -172,7 +162,6 @@ void EnbDataPlane::send_uplink(net::Ipv4 ue_ip, NodeId remote,
     return;
   }
   InnerDatagram inner{ue_ip, remote, size_bytes};
-  ++up_count_;
   const std::uint16_t seq = next_seq_++;
   const obs::SpanId span = obs::span_begin(tracer_, "gtp_uplink", span_cat_);
   obs::span_annotate(tracer_, span, "tunnel", [&] {
@@ -191,7 +180,6 @@ void EnbDataPlane::send_uplink(net::Ipv4 ue_ip, NodeId remote,
 void EnbDataPlane::on_gtp(const net::Packet& packet) {
   auto frame = deframe_gtp(packet.payload);
   if (!frame) return;
-  ++down_count_;
   // Close the gateway's stashed "gtp_downlink" span: the tunnel leg
   // ends where the datagram reaches the serving eNodeB.
   const obs::SpanId span = obs::span_take(
@@ -200,7 +188,6 @@ void EnbDataPlane::on_gtp(const net::Packet& packet) {
   obs::span_annotate(tracer_, span, "delivered",
                      [&] { return lte::gtpu_brief(frame->header); });
   obs::span_end(tracer_, span);
-  if (on_downlink_) on_downlink_(frame->inner);
 }
 
 }  // namespace dlte::epc

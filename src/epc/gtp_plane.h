@@ -10,7 +10,6 @@
 // tunnelled back to the serving eNodeB.
 #pragma once
 
-#include <functional>
 #include <unordered_map>
 
 #include "epc/gateway.h"
@@ -44,17 +43,6 @@ class GatewayDataPlane {
   // Downlink tunnelling needs to know which eNodeB node serves a bearer.
   void bind_enb(Teid enb_downlink_teid, NodeId enb_node);
 
-  [[nodiscard]] std::uint64_t uplink_decapsulated() const {
-    return up_count_;
-  }
-  [[nodiscard]] std::uint64_t downlink_encapsulated() const {
-    return down_count_;
-  }
-  [[nodiscard]] std::uint64_t unknown_teid_drops() const {
-    return unknown_teid_;
-  }
-  [[nodiscard]] std::uint64_t unknown_ue_drops() const { return unknown_ue_; }
-
   // Causal tracing: closes the eNodeB's stashed "gtp_uplink" span at
   // decapsulation and opens a "gtp_downlink" span per tunnelled downlink
   // datagram (closed by the eNodeB endpoint). Category `<prefix>gtp`.
@@ -73,36 +61,18 @@ class GatewayDataPlane {
   std::uint16_t next_seq_{0};
   obs::SpanTracer* tracer_{nullptr};
   std::string span_cat_{"gtp"};
-  std::uint64_t up_count_{0};
-  std::uint64_t down_count_{0};
-  std::uint64_t unknown_teid_{0};
-  std::uint64_t unknown_ue_{0};
 };
 
 // eNodeB-side endpoint.
 class EnbDataPlane {
  public:
-  using DownlinkHandler =
-      std::function<void(const InnerDatagram&)>;  // Toward the UE radio.
-
   EnbDataPlane(net::Network& net, NodeId enb_node, NodeId gw_node);
 
   // Per-bearer uplink tunnel (the S-GW TEID from context setup).
   void configure_bearer(net::Ipv4 ue_ip, Teid sgw_uplink_teid);
-  void set_downlink_handler(DownlinkHandler handler) {
-    on_downlink_ = std::move(handler);
-  }
 
   // A UE's uplink datagram: encapsulate toward the gateway.
   void send_uplink(net::Ipv4 ue_ip, NodeId remote, int size_bytes);
-
-  [[nodiscard]] std::uint64_t uplink_sent() const { return up_count_; }
-  [[nodiscard]] std::uint64_t downlink_received() const {
-    return down_count_;
-  }
-  [[nodiscard]] std::uint64_t unconfigured_drops() const {
-    return unconfigured_;
-  }
 
   // Causal tracing: send_uplink opens a "gtp_uplink" span stashed under
   // span_key("gtpu", teid, seq) for the gateway endpoint to close; the
@@ -117,13 +87,9 @@ class EnbDataPlane {
   NodeId node_;
   NodeId gw_node_;
   std::unordered_map<std::uint32_t, Teid> uplink_teids_;  // By UE address.
-  DownlinkHandler on_downlink_;
   std::uint16_t next_seq_{0};
   obs::SpanTracer* tracer_{nullptr};
   std::string span_cat_{"gtp"};
-  std::uint64_t up_count_{0};
-  std::uint64_t down_count_{0};
-  std::uint64_t unconfigured_{0};
 };
 
 }  // namespace dlte::epc

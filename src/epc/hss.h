@@ -50,9 +50,6 @@ class Hss {
   [[nodiscard]] bool has_subscriber(Imsi imsi) const {
     return subscribers_.contains(imsi);
   }
-  [[nodiscard]] std::size_t subscriber_count() const {
-    return subscribers_.size();
-  }
 
   // Generate one EPS authentication vector bound to `serving_network_id`.
   // Advances the subscriber's SQN.

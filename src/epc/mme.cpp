@@ -79,7 +79,6 @@ void Mme::handle_s1ap(CellId from_cell, lte::S1apMessage message) {
   sim_.schedule_at(
       busy_until_,
       [this, queued] {
-        ++stats_.messages_processed;
         obs::inc(m_messages_);
         const CellId from = queued->from;
         const lte::S1apMessage m = std::move(queued->message);
@@ -140,7 +139,6 @@ void Mme::start_attach(CellId cell, EnbUeId enb_ue_id,
     obs::span_annotate(tracer_, ran_span(cell, enb_ue_id), "reject",
                        "congestion (attach storm throttle)");
     send_nas(ghost, lte::NasMessage{lte::AttachReject{/*cause=*/0x16}});
-    ++stats_.attaches_throttled;
     obs::inc(m_throttled_);
     return;
   }
@@ -155,7 +153,6 @@ void Mme::start_attach(CellId cell, EnbUeId enb_ue_id,
     obs::span_annotate(tracer_, ran_span(cell, enb_ue_id), "reject",
                        "unknown subscriber");
     send_nas(ghost, lte::NasMessage{lte::AttachReject{/*cause=*/0x0f}});
-    ++stats_.auth_failures;
     obs::inc(m_auth_failures_);
     return;
   }
@@ -199,7 +196,6 @@ void Mme::handle_nas(UeContext& ue, const lte::NasMessage& nas) {
       const auto* resp = std::get_if<lte::AuthenticationResponse>(&nas);
       if (resp == nullptr) return;
       if (resp->res != ue.xres) {
-        ++stats_.auth_failures;
         obs::inc(m_auth_failures_);
         obs::span_annotate(tracer_, ue.phase_span, "result",
                            "xres mismatch — authentication rejected");
@@ -262,7 +258,6 @@ void Mme::maybe_finish_attach(UeContext& ue) {
   if (ue.state == EmmState::kAttachAccepted && ue.context_setup_done &&
       ue.attach_complete_seen) {
     ue.state = EmmState::kRegistered;
-    ++stats_.attaches_completed;
     obs::inc(m_attaches_);
     obs::observe(m_attach_latency_ms_,
                  (sim_.now() - ue.attach_started).to_millis());
@@ -300,7 +295,6 @@ void Mme::arm_nas_retx(UeContext& ue) {
     if (u.state != u.retx_state) return;     // Dialogue advanced.
     if (u.state == EmmState::kRegistered || u.retx_left <= 0) return;
     --u.retx_left;
-    ++stats_.nas_retransmissions;
     obs::inc(m_nas_retx_);
     obs::span_annotate(tracer_, u.proc_span, "nas_retx", [&] {
       return "downlink NAS re-sent (" + std::to_string(u.retx_left) +
@@ -341,7 +335,6 @@ Result<BearerContext> Mme::admit_handover(
   ue.state = EmmState::kRegistered;
   ue.context_setup_done = true;
   ue.attach_complete_seen = true;
-  ++stats_.handovers_in;
   obs::inc(m_handovers_in_);
   return gateway_.create_session(imsi, BearerId{5});
 }
@@ -352,7 +345,6 @@ void Mme::release_ue(Imsi imsi) {
   gateway_.delete_session(imsi);
   free_slot(*slot);
   slot_of_imsi_.erase(imsi);
-  ++stats_.handovers_out;
   obs::inc(m_handovers_out_);
 }
 
@@ -406,7 +398,6 @@ void Mme::lose_volatile_state() {
   free_slots_.clear();
   slot_of_imsi_.clear();
   busy_until_ = sim_.now();
-  ++stats_.state_losses;
   obs::inc(m_state_losses_);
 }
 

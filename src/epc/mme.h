@@ -54,17 +54,6 @@ struct MmeConfig {
   int max_concurrent_attaches{0};
 };
 
-struct MmeStats {
-  std::uint64_t messages_processed{0};
-  std::uint64_t attaches_completed{0};
-  std::uint64_t auth_failures{0};
-  std::uint64_t handovers_in{0};
-  std::uint64_t handovers_out{0};
-  std::uint64_t nas_retransmissions{0};
-  std::uint64_t attaches_throttled{0};  // Rejected by storm admission.
-  std::uint64_t state_losses{0};        // Crashes wiping volatile state.
-};
-
 class Mme {
  public:
   // Sends an S1AP message toward the eNodeB serving `cell`.
@@ -97,7 +86,6 @@ class Mme {
 
   [[nodiscard]] bool is_registered(Imsi imsi) const;
   [[nodiscard]] std::size_t attaches_in_progress() const;
-  [[nodiscard]] const MmeStats& stats() const { return stats_; }
 
   // The EMM context tables, for tests. Contexts sit in reusable slots;
   // an MME UE id (issued from 1 upward, never reused, not even across
@@ -221,7 +209,6 @@ class Mme {
   FlatMap<Imsi, std::uint32_t> slot_of_imsi_;
   ObjectPool<Queued> queued_{4};
   std::uint32_t next_tmsi_{0x1000};
-  MmeStats stats_;
 
   obs::SpanTracer* tracer_{nullptr};
   std::string span_cat_{"epc"};

@@ -41,11 +41,10 @@ core::DlteAccessPoint* UeFailoverAgent::best_ap_for(
   return best;
 }
 
-void UeFailoverAgent::start_attach(ManagedUe& m, bool is_failover) {
+void UeFailoverAgent::start_attach(ManagedUe& m) {
   core::DlteAccessPoint* target = best_ap_for(*m.ue);
   if (target == nullptr) return;  // Nothing on the air: try next tick.
   m.attaching = true;
-  if (is_failover) ++stats_.failovers_started;
   if (tracker_ != nullptr) tracker_->on_attach_attempt();
   ManagedUe* mp = &m;
   target->attach_with_retry(
@@ -54,13 +53,10 @@ void UeFailoverAgent::start_attach(ManagedUe& m, bool is_failover) {
         mp->attaching = false;
         if (outcome.success) {
           mp->serving = target;
-          ++stats_.reattach_successes;
           if (tracker_ != nullptr) tracker_->on_attached(mp->ue->imsi());
-        } else {
-          // Retry budget exhausted; the watchdog starts a fresh round
-          // (possibly at a different AP) on its next tick.
-          ++stats_.reattach_failures;
         }
+        // Otherwise the retry budget is exhausted; the watchdog starts a
+        // fresh round (possibly at a different AP) on its next tick.
       });
 }
 
@@ -70,13 +66,12 @@ void UeFailoverAgent::check() {
     const bool serving_ok = m.serving != nullptr && !m.serving->failed() &&
                             m.ue->attached();
     if (serving_ok) continue;
-    const bool had_service = m.serving != nullptr;
-    if (had_service) {
+    if (m.serving != nullptr) {
       // Radio-level loss detection: the serving cell stopped answering.
       if (tracker_ != nullptr) tracker_->on_service_lost(m.ue->imsi());
       m.serving = nullptr;
     }
-    start_attach(m, had_service);
+    start_attach(m);
   }
 }
 

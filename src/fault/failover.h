@@ -23,12 +23,6 @@
 
 namespace dlte::fault {
 
-struct FailoverStats {
-  std::uint64_t failovers_started{0};  // Re-attach after a detected loss.
-  std::uint64_t reattach_successes{0};
-  std::uint64_t reattach_failures{0};  // Retry budget exhausted this round.
-};
-
 class UeFailoverAgent {
  public:
   UeFailoverAgent(sim::Simulator& sim, core::RadioEnvironment& env,
@@ -46,8 +40,6 @@ class UeFailoverAgent {
   // Start the watchdog (and kick off initial attaches).
   void start(Duration check_period = Duration::millis(500));
 
-  [[nodiscard]] const FailoverStats& stats() const { return stats_; }
-
  private:
   struct ManagedUe {
     core::UeDevice* ue{nullptr};
@@ -58,7 +50,7 @@ class UeFailoverAgent {
   };
 
   void check();
-  void start_attach(ManagedUe& m, bool is_failover);
+  void start_attach(ManagedUe& m);
   [[nodiscard]] core::DlteAccessPoint* best_ap_for(
       const core::UeDevice& ue) const;
 
@@ -69,7 +61,6 @@ class UeFailoverAgent {
   // Deque-stable storage: ManagedUe addresses must survive push_back, so
   // the attach callbacks can hold a pointer. deque never relocates.
   std::deque<ManagedUe> ues_;
-  FailoverStats stats_;
   sim::Simulator::PeriodicHandle watchdog_;
   bool started_{false};
 };

@@ -65,7 +65,6 @@ class FaultPlan {
   [[nodiscard]] const std::vector<FaultSpec>& specs() const {
     return specs_;
   }
-  [[nodiscard]] std::size_t size() const { return specs_.size(); }
 
   // One line per fault in schedule order. Byte-stable for a given plan —
   // the determinism check in tests/bench compares these strings.

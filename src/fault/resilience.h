@@ -56,7 +56,6 @@ class ResilienceTracker {
   // Service lost (AP crash, lease lapse): opens a loss interval.
   void on_service_lost(Imsi imsi);
 
-  [[nodiscard]] std::size_t tracked() const { return ues_.size(); }
   [[nodiscard]] bool in_service(Imsi imsi) const;
 
   // Fold everything into a report at `horizon` (open in-service intervals

@@ -56,7 +56,6 @@ class DcfBackoff {
   }
 
   [[nodiscard]] int contention_window() const { return contention_window_; }
-  [[nodiscard]] int retries() const { return retries_; }
 
  private:
   BackoffConfig config_{};

@@ -72,7 +72,6 @@ class LteCellMac {
   [[nodiscard]] const UeMacStats& stats(UeId id) const;
   [[nodiscard]] std::vector<UeId> ue_ids() const;
   [[nodiscard]] Duration elapsed() const { return elapsed_; }
-  [[nodiscard]] int total_prbs() const { return total_prbs_; }
 
  private:
   struct UeState {

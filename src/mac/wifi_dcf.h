@@ -62,10 +62,6 @@ class DcfSimulator {
 
   [[nodiscard]] const DcfStationStats& stats(int station) const;
   [[nodiscard]] Duration elapsed() const { return elapsed_; }
-  [[nodiscard]] int station_count() const {
-    return static_cast<int>(stations_.size());
-  }
-
   // CCA as this station sees it: is any station it senses transmitting
   // right now? Public so tests can pin the carrier-sense relation the
   // coexistence subsystem leans on.

@@ -60,10 +60,6 @@ struct LinkConfig {
 struct LinkImpairment {
   double loss{0.0};          // Per-packet drop probability, 0..1.
   Duration extra_delay{};    // Added to propagation delay.
-
-  [[nodiscard]] bool impaired() const {
-    return loss > 0.0 || !extra_delay.is_zero();
-  }
 };
 
 class Network {
@@ -103,7 +99,6 @@ class Network {
   [[nodiscard]] int hop_count(NodeId from, NodeId to) const;
 
   [[nodiscard]] const std::string& node_name(NodeId node) const;
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
 
   // Enable/disable a bidirectional link at runtime (radio attachment
   // changes during mobility). Disabled links are excluded from routing;

@@ -87,13 +87,8 @@ struct MultisetDigest {
     xor_fold ^= other.xor_fold;
     sum += other.sum;
   }
-  [[nodiscard]] bool operator==(const MultisetDigest& other) const {
-    return count == other.count && xor_fold == other.xor_fold &&
-           sum == other.sum;
-  }
-  [[nodiscard]] bool operator!=(const MultisetDigest& other) const {
-    return !(*this == other);
-  }
+  friend bool operator==(const MultisetDigest&,
+                         const MultisetDigest&) = default;
 };
 
 // ---- Per-shard execution timeline ------------------------------------
@@ -157,7 +152,6 @@ class DigestTimeline {
   [[nodiscard]] const std::vector<Window>& windows() const {
     return windows_;
   }
-  [[nodiscard]] std::size_t label_count() const { return labels_.size(); }
   [[nodiscard]] const std::string& label_name(std::uint32_t id) const {
     return labels_[id].name;
   }

@@ -89,7 +89,6 @@ class SloMonitor {
 
   void add_rule(SloRule rule);
   void add_rules(const std::vector<SloRule>& rules);
-  [[nodiscard]] std::size_t rule_count() const { return rules_.size(); }
   // describe() of every rule, in registration order (series JSON export).
   [[nodiscard]] std::vector<std::string> rule_descriptions() const;
 

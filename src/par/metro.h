@@ -88,7 +88,6 @@ class MetroScenario {
   MetroResult run();
 
   [[nodiscard]] ShardedSimulator& runtime() { return runtime_; }
-  [[nodiscard]] const MetroConfig& config() const { return config_; }
 
   // District of an AP: contiguous blocks, pure function of the config.
   [[nodiscard]] std::size_t district_of(std::size_t ap) const;

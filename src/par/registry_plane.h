@@ -106,7 +106,6 @@ class RegistryPlaneScenario {
   RegistryPlaneResult run();
 
   [[nodiscard]] ShardedSimulator& runtime() { return runtime_; }
-  [[nodiscard]] const RegistryPlaneConfig& config() const { return config_; }
   // The shard-0 churn SLO monitor (built by the first run()); pass it to
   // runtime().merged_series_json() to embed its rules/alerts/health.
   [[nodiscard]] const obs::SloMonitor* monitor() const {

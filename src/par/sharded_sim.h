@@ -186,7 +186,6 @@ class ShardedSimulator {
                    const std::string& prefix = "");
 
   // --- Determinism audit plane (config_.audit) -----------------------
-  [[nodiscard]] bool auditing() const { return config_.audit; }
   // Assemble the dlte-audit-v1 document: the partition-invariant merged
   // section (windowed event/message multiset digests + metric-state
   // digests) plus the per-shard chains and the shard-pair ledger, folded
@@ -211,7 +210,6 @@ class ShardedSimulator {
   void inject_exchange_reorder(TimePoint after, std::size_t dst_shard);
 
   // --- Self-profiling plane (config_.profile) ------------------------
-  [[nodiscard]] bool profiling() const { return config_.profile; }
   // Fold every shard's event-attribution profiler into `dst` by label
   // name. The merged result is shard-count invariant (the determinism
   // contract above makes the event structure partition-invariant), so

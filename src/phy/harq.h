@@ -33,8 +33,6 @@ class HarqProcess {
 
   [[nodiscard]] HarqOutcome transmit_block(int cqi, Decibels per_tx_sinr);
 
-  [[nodiscard]] const HarqConfig& config() const { return config_; }
-
  private:
   HarqConfig config_;
   sim::RngStream rng_;

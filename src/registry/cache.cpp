@@ -26,22 +26,16 @@ CacheLookup LeaseCache::serve(CacheTier tier, const Entry& entry,
   out.snapshot = entry.snapshot;
   switch (tier) {
     case CacheTier::kLocal:
-      ++hits_local_;
       obs::inc(m_hits_local_);
       break;
     case CacheTier::kZone:
-      ++hits_zone_;
       obs::inc(m_hits_zone_);
       break;
     default:
-      ++hits_root_;
       obs::inc(m_hits_root_);
       break;
   }
-  if (out.stale) {
-    ++stale_serves_;
-    obs::inc(m_stale_serves_);
-  }
+  if (out.stale) obs::inc(m_stale_serves_);
   obs::observe(m_staleness_ms_, out.age_ms);
   return out;
 }
@@ -78,7 +72,6 @@ CacheLookup LeaseCache::lookup(std::uint64_t requester, std::int64_t zone,
   // Reaching the root consumes capacity whether or not the entry is
   // fresh — the lookup itself is the load being shed.
   if (root_over_capacity(now)) {
-    ++root_sheds_;
     obs::inc(m_root_sheds_);
     CacheLookup out;
     out.tier = CacheTier::kShed;
@@ -90,7 +83,6 @@ CacheLookup LeaseCache::lookup(std::uint64_t requester, std::int64_t zone,
     local_[{requester, zone}] = rit->second;
     return serve(CacheTier::kRoot, rit->second, version, now);
   }
-  ++misses_;
   obs::inc(m_misses_);
   return CacheLookup{};
 }

@@ -74,8 +74,6 @@ class LeaseCache {
  public:
   explicit LeaseCache(CacheConfig config = {});
 
-  [[nodiscard]] const CacheConfig& config() const { return config_; }
-
   // Walk the hierarchy for `(requester, zone)`. `version` is the current
   // authoritative version of the zone (for staleness accounting only —
   // a stale entry inside its TTL is still served). Serving from a higher
@@ -91,21 +89,12 @@ class LeaseCache {
 
   [[nodiscard]] Duration tier_latency(CacheTier tier) const;
 
-  // Deterministic tallies (mirrored into metrics when attached):
+  // Deterministic tallies, into metrics when attached:
   // counters `<prefix>registry.cache.hits_local` / `.hits_zone` /
   // `.hits_root`, `.misses`, `.stale_serves`, `.root_sheds`; histogram
   // `.staleness_ms` (age of every cache-served snapshot). Null-safe.
   void set_metrics(obs::MetricsRegistry* metrics,
                    const std::string& prefix = "");
-  [[nodiscard]] std::uint64_t hits() const {
-    return hits_local_ + hits_zone_ + hits_root_;
-  }
-  [[nodiscard]] std::uint64_t hits_local() const { return hits_local_; }
-  [[nodiscard]] std::uint64_t hits_zone() const { return hits_zone_; }
-  [[nodiscard]] std::uint64_t hits_root() const { return hits_root_; }
-  [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  [[nodiscard]] std::uint64_t stale_serves() const { return stale_serves_; }
-  [[nodiscard]] std::uint64_t root_sheds() const { return root_sheds_; }
 
  private:
   struct Entry {
@@ -132,13 +121,6 @@ class LeaseCache {
 
   TimePoint window_start_{};
   std::uint32_t window_lookups_{0};
-
-  std::uint64_t hits_local_{0};
-  std::uint64_t hits_zone_{0};
-  std::uint64_t hits_root_{0};
-  std::uint64_t misses_{0};
-  std::uint64_t stale_serves_{0};
-  std::uint64_t root_sheds_{0};
 
   obs::Counter* m_hits_local_{nullptr};
   obs::Counter* m_hits_zone_{nullptr};

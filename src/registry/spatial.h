@@ -88,7 +88,6 @@ class SpatialIndex {
   bool erase(std::uint64_t id, Position location);
 
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] double zone_size_m() const { return zone_size_m_; }
   // Largest reach ever indexed — the scan radius bound. Monotone (never
   // shrinks on erase): a conservative bound keeps the visited-zone set a
   // deterministic function of insert history alone.

@@ -74,10 +74,6 @@ class EventAction {
   // Precondition: non-empty.
   void operator()() { ops_->invoke(buf_); }
 
-  [[nodiscard]] explicit operator bool() const noexcept {
-    return ops_ != nullptr;
-  }
-
  private:
   struct Ops {
     void (*invoke)(void* buf);

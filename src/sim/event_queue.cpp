@@ -19,7 +19,6 @@ CalendarQueue::CalendarQueue() {
 }
 
 CalendarQueue::Bucket& CalendarQueue::direct_search_min() {
-  ++direct_searches_;
   const Key* min_key = nullptr;
   std::size_t min_bucket = 0;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {

@@ -141,12 +141,7 @@ class CalendarQueue {
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
 
-  // Introspection for tests and the microbench.
-  [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
   [[nodiscard]] std::uint64_t resizes() const { return resizes_; }
-  [[nodiscard]] std::uint64_t direct_searches() const {
-    return direct_searches_;
-  }
 
  private:
   // Bucket-count bounds: never fewer than 16 (tiny queues stay cheap to
@@ -274,7 +269,6 @@ class CalendarQueue {
   std::vector<std::uint32_t> free_slots_;
   QueuedEvent peek_event_;
   std::uint64_t resizes_{0};
-  std::uint64_t direct_searches_{0};
 };
 
 }  // namespace dlte::sim

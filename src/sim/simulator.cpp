@@ -144,8 +144,7 @@ Simulator::PeriodicHandle Simulator::every_cancellable(Duration period,
 }
 
 void Simulator::run_until(TimePoint deadline) {
-  stopped_ = false;
-  while (!queue_.empty() && !stopped_) {
+  while (!queue_.empty()) {
     if (queue_.peek()->when > deadline) break;
     QueuedEvent ev = queue_.pop();
     now_ = ev.when;
@@ -161,8 +160,7 @@ void Simulator::run_until(TimePoint deadline) {
 }
 
 void Simulator::run_all() {
-  stopped_ = false;
-  while (!queue_.empty() && !stopped_) {
+  while (!queue_.empty()) {
     QueuedEvent ev = queue_.pop();
     now_ = ev.when;
     ++events_executed_;

@@ -95,16 +95,10 @@ class Simulator {
   // Run until the event queue drains entirely.
   void run_all();
 
-  // Stop after the current event; run_until/run_all return early.
-  void stop() { stopped_ = true; }
-
   [[nodiscard]] std::uint64_t events_executed() const {
     return events_executed_;
   }
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
-  [[nodiscard]] std::size_t max_queue_depth() const {
-    return max_queue_depth_;
-  }
   // Count of schedule_at() targets that were in the past and got clamped.
   [[nodiscard]] std::uint64_t schedule_past_events() const {
     return schedule_past_events_;
@@ -127,13 +121,11 @@ class Simulator {
   // Attach an event-attribution profiler (null-safe, the set_metrics
   // idiom). Labels interned before attachment resolve to "sim.unlabeled".
   void set_profiler(obs::EventProfiler* profiler) { profiler_ = profiler; }
-  [[nodiscard]] obs::EventProfiler* profiler() const { return profiler_; }
   // Attach a determinism-audit timeline (DESIGN.md §15): every executed
   // event's (when, seq, label) folds into its windowed digests, right
   // next to the profiler hook. Null-safe; attach BEFORE interning labels
   // so label() can register their name hashes with the auditor too.
   void set_auditor(obs::DigestTimeline* auditor) { auditor_ = auditor; }
-  [[nodiscard]] obs::DigestTimeline* auditor() const { return auditor_; }
   // Intern an attribution label for the schedule_* label overloads.
   // Without a profiler every name maps to the unlabeled id, so callsites
   // can intern once at construction regardless of profiling state. The
@@ -156,7 +148,6 @@ class Simulator {
   std::uint64_t events_executed_{0};
   std::uint64_t schedule_past_events_{0};
   std::size_t max_queue_depth_{0};
-  bool stopped_{false};
 
   obs::EventProfiler* profiler_{nullptr};
   obs::DigestTimeline* auditor_{nullptr};

@@ -11,7 +11,6 @@ void TelemetryDriver::start(Duration interval) {
 }
 
 void TelemetryDriver::tick() {
-  ++ticks_;
   const TimePoint now = sim_.now();
   if (monitor_ != nullptr) monitor_->evaluate(now);
   if (sampler_ != nullptr) sampler_->sample(now);

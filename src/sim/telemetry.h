@@ -41,11 +41,8 @@ class TelemetryDriver {
   // Begin ticking every `interval` (default: the sampler's configured
   // interval, or 500 ms with no sampler). First tick one interval from
   // now. start() on a running driver restarts it at the new cadence.
+  // Destruction stops it (RAII handle).
   void start(Duration interval = Duration::seconds(0.0));
-  // Stop at the next tick. Destruction also stops (RAII handle).
-  void stop() { handle_.cancel(); }
-
-  [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
 
  private:
   void tick();
@@ -55,7 +52,6 @@ class TelemetryDriver {
   obs::SloMonitor* monitor_;
   std::uint32_t tick_label_;
   Simulator::PeriodicHandle handle_;
-  std::uint64_t ticks_{0};
 };
 
 }  // namespace dlte::sim

@@ -59,9 +59,6 @@ class SpectrumChain {
   // per-second and scales with the cap. Zero (the default) keeps the
   // historical behaviour: every pending record seals into one block.
   void set_max_records_per_block(std::size_t cap) { max_records_ = cap; }
-  [[nodiscard]] std::size_t max_records_per_block() const {
-    return max_records_;
-  }
 
   // Health source: counter `<prefix>registry.blocks_sealed`, histogram
   // `<prefix>registry.commits_per_block` (records sealed per block —
@@ -71,11 +68,9 @@ class SpectrumChain {
                    const std::string& prefix = "");
 
   [[nodiscard]] std::size_t block_count() const { return blocks_.size(); }
-  [[nodiscard]] std::size_t pending_count() const { return pending_.size(); }
   [[nodiscard]] const Block& block(std::size_t index) const {
     return blocks_[index];
   }
-  [[nodiscard]] Duration block_interval() const { return interval_; }
 
   // Full-chain integrity check: recomputes every hash and link. Any
   // mutation of a sealed record breaks it — this is what replaces trust

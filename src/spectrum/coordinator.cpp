@@ -86,7 +86,6 @@ void PeerCoordinator::expire_dead_peers() {
       // The next round recomputes shares over the survivors — the dead
       // peer's spectrum is reclaimed (and, should it return, its hello /
       // status re-establishes peering).
-      if (peer_loss_observer_) peer_loss_observer_(dead);
     } else {
       ++it;
     }

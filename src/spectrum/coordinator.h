@@ -96,7 +96,6 @@ class PeerCoordinator {
   void set_wifi_occupants(std::size_t occupants) {
     wifi_occupants_ = occupants;
   }
-  [[nodiscard]] std::size_t wifi_occupants() const { return wifi_occupants_; }
 
   // Begin periodic status reporting + share rounds.
   void start();
@@ -116,23 +115,16 @@ class PeerCoordinator {
   }
   [[nodiscard]] std::optional<NodeId> peer_node(ApId peer) const;
 
-  // Observe peers declared dead by the liveness timeout.
-  void set_peer_loss_observer(std::function<void(ApId)> observer) {
-    peer_loss_observer_ = std::move(observer);
-  }
-
   // --- Fault hooks (src/fault) -----------------------------------------
   // A crashed AP's coordinator goes silent: it neither sends nor receives
   // until brought back online. Peers notice via the liveness timeout.
   void set_offline(bool offline) { offline_ = offline; }
-  [[nodiscard]] bool offline() const { return offline_; }
   // Drop/duplicate outbound X2 messages (coordination-plane loss).
   void set_impairment(X2Impairment impairment) { impairment_ = impairment; }
 
   [[nodiscard]] double current_share() const { return current_share_; }
   [[nodiscard]] const CoordinatorStats& stats() const { return stats_; }
   [[nodiscard]] lte::DlteMode mode() const { return config_.mode; }
-  [[nodiscard]] ApId ap() const { return config_.ap; }
   [[nodiscard]] std::size_t peer_count() const { return peers_.size(); }
 
   // Export X2 coordination counters under `<prefix>x2.*`, including
@@ -179,7 +171,6 @@ class PeerCoordinator {
   std::map<ApId, lte::DltePeerStatus> latest_status_;
   std::map<ApId, TimePoint> last_heard_;
   HandoverSink handover_sink_;
-  std::function<void(ApId)> peer_loss_observer_;
   bool offline_{false};
   X2Impairment impairment_{};
   sim::RngStream impair_rng_;

@@ -283,7 +283,6 @@ void Registry::prune_expired() {
   }
   std::sort(lapsing.begin(), lapsing.end());
   for (const auto& lapse : lapsing) erase_slot(slot_of_[lapse.second]);
-  lapsed_ += lapsing.size();
   obs::inc(m_grants_lapsed_, lapsing.size());
   obs::set(m_active_grants_, static_cast<double>(grants_.size()));
 }

@@ -120,8 +120,6 @@ class Registry {
  public:
   Registry(sim::Simulator& sim, RegistryKind kind);
 
-  [[nodiscard]] RegistryKind kind() const { return kind_; }
-
   // Back a kBlockchain registry with a real chain: grants then commit by
   // block inclusion (latency = the chain's block interval) and every
   // grant/key leaves a tamper-evident record. Without a chain attached,
@@ -182,14 +180,11 @@ class Registry {
   // outage shorter than the grace without losing its license. Never
   // negative.
   void set_heartbeat_grace(Duration grace) { grace_ = grace; }
-  [[nodiscard]] Duration heartbeat_grace() const { return grace_; }
   // Drop lapsed grants now (also happens lazily inside queries).
   void prune_expired();
-  [[nodiscard]] std::uint64_t grants_lapsed() const { return lapsed_; }
 
   // --- Outage injection (src/fault) ------------------------------------
   void set_outage(RegistryOutage outage);
-  [[nodiscard]] RegistryOutage outage() const { return outage_; }
   // Federated zone failure: requests and queries whose location falls in
   // an offline zone fail; other zones keep working. Zones partition the
   // plane into a coarse grid (kZoneSizeM squares); a zone's id is its
@@ -211,7 +206,6 @@ class Registry {
   // own zone and any neighbour it spills into). query_region never
   // consults the cache.
   void attach_cache(registry::LeaseCache* cache) { cache_ = cache; }
-  [[nodiscard]] registry::LeaseCache* cache() const { return cache_; }
   // Current membership version of the (exact, packed) zone holding
   // `location` — see registry::zone_key.
   [[nodiscard]] std::uint64_t zone_version(Position location) const;
@@ -279,9 +273,6 @@ class Registry {
   [[nodiscard]] const std::vector<epc::PublishedKeys>&
   published_subscribers() const {
     return published_;
-  }
-  [[nodiscard]] std::size_t published_subscriber_count() const {
-    return published_.size();
   }
 
  private:
@@ -376,7 +367,6 @@ class Registry {
   std::vector<epc::PublishedKeys> published_;
   std::unordered_map<std::uint64_t, std::size_t> imsi_slot_;
   std::uint64_t next_grant_{1};
-  std::uint64_t lapsed_{0};
 
   obs::SpanTracer* tracer_{nullptr};
   std::string span_cat_{"registry"};

@@ -63,8 +63,6 @@ class FlowTrain {
   void start();
 
   [[nodiscard]] const FlowTrainStats& stats() const { return stats_; }
-  // cwnd cap in packets implied by bottleneck × RTT (≥ 1).
-  [[nodiscard]] std::int64_t cap_packets() const { return cap_packets_; }
 
  private:
   void run_epoch();
@@ -75,7 +73,7 @@ class FlowTrain {
   FlowTrainConfig config_;
   DeliveredCallback on_delivered_;
   CompleteCallback on_complete_;
-  std::int64_t cap_packets_{1};
+  std::int64_t cap_packets_{1};  // bottleneck × RTT in packets (≥ 1).
   std::int64_t cwnd_packets_{1};
   std::uint64_t remaining_bytes_{0};
   FlowTrainStats stats_;

@@ -74,9 +74,6 @@ class Connection {
   [[nodiscard]] bool broken() const { return state_ == State::kBroken; }
   [[nodiscard]] const ConnectionStats& stats() const { return stats_; }
   [[nodiscard]] ConnectionId id() const { return id_; }
-  [[nodiscard]] double unacked_bytes() const {
-    return app_offset_ - acked_offset_;
-  }
 
  private:
   friend class TransportHost;

@@ -43,9 +43,6 @@ class LinearMobility final : public MobilityModel {
     return pos_;
   }
   [[nodiscard]] Position position() const override { return pos_; }
-  [[nodiscard]] double speed_mps() const {
-    return std::sqrt(vx_ * vx_ + vy_ * vy_);
-  }
 
  private:
   Position pos_;

@@ -71,7 +71,6 @@ class NasClient {
   [[nodiscard]] std::uint32_t ue_ip() const { return ue_ip_; }
   [[nodiscard]] Tmsi tmsi() const { return tmsi_; }
   [[nodiscard]] const crypto::Kasme& kasme() const { return kasme_; }
-  [[nodiscard]] const Usim& usim() const { return usim_; }
 
  private:
   Usim usim_;

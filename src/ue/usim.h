@@ -57,7 +57,6 @@ class Usim {
 class EsimStore {
  public:
   void add_profile(SimProfile profile);
-  [[nodiscard]] std::size_t profile_count() const { return profiles_.size(); }
 
   // Select by predicate: the open profile for dLTE networks, the matching
   // operator profile otherwise.

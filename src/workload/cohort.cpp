@@ -49,7 +49,6 @@ void UeCohort::attach_batch(int /*batch*/, int batch_ues) {
   }
   if (config_.flow_bytes_per_ue == 0) return;
 
-  ++batches_started_;
   transport::FlowTrainConfig flow = config_.flow;
   flow.total_bytes =
       config_.flow_bytes_per_ue * static_cast<std::uint64_t>(batch_ues);
@@ -61,14 +60,8 @@ void UeCohort::attach_batch(int /*batch*/, int batch_ues) {
   flow.initial_cwnd_packets = config_.flow.initial_cwnd_packets * batch_ues;
   auto train = std::make_unique<transport::FlowTrain>(
       sim_, flow,
-      [this](std::uint64_t bytes) {
-        bytes_delivered_ += bytes;
-        obs::inc(hooks_.bytes_delivered, bytes);
-      },
-      [this](TimePoint) {
-        ++flows_completed_;
-        obs::inc(hooks_.flows_completed);
-      });
+      [this](std::uint64_t bytes) { obs::inc(hooks_.bytes_delivered, bytes); },
+      [this](TimePoint) { obs::inc(hooks_.flows_completed); });
   train->start();
   flows_.push_back(std::move(train));
 }

@@ -55,22 +55,11 @@ class UeCohort {
 
   UeCohort(sim::Simulator& sim, CohortConfig config, sim::RngStream rng,
            Hooks hooks);
-  UeCohort(sim::Simulator& sim, CohortConfig config, sim::RngStream rng)
-      : UeCohort(sim, config, std::move(rng), Hooks{}) {}
 
   // Schedule the attach batches. Call once, before or during the run.
   void start();
 
   [[nodiscard]] int ues_attached() const { return ues_attached_; }
-  [[nodiscard]] std::uint64_t bytes_delivered() const {
-    return bytes_delivered_;
-  }
-  [[nodiscard]] int flows_completed() const { return flows_completed_; }
-  [[nodiscard]] bool all_complete() const {
-    return ues_attached_ == config_.ues &&
-           (config_.flow_bytes_per_ue == 0 ||
-            flows_completed_ == batches_started_);
-  }
 
  private:
   void attach_batch(int batch, int batch_ues);
@@ -83,9 +72,6 @@ class UeCohort {
   // Aggregate flows must outlive the run; one per batch.
   std::vector<std::unique_ptr<transport::FlowTrain>> flows_;
   int ues_attached_{0};
-  int batches_started_{0};
-  int flows_completed_{0};
-  std::uint64_t bytes_delivered_{0};
 };
 
 }  // namespace dlte::workload

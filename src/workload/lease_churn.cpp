@@ -119,7 +119,6 @@ void LeaseChurnStorm::on_grant_reply(
   const std::size_t accepted =
       std::min({std::size_t{*count}, room, r.remaining() / 8});
   (void)r.u64s(accepted, held_);  // Within the bytes present: cannot fail.
-  grants_confirmed_ += accepted;
   obs::inc(hooks_.grants_confirmed, accepted);
   std::sort(held_.begin(), held_.end());
   if (held_.size() < config_.leases) {
@@ -144,7 +143,6 @@ void LeaseChurnStorm::on_heartbeat_reply(
       *block != config_.block) {
     return;
   }
-  heartbeats_unreachable_ += *unreachable;
   obs::inc(hooks_.heartbeats_unreachable, *unreachable);
   if (*lapsed == 0) return;
   // The registrar no longer knows these leases: drop them and re-apply
@@ -162,7 +160,6 @@ void LeaseChurnStorm::on_heartbeat_reply(
                       std::back_inserter(kept));
   const std::uint64_t dropped = held_.size() - kept.size();
   held_ = std::move(kept);
-  lapses_seen_ += dropped;
   obs::inc(hooks_.leases_lapsed, dropped);
   ++regrant_batches_;
   obs::inc(hooks_.regrant_batches);
@@ -180,12 +177,8 @@ void LeaseChurnStorm::on_query_reply(
     return;
   }
   ++queries_answered_;
-  query_grants_seen_ += *grants;
   obs::inc(hooks_.query_grants_seen, *grants);
-  if (*stale != 0) {
-    ++stale_views_;
-    obs::inc(hooks_.stale_views);
-  }
+  if (*stale != 0) obs::inc(hooks_.stale_views);
 }
 
 }  // namespace dlte::workload

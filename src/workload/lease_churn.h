@@ -103,7 +103,6 @@ class LeaseChurnStorm {
                   const std::vector<std::uint8_t>& payload);
 
   [[nodiscard]] std::size_t leases_held() const { return held_.size(); }
-  [[nodiscard]] std::uint64_t lapses_seen() const { return lapses_seen_; }
   [[nodiscard]] std::uint64_t regrant_batches() const {
     return regrant_batches_;
   }
@@ -113,16 +112,6 @@ class LeaseChurnStorm {
   [[nodiscard]] std::uint64_t queries_answered() const {
     return queries_answered_;
   }
-  [[nodiscard]] std::uint64_t grants_confirmed() const {
-    return grants_confirmed_;
-  }
-  [[nodiscard]] std::uint64_t heartbeats_unreachable() const {
-    return heartbeats_unreachable_;
-  }
-  [[nodiscard]] std::uint64_t query_grants_seen() const {
-    return query_grants_seen_;
-  }
-  [[nodiscard]] std::uint64_t stale_views() const { return stale_views_; }
 
  private:
   void apply_for_missing();  // Request (leases - held) new grants.
@@ -143,14 +132,9 @@ class LeaseChurnStorm {
 
   std::vector<std::uint64_t> held_;  // Sorted ascending (grant order).
   bool awaiting_grant_{false};
-  std::uint64_t lapses_seen_{0};
   std::uint64_t regrant_batches_{0};
   std::uint64_t grant_rejections_{0};
   std::uint64_t queries_answered_{0};
-  std::uint64_t grants_confirmed_{0};
-  std::uint64_t heartbeats_unreachable_{0};
-  std::uint64_t query_grants_seen_{0};
-  std::uint64_t stale_views_{0};
 };
 
 }  // namespace dlte::workload

@@ -26,7 +26,6 @@ class OttService {
   OttService(sim::Simulator& sim, net::Network& net, NodeId node);
 
   [[nodiscard]] NodeId node() const { return host_.node(); }
-  [[nodiscard]] transport::TransportHost& host() { return host_; }
 
   // Progress timeline of one connection (cumulative delivered bytes).
   [[nodiscard]] const std::vector<ProgressSample>& progress(

@@ -17,9 +17,7 @@ void CbrSource::start() {
 }
 
 void CbrSource::tick() {
-  if (!running_) return;
   conn_.send(bytes_per_tick_);
-  offered_ += bytes_per_tick_;
   sim_.schedule(interval_, [this] { tick(); }, tick_label_);
 }
 

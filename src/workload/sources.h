@@ -22,9 +22,8 @@ class CbrSource {
   CbrSource(sim::Simulator& sim, transport::Connection& conn, DataRate rate,
             Duration interval = Duration::millis(20));
 
+  // Idempotent: the source then runs for the rest of the simulation.
   void start();
-  void stop() { running_ = false; }
-  [[nodiscard]] double bytes_offered() const { return offered_; }
 
  private:
   void tick();
@@ -35,7 +34,6 @@ class CbrSource {
   Duration interval_;
   std::uint32_t tick_label_;  // "workload.cbr".
   bool running_{false};
-  double offered_{0.0};
 };
 
 }  // namespace dlte::workload

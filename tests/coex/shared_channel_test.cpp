@@ -265,7 +265,7 @@ TEST(SharedChannel, DeterministicForSameSeed) {
     DenseCell cell{LteCoexPolicy::kLbt};
     cell.ch.run(Duration::seconds(0.5));
     std::vector<double> out = cell.ch.airtime_fractions();
-    for (int i = 0; i < cell.ch.transmitter_count(); ++i) {
+    for (const int i : {cell.a, cell.b, cell.l}) {
       out.push_back(static_cast<double>(cell.ch.stats(i).delivered_frames));
       out.push_back(static_cast<double>(cell.ch.stats(i).collisions));
       out.push_back(cell.ch.stats(i).access_latency_ms.p95());

@@ -14,7 +14,7 @@ namespace {
 TEST(ByteWriter, EncodesBigEndianU16) {
   ByteWriter w;
   w.u16(0x1234);
-  ASSERT_EQ(w.size(), 2u);
+  ASSERT_EQ(w.data().size(), 2u);
   EXPECT_EQ(w.data()[0], 0x12);
   EXPECT_EQ(w.data()[1], 0x34);
 }
@@ -22,7 +22,7 @@ TEST(ByteWriter, EncodesBigEndianU16) {
 TEST(ByteWriter, EncodesBigEndianU32) {
   ByteWriter w;
   w.u32(0xdeadbeef);
-  ASSERT_EQ(w.size(), 4u);
+  ASSERT_EQ(w.data().size(), 4u);
   EXPECT_EQ(w.data()[0], 0xde);
   EXPECT_EQ(w.data()[3], 0xef);
 }
@@ -43,7 +43,7 @@ TEST(ByteRoundTrip, AllScalarTypes) {
   EXPECT_EQ(r.u64().value(), 0x0123456789abcdefULL);
   EXPECT_DOUBLE_EQ(r.f64().value(), -273.15);
   EXPECT_EQ(r.str().value(), "dLTE");
-  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(r.remaining(), 0u);
 }
 
 TEST(ByteRoundTrip, FloatSpecials) {
@@ -124,7 +124,7 @@ TEST(ByteWriter, KnownAnswerBytesAtOddOffsets) {
   EXPECT_EQ(r.u64().value(), 0x0123456789abcdefULL);
   EXPECT_EQ(r.u8().value(), 0x02);
   EXPECT_EQ(r.f64().value(), -2.5);
-  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(r.remaining(), 0u);
 }
 
 TEST(ByteWriter, ReserveLeavesTheBytesAlone) {
@@ -179,7 +179,7 @@ TEST(ByteReader, BulkU64sMatchesOneU64PerValue) {
   EXPECT_EQ(out[0], 5u);
   EXPECT_TRUE(std::equal(ids.begin(), ids.end(), out.begin() + 1));
   EXPECT_EQ(r.u8().value(), 0x7f);
-  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(r.remaining(), 0u);
 }
 
 TEST(ByteReader, BulkU64sPastTheEndConsumesAndAppendsNothing) {
@@ -216,7 +216,7 @@ TEST(ByteRoundTrip, LongestStringRoundTrips) {
   ByteReader r{w.data()};
   EXPECT_EQ(r.str().value(), s);
   EXPECT_EQ(r.u32().value(), 0xabcdef01u);
-  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(r.remaining(), 0u);
 }
 
 TEST(ByteRoundTrip, OverlongStringIsCutAndTheNextFieldStillDecodes) {
@@ -229,11 +229,11 @@ TEST(ByteRoundTrip, OverlongStringIsCutAndTheNextFieldStillDecodes) {
   ByteWriter w;
   w.str(s);
   w.u32(0x600dcafe);
-  EXPECT_EQ(w.size(), 2u + 65'535u + 4u);
+  EXPECT_EQ(w.data().size(), 2u + 65'535u + 4u);
   ByteReader r{w.data()};
   EXPECT_EQ(r.str().value(), s.substr(0, 65'535));
   EXPECT_EQ(r.u32().value(), 0x600dcafeu);
-  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(r.remaining(), 0u);
 }
 
 }  // namespace

@@ -65,8 +65,6 @@ TEST(AccessPoint, BringUpAcquiresGrantAndPeers) {
 
   EXPECT_TRUE(a_up);
   EXPECT_TRUE(b_up);
-  EXPECT_TRUE(a.has_grant());
-  EXPECT_TRUE(b.has_grant());
   EXPECT_EQ(town.registry.grant_count(), 2u);
   // B discovered A from the registry; A learned B from its hello.
   EXPECT_EQ(b.coordinator().peer_count(), 1u);
@@ -105,7 +103,7 @@ TEST(AccessPoint, OpenIdentityAttachViaPublishedKeys) {
 
   EXPECT_TRUE(outcome.success);
   EXPECT_TRUE(ue.attached());
-  EXPECT_NE(ue.current_ip(), 0u);
+  EXPECT_NE(ue.nas()->ue_ip(), 0u);
   // Local core stub did the whole thing: session exists on-box.
   EXPECT_EQ(ap.core().gateway().session_count(), 1u);
   EXPECT_TRUE(ap.core().mme().is_registered(Imsi{555001}));
@@ -243,6 +241,8 @@ TEST(AccessPoint, HeartbeatsKeepLeaseAliveAndCrashLapses) {
   // Leased spectrum (SAS-style): a running AP renews automatically; a
   // crashed neighbour's grant lapses and frees the domain.
   Town town;
+  obs::MetricsRegistry metrics;
+  town.registry.set_metrics(&metrics);
   town.registry.set_grant_lifetime(Duration::seconds(60.0));
   auto& a = town.add_ap(1, 0.0);
   auto& b = town.add_ap(2, 6'000.0);
@@ -254,9 +254,9 @@ TEST(AccessPoint, HeartbeatsKeepLeaseAliveAndCrashLapses) {
   // "Crash" AP B by deleting it: its heartbeats stop.
   town.aps.pop_back();
   town.run_for(200.0);
-  EXPECT_EQ(town.registry.grant_count(), 1u);   // B lapsed.
-  EXPECT_TRUE(a.has_grant());                   // A kept renewing.
-  EXPECT_GE(town.registry.grants_lapsed(), 1u);
+  EXPECT_EQ(town.registry.grant_count(), 1u);  // B lapsed.
+  EXPECT_GE(metrics.counter("registry.grants_lapsed").value(), 1u);
+  // A kept renewing.
   const auto neighbours = town.registry.grants_near(a.grant().location);
   ASSERT_EQ(neighbours.size(), 1u);  // A's own grant only.
   EXPECT_EQ(neighbours.front().ap, a.grant().ap);

@@ -182,6 +182,7 @@ class MmeModel {
       : rng_(seed), core_{sim_, epc::EpcConfig{.network_id = "n"},
                           sim::RngStream{seed}} {
     provision(core_);
+    core_.set_metrics(&metrics_);
     core_.mme().set_sender(
         [this](CellId, lte::S1apMessage m) { answer(std::move(m)); });
   }
@@ -221,7 +222,7 @@ class MmeModel {
     }
     // Slots were reused: more contexts were created than slots exist.
     EXPECT_LT(max_slots_, created_);
-    EXPECT_GT(core_.mme().stats().attaches_completed, 0u);
+    EXPECT_GT(metrics_.counter("epc.attaches_completed").value(), 0u);
   }
 
  private:
@@ -323,6 +324,7 @@ class MmeModel {
 
   std::mt19937_64 rng_;
   sim::Simulator sim_;
+  obs::MetricsRegistry metrics_;
   epc::EpcCore core_;
   std::map<std::uint64_t, std::unique_ptr<ue::NasClient>> clients_;
   std::vector<lte::S1apMessage> outbox_;

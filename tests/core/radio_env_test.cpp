@@ -90,8 +90,6 @@ TEST(RadioEnv, DifferentBandsDoNotInterfere) {
 TEST(RadioEnv, CellAccessors) {
   RadioEnvironment env;
   env.add_cell(cell_at(7, 1'000.0));
-  EXPECT_TRUE(env.has_cell(CellId{7}));
-  EXPECT_FALSE(env.has_cell(CellId{8}));
   EXPECT_DOUBLE_EQ(env.cell_distance_m(CellId{7}, Position{4'000.0, 0.0}),
                    3'000.0);
 }

@@ -74,6 +74,7 @@ struct EnbShim {
 
 struct Fixture {
   sim::Simulator sim;
+  obs::MetricsRegistry metrics;
   EpcCore core;
   EnbShim enb;
 
@@ -82,17 +83,21 @@ struct Fixture {
              EpcConfig{.deployment = deployment, .network_id = "test-net"},
              sim::RngStream{7}),
         enb{sim, core.mme(), CellId{1}} {
+    core.set_metrics(&metrics);
     core.mme().set_sender(
         [this](CellId, lte::S1apMessage m) { enb.on_s1ap(m); });
   }
 
   ue::NasClient make_client(std::uint64_t imsi_value) {
-    const Imsi imsi{imsi_value};
-    core.hss().provision(imsi, key_for(imsi_value), kOp);
-    ue::SimProfile profile{imsi, key_for(imsi_value),
-                           crypto::derive_opc(key_for(imsi_value), kOp),
-                           true, "open"};
-    return ue::NasClient{ue::Usim{profile}, "test-net"};
+    core.hss().provision(Imsi{imsi_value}, key_for(imsi_value), kOp);
+    return ue::NasClient{sim_card(imsi_value), "test-net"};
+  }
+
+  // The subscriber's SIM, without touching the HSS.
+  static ue::Usim sim_card(std::uint64_t imsi_value) {
+    return ue::Usim{ue::SimProfile{
+        Imsi{imsi_value}, key_for(imsi_value),
+        crypto::derive_opc(key_for(imsi_value), kOp), true, "open"}};
   }
 };
 
@@ -104,8 +109,8 @@ TEST(AttachFlow, CompletesAgainstLocalStub) {
 
   EXPECT_TRUE(client.registered());
   EXPECT_TRUE(f.core.mme().is_registered(Imsi{1001}));
-  EXPECT_EQ(f.core.mme().stats().attaches_completed, 1u);
-  EXPECT_EQ(f.core.mme().stats().auth_failures, 0u);
+  EXPECT_EQ(f.metrics.counter("epc.attaches_completed").value(), 1u);
+  EXPECT_EQ(f.metrics.counter("epc.auth_failures").value(), 0u);
   EXPECT_NE(client.ue_ip(), 0u);
   EXPECT_NE(client.tmsi().value(), 0u);
   EXPECT_EQ(f.enb.context_setups, 1);
@@ -156,7 +161,7 @@ TEST(AttachFlow, UnknownImsiRejected) {
   f.sim.run_all();
   EXPECT_FALSE(client.registered());
   EXPECT_EQ(client.state(), ue::NasClientState::kRejected);
-  EXPECT_EQ(f.core.mme().stats().auth_failures, 1u);
+  EXPECT_EQ(f.metrics.counter("epc.auth_failures").value(), 1u);
 }
 
 TEST(AttachFlow, WrongKeyFailsMutualAuth) {
@@ -171,7 +176,7 @@ TEST(AttachFlow, WrongKeyFailsMutualAuth) {
   f.enb.start(client);
   f.sim.run_all();
   EXPECT_FALSE(client.registered());
-  EXPECT_EQ(f.core.mme().stats().attaches_completed, 0u);
+  EXPECT_EQ(f.metrics.counter("epc.attaches_completed").value(), 0u);
 }
 
 TEST(AttachFlow, ServingNetworkMismatchStillAttaches) {
@@ -216,7 +221,7 @@ TEST(AttachFlow, MultipleUesAttachConcurrently) {
   });
   for (std::size_t i = 0; i < 10; ++i) shims[i].start(clients[i]);
   f.sim.run_all();
-  EXPECT_EQ(f.core.mme().stats().attaches_completed, 10u);
+  EXPECT_EQ(f.metrics.counter("epc.attaches_completed").value(), 10u);
   for (std::uint64_t i = 0; i < 10; ++i) {
     EXPECT_TRUE(f.core.mme().is_registered(Imsi{2000 + i}));
   }
@@ -250,13 +255,11 @@ TEST(AttachFlow, MmeProcessingDelayQueues) {
     }
     shims.at(id - 100).on_s1ap(m);
   });
-  obs::MetricsRegistry metrics;
-  f.core.set_metrics(&metrics, "");
   for (std::size_t i = 0; i < n; ++i) shims[i].start(clients[i]);
   f.sim.run_all();
-  EXPECT_EQ(f.core.mme().stats().attaches_completed,
+  EXPECT_EQ(f.metrics.counter("epc.attaches_completed").value(),
             static_cast<std::uint64_t>(n));
-  EXPECT_GT(metrics.histogram("epc.queueing_delay_ms").quantile(0.95), 0.5);
+  EXPECT_GT(f.metrics.histogram("epc.queueing_delay_ms").quantile(0.95), 0.5);
 }
 
 TEST(AttachFlow, StormAdmissionThrottleRejectsExcessDialogues) {
@@ -268,6 +271,8 @@ TEST(AttachFlow, StormAdmissionThrottleRejectsExcessDialogues) {
                 .network_id = "test-net"};
   cfg.mme.max_concurrent_attaches = 2;
   EpcCore core{sim, cfg, sim::RngStream{7}};
+  obs::MetricsRegistry metrics;
+  core.set_metrics(&metrics);
 
   const int n = 10;
   std::vector<ue::NasClient> clients;
@@ -296,7 +301,7 @@ TEST(AttachFlow, StormAdmissionThrottleRejectsExcessDialogues) {
   for (std::size_t i = 0; i < n; ++i) shims[i].start(clients[i]);
   sim.run_all();
 
-  EXPECT_GT(core.mme().stats().attaches_throttled, 0u);
+  EXPECT_GT(metrics.counter("epc.attaches_throttled").value(), 0u);
   int registered = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     registered += core.mme().is_registered(Imsi{5000 + i}) ? 1 : 0;
@@ -305,13 +310,13 @@ TEST(AttachFlow, StormAdmissionThrottleRejectsExcessDialogues) {
   // The admitted dialogues completed normally.
   EXPECT_GT(registered, 0);
   EXPECT_EQ(static_cast<std::uint64_t>(registered),
-            core.mme().stats().attaches_completed);
+            metrics.counter("epc.attaches_completed").value());
   int rejected = 0;
   for (const auto& c : clients) {
     if (c.state() == ue::NasClientState::kRejected) ++rejected;
   }
   EXPECT_EQ(static_cast<std::uint64_t>(rejected),
-            core.mme().stats().attaches_throttled);
+            metrics.counter("epc.attaches_throttled").value());
 }
 
 TEST(AttachFlow, CoreCrashWipesVolatileStateButNotHss) {
@@ -325,12 +330,12 @@ TEST(AttachFlow, CoreCrashWipesVolatileStateButNotHss) {
   f.core.crash();
   EXPECT_FALSE(f.core.mme().is_registered(Imsi{1001}));
   EXPECT_EQ(f.core.gateway().session_count(), 0u);
-  EXPECT_EQ(f.core.mme().stats().state_losses, 1u);
+  EXPECT_EQ(f.metrics.counter("epc.state_losses").value(), 1u);
   EXPECT_TRUE(f.core.hss().has_subscriber(Imsi{1001}));
 
   // The subscriber's SIM re-attaches from scratch against the restarted
   // core.
-  ue::NasClient again{client.usim(), "test-net"};
+  ue::NasClient again{Fixture::sim_card(1001), "test-net"};
   f.enb.start(again);
   f.sim.run_all();
   EXPECT_TRUE(again.registered());
@@ -347,6 +352,8 @@ TEST(AttachFlow, RetxTimerFromBeforeACrashDoesNotFireOnTheNextDialogue) {
                EpcConfig{.deployment = CoreDeployment::kLocalStub,
                          .network_id = "test-net"},
                sim::RngStream{7}};
+  obs::MetricsRegistry metrics;
+  core.set_metrics(&metrics);
   const Imsi imsi{1001};
   core.hss().provision(imsi, key_for(1001), kOp);
   std::vector<double> auth_requests_s;
@@ -371,14 +378,14 @@ TEST(AttachFlow, RetxTimerFromBeforeACrashDoesNotFireOnTheNextDialogue) {
   sim.schedule(Duration::seconds(1.5), attach);
 
   sim.run_until(TimePoint{} + Duration::seconds(3.0));
-  EXPECT_EQ(core.mme().stats().nas_retransmissions, 0u);
+  EXPECT_EQ(metrics.counter("epc.nas_retransmissions").value(), 0u);
   ASSERT_EQ(auth_requests_s.size(), 2u);
   EXPECT_LT(auth_requests_s[0], 0.01);
   EXPECT_GE(auth_requests_s[1], 1.5);
 
   // The second dialogue's own timer still fires when it is due.
   sim.run_until(TimePoint{} + Duration::seconds(3.6));
-  EXPECT_EQ(core.mme().stats().nas_retransmissions, 1u);
+  EXPECT_EQ(metrics.counter("epc.nas_retransmissions").value(), 1u);
   ASSERT_EQ(auth_requests_s.size(), 3u);
   EXPECT_GE(auth_requests_s[2], 3.5);
 }
@@ -389,12 +396,8 @@ TEST(EpcCore, DeploymentCapabilities) {
                   sim::RngStream{1}};
   EpcCore stub{sim, EpcConfig{.deployment = CoreDeployment::kLocalStub},
                sim::RngStream{2}};
-  EXPECT_TRUE(central.anchors_mobility());
   EXPECT_TRUE(central.bills_subscribers());
-  EXPECT_TRUE(central.tunnels_user_traffic());
-  EXPECT_FALSE(stub.anchors_mobility());
   EXPECT_FALSE(stub.bills_subscribers());
-  EXPECT_FALSE(stub.tunnels_user_traffic());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+
 namespace dlte::epc {
 namespace {
 
@@ -50,13 +52,13 @@ TEST(Gateway, ReattachReplacesSession) {
 
 TEST(Gateway, AccountingAccumulates) {
   Gateway gw{0x0A2D0000};
+  obs::MetricsRegistry metrics;
+  gw.set_metrics(&metrics);
   gw.count_uplink(100);
   gw.count_uplink(200);
   gw.count_downlink(50);
-  EXPECT_EQ(gw.uplink_packets(), 2u);
-  EXPECT_EQ(gw.uplink_bytes(), 300u);
-  EXPECT_EQ(gw.downlink_packets(), 1u);
-  EXPECT_EQ(gw.downlink_bytes(), 50u);
+  EXPECT_EQ(metrics.counter("epc.gw.uplink_bytes").value(), 300u);
+  EXPECT_EQ(metrics.counter("epc.gw.downlink_bytes").value(), 50u);
 }
 
 TEST(Gateway, DeleteUnknownIsNoop) {

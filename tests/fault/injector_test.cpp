@@ -145,6 +145,8 @@ struct Town {
 TEST(FaultInjector, ApCrashLosesVolatileStateAndRecovers) {
   Town town;
   auto& ap = town.add_ap(1, 0.0);
+  obs::MetricsRegistry metrics;
+  ap.core().set_metrics(&metrics);
   ap.bring_up(town.registry);
   town.run_for(1.0);
   auto ue = town.make_ue(700001, Position{1'000.0, 0.0});
@@ -176,7 +178,7 @@ TEST(FaultInjector, ApCrashLosesVolatileStateAndRecovers) {
   EXPECT_FALSE(ap.core().mme().is_registered(Imsi{700001}));
   EXPECT_EQ(ap.core().mme().attaches_in_progress(), 0u);
   EXPECT_FALSE(town.radio.cell_active(CellId{1}));
-  EXPECT_EQ(ap.core().mme().stats().state_losses, 1u);
+  EXPECT_EQ(metrics.counter("epc.state_losses").value(), 1u);
   // Persistent state survives: the HSS still knows the subscriber.
   EXPECT_TRUE(ap.core().hss().has_subscriber(Imsi{700001}));
 

@@ -142,7 +142,7 @@ TEST(RegistryOutage, ZoneOutageDoesNotAffectCentralizedSas) {
 // the fault plane, runs to t=2 s, then applies for a grant at `dark_pos`
 // and at `lit_pos` and reports whether each one was granted.
 struct ZoneOutageRun {
-  spectrum::RegistryOutage outage;
+  double outage_active;  // The registry-wide outage gauge.
   std::string described;
   bool dark_granted;
   bool lit_granted;
@@ -151,6 +151,8 @@ struct ZoneOutageRun {
 ZoneOutageRun run_zone_outage(Position dark_pos, Position lit_pos) {
   sim::Simulator sim;
   spectrum::Registry reg{sim, spectrum::RegistryKind::kFederated};
+  obs::MetricsRegistry metrics;
+  reg.set_metrics(&metrics);
   FaultInjector injector{sim};
   injector.set_registry(&reg);
   FaultSpec spec;
@@ -162,7 +164,8 @@ ZoneOutageRun run_zone_outage(Position dark_pos, Position lit_pos) {
   injector.arm(FaultPlan{}.add(spec));
   sim.run_until(TimePoint{} + Duration::seconds(2.0));
 
-  ZoneOutageRun run{reg.outage(), spec.describe(), false, false};
+  ZoneOutageRun run{metrics.gauge("registry.outage_active").value(),
+                    spec.describe(), false, false};
   reg.request_grant(request_at(1, dark_pos),
                     [&](Result<spectrum::SpectrumGrant> r) {
                       run.dark_granted = r.ok();
@@ -182,7 +185,7 @@ TEST(RegistryOutage, ZoneOutageWestOfTheOriginDarkensOnlyItsZone) {
   EXPECT_EQ(spectrum::Registry::zone_of(dark),
             registry::zone_key(dark, spectrum::Registry::kZoneSizeM));
   const ZoneOutageRun run = run_zone_outage(dark, Position{10'000.0, 10'000.0});
-  EXPECT_EQ(run.outage, spectrum::RegistryOutage::kNone);
+  EXPECT_EQ(run.outage_active, 0.0);
   EXPECT_EQ(run.described.find("zone=all"), std::string::npos) << run.described;
   EXPECT_FALSE(run.dark_granted);
   EXPECT_TRUE(run.lit_granted);
@@ -195,7 +198,7 @@ TEST(RegistryOutage, ZoneOutageTwoThousandKilometresOutDarkensOnlyItsZone) {
   ASSERT_NE(spectrum::Registry::zone_of(dark),
             spectrum::Registry::zone_of(lit));
   const ZoneOutageRun run = run_zone_outage(dark, lit);
-  EXPECT_EQ(run.outage, spectrum::RegistryOutage::kNone);
+  EXPECT_EQ(run.outage_active, 0.0);
   EXPECT_FALSE(run.dark_granted);
   EXPECT_TRUE(run.lit_granted);
 }
@@ -203,6 +206,8 @@ TEST(RegistryOutage, ZoneOutageTwoThousandKilometresOutDarkensOnlyItsZone) {
 TEST(RegistryOutage, GraceKeepsExpiredGrantDegradedThenLapses) {
   sim::Simulator sim;
   spectrum::Registry reg{sim, spectrum::RegistryKind::kCentralizedSas};
+  obs::MetricsRegistry metrics;
+  reg.set_metrics(&metrics);
   reg.set_grant_lifetime(Duration::seconds(60.0));
   reg.set_heartbeat_grace(Duration::seconds(40.0));
   auto g = reg.grant_now(request_at(1, Position{}));
@@ -214,7 +219,7 @@ TEST(RegistryOutage, GraceKeepsExpiredGrantDegradedThenLapses) {
   auto near = reg.grants_near(Position{});
   ASSERT_EQ(near.size(), 1u);
   EXPECT_TRUE(near[0].degraded);
-  EXPECT_EQ(reg.grants_lapsed(), 0u);
+  EXPECT_EQ(metrics.counter("registry.grants_lapsed").value(), 0u);
 
   // A heartbeat inside the grace fully renews.
   ASSERT_EQ(reg.heartbeat_outcome(g->id),
@@ -226,7 +231,7 @@ TEST(RegistryOutage, GraceKeepsExpiredGrantDegradedThenLapses) {
   // Silence through expiry + grace: the grant lapses for good.
   sim.run_until(sim.now() + Duration::seconds(101.0));
   EXPECT_TRUE(reg.grants_near(Position{}).empty());
-  EXPECT_EQ(reg.grants_lapsed(), 1u);
+  EXPECT_EQ(metrics.counter("registry.grants_lapsed").value(), 1u);
   EXPECT_EQ(reg.heartbeat_outcome(g->id), spectrum::HeartbeatOutcome::kLapsed);
 }
 
@@ -237,6 +242,8 @@ TEST(RegistryOutage, ApSurvivesShortOutageDegraded) {
   net::Network net{sim};
   core::RadioEnvironment radio;
   spectrum::Registry reg{sim, spectrum::RegistryKind::kCentralizedSas};
+  obs::MetricsRegistry metrics;
+  reg.set_metrics(&metrics);
   reg.set_grant_lifetime(Duration::seconds(30.0));
   reg.set_heartbeat_grace(Duration::seconds(60.0));
 
@@ -252,9 +259,11 @@ TEST(RegistryOutage, ApSurvivesShortOutageDegraded) {
   core::DlteAccessPoint ap{sim, net, node, radio, cfg};
   obs::SpanTracer tracer{[&sim] { return sim.now(); }};
   ap.set_span_tracer(&tracer);
+  ap.set_metrics(&metrics);
   ap.bring_up(reg);
   sim.run_until(sim.now() + Duration::seconds(2.0));
-  ASSERT_TRUE(ap.has_grant());
+  ASSERT_EQ(reg.grant_count(), 1u);
+  const obs::Gauge& degraded = metrics.gauge("ap1.lease_degraded");
 
   FaultInjector injector{sim};
   injector.register_ap(&ap);
@@ -270,14 +279,14 @@ TEST(RegistryOutage, ApSurvivesShortOutageDegraded) {
 
   // Mid-outage: renewals are failing, AP degrades but keeps its grant.
   sim.run_until(sim.now() + Duration::seconds(25.0));
-  EXPECT_TRUE(ap.lease_degraded());
-  EXPECT_TRUE(ap.has_grant());
+  EXPECT_EQ(degraded.value(), 1.0);
+  EXPECT_EQ(reg.grant_count(), 1u);
 
   // Outage heals; the next heartbeat renews and leaves degraded mode.
   sim.run_until(sim.now() + Duration::seconds(30.0));
-  EXPECT_FALSE(ap.lease_degraded());
-  EXPECT_TRUE(ap.has_grant());
-  EXPECT_EQ(reg.grants_lapsed(), 0u);
+  EXPECT_EQ(degraded.value(), 0.0);
+  EXPECT_EQ(reg.grant_count(), 1u);
+  EXPECT_EQ(metrics.counter("registry.grants_lapsed").value(), 0u);
 
   // Only the AP knows it degraded and recovered: its own markers say so.
   std::vector<std::string> lease_states;

@@ -216,7 +216,6 @@ TEST(DcfBackoff, WindowDoublesOnFailureAndResetsOnSuccess) {
   EXPECT_EQ(backoff.contention_window(), 63);
   backoff.note_success();
   EXPECT_EQ(backoff.contention_window(), 15);
-  EXPECT_EQ(backoff.retries(), 0);
 }
 
 TEST(DcfBackoff, RetryLimitSignalsDropAndResets) {
@@ -225,7 +224,10 @@ TEST(DcfBackoff, RetryLimitSignalsDropAndResets) {
   EXPECT_FALSE(backoff.note_failure());
   EXPECT_TRUE(backoff.note_failure());  // Third failure exceeds limit 2.
   EXPECT_EQ(backoff.contention_window(), 15);
-  EXPECT_EQ(backoff.retries(), 0);
+  // The retry count restarted too: the next frame gets the full budget.
+  EXPECT_FALSE(backoff.note_failure());
+  EXPECT_FALSE(backoff.note_failure());
+  EXPECT_TRUE(backoff.note_failure());
 }
 
 TEST(DcfBackoff, WindowIsCappedAtCwMax) {

@@ -98,7 +98,7 @@ TEST(Network, SerializationQueuesBackToBackPackets) {
                                   1 << 20});
   std::vector<double> arrivals;
   f.net.set_protocol_handler(b, 0, [&](Packet&&) {
-    arrivals.push_back(f.sim.now().to_millis());
+    arrivals.push_back((f.sim.now() - TimePoint{}).to_millis());
   });
   for (int i = 0; i < 3; ++i) f.net.send(Packet{a, b, 1250, 0, {}});
   f.sim.run_all();

@@ -129,11 +129,10 @@ TEST(DigestTimeline, RegisterLabelIsIdempotentByIdAndGrows) {
   DigestTimeline timeline{1000};
   timeline.register_label(0, "sim.unlabeled");
   timeline.register_label(3, "test.sparse");  // Ids 1..2 fill as blanks.
-  EXPECT_EQ(timeline.label_count(), 4u);
+  EXPECT_EQ(timeline.label_name(2), "");
   timeline.on_execute(10, 0, 3);
   const std::uint64_t chain = timeline.windows()[0].chain;
   timeline.register_label(3, "test.sparse");  // Re-intern: no state reset.
-  EXPECT_EQ(timeline.label_count(), 4u);
   EXPECT_EQ(timeline.windows()[0].chain, chain);
   EXPECT_EQ(timeline.label_name(3), "test.sparse");
 }

@@ -136,7 +136,6 @@ TEST(AuditDeterminism, AuditOffYieldsEmptyDoc) {
   cfg.audit = false;
   ShardedTown town{cfg};
   town.run();
-  EXPECT_FALSE(town.runtime().auditing());
   const obs::AuditDoc doc = town.runtime().audit_doc();
   EXPECT_EQ(doc.shards, 0u);
   EXPECT_EQ(doc.events_total, 0u);

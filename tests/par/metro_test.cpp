@@ -70,8 +70,8 @@ TEST(MetroScenarioTest, DistrictsNeverSpanShards) {
   // The histogram-merge contract: every district lives wholly in one
   // shard, at any shard count the bench sweeps.
   for (const std::size_t shards : {1u, 2u, 4u}) {
-    MetroScenario metro{small_config(shards, 1)};
-    const MetroConfig& cfg = metro.config();
+    const MetroConfig cfg = small_config(shards, 1);
+    MetroScenario metro{cfg};
     for (int ap = 1; ap < cfg.aps; ++ap) {
       const std::size_t d0 =
           metro.district_of(static_cast<std::size_t>(ap - 1));

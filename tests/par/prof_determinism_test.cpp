@@ -154,7 +154,6 @@ TEST(ProfDeterminism, ProfilingOffYieldsEmptyPlane) {
   cfg.profile = false;
   ShardedTown town{cfg};
   town.run();
-  EXPECT_FALSE(town.runtime().profiling());
   obs::EventProfiler merged;
   town.runtime().merged_profiler_into(merged);
   EXPECT_EQ(merged.label_count(), 1u);  // Only the unlabeled bucket.

@@ -48,12 +48,14 @@ TEST(ShardedSimulator, CrossShardPingPongPaysLookaheadPerHop) {
     std::vector<double> deliveries_ms;
     int bounces = 0;
     rt.register_endpoint(0, 0, [&](const Message& m) {
-      deliveries_ms.push_back(rt.shard_sim(0).now().to_millis());
+      deliveries_ms.push_back(
+          (rt.shard_sim(0).now() - TimePoint{}).to_millis());
       EXPECT_EQ(m.src, 1u);
       rt.post(0, 1, Duration::millis(1), 0, {});
     });
     rt.register_endpoint(1, 1, [&](const Message& m) {
-      deliveries_ms.push_back(rt.shard_sim(1).now().to_millis());
+      deliveries_ms.push_back(
+          (rt.shard_sim(1).now() - TimePoint{}).to_millis());
       EXPECT_EQ(m.src, 0u);
       if (++bounces < 3) rt.post(1, 0, Duration::millis(1), 0, {});
     });
@@ -64,8 +66,8 @@ TEST(ShardedSimulator, CrossShardPingPongPaysLookaheadPerHop) {
               (std::vector<double>{1.0, 2.0, 3.0, 4.0, 5.0}))
         << "threads=" << threads;
     EXPECT_EQ(rt.messages_exchanged(), 5u);
-    EXPECT_DOUBLE_EQ(rt.shard_sim(0).now().to_millis(), 10.0);
-    EXPECT_DOUBLE_EQ(rt.shard_sim(1).now().to_millis(), 10.0);
+    EXPECT_DOUBLE_EQ((rt.shard_sim(0).now() - TimePoint{}).to_millis(), 10.0);
+    EXPECT_DOUBLE_EQ((rt.shard_sim(1).now() - TimePoint{}).to_millis(), 10.0);
   }
 }
 
@@ -74,7 +76,7 @@ TEST(ShardedSimulator, ShortPostsClampToLookaheadAndCount) {
   double delivered_ms = -1.0;
   rt.register_endpoint(0, 0, [](const Message&) {});
   rt.register_endpoint(1, 1, [&](const Message& m) {
-    delivered_ms = m.deliver_at.to_millis();
+    delivered_ms = (m.deliver_at - TimePoint{}).to_millis();
   });
   rt.post(0, 1, Duration::micros(10), 0, {});  // Below the 1 ms lookahead.
   rt.run_until(TimePoint::from_ns(0) + Duration::millis(5));
@@ -159,7 +161,7 @@ TEST(ShardedSimulator, IdleWindowsAreSkippedOnTheGrid) {
   rt.register_endpoint(1, 1, [](const Message&) {});
   double seen_ms = -1.0;
   rt.shard_sim(1).schedule(Duration::seconds(1.0), [&] {
-    seen_ms = rt.shard_sim(1).now().to_millis();
+    seen_ms = (rt.shard_sim(1).now() - TimePoint{}).to_millis();
   });
   rt.run_until(TimePoint::from_ns(0) + Duration::seconds(2.0));
   EXPECT_DOUBLE_EQ(seen_ms, 1000.0);

@@ -28,10 +28,12 @@ CacheConfig small_config() {
 
 TEST(LeaseCache, MissThenFillThenLocalHit) {
   LeaseCache cache{small_config()};
+  obs::MetricsRegistry metrics;
+  cache.set_metrics(&metrics);
   auto miss = cache.lookup(7, 1, 1, at(0.0));
   EXPECT_EQ(miss.tier, CacheTier::kAuthoritative);
   EXPECT_EQ(miss.snapshot, nullptr);
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(metrics.counter("registry.cache.misses").value(), 1u);
 
   cache.fill(7, 1, 1, snap({10, 11}), at(0.0));
   auto hit = cache.lookup(7, 1, 1, at(1.0));
@@ -39,7 +41,7 @@ TEST(LeaseCache, MissThenFillThenLocalHit) {
   EXPECT_FALSE(hit.stale);
   ASSERT_NE(hit.snapshot, nullptr);
   EXPECT_EQ(hit.snapshot->size(), 2u);
-  EXPECT_EQ(cache.hits_local(), 1u);
+  EXPECT_EQ(metrics.counter("registry.cache.hits_local").value(), 1u);
 }
 
 TEST(LeaseCache, TierWalkRefillsLowerTiers) {
@@ -73,13 +75,15 @@ TEST(LeaseCache, TtlExpiryIsDeterministic) {
 
 TEST(LeaseCache, StaleServeBeforeAuthoritativeFallback) {
   LeaseCache cache{small_config()};
+  obs::MetricsRegistry metrics;
+  cache.set_metrics(&metrics);
   cache.fill(7, 1, /*version=*/3, snap({10}), at(0.0));
   // Authoritative version moved to 5: inside TTL the cache still serves
   // (DNS semantics) but counts the serve as stale.
   auto stale = cache.lookup(7, 1, /*version=*/5, at(1.0));
   EXPECT_EQ(stale.tier, CacheTier::kLocal);
   EXPECT_TRUE(stale.stale);
-  EXPECT_EQ(cache.stale_serves(), 1u);
+  EXPECT_EQ(metrics.counter("registry.cache.stale_serves").value(), 1u);
   // Once the TTL runs out the stale entry is NOT served: authoritative.
   auto after = cache.lookup(7, 1, /*version=*/5, at(61.0));
   EXPECT_EQ(after.tier, CacheTier::kAuthoritative);
@@ -88,6 +92,8 @@ TEST(LeaseCache, StaleServeBeforeAuthoritativeFallback) {
 
 TEST(LeaseCache, RootShedsExactlyPastCapacity) {
   LeaseCache cache{small_config()};  // root_capacity = 2 per 1 s window.
+  obs::MetricsRegistry metrics;
+  cache.set_metrics(&metrics);
   cache.fill(1, 1, 1, snap({10}), at(0.0));
   // Root-tier serves need the local+zone tiers cold: use distinct
   // requesters past the zone TTL... simpler: age past zone TTL so only
@@ -100,7 +106,7 @@ TEST(LeaseCache, RootShedsExactlyPastCapacity) {
   auto shed = cache.lookup(3, 1, 1, at(20.2));
   EXPECT_EQ(shed.tier, CacheTier::kShed);
   EXPECT_EQ(shed.snapshot, nullptr);
-  EXPECT_EQ(cache.root_sheds(), 1u);
+  EXPECT_EQ(metrics.counter("registry.cache.root_sheds").value(), 1u);
   // Next window (grid-anchored at t=0): capacity resets.
   EXPECT_EQ(cache.lookup(4, 1, 1, at(21.0)).tier, CacheTier::kRoot);
 }

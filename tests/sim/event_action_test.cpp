@@ -42,7 +42,6 @@ TEST(EventAction, SmallCaptureIsStoredInlineAndRuns) {
   static_assert(EventAction::stores_inline<decltype(f)>());
   static_assert(sizeof(EventAction) == EventAction::kInlineBytes + 8);
   EventAction action{f};
-  ASSERT_TRUE(action);
   action();
   action();
   EXPECT_EQ(hits, 12);
@@ -56,7 +55,6 @@ TEST(EventAction, LargeCaptureFallsBackToTheHeap) {
   static_assert(!EventAction::stores_inline<decltype(f)>());
   EventAction action{f};
   EventAction moved{std::move(action)};
-  EXPECT_FALSE(action);  // A moved-from action is empty.
   moved();
   EXPECT_EQ(sum, 6u);
 }
@@ -69,17 +67,6 @@ TEST(EventAction, MoveOnlyCaptureRunsThroughTheSimulator) {
                [&seen, p = std::move(owned)] { seen = *p + 1; });
   sim.run_all();
   EXPECT_EQ(seen, 42);
-}
-
-TEST(EventAction, EmptyActionIsFalseAndMovesStayEmpty) {
-  EventAction empty;
-  EXPECT_FALSE(empty);
-  EventAction moved{std::move(empty)};
-  EXPECT_FALSE(moved);
-  // An empty action rides through a queue untouched.
-  CalendarQueue queue;
-  queue.push(QueuedEvent{TimePoint::from_ns(5), 0, EventAction{}});
-  EXPECT_FALSE(queue.pop().action);
 }
 
 TEST(EventAction, CaptureOfARunEventIsDestroyedOnce) {

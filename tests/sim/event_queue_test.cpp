@@ -202,13 +202,15 @@ TEST(CalendarQueueTest, LabelsSurviveResize) {
 
 TEST(SimulatorQueueTest, EventCountAndDepthSurvivedSwap) {
   Simulator sim;
+  obs::MetricsRegistry metrics;
+  sim.set_metrics(&metrics);
   for (int i = 0; i < 100; ++i) {
     sim.schedule(Duration::micros(i), [] {});
   }
   EXPECT_EQ(sim.pending_events(), 100u);
   sim.run_all();
   EXPECT_EQ(sim.events_executed(), 100u);
-  EXPECT_EQ(sim.max_queue_depth(), 100u);
+  EXPECT_EQ(metrics.gauge("sim.max_queue_depth").value(), 100.0);
 }
 
 }  // namespace

@@ -48,7 +48,7 @@ TEST(Simulator, EventsScheduleFurtherEvents) {
   s.schedule(Duration::millis(1), chain);
   s.run_all();
   EXPECT_EQ(count, 10);
-  EXPECT_DOUBLE_EQ(s.now().to_millis(), 10.0);
+  EXPECT_DOUBLE_EQ((s.now() - TimePoint{}).to_millis(), 10.0);
 }
 
 TEST(Simulator, RunUntilStopsAtDeadline) {
@@ -58,7 +58,7 @@ TEST(Simulator, RunUntilStopsAtDeadline) {
   s.schedule(Duration::millis(15), [&] { ++ran; });
   s.run_until(TimePoint::from_ns(0) + Duration::millis(10));
   EXPECT_EQ(ran, 1);
-  EXPECT_DOUBLE_EQ(s.now().to_millis(), 10.0);
+  EXPECT_DOUBLE_EQ((s.now() - TimePoint{}).to_millis(), 10.0);
   EXPECT_EQ(s.pending_events(), 1u);
   // Continue to drain the rest.
   s.run_all();
@@ -81,19 +81,7 @@ TEST(Simulator, NegativeDelayClampedToNow) {
   });
   s.run_all();
   EXPECT_TRUE(ran);
-  EXPECT_DOUBLE_EQ(s.now().to_millis(), 5.0);
-}
-
-TEST(Simulator, StopHaltsProcessing) {
-  Simulator s;
-  int ran = 0;
-  s.schedule(Duration::millis(1), [&] {
-    ++ran;
-    s.stop();
-  });
-  s.schedule(Duration::millis(2), [&] { ++ran; });
-  s.run_all();
-  EXPECT_EQ(ran, 1);
+  EXPECT_DOUBLE_EQ((s.now() - TimePoint{}).to_millis(), 5.0);
 }
 
 TEST(Simulator, PeriodicProcessFiresRepeatedly) {
@@ -153,7 +141,7 @@ TEST(Simulator, PastScheduleAtClampsAndCounts) {
   });
   s.run_all();
   EXPECT_TRUE(ran);
-  EXPECT_DOUBLE_EQ(s.now().to_millis(), 5.0);
+  EXPECT_DOUBLE_EQ((s.now() - TimePoint{}).to_millis(), 5.0);
   EXPECT_EQ(s.schedule_past_events(), 1u);
   EXPECT_EQ(reg.counter("sim.schedule_past_events").value(), 1u);
 }
@@ -245,7 +233,7 @@ TEST(Simulator, NextEventTimePeeksEarliestPending) {
             std::numeric_limits<std::int64_t>::max());
   s.schedule(Duration::millis(30), [] {});
   s.schedule(Duration::millis(10), [] {});
-  EXPECT_DOUBLE_EQ(s.next_event_time().to_millis(), 10.0);
+  EXPECT_DOUBLE_EQ((s.next_event_time() - TimePoint{}).to_millis(), 10.0);
   s.run_all();
   EXPECT_EQ(s.next_event_time().ns(),
             std::numeric_limits<std::int64_t>::max());

@@ -39,17 +39,6 @@ TEST(FlowTrainTest, ZeroByteFlowCompletesImmediately) {
   EXPECT_EQ(flow.stats().bytes_delivered, 0u);
 }
 
-TEST(FlowTrainTest, CapPacketsTracksBandwidthDelayProduct) {
-  sim::Simulator sim;
-  FlowTrainConfig config;
-  config.mss_bytes = 1200;
-  config.rtt = Duration::millis(20);
-  config.bottleneck = DataRate::mbps(48.0);
-  // 48 Mbps * 20 ms / 8 = 120000 bytes per RTT = 100 packets.
-  FlowTrain flow{sim, config};
-  EXPECT_EQ(flow.cap_packets(), 100);
-}
-
 TEST(FlowTrainTest, TrainMatchesPerPacketOnBytesAndCompletion) {
   // Sweep sizes that end mid-window, exactly on a window, below the
   // initial window, and deep into steady state.

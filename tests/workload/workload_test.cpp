@@ -31,21 +31,8 @@ TEST(CbrSource, OffersConfiguredRate) {
   CbrSource cbr{f.sim, conn, DataRate::kbps(64.0)};
   cbr.start();
   f.run_for(10.0);
-  // 64 kb/s for 10 s = 80 kB offered (one tick of slack).
-  EXPECT_NEAR(cbr.bytes_offered(), 80'000.0, 500.0);
+  // 64 kb/s for 10 s = 80 kB offered.
   EXPECT_NEAR(f.ott.delivered_bytes(conn.id()), 80'000.0, 2'000.0);
-}
-
-TEST(CbrSource, StopHalts) {
-  Fixture f;
-  auto& conn = f.client.connect(f.server_node, transport::TransportConfig{});
-  CbrSource cbr{f.sim, conn, DataRate::kbps(64.0)};
-  cbr.start();
-  f.run_for(1.0);
-  cbr.stop();
-  const double at_stop = cbr.bytes_offered();
-  f.run_for(2.0);
-  EXPECT_EQ(cbr.bytes_offered(), at_stop);
 }
 
 // Every event a CBR call schedules is attributed to a label: its ticks
@@ -89,15 +76,13 @@ TEST(OttService, ProgressTimelineMonotone) {
 TEST(OttService, LongestStallDetectsGap) {
   Fixture f;
   auto& conn = f.client.connect(f.server_node, transport::TransportConfig{});
-  CbrSource cbr{f.sim, conn, DataRate::kbps(256.0)};
-  cbr.start();
-  f.run_for(2.0);
-  // Pause the source for 1 s: that's the stall.
-  cbr.stop();
-  f.run_for(1.0);
-  CbrSource cbr2{f.sim, conn, DataRate::kbps(256.0)};
-  cbr2.start();
-  f.run_for(2.0);
+  // 256 kb/s in 20 ms chunks for 2 s, paused for 1 s (that's the stall),
+  // then 2 s more.
+  for (int tick = 0; tick < 250; ++tick) {
+    if (tick >= 100 && tick < 150) continue;
+    f.sim.schedule(Duration::millis(20 * tick), [&conn] { conn.send(640.0); });
+  }
+  f.run_for(5.0);
   const auto stall = f.ott.longest_stall(
       conn.id(), TimePoint::from_ns(0) + Duration::seconds(1.0),
       TimePoint::from_ns(0) + Duration::seconds(4.5));

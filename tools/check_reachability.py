@@ -39,22 +39,29 @@ a member, it only declines to let one keep a symbol alive.
 A third pass asks the linker. It configures its own tree under
 build-linkpass/ and builds every dlte_bench and dlte_example target of
 bench/ and examples/CMakeLists.txt, plus the benchmark job runner
-dlte_perfjob from perfbench/, at -O0 -ffunction-sections, linked with
--Wl,--gc-sections. At -O0 nothing is inlined, so a function is called by
-some executable exactly when it survives that executable's link. Every
-global function (nm type T) that a src/ archive defines and no
-executable keeps is dead, whatever its name: out-of-line member
-functions are in reach. Inline (COMDAT) functions and data members are
-not, and neither is a branch or a codec alternative that only dead code
+dlte_perfjob from perfbench/, at -O0 -ffunction-sections
+-fkeep-inline-functions, linked with -Wl,--gc-sections. At -O0 nothing is
+inlined, and -fkeep-inline-functions emits every inline function into
+each object that sees it, so a function is called by some executable
+exactly when it survives that executable's link. Every function that a
+src/ archive defines and no executable keeps is dead: an out-of-line one
+(nm type T) whatever its name, and an inline one (nm type W) when it is a
+dlte:: function someone wrote. Four kinds of W symbol are not judged:
+lambdas, library instantiations, special members and the unit types'
+operators (is_src_function says why). An inline function is reported
+once, by name, however many objects carry a copy. Data members are out
+of reach, and so is a branch or a codec alternative that only dead code
 reaches. The pass fails, rather than passing vacuously, unless every
-compile of the tree used -O0 and -ffunction-sections, every executable
-was linked with --gc-sections, and every target produced an executable.
-It needs cmake, make, a C++ compiler and nm, and takes a few minutes.
+compile of the tree used -O0, -ffunction-sections and
+-fkeep-inline-functions, every executable was linked with --gc-sections,
+and every target produced an executable. It needs cmake, make, a C++
+compiler and nm, and takes about five minutes from cold.
 
 Dead headers, symbols and functions are listed one per line and the exit
 status is 1; 0 means every src/ header, namespace-scope symbol and
-out-of-line function has a non-test user. KEEP lists what is exempt from
-the passes, each entry with the reason it stays.
+function has a non-test user. KEEP lists what is exempt from the passes,
+each entry with the reason it stays. tools/test_check_reachability.py
+tests the link pass's symbol filter.
 
     tools/check_reachability.py [--root DIR]
 """
@@ -73,9 +80,77 @@ SOURCE_SUFFIXES = {".h", ".hpp", ".cpp", ".cc"}
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
 
 # Why an item stays without a non-test user, keyed by (header relative to
-# src/, symbol) for the symbol pass and by (source relative to src/,
-# demangled function as nm -C prints it) for the link pass.
-KEEP = {}
+# src/, symbol) for the symbol pass, by (source relative to src/, demangled
+# function as nm -C prints it) for an out-of-line function of the link pass,
+# and by the demangled function alone for an inline one.
+_ATTACH_TABLES = ("tests/core/attach_tables_test.cpp checks the id → slot "
+                  "tables against a reference model through it")
+_REFERENCE_QUEUE = ("tests/sim/event_queue_test.cpp checks the calendar "
+                    "queue against this reference queue")
+KEEP = {
+    "dlte::core::EnodeB::is_pending(dlte::StrongId<dlte::EnbUeIdTag, "
+    "unsigned int>) const": _ATTACH_TABLES,
+    "dlte::core::EnodeB::pending_count() const": _ATTACH_TABLES,
+    "dlte::core::EnodeB::pending_slots() const": _ATTACH_TABLES,
+    "dlte::core::EnodeB::enb_id_table_size() const": _ATTACH_TABLES,
+    "dlte::epc::Mme::find_ue(dlte::StrongId<dlte::ImsiTag, unsigned long>) "
+    "const": _ATTACH_TABLES,
+    "dlte::epc::Mme::find_ue(dlte::StrongId<dlte::MmeUeIdTag, unsigned "
+    "int>) const": _ATTACH_TABLES,
+    "dlte::epc::Mme::view(unsigned int) const":
+        _ATTACH_TABLES + " (find_ue's helper)",
+    "dlte::epc::Mme::context_count() const": _ATTACH_TABLES,
+    "dlte::FlatMap<dlte::StrongId<dlte::ImsiTag, unsigned long>, unsigned "
+    "int>::size() const": _ATTACH_TABLES + " (Mme::context_count)",
+    "dlte::epc::Mme::context_slots() const": _ATTACH_TABLES,
+    "dlte::epc::Mme::mme_id_table_size() const": _ATTACH_TABLES,
+    "dlte::par::ShardedSimulator::windows_inline() const":
+        "tests/par/sharded_sim_property_test.cpp holds the inline-window "
+        "count equal across shard counts",
+    "dlte::sim::Simulator::schedule_past_events() const":
+        "tests/par/sharded_sim_property_test.cpp sums each shard's clamped "
+        "schedules; the shards' metrics are not merged there",
+    "dlte::sim::BinaryHeapQueue::empty() const": _REFERENCE_QUEUE,
+    "dlte::sim::BinaryHeapQueue::peek() const": _REFERENCE_QUEUE,
+    "dlte::sim::BinaryHeapQueue::size() const": _REFERENCE_QUEUE,
+    "dlte::sim::LazyMt19937_64::max()":
+        "the std:: distributions read it off the engine at compile time",
+    "dlte::sim::LazyMt19937_64::spilled() const":
+        "tests/sim/random_test.cpp checks the engine spills on its 157th "
+        "draw",
+    "dlte::registry::SpatialIndex::size() const":
+        "tests/registry/spatial_index_test.cpp holds insert_run and single "
+        "inserts to the same entry count",
+    "dlte::registry::SpatialIndex::max_range_m() const":
+        "tests/registry/spatial_index_test.cpp holds insert_run and single "
+        "inserts to the same scan bound",
+    "dlte::spectrum::SpectrumChain::block(unsigned long) const":
+        "tests/spectrum/chain_records.h reads committed records back for "
+        "the chain, batch-commit and registry tests",
+    "dlte::spectrum::SpectrumChain::mutable_block(unsigned long)":
+        "tests/spectrum/chain_test.cpp tampers with a sealed block",
+    "dlte::spectrum::PeerCoordinator::peer_count() const":
+        "tests/spectrum/coordinator_test.cpp and tests/core/*_test.cpp check "
+        "peer discovery, expiry and corrupt-X2 rejection through it",
+    "dlte::mac::DcfBackoff::contention_window() const":
+        "tests/mac/wifi_dcf_test.cpp pins the binary exponential backoff "
+        "ladder through it",
+    "dlte::mac::DcfSimulator::transmitting(int) const":
+        "tests/mac/wifi_dcf_test.cpp pins carrier sense and the attempt "
+        "accounting through it",
+    "dlte::transport::Connection::established() const":
+        "tests/transport/transport_test.cpp checks the 0/1/2-RTT handshakes "
+        "(paper §4.2) through it",
+    "dlte::transport::Connection::broken() const":
+        "tests/transport/transport_test.cpp checks a TCP-like connection "
+        "dies on rebind and a QUIC-like one migrates (paper §4.2)",
+    "dlte::transport::Connection::stats() const":
+        "tests/transport/transport_test.cpp reads handshake RTTs, acked "
+        "bytes and retransmissions through it",
+    "dlte::transport::FlowTrain::stats() const":
+        "tests/transport/flow_train_test.cpp holds the train and per-packet "
+        "modes to the same bytes and completion times",
+}
 
 
 def scan(root):
@@ -432,11 +507,12 @@ def dead_symbols(texts, live):
 
 LINK_TREE = "build-linkpass"
 # -O0 so nothing is inlined, one section per function so the linker can
-# drop each one, and NDEBUG as in every shipped build type.
+# drop each one, every inline function emitted in each archive that sees
+# it, and NDEBUG as in every shipped build type.
 CMAKE_FLAGS = (
     "-G", "Unix Makefiles", "-DCMAKE_BUILD_TYPE=Release",
     "-DCMAKE_CXX_FLAGS_RELEASE=-O0 -g0 -DNDEBUG",
-    "-DCMAKE_CXX_FLAGS=-ffunction-sections",
+    "-DCMAKE_CXX_FLAGS=-ffunction-sections -fkeep-inline-functions",
     "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections",
     "-DCMAKE_EXPORT_COMPILE_COMMANDS=ON",
 )
@@ -463,9 +539,10 @@ def build_tree(source, build, targets):
     for entry in json.loads((build / "compile_commands.json").read_text()):
         args = shlex.split(entry.get("command", ""))
         levels = [a for a in args if a.startswith("-O")]
-        if levels[-1:] != ["-O0"] or "-ffunction-sections" not in args:
+        if (levels[-1:] != ["-O0"] or "-ffunction-sections" not in args
+                or "-fkeep-inline-functions" not in args):
             raise RuntimeError(f"{entry['file']} was not compiled with -O0 "
-                               "-ffunction-sections")
+                               "-ffunction-sections -fkeep-inline-functions")
     exes = []
     for target in targets:
         links = list(build.rglob(f"CMakeFiles/{target}.dir/link.txt"))
@@ -478,17 +555,109 @@ def build_tree(source, build, targets):
     return exes
 
 
-def nm(path):
-    """[(object member or None, symbol type, demangled name)] of the
-    symbols `path` defines."""
+def parse_nm(output):
+    """[(object member or None, symbol type, demangled name)] of the lines
+    `nm -C --defined-only` prints."""
     symbols, member = [], None
-    for line in run(["nm", "-C", "--defined-only", path]).splitlines():
+    for line in output.splitlines():
         if line.endswith(":") and " " not in line:
             member = line[:-1]
         elif line.count(" ") >= 2:
             _, kind, name = line.split(" ", 2)
             symbols.append((member, kind, name))
     return symbols
+
+
+def nm(path):
+    return parse_nm(run(["nm", "-C", "--defined-only", path]))
+
+
+# The classes of the unit types: their operators are their arithmetic, so
+# which of them an executable happens to call says nothing about dead code.
+UNIT_HEADERS = ("src/common/time.h", "src/common/units.h")
+CLASS_RE = re.compile(r"^(?:class|struct)\s+(\w+)\s*(?:final\s*)?\{",
+                      re.MULTILINE)
+
+
+def unit_types(root):
+    return {"dlte::" + name for header in UNIT_HEADERS
+            for name in CLASS_RE.findall((root / header).read_text())}
+
+
+def split_function(name):
+    """(qualified name, parameter list) of a demangled function, without the
+    return type nm -C prints before a template instantiation, e.g.
+    "int dlte::f<int>(int)" -> ("dlte::f<int>", "int")."""
+    depth, start, i = 0, 0, 0
+    while i < len(name):
+        if depth == 0 and name.startswith("operator", i) and (
+                i == 0 or name[i - 1] == ":"):
+            i += len("operator")
+            i = name.index("(", i + 2 if name.startswith("()", i) else i)
+            break
+        c = name[i]
+        if depth == 0 and c == "(":
+            break
+        if c in "<({[":
+            depth += 1
+        elif c in ">)}]":
+            depth -= 1
+        elif c == " " and depth == 0:
+            start = i + 1
+        i += 1
+    close, depth = i, 0
+    for close in range(i, len(name)):
+        depth += {"(": 1, ")": -1}.get(name[close], 0)
+        if depth == 0:
+            break
+    return name[start:i], name[i + 1:close]
+
+
+def qualifiers(qualified):
+    """The "::"-separated parts of a qualified name, template arguments
+    left on their part."""
+    parts, depth, last = [], 0, 0
+    for i, c in enumerate(qualified):
+        depth += {"<": 1, ">": -1, "(": 1, ")": -1}.get(c, 0)
+        if depth == 0 and qualified.startswith("::", i):
+            parts.append(qualified[last:i])
+            last = i + 2
+    return [p for p in parts if p] + [qualified[last:]]
+
+
+def is_src_function(kind, name, units):
+    """Whether the link pass judges an nm symbol. Out-of-line (T) functions
+    are judged whatever their name. Inline (W) ones are judged when they
+    are a dlte:: function someone wrote; four kinds are not."""
+    if kind == "T":
+        return True
+    if kind != "W":
+        return False
+    # A lambda, or a template instantiated on one, lives and dies with the
+    # function that spells the lambda out.
+    if "{lambda(" in name:
+        return False
+    qualified, params = split_function(name)
+    # A std:: (or other library) instantiation whose return type happens to
+    # be a dlte:: type is library code, whatever it returns.
+    if not qualified.startswith("dlte::"):
+        return False
+    parts = qualifiers(qualified)
+    owner = "::".join(parts[:-1])
+    cls = re.sub(r"<.*", "", parts[-2]) if len(parts) > 1 else ""
+    fn = re.sub(r"<.*", "", parts[-1])
+    # Special members: the compiler writes one for whatever copies, moves,
+    # builds or drops the class, and nm cannot tell those from written ones.
+    # They live and die with their class, which the symbol pass judges.
+    own = (f"{owner} const&", f"{owner}&&")
+    if ((fn == cls and params in ("",) + own) or (fn == "~" + cls)
+            or (fn == "operator=" and params in own)):
+        return False
+    # The unit types' operators are their arithmetic: a type is kept whole.
+    if fn.startswith("operator") and (
+            owner in units or any(u in params for u in units)):
+        return False
+    return True
 
 
 def dead_functions(root):
@@ -506,12 +675,24 @@ def dead_functions(root):
             + build_tree(root / "perfbench", tree / "perfbench", [PERFJOB]))
     kept = {name for exe in exes for _, _, name in nm(exe)}
     src = tree / "main" / "src"
+    archives = [(archive.parent.relative_to(src).as_posix(), nm(archive))
+                for archive in sorted(src.rglob("*.a"))]
+    return unused_functions(archives, kept, unit_types(root))
+
+
+def unused_functions(archives, kept, units):
+    """[(source relative to src/, function)] for each function the
+    `(module, nm symbols)` archives define that is not in `kept`. Every
+    object that sees an inline function carries a copy of it, so an inline
+    function is reported, and kept, by name alone, as source "inline"."""
     dead = set()
-    for archive in sorted(src.rglob("*.a")):
-        module = archive.parent.relative_to(src).as_posix()
-        for member, kind, name in nm(archive):
-            source = f"{module}/{member.removesuffix('.o')}"
-            if kind == "T" and name not in kept and (source, name) not in KEEP:
+    for module, symbols in archives:
+        for member, kind, name in symbols:
+            if name in kept or not is_src_function(kind, name, units):
+                continue
+            source = (f"{module}/{member.removesuffix('.o')}" if kind == "T"
+                      else "inline")
+            if (source, name) not in KEEP and name not in KEEP:
                 dead.add((source, name))
     return sorted(dead)
 
@@ -534,7 +715,7 @@ def main(argv=None):
         return 1
     if not dead and not symbols and not functions:
         print("reachability: every src/ header, namespace-scope symbol and "
-              "out-of-line function has a non-test user")
+              "function has a non-test user")
         return 0
     if dead:
         print(f"reachability: {len(dead)} src/ header(s) reached only from "
