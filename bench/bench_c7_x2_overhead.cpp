@@ -23,6 +23,8 @@ struct Domain {
   net::Network net{sim};
   NodeId internet = net.add_node("internet");
   std::vector<std::unique_ptr<spectrum::PeerCoordinator>> coords;
+  // One registry per AP: its coordinator's unprefixed `x2.*` counters.
+  std::vector<std::unique_ptr<obs::MetricsRegistry>> x2_metrics;
 
   Domain(int n, Duration period, obs::MetricsRegistry* reg = nullptr,
          const std::string& prefix = "") {
@@ -51,14 +53,29 @@ struct Domain {
       }
     }
     for (auto& c : coords) {
-      // All APs in the domain aggregate into one prefixed counter set.
-      c->set_metrics(reg, prefix);
+      x2_metrics.push_back(std::make_unique<obs::MetricsRegistry>());
+      c->set_metrics(x2_metrics.back().get());
       c->set_offered_load(1.0);
       c->start();
     }
   }
 
   void run_for(double s) { sim.run_until(sim.now() + Duration::seconds(s)); }
+
+  [[nodiscard]] double x2_counter(std::size_t ap,
+                                  const std::string& name) const {
+    return static_cast<double>(x2_metrics[ap]->counter(name).value());
+  }
+
+  // All APs in the domain aggregate into one prefixed counter set.
+  void add_x2_counters_to(obs::MetricsRegistry& reg,
+                          const std::string& prefix) const {
+    for (const auto& ap : x2_metrics) {
+      for (const auto& [name, counter] : ap->counters()) {
+        reg.counter(prefix + name).inc(counter.value());
+      }
+    }
+  }
 };
 
 }  // namespace
@@ -80,21 +97,23 @@ int main() {
       Domain d{n, Duration::seconds(period_s), &harness.metrics(), prefix};
       d.run_for(window_s);
       harness.add_sim_seconds(window_s);
+      d.add_x2_counters_to(harness.metrics(), prefix);
       double total_kbps = 0.0;
-      for (auto& c : d.coords) {
-        total_kbps += c->stats().bytes_sent * 8.0 / window_s / 1000.0;
+      for (std::size_t ap = 0; ap < d.coords.size(); ++ap) {
+        total_kbps +=
+            d.x2_counter(ap, "x2.bytes_sent") * 8.0 / window_s / 1000.0;
       }
-      const auto& leader = d.coords[0]->stats();
+      const double leader_bytes = d.x2_counter(0, "x2.bytes_sent");
+      const double leader_messages = d.x2_counter(0, "x2.messages_sent");
       harness.gauge(prefix + "perap_kbps",
-                    leader.bytes_sent * 8.0 / window_s / 1000.0);
-      harness.gauge(prefix + "perap_msg_rate",
-                    leader.messages_sent / window_s);
+                    leader_bytes * 8.0 / window_s / 1000.0);
+      harness.gauge(prefix + "perap_msg_rate", leader_messages / window_s);
       harness.gauge(prefix + "domain_kbps", total_kbps);
       t.row()
           .integer(n)
           .num(period_s, 1, "s")
-          .num(leader.bytes_sent * 8.0 / window_s / 1000.0, 2, "kbit/s")
-          .num(leader.messages_sent / window_s, 1, "msg/s")
+          .num(leader_bytes * 8.0 / window_s / 1000.0, 2, "kbit/s")
+          .num(leader_messages / window_s, 1, "msg/s")
           .num(total_kbps, 1, "kbit/s");
     }
   }

@@ -5,8 +5,10 @@
 // cheap).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "bench_harness.h"
 #include "crypto/milenage.h"
@@ -204,6 +206,50 @@ void BM_EventQueueCalendarHoldCapture32(benchmark::State& state) {
   queue_hold<sim::CalendarQueue, true>(state);
 }
 BENCHMARK(BM_EventQueueCalendarHoldCapture32);
+
+// Bursty hold, the shape of town_attach's pending set: an equal-time
+// burst of 10,000 events rides on a hold population where three events
+// in four come back within 1 ms and one in four after 2 s. Every burst
+// event comes back exactly 2 s after it ran, so the burst recurs as one
+// timestamp; each recurrence grows a bucket to 10,000 keys and drains it
+// (the row that shows what freeing and regrowing burst storage costs).
+void BM_EventQueueCalendarBurstHold(benchmark::State& state) {
+  constexpr std::size_t kPending = 1 << 16;
+  constexpr std::size_t kBurst = 10'000;
+  constexpr std::uint32_t kBurstLabel = 1;
+  constexpr std::int64_t kTwoSeconds = 2'000'000'000;
+  sim::CalendarQueue queue;
+  std::uint64_t seq = 0;
+  std::uint64_t lcg = 0x9e3779b97f4a7c15ull;
+  const auto next_delay = [&lcg] {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    const auto draw = lcg >> 40;
+    return draw % 4 == 0 ? kTwoSeconds + static_cast<std::int64_t>(draw % 997)
+                         : static_cast<std::int64_t>(draw % 1'000'000);
+  };
+  // The background goes in time order (all appends) and the burst joins
+  // it last, so the set-up costs little next to the timed loop.
+  std::vector<std::int64_t> background(kPending - kBurst);
+  for (std::int64_t& when : background) when = next_delay();
+  std::sort(background.begin(), background.end());
+  for (const std::int64_t when : background) {
+    queue.push(sim::QueuedEvent{TimePoint::from_ns(when), seq++, {}});
+  }
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    queue.push(sim::QueuedEvent{TimePoint::from_ns(1'000'000), seq++, {},
+                                kBurstLabel});
+  }
+  for (auto _ : state) {
+    sim::QueuedEvent event = queue.pop();
+    const std::int64_t now = event.when.ns();
+    event.when = TimePoint::from_ns(
+        now + (event.label == kBurstLabel ? kTwoSeconds : next_delay()));
+    event.seq = seq++;
+    queue.push(std::move(event));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueCalendarBurstHold);
 
 void BM_SimulatorEventThroughput(benchmark::State& state) {
   for (auto _ : state) {

@@ -17,6 +17,7 @@
 #include "coex/shared_channel.h"
 #include "common/table.h"
 #include "net/network.h"
+#include "obs/metrics.h"
 #include "phy/wifi_phy.h"
 #include "sim/simulator.h"
 #include "spectrum/coordinator.h"
@@ -119,6 +120,8 @@ int main() {
       sim, net, node,
       spectrum::CoordinatorConfig{ApId{1}, lte::DlteMode::kFairShare,
                                   Duration::seconds(1.0)}};
+  obs::MetricsRegistry coord_metrics;
+  coord.set_metrics(&coord_metrics);
 
   spectrum::Registry registry{sim, spectrum::RegistryKind::kCentralizedSas};
   const Hertz band = Hertz::ghz(2.4);
@@ -127,7 +130,8 @@ int main() {
   std::cout << "registry says " << registry.wifi_occupants(band)
             << " WiFi occupant(s) -> set_mode(kLbt) "
             << (ok ? "accepted" : "REFUSED") << " (mode_rejects="
-            << coord.stats().mode_rejects << ")\n";
+            << coord_metrics.counter("spectrum.mode_rejects").value()
+            << ")\n";
 
   registry.mark_band_shared(band, 2);  // Site survey found both BSSs.
   coord.set_wifi_occupants(registry.wifi_occupants(band));

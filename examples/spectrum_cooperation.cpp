@@ -8,9 +8,11 @@
 #include <iomanip>
 #include <iostream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/access_point.h"
+#include "obs/metrics.h"
 
 using namespace dlte;
 
@@ -35,6 +37,8 @@ int main() {
   spectrum::Registry registry{sim, spectrum::RegistryKind::kFederated};
 
   const NodeId internet = net.add_node("internet");
+  // Each AP's X2 counters, under `ap<id>.x2.*`.
+  obs::MetricsRegistry x2_metrics;
   std::vector<std::unique_ptr<core::DlteAccessPoint>> aps;
 
   auto join = [&](std::uint32_t id, double x, double load,
@@ -50,6 +54,8 @@ int main() {
     aps.push_back(
         std::make_unique<core::DlteAccessPoint>(sim, net, node, radio, cfg));
     auto& ap = *aps.back();
+    ap.coordinator().set_metrics(&x2_metrics,
+                                 "ap" + std::to_string(id) + ".");
     ap.coordinator().set_offered_load(load);
     ap.bring_up(registry, [&, id](bool ok) {
       std::cout << "[" << std::setw(5) << sim.now().to_seconds() << "s] AP"
@@ -93,8 +99,8 @@ int main() {
   print_shares(sim, aps);
 
   std::cout << "\nX2 signaling spent all day by AP1: "
-            << aps[0]->coordinator().stats().bytes_sent
-            << " bytes (" << aps[0]->coordinator().stats().messages_sent
+            << x2_metrics.counter("ap1.x2.bytes_sent").value()
+            << " bytes (" << x2_metrics.counter("ap1.x2.messages_sent").value()
             << " messages) — coordination is cheap (§4.3).\n";
   return 0;
 }

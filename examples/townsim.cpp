@@ -27,6 +27,7 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "core/access_point.h"
+#include "obs/metrics.h"
 #include "obs/text_file.h"
 #include "obs/trace_export.h"
 #include "par/town.h"
@@ -174,7 +175,8 @@ int main(int argc, char** argv) {
   }
   const NodeId internet = net.add_node("internet");
 
-  // Access points.
+  // Access points; each one's X2 counters go under `ap<id>.x2.*`.
+  obs::MetricsRegistry x2_metrics;
   std::vector<std::unique_ptr<core::DlteAccessPoint>> aps;
   int grants = 0;
   for (int a = 0; a < opt.aps; ++a) {
@@ -192,6 +194,8 @@ int main(int argc, char** argv) {
         std::make_unique<core::DlteAccessPoint>(sim, net, node, radio, cfg));
     aps.back()->set_span_tracer(tracer.get(),
                                 "ap" + std::to_string(a + 1) + "/");
+    aps.back()->coordinator().set_metrics(
+        &x2_metrics, "ap" + std::to_string(a + 1) + ".");
     aps.back()->bring_up(registry, [&](bool ok) { grants += ok ? 1 : 0; });
   }
   // Blockchain commits wait for a block; give bring-up time to finish.
@@ -259,14 +263,17 @@ int main(int argc, char** argv) {
       bits += ue_bits;
       per_ue.push_back(ue_bits);
     }
+    const std::uint64_t x2_bytes =
+        x2_metrics
+            .counter("ap" + std::to_string(ap->id().value()) +
+                     ".x2.bytes_sent")
+            .value();
     t.row()
         .add("AP" + std::to_string(ap->id().value()))
         .num(ap->cell_mac().prb_share(), 2)
         .integer(static_cast<long long>(ap->cell_mac().ue_ids().size()))
         .num(bits / 1e6 / opt.duration_s, 2, "Mb/s")
-        .num(static_cast<double>(ap->coordinator().stats().bytes_sent) /
-                 1000.0,
-             1, "kB");
+        .num(static_cast<double>(x2_bytes) / 1000.0, 1, "kB");
   }
   t.print(std::cout);
   std::cout << "client fairness (Jain): " << jain_fairness(per_ue) << "\n";

@@ -69,14 +69,24 @@ void CalendarQueue::rebuild(std::size_t nbuckets, int shift) {
   // Globally sorted, every insert below is an O(1) append. Keys only —
   // the action slab is untouched by recalibration.
   std::sort(live.begin(), live.end(), key_before);
-  buckets_.assign(nbuckets, Bucket{});
+  // Old buckets carry over emptied, keeping storage as a drained bucket
+  // does: assign() would keep every bucket's high water, a fresh ring
+  // would regrow every small bucket after each recalibration.
+  for (Bucket& bucket : buckets_) bucket.empty_out();
+  buckets_.resize(nbuckets);
   mask_ = nbuckets - 1;
   shift_ = shift;
-  if (!buckets_.empty() && !live.empty()) {
+  if (!live.empty()) {
     seek_to(live.front().when_ns);
   } else {
     cur_bucket_ = 0;
     cur_window_start_ = 0;
+  }
+  // Size each bucket once for the keys it receives, then append.
+  std::vector<std::uint32_t> counts(nbuckets, 0);
+  for (const Key& key : live) ++counts[bucket_of(key.when_ns)];
+  for (std::size_t b = 0; b < nbuckets; ++b) {
+    if (counts[b] != 0) buckets_[b].keys.reserve(counts[b]);
   }
   for (const Key& key : live) {
     buckets_[bucket_of(key.when_ns)].keys.push_back(key);

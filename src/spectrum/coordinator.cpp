@@ -81,7 +81,6 @@ void PeerCoordinator::expire_dead_peers() {
       latest_status_.erase(dead);
       last_heard_.erase(dead);
       it = peers_.erase(it);
-      ++stats_.peers_expired;
       obs::inc(m_peers_expired_);
       // The next round recomputes shares over the survivors — the dead
       // peer's spectrum is reclaimed (and, should it return, its hello /
@@ -99,7 +98,6 @@ void PeerCoordinator::send_hello(const std::string& operator_contact) {
 
 bool PeerCoordinator::set_mode(lte::DlteMode mode) {
   if (lte::is_coexistence_mode(mode) && wifi_occupants_ == 0) {
-    ++stats_.mode_rejects;
     obs::inc(m_mode_rejects_);
     return false;
   }
@@ -140,8 +138,6 @@ void PeerCoordinator::send_to(NodeId node, const lte::X2Message& message) {
   for (int c = 0; c < copies; ++c) {
     net_.send(net::Packet{node_, node, size, kX2Protocol,
                           lte::encode_x2(message)});
-    ++stats_.messages_sent;
-    stats_.bytes_sent += static_cast<std::uint64_t>(size);
     obs::inc(m_messages_sent_);
     obs::inc(m_bytes_sent_, static_cast<std::uint64_t>(size));
   }
@@ -201,7 +197,6 @@ void PeerCoordinator::maybe_lead_round() {
   proposal.round = ++round_;
   proposal.ap_ids = ids;
   proposal.shares = shares;
-  ++stats_.rounds_led;
   obs::inc(m_rounds_led_);
   // A previous round still waiting for accepts is superseded.
   close_round_span("incomplete (superseded by next round)");
@@ -236,7 +231,6 @@ void PeerCoordinator::apply_share(double share, obs::SpanId round_span) {
   });
   const double previous = current_share_;
   current_share_ = std::clamp(share, 0.0, 1.0);
-  ++stats_.shares_applied;
   obs::inc(m_shares_applied_);
   if (current_share_ != previous) obs::inc(m_grant_churn_);
   if (cell_ != nullptr) cell_->set_prb_share(current_share_);
@@ -246,7 +240,6 @@ void PeerCoordinator::on_packet(const net::Packet& packet) {
   if (offline_) return;  // Crashed AP: the X2 endpoint is dark.
   auto message = lte::decode_x2(packet.payload);
   if (!message) return;
-  ++stats_.messages_received;
   obs::inc(m_messages_received_);
 
   if (const auto* hello = std::get_if<lte::DlteHello>(&*message)) {

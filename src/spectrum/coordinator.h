@@ -42,16 +42,11 @@ struct CoordinatorConfig {
   Duration peer_liveness_timeout{Duration::seconds(3.5)};
 };
 
+// Injected-impairment tallies. Everything else a coordinator counts is a
+// metric (set_metrics: `x2.*` and `spectrum.mode_rejects`).
 struct CoordinatorStats {
-  std::uint64_t messages_sent{0};
-  std::uint64_t bytes_sent{0};
-  std::uint64_t messages_received{0};
-  std::uint64_t rounds_led{0};
-  std::uint64_t shares_applied{0};
-  std::uint64_t peers_expired{0};       // Declared dead by liveness timeout.
   std::uint64_t x2_drops_injected{0};   // Lost to injected impairment.
   std::uint64_t x2_dups_injected{0};    // Duplicated by injected impairment.
-  std::uint64_t mode_rejects{0};        // Refused coexistence-mode switches.
 };
 
 // Injected X2 impairment (src/fault): each outbound message is dropped
@@ -85,9 +80,9 @@ class PeerCoordinator {
   // only legal on a band the registry reports as shared with live WiFi
   // occupants (set_wifi_occupants); switching blind would silently stop
   // X2 share rounds with nobody on the air to defer to. A refused switch
-  // leaves the mode unchanged, bumps stats().mode_rejects, and counts on
-  // the `<prefix>spectrum.mode_rejects` counter. Returns whether the
-  // switch was applied.
+  // leaves the mode unchanged and counts on the
+  // `<prefix>spectrum.mode_rejects` counter. Returns whether the switch
+  // was applied.
   bool set_mode(lte::DlteMode mode);
 
   // WiFi occupancy of this AP's granted band, as learned from the

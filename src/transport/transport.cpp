@@ -191,7 +191,6 @@ Connection::Connection(TransportHost& host, NodeId remote,
   if (zero_rtt) {
     stats_.handshake_rtts = 0;
     state_ = State::kEstablished;
-    stats_.established_at = host_->simulator().now();
     if (on_ready_) on_ready_();
   } else {
     stats_.handshake_rtts =
@@ -242,7 +241,6 @@ void Connection::on_segment(const net::Packet& packet) {
         break;
       }
       state_ = State::kEstablished;
-      stats_.established_at = host_->simulator().now();
       if (on_ready_) on_ready_();
       try_send();
       break;
@@ -375,14 +373,12 @@ void Connection::arm_rto() {
 void Connection::on_rto() {
   if (state_ == State::kBroken) return;
   if (state_ == State::kConnecting) {
-    ++stats_.timeouts;
     rto_backoff_ = std::min(rto_backoff_ * 2, 64);
     send_segment(kSegSyn, 0.0, 0);
     arm_rto();
     return;
   }
   if (max_sent_offset_ <= acked_offset_ + kGranule) return;  // All acked.
-  ++stats_.timeouts;
   ssthresh_ = std::max(cwnd_ / 2.0, 2.0);
   cwnd_ = 1.0;
   rto_backoff_ = std::min(rto_backoff_ * 2, 64);

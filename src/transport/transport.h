@@ -50,9 +50,7 @@ struct ConnectionStats {
   double bytes_acked{0.0};
   double bytes_sent{0.0};
   int retransmissions{0};
-  int timeouts{0};
   int handshake_rtts{0};       // RTTs spent before first data could fly.
-  TimePoint established_at{};
   TimePoint last_ack_at{};
 };
 

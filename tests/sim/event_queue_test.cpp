@@ -200,6 +200,54 @@ TEST(CalendarQueueTest, LabelsSurviveResize) {
   }
 }
 
+TEST(CalendarQueueTest, BurstsThatDrainKeepHeapParity) {
+  // Equal-time bursts grow a bucket far past the storage a drained bucket
+  // keeps, so each drain frees it and the next burst regrows it; pops
+  // interleave with pushes so bursts land in buckets that are part
+  // drained, and every pop must match the heap's, label included.
+  CalendarQueue calendar;
+  BinaryHeapQueue heap;
+  std::mt19937_64 rng(7);
+  std::uint64_t seq = 0;
+  std::int64_t now = 0;
+  auto push = [&](std::int64_t when_ns) {
+    const auto label = static_cast<std::uint32_t>(rng() % 1000);
+    calendar.push(QueuedEvent{TimePoint::from_ns(when_ns), seq, [] {}, label});
+    heap.push(QueuedEvent{TimePoint::from_ns(when_ns), seq, [] {}, label});
+    ++seq;
+  };
+  auto pop_both = [&] {
+    const QueuedEvent expected = heap.pop();
+    const QueuedEvent got = calendar.pop();
+    ASSERT_EQ(got.when.ns(), expected.when.ns());
+    ASSERT_EQ(got.seq, expected.seq);
+    ASSERT_EQ(got.label, expected.label);
+    now = got.when.ns();
+  };
+  for (int cycle = 0; cycle < 12; ++cycle) {
+    // A burst of equal timestamps (sizes 40 to 3,000), then near-equal
+    // stragglers and a few far events.
+    const std::int64_t at = now + 1'000'000;
+    const int burst = 40 + static_cast<int>(rng() % 2'961);
+    for (int i = 0; i < burst; ++i) push(at);
+    for (int i = 0; i < 200; ++i) {
+      push(at + static_cast<std::int64_t>(rng() % 50'000));
+    }
+    for (int i = 0; i < 20; ++i) {
+      push(now + 2'000'000'000 + static_cast<std::int64_t>(rng() % 1'000'000));
+    }
+    // Drain most of it, pushing behind and into the burst as it drains.
+    const std::size_t keep = 30 + rng() % 50;
+    while (heap.size() > keep) {
+      pop_both();
+      if (rng() % 8 == 0) push(now + static_cast<std::int64_t>(rng() % 3));
+    }
+  }
+  while (!heap.empty()) pop_both();
+  EXPECT_TRUE(calendar.empty());
+  EXPECT_GT(calendar.resizes(), 0u);
+}
+
 TEST(SimulatorQueueTest, EventCountAndDepthSurvivedSwap) {
   Simulator sim;
   obs::MetricsRegistry metrics;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 namespace dlte::spectrum {
 namespace {
 
@@ -11,6 +15,8 @@ struct Fixture {
   net::Network net{sim};
   NodeId router = net.add_node("internet");
   std::vector<NodeId> nodes;
+  // Coordinator i counts under `ap<i>.x2.*` and `ap<i>.spectrum.*`.
+  obs::MetricsRegistry metrics;
   std::vector<std::unique_ptr<PeerCoordinator>> coords;
 
   void build(int n, lte::DlteMode mode,
@@ -25,6 +31,7 @@ struct Fixture {
           sim, net, node,
           CoordinatorConfig{ApId{static_cast<std::uint32_t>(i + 1)}, mode,
                             period}));
+      coords.back()->set_metrics(&metrics, "ap" + std::to_string(i) + ".");
     }
     // Full-mesh peering, as the registry's contention domain would give.
     for (int i = 0; i < n; ++i) {
@@ -36,6 +43,11 @@ struct Fixture {
         }
       }
     }
+  }
+
+  [[nodiscard]] std::uint64_t counter(std::size_t ap,
+                                      const std::string& name) {
+    return metrics.counter("ap" + std::to_string(ap) + "." + name).value();
   }
 
   void start_all() {
@@ -101,7 +113,7 @@ TEST(Coordinator, IsolatedApDoesNotCoordinate) {
   f.build(2, lte::DlteMode::kIsolated);
   f.start_all();
   f.run_for(3.0);
-  EXPECT_EQ(f.coords[0]->stats().messages_sent, 0u);
+  EXPECT_EQ(f.counter(0, "x2.messages_sent"), 0u);
   EXPECT_DOUBLE_EQ(f.coords[0]->current_share(), 1.0);
 }
 
@@ -111,9 +123,9 @@ TEST(Coordinator, OnlyLowestApLeadsRounds) {
   for (auto& c : f.coords) c->set_offered_load(0.5);
   f.start_all();
   f.run_for(4.0);
-  EXPECT_GT(f.coords[0]->stats().rounds_led, 0u);
-  EXPECT_EQ(f.coords[1]->stats().rounds_led, 0u);
-  EXPECT_EQ(f.coords[2]->stats().rounds_led, 0u);
+  EXPECT_GT(f.counter(0, "x2.rounds_led"), 0u);
+  EXPECT_EQ(f.counter(1, "x2.rounds_led"), 0u);
+  EXPECT_EQ(f.counter(2, "x2.rounds_led"), 0u);
 }
 
 TEST(Coordinator, AppliesShareToAttachedCell) {
@@ -152,8 +164,8 @@ TEST(Coordinator, StatusMessagesFlowBothWays) {
   // the share AP 1 sent back.
   EXPECT_NEAR(f.coords[0]->current_share(), 0.8, 1e-9);
   EXPECT_NEAR(f.coords[1]->current_share(), 0.2, 1e-9);
-  EXPECT_GT(f.coords[0]->stats().messages_received, 0u);
-  EXPECT_GT(f.coords[1]->stats().messages_received, 0u);
+  EXPECT_GT(f.counter(0, "x2.messages_received"), 0u);
+  EXPECT_GT(f.counter(1, "x2.messages_received"), 0u);
 }
 
 TEST(Coordinator, OverheadScalesWithPeersAndPeriod) {
@@ -166,7 +178,7 @@ TEST(Coordinator, OverheadScalesWithPeersAndPeriod) {
     for (auto& c : f.coords) c->set_offered_load(1.0);
     f.start_all();
     f.run_for(10.0);
-    return f.coords[0]->stats().bytes_sent;
+    return f.counter(0, "x2.bytes_sent");
   };
   EXPECT_GT(bytes_for(8, 1.0), bytes_for(2, 1.0));
   EXPECT_GT(bytes_for(4, 0.5), bytes_for(4, 2.0));
@@ -186,7 +198,7 @@ TEST(Coordinator, DeadPeerExpiresAndSharesRebalance) {
   // AP 3 goes dark (crash): no more status reports from it.
   f.coords[2]->set_offline(true);
   f.run_for(6.0);  // Past the 3.5 s liveness timeout + a share round.
-  EXPECT_EQ(f.coords[0]->stats().peers_expired, 1u);
+  EXPECT_EQ(f.counter(0, "x2.peers_expired"), 1u);
   EXPECT_FALSE(f.coords[0]->peer_node(ApId{3}).has_value());
   EXPECT_EQ(f.coords[0]->peer_count(), 1u);
   EXPECT_NEAR(f.coords[0]->current_share(), 0.5, 1e-9);
@@ -211,11 +223,13 @@ TEST(Coordinator, ZeroLivenessTimeoutDisablesExpiry) {
                         Duration::seconds(1.0)};
   cfg.peer_liveness_timeout = Duration{};  // Disabled.
   PeerCoordinator quiet{sim, net, n1, cfg};
+  obs::MetricsRegistry reg;
+  quiet.set_metrics(&reg);
   quiet.add_peer(ApId{2}, n2);
   quiet.start();
   sim.run_until(sim.now() + Duration::seconds(30.0));
   EXPECT_EQ(quiet.peer_count(), 1u);  // Never heard from, never expired.
-  EXPECT_EQ(quiet.stats().peers_expired, 0u);
+  EXPECT_EQ(reg.counter("x2.peers_expired").value(), 0u);
 }
 
 TEST(Coordinator, X2DuplicatesAreCountedAndHarmless) {
@@ -243,7 +257,6 @@ TEST(Coordinator, CoexistenceModeRefusedWithoutWifiOccupants) {
   EXPECT_FALSE(f.coords[0]->set_mode(lte::DlteMode::kLbt));
   EXPECT_FALSE(f.coords[0]->set_mode(lte::DlteMode::kDutyCycle));
   EXPECT_EQ(f.coords[0]->mode(), lte::DlteMode::kFairShare);
-  EXPECT_EQ(f.coords[0]->stats().mode_rejects, 2u);
   EXPECT_EQ(reg.counter("ap0.spectrum.mode_rejects").value(), 2u);
 
   // Non-coexistence switches stay unguarded.
@@ -257,7 +270,7 @@ TEST(Coordinator, CoexistenceModeAcceptedOnSharedBand) {
   f.coords[0]->set_wifi_occupants(3);
   EXPECT_TRUE(f.coords[0]->set_mode(lte::DlteMode::kLbt));
   EXPECT_EQ(f.coords[0]->mode(), lte::DlteMode::kLbt);
-  EXPECT_EQ(f.coords[0]->stats().mode_rejects, 0u);
+  EXPECT_EQ(f.counter(0, "spectrum.mode_rejects"), 0u);
   // On a shared band the coordinator stops claiming a licensed split: the
   // on-air arbitration (src/coex) decides airtime, so the local quota
   // opens to the full carrier.
@@ -271,12 +284,12 @@ TEST(Coordinator, CoexistenceModeSuppressesShareRounds) {
   f.build(2, lte::DlteMode::kFairShare);
   f.coords[0]->set_wifi_occupants(1);
   ASSERT_TRUE(f.coords[0]->set_mode(lte::DlteMode::kLbt));
-  const auto applied_at_switch = f.coords[0]->stats().shares_applied;
+  const auto applied_at_switch = f.counter(0, "x2.shares_applied");
   for (auto& c : f.coords) c->set_offered_load(1.0);
   f.start_all();
   f.run_for(5.0);
-  EXPECT_EQ(f.coords[0]->stats().rounds_led, 0u);
-  EXPECT_EQ(f.coords[0]->stats().shares_applied, applied_at_switch);
+  EXPECT_EQ(f.counter(0, "x2.rounds_led"), 0u);
+  EXPECT_EQ(f.counter(0, "x2.shares_applied"), applied_at_switch);
   EXPECT_DOUBLE_EQ(f.coords[0]->current_share(), 1.0);
 }
 
@@ -289,7 +302,7 @@ TEST(Coordinator, X2LoadIsKbitPerSecondScale) {
   f.start_all();
   f.run_for(10.0);
   const double kbps =
-      f.coords[0]->stats().bytes_sent * 8.0 / 10.0 / 1000.0;
+      f.counter(0, "x2.bytes_sent") * 8.0 / 10.0 / 1000.0;
   EXPECT_LT(kbps, 100.0);
   EXPECT_GT(kbps, 0.1);
 }

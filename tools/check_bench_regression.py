@@ -9,24 +9,29 @@ Two modes:
   than --threshold (fractional, default 0.25 = +25%). When both files
   record an engine throughput (timings.events_per_sec, written by
   Harness::throughput), additionally fail if the result's throughput
-  drops more than --threshold below the baseline's.
+  drops more than --threshold below the baseline's. When both record
+  peak_rss_mb (the process's getrusage peak), additionally fail if the
+  result's exceeds the baseline's by more than RSS_THRESHOLD (+10%):
+  peak RSS varies far less than wall time, so its gate is tighter and
+  fixed.
 
       tools/check_bench_regression.py \
           --baseline-dir bench/baselines --result-dir out
 
   --result-dir may be repeated, one directory per pass of the benches.
   Each bench is then judged on the median wall time (and the median
-  throughput) over the directories that hold its result file, so one
-  noisy run on a shared host neither fails nor passes the gate alone.
+  throughput and peak RSS) over the directories that hold its result
+  file, so one noisy run on a shared host neither fails nor passes the
+  gate alone.
   A bench whose result is in none of them fails as missing.
 
       tools/check_bench_regression.py --baseline-dir bench/baselines \
           --result-dir out/run1 --result-dir out/run2 --result-dir out/run3
 
   With --json PATH the gate additionally writes a machine-readable
-  dlte-bench-gate-v1 document (per-bench wall/throughput base, result,
-  delta, limit, and verdict plus the overall status) to PATH; stdout
-  keeps the human one-line-per-gate format either way.
+  dlte-bench-gate-v1 document (per-bench wall/throughput/peak-RSS base,
+  result, delta, limit, and verdict plus the overall status) to PATH;
+  stdout keeps the human one-line-per-gate format either way.
 
   Determinism compare: byte-compare the "metrics" objects of two result
   files (the deterministic slice of the schema; wall_seconds, peak_rss_mb
@@ -45,6 +50,9 @@ import statistics
 import sys
 
 REQUIRED_KEYS = ("bench", "git_rev", "sim_seconds", "wall_seconds", "metrics")
+
+# Allowed fractional peak-RSS growth over the baseline.
+RSS_THRESHOLD = 0.10
 
 RERECORD_HINT = ("to (re)record baselines, run the bench binaries and copy "
                  "their BENCH_*.json into bench/baselines/ — see README "
@@ -108,7 +116,7 @@ def regression_gate(baseline_dir: pathlib.Path, result_dirs: list,
     for base_path in baselines:
         bench_name = base_path.stem.replace("BENCH_", "", 1)
         record = {"bench": bench_name, "verdict": "ok",
-                  "wall": None, "throughput": None}
+                  "wall": None, "throughput": None, "peak_rss": None}
         records.append(record)
         result_paths = [d / base_path.name for d in result_dirs
                         if (d / base_path.name).exists()]
@@ -169,8 +177,28 @@ def regression_gate(baseline_dir: pathlib.Path, result_dirs: list,
             if verdict == "FAIL":
                 failures += 1
                 record["verdict"] = "fail"
+        # Peak-RSS gate: likewise only when both sides recorded it.
+        base_rss = base.get("peak_rss_mb", 0.0)
+        result_rsss = [r.get("peak_rss_mb", 0.0) for r in results]
+        result_rss = (statistics.median(result_rsss)
+                      if all(rss > 0.0 for rss in result_rsss) else 0.0)
+        if base_rss > 0.0 and result_rss > 0.0:
+            ceiling = base_rss * (1.0 + RSS_THRESHOLD)
+            verdict = "OK" if result_rss <= ceiling else "FAIL"
+            rss_delta = (result_rss - base_rss) / base_rss
+            print(f"{verdict}: {base_path.name} peak RSS "
+                  f"{result_rss:.1f} MB{runs} vs baseline {base_rss:.1f} MB "
+                  f"({rss_delta:+.1%}, limit {ceiling:.1f} MB = "
+                  f"+{RSS_THRESHOLD:.0%})")
+            record["peak_rss"] = {
+                "base_mb": base_rss, "result_mb": result_rss,
+                "delta": rss_delta, "limit_mb": ceiling,
+                "verdict": verdict.lower()}
+            if verdict == "FAIL":
+                failures += 1
+                record["verdict"] = "fail"
     if failures:
-        print(f"{failures} gate(s) regressed beyond {threshold:.0%}; "
+        print(f"{failures} gate(s) regressed beyond their limits; "
               "if intentional, refresh bench/baselines/ (see README).")
     if json_path is not None:
         doc = {"schema": "dlte-bench-gate-v1",

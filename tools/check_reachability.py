@@ -129,6 +129,10 @@ KEEP = {
         "the chain, batch-commit and registry tests",
     "dlte::spectrum::SpectrumChain::mutable_block(unsigned long)":
         "tests/spectrum/chain_test.cpp tampers with a sealed block",
+    "dlte::spectrum::PeerCoordinator::stats() const":
+        "tests/spectrum/coordinator_test.cpp and "
+        "tests/fault/injector_test.cpp count injected X2 duplicates and "
+        "drops through it; those two tallies have no metric twin",
     "dlte::spectrum::PeerCoordinator::peer_count() const":
         "tests/spectrum/coordinator_test.cpp and tests/core/*_test.cpp check "
         "peer discovery, expiry and corrupt-X2 rejection through it",
