@@ -101,6 +101,7 @@ SpatialResult run_spatial(const C12Options& opt) {
   const double extent_m = 16.0 * spectrum::Registry::kZoneSizeM;
   const int grid =
       static_cast<int>(std::sqrt(static_cast<double>(n))) + 1;
+  const PowerDbm eirp{52.0};
   for (int i = 0; i < n; ++i) {
     spectrum::GrantRequest req;
     req.ap = ApId{static_cast<std::uint32_t>(i + 1)};
@@ -108,6 +109,7 @@ SpatialResult run_spatial(const C12Options& opt) {
                             (i / grid + 0.5) * (extent_m / grid)};
     req.center_frequency = Hertz::mhz(3550.0 + 10.0 * (i % 15));
     req.bandwidth = Hertz::mhz(10.0);
+    req.max_eirp = eirp;
     req.operator_contact = "c12@bench";
     auto g = reg.grant_now(req);
     if (!g.ok()) std::abort();
@@ -117,16 +119,17 @@ SpatialResult run_spatial(const C12Options& opt) {
   // with the per-band interference range precomputed exactly as the
   // registry memoizes it.
   std::map<std::int64_t, double> range_by_band;
-  const auto& all = reg.grants();
-  for (const auto& g : all) {
+  const auto all = reg.lease_sites();
+  for (const spectrum::LeaseSite& g : all) {
     const auto key = static_cast<std::int64_t>(g.center_frequency.hz());
     if (range_by_band.find(key) == range_by_band.end()) {
-      range_by_band[key] = spectrum::interference_range_m(g);
+      range_by_band[key] =
+          spectrum::interference_range_m(g.center_frequency, eirp);
     }
   }
   const auto linear_count = [&](Position p) {
     std::uint64_t count = 0;
-    for (const auto& g : all) {
+    for (const spectrum::LeaseSite& g : all) {
       const double r =
           range_by_band[static_cast<std::int64_t>(g.center_frequency.hz())];
       const double dx = g.location.x_m - p.x_m;

@@ -201,12 +201,9 @@ void RegistryPlaneScenario::handle_registry_message(const Message& m) {
       reg.request_grants(
           std::move(req), *count,
           [this, reply_to = m.src, block = *block](
-              std::vector<Result<spectrum::SpectrumGrant>> results) {
+              Result<std::vector<std::uint64_t>> granted) {
             std::vector<std::uint64_t> ids;
-            ids.reserve(results.size());
-            for (const auto& grant : results) {
-              if (grant) ids.push_back(grant->id.value());
-            }
+            if (granted) ids = std::move(*granted);
             ByteWriter w;
             w.reserve(9 + 8 * ids.size());
             w.u32(block);

@@ -1,6 +1,7 @@
 #include "spectrum/registry.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <memory>
@@ -53,17 +54,16 @@ RegistryLatency registry_latency(RegistryKind kind) {
   return {};
 }
 
-double interference_range_m(const SpectrumGrant& grant) {
+double interference_range_m(Hertz center_frequency, PowerDbm max_eirp) {
   // Find where EIRP - pathloss = -100 dBm under the band's rural model.
-  const auto model = phy::make_rural_model(grant.center_frequency);
+  const auto model = phy::make_rural_model(center_frequency);
   constexpr double kThresholdDbm = -100.0;
   double lo = 100.0, hi = 200'000.0;
   for (int i = 0; i < 60; ++i) {
     const double mid = 0.5 * (lo + hi);
     const phy::LinkGeometry geo{mid, 30.0, 1.5};
     const double rx =
-        grant.max_eirp.value() -
-        model->path_loss(grant.center_frequency, geo).value();
+        max_eirp.value() - model->path_loss(center_frequency, geo).value();
     if (rx > kThresholdDbm) {
       lo = mid;
     } else {
@@ -88,90 +88,125 @@ void Registry::attach_chain(SpectrumChain* chain) {
   }
 }
 
-double Registry::cached_range_m(const SpectrumGrant& grant) const {
-  // Sub-dBm EIRP differences don't matter for a reach bound; quantizing
-  // to milli-dBm keys the memo exactly for the repeated (band, power)
-  // pairs a deployment actually uses.
-  const std::pair<std::int64_t, std::int64_t> key{
-      static_cast<std::int64_t>(grant.center_frequency.hz()),
-      static_cast<std::int64_t>(std::lround(grant.max_eirp.value() * 1000.0))};
-  const auto it = range_cache_.find(key);
-  if (it != range_cache_.end()) return it->second;
-  const double range = interference_range_m(grant);
-  range_cache_.emplace(key, range);
-  return range;
-}
-
 std::uint64_t Registry::zone_version(Position location) const {
   return index_.zone_version(registry::zone_key(location, kZoneSizeM));
 }
 
 Result<SpectrumGrant> Registry::grant_now(const GrantRequest& request) {
-  Result<SpectrumGrant> g = issue_lease(request);
-  if (g) index_.insert({g->id.value(), g->location, cached_range_m(*g)});
-  return g;
+  const Result<GrantId> id = grant_one(request);
+  if (!id) return fail(id.error());
+  return grant_at(slot_of_[id->value()], sim_.now());
 }
 
-Result<SpectrumGrant> Registry::issue_lease(const GrantRequest& request) {
+Result<GrantId> Registry::grant_one(const GrantRequest& request) {
+  const Result<std::uint32_t> terms = admit(request, 1);
+  if (!terms) return fail(terms.error());
+  const GrantId id = issue_lease(request, *terms);
+  index_.insert({id.value(), request.location, terms_[*terms].range_m});
+  return id;
+}
+
+Result<std::uint32_t> Registry::admit(const GrantRequest& request,
+                                      std::uint32_t leases) {
   if (request.operator_contact.empty()) {
-    obs::inc(m_grant_failures_);
+    obs::inc(m_grant_failures_, leases);
     return fail("grant requires an operator contact for recourse");
   }
   if (request.bandwidth.hz() <= 0.0) {
-    obs::inc(m_grant_failures_);
+    obs::inc(m_grant_failures_, leases);
     return fail("grant requires positive bandwidth");
   }
-  SpectrumGrant g;
-  g.id = GrantId{next_grant_++};
-  g.ap = request.ap;
-  g.location = request.location;
-  g.center_frequency = request.center_frequency;
-  g.bandwidth = request.bandwidth;
-  g.max_eirp = request.max_eirp;
-  g.operator_contact = request.operator_contact;
-  g.secondary_use = request.secondary_use;
-  g.coordination_node = request.coordination_node;
-  if (!lifetime_.is_zero()) g.expires_at = sim_.now() + lifetime_;
-  const auto slot = static_cast<std::uint32_t>(grants_.size());
-  assert(grants_.size() < kNil && "slots are indexed in 32 bits");
-  assert(slot_of_.size() == g.id.value() && "the id table stays dense");
+  // Doubles key by bit pattern: a total order, even for a NaN off the
+  // wire.
+  TermsKey key{std::bit_cast<std::uint64_t>(request.center_frequency.hz()),
+               std::bit_cast<std::uint64_t>(request.bandwidth.hz()),
+               std::bit_cast<std::uint64_t>(request.max_eirp.value()),
+               request.operator_contact,
+               request.secondary_use,
+               request.coordination_node.value()};
+  const auto [it, fresh] = terms_of_.try_emplace(
+      std::move(key), static_cast<std::uint32_t>(terms_.size()));
+  if (!fresh) return it->second;
+  // Quantizing to milli-dBm keys the reach memo exactly for the repeated
+  // (band, power) pairs a deployment actually uses.
+  const std::pair<std::int64_t, std::int64_t> band_power{
+      static_cast<std::int64_t>(request.center_frequency.hz()),
+      static_cast<std::int64_t>(
+          std::lround(request.max_eirp.value() * 1000.0))};
+  const auto [range, unmemoized] = range_cache_.try_emplace(band_power, 0.0);
+  if (unmemoized) {
+    range->second =
+        interference_range_m(request.center_frequency, request.max_eirp);
+  }
+  terms_.push_back(LeaseTerms{request.center_frequency, request.bandwidth,
+                              request.max_eirp, request.operator_contact,
+                              request.secondary_use,
+                              request.coordination_node, range->second});
+  return it->second;
+}
+
+GrantId Registry::issue_lease(const GrantRequest& request,
+                              std::uint32_t terms) {
+  const GrantId id{next_grant_++};
+  const TimePoint expires_at =
+      lifetime_.is_zero() ? TimePoint{} : sim_.now() + lifetime_;
+  const auto slot = static_cast<std::uint32_t>(rows_.size());
+  assert(rows_.size() < kNil && "slots are indexed in 32 bits");
+  assert(slot_of_.size() == id.value() && "the id table stays dense");
   slot_of_.push_back(slot);
-  grants_.push_back(g);
+  rows_.push_back(
+      LeaseRow{id, request.location, expires_at, request.ap, terms});
   due_.emplace_back();
-  if (g.expires_at.ns() != 0) link_due(slot);
+  if (expires_at.ns() != 0) link_due(slot);
   obs::inc(m_grants_issued_);
-  obs::set(m_active_grants_, static_cast<double>(grants_.size()));
-  return g;
+  obs::set(m_active_grants_, static_cast<double>(rows_.size()));
+  return id;
+}
+
+SpectrumGrant Registry::grant_at(std::uint32_t slot, TimePoint now) const {
+  const LeaseRow& row = rows_[slot];
+  const LeaseTerms& terms = terms_[row.terms];
+  return SpectrumGrant{row.id,
+                       row.ap,
+                       row.location,
+                       terms.center_frequency,
+                       terms.bandwidth,
+                       terms.max_eirp,
+                       terms.operator_contact,
+                       terms.secondary_use,
+                       terms.coordination_node,
+                       row.expires_at,
+                       degraded_now(row, now)};
 }
 
 void Registry::erase_slot(std::size_t slot) {
-  SpectrumGrant& g = grants_[slot];
-  if (g.expires_at.ns() != 0) unlink_due(static_cast<std::uint32_t>(slot));
-  index_.erase(g.id.value(), g.location);
-  slot_of_[g.id.value()] = kNil;
-  const std::size_t last = grants_.size() - 1;
+  const LeaseRow& row = rows_[slot];
+  if (row.expires_at.ns() != 0) unlink_due(static_cast<std::uint32_t>(slot));
+  index_.erase(row.id.value(), row.location);
+  slot_of_[row.id.value()] = kNil;
+  const std::size_t last = rows_.size() - 1;
   if (slot != last) {
-    grants_[slot] = std::move(grants_[last]);
-    slot_of_[grants_[slot].id.value()] = static_cast<std::uint32_t>(slot);
+    rows_[slot] = rows_[last];
+    slot_of_[rows_[slot].id.value()] = static_cast<std::uint32_t>(slot);
     // The moved lease keeps its place in expiry order: repoint its
     // neighbours (or the ends) at the new slot. Its old neighbour may
     // have been `slot` itself, but that link went with the unlink above.
     const DueLink moved = due_[last];
     due_[slot] = moved;
-    if (grants_[slot].expires_at.ns() != 0) {
+    if (rows_[slot].expires_at.ns() != 0) {
       const auto at = static_cast<std::uint32_t>(slot);
       (moved.prev == kNil ? due_head_ : due_[moved.prev].next) = at;
       (moved.next == kNil ? due_tail_ : due_[moved.next].prev) = at;
     }
   }
-  grants_.pop_back();
+  rows_.pop_back();
   due_.pop_back();
 }
 
 void Registry::link_due(std::uint32_t slot) {
-  const TimePoint at = grants_[slot].expires_at;
+  const TimePoint at = rows_[slot].expires_at;
   std::uint32_t prev = due_tail_;
-  while (prev != kNil && grants_[prev].expires_at > at) prev = due_[prev].prev;
+  while (prev != kNil && rows_[prev].expires_at > at) prev = due_[prev].prev;
   const std::uint32_t next = prev == kNil ? due_head_ : due_[prev].next;
   due_[slot] = DueLink{prev, next};
   (prev == kNil ? due_head_ : due_[prev].next) = slot;
@@ -204,9 +239,9 @@ HeartbeatBatchOutcome Registry::heartbeat_batch(
     if (offline) return HeartbeatOutcome::kUnreachable;
     const std::uint32_t slot = slot_of(id);
     if (slot == kNil) return HeartbeatOutcome::kLapsed;
-    SpectrumGrant& g = grants_[slot];
-    if (!last_reach || last_reach->first != g.location) {
-      last_reach.emplace(g.location, reachable_for(g.location));
+    LeaseRow& row = rows_[slot];
+    if (!last_reach || last_reach->first != row.location) {
+      last_reach.emplace(row.location, reachable_for(row.location));
     }
     // A federated registrar renews its own zone's leases: a heartbeat
     // into an offline zone fails like any other request there. The
@@ -217,11 +252,10 @@ HeartbeatBatchOutcome Registry::heartbeat_batch(
       // Move the lease to its new place in expiry order. A grant issued
       // perpetual and renewed after a lifetime was set is linked here for
       // the first time, so it lapses like any leased grant.
-      if (g.expires_at.ns() != 0) unlink_due(slot);
-      g.expires_at = sim_.now() + lifetime_;
+      if (row.expires_at.ns() != 0) unlink_due(slot);
+      row.expires_at = sim_.now() + lifetime_;
       link_due(slot);
     }
-    g.degraded = false;
     return HeartbeatOutcome::kRenewed;
   };
   HeartbeatBatchOutcome out;
@@ -272,19 +306,19 @@ void Registry::prune_expired() {
   // check and a mass expiry walks only the lapsed prefix.
   const std::int64_t now = sim_.now().ns();
   const auto due_of = [this](std::uint32_t slot) {
-    return (grants_[slot].expires_at + grace_).ns();
+    return (rows_[slot].expires_at + grace_).ns();
   };
   if (due_head_ == kNil || due_of(due_head_) >= now) return;
   // Erase in (due, id) order: list order breaks expiry ties by link time.
   std::vector<std::pair<std::int64_t, std::uint64_t>> lapsing;
   for (std::uint32_t slot = due_head_; slot != kNil && due_of(slot) < now;
        slot = due_[slot].next) {
-    lapsing.emplace_back(due_of(slot), grants_[slot].id.value());
+    lapsing.emplace_back(due_of(slot), rows_[slot].id.value());
   }
   std::sort(lapsing.begin(), lapsing.end());
   for (const auto& lapse : lapsing) erase_slot(slot_of_[lapse.second]);
   obs::inc(m_grants_lapsed_, lapsing.size());
-  obs::set(m_active_grants_, static_cast<double>(grants_.size()));
+  obs::set(m_active_grants_, static_cast<double>(rows_.size()));
 }
 
 std::int64_t Registry::zone_of(Position location) {
@@ -350,26 +384,31 @@ obs::SpanId Registry::begin_grant_span(const GrantRequest& request) {
 }
 
 void Registry::end_grant_span(obs::SpanId span,
-                              const Result<SpectrumGrant>& result) {
+                              const Result<GrantId>& result) {
   obs::span_annotate(tracer_, span, "result", [&] {
-    return result ? "grant " + std::to_string(result->id.value())
+    return result ? "grant " + std::to_string(result->value())
                   : "failed: " + result.error();
   });
   obs::span_end(tracer_, span);
 }
 
 void Registry::request_grant(GrantRequest request, GrantCallback callback) {
+  // The lease was issued in the event that answers, so it is live.
   request_grants(std::move(request), 1,
-                 [callback = std::move(callback)](
-                     std::vector<Result<SpectrumGrant>> results) {
-                   callback(std::move(results.front()));
+                 [this, callback = std::move(callback)](
+                     Result<std::vector<std::uint64_t>> ids) {
+                   if (!ids) {
+                     callback(fail(ids.error()));
+                   } else {
+                     callback(grant_at(slot_of_[ids->front()], sim_.now()));
+                   }
                  });
 }
 
 void Registry::request_grants(GrantRequest request, std::uint32_t count,
                               BatchCallback callback) {
   if (count == 0) return;
-  GrantBatch batch{std::move(request), count, {}, std::move(callback), {}};
+  GrantBatch batch{std::move(request), count, {}, std::move(callback), 0, {}};
   // Each span closes when its lease's outcome is known, so its duration
   // is the full request→answer latency (stalls and all).
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -401,16 +440,20 @@ void Registry::dispatch_grants(GrantBatch batch) {
     // Commit-by-inclusion, one record per lease (records per block is a
     // modelled quantity): each lease is granted when its record is
     // sealed, and a capped block may split the batch. The last
-    // inclusion answers.
+    // inclusion answers, and its outcome is every lease's.
     auto shared = std::make_shared<GrantBatch>(std::move(batch));
     for (std::uint32_t i = 0; i < shared->count; ++i) {
       chain_->submit(
           ChainRecord{ChainRecordKind::kGrant,
                       encode_grant_record(shared->request)},
           [this, shared](std::uint64_t) {
-            settle_lease(*shared, grant_now(shared->request));
-            if (shared->results.size() == shared->count) {
-              shared->callback(std::move(shared->results));
+            const Result<GrantId> lease = grant_one(shared->request);
+            settle_lease(*shared, lease);
+            if (shared->settled != shared->count) return;
+            if (lease) {
+              shared->callback(std::move(shared->granted));
+            } else {
+              shared->callback(fail(lease.error()));
             }
           });
     }
@@ -423,30 +466,36 @@ void Registry::dispatch_grants(GrantBatch batch) {
   sim_.schedule(
       reachable ? registry_latency(kind_).commit : kFailureTimeout,
       [this, reachable, batch = std::move(batch)]() mutable {
-        batch.results.reserve(batch.count);
-        std::vector<std::uint64_t> granted;
+        const Result<std::uint32_t> terms =
+            reachable ? admit(batch.request, batch.count)
+                      : fail("registry unreachable");
+        if (!terms) {
+          const Result<GrantId> refused = fail(terms.error());
+          for (std::uint32_t i = 0; i < batch.count; ++i) {
+            settle_lease(batch, refused);
+          }
+          batch.callback(fail(terms.error()));
+          return;
+        }
+        batch.granted.reserve(batch.count);
         for (std::uint32_t i = 0; i < batch.count; ++i) {
-          Result<SpectrumGrant> lease = reachable
-                                            ? issue_lease(batch.request)
-                                            : fail("registry unreachable");
-          if (lease) granted.push_back(lease->id.value());
-          settle_lease(batch, std::move(lease));
+          settle_lease(batch, issue_lease(batch.request, *terms));
         }
         // The batch's leases share the request's location and reach, and
         // nothing reads the index between them: index them as one run.
-        if (!granted.empty()) {
-          index_.insert_run(granted, batch.request.location,
-                            cached_range_m(*batch.results.front()));
-        }
-        batch.callback(std::move(batch.results));
+        index_.insert_run(batch.granted, batch.request.location,
+                          terms_[*terms].range_m);
+        batch.callback(std::move(batch.granted));
       },
       reachable ? commit_label_ : failure_label_);
 }
 
-void Registry::settle_lease(GrantBatch& batch, Result<SpectrumGrant> result) {
-  const std::size_t lease = batch.results.size();
-  if (lease < batch.spans.size()) end_grant_span(batch.spans[lease], result);
-  batch.results.push_back(std::move(result));
+void Registry::settle_lease(GrantBatch& batch, const Result<GrantId>& lease) {
+  if (batch.settled < batch.spans.size()) {
+    end_grant_span(batch.spans[batch.settled], lease);
+  }
+  ++batch.settled;
+  if (lease) batch.granted.push_back(lease->value());
 }
 
 void Registry::publish_stalled_leases() {
@@ -457,19 +506,18 @@ void Registry::publish_stalled_leases() {
 
 std::vector<SpectrumGrant> Registry::grants_near(Position location) const {
   const_cast<Registry*>(this)->prune_expired();
-  const TimePoint now = sim_.now();
-  std::vector<SpectrumGrant> out;
-  index_.for_each_reaching(location, [&](const registry::SiteEntry& entry) {
-    out.push_back(grants_[slot_of_[entry.id]]);
-    out.back().degraded = degraded_now(out.back(), now);
-  });
   // Zone visit order is an index detail; GrantId order is the canonical
   // result order (and matches the old scan's insertion order as long as
   // nothing was revoked).
-  std::sort(out.begin(), out.end(),
-            [](const SpectrumGrant& a, const SpectrumGrant& b) {
-              return a.id.value() < b.id.value();
-            });
+  std::vector<std::uint64_t> ids;
+  index_.for_each_reaching(location, [&](const registry::SiteEntry& entry) {
+    ids.push_back(entry.id);
+  });
+  std::sort(ids.begin(), ids.end());
+  const TimePoint now = sim_.now();
+  std::vector<SpectrumGrant> out;
+  out.reserve(ids.size());
+  for (const std::uint64_t id : ids) out.push_back(grant_at(slot_of_[id], now));
   return out;
 }
 
@@ -543,7 +591,7 @@ void Registry::revoke(GrantId id) {
   const std::uint32_t slot = slot_of(id.value());
   if (slot == kNil) return;
   erase_slot(slot);
-  obs::set(m_active_grants_, static_cast<double>(grants_.size()));
+  obs::set(m_active_grants_, static_cast<double>(rows_.size()));
 }
 
 void Registry::set_metrics(obs::MetricsRegistry* metrics,
@@ -572,7 +620,7 @@ void Registry::set_metrics(obs::MetricsRegistry* metrics,
   m_active_grants_ = &metrics->gauge(prefix + "registry.active_grants");
   m_outage_active_->set(outage_ == RegistryOutage::kNone ? 0.0 : 1.0);
   publish_stalled_leases();
-  m_active_grants_->set(static_cast<double>(grants_.size()));
+  m_active_grants_->set(static_cast<double>(rows_.size()));
 }
 
 void Registry::publish_subscriber(const epc::PublishedKeys& keys) {

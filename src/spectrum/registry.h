@@ -19,8 +19,10 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <ranges>
 #include <span>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -84,8 +86,28 @@ struct SpectrumGrant {
   TimePoint expires_at{};
   // Lease expired but still within the heartbeat grace period: the grant
   // remains visible (neighbours must still coordinate around it) but its
-  // holder is expected to run at conservative power.
+  // holder is expected to run at conservative power. Computed when the
+  // registry hands the grant out; it stores no such flag.
   bool degraded{false};
+};
+
+// A lease as the registry stores it: what differs between the leases of
+// one request. Everything the request's leases share (band, EIRP,
+// contact, secondary use, coordination node) is interned once, and
+// `terms` indexes it. 40 bytes.
+struct LeaseRow {
+  GrantId id;
+  Position location;
+  TimePoint expires_at{};  // Zero ns = perpetual.
+  ApId ap;
+  std::uint32_t terms{0};
+};
+
+// Where a live lease sits and on which band: the registry's flat view.
+struct LeaseSite {
+  GrantId id;
+  Position location;
+  Hertz center_frequency;
 };
 
 struct GrantRequest {
@@ -108,11 +130,12 @@ struct RegistryLatency {
 // reported in the C6 registry sub-table).
 [[nodiscard]] RegistryLatency registry_latency(RegistryKind kind);
 
-// Predicted interference reach of a grant: the distance at which its
-// signal falls to the -100 dBm coordination threshold under the rural
-// model for its band. grants_near lists a grant at every point its reach
-// covers.
-[[nodiscard]] double interference_range_m(const SpectrumGrant& grant);
+// Predicted interference reach of a transmitter at `max_eirp` on the band
+// centred at `center_frequency`: the distance at which its signal falls
+// to the -100 dBm coordination threshold under the band's rural model.
+// grants_near lists a grant at every point its reach covers.
+[[nodiscard]] double interference_range_m(Hertz center_frequency,
+                                          PowerDbm max_eirp);
 
 class SpectrumChain;
 
@@ -138,9 +161,11 @@ class Registry {
   // unit of grant work: it commits in one event, waits out a commit stall
   // as one entry, and fails an unreachable registrar in one timeout event;
   // only a chain-backed registry keeps one record per lease. The callback
-  // runs once, with one result per lease in lease order. A zero count is a
-  // no-op: the callback never runs.
-  using BatchCallback = std::function<void(std::vector<Result<SpectrumGrant>>)>;
+  // runs once, with the granted ids in lease order or the failure (every
+  // lease of a batch shares one request, so they share one outcome). A
+  // zero count is a no-op: the callback never runs.
+  using BatchCallback =
+      std::function<void(Result<std::vector<std::uint64_t>>)>;
   void request_grants(GrantRequest request, std::uint32_t count,
                       BatchCallback callback);
   // A batch of one.
@@ -244,11 +269,16 @@ class Registry {
   // materializing (at 1M leases a dense region query can match tens of
   // thousands of grants; occupancy probes only want the number).
   [[nodiscard]] std::size_t count_grants_near(Position location) const;
-  [[nodiscard]] std::size_t grant_count() const { return grants_.size(); }
-  // Flat storage view (slot order is arbitrary: erase is swap-pop). The
-  // C12 microbench scans this as the pre-index baseline.
-  [[nodiscard]] const std::vector<SpectrumGrant>& grants() const {
-    return grants_;
+  [[nodiscard]] std::size_t grant_count() const { return rows_.size(); }
+  // Every live lease's site, in slot order (arbitrary: erase is
+  // swap-pop). The C12 microbench scans this as the pre-index baseline.
+  [[nodiscard]] auto lease_sites() const {
+    return std::views::iota(std::size_t{0}, rows_.size()) |
+           std::views::transform([this](std::size_t slot) {
+             const LeaseRow& row = rows_[slot];
+             return LeaseSite{row.id, row.location,
+                              terms_[row.terms].center_frequency};
+           });
   }
 
   // Causal tracing: a grant request opens one "registry_grant" span per
@@ -280,32 +310,42 @@ class Registry {
   // One "registry_grant" span per lease: opened at request time,
   // closed with the outcome when the caller learns it.
   obs::SpanId begin_grant_span(const GrantRequest& request);
-  void end_grant_span(obs::SpanId span, const Result<SpectrumGrant>& result);
+  void end_grant_span(obs::SpanId span, const Result<GrantId>& result);
   // A grant batch in flight. `spans` holds the live "registry_grant"
   // spans: a full tracer refuses every span after its first refusal, so
-  // they belong to a prefix of the leases. `results` fills in lease order.
+  // they belong to a prefix of the leases. `granted` fills in lease order.
   struct GrantBatch {
     GrantRequest request;
     std::uint32_t count{0};
     std::vector<obs::SpanId> spans;
     BatchCallback callback;
-    std::vector<Result<SpectrumGrant>> results;
+    std::uint32_t settled{0};
+    std::vector<std::uint64_t> granted;
   };
   // Routes a whole batch: unreachable, commit stall, chain-backed or
   // healthy commit. A healed stall replays its entries through here.
   void dispatch_grants(GrantBatch batch);
-  // Records the next lease's result and closes its span.
-  void settle_lease(GrantBatch& batch, Result<SpectrumGrant> result);
-  // Validates the request and issues one lease: id, slot, expiry-list
-  // place and metrics, but no index entry — grant_now indexes its lease,
-  // a healthy batch commit indexes its whole run at once.
-  [[nodiscard]] Result<SpectrumGrant> issue_lease(const GrantRequest& request);
+  // Records the next lease's outcome and closes its span.
+  void settle_lease(GrantBatch& batch, const Result<GrantId>& lease);
+  // Validates the request (counting `leases` failures if it is refused)
+  // and returns its interned terms.
+  [[nodiscard]] Result<std::uint32_t> admit(const GrantRequest& request,
+                                            std::uint32_t leases);
+  // Issues one lease on admitted terms: id, row, expiry-list place and
+  // metrics, but no index entry — grant_one indexes its lease, a healthy
+  // batch commit indexes its whole run at once.
+  [[nodiscard]] GrantId issue_lease(const GrantRequest& request,
+                                    std::uint32_t terms);
+  // admit + issue_lease + index: one lease, as grant_now and a chain
+  // inclusion grant it.
+  [[nodiscard]] Result<GrantId> grant_one(const GrantRequest& request);
+  // The grant in `slot` as handed out: its row, its terms and whether it
+  // is degraded at `now`.
+  [[nodiscard]] SpectrumGrant grant_at(std::uint32_t slot,
+                                       TimePoint now) const;
   // The stalled_commits gauge counts leases, not batches.
   void publish_stalled_leases();
-  // interference_range_m memoized per (center frequency, EIRP): the
-  // 60-step path-loss bisection is far too hot to run per grant per scan.
-  [[nodiscard]] double cached_range_m(const SpectrumGrant& grant) const;
-  // Remove slot `slot` from grants_ + every side index (swap-pop).
+  // Remove slot `slot` from rows_ + every side index (swap-pop).
   void erase_slot(std::size_t slot);
   // Expiry-list maintenance (see due_). link_due inserts a slot whose
   // expires_at is set, scanning back from the tail past later leases;
@@ -313,10 +353,9 @@ class Registry {
   void link_due(std::uint32_t slot);
   void unlink_due(std::uint32_t slot);
   // A grant past expires_at (but inside grace) is degraded; computed on
-  // copy-out so the stored flag needs no O(n) refresh pass.
-  [[nodiscard]] bool degraded_now(const SpectrumGrant& grant,
-                                  TimePoint now) const {
-    return grant.expires_at.ns() != 0 && grant.expires_at < now;
+  // copy-out, so no row stores it and none needs an O(n) refresh pass.
+  [[nodiscard]] static bool degraded_now(const LeaseRow& row, TimePoint now) {
+    return row.expires_at.ns() != 0 && row.expires_at < now;
   }
 
   sim::Simulator& sim_;
@@ -330,10 +369,30 @@ class Registry {
   registry::LeaseCache* cache_{nullptr};
   Duration lifetime_{};  // Zero: perpetual grants.
   Duration grace_{};     // Zero: no grace — lapse exactly at expiry.
-  std::vector<SpectrumGrant> grants_;
+  // One row per live lease, in slot order.
+  std::vector<LeaseRow> rows_;
+  // The terms a granted request carried, once per distinct set ever
+  // granted (registry_churn's 524,288 leases share 512), never freed.
+  // `range_m` is their interference reach, so no scan recomputes it.
+  struct LeaseTerms {
+    Hertz center_frequency;
+    Hertz bandwidth;
+    PowerDbm max_eirp;
+    std::string operator_contact;
+    bool secondary_use{false};
+    NodeId coordination_node;
+    double range_m{0.0};
+  };
+  std::vector<LeaseTerms> terms_;
+  // A request's terms (the bits of its center Hz, bandwidth Hz and EIRP
+  // dBm, contact, secondary use, coordination node) → their index in
+  // terms_.
+  using TermsKey = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
+                              std::string, bool, std::uint32_t>;
+  std::map<TermsKey, std::uint32_t> terms_of_;
   static constexpr std::uint32_t kNil =
       std::numeric_limits<std::uint32_t>::max();
-  // GrantId → slot in grants_, kNil once the grant is gone; maintained by
+  // GrantId → slot in rows_, kNil once the grant is gone; maintained by
   // issue_lease / erase_slot. Ids run from 1 upward and are never reused,
   // so the table is dense, indexed by id (entry 0 is never issued). It
   // costs 4 B per id ever issued, live or not.
@@ -345,10 +404,13 @@ class Registry {
   }
   // Zone-bucketed spatial index over the same grants (DESIGN.md §16).
   registry::SpatialIndex index_{kZoneSizeM};
-  mutable std::map<std::pair<std::int64_t, std::int64_t>, double>
-      range_cache_;  // (hz, milli-dBm) → interference reach.
+  // interference_range_m memoized per (hz, milli-dBm EIRP) and read when
+  // new terms are interned: terms that differ only in contact share one
+  // 60-step path-loss bisection. Sub-dBm EIRP differences don't matter
+  // for a reach bound.
+  std::map<std::pair<std::int64_t, std::int64_t>, double> range_cache_;
   // Expiry order: an intrusive doubly linked list over grant slots in
-  // ascending expires_at, `due_` parallel to grants_. A slot is linked
+  // ascending expires_at, `due_` parallel to rows_. A slot is linked
   // exactly when its grant has a nonzero expires_at (perpetual grants
   // never are). Lapse is `expires_at + grace_ < now` with one grace_ for
   // every grant, so expiry order is lapse order at any grace. A renewal

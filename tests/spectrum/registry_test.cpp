@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <memory>
@@ -90,9 +91,11 @@ TEST(Registry, InterferenceRangeLargerAtLowerFrequency) {
   Registry reg{sim, RegistryKind::kCentralizedSas};
   auto low = reg.grant_now(band5_request(1, Position{}, 850.0));
   auto high = reg.grant_now(band5_request(2, Position{}, 2400.0));
-  EXPECT_GT(interference_range_m(*low), interference_range_m(*high));
+  EXPECT_GT(interference_range_m(low->center_frequency, low->max_eirp),
+            interference_range_m(high->center_frequency, high->max_eirp));
   // Sub-GHz at 52 dBm EIRP carries for tens of km.
-  EXPECT_GT(interference_range_m(*low), 10'000.0);
+  EXPECT_GT(interference_range_m(low->center_frequency, low->max_eirp),
+            10'000.0);
 }
 
 TEST(Registry, RevokeRemovesGrant) {
@@ -574,7 +577,9 @@ struct ExpiryFixture {
     sim.run_until(TimePoint{} + Duration::seconds(t_s));
     reg.prune_expired();
     std::vector<std::uint64_t> out;
-    for (const SpectrumGrant& g : reg.grants()) out.push_back(g.id.value());
+    for (const LeaseSite& lease : reg.lease_sites()) {
+      out.push_back(lease.id.value());
+    }
     std::sort(out.begin(), out.end());
     return out;
   }
@@ -812,9 +817,9 @@ TEST(RegistryExpiryList, MatchesAScanModelOverSeededRuns) {
 // request_grants against `count` back-to-back request_grant calls (each
 // a batch of one): two twin registries take the same batch, one through
 // each entry point, and must agree on everything observable — ids and
-// their order, lease expiries, the time the batch is answered, every
-// registry metric, spans and chain records. Only the number of simulator
-// events may differ.
+// their order, the grants the registry then lists (expiries included),
+// the time the batch is answered, every registry metric, spans and chain
+// records. Only the number of simulator events may differ.
 constexpr std::uint32_t kBatch = 6;
 
 struct GrantTwin {
@@ -831,12 +836,8 @@ struct GrantTwin {
                                                capacity);
     reg.set_tracer(tracer.get());
   }
-  void answer(const std::vector<Result<SpectrumGrant>>& results) {
-    for (const auto& grant : results) {
-      if (!grant) continue;
-      ids.push_back(grant->id.value());
-      expiries.push_back(grant->expires_at);
-    }
+  void answer(const std::vector<std::uint64_t>& granted) {
+    ids.insert(ids.end(), granted.begin(), granted.end());
     ++answers;
     answered_at = sim.now();
   }
@@ -847,6 +848,7 @@ struct GrantTwin {
   std::unique_ptr<SpectrumChain> chain;
   std::unique_ptr<obs::SpanTracer> tracer;
   std::vector<std::uint64_t> ids;
+  // The expiries request_grant handed out (the per-lease twin only).
   std::vector<TimePoint> expiries;
   int answers{0};
   TimePoint answered_at;
@@ -862,17 +864,24 @@ struct Twins {
     step(per_lease);
   }
   void submit(const GrantRequest& request) {
+    at = request.location;
     batch.reg.request_grants(
-        request, kBatch,
-        [this](std::vector<Result<SpectrumGrant>> results) {
-          batch.answer(results);
+        request, kBatch, [this](Result<std::vector<std::uint64_t>> granted) {
+          batch.answer(granted ? *granted : std::vector<std::uint64_t>{});
         });
     auto results = std::make_shared<std::vector<Result<SpectrumGrant>>>();
     for (std::uint32_t i = 0; i < kBatch; ++i) {
       per_lease.reg.request_grant(
           request, [this, results](Result<SpectrumGrant> g) {
             results->push_back(std::move(g));
-            if (results->size() == kBatch) per_lease.answer(*results);
+            if (results->size() != kBatch) return;
+            std::vector<std::uint64_t> granted;
+            for (const auto& grant : *results) {
+              if (!grant) continue;
+              granted.push_back(grant->id.value());
+              per_lease.expiries.push_back(grant->expires_at);
+            }
+            per_lease.answer(granted);
           });
     }
   }
@@ -882,10 +891,41 @@ struct Twins {
 
   GrantTwin batch;
   GrantTwin per_lease;
+  Position at;  // Where the batch asked.
 };
 
 std::string metrics_json(const GrantTwin& twin) {
   return obs::MetricsSnapshot{twin.metrics}.to_json();
+}
+
+// A double, exactly (hex float).
+std::string exact(double v) {
+  char text[32];
+  std::snprintf(text, sizeof text, "%a", v);
+  return text;
+}
+
+// Every field of every grant, exactly, one line each.
+std::string grants_text(const std::vector<SpectrumGrant>& grants) {
+  std::string out;
+  for (const SpectrumGrant& g : grants) {
+    out += std::to_string(g.id.value()) + "|" + std::to_string(g.ap.value()) +
+           "|" + exact(g.location.x_m) + "," + exact(g.location.y_m) + "|" +
+           exact(g.center_frequency.hz()) + "|" + exact(g.bandwidth.hz()) +
+           "|" + exact(g.max_eirp.value()) + "|" + g.operator_contact + "|" +
+           (g.secondary_use ? "secondary" : "primary") + "|" +
+           std::to_string(g.coordination_node.value()) + "|" +
+           std::to_string(g.expires_at.ns()) +
+           (g.degraded ? "|degraded" : "|nominal") + "\n";
+  }
+  return out;
+}
+
+// What each twin lists where the batch asked. Both prune at the same
+// instant, so the twins stay alike.
+void expect_same_grants(const Twins& t) {
+  EXPECT_EQ(grants_text(t.batch.reg.grants_near(t.at)),
+            grants_text(t.per_lease.reg.grants_near(t.at)));
 }
 
 std::string spans_text(const obs::SpanTracer& tracer) {
@@ -918,7 +958,7 @@ void expect_twins_agree(const Twins& t) {
   EXPECT_EQ(t.batch.answers, 1);
   EXPECT_EQ(t.per_lease.answers, 1);
   EXPECT_EQ(t.batch.ids, t.per_lease.ids);
-  EXPECT_EQ(t.batch.expiries, t.per_lease.expiries);
+  expect_same_grants(t);
   EXPECT_EQ(t.batch.answered_at, t.per_lease.answered_at);
   EXPECT_EQ(metrics_json(t.batch), metrics_json(t.per_lease));
   EXPECT_EQ(t.batch.reg.grant_count(), t.per_lease.reg.grant_count());
@@ -1081,6 +1121,9 @@ TEST(RegistryGrantBatch, CappedBlockSplitsAChainBackedBatch) {
   EXPECT_EQ(t.batch.answers, 0);
   EXPECT_EQ(t.batch.metrics.counter("reg.registry.grants_issued").value(),
             kBatch / 2);
+  // The first half is listed alike on both twins, expiring at 90 s.
+  expect_same_grants(t);
+  EXPECT_EQ(t.batch.reg.grant_count(), kBatch / 2);
   EXPECT_EQ(metrics_json(t.batch), metrics_json(t.per_lease));
   t.run_until(TimePoint{} + Duration::seconds(130.0));
   expect_twins_agree(t);
@@ -1090,13 +1133,199 @@ TEST(RegistryGrantBatch, CappedBlockSplitsAChainBackedBatch) {
   for (std::uint32_t i = 0; i < kBatch; ++i) {
     const TimePoint sealed =
         TimePoint{} + Duration::seconds(i < kBatch / 2 ? 60.0 : 120.0);
-    EXPECT_EQ(t.batch.expiries[i], sealed + lifetime) << "lease " << i;
+    EXPECT_EQ(t.per_lease.expiries[i], sealed + lifetime) << "lease " << i;
   }
   EXPECT_EQ(grant_records(t.batch), grant_records(t.per_lease));
   EXPECT_EQ(t.batch.chain->block_count(), 3u);  // Genesis + two seals.
   EXPECT_EQ(t.batch.chain->block_count(), t.per_lease.chain->block_count());
 }
 
+
+// Seeded copy-out model: the registry stores a lease as a row plus its
+// request's interned terms and builds a SpectrumGrant only to hand one
+// out. Random sequences of grant batches (and single grants) whose
+// requests differ in every term, batch heartbeats, revokes, prunes, clock
+// steps into and past the grace window, lifetime and grace changes and a
+// federated zone going dark are checked against a plain map of whole
+// grants: every grants_near and every query_region answer must list the
+// same grants, every field equal, `degraded` included. Revokes and lapses
+// swap-pop rows between slots, so a row's terms must travel with it.
+class CopyOutModel {
+ public:
+  explicit CopyOutModel(std::uint64_t seed) : rng_(seed) {}
+
+  void run(int steps) {
+    for (int step = 0; step < steps; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      act();
+      if (::testing::Test::HasFailure()) return;
+      model_prune();
+      expect_listed(reg_.grants_near(probe()));
+      if (::testing::Test::HasFailure()) return;
+    }
+    EXPECT_GT(answers_, 0u);
+  }
+
+ private:
+  // Grants sit within 45 m of (50 km, 0) on the zone boundary, inside every
+  // grant's reach (at least 100 m), so one probe lists every live grant.
+  static constexpr double kBoundaryM = Registry::kZoneSizeM;
+  static Position probe() { return Position{kBoundaryM, 0.0}; }
+
+  std::uint64_t pick(std::uint64_t n) {
+    return std::uniform_int_distribution<std::uint64_t>{0, n - 1}(rng_);
+  }
+  template <typename T>
+  T pick_of(std::initializer_list<T> choices) {
+    return *(choices.begin() + pick(choices.size()));
+  }
+  TimePoint now() const { return sim_.now(); }
+  bool in_offline_zone(Position p) const {
+    return offline_ && Registry::zone_of(p) == Registry::zone_of(east_);
+  }
+
+  // Every term drawn from its own small pool, so requests differ in any
+  // subset of them and some repeat exactly.
+  GrantRequest random_request() {
+    GrantRequest r;
+    r.ap = ApId{static_cast<std::uint32_t>(1 + pick(50))};
+    r.location =
+        Position{kBoundaryM - 40.0 + 0.5 * static_cast<double>(pick(161)),
+                 0.5 * static_cast<double>(pick(81)) - 20.0};
+    r.center_frequency = Hertz::mhz(pick_of({850.0, 2'400.0, 3'560.0}));
+    r.bandwidth = Hertz::mhz(pick_of({5.0, 10.0, 20.0}));
+    r.max_eirp = PowerDbm{pick_of({30.0, 40.5, 52.0})};
+    r.operator_contact = "op" + std::to_string(pick(4)) + "@example.net";
+    r.secondary_use = pick(2) == 1;
+    r.coordination_node = NodeId{static_cast<std::uint32_t>(pick(4))};
+    return r;
+  }
+
+  void model_grant(std::uint64_t id, const GrantRequest& r) {
+    SpectrumGrant g;
+    g.id = GrantId{id};
+    g.ap = r.ap;
+    g.location = r.location;
+    g.center_frequency = r.center_frequency;
+    g.bandwidth = r.bandwidth;
+    g.max_eirp = r.max_eirp;
+    g.operator_contact = r.operator_contact;
+    g.secondary_use = r.secondary_use;
+    g.coordination_node = r.coordination_node;
+    if (!lifetime_.is_zero()) g.expires_at = now() + lifetime_;
+    live_[id] = g;
+  }
+  void model_prune() {
+    std::erase_if(live_, [&](const auto& lease) {
+      const TimePoint expires = lease.second.expires_at;
+      return expires.ns() != 0 && expires + grace_ < now();
+    });
+  }
+  HeartbeatOutcome model_heartbeat(std::uint64_t id) {
+    const auto it = live_.find(id);
+    if (it == live_.end()) return HeartbeatOutcome::kLapsed;
+    if (in_offline_zone(it->second.location)) {
+      return HeartbeatOutcome::kUnreachable;
+    }
+    if (!lifetime_.is_zero()) it->second.expires_at = now() + lifetime_;
+    return HeartbeatOutcome::kRenewed;
+  }
+  // The model's listing at now: every live grant in id order, degraded
+  // past its expiry.
+  std::vector<SpectrumGrant> model_listing() const {
+    std::vector<SpectrumGrant> out;
+    for (const auto& [id, g] : live_) {
+      out.push_back(g);
+      out.back().degraded = g.expires_at.ns() != 0 && g.expires_at < now();
+    }
+    return out;
+  }
+  void expect_listed(const std::vector<SpectrumGrant>& got) {
+    ASSERT_EQ(grants_text(got), grants_text(model_listing()));
+  }
+
+  void act() {
+    const std::uint64_t op = pick(100);
+    if (op < 25) {
+      // A batch commits (or fails, its zone dark) inside a later clock
+      // step; the model learns its ids when the registry answers.
+      const GrantRequest r = random_request();
+      reg_.request_grants(
+          r, static_cast<std::uint32_t>(1 + pick(5)),
+          [this, r](Result<std::vector<std::uint64_t>> granted) {
+            if (!granted) return;
+            EXPECT_EQ(granted->front(), next_id_);
+            next_id_ += granted->size();
+            for (const std::uint64_t id : *granted) model_grant(id, r);
+          });
+    } else if (op < 30) {
+      const GrantRequest r = random_request();
+      const Result<SpectrumGrant> g = reg_.grant_now(r);
+      ASSERT_TRUE(g.ok());
+      model_grant(next_id_++, r);
+      ASSERT_EQ(grants_text({*g}), grants_text({live_.at(g->id.value())}));
+    } else if (op < 45) {
+      std::vector<std::uint64_t> ids(1 + pick(6));
+      for (std::uint64_t& id : ids) id = 1 + pick(next_id_);
+      const HeartbeatBatchOutcome got = reg_.heartbeat_batch(ids);
+      model_prune();
+      HeartbeatBatchOutcome want;
+      for (const std::uint64_t id : ids) tally(want, id, model_heartbeat(id));
+      expect_same_outcome(got, want);
+    } else if (op < 53) {
+      const std::uint64_t id = 1 + pick(next_id_);
+      reg_.revoke(GrantId{id});
+      live_.erase(id);
+    } else if (op < 58) {
+      reg_.prune_expired();
+    } else if (op < 66) {
+      // Answered after the query latency, inside a later clock step: the
+      // model prunes at the answer, as grants_near does. A query into the
+      // dark zone is answered empty.
+      const bool dark = in_offline_zone(probe());
+      reg_.query_region(probe(), [this, dark](std::vector<SpectrumGrant> got) {
+        ++answers_;
+        if (dark) {
+          EXPECT_TRUE(got.empty());
+          return;
+        }
+        model_prune();
+        expect_listed(got);
+      });
+    } else if (op < 88) {
+      // Steps land before, inside and past the grace window.
+      sim_.run_until(now() + Duration::seconds(
+                                 pick_of({0.0, 0.5, 1.0, 3.0, 7.0, 15.0})));
+    } else if (op < 93) {
+      lifetime_ = Duration::seconds(pick_of({0.0, 5.0, 20.0}));
+      reg_.set_grant_lifetime(lifetime_);
+    } else if (op < 97) {
+      grace_ = Duration::seconds(pick_of({0.0, 4.0, 30.0}));
+      reg_.set_heartbeat_grace(grace_);
+    } else {
+      offline_ = !offline_;
+      reg_.set_zone_offline(Registry::zone_of(east_), offline_);
+    }
+  }
+
+  std::mt19937_64 rng_;
+  sim::Simulator sim_;
+  Registry reg_{sim_, RegistryKind::kFederated};
+  const Position east_{kBoundaryM + 10.0, 0.0};
+  Duration lifetime_{};
+  Duration grace_{};
+  bool offline_{false};
+  std::uint64_t next_id_{1};
+  std::size_t answers_{0};
+  std::map<std::uint64_t, SpectrumGrant> live_;
+};
+
+TEST(RegistryCopyOut, MatchesAPlainModelOverSeededRuns) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 7u, 42u, 1234u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    CopyOutModel{seed}.run(800);
+  }
+}
 
 // heartbeat_batch against the same ids sent one by one through
 // heartbeat_outcome: two twin federated registries hold the same leases,
@@ -1115,7 +1344,9 @@ struct HeartbeatTwin {
     sim.run_until(t);
     reg.prune_expired();
     std::vector<std::uint64_t> out;
-    for (const SpectrumGrant& g : reg.grants()) out.push_back(g.id.value());
+    for (const LeaseSite& lease : reg.lease_sites()) {
+      out.push_back(lease.id.value());
+    }
     std::sort(out.begin(), out.end());
     return out;
   }
