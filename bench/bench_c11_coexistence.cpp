@@ -59,7 +59,7 @@ struct CellResult {
 CellResult run_cell(int wifi, int lte, LteCoexPolicy policy,
                     dlte::bench::Harness& harness,
                     const std::string& prefix) {
-  SharedChannel ch{coex::SharedChannelConfig{}};
+  SharedChannel ch{/*seed=*/1};
   std::vector<int> wifi_ids, lte_ids;
   const int total = wifi + lte;
   int placed_lte = 0;
@@ -77,9 +77,7 @@ CellResult run_cell(int wifi, int lte, LteCoexPolicy policy,
       lte_ids.push_back(ch.add_lte_transmitter(lc));
       ++placed_lte;
     } else {
-      coex::WifiStationConfig wc;
-      wc.site = site(x, x + 30.0, 50.0);
-      wifi_ids.push_back(ch.add_wifi_station(wc));
+      wifi_ids.push_back(ch.add_wifi_station(site(x, x + 30.0, 50.0)));
     }
   }
   ch.set_metrics(&harness.metrics(), prefix);
@@ -111,13 +109,9 @@ CellResult run_cell(int wifi, int lte, LteCoexPolicy policy,
 // one dLTE AP at the midpoint that hears both sides.
 CellResult run_hidden(LteCoexPolicy policy, dlte::bench::Harness& harness,
                       const std::string& prefix) {
-  SharedChannel ch{coex::SharedChannelConfig{}};
-  coex::WifiStationConfig wa;
-  wa.site = site(0.0, 600.0, 0.0);
-  coex::WifiStationConfig wb;
-  wb.site = site(1800.0, 1200.0, 0.0);
-  const int a = ch.add_wifi_station(wa);
-  const int b = ch.add_wifi_station(wb);
+  SharedChannel ch{/*seed=*/1};
+  const int a = ch.add_wifi_station(site(0.0, 600.0, 0.0));
+  const int b = ch.add_wifi_station(site(1800.0, 1200.0, 0.0));
   coex::LteTransmitterConfig lc;
   lc.site = site(900.0, 940.0, 0.0);
   lc.policy = policy;

@@ -130,9 +130,6 @@ RunResult run_drive(Arch arch, double speed_mps, Duration ott_latency,
   transport::TransportHost ue_host{sim, net, ue_node};
   workload::OttService ott{sim, net, ott_node};
 
-  transport::TransportConfig quic_cfg{};  // QUIC-like defaults.
-  transport::TransportConfig tcp_cfg{.kind = transport::TransportKind::kTcpLike};
-
   // Application state: a stream of CBR data across possibly several
   // transport connections (TCP reconnects).
   struct App {
@@ -143,8 +140,10 @@ RunResult run_drive(Arch arch, double speed_mps, Duration ott_latency,
 
   auto open_connection = [&](bool resumed) -> transport::Connection& {
     auto& c = ue_host.connect(
-        ott.node(), arch == Arch::kDlteTcp ? tcp_cfg : quic_cfg, nullptr,
-        resumed);
+        ott.node(),
+        arch == Arch::kDlteTcp ? transport::TransportKind::kTcpLike
+                               : transport::TransportKind::kQuicLike,
+        nullptr, resumed);
     app.all.push_back(&c);
     return c;
   };

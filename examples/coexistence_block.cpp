@@ -45,15 +45,11 @@ struct BlockResult {
 };
 
 BlockResult run_block(coex::LteCoexPolicy policy, bool adaptive) {
-  coex::SharedChannel ch{coex::SharedChannelConfig{}};
+  coex::SharedChannel ch{/*seed=*/1};
   // Two WiFi BSSs at the ends of the block, the dLTE AP mid-block:
   // everyone within carrier-sense range of everyone.
-  coex::WifiStationConfig w1;
-  w1.site = block_site(0.0, 30.0);
-  coex::WifiStationConfig w2;
-  w2.site = block_site(120.0, 90.0);
-  const int a = ch.add_wifi_station(w1);
-  const int b = ch.add_wifi_station(w2);
+  const int a = ch.add_wifi_station(block_site(0.0, 30.0));
+  const int b = ch.add_wifi_station(block_site(120.0, 90.0));
   coex::LteTransmitterConfig lc;
   lc.site = block_site(60.0, 95.0);
   lc.policy = policy;

@@ -78,7 +78,7 @@ int main() {
                            << o.elapsed.to_millis() << " ms), address "
                            << net::Ipv4{o.ue_ip}.to_string() << "\n";
                  conn = &at_coop.connect(chat_node,
-                                         transport::TransportConfig{});
+                                         transport::TransportKind::kQuicLike);
                });
   sim.run_until(sim.now() + Duration::seconds(1.0));
 

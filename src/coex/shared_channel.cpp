@@ -12,6 +12,39 @@ namespace {
 // mac::DcfSimulator so the two DCF implementations pace identically).
 constexpr int kDifsSlots = 4;
 
+// The channel: 2.4 GHz under the log-distance clutter exponent of the C6
+// town profile. The same model governs AP-AP sensing and AP-client
+// interference, which is what makes hidden-terminal asymmetry real.
+constexpr Hertz kFrequency = Hertz::ghz(2.4);
+constexpr double kPathLossExponent = 2.6;
+// 802.11 CCA energy-detect threshold (dBm at the listener).
+constexpr double kWifiCcaDbm = -82.0;
+// A frame survives overlap if its wanted power beats the strongest
+// interferer at its receiver by at least this much.
+constexpr double kCaptureMarginDb = 10.0;
+
+// Every transmitter is saturated with frames of this size.
+constexpr int kFrameBytes = 1500;
+constexpr double kFrameBits = kFrameBytes * 8.0;
+
+// WiFi: rate-ladder index 4 of phy::wifi_rate, 802.11's retry limit.
+constexpr int kWifiRateIndex = 4;
+constexpr int kWifiRetryLimit = 7;
+
+// dLTE: spectral throughput while holding the channel (a 20 MHz carrier
+// at mid SNR).
+constexpr DataRate kLtePhyRate = DataRate::mbps(75.0);
+// kLbt: the DCF ladder with 802.11's retry limit, and the longest burst
+// once the channel is won.
+constexpr int kLbtRetryLimit = 7;
+constexpr Duration kLbtTxop = Duration::millis(8);
+// kDutyCycle: the CSAT on/off split, and the band adaptive CSAT keeps its
+// on-fraction in.
+constexpr Duration kDutyOnPeriod = Duration::millis(20);
+constexpr Duration kDutyOffPeriod = Duration::millis(20);
+constexpr double kMinOnFraction = 0.1;
+constexpr double kMaxOnFraction = 0.8;
+
 int wifi_frame_slots(int rate_index, int frame_bytes) {
   const Duration airtime = phy::wifi_frame_airtime(rate_index, frame_bytes);
   return static_cast<int>((airtime.ns() + phy::kSlot.ns() - 1) /
@@ -42,30 +75,20 @@ const char* to_string(LteCoexPolicy policy) {
   return "?";
 }
 
-SharedChannel::SharedChannel(SharedChannelConfig config)
-    : config_(config), model_(config.path_loss_exponent) {}
+SharedChannel::SharedChannel(std::uint64_t seed)
+    : seed_(seed), model_(kPathLossExponent) {}
 
-int SharedChannel::add_wifi_station(const WifiStationConfig& config) {
+int SharedChannel::add_wifi_station(const TransmitterSite& site) {
   const int index = static_cast<int>(entries_.size());
   Entry e;
   e.waveform = Waveform::kWifi;
-  e.site = config.site;
-  e.cca_dbm = config_.wifi_cca_dbm;
-  e.rng = sim::RngStream::derive(config_.seed, "coex-wifi",
+  e.site = site;
+  e.cca_dbm = kWifiCcaDbm;
+  e.rng = sim::RngStream::derive(seed_, "coex-wifi",
                                  static_cast<std::uint64_t>(index));
-  e.saturated = config.saturated;
-  e.arrival_fps = config.arrival_fps;
-  e.rate_index = config.rate_index;
-  e.frame_slots = wifi_frame_slots(config.rate_index, config.frame_bytes);
-  e.frame_bits = config.frame_bytes * 8.0;
-  e.backoff = mac::DcfBackoff{
-      mac::BackoffConfig{phy::kCwMin, phy::kCwMax, config.retry_limit}};
+  e.frame_slots = wifi_frame_slots(kWifiRateIndex, kFrameBytes);
+  e.backoff = mac::DcfBackoff{kWifiRetryLimit};
   e.backoff_slots = e.backoff.draw(e.rng);
-  if (config.saturated) {
-    e.hol_since_slot = 0;
-  } else if (config.arrival_fps > 0.0) {
-    e.next_arrival_s = e.rng.exponential(1.0 / config.arrival_fps);
-  }
   entries_.push_back(std::move(e));
   tables_dirty_ = true;
   return index;
@@ -77,26 +100,15 @@ int SharedChannel::add_lte_transmitter(const LteTransmitterConfig& config) {
   e.waveform = Waveform::kDlte;
   e.site = config.site;
   e.cca_dbm = config.cca_dbm;
-  e.rng = sim::RngStream::derive(config_.seed, "coex-lte",
+  e.rng = sim::RngStream::derive(seed_, "coex-lte",
                                  static_cast<std::uint64_t>(index));
-  e.saturated = config.saturated;
-  e.arrival_fps = config.arrival_fps;
-  e.frame_slots = lte_frame_slots(config.frame_bytes, config.phy_rate);
-  e.frame_bits = config.frame_bytes * 8.0;
+  e.frame_slots = lte_frame_slots(kFrameBytes, kLtePhyRate);
   e.policy = config.policy;
-  e.backoff = mac::DcfBackoff{config.backoff};
+  e.backoff = mac::DcfBackoff{kLbtRetryLimit};
   e.backoff_slots = e.backoff.draw(e.rng);
-  e.txop = config.txop;
-  e.on_slots = to_slots(config.on_period);
-  e.off_slots = to_slots(config.off_period);
+  e.on_slots = to_slots(kDutyOnPeriod);
+  e.off_slots = to_slots(kDutyOffPeriod);
   e.adaptive = config.adaptive;
-  e.min_on_fraction = config.min_on_fraction;
-  e.max_on_fraction = config.max_on_fraction;
-  if (config.saturated) {
-    e.hol_since_slot = 0;
-  } else if (config.arrival_fps > 0.0) {
-    e.next_arrival_s = e.rng.exponential(1.0 / config.arrival_fps);
-  }
   entries_.push_back(std::move(e));
   tables_dirty_ = true;
   return index;
@@ -121,14 +133,14 @@ void SharedChannel::rebuild_energy_tables() {
         at_listener_[i][j] =
             phy::received_power(tx.site.tx_profile,
                                 entries_[j].site.tx_profile, model_,
-                                config_.frequency, d_listen)
+                                kFrequency, d_listen)
                 .value();
       }
       const double d_rx =
           std::max(1.0, distance_m(tx.site.tx_pos, entries_[j].site.rx_pos));
       at_receiver_[i][j] =
           phy::received_power(tx.site.tx_profile, entries_[j].site.rx_profile,
-                              model_, config_.frequency, d_rx)
+                              model_, kFrequency, d_rx)
               .value();
     }
   }
@@ -142,19 +154,6 @@ bool SharedChannel::medium_busy_for(const Entry& e) const {
     if (at_listener_[j][self] > e.cca_dbm) return true;
   }
   return false;
-}
-
-void SharedChannel::mark_hol_ready(Entry& e) {
-  if (e.hol_since_slot < 0 && has_frame(e)) e.hol_since_slot = slot_index_;
-}
-
-void SharedChannel::note_arrivals(Entry& e, double now_s) {
-  if (e.saturated || e.arrival_fps <= 0.0) return;
-  while (e.next_arrival_s <= now_s) {
-    ++e.queue;
-    e.next_arrival_s += e.rng.exponential(1.0 / e.arrival_fps);
-  }
-  mark_hol_ready(e);
 }
 
 void SharedChannel::start_frame(Entry& e) {
@@ -171,15 +170,13 @@ void SharedChannel::finish_frame(Entry& e) {
   bool consume = true;
   if (!e.frame_corrupted) {
     ++e.stats.delivered_frames;
-    e.stats.delivered_bits += e.frame_bits;
+    e.stats.delivered_bits += kFrameBits;
     obs::inc(m_delivered_[w]);
-    if (e.hol_since_slot >= 0) {
-      const double ms = static_cast<double>(slot_index_ + 1 -
-                                            e.hol_since_slot) *
-                        phy::kSlot.to_millis();
-      e.stats.access_latency_ms.add(ms);
-      obs::observe(m_access_ms_[w], ms);
-    }
+    const double ms =
+        static_cast<double>(slot_index_ + 1 - e.hol_since_slot) *
+        phy::kSlot.to_millis();
+    e.stats.access_latency_ms.add(ms);
+    obs::observe(m_access_ms_[w], ms);
     if (e.waveform == Waveform::kWifi) e.backoff.note_success();
   } else {
     ++e.stats.collisions;
@@ -194,16 +191,12 @@ void SharedChannel::finish_frame(Entry& e) {
       }
     }
   }
-  if (consume) {
-    if (!e.saturated) e.queue = std::max(0, e.queue - 1);
-    e.hol_since_slot = -1;
-    mark_hol_ready(e);  // The next frame (if any) becomes HOL now.
-  }
+  if (consume) e.hol_since_slot = slot_index_;  // The next frame is HOL.
   e.frame_corrupted = false;
 }
 
 void SharedChannel::step_wifi(Entry& e) {
-  if (e.transmitting || !has_frame(e)) return;
+  if (e.transmitting) return;
   if (medium_busy_for(e)) {
     ++e.stats.defer_slots;
     const int w = 0;
@@ -222,7 +215,7 @@ void SharedChannel::step_lte(Entry& e) {
     if (!in_on && e.adaptive && !e.transmitting && medium_busy_for(e)) {
       ++e.off_busy_slots;
     }
-    if (!e.transmitting && in_on && has_frame(e)) {
+    if (!e.transmitting && in_on) {
       const std::int64_t window_left = e.on_slots - e.cycle_pos;
       // Start only if the frame fits the window (or could never fit —
       // then take the window head rather than starve forever).
@@ -240,8 +233,7 @@ void SharedChannel::step_lte(Entry& e) {
         const double occupancy = static_cast<double>(e.off_busy_slots) /
                                  static_cast<double>(e.off_slots);
         const double fraction =
-            std::clamp(1.0 - occupancy, e.min_on_fraction,
-                       e.max_on_fraction);
+            std::clamp(1.0 - occupancy, kMinOnFraction, kMaxOnFraction);
         e.on_slots = std::max<std::int64_t>(
             1, static_cast<std::int64_t>(
                    std::llround(fraction * static_cast<double>(cycle))));
@@ -252,9 +244,9 @@ void SharedChannel::step_lte(Entry& e) {
     return;
   }
 
-  if (e.transmitting || !has_frame(e)) return;
+  if (e.transmitting) return;
   if (e.policy == LteCoexPolicy::kOblivious) {
-    // Scheduled waveform: transmit whenever there is traffic.
+    // Scheduled waveform: transmit whenever it can.
     start_frame(e);
     return;
   }
@@ -266,7 +258,7 @@ void SharedChannel::step_lte(Entry& e) {
   }
   if (e.backoff_slots > 0) --e.backoff_slots;
   if (e.backoff_slots == 0) {
-    e.txop_slots_remaining = to_slots(e.txop);
+    e.txop_slots_remaining = to_slots(kLbtTxop);
     e.burst_leader_pending = true;
     e.burst_leader_failed = false;
     start_frame(e);
@@ -274,10 +266,6 @@ void SharedChannel::step_lte(Entry& e) {
 }
 
 void SharedChannel::step_slot() {
-  const double now_s =
-      static_cast<double>(slot_index_) * phy::kSlot.to_seconds();
-  for (auto& e : entries_) note_arrivals(e, now_s);
-
   // Phase 1: access decisions against the slot-start medium state, in
   // registration order — contenders whose backoff expires in the same
   // slot start together and collide, as in DCF.
@@ -310,7 +298,7 @@ void SharedChannel::step_slot() {
       strongest = std::max(strongest, at_receiver_[j][i]);
     }
     if (strongest > -300.0 &&
-        at_receiver_[i][i] - strongest < config_.capture_margin_db) {
+        at_receiver_[i][i] - strongest < kCaptureMarginDb) {
       entries_[i].frame_corrupted = true;
     }
   }
@@ -334,7 +322,7 @@ void SharedChannel::step_slot() {
     }
     finish_frame(e);
     bool continue_burst = false;
-    if (e.waveform == Waveform::kDlte && has_frame(e)) {
+    if (e.waveform == Waveform::kDlte) {
       switch (e.policy) {
         case LteCoexPolicy::kOblivious:
           continue_burst = true;

@@ -64,53 +64,19 @@ struct TransmitterSite {
   phy::RadioProfile rx_profile;
 };
 
-struct SharedChannelConfig {
-  Hertz frequency{Hertz::ghz(2.4)};
-  // Log-distance clutter exponent (2.6 = the C6 town profile). The same
-  // model governs AP-AP sensing and AP-client interference, which is
-  // what makes hidden-terminal asymmetry real.
-  double path_loss_exponent{2.6};
-  // WiFi CCA energy-detect threshold (dBm at the listener).
-  double wifi_cca_dbm{-82.0};
-  // Capture margin: a frame survives overlap if its wanted power beats
-  // the strongest interferer at the receiver by at least this much.
-  double capture_margin_db{10.0};
-  std::uint64_t seed{1};
-};
-
-struct WifiStationConfig {
-  TransmitterSite site;
-  bool saturated{true};
-  double arrival_fps{0.0};  // Poisson frame arrivals when not saturated.
-  int frame_bytes{1500};
-  int rate_index{4};        // Index into the phy::wifi_rate ladder.
-  int retry_limit{7};
-};
-
+// Every frame is 1500 bytes and every transmitter saturated; the channel
+// constants (2.4 GHz, the C6 town profile's 2.6 path-loss exponent, the
+// 802.11 -82 dBm CCA, a 10 dB capture margin) and the waveforms' rates
+// and timers are listed in DESIGN.md §12.
 struct LteTransmitterConfig {
   TransmitterSite site;
   LteCoexPolicy policy{LteCoexPolicy::kLbt};
-  bool saturated{true};
-  double arrival_fps{0.0};
-  int frame_bytes{1500};
-  // Spectral throughput while holding the channel (a 20 MHz dLTE carrier
-  // at mid SNR). Frames of frame_bytes are drained at this rate.
-  DataRate phy_rate{DataRate::mbps(75.0)};
-
-  // --- kLbt knobs ------------------------------------------------------
+  // kLbt: energy-detect threshold (dBm at the listener).
   double cca_dbm{-72.0};  // 3GPP LAA energy-detect default.
-  mac::BackoffConfig backoff{15, 1023, 7};
-  Duration txop{Duration::millis(8)};  // Max burst once the channel is won.
-
-  // --- kDutyCycle knobs ------------------------------------------------
-  Duration on_period{Duration::millis(20)};
-  Duration off_period{Duration::millis(20)};
-  // Adaptive CSAT: after each off-window, the next on-fraction becomes
-  // (1 - measured WiFi occupancy), clamped to [min_on, max_on] of the
-  // cycle. Blind CSAT keeps the configured split forever.
+  // kDutyCycle: adaptive CSAT — after each off-window, the next
+  // on-fraction becomes (1 - measured WiFi occupancy), clamped to
+  // [0.1, 0.8] of the cycle. Blind CSAT keeps its 20/20 ms split forever.
   bool adaptive{false};
-  double min_on_fraction{0.1};
-  double max_on_fraction{0.8};
 };
 
 struct CoexStats {
@@ -131,11 +97,12 @@ struct CoexStats {
 
 class SharedChannel {
  public:
-  explicit SharedChannel(SharedChannelConfig config);
+  // Every transmitter's stream derives from `seed`.
+  explicit SharedChannel(std::uint64_t seed);
 
   // Registration. Returned index identifies the transmitter across both
   // waveforms (registration order).
-  int add_wifi_station(const WifiStationConfig& config);
+  int add_wifi_station(const TransmitterSite& site);
   int add_lte_transmitter(const LteTransmitterConfig& config);
 
   void run(Duration duration);
@@ -165,29 +132,19 @@ class SharedChannel {
     double cca_dbm{-82.0};
     sim::RngStream rng;
 
-    // Traffic state.
-    bool saturated{true};
-    double arrival_fps{0.0};
-    int queue{0};
-    double next_arrival_s{0.0};
-    std::int64_t hol_since_slot{-1};  // When the current HOL frame became
-                                      // ready; -1 = no frame.
+    // When the current head-of-line frame became ready.
+    std::int64_t hol_since_slot{0};
 
     // Shared MAC state.
     bool transmitting{false};
     int tx_slots_remaining{0};
     bool frame_corrupted{false};
     int frame_slots{1};
-    double frame_bits{12000.0};
     int backoff_slots{0};
     mac::DcfBackoff backoff;
 
-    // WiFi-only.
-    int rate_index{4};
-
     // dLTE-only.
     LteCoexPolicy policy{LteCoexPolicy::kLbt};
-    Duration txop{};
     std::int64_t txop_slots_remaining{0};
     bool burst_leader_pending{false};
     bool burst_leader_failed{false};
@@ -195,8 +152,6 @@ class SharedChannel {
     std::int64_t off_slots{0};
     std::int64_t cycle_pos{0};      // Slot position inside the on/off cycle.
     bool adaptive{false};
-    double min_on_fraction{0.1};
-    double max_on_fraction{0.8};
     std::int64_t off_busy_slots{0};  // Medium-busy samples this off-window.
 
     CoexStats stats;
@@ -208,16 +163,11 @@ class SharedChannel {
   void finish_frame(Entry& e);
   void step_wifi(Entry& e);
   void step_lte(Entry& e);
-  void note_arrivals(Entry& e, double now_s);
-  [[nodiscard]] bool has_frame(const Entry& e) const {
-    return e.saturated || e.queue > 0;
-  }
-  void mark_hol_ready(Entry& e);
   // Pairwise energy tables, rebuilt when the population changes.
   void rebuild_energy_tables();
   void flush_run_gauges();
 
-  SharedChannelConfig config_;
+  std::uint64_t seed_;
   phy::LogDistanceModel model_;
   std::vector<Entry> entries_;
   // at_listener_[i][j]: power of i's transmitter at j's transmitter

@@ -2,18 +2,38 @@
 
 namespace dlte::core {
 
+namespace {
+// The off-the-shelf box (§5): one radio, one cadence, one set of timers,
+// none of them tuned per site.
+const phy::RadioProfile kApRadio = phy::DeviceProfiles::lte_enb_rural();
+// X2 status-report and share-round cadence.
+constexpr Duration kCoordinationPeriod = Duration::seconds(1.0);
+// One-way S1 latency to the on-box core stub (loopback-scale).
+constexpr Duration kStubS1Latency = Duration::micros(50);
+// Registry-outage survival: how long the AP keeps transmitting after
+// lease renewals start failing before it treats the grant as lost. While
+// inside this window the AP runs degraded — it backs its transmit power
+// off by kDegradedPowerBackoffDb (conservative operation per the grant's
+// published terms) instead of going dark.
+constexpr Duration kLeaseGrace = Duration::seconds(30.0);
+constexpr double kDegradedPowerBackoffDb = 10.0;
+}  // namespace
+
 DlteAccessPoint::DlteAccessPoint(sim::Simulator& sim, net::Network& net,
                                  NodeId backhaul_node,
                                  RadioEnvironment& radio_env, ApConfig config)
     : sim_(sim),
+      lease_label_(sim.label("ap.lease_heartbeat")),
+      refusal_label_(sim.label("ap.attach_refused")),
+      retry_label_(sim.label("ap.attach_retry")),
       net_(net),
       node_(backhaul_node),
       radio_env_(radio_env),
       config_(config),
       network_id_("dlte-ap-" + std::to_string(config.id.value())),
       cell_mac_([&] {
-        mac::CellMacConfig mc = config.mac;
-        mc.bandwidth = config.radio.bandwidth;
+        mac::CellMacConfig mc;
+        mc.bandwidth = kApRadio.bandwidth;
         mc.seed = config.seed ^ 0x9e37;
         return mc;
       }()) {
@@ -28,22 +48,21 @@ DlteAccessPoint::DlteAccessPoint(sim::Simulator& sim, net::Network& net,
       sim_, ec, sim::RngStream::derive(config_.seed, "hss"));
 
   fabric_ = std::make_unique<S1Fabric>(sim_, core_->mme());
-  EnbConfig enb_cfg = config_.enb;
-  enb_cfg.cell = config_.cell;
-  enodeb_ = std::make_unique<EnodeB>(sim_, *fabric_, enb_cfg);
+  enodeb_ =
+      std::make_unique<EnodeB>(sim_, *fabric_, EnbConfig{.cell = config_.cell});
   fabric_->register_enb_direct(
-      config_.cell, config_.stub_s1_latency,
+      config_.cell, kStubS1Latency,
       [this](lte::S1apMessage&& m) { enodeb_->on_s1ap(std::move(m)); });
 
   coordinator_ = std::make_unique<spectrum::PeerCoordinator>(
       sim_, net_, node_,
       spectrum::CoordinatorConfig{config_.id, config_.mode,
-                                  config_.coordination_period});
+                                  kCoordinationPeriod});
   coordinator_->attach_cell(&cell_mac_);
 
   // Put the cell on the air (in the shared radio environment).
   radio_env_.add_cell(CellSiteConfig{config_.cell, config_.position,
-                                     config_.radio, config_.frequency});
+                                     kApRadio, config_.frequency});
 }
 
 DlteAccessPoint::~DlteAccessPoint() { *alive_ = false; }
@@ -86,8 +105,8 @@ void DlteAccessPoint::bring_up(spectrum::Registry& registry,
   req.ap = config_.id;
   req.location = config_.position;
   req.center_frequency = config_.frequency;
-  req.bandwidth = config_.radio.bandwidth;
-  req.max_eirp = config_.radio.tx_power + config_.radio.tx_antenna_gain;
+  req.bandwidth = kApRadio.bandwidth;
+  req.max_eirp = kApRadio.tx_power + kApRadio.tx_antenna_gain;
   req.operator_contact = config_.operator_contact;
   req.coordination_node = node_;
 
@@ -127,7 +146,8 @@ void DlteAccessPoint::bring_up(spectrum::Registry& registry,
 void DlteAccessPoint::start_lease_heartbeat(spectrum::Registry& registry) {
   if (registry.grant_lifetime().is_zero()) return;
   lease_heartbeat_ = sim_.every_cancellable(
-      registry.grant_lifetime() / 3, [this, &registry] {
+      registry.grant_lifetime() / 3,
+      [this, &registry] {
         if (!grant_) return;
         if (registry.heartbeat_outcome(grant_->id) ==
             spectrum::HeartbeatOutcome::kRenewed) {
@@ -150,16 +170,17 @@ void DlteAccessPoint::start_lease_heartbeat(spectrum::Registry& registry) {
           degraded_since_ = sim_.now();
           obs::set(m_lease_degraded_, 1.0);
           radio_env_.set_power_backoff_db(config_.cell,
-                                          config_.degraded_power_backoff_db);
+                                          kDegradedPowerBackoffDb);
           mark_lease("degraded");
-        } else if (sim_.now() - *degraded_since_ >= config_.lease_grace) {
+        } else if (sim_.now() - *degraded_since_ >= kLeaseGrace) {
           grant_.reset();
           degraded_since_.reset();
           obs::set(m_lease_degraded_, 0.0);
           mark_lease("lapsed");
           lease_heartbeat_.cancel();
         }
-      });
+      },
+      lease_label_);
 }
 
 std::size_t DlteAccessPoint::import_published_subscribers(
@@ -180,9 +201,9 @@ void DlteAccessPoint::attach(UeDevice& ue, mac::UeTrafficConfig traffic,
     // A crashed AP does not answer RACH: the UE's attach dies quickly at
     // the radio layer rather than running the full NAS guard timer.
     if (on_done) {
-      sim_.schedule(config_.enb.rrc_setup, [on_done = std::move(on_done)] {
-        on_done(AttachOutcome{});
-      });
+      sim_.schedule(
+          kRrcSetup, [on_done = std::move(on_done)] { on_done(AttachOutcome{}); },
+          refusal_label_);
     }
     return;
   }
@@ -197,29 +218,27 @@ void DlteAccessPoint::attach(UeDevice& ue, mac::UeTrafficConfig traffic,
 }
 
 void DlteAccessPoint::attach_with_retry(
-    UeDevice& ue, mac::UeTrafficConfig traffic, ue::AttachRetryPolicy policy,
+    UeDevice& ue, mac::UeTrafficConfig traffic,
     std::function<void(AttachOutcome)> on_done) {
   // Per-UE backoff stream: every UE jitters independently of the others
   // (de-synchronizing a re-attach storm) but identically across runs.
   auto rng = std::make_shared<sim::RngStream>(sim::RngStream::derive(
       config_.seed ^ ue.imsi().value(), "attach-retry"));
-  try_attach(&ue, traffic, policy, std::move(rng), 1, std::move(on_done));
+  try_attach(&ue, traffic, std::move(rng), 1, std::move(on_done));
 }
 
 void DlteAccessPoint::try_attach(UeDevice* ue, mac::UeTrafficConfig traffic,
-                                 ue::AttachRetryPolicy policy,
                                  std::shared_ptr<sim::RngStream> rng,
                                  int attempt,
                                  std::function<void(AttachOutcome)> on_done) {
   attach(*ue, traffic,
-         [this, ue, traffic, policy, rng = std::move(rng), attempt,
-          alive = alive_,
+         [this, ue, traffic, rng = std::move(rng), attempt, alive = alive_,
           on_done = std::move(on_done)](AttachOutcome outcome) mutable {
-           if (outcome.success || attempt >= policy.max_attempts) {
+           if (outcome.success || attempt >= ue::kMaxAttachAttempts) {
              if (on_done) on_done(outcome);
              return;
            }
-           const Duration wait = policy.backoff(attempt, *rng);
+           const Duration wait = ue::attach_backoff(attempt, *rng);
            const obs::SpanId s =
                obs::span_begin(tracer_, "attach_retry", span_cat_);
            obs::span_annotate(tracer_, s, "imsi", [&] {
@@ -231,14 +250,16 @@ void DlteAccessPoint::try_attach(UeDevice* ue, mac::UeTrafficConfig traffic,
              return std::to_string(wait.to_millis());
            });
            obs::span_end(tracer_, s);
-           sim_.schedule(wait, [this, ue, traffic, policy,
-                                rng = std::move(rng), attempt,
-                                alive = std::move(alive),
-                                on_done = std::move(on_done)]() mutable {
-             if (!*alive) return;
-             try_attach(ue, traffic, policy, std::move(rng), attempt + 1,
-                        std::move(on_done));
-           });
+           sim_.schedule(
+               wait,
+               [this, ue, traffic, rng = std::move(rng), attempt,
+                alive = std::move(alive),
+                on_done = std::move(on_done)]() mutable {
+                 if (!*alive) return;
+                 try_attach(ue, traffic, std::move(rng), attempt + 1,
+                            std::move(on_done));
+               },
+               retry_label_);
          });
 }
 

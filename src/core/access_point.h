@@ -33,22 +33,9 @@ struct ApConfig {
   CellId cell;
   Position position;
   Hertz frequency{Hertz::mhz(850.0)};
-  phy::RadioProfile radio{phy::DeviceProfiles::lte_enb_rural()};
   lte::DlteMode mode{lte::DlteMode::kFairShare};
   std::string operator_contact{"ops@example.net"};
-  Duration coordination_period{Duration::seconds(1.0)};
-  // One-way S1 latency to the on-box core stub (loopback-scale).
-  Duration stub_s1_latency{Duration::micros(50)};
-  mac::CellMacConfig mac{};
-  EnbConfig enb{};
   std::uint64_t seed{1};
-  // Registry-outage survival: how long the AP keeps transmitting after
-  // lease renewals start failing before it treats the grant as lost. While
-  // inside this window the AP runs degraded — it backs its transmit power
-  // off by `degraded_power_backoff_db` (conservative operation per the
-  // grant's published terms) instead of going dark.
-  Duration lease_grace{Duration::seconds(30.0)};
-  double degraded_power_backoff_db{10.0};
 };
 
 class DlteAccessPoint {
@@ -76,11 +63,10 @@ class DlteAccessPoint {
               std::function<void(AttachOutcome)> on_done = nullptr);
 
   // Attach with the UE-side retry schedule: on failure (guard expiry,
-  // NAS reject, AP down) the attach is retried after an exponential
-  // backoff with jitter, up to the policy's attempt budget. The callback
-  // fires exactly once, with the outcome of the last attempt.
+  // NAS reject, AP down) the attach is retried after ue::attach_backoff,
+  // up to ue::kMaxAttachAttempts attempts. The callback fires exactly
+  // once, with the outcome of the last attempt.
   void attach_with_retry(UeDevice& ue, mac::UeTrafficConfig traffic,
-                         ue::AttachRetryPolicy policy,
                          std::function<void(AttachOutcome)> on_done = nullptr);
 
   // --- Fault surface (src/fault) ---------------------------------------
@@ -131,6 +117,11 @@ class DlteAccessPoint {
 
  private:
   sim::Simulator& sim_;
+  // Event labels: the lease heartbeat, a crashed AP's attach refusal,
+  // and the wait before an attach retry.
+  std::uint32_t lease_label_;
+  std::uint32_t refusal_label_;
+  std::uint32_t retry_label_;
   net::Network& net_;
   NodeId node_;
   RadioEnvironment& radio_env_;
@@ -160,7 +151,6 @@ class DlteAccessPoint {
 
   void start_lease_heartbeat(spectrum::Registry& registry);
   void try_attach(UeDevice* ue, mac::UeTrafficConfig traffic,
-                  ue::AttachRetryPolicy policy,
                   std::shared_ptr<sim::RngStream> rng, int attempt,
                   std::function<void(AttachOutcome)> on_done);
   // Zero-duration `ap_lease` marker span: a lease decision only the AP

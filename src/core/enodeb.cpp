@@ -2,6 +2,13 @@
 
 namespace dlte::core {
 
+namespace {
+// One-way radio latency for a NAS message (HARQ + scheduling).
+constexpr Duration kRadioOneWay = Duration::millis(10);
+// The eNodeB's downlink TEIDs: this base plus the eNB UE id.
+constexpr std::uint32_t kDownlinkTeidBase = 1000;
+}  // namespace
+
 EnodeB::EnodeB(sim::Simulator& sim, S1Fabric& fabric, EnbConfig config)
     : sim_(sim), fabric_(fabric), config_(config) {
   ev_label_ = sim_.label("ran.enodeb");
@@ -48,7 +55,7 @@ void EnodeB::attach_ue(ue::NasClient& client,
 
   // RRC connection establishment, then the initial NAS message.
   sim_.schedule(
-      config_.rrc_setup + config_.radio_one_way,
+      kRrcSetup + kRadioOneWay,
       [this, id] {
         PendingUe* pending = find_pending(id);
         if (pending == nullptr) return;
@@ -61,7 +68,7 @@ void EnodeB::attach_ue(ue::NasClient& client,
       ev_label_);
   // Guard timer: bounded state when the core never answers.
   sim_.schedule(
-      config_.attach_guard,
+      kAttachGuard,
       [this, id] {
         PendingUe* pending = find_pending(id);
         if (pending == nullptr) return;
@@ -94,7 +101,7 @@ void EnodeB::on_s1ap(lte::S1apMessage&& message) {
     radio->mme_id = down->mme_ue_id;
     radio->pdu = std::move(down->nas_pdu);
     sim_.schedule(
-        config_.radio_one_way, [this, radio] { deliver_nas_to_ue(radio); },
+        kRadioOneWay, [this, radio] { deliver_nas_to_ue(radio); },
         ev_label_);
     return;
   }
@@ -107,7 +114,7 @@ void EnodeB::on_s1ap(lte::S1apMessage&& message) {
     resp.enb_ue_id = ctx->enb_ue_id;
     resp.mme_ue_id = ctx->mme_ue_id;
     resp.enb_downlink_teid =
-        Teid{config_.downlink_teid_base.value() + ctx->enb_ue_id.value()};
+        Teid{kDownlinkTeidBase + ctx->enb_ue_id.value()};
     fabric_.enb_send(config_.cell, lte::S1apMessage{resp});
     check_completion(ctx->enb_ue_id, *ue);
     return;
@@ -129,7 +136,7 @@ void EnodeB::deliver_nas_to_ue(RadioNas* radio) {
     // sent after the radio latency.
     lte::encode_nas(*reply, radio->pdu);
     sim_.schedule(
-        config_.radio_one_way, [this, radio] { send_nas_to_mme(radio); },
+        kRadioOneWay, [this, radio] { send_nas_to_mme(radio); },
         ev_label_);
   } else {
     radio_nas_.release(radio);

@@ -18,16 +18,15 @@
 
 namespace dlte::core {
 
+// RRC connection establishment before the first NAS message flies. A
+// crashed AP's refusal (DlteAccessPoint::attach) surfaces after it too.
+inline constexpr Duration kRrcSetup = Duration::millis(50);
+// Guard timer: an attach that has not completed by then fails (T3410-
+// style). Keeps eNodeB state bounded when the core is unreachable.
+inline constexpr Duration kAttachGuard = Duration::seconds(15.0);
+
 struct EnbConfig {
   CellId cell;
-  // One-way radio latency for a NAS message (HARQ + scheduling).
-  Duration radio_one_way{Duration::millis(10)};
-  // RRC connection establishment before the first NAS message flies.
-  Duration rrc_setup{Duration::millis(50)};
-  Teid downlink_teid_base{1000};
-  // Guard timer: an attach that has not completed by then fails (T3410-
-  // style). Keeps eNodeB state bounded when the core is unreachable.
-  Duration attach_guard{Duration::seconds(15.0)};
 };
 
 struct AttachOutcome {

@@ -3,7 +3,10 @@
 namespace dlte::core {
 
 HandoverManager::HandoverManager(sim::Simulator& sim, DlteAccessPoint& ap)
-    : sim_(sim), ap_(ap) {
+    : sim_(sim),
+      timeout_label_(sim.label("handover.admission_timeout")),
+      rrc_label_(sim.label("handover.rrc_reconfiguration")),
+      ap_(ap) {
   ap_.coordinator().set_handover_sink(
       [this](const lte::X2Message& m, NodeId from) { on_x2(m, from); });
 }
@@ -78,19 +81,22 @@ void HandoverManager::initiate(UeDevice& ue, ApId target_ap,
   // Admission timeout: a non-cooperative or unreachable target never
   // answers; the source falls back (the caller decides how — typically a
   // plain re-attach).
-  sim_.schedule(Duration::millis(300), [this, imsi] {
-    const auto it = pending_.find(imsi.value());
-    if (it == pending_.end()) return;  // Completed in time.
-    HandoverOutcome out;
-    out.failure_reason = "handover admission timed out";
-    obs::span_annotate(tracer_, it->second.span, "result",
-                       "admission_timeout");
-    obs::span_end(tracer_, it->second.span);
-    obs::span_take(tracer_, obs::span_key("handover", imsi.value()));
-    auto cb = std::move(it->second.on_done);
-    pending_.erase(it);
-    if (cb) cb(out);
-  });
+  sim_.schedule(
+      Duration::millis(300),
+      [this, imsi] {
+        const auto it = pending_.find(imsi.value());
+        if (it == pending_.end()) return;  // Completed in time.
+        HandoverOutcome out;
+        out.failure_reason = "handover admission timed out";
+        obs::span_annotate(tracer_, it->second.span, "result",
+                           "admission_timeout");
+        obs::span_end(tracer_, it->second.span);
+        obs::span_take(tracer_, obs::span_key("handover", imsi.value()));
+        auto cb = std::move(it->second.on_done);
+        pending_.erase(it);
+        if (cb) cb(out);
+      },
+      timeout_label_);
 }
 
 void HandoverManager::on_x2(const lte::X2Message& message, NodeId from) {
@@ -162,21 +168,23 @@ void HandoverManager::handle_ack(const lte::X2HandoverRequestAck& ack) {
 
   const obs::SpanId rrc =
       obs::span_begin(tracer_, "rrc_reconfiguration", span_cat_, pending.span);
-  sim_.schedule(kRrcReconfiguration, [this, pending = std::move(pending),
-                                      ack, rrc]() mutable {
-    obs::span_end(tracer_, rrc);
-    obs::span_annotate(tracer_, pending.span, "result", "success");
-    obs::span_annotate(tracer_, pending.span, "new_ue_ip",
-                       [&] { return std::to_string(ack.new_ue_ip); });
-    obs::span_end(tracer_, pending.span);
-    obs::span_take(tracer_, obs::span_key("handover", ack.imsi.value()));
-    HandoverOutcome out;
-    out.success = true;
-    out.interruption = kRrcReconfiguration;
-    out.total = sim_.now() - pending.started_at;
-    out.new_ue_ip = ack.new_ue_ip;
-    if (pending.on_done) pending.on_done(out);
-  });
+  sim_.schedule(
+      kRrcReconfiguration,
+      [this, pending = std::move(pending), ack, rrc]() mutable {
+        obs::span_end(tracer_, rrc);
+        obs::span_annotate(tracer_, pending.span, "result", "success");
+        obs::span_annotate(tracer_, pending.span, "new_ue_ip",
+                           [&] { return std::to_string(ack.new_ue_ip); });
+        obs::span_end(tracer_, pending.span);
+        obs::span_take(tracer_, obs::span_key("handover", ack.imsi.value()));
+        HandoverOutcome out;
+        out.success = true;
+        out.interruption = kRrcReconfiguration;
+        out.total = sim_.now() - pending.started_at;
+        out.new_ue_ip = ack.new_ue_ip;
+        if (pending.on_done) pending.on_done(out);
+      },
+      rrc_label_);
 }
 
 }  // namespace dlte::core

@@ -68,6 +68,9 @@ class HandoverManager {
   void handle_ack(const lte::X2HandoverRequestAck& ack);
 
   sim::Simulator& sim_;
+  // Event labels: the admission timeout and the RRC reconfiguration.
+  std::uint32_t timeout_label_;
+  std::uint32_t rrc_label_;
   DlteAccessPoint& ap_;
   std::unordered_map<std::uint64_t, Pending> pending_;  // By IMSI.
   // Target-side record of admitted-but-not-yet-arrived UEs.

@@ -6,11 +6,6 @@ EpcCore::EpcCore(sim::Simulator& sim, EpcConfig config, sim::RngStream rng)
     : config_(std::move(config)),
       hss_(std::move(rng)),
       gateway_(config_.ip_pool_base),
-      mme_(sim, hss_, gateway_,
-           [this] {
-             MmeConfig c = config_.mme;
-             c.serving_network_id = config_.network_id;
-             return c;
-           }()) {}
+      mme_(sim, hss_, gateway_, config_.network_id) {}
 
 }  // namespace dlte::epc

@@ -25,7 +25,6 @@ enum class CoreDeployment {
 struct EpcConfig {
   CoreDeployment deployment{CoreDeployment::kLocalStub};
   std::string network_id{"dlte-ap"};
-  MmeConfig mme{};
   std::uint32_t ip_pool_base{0x0A2D0000};  // 10.45.0.0.
 };
 

@@ -6,8 +6,23 @@
 
 namespace dlte::epc {
 
-Mme::Mme(sim::Simulator& sim, Hss& hss, Gateway& gateway, MmeConfig config)
-    : sim_(sim), hss_(hss), gateway_(gateway), config_(config) {
+namespace {
+// CPU cost of handling one signaling message (single-server queue).
+constexpr Duration kNasProcessing = Duration::micros(500);
+// NAS retransmission (T3460/T3450-style): a downlink NAS message that has
+// not advanced the UE's state is re-sent up to kNasMaxRetx times,
+// kNasRetxTimeout apart. Lets an attach survive transient S1/backhaul
+// loss instead of stalling until the UE gives up.
+constexpr Duration kNasRetxTimeout = Duration::seconds(2.0);
+constexpr int kNasMaxRetx = 4;
+}  // namespace
+
+Mme::Mme(sim::Simulator& sim, Hss& hss, Gateway& gateway,
+         std::string serving_network_id)
+    : sim_(sim),
+      hss_(hss),
+      gateway_(gateway),
+      serving_network_id_(std::move(serving_network_id)) {
   ev_label_ = sim_.label("epc.mme");
 }
 
@@ -20,7 +35,6 @@ void Mme::set_metrics(obs::MetricsRegistry* registry,
     m_handovers_in_ = nullptr;
     m_handovers_out_ = nullptr;
     m_nas_retx_ = nullptr;
-    m_throttled_ = nullptr;
     m_state_losses_ = nullptr;
     m_attach_latency_ms_ = nullptr;
     m_queueing_delay_ms_ = nullptr;
@@ -39,7 +53,9 @@ void Mme::set_metrics(obs::MetricsRegistry* registry,
   (void)registry->counter(prefix + "epc.paging_messages");
   (void)registry->counter(prefix + "epc.service_requests");
   m_nas_retx_ = &registry->counter(prefix + "epc.nas_retransmissions");
-  m_throttled_ = &registry->counter(prefix + "epc.attaches_throttled");
+  // Never incremented: the MME admits every attach (no storm throttle),
+  // but the name is part of every metrics document.
+  (void)registry->counter(prefix + "epc.attaches_throttled");
   m_state_losses_ = &registry->counter(prefix + "epc.state_losses");
   m_attach_latency_ms_ =
       &registry->histogram(prefix + "epc.attach_latency_ms");
@@ -71,7 +87,7 @@ void Mme::handle_s1ap(CellId from_cell, lte::S1apMessage message) {
   // Single-server processing queue: messages wait for MME CPU.
   const TimePoint now = sim_.now();
   const TimePoint start = std::max(now, busy_until_);
-  busy_until_ = start + config_.nas_processing;
+  busy_until_ = start + kNasProcessing;
   obs::observe(m_queueing_delay_ms_, (start - now).to_millis());
   Queued* queued = queued_.acquire();
   queued->from = from_cell;
@@ -124,26 +140,7 @@ void Mme::process(CellId from_cell, const lte::S1apMessage& message) {
 
 void Mme::start_attach(CellId cell, EnbUeId enb_ue_id,
                        const lte::AttachRequest& request) {
-  if (config_.max_concurrent_attaches > 0 &&
-      attaches_in_progress() >=
-          static_cast<std::size_t>(config_.max_concurrent_attaches) &&
-      !slot_of_imsi_.contains(request.imsi)) {
-    // Admission throttle: a re-attach storm (every UE of a dead neighbour
-    // arriving at once) is spread out rather than allowed to stall every
-    // dialogue at once. Known UEs mid-dialogue are exempt — rejecting a
-    // retransmitted AttachRequest would deadlock the very UE being served.
-    UeContext ghost;
-    ghost.enb_ue_id = enb_ue_id;
-    ghost.mme_ue_id = issue_mme_id();
-    ghost.cell = cell;
-    obs::span_annotate(tracer_, ran_span(cell, enb_ue_id), "reject",
-                       "congestion (attach storm throttle)");
-    send_nas(ghost, lte::NasMessage{lte::AttachReject{/*cause=*/0x16}});
-    obs::inc(m_throttled_);
-    return;
-  }
-  auto vector =
-      hss_.generate_auth_vector(request.imsi, config_.serving_network_id);
+  auto vector = hss_.generate_auth_vector(request.imsi, serving_network_id_);
   if (!vector) {
     // Unknown subscriber: reject outright.
     UeContext ghost;
@@ -276,17 +273,16 @@ void Mme::send_nas(UeContext& ue, const lte::NasMessage& nas) {
   // Record for retransmission until the dialogue advances.
   ue.retx_pdu = transport.nas_pdu;
   ue.retx_state = ue.state;
-  ue.retx_left = config_.nas_max_retx;
+  ue.retx_left = kNasMaxRetx;
   arm_nas_retx(ue);
   sender_(ue.cell, lte::S1apMessage{std::move(transport)});
 }
 
 void Mme::arm_nas_retx(UeContext& ue) {
-  if (config_.nas_max_retx <= 0) return;
   const std::uint32_t epoch = ++ue.retx_epoch;
   const MmeUeId id = ue.mme_ue_id;
   sim_.schedule(
-      config_.nas_retx_timeout,
+      kNasRetxTimeout,
       [this, id, epoch] {
     UeContext* found = find_by_mme_id(id);
     if (found == nullptr) return;  // Released or wiped meanwhile.
@@ -399,18 +395,6 @@ void Mme::lose_volatile_state() {
   slot_of_imsi_.clear();
   busy_until_ = sim_.now();
   obs::inc(m_state_losses_);
-}
-
-std::size_t Mme::attaches_in_progress() const {
-  std::size_t n = 0;
-  for (const UeContext& ue : contexts_) {
-    if (ue.state == EmmState::kAuthPending ||
-        ue.state == EmmState::kSecurityPending ||
-        ue.state == EmmState::kAttachAccepted) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 bool Mme::is_registered(Imsi imsi) const {

@@ -36,30 +36,14 @@ enum class EmmState {
   kRegistered,
 };
 
-struct MmeConfig {
-  std::string serving_network_id{"dlte-net"};
-  // CPU cost of handling one signaling message (single-server queue).
-  Duration nas_processing{Duration::micros(500)};
-  // NAS retransmission (T3460/T3450-style): a downlink NAS message that
-  // has not advanced the UE's state is re-sent up to `nas_max_retx`
-  // times, `nas_retx_timeout` apart. Lets an attach survive transient
-  // S1/backhaul loss instead of stalling until the UE gives up.
-  Duration nas_retx_timeout{Duration::seconds(2.0)};
-  int nas_max_retx{4};
-  // Re-attach storm admission throttle (T3346-style congestion control):
-  // with more than this many attach dialogues in flight, new attach
-  // requests are rejected with a congestion cause so the UEs back off and
-  // spread the storm, instead of every dialogue timing out together.
-  // Zero = unlimited.
-  int max_concurrent_attaches{0};
-};
-
 class Mme {
  public:
   // Sends an S1AP message toward the eNodeB serving `cell`.
   using S1apSender = std::function<void(CellId, lte::S1apMessage)>;
 
-  Mme(sim::Simulator& sim, Hss& hss, Gateway& gateway, MmeConfig config);
+  // `serving_network_id` names the network in the AKA key derivation.
+  Mme(sim::Simulator& sim, Hss& hss, Gateway& gateway,
+      std::string serving_network_id);
 
   void set_sender(S1apSender sender) { sender_ = std::move(sender); }
 
@@ -85,7 +69,6 @@ class Mme {
   void lose_volatile_state();
 
   [[nodiscard]] bool is_registered(Imsi imsi) const;
-  [[nodiscard]] std::size_t attaches_in_progress() const;
 
   // The EMM context tables, for tests. Contexts sit in reusable slots;
   // an MME UE id (issued from 1 upward, never reused, not even across
@@ -198,7 +181,7 @@ class Mme {
   std::uint32_t ev_label_{0};
   Hss& hss_;
   Gateway& gateway_;
-  MmeConfig config_;
+  std::string serving_network_id_;
   S1apSender sender_;
   TimePoint busy_until_{};
 
@@ -219,7 +202,6 @@ class Mme {
   obs::Counter* m_handovers_in_{nullptr};
   obs::Counter* m_handovers_out_{nullptr};
   obs::Counter* m_nas_retx_{nullptr};
-  obs::Counter* m_throttled_{nullptr};
   obs::Counter* m_state_losses_{nullptr};
   obs::Histogram* m_attach_latency_ms_{nullptr};
   obs::Histogram* m_queueing_delay_ms_{nullptr};

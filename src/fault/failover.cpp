@@ -6,12 +6,11 @@ void UeFailoverAgent::add_ap(core::DlteAccessPoint* ap) {
   if (ap != nullptr) aps_.push_back(ap);
 }
 
-void UeFailoverAgent::manage(core::UeDevice& ue, mac::UeTrafficConfig traffic,
-                             ue::AttachRetryPolicy policy) {
+void UeFailoverAgent::manage(core::UeDevice& ue,
+                             mac::UeTrafficConfig traffic) {
   ManagedUe m;
   m.ue = &ue;
   m.traffic = traffic;
-  m.policy = policy;
   ues_.push_back(m);
   if (tracker_ != nullptr) tracker_->track(ue.imsi());
 }
@@ -20,7 +19,8 @@ void UeFailoverAgent::start(Duration check_period) {
   if (started_) return;
   started_ = true;
   // Kick initial attaches on the first tick; then watch.
-  watchdog_ = sim_.every_cancellable(check_period, [this] { check(); });
+  watchdog_ = sim_.every_cancellable(
+      check_period, [this] { check(); }, watchdog_label_);
 }
 
 core::DlteAccessPoint* UeFailoverAgent::best_ap_for(
@@ -48,7 +48,7 @@ void UeFailoverAgent::start_attach(ManagedUe& m) {
   if (tracker_ != nullptr) tracker_->on_attach_attempt();
   ManagedUe* mp = &m;
   target->attach_with_retry(
-      *m.ue, m.traffic, m.policy,
+      *m.ue, m.traffic,
       [this, mp, target](core::AttachOutcome outcome) {
         mp->attaching = false;
         if (outcome.success) {

@@ -19,7 +19,6 @@
 #include "fault/resilience.h"
 #include "mac/lte_cell_mac.h"
 #include "sim/simulator.h"
-#include "ue/nas_client.h"
 
 namespace dlte::fault {
 
@@ -27,15 +26,17 @@ class UeFailoverAgent {
  public:
   UeFailoverAgent(sim::Simulator& sim, core::RadioEnvironment& env,
                   ResilienceTracker* tracker = nullptr)
-      : sim_(sim), env_(env), tracker_(tracker) {}
+      : sim_(sim),
+        watchdog_label_(sim.label("fault.failover_watchdog")),
+        env_(env),
+        tracker_(tracker) {}
 
   // Candidate APs, in preference-tie-break order (earlier wins a tie).
   void add_ap(core::DlteAccessPoint* ap);
 
   // Manage a UE: the agent performs its initial attach on start() and
   // re-attaches it whenever its serving AP fails.
-  void manage(core::UeDevice& ue, mac::UeTrafficConfig traffic,
-              ue::AttachRetryPolicy policy = {});
+  void manage(core::UeDevice& ue, mac::UeTrafficConfig traffic);
 
   // Start the watchdog (and kick off initial attaches).
   void start(Duration check_period = Duration::millis(500));
@@ -44,7 +45,6 @@ class UeFailoverAgent {
   struct ManagedUe {
     core::UeDevice* ue{nullptr};
     mac::UeTrafficConfig traffic{};
-    ue::AttachRetryPolicy policy{};
     core::DlteAccessPoint* serving{nullptr};
     bool attaching{false};
   };
@@ -55,6 +55,7 @@ class UeFailoverAgent {
       const core::UeDevice& ue) const;
 
   sim::Simulator& sim_;
+  std::uint32_t watchdog_label_;
   core::RadioEnvironment& env_;
   ResilienceTracker* tracker_{nullptr};
   std::vector<core::DlteAccessPoint*> aps_;

@@ -8,24 +8,20 @@
 // rules, and taking the RngStream by reference keeps every draw on the
 // caller's deterministic stream — coexistence runs derive one stream per
 // transmitter via RngStream::derive(seed, component, index), so adding a
-// station never perturbs another station's draws.
+// station never perturbs another station's draws. Both walk the 802.11
+// window ladder, phy::kCwMin to phy::kCwMax.
 #pragma once
 
+#include "phy/wifi_phy.h"
 #include "sim/random.h"
 
 namespace dlte::mac {
 
-struct BackoffConfig {
-  int cw_min{15};      // phy::kCwMin for 802.11; LAA uses the same ladder.
-  int cw_max{1023};
-  int retry_limit{7};  // Failures beyond this drop the frame.
-};
-
 class DcfBackoff {
  public:
   DcfBackoff() = default;
-  explicit DcfBackoff(BackoffConfig config)
-      : config_(config), contention_window_(config.cw_min) {}
+  // Failures beyond `retry_limit` drop the frame.
+  explicit DcfBackoff(int retry_limit) : retry_limit_(retry_limit) {}
 
   // Uniform draw in [0, cw] on the caller's stream.
   [[nodiscard]] int draw(sim::RngStream& rng) const {
@@ -35,7 +31,7 @@ class DcfBackoff {
 
   // Successful exchange: window and retry count reset.
   void note_success() {
-    contention_window_ = config_.cw_min;
+    contention_window_ = phy::kCwMin;
     retries_ = 0;
   }
 
@@ -44,22 +40,21 @@ class DcfBackoff {
   // resets for the next one; otherwise the window doubles.
   [[nodiscard]] bool note_failure() {
     ++retries_;
-    if (retries_ > config_.retry_limit) {
+    if (retries_ > retry_limit_) {
       note_success();  // Same reset, applied to the successor frame.
       return true;
     }
-    contention_window_ =
-        contention_window_ * 2 + 1 <= config_.cw_max
-            ? contention_window_ * 2 + 1
-            : config_.cw_max;
+    contention_window_ = contention_window_ * 2 + 1 <= phy::kCwMax
+                             ? contention_window_ * 2 + 1
+                             : phy::kCwMax;
     return false;
   }
 
   [[nodiscard]] int contention_window() const { return contention_window_; }
 
  private:
-  BackoffConfig config_{};
-  int contention_window_{15};
+  int retry_limit_{7};
+  int contention_window_{phy::kCwMin};
   int retries_{0};
 };
 

@@ -27,8 +27,7 @@ int DcfSimulator::add_station(const DcfStationConfig& config) {
   const int index = static_cast<int>(stations_.size());
   Station st;
   st.config = config;
-  st.backoff = DcfBackoff{
-      BackoffConfig{phy::kCwMin, phy::kCwMax, config.retry_limit}};
+  st.backoff = DcfBackoff{config.retry_limit};
   st.backoff_slots = st.backoff.draw(rng_);
   if (config.saturated) {
     st.queue = 1;

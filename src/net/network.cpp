@@ -6,6 +6,11 @@
 
 namespace dlte::net {
 
+namespace {
+// Drop-tail bound of every link: bytes committed but not yet serialized.
+constexpr std::size_t kLinkQueueBytes = 256 * 1024;
+}  // namespace
+
 std::string Ipv4::to_string() const {
   return std::to_string((addr >> 24) & 0xff) + "." +
          std::to_string((addr >> 16) & 0xff) + "." +
@@ -169,7 +174,7 @@ void Network::forward(Packet&& packet, NodeId at) {
   // Drop-tail bound: bytes already committed but not yet serialized.
   const double backlog_bytes =
       (start - now).to_seconds() * link.config.rate.bps() / 8.0;
-  if (backlog_bytes > static_cast<double>(link.config.queue_bytes)) {
+  if (backlog_bytes > static_cast<double>(kLinkQueueBytes)) {
     obs::inc(m_queue_drops_);
     obs::span_annotate(tracer_, packet.trace_span, "drop", "queue_overflow");
     obs::span_end(tracer_, packet.trace_span);

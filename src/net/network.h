@@ -50,7 +50,6 @@ struct Packet {
 struct LinkConfig {
   DataRate rate{DataRate::mbps(100.0)};
   Duration delay{Duration::millis(1)};
-  std::size_t queue_bytes{256 * 1024};
 };
 
 // Runtime degradation of a link (fault injection / weather / congestion

@@ -35,7 +35,7 @@
 namespace dlte::obs {
 
 // Label id 0 is the always-present unlabeled bucket: events scheduled
-// through the unlabeled schedule_* overloads land there.
+// without a `label` argument land there.
 inline constexpr std::uint32_t kUnlabeledEvent = 0;
 inline constexpr const char kUnlabeledEventName[] = "sim.unlabeled";
 

@@ -103,8 +103,6 @@ void MetroScenario::build() {
     cohort.attach_batches = config_.attach_batches;
     cohort.attach_window = config_.attach_window;
     cohort.flow_bytes_per_ue = config_.flow_bytes_per_ue;
-    cohort.flow.rtt = config_.flow_rtt;
-    cohort.flow.bottleneck = config_.per_ue_rate;
     // Per-AP stream from the SCENARIO seed and AP index — never the
     // shard — so every sequence survives any repartition.
     c->cohort = std::make_unique<workload::UeCohort>(

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/time.h"
-#include "common/units.h"
 #include "par/sharded_sim.h"
 
 namespace dlte::par {
@@ -45,9 +44,6 @@ struct MetroConfig {
   int attach_batches{10};
   // Bulk volume each UE pulls once attached (0 disables traffic).
   std::uint64_t flow_bytes_per_ue{200 * 1024};
-  // Per-UE share of the cell bottleneck for the aggregate flows.
-  DataRate per_ue_rate{DataRate::mbps(25.0)};
-  Duration flow_rtt{Duration::millis(20)};
   // Ring load-report cadence per AP (the cross-shard traffic).
   Duration report_interval{Duration::millis(500)};
   // One-way AP↔AP backbone latency — the runtime lookahead.

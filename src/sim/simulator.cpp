@@ -6,17 +6,9 @@
 
 namespace dlte::sim {
 
-void Simulator::schedule(Duration delay, Action action) {
-  schedule(delay, std::move(action), obs::kUnlabeledEvent);
-}
-
 void Simulator::schedule(Duration delay, Action action, std::uint32_t label) {
   if (delay.is_negative()) delay = Duration::nanos(0);
   schedule_at(now_ + delay, std::move(action), label);
-}
-
-void Simulator::schedule_at(TimePoint when, Action action) {
-  schedule_at(when, std::move(action), obs::kUnlabeledEvent);
 }
 
 void Simulator::schedule_at(TimePoint when, Action action,
@@ -120,18 +112,9 @@ void schedule_tick(Simulator& sim, std::shared_ptr<Periodic> p) {
 
 }  // namespace
 
-void Simulator::every(Duration period, Action action) {
-  every(period, std::move(action), obs::kUnlabeledEvent);
-}
-
 void Simulator::every(Duration period, Action action, std::uint32_t label) {
   schedule_tick(*this, std::make_shared<Periodic>(Periodic{
                            period, label, nullptr, std::move(action)}));
-}
-
-Simulator::PeriodicHandle Simulator::every_cancellable(Duration period,
-                                                       Action action) {
-  return every_cancellable(period, std::move(action), obs::kUnlabeledEvent);
 }
 
 Simulator::PeriodicHandle Simulator::every_cancellable(Duration period,

@@ -39,18 +39,18 @@ class Simulator {
 
   // Schedule `action` to run `delay` after the current time. Negative
   // delays are clamped to "immediately after the current event". The
-  // `label` overloads carry an attribution id from label() — when a
-  // profiler is attached, the event's schedule/clamp/residency/execute
-  // counts land under that label instead of "sim.unlabeled".
-  void schedule(Duration delay, Action action);
-  void schedule(Duration delay, Action action, std::uint32_t label);
+  // `label` carries an attribution id from label() — when a profiler is
+  // attached, the event's schedule/clamp/residency/execute counts land
+  // under that label instead of "sim.unlabeled".
+  void schedule(Duration delay, Action action,
+                std::uint32_t label = obs::kUnlabeledEvent);
   // Schedule at an absolute time. A `when` earlier than now() is clamped
   // to "immediately after the current event" and counted (accessor below,
   // metric `sim.schedule_past_events`) instead of silently reordering —
   // the sharded runtime injects cross-shard events at window boundaries
   // and relies on a past-targeted injection being loud, not lost.
-  void schedule_at(TimePoint when, Action action);
-  void schedule_at(TimePoint when, Action action, std::uint32_t label);
+  void schedule_at(TimePoint when, Action action,
+                   std::uint32_t label = obs::kUnlabeledEvent);
 
   // Cancellation token for a periodic process. Move-only RAII: letting it
   // die (or calling cancel()) stops the process at its next tick —
@@ -81,13 +81,12 @@ class Simulator {
 
   // Schedule `action` every `period`, starting one period from now, for
   // the lifetime of the simulation (for actors that outlive it).
-  void every(Duration period, Action action);
-  void every(Duration period, Action action, std::uint32_t label);
+  void every(Duration period, Action action,
+             std::uint32_t label = obs::kUnlabeledEvent);
   // As above, but stops when the returned handle is cancelled/destroyed.
-  [[nodiscard]] PeriodicHandle every_cancellable(Duration period,
-                                                 Action action);
-  [[nodiscard]] PeriodicHandle every_cancellable(Duration period, Action action,
-                                                 std::uint32_t label);
+  [[nodiscard]] PeriodicHandle every_cancellable(
+      Duration period, Action action,
+      std::uint32_t label = obs::kUnlabeledEvent);
 
   // Run until the event queue drains or `deadline` passes (whichever is
   // first). Events scheduled exactly at the deadline still run.
@@ -126,7 +125,7 @@ class Simulator {
   // next to the profiler hook. Null-safe; attach BEFORE interning labels
   // so label() can register their name hashes with the auditor too.
   void set_auditor(obs::DigestTimeline* auditor) { auditor_ = auditor; }
-  // Intern an attribution label for the schedule_* label overloads.
+  // Intern an attribution label for the schedule_* `label` argument.
   // Without a profiler every name maps to the unlabeled id, so callsites
   // can intern once at construction regardless of profiling state. The
   // name is copied into a string only when a profiler is attached.

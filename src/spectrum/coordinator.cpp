@@ -6,9 +6,16 @@
 
 namespace dlte::spectrum {
 
+namespace {
+// Declare a peer dead after silence for this long and recompute shares
+// without it (survivors reclaim its spectrum).
+constexpr Duration kPeerLivenessTimeout = Duration::seconds(3.5);
+}  // namespace
+
 PeerCoordinator::PeerCoordinator(sim::Simulator& sim, net::Network& net,
                                  NodeId node, CoordinatorConfig config)
     : sim_(sim),
+      round_label_(sim.label("spectrum.x2_round")),
       net_(net),
       node_(node),
       config_(config),
@@ -70,13 +77,12 @@ void PeerCoordinator::add_peer(ApId ap, NodeId node) {
 void PeerCoordinator::note_heard(ApId ap) { last_heard_[ap] = sim_.now(); }
 
 void PeerCoordinator::expire_dead_peers() {
-  if (config_.peer_liveness_timeout.is_zero()) return;
   const TimePoint now = sim_.now();
   for (auto it = peers_.begin(); it != peers_.end();) {
     const auto heard = last_heard_.find(it->first);
     const TimePoint last =
         heard != last_heard_.end() ? heard->second : TimePoint{};
-    if (now - last > config_.peer_liveness_timeout) {
+    if (now - last > kPeerLivenessTimeout) {
       const ApId dead = it->first;
       latest_status_.erase(dead);
       last_heard_.erase(dead);
@@ -114,12 +120,15 @@ bool PeerCoordinator::set_mode(lte::DlteMode mode) {
 void PeerCoordinator::start() {
   if (started_) return;
   started_ = true;
-  ticker_ = sim_.every_cancellable(config_.report_period, [this] {
-    if (offline_) return;  // Crashed AP: no reports, no rounds.
-    expire_dead_peers();
-    report_status();
-    maybe_lead_round();
-  });
+  ticker_ = sim_.every_cancellable(
+      config_.report_period,
+      [this] {
+        if (offline_) return;  // Crashed AP: no reports, no rounds.
+        expire_dead_peers();
+        report_status();
+        maybe_lead_round();
+      },
+      round_label_);
 }
 
 void PeerCoordinator::send_to(NodeId node, const lte::X2Message& message) {

@@ -35,11 +35,6 @@ struct CoordinatorConfig {
   ApId ap;
   lte::DlteMode mode{lte::DlteMode::kFairShare};
   Duration report_period{Duration::seconds(1.0)};
-  // Declare a peer dead after silence for this long and recompute shares
-  // without it (survivors reclaim its spectrum). Zero disables liveness
-  // tracking (a silent peer holds its share forever — the pre-fault
-  // behaviour).
-  Duration peer_liveness_timeout{Duration::seconds(3.5)};
 };
 
 // Injected-impairment tallies. Everything else a coordinator counts is a
@@ -149,6 +144,7 @@ class PeerCoordinator {
   void close_round_span(const char* result);
 
   sim::Simulator& sim_;
+  std::uint32_t round_label_;  // The report/round ticker's event label.
   net::Network& net_;
   NodeId node_;
   CoordinatorConfig config_;

@@ -14,6 +14,9 @@ namespace {
 constexpr int kHeaderBytes = 40;   // Synthetic header+framing cost.
 constexpr int kAckBytes = 60;
 constexpr double kGranule = 1e-6;  // Offset comparison slack.
+constexpr int kMssBytes = 1200;
+constexpr int kInitialCwndPackets = 10;
+constexpr Duration kMinRto = Duration::millis(200);
 }  // namespace
 
 std::vector<std::uint8_t> encode_segment(const SegmentHeader& h) {
@@ -62,13 +65,13 @@ TransportHost::TransportHost(sim::Simulator& sim, net::Network& net,
                             });
 }
 
-Connection& TransportHost::connect(NodeId remote, TransportConfig config,
+Connection& TransportHost::connect(NodeId remote, TransportKind kind,
                                    Connection::EstablishedCallback on_ready,
                                    bool resumed) {
   const ConnectionId id{(static_cast<std::uint64_t>(node_.value()) << 32) |
                         next_conn_id_++};
   auto conn = std::unique_ptr<Connection>(new Connection(
-      *this, remote, config, id, resumed, std::move(on_ready)));
+      *this, remote, kind, id, resumed, std::move(on_ready)));
   Connection& ref = *conn;
   clients_.emplace(id, std::move(conn));
   return ref;
@@ -178,23 +181,21 @@ void ServerConnection::accept(double start, double end) {
 // ---------------------------------------------------------- Connection --
 
 Connection::Connection(TransportHost& host, NodeId remote,
-                       TransportConfig config, ConnectionId id, bool resumed,
+                       TransportKind kind, ConnectionId id, bool resumed,
                        EstablishedCallback on_ready)
     : host_(&host),
       remote_(remote),
-      config_(config),
+      kind_(kind),
       id_(id),
       on_ready_(std::move(on_ready)) {
-  cwnd_ = config_.initial_cwnd_packets;
-  const bool zero_rtt = config_.kind == TransportKind::kQuicLike &&
-                        config_.zero_rtt_resumption && resumed;
+  cwnd_ = kInitialCwndPackets;
+  const bool zero_rtt = kind_ == TransportKind::kQuicLike && resumed;
   if (zero_rtt) {
     stats_.handshake_rtts = 0;
     state_ = State::kEstablished;
     if (on_ready_) on_ready_();
   } else {
-    stats_.handshake_rtts =
-        config_.kind == TransportKind::kQuicLike ? 1 : 2;
+    stats_.handshake_rtts = kind_ == TransportKind::kQuicLike ? 1 : 2;
     send_segment(kSegSyn, 0.0, 0);
     arm_rto();
   }
@@ -206,7 +207,7 @@ void Connection::send(double bytes) {
 }
 
 void Connection::rebind(TransportHost& new_host) {
-  if (config_.kind == TransportKind::kTcpLike) {
+  if (kind_ == TransportKind::kTcpLike) {
     // The 4-tuple changed: the connection is unusable. The application
     // must reconnect (and replay unacked data) itself.
     state_ = State::kBroken;
@@ -294,7 +295,7 @@ void Connection::handle_ack(double ack_offset, double hint) {
     }
     // Window growth applies during recovery as well (the restream must be
     // able to accelerate); what recovery suppresses is *further cuts*.
-    const double acked_packets = newly / config_.mss_bytes;
+    const double acked_packets = newly / kMssBytes;
     if (cwnd_ < ssthresh_) {
       cwnd_ += acked_packets;  // Slow start.
     } else {
@@ -321,14 +322,14 @@ void Connection::handle_ack(double ack_offset, double hint) {
 
 void Connection::try_send() {
   if (state_ != State::kEstablished) return;
-  const double window_bytes = cwnd_ * config_.mss_bytes;
+  const double window_bytes = cwnd_ * kMssBytes;
   bool sent_any = false;
   while (sent_offset_ < app_offset_ - kGranule &&
          sent_offset_ - acked_offset_ < window_bytes - kGranule) {
     // Fractional application byte counts are padded up to whole bytes so
     // the final fragment of a burst can never be zero-length.
     const int len = static_cast<int>(std::ceil(std::min<double>(
-        config_.mss_bytes, app_offset_ - sent_offset_)));
+        kMssBytes, app_offset_ - sent_offset_)));
     if (len <= 0) break;
     send_segment(stats_.handshake_rtts == 0 ? kSegZeroRttData : kSegData,
                  sent_offset_, len);
@@ -354,9 +355,9 @@ void Connection::send_segment(std::uint8_t type, double offset, int length) {
 }
 
 Duration Connection::rto() const {
-  double base_s = rtt_valid_ ? srtt_s_ + 4.0 * rttvar_s_
-                             : config_.min_rto.to_seconds();
-  base_s = std::max(base_s, config_.min_rto.to_seconds());
+  double base_s =
+      rtt_valid_ ? srtt_s_ + 4.0 * rttvar_s_ : kMinRto.to_seconds();
+  base_s = std::max(base_s, kMinRto.to_seconds());
   return Duration::seconds(base_s * rto_backoff_);
 }
 

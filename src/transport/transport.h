@@ -36,16 +36,6 @@ inline constexpr std::uint16_t kTransportProtocol = 0x5452;  // "TR"
 
 enum class TransportKind { kTcpLike, kQuicLike };
 
-struct TransportConfig {
-  TransportKind kind{TransportKind::kQuicLike};
-  // QUIC-only: client holds a resumption ticket for the server, enabling
-  // 0-RTT data on (re)connect.
-  bool zero_rtt_resumption{true};
-  int mss_bytes{1200};
-  int initial_cwnd_packets{10};
-  Duration min_rto{Duration::millis(200)};
-};
-
 struct ConnectionStats {
   double bytes_acked{0.0};
   double bytes_sent{0.0};
@@ -77,7 +67,7 @@ class Connection {
   friend class TransportHost;
   enum class State { kConnecting, kEstablished, kBroken };
 
-  Connection(TransportHost& host, NodeId remote, TransportConfig config,
+  Connection(TransportHost& host, NodeId remote, TransportKind kind,
              ConnectionId id, bool resumed, EstablishedCallback on_ready);
 
   void on_segment(const net::Packet& packet);
@@ -90,7 +80,7 @@ class Connection {
 
   TransportHost* host_;
   NodeId remote_;
-  TransportConfig config_;
+  TransportKind kind_;
   ConnectionId id_;
   State state_{State::kConnecting};
   EstablishedCallback on_ready_;
@@ -154,8 +144,8 @@ class TransportHost {
   TransportHost(sim::Simulator& sim, net::Network& net, NodeId node);
 
   // Client: open a connection to `remote`. `resumed` applies QUIC 0-RTT
-  // when the config allows it (models a cached resumption ticket).
-  Connection& connect(NodeId remote, TransportConfig config,
+  // (models a cached resumption ticket); TCP-like ignores it.
+  Connection& connect(NodeId remote, TransportKind kind,
                       Connection::EstablishedCallback on_ready = nullptr,
                       bool resumed = false);
 

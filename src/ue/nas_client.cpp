@@ -1,6 +1,24 @@
 #include "ue/nas_client.h"
 
+#include <algorithm>
+
 namespace dlte::ue {
+
+namespace {
+constexpr Duration kInitialBackoff = Duration::millis(500);
+constexpr double kBackoffMultiplier = 2.0;
+constexpr Duration kMaxBackoff = Duration::seconds(8.0);
+// Each wait is scaled by a uniform draw from [1-kJitter, 1+kJitter].
+constexpr double kJitter = 0.2;
+}  // namespace
+
+Duration attach_backoff(int attempt, sim::RngStream& rng) {
+  double wait_s = kInitialBackoff.to_seconds();
+  for (int i = 1; i < attempt; ++i) wait_s *= kBackoffMultiplier;
+  wait_s = std::min(wait_s, kMaxBackoff.to_seconds());
+  wait_s *= rng.uniform(1.0 - kJitter, 1.0 + kJitter);
+  return Duration::seconds(wait_s);
+}
 
 NasClient::NasClient(Usim usim, std::string serving_network_id)
     : usim_(std::move(usim)),

@@ -6,7 +6,6 @@
 // dialogue with no dLTE-specific shortcuts.
 #pragma once
 
-#include <algorithm>
 #include <optional>
 #include <string>
 
@@ -21,26 +20,14 @@ namespace dlte::ue {
 // hammer the network when an attach dies — they back off exponentially
 // with jitter so that a mass re-attach (every UE of a crashed AP arriving
 // at the neighbor at once) spreads out instead of synchronizing into a
-// thundering herd the admission throttle would have to reject anyway.
-struct AttachRetryPolicy {
-  Duration initial_backoff{Duration::millis(500)};
-  double multiplier{2.0};
-  Duration max_backoff{Duration::seconds(8.0)};
-  // Each wait is scaled by a uniform draw from [1-jitter, 1+jitter].
-  double jitter{0.2};
-  int max_attempts{8};
+// thundering herd.
+inline constexpr int kMaxAttachAttempts = 8;
 
-  // Wait before retry number `attempt` (1 = first retry). Deterministic
-  // given the stream — UEs derive their own substreams, so the fleet
-  // de-synchronizes while any single run stays reproducible.
-  [[nodiscard]] Duration backoff(int attempt, sim::RngStream& rng) const {
-    double wait_s = initial_backoff.to_seconds();
-    for (int i = 1; i < attempt; ++i) wait_s *= multiplier;
-    wait_s = std::min(wait_s, max_backoff.to_seconds());
-    if (jitter > 0.0) wait_s *= rng.uniform(1.0 - jitter, 1.0 + jitter);
-    return Duration::seconds(wait_s);
-  }
-};
+// Wait before retry number `attempt` (1 = first retry): 0.5 s doubling
+// per retry up to 8 s, scaled by a uniform draw from [0.8, 1.2].
+// Deterministic given the stream — UEs derive their own substreams, so
+// the fleet de-synchronizes while any single run stays reproducible.
+[[nodiscard]] Duration attach_backoff(int attempt, sim::RngStream& rng);
 
 enum class NasClientState {
   kIdle,

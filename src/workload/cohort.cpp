@@ -5,6 +5,15 @@
 
 namespace dlte::workload {
 
+namespace {
+// Per-UE attach latency sample: base + uniform(0, jitter) ms.
+constexpr double kAttachMsBase = 40.0;
+constexpr double kAttachMsJitter = 25.0;
+// Each UE's flow: its share of the cell bottleneck and its path RTT.
+constexpr DataRate kPerUeRate = DataRate::mbps(25.0);
+constexpr Duration kFlowRtt = Duration::millis(20);
+}  // namespace
+
 UeCohort::UeCohort(sim::Simulator& sim, CohortConfig config,
                    sim::RngStream rng, Hooks hooks)
     : sim_(sim), config_(config), rng_(std::move(rng)), hooks_(hooks) {
@@ -43,21 +52,21 @@ void UeCohort::attach_batch(int /*batch*/, int batch_ues) {
   ues_attached_ += batch_ues;
   obs::inc(hooks_.attached, static_cast<std::uint64_t>(batch_ues));
   for (int i = 0; i < batch_ues; ++i) {
-    const double ms =
-        config_.attach_ms_base + rng_.uniform(0.0, config_.attach_ms_jitter);
+    const double ms = kAttachMsBase + rng_.uniform(0.0, kAttachMsJitter);
     obs::observe(hooks_.attach_ms, ms);
   }
   if (config_.flow_bytes_per_ue == 0) return;
 
-  transport::FlowTrainConfig flow = config_.flow;
+  transport::FlowTrainConfig flow;
+  flow.rtt = kFlowRtt;
   flow.total_bytes =
       config_.flow_bytes_per_ue * static_cast<std::uint64_t>(batch_ues);
   // The batch shares the cell: aggregate capacity and initial window
   // scale with its size, so the aggregate completes when the individual
   // flows would have.
   flow.bottleneck =
-      DataRate(config_.flow.bottleneck.bps() * static_cast<double>(batch_ues));
-  flow.initial_cwnd_packets = config_.flow.initial_cwnd_packets * batch_ues;
+      DataRate(kPerUeRate.bps() * static_cast<double>(batch_ues));
+  flow.initial_cwnd_packets *= batch_ues;
   auto train = std::make_unique<transport::FlowTrain>(
       sim_, flow,
       [this](std::uint64_t bytes) { obs::inc(hooks_.bytes_delivered, bytes); },

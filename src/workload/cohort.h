@@ -31,15 +31,9 @@ struct CohortConfig {
   int attach_batches{10};
   // UEs attach at stratified-uniform times inside [0, attach_window).
   Duration attach_window{Duration::seconds(1.0)};
-  // Per-UE attach latency sample: base + uniform(0, jitter) ms.
-  double attach_ms_base{40.0};
-  double attach_ms_jitter{25.0};
-  // Bulk volume each UE pulls once attached; 0 disables flows.
+  // Bulk volume each UE pulls once attached (25 Mbit/s share of the cell,
+  // 20 ms RTT); 0 disables flows.
   std::uint64_t flow_bytes_per_ue{0};
-  // Template for the per-batch aggregate flow. total_bytes and
-  // bottleneck are overridden per batch (scaled by the batch size);
-  // mss/rtt/initial_cwnd are taken as per-UE values.
-  transport::FlowTrainConfig flow;
 };
 
 class UeCohort {

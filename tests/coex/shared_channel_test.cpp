@@ -22,17 +22,13 @@ TransmitterSite ap_site(double ap_x, double client_x) {
 // Two WiFi BSSs close enough to sense each other, plus one dLTE AP in the
 // middle — the benign (non-hidden) coexistence cell.
 struct DenseCell {
-  SharedChannel ch{SharedChannelConfig{}};
+  SharedChannel ch{/*seed=*/1};
   int a{-1}, b{-1}, l{-1};
 
   explicit DenseCell(LteCoexPolicy policy, double lte_cca = -82.0,
                      bool with_lte = true) {
-    WifiStationConfig wa;
-    wa.site = ap_site(0.0, 40.0);
-    WifiStationConfig wb;
-    wb.site = ap_site(100.0, 60.0);
-    a = ch.add_wifi_station(wa);
-    b = ch.add_wifi_station(wb);
+    a = ch.add_wifi_station(ap_site(0.0, 40.0));
+    b = ch.add_wifi_station(ap_site(100.0, 60.0));
     if (with_lte) {
       LteTransmitterConfig lc;
       lc.site = ap_site(50.0, 80.0);
@@ -47,16 +43,12 @@ struct DenseCell {
 // town profile, so the pair is mutually hidden; the dLTE AP at the
 // midpoint (900 m from each) hears both at ≈ -75 dBm.
 struct HiddenCell {
-  SharedChannel ch{SharedChannelConfig{}};
+  SharedChannel ch{/*seed=*/1};
   int a{-1}, b{-1}, l{-1};
 
   explicit HiddenCell(LteCoexPolicy policy, double lte_cca = -82.0) {
-    WifiStationConfig wa;
-    wa.site = ap_site(0.0, 600.0);
-    WifiStationConfig wb;
-    wb.site = ap_site(1800.0, 1200.0);
-    a = ch.add_wifi_station(wa);
-    b = ch.add_wifi_station(wb);
+    a = ch.add_wifi_station(ap_site(0.0, 600.0));
+    b = ch.add_wifi_station(ap_site(1800.0, 1200.0));
     LteTransmitterConfig lc;
     lc.site = ap_site(900.0, 940.0);
     lc.policy = policy;
@@ -74,7 +66,7 @@ struct HiddenCell {
 std::int64_t defer_behind(const TransmitterSite& listener,
                           std::optional<double> lte_cca_dbm,
                           const TransmitterSite& tx) {
-  SharedChannel ch{SharedChannelConfig{}};
+  SharedChannel ch{/*seed=*/1};
   int index = -1;
   if (lte_cca_dbm) {
     LteTransmitterConfig lc;
@@ -83,9 +75,7 @@ std::int64_t defer_behind(const TransmitterSite& listener,
     lc.cca_dbm = *lte_cca_dbm;
     index = ch.add_lte_transmitter(lc);
   } else {
-    WifiStationConfig w;
-    w.site = listener;
-    index = ch.add_wifi_station(w);
+    index = ch.add_wifi_station(listener);
   }
   LteTransmitterConfig always_on;
   always_on.site = tx;
@@ -133,13 +123,9 @@ TEST(SharedChannel, WifiOnlyPairSharesCleanly) {
 }
 
 TEST(SharedChannel, HiddenWifiPairCollidesAtTheirReceivers) {
-  SharedChannel ch{SharedChannelConfig{}};
-  WifiStationConfig wa;
-  wa.site = ap_site(0.0, 600.0);
-  WifiStationConfig wb;
-  wb.site = ap_site(1800.0, 1200.0);
-  const int a = ch.add_wifi_station(wa);
-  const int b = ch.add_wifi_station(wb);
+  SharedChannel ch{/*seed=*/1};
+  const int a = ch.add_wifi_station(ap_site(0.0, 600.0));
+  const int b = ch.add_wifi_station(ap_site(1800.0, 1200.0));
   ch.run(Duration::seconds(1.0));
   // Neither defers to the other, both clients sit mid-field: overlap is
   // frequent and the capture margin is not met.
@@ -172,23 +158,21 @@ TEST(SharedChannel, LbtDefersAndLetsWifiThrough) {
 }
 
 TEST(SharedChannel, DutyCycleHonoursConfiguredSplit) {
-  // 10 ms on / 30 ms off, alone on the channel: airtime ≈ 25%.
-  SharedChannel ch{SharedChannelConfig{}};
+  // 20 ms on / 20 ms off, alone on the channel: airtime ≈ 50%.
+  SharedChannel ch{/*seed=*/1};
   LteTransmitterConfig lc;
   lc.site = ap_site(0.0, 40.0);
   lc.policy = LteCoexPolicy::kDutyCycle;
-  lc.on_period = Duration::millis(10);
-  lc.off_period = Duration::millis(30);
   const int l = ch.add_lte_transmitter(lc);
   ch.run(Duration::seconds(1.0));
   const double share = static_cast<double>(ch.stats(l).tx_slots) / 111111.0;
-  EXPECT_NEAR(share, 0.25, 0.03);
+  EXPECT_NEAR(share, 0.5, 0.03);
 }
 
 // On-fraction a duty-cycled transmitter has settled at. The controller
 // adapts once per cycle, so one second of run-in lets it converge; the
-// next second is measured over whole cycles (the default 20 ms on + 20 ms
-// off, which adaptation keeps fixed), as the share of slots it sent in.
+// next second is measured over whole cycles (20 ms on + 20 ms off, which
+// adaptation keeps fixed), as the share of slots it sent in.
 // A frame starts only if it fits what is left of the on-window, so this
 // falls short of the configured fraction by less than one 18-slot frame
 // per 4444-slot cycle (0.004).
@@ -206,17 +190,14 @@ double settled_on_fraction(SharedChannel& ch, int l) {
 
 TEST(SharedChannel, AdaptiveDutyCycleYieldsToBusyWifi) {
   // Saturated WiFi next door keeps the off-window occupied, so adaptive
-  // CSAT shrinks toward its floor; blind CSAT never moves.
+  // CSAT shrinks toward its 0.1 floor; blind CSAT never moves.
   auto on_fraction = [](bool adaptive) {
-    SharedChannel ch{SharedChannelConfig{}};
-    WifiStationConfig w;
-    w.site = ap_site(0.0, 40.0);
-    ch.add_wifi_station(w);
+    SharedChannel ch{/*seed=*/1};
+    ch.add_wifi_station(ap_site(0.0, 40.0));
     LteTransmitterConfig lc;
     lc.site = ap_site(60.0, 100.0);
     lc.policy = LteCoexPolicy::kDutyCycle;
     lc.adaptive = adaptive;
-    lc.min_on_fraction = 0.1;
     const int l = ch.add_lte_transmitter(lc);
     return settled_on_fraction(ch, l);
   };
@@ -226,13 +207,12 @@ TEST(SharedChannel, AdaptiveDutyCycleYieldsToBusyWifi) {
 
 TEST(SharedChannel, AdaptiveDutyCycleReclaimsIdleChannel) {
   // No WiFi at all: the off-window measures zero occupancy and adaptive
-  // CSAT grows to its ceiling.
-  SharedChannel ch{SharedChannelConfig{}};
+  // CSAT grows to its 0.8 ceiling.
+  SharedChannel ch{/*seed=*/1};
   LteTransmitterConfig lc;
   lc.site = ap_site(0.0, 40.0);
   lc.policy = LteCoexPolicy::kDutyCycle;
   lc.adaptive = true;
-  lc.max_on_fraction = 0.8;
   const int l = ch.add_lte_transmitter(lc);
   EXPECT_NEAR(settled_on_fraction(ch, l), 0.8, 0.02);
 }
@@ -279,18 +259,12 @@ TEST(SharedChannel, AddingTransmitterDoesNotPerturbOthersStreams) {
   // Per-transmitter streams are derived by (component, index), so a third
   // transmitter placed out of range changes nothing about the first two.
   auto delivered_by_first_two = [](bool extra) {
-    SharedChannel ch{SharedChannelConfig{}};
-    WifiStationConfig wa;
-    wa.site = ap_site(0.0, 40.0);
-    WifiStationConfig wb;
-    wb.site = ap_site(100.0, 60.0);
-    const int a = ch.add_wifi_station(wa);
-    const int b = ch.add_wifi_station(wb);
+    SharedChannel ch{/*seed=*/1};
+    const int a = ch.add_wifi_station(ap_site(0.0, 40.0));
+    const int b = ch.add_wifi_station(ap_site(100.0, 60.0));
     if (extra) {
       // 50 km away: neither sensed nor interfering.
-      WifiStationConfig far;
-      far.site = ap_site(50'000.0, 50'040.0);
-      ch.add_wifi_station(far);
+      ch.add_wifi_station(ap_site(50'000.0, 50'040.0));
     }
     ch.run(Duration::seconds(0.5));
     return std::pair{ch.stats(a).delivered_frames,

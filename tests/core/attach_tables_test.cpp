@@ -95,7 +95,7 @@ class EnbModel {
       check(step);
       if (::testing::Test::HasFatalFailure()) return;
     }
-    advance(Duration::seconds(2.0));  // Every guard has fired by now.
+    advance(kAttachGuard + Duration::seconds(1.0));  // Every guard fired.
     check(steps);
     EXPECT_TRUE(pending_.empty());
   }
@@ -112,7 +112,7 @@ class EnbModel {
       pending_.erase(it);
       if (o.success) {
         ++outcomes_->registered;
-      } else if (o.elapsed >= kGuard) {
+      } else if (o.elapsed >= kAttachGuard) {
         ++outcomes_->expired;
       } else {
         ++outcomes_->rejected;
@@ -145,15 +145,12 @@ class EnbModel {
     ASSERT_EQ(enb_.enb_id_table_size(), std::size_t{issued_} + 1);
   }
 
-  static constexpr Duration kGuard = Duration::seconds(1.0);
-
   std::mt19937_64 rng_;
   sim::Simulator sim_;
   epc::EpcCore core_{sim_, epc::EpcConfig{.network_id = "n"},
                      sim::RngStream{11}};
   S1Fabric fabric_{sim_, core_.mme()};
-  EnodeB enb_{sim_, fabric_,
-              EnbConfig{.cell = CellId{1}, .attach_guard = kGuard}};
+  EnodeB enb_{sim_, fabric_, EnbConfig{.cell = CellId{1}}};
   std::deque<ue::NasClient> clients_;
   std::unordered_map<std::uint32_t, TimePoint> pending_;
   std::size_t peak_{0};

@@ -262,63 +262,6 @@ TEST(AttachFlow, MmeProcessingDelayQueues) {
   EXPECT_GT(f.metrics.histogram("epc.queueing_delay_ms").quantile(0.95), 0.5);
 }
 
-TEST(AttachFlow, StormAdmissionThrottleRejectsExcessDialogues) {
-  // T3346-style congestion control: with 10 UEs arriving at once and room
-  // for 2 concurrent dialogues, the surplus gets AttachReject instead of
-  // everyone timing out together.
-  sim::Simulator sim;
-  EpcConfig cfg{.deployment = CoreDeployment::kLocalStub,
-                .network_id = "test-net"};
-  cfg.mme.max_concurrent_attaches = 2;
-  EpcCore core{sim, cfg, sim::RngStream{7}};
-  obs::MetricsRegistry metrics;
-  core.set_metrics(&metrics);
-
-  const int n = 10;
-  std::vector<ue::NasClient> clients;
-  std::vector<EnbShim> shims;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const Imsi imsi{5000 + i};
-    core.hss().provision(imsi, key_for(5000 + i), kOp);
-    ue::SimProfile profile{imsi, key_for(5000 + i),
-                           crypto::derive_opc(key_for(5000 + i), kOp), true,
-                           "open"};
-    clients.push_back(ue::NasClient{ue::Usim{profile}, "test-net"});
-  }
-  for (std::uint32_t i = 0; i < n; ++i) {
-    shims.push_back(EnbShim{sim, core.mme(), CellId{1}, EnbUeId{100 + i}});
-  }
-  core.mme().set_sender([&](CellId, lte::S1apMessage m) {
-    std::uint32_t id = 0;
-    if (const auto* d = std::get_if<lte::DownlinkNasTransport>(&m)) {
-      id = d->enb_ue_id.value();
-    } else if (const auto* c =
-                   std::get_if<lte::InitialContextSetupRequest>(&m)) {
-      id = c->enb_ue_id.value();
-    }
-    shims.at(id - 100).on_s1ap(m);
-  });
-  for (std::size_t i = 0; i < n; ++i) shims[i].start(clients[i]);
-  sim.run_all();
-
-  EXPECT_GT(metrics.counter("epc.attaches_throttled").value(), 0u);
-  int registered = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    registered += core.mme().is_registered(Imsi{5000 + i}) ? 1 : 0;
-  }
-  EXPECT_LT(registered, n);
-  // The admitted dialogues completed normally.
-  EXPECT_GT(registered, 0);
-  EXPECT_EQ(static_cast<std::uint64_t>(registered),
-            metrics.counter("epc.attaches_completed").value());
-  int rejected = 0;
-  for (const auto& c : clients) {
-    if (c.state() == ue::NasClientState::kRejected) ++rejected;
-  }
-  EXPECT_EQ(static_cast<std::uint64_t>(rejected),
-            metrics.counter("epc.attaches_throttled").value());
-}
-
 TEST(AttachFlow, CoreCrashWipesVolatileStateButNotHss) {
   Fixture f;
   auto client = f.make_client(1001);

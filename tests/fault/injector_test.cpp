@@ -7,9 +7,12 @@
 #include <string>
 #include <vector>
 
+#include "core/handover.h"
 #include "fault/failover.h"
 #include "fault/resilience.h"
+#include "obs/prof.h"
 #include "ue/mobility.h"
+#include "ue/nas_client.h"
 
 namespace dlte::fault {
 namespace {
@@ -100,17 +103,27 @@ TEST(FaultInjector, LinkDegradeDropsAndDelays) {
   EXPECT_EQ(received - before, 50);
 }
 
+// The town's engine, with an optional event profiler attached before any
+// component interns its labels.
+struct Engine {
+  explicit Engine(obs::EventProfiler* profiler) { sim.set_profiler(profiler); }
+  sim::Simulator sim;
+};
+
 // A little dLTE town with a resilient UE population, mirroring the C8
 // bench topology at test scale.
-struct Town {
-  sim::Simulator sim;
+struct Town : Engine {
+  explicit Town(obs::EventProfiler* profiler = nullptr) : Engine(profiler) {}
+
   net::Network net{sim};
   core::RadioEnvironment radio;
   spectrum::Registry registry{sim, spectrum::RegistryKind::kCentralizedSas};
   NodeId internet = net.add_node("internet");
   std::vector<std::unique_ptr<core::DlteAccessPoint>> aps;
 
-  core::DlteAccessPoint& add_ap(std::uint32_t id, double x_m) {
+  core::DlteAccessPoint& add_ap(
+      std::uint32_t id, double x_m,
+      lte::DlteMode mode = lte::DlteMode::kFairShare) {
     const NodeId node = net.add_node("ap" + std::to_string(id));
     net.add_link(node, internet,
                  net::LinkConfig{DataRate::mbps(50.0), Duration::millis(15)});
@@ -118,6 +131,7 @@ struct Town {
     cfg.id = ApId{id};
     cfg.cell = CellId{id};
     cfg.position = Position{x_m, 0.0};
+    cfg.mode = mode;
     cfg.seed = id;
     aps.push_back(std::make_unique<core::DlteAccessPoint>(sim, net, node,
                                                           radio, cfg));
@@ -176,7 +190,7 @@ TEST(FaultInjector, ApCrashLosesVolatileStateAndRecovers) {
   // Volatile state gone: sessions, EMM contexts, MAC bearers, the cell.
   EXPECT_EQ(ap.core().gateway().session_count(), 0u);
   EXPECT_FALSE(ap.core().mme().is_registered(Imsi{700001}));
-  EXPECT_EQ(ap.core().mme().attaches_in_progress(), 0u);
+  EXPECT_EQ(ap.core().mme().context_count(), 0u);
   EXPECT_FALSE(town.radio.cell_active(CellId{1}));
   EXPECT_EQ(metrics.counter("epc.state_losses").value(), 1u);
   // Persistent state survives: the HSS still knows the subscriber.
@@ -225,15 +239,15 @@ TEST(FaultInjector, AttachRetriesAgainstDeadApAreMarked) {
   auto ue = town.make_ue(700003, Position{1'000.0, 0.0});
   ap.import_published_subscribers(town.registry);
   ap.fail();
-  ue::AttachRetryPolicy policy;
-  policy.max_attempts = 3;
   int outcomes = 0;
-  ap.attach_with_retry(ue, mac::UeTrafficConfig{}, policy,
+  ap.attach_with_retry(ue, mac::UeTrafficConfig{},
                        [&](core::AttachOutcome o) {
                          ++outcomes;
                          EXPECT_FALSE(o.success);
                        });
-  town.run_for(10.0);
+  // Eight attempts with seven waits of at most 0.6 + 1.2 + 2.4 + 4.8 +
+  // 3 × 9.6 s in between: the budget is spent well inside a minute.
+  town.run_for(60.0);
   EXPECT_EQ(outcomes, 1);
   // One backoff marker per failed attempt that is retried.
   std::vector<std::string> attempts;
@@ -243,7 +257,69 @@ TEST(FaultInjector, AttachRetriesAgainstDeadApAreMarked) {
     EXPECT_EQ(span.annotations[0].value, "700003");
     attempts.push_back(span.annotations[1].value);
   }
-  EXPECT_EQ(attempts, (std::vector<std::string>{"1", "2"}));
+  std::vector<std::string> expected;
+  for (int a = 1; a < ue::kMaxAttachAttempts; ++a) {
+    expected.push_back(std::to_string(a));
+  }
+  EXPECT_EQ(attempts, expected);
+}
+
+TEST(FaultInjector, ApHandoverAndFailoverEventsAreLabeled) {
+  // Every event an AP, its handover manager, the failover watchdog and
+  // the X2 coordinator schedule lands under a label: lease heartbeats,
+  // coordinator rounds, a handover (admission timer and RRC
+  // reconfiguration), and attach retries against a crashed AP.
+  obs::EventProfiler profiler;
+  Town town{&profiler};
+  town.registry.set_grant_lifetime(Duration::seconds(3.0));
+  auto& a = town.add_ap(1, 0.0, lte::DlteMode::kCooperative);
+  auto& b = town.add_ap(2, 5'000.0, lte::DlteMode::kCooperative);
+  core::HandoverManager handover_a{town.sim, a};
+  core::HandoverManager handover_b{town.sim, b};
+  a.bring_up(town.registry);
+  b.bring_up(town.registry);
+  town.run_for(2.0);
+
+  auto moving = town.make_ue(720001, Position{2'500.0, 0.0});
+  auto watched = town.make_ue(720002, Position{1'000.0, 0.0});
+  auto retrying = town.make_ue(720003, Position{500.0, 0.0});
+  a.import_published_subscribers(town.registry);
+  b.import_published_subscribers(town.registry);
+
+  bool attached = false;
+  a.attach(moving, mac::UeTrafficConfig{},
+           [&](core::AttachOutcome o) { attached = o.success; });
+  UeFailoverAgent agent{town.sim, town.radio};
+  agent.add_ap(&a);
+  agent.add_ap(&b);
+  agent.manage(watched, mac::UeTrafficConfig{});
+  agent.start();
+  town.run_for(2.0);
+  ASSERT_TRUE(attached);
+
+  bool handed_over = false;
+  handover_a.initiate(moving, ApId{2}, mac::UeTrafficConfig{},
+                      [&](core::HandoverOutcome o) {
+                        handed_over = o.success;
+                      });
+  town.run_for(2.0);
+  EXPECT_TRUE(handed_over);
+
+  a.fail();
+  int outcomes = 0;
+  a.attach_with_retry(retrying, mac::UeTrafficConfig{},
+                      [&](core::AttachOutcome) { ++outcomes; });
+  town.run_for(5.0);
+  EXPECT_EQ(outcomes, 0);  // Still backing off.
+
+  for (const char* label :
+       {"ap.lease_heartbeat", "ap.attach_refused", "ap.attach_retry",
+        "handover.admission_timeout", "handover.rrc_reconfiguration",
+        "fault.failover_watchdog", "spectrum.x2_round"}) {
+    EXPECT_GT(profiler.stats(town.sim.label(label)).executed, 0u) << label;
+  }
+  EXPECT_EQ(profiler.stats(obs::kUnlabeledEvent).schedules, 0u);
+  EXPECT_EQ(profiler.stats(obs::kUnlabeledEvent).executed, 0u);
 }
 
 TEST(FaultInjector, FailoverAgentMovesUesToSurvivingAp) {

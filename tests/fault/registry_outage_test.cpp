@@ -255,7 +255,6 @@ TEST(RegistryOutage, ApSurvivesShortOutageDegraded) {
   cfg.id = ApId{1};
   cfg.cell = CellId{1};
   cfg.position = Position{};
-  cfg.lease_grace = Duration::seconds(60.0);
   core::DlteAccessPoint ap{sim, net, node, radio, cfg};
   obs::SpanTracer tracer{[&sim] { return sim.now(); }};
   ap.set_span_tracer(&tracer);
@@ -272,7 +271,7 @@ TEST(RegistryOutage, ApSurvivesShortOutageDegraded) {
   FaultSpec outage;
   outage.kind = FaultKind::kRegistryOutage;
   outage.at = sim.now() + Duration::seconds(5.0);
-  outage.duration = Duration::seconds(25.0);  // Shorter than the grace.
+  outage.duration = Duration::seconds(25.0);  // Shorter than the 30 s grace.
   outage.outage = spectrum::RegistryOutage::kOffline;
   plan.add(outage);
   injector.arm(plan);

@@ -194,7 +194,7 @@ TEST(DcfBackoff, DrawsAreDeterministicPerDerivedStream) {
   // and distinct indices must give distinct sequences.
   auto draws = [](std::uint64_t index) {
     auto rng = sim::RngStream::derive(7, "coex-lte", index);
-    DcfBackoff backoff{BackoffConfig{15, 1023, 7}};
+    DcfBackoff backoff{7};
     std::vector<int> out;
     for (int i = 0; i < 32; ++i) {
       out.push_back(backoff.draw(rng));
@@ -208,7 +208,7 @@ TEST(DcfBackoff, DrawsAreDeterministicPerDerivedStream) {
 }
 
 TEST(DcfBackoff, WindowDoublesOnFailureAndResetsOnSuccess) {
-  DcfBackoff backoff{BackoffConfig{15, 1023, 7}};
+  DcfBackoff backoff{7};
   EXPECT_EQ(backoff.contention_window(), 15);
   EXPECT_FALSE(backoff.note_failure());
   EXPECT_EQ(backoff.contention_window(), 31);
@@ -219,7 +219,7 @@ TEST(DcfBackoff, WindowDoublesOnFailureAndResetsOnSuccess) {
 }
 
 TEST(DcfBackoff, RetryLimitSignalsDropAndResets) {
-  DcfBackoff backoff{BackoffConfig{15, 1023, 2}};
+  DcfBackoff backoff{2};
   EXPECT_FALSE(backoff.note_failure());
   EXPECT_FALSE(backoff.note_failure());
   EXPECT_TRUE(backoff.note_failure());  // Third failure exceeds limit 2.
@@ -231,9 +231,10 @@ TEST(DcfBackoff, RetryLimitSignalsDropAndResets) {
 }
 
 TEST(DcfBackoff, WindowIsCappedAtCwMax) {
-  DcfBackoff backoff{BackoffConfig{15, 255, 100}};
+  DcfBackoff backoff{100};
+  // 15 → 31 → … → 1023 in six doublings; four more stay at the cap.
   for (int i = 0; i < 10; ++i) (void)backoff.note_failure();
-  EXPECT_EQ(backoff.contention_window(), 255);
+  EXPECT_EQ(backoff.contention_window(), phy::kCwMax);
 }
 
 // Parameterized: aggregate goodput decreases (or at best saturates) as

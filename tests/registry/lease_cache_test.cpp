@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <optional>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -122,6 +126,202 @@ TEST(LeaseCache, MetricsMirrorTallies) {
   EXPECT_EQ(metrics.counter("reg.registry.cache.hits_local").value(), 1u);
   EXPECT_EQ(metrics.counter("reg.registry.cache.stale_serves").value(), 1u);
   EXPECT_EQ(metrics.histogram("reg.registry.cache.staleness_ms").count(), 1u);
+}
+
+// ---- Scan model ----------------------------------------------------------
+
+// The cache's contract as a plain model: three lists of entries scanned
+// front to back, and a root admission count per capacity window of the
+// grid anchored at t=0.
+class CacheModel {
+ public:
+  explicit CacheModel(const CacheConfig& config) : config_(config) {}
+
+  struct Tallies {
+    std::uint64_t hits_local{0};
+    std::uint64_t hits_zone{0};
+    std::uint64_t hits_root{0};
+    std::uint64_t misses{0};
+    std::uint64_t stale_serves{0};
+    std::uint64_t root_sheds{0};
+    std::uint64_t staleness_samples{0};
+  };
+
+  CacheLookup lookup(std::uint64_t requester, std::int64_t zone,
+                     std::uint64_t version, TimePoint now) {
+    if (const Row* r = find(local_, requester, zone);
+        r != nullptr && fresh(*r, config_.local_ttl, now)) {
+      return serve(CacheTier::kLocal, *r, version, now);
+    }
+    if (const Row* r = find(zone_, 0, zone);
+        r != nullptr && fresh(*r, config_.zone_ttl, now)) {
+      const Row copy = *r;
+      put(local_, requester, zone, copy);
+      return serve(CacheTier::kZone, copy, version, now);
+    }
+    const std::int64_t window = now.ns() / config_.capacity_window.ns();
+    if (window != window_) {
+      window_ = window;
+      admitted_ = 0;
+    }
+    if (++admitted_ > config_.root_capacity) {
+      ++tallies.root_sheds;
+      CacheLookup out;
+      out.tier = CacheTier::kShed;
+      return out;
+    }
+    if (const Row* r = find(root_, 0, zone);
+        r != nullptr && fresh(*r, config_.root_ttl, now)) {
+      const Row copy = *r;
+      put(zone_, 0, zone, copy);
+      put(local_, requester, zone, copy);
+      return serve(CacheTier::kRoot, copy, version, now);
+    }
+    ++tallies.misses;
+    return CacheLookup{};
+  }
+
+  void fill(std::uint64_t requester, std::int64_t zone, std::uint64_t version,
+            const ZoneSnapshot& snapshot, TimePoint now) {
+    const Row row{requester, zone, version, now, snapshot};
+    put(root_, 0, zone, row);
+    put(zone_, 0, zone, row);
+    put(local_, requester, zone, row);
+  }
+
+  Tallies tallies;
+
+ private:
+  struct Row {
+    std::uint64_t requester{0};  // 0 in the zone and root lists.
+    std::int64_t zone{0};
+    std::uint64_t version{0};
+    TimePoint filled_at{};
+    ZoneSnapshot snapshot;
+  };
+
+  static const Row* find(const std::vector<Row>& rows,
+                         std::uint64_t requester, std::int64_t zone) {
+    for (const Row& r : rows) {
+      if (r.requester == requester && r.zone == zone) return &r;
+    }
+    return nullptr;
+  }
+  static void put(std::vector<Row>& rows, std::uint64_t requester,
+                  std::int64_t zone, Row row) {
+    row.requester = requester;
+    for (Row& r : rows) {
+      if (r.requester == requester && r.zone == zone) {
+        r = row;
+        return;
+      }
+    }
+    rows.push_back(row);
+  }
+  static bool fresh(const Row& r, Duration ttl, TimePoint now) {
+    return now - r.filled_at <= ttl;
+  }
+  CacheLookup serve(CacheTier tier, const Row& r, std::uint64_t version,
+                    TimePoint now) {
+    switch (tier) {
+      case CacheTier::kLocal:
+        ++tallies.hits_local;
+        break;
+      case CacheTier::kZone:
+        ++tallies.hits_zone;
+        break;
+      default:
+        ++tallies.hits_root;
+        break;
+    }
+    CacheLookup out;
+    out.tier = tier;
+    out.stale = r.version != version;
+    out.age_ms = (now - r.filled_at).to_millis();
+    out.snapshot = r.snapshot;
+    if (out.stale) ++tallies.stale_serves;
+    ++tallies.staleness_samples;
+    return out;
+  }
+
+  CacheConfig config_;
+  std::vector<Row> local_;
+  std::vector<Row> zone_;
+  std::vector<Row> root_;
+  std::int64_t window_{0};
+  std::uint32_t admitted_{0};
+};
+
+TEST(LeaseCache, MatchesAScanModelOverSeededRuns) {
+  constexpr std::uint64_t kRequesters = 4;
+  constexpr std::int64_t kZones = 3;
+  CacheConfig config = small_config();
+  config.root_capacity = 3;
+  CacheModel::Tallies reached;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 7u, 42u, 1234u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng{seed};
+    obs::MetricsRegistry metrics;
+    LeaseCache cache{config};
+    cache.set_metrics(&metrics);
+    CacheModel model{config};
+    std::vector<std::uint64_t> versions(kZones, 1);
+    TimePoint now{};
+    for (int step = 0; step < 2000; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const auto op = rng() % 10;
+      const std::uint64_t requester = 1 + rng() % kRequesters;
+      const std::int64_t zone = static_cast<std::int64_t>(rng() % kZones);
+      const std::uint64_t version = versions[static_cast<std::size_t>(zone)];
+      if (op < 5) {
+        const CacheLookup got = cache.lookup(requester, zone, version, now);
+        const CacheLookup want = model.lookup(requester, zone, version, now);
+        ASSERT_EQ(got.tier, want.tier);
+        ASSERT_EQ(got.stale, want.stale);
+        ASSERT_EQ(got.snapshot, want.snapshot);
+        ASSERT_EQ(got.age_ms, want.age_ms);
+      } else if (op < 7) {
+        const ZoneSnapshot s =
+            snap({static_cast<std::uint64_t>(zone), version});
+        cache.fill(requester, zone, version, s, now);
+        model.fill(requester, zone, version, s, now);
+      } else if (op == 7) {
+        ++versions[static_cast<std::size_t>(zone)];
+      } else if (op == 8) {
+        // Mostly inside one capacity window; now and then past a TTL.
+        now = now + Duration::millis(static_cast<std::int64_t>(rng() % 400));
+      } else {
+        now = now + Duration::millis(static_cast<std::int64_t>(rng() % 25'000));
+      }
+      const CacheModel::Tallies& t = model.tallies;
+      ASSERT_EQ(metrics.counter("registry.cache.hits_local").value(),
+                t.hits_local);
+      ASSERT_EQ(metrics.counter("registry.cache.hits_zone").value(),
+                t.hits_zone);
+      ASSERT_EQ(metrics.counter("registry.cache.hits_root").value(),
+                t.hits_root);
+      ASSERT_EQ(metrics.counter("registry.cache.misses").value(), t.misses);
+      ASSERT_EQ(metrics.counter("registry.cache.stale_serves").value(),
+                t.stale_serves);
+      ASSERT_EQ(metrics.counter("registry.cache.root_sheds").value(),
+                t.root_sheds);
+      ASSERT_EQ(metrics.histogram("registry.cache.staleness_ms").count(),
+                t.staleness_samples);
+    }
+    reached.hits_local += model.tallies.hits_local;
+    reached.hits_zone += model.tallies.hits_zone;
+    reached.hits_root += model.tallies.hits_root;
+    reached.misses += model.tallies.misses;
+    reached.stale_serves += model.tallies.stale_serves;
+    reached.root_sheds += model.tallies.root_sheds;
+  }
+  // The sequences reached every outcome a lookup can have.
+  EXPECT_GT(reached.hits_local, 0u);
+  EXPECT_GT(reached.hits_zone, 0u);
+  EXPECT_GT(reached.hits_root, 0u);
+  EXPECT_GT(reached.misses, 0u);
+  EXPECT_GT(reached.stale_serves, 0u);
+  EXPECT_GT(reached.root_sheds, 0u);
 }
 
 }  // namespace

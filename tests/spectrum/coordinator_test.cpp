@@ -212,26 +212,6 @@ TEST(Coordinator, DeadPeerExpiresAndSharesRebalance) {
   EXPECT_NEAR(f.coords[0]->current_share(), 1.0 / 3.0, 1e-9);
 }
 
-TEST(Coordinator, ZeroLivenessTimeoutDisablesExpiry) {
-  sim::Simulator sim;
-  net::Network net{sim};
-  const NodeId n1 = net.add_node("a");
-  const NodeId n2 = net.add_node("b");
-  net.add_link(n1, n2, net::LinkConfig{DataRate::mbps(10.0),
-                                       Duration::millis(10)});
-  CoordinatorConfig cfg{ApId{1}, lte::DlteMode::kFairShare,
-                        Duration::seconds(1.0)};
-  cfg.peer_liveness_timeout = Duration{};  // Disabled.
-  PeerCoordinator quiet{sim, net, n1, cfg};
-  obs::MetricsRegistry reg;
-  quiet.set_metrics(&reg);
-  quiet.add_peer(ApId{2}, n2);
-  quiet.start();
-  sim.run_until(sim.now() + Duration::seconds(30.0));
-  EXPECT_EQ(quiet.peer_count(), 1u);  // Never heard from, never expired.
-  EXPECT_EQ(reg.counter("x2.peers_expired").value(), 0u);
-}
-
 TEST(Coordinator, X2DuplicatesAreCountedAndHarmless) {
   Fixture f;
   f.build(2, lte::DlteMode::kFairShare);

@@ -21,8 +21,7 @@ struct Fixture {
   TransportHost server{sim, net, server_node};
 
   Fixture() {
-    const net::LinkConfig edge{DataRate::mbps(50.0), Duration::millis(20),
-                               1 << 20};
+    const net::LinkConfig edge{DataRate::mbps(50.0), Duration::millis(20)};
     net.add_link(client_node, router, edge);
     net.add_link(client_node2, router, edge);
     net.add_link(router, server_node, edge);
@@ -63,7 +62,7 @@ TEST(Transport, QuicFreshHandshakeTakesOneRtt) {
   Fixture f;
   TimePoint ready_at;
   auto& conn = f.client.connect(
-      f.server_node, TransportConfig{.kind = TransportKind::kQuicLike},
+      f.server_node, TransportKind::kQuicLike,
       [&] { ready_at = f.sim.now(); });
   f.run_for(Duration::seconds(1.0));
   ASSERT_TRUE(conn.established());
@@ -76,7 +75,7 @@ TEST(Transport, TcpHandshakeTakesTwoRtts) {
   Fixture f;
   TimePoint ready_at;
   auto& conn = f.client.connect(
-      f.server_node, TransportConfig{.kind = TransportKind::kTcpLike},
+      f.server_node, TransportKind::kTcpLike,
       [&] { ready_at = f.sim.now(); });
   f.run_for(Duration::seconds(1.0));
   ASSERT_TRUE(conn.established());
@@ -88,7 +87,7 @@ TEST(Transport, ZeroRttResumptionIsImmediate) {
   Fixture f;
   bool ready = false;
   auto& conn = f.client.connect(
-      f.server_node, TransportConfig{.kind = TransportKind::kQuicLike},
+      f.server_node, TransportKind::kQuicLike,
       [&] { ready = true; }, /*resumed=*/true);
   EXPECT_TRUE(ready);  // Established synchronously, before any RTT.
   conn.send(5000.0);
@@ -100,7 +99,7 @@ TEST(Transport, ZeroRttResumptionIsImmediate) {
 
 TEST(Transport, BulkTransferCompletes) {
   Fixture f;
-  auto& conn = f.client.connect(f.server_node, TransportConfig{});
+  auto& conn = f.client.connect(f.server_node, TransportKind::kQuicLike);
   conn.send(1e6);  // 1 MB.
   f.run_for(Duration::seconds(10.0));
   EXPECT_DOUBLE_EQ(conn.stats().bytes_acked, 1e6);
@@ -110,17 +109,31 @@ TEST(Transport, BulkTransferCompletes) {
 }
 
 TEST(Transport, ThroughputApproachesLinkRate) {
-  Fixture f;
-  auto& conn = f.client.connect(f.server_node, TransportConfig{});
+  // A 50 Mb/s path with 20 ms RTT: its 125 kB bandwidth-delay product
+  // fits the 256 KiB drop-tail queue, so slow start can fill the pipe
+  // without overflowing it. (The fixture's 80 ms RTT path has twice the
+  // queue's worth in flight at link rate.)
+  sim::Simulator sim;
+  net::Network net{sim};
+  const NodeId a = net.add_node("a");
+  const NodeId r = net.add_node("router");
+  const NodeId b = net.add_node("b");
+  const net::LinkConfig edge{DataRate::mbps(50.0), Duration::millis(5)};
+  net.add_link(a, r, edge);
+  net.add_link(r, b, edge);
+  TransportHost client{sim, net, a};
+  TransportHost server{sim, net, b};
+  server.listen();
+  auto& conn = client.connect(b, TransportKind::kQuicLike);
   conn.send(10e6);  // 10 MB over a 50 Mb/s path.
-  f.run_for(Duration::seconds(6.0));
+  sim.run_until(sim.now() + Duration::seconds(6.0));
   // Ideal: 10 MB / 50 Mb/s = 1.6 s after slow start. Allow generous slack.
   EXPECT_GT(conn.stats().bytes_acked, 9.9e6);
 }
 
 TEST(Transport, DataBeforeEstablishmentIsQueued) {
   Fixture f;
-  auto& conn = f.client.connect(f.server_node, TransportConfig{});
+  auto& conn = f.client.connect(f.server_node, TransportKind::kQuicLike);
   conn.send(2000.0);  // Sent during handshake.
   EXPECT_FALSE(conn.established());
   f.run_for(Duration::seconds(1.0));
@@ -129,7 +142,7 @@ TEST(Transport, DataBeforeEstablishmentIsQueued) {
 
 TEST(Transport, QuicMigrationContinuesStream) {
   Fixture f;
-  auto& conn = f.client.connect(f.server_node, TransportConfig{});
+  auto& conn = f.client.connect(f.server_node, TransportKind::kQuicLike);
   conn.send(20e6);  // Still in flight at migration time.
   f.run_for(Duration::seconds(0.5));
   const double before = conn.stats().bytes_acked;
@@ -146,7 +159,7 @@ TEST(Transport, QuicMigrationContinuesStream) {
 
 TEST(Transport, QuicMigrationGapIsShort) {
   Fixture f;
-  auto& conn = f.client.connect(f.server_node, TransportConfig{});
+  auto& conn = f.client.connect(f.server_node, TransportKind::kQuicLike);
   conn.send(50e6);  // Enough to keep the pipe busy throughout.
   f.run_for(Duration::seconds(1.0));
   conn.rebind(f.client2);
@@ -169,7 +182,7 @@ TEST(Transport, QuicMigrationGapIsShort) {
 TEST(Transport, TcpBreaksOnRebind) {
   Fixture f;
   auto& conn = f.client.connect(
-      f.server_node, TransportConfig{.kind = TransportKind::kTcpLike});
+      f.server_node, TransportKind::kTcpLike);
   conn.send(2e6);
   f.run_for(Duration::seconds(1.0));
   conn.rebind(f.client2);
@@ -183,7 +196,7 @@ TEST(Transport, TcpBreaksOnRebind) {
 TEST(Transport, TcpAppLevelReconnectResumes) {
   Fixture f;
   auto& c1 = f.client.connect(
-      f.server_node, TransportConfig{.kind = TransportKind::kTcpLike});
+      f.server_node, TransportKind::kTcpLike);
   c1.send(2e6);
   f.run_for(Duration::seconds(1.0));
   c1.rebind(f.client2);
@@ -191,24 +204,24 @@ TEST(Transport, TcpAppLevelReconnectResumes) {
   // Application resumes the remaining bytes over a new connection.
   const double remaining = 2e6 - c1.stats().bytes_acked;
   auto& c2 = f.client2.connect(
-      f.server_node, TransportConfig{.kind = TransportKind::kTcpLike});
+      f.server_node, TransportKind::kTcpLike);
   c2.send(remaining);
   f.run_for(Duration::seconds(10.0));
   EXPECT_DOUBLE_EQ(c1.stats().bytes_acked + c2.stats().bytes_acked, 2e6);
 }
 
 TEST(Transport, LossTriggersRetransmissionAndRecovers) {
-  // Small queue to force drops during slow start.
+  // Slow start overshoots the 256 KiB drop-tail queue of a thin link.
   sim::Simulator sim;
   net::Network net{sim};
   const NodeId a = net.add_node("a");
   const NodeId b = net.add_node("b");
-  net.add_link(a, b, net::LinkConfig{DataRate::mbps(5.0),
-                                     Duration::millis(10), 8000});
+  net.add_link(a, b,
+               net::LinkConfig{DataRate::mbps(5.0), Duration::millis(10)});
   TransportHost client{sim, net, a};
   TransportHost server{sim, net, b};
   server.listen();
-  auto& conn = client.connect(b, TransportConfig{});
+  auto& conn = client.connect(b, TransportKind::kQuicLike);
   conn.send(3e6);
   sim.run_until(sim.now() + Duration::seconds(30.0));
   EXPECT_GT(conn.stats().retransmissions, 0);
@@ -217,8 +230,8 @@ TEST(Transport, LossTriggersRetransmissionAndRecovers) {
 
 TEST(Transport, ServerTracksMultipleConnections) {
   Fixture f;
-  auto& c1 = f.client.connect(f.server_node, TransportConfig{});
-  auto& c2 = f.client2.connect(f.server_node, TransportConfig{});
+  auto& c1 = f.client.connect(f.server_node, TransportKind::kQuicLike);
+  auto& c2 = f.client2.connect(f.server_node, TransportKind::kQuicLike);
   c1.send(1000.0);
   c2.send(2000.0);
   f.run_for(Duration::seconds(1.0));
@@ -235,34 +248,18 @@ TEST(Transport, OnDataCallbackObservesProgress) {
   f.server.listen([&](ServerConnection& sc) {
     sc.on_data = [&](double offset) { last_seen = offset; };
   });
-  auto& conn = f.client.connect(f.server_node, TransportConfig{});
+  auto& conn = f.client.connect(f.server_node, TransportKind::kQuicLike);
   conn.send(10000.0);
   f.run_for(Duration::seconds(2.0));
   EXPECT_DOUBLE_EQ(last_seen, 10000.0);
 }
 
 
-TEST(Transport, ZeroRttDisabledFallsBackToHandshake) {
-  Fixture f;
-  transport::TransportConfig cfg;
-  cfg.zero_rtt_resumption = false;
-  bool ready = false;
-  auto& conn = f.client.connect(f.server_node, cfg, [&] { ready = true; },
-                                /*resumed=*/true);
-  // Resumption ticket ignored: the connection still handshakes (1 RTT).
-  EXPECT_FALSE(ready);
-  EXPECT_FALSE(conn.established());
-  f.run_for(Duration::seconds(1.0));
-  EXPECT_TRUE(conn.established());
-  EXPECT_EQ(conn.stats().handshake_rtts, 1);
-}
-
 TEST(Transport, TcpResumedStillPaysTwoRtts) {
   // "resumed" is a QUIC concept; the TCP-like transport must ignore it.
   Fixture f;
   auto& conn = f.client.connect(
-      f.server_node, transport::TransportConfig{
-                         .kind = transport::TransportKind::kTcpLike},
+      f.server_node, transport::TransportKind::kTcpLike,
       nullptr, /*resumed=*/true);
   f.run_for(Duration::seconds(1.0));
   EXPECT_TRUE(conn.established());
@@ -272,8 +269,7 @@ TEST(Transport, TcpResumedStillPaysTwoRtts) {
 TEST(Transport, SendOnBrokenConnectionIsInert) {
   Fixture f;
   auto& conn = f.client.connect(
-      f.server_node, transport::TransportConfig{
-                         .kind = transport::TransportKind::kTcpLike});
+      f.server_node, transport::TransportKind::kTcpLike);
   conn.send(1000.0);
   f.run_for(Duration::seconds(1.0));
   conn.rebind(f.client2);
@@ -286,7 +282,7 @@ TEST(Transport, SendOnBrokenConnectionIsInert) {
 
 TEST(Transport, UnackedBytesTracksQueue) {
   Fixture f;
-  auto& conn = f.client.connect(f.server_node, transport::TransportConfig{});
+  auto& conn = f.client.connect(f.server_node, transport::TransportKind::kQuicLike);
   conn.send(5'000.0);
   // Unacked = queued (5,000 B) - acked.
   EXPECT_DOUBLE_EQ(5'000.0 - conn.stats().bytes_acked, 5'000.0);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 namespace dlte::ue {
 namespace {
 
@@ -56,40 +59,46 @@ TEST(NasClient, ForgedAuthRequestRejected) {
   EXPECT_EQ(c.state(), NasClientState::kRejected);
 }
 
+// The un-jittered wait before retry `attempt`: 0.5 s doubling, 8 s cap.
+double base_backoff_s(int attempt) {
+  return std::min(0.5 * std::pow(2.0, attempt - 1), 8.0);
+}
+
 TEST(AttachRetryPolicy, BackoffGrowsExponentiallyAndClamps) {
-  AttachRetryPolicy p;
-  p.initial_backoff = Duration::millis(500);
-  p.multiplier = 2.0;
-  p.max_backoff = Duration::seconds(8.0);
-  p.jitter = 0.0;  // Deterministic midpoint for this test.
+  // ±20 % jitter keeps consecutive doublings apart (0.6 < 0.8, …), so
+  // each wait lands in its own band until the cap.
   sim::RngStream rng{1};
-  EXPECT_DOUBLE_EQ(p.backoff(1, rng).to_seconds(), 0.5);
-  EXPECT_DOUBLE_EQ(p.backoff(2, rng).to_seconds(), 1.0);
-  EXPECT_DOUBLE_EQ(p.backoff(3, rng).to_seconds(), 2.0);
-  EXPECT_DOUBLE_EQ(p.backoff(4, rng).to_seconds(), 4.0);
-  EXPECT_DOUBLE_EQ(p.backoff(5, rng).to_seconds(), 8.0);
-  // Clamped at max_backoff from here on.
-  EXPECT_DOUBLE_EQ(p.backoff(9, rng).to_seconds(), 8.0);
+  for (int attempt = 1; attempt <= 5; ++attempt) {
+    const double w = attach_backoff(attempt, rng).to_seconds();
+    EXPECT_GE(w, 0.8 * base_backoff_s(attempt) - 1e-9) << attempt;
+    EXPECT_LE(w, 1.2 * base_backoff_s(attempt) + 1e-9) << attempt;
+    if (attempt > 1) {
+      EXPECT_GT(w, 1.2 * base_backoff_s(attempt - 1)) << attempt;
+    }
+  }
+  // Clamped at 8 s from here on.
+  for (int attempt = 6; attempt <= kMaxAttachAttempts + 2; ++attempt) {
+    const double w = attach_backoff(attempt, rng).to_seconds();
+    EXPECT_GE(w, 8.0 * 0.8 - 1e-9) << attempt;
+    EXPECT_LE(w, 8.0 * 1.2 + 1e-9) << attempt;
+  }
 }
 
 TEST(AttachRetryPolicy, JitterStaysInsideBandAndIsSeedDeterministic) {
-  AttachRetryPolicy p;
-  p.jitter = 0.2;
   sim::RngStream a{99};
   sim::RngStream b{99};
-  for (int attempt = 1; attempt <= 8; ++attempt) {
-    const auto wa = p.backoff(attempt, a);
-    const auto wb = p.backoff(attempt, b);
+  sim::RngStream other{100};
+  bool differs = false;
+  for (int attempt = 1; attempt <= kMaxAttachAttempts; ++attempt) {
+    const auto wa = attach_backoff(attempt, a);
+    const auto wb = attach_backoff(attempt, b);
     EXPECT_EQ(wa.ns(), wb.ns());  // Same stream, same schedule.
-    sim::RngStream probe{7};
-    const double base =
-        AttachRetryPolicy{p.initial_backoff, p.multiplier, p.max_backoff,
-                          0.0, p.max_attempts}
-            .backoff(attempt, probe)
-            .to_seconds();
+    differs |= attach_backoff(attempt, other).ns() != wa.ns();
+    const double base = base_backoff_s(attempt);
     EXPECT_GE(wa.to_seconds(), base * 0.8 - 1e-9);
     EXPECT_LE(wa.to_seconds(), base * 1.2 + 1e-9);
   }
+  EXPECT_TRUE(differs);  // Another stream, another schedule.
 }
 
 }  // namespace

@@ -67,8 +67,36 @@ TEST(UeCohortTest, HooksObserveAttachesAndBytes) {
   EXPECT_EQ(registry.counter("attached").value(), 100u);
   EXPECT_EQ(registry.counter("bytes").value(), 100u * 100'000u);
   EXPECT_EQ(registry.counter("flows").value(), 10u);
-  // One latency sample per UE, all inside base..base+jitter.
+  // One latency sample per UE, all inside 40 ms + uniform(0, 25 ms).
   EXPECT_EQ(registry.histogram("attach.ms").count(), 100u);
+  EXPECT_GE(registry.histogram("attach.ms").min(), 40.0);
+  EXPECT_LE(registry.histogram("attach.ms").max(), 65.0);
+}
+
+TEST(UeCohortTest, FlowRunsAtTheMetroShareOfTheCell) {
+  // One batch of 10 UEs at t = 0 pulling 1 MB each: a 10 MB aggregate
+  // flow over 10 x 25 Mbit/s at 20 ms RTT. Its window caps at
+  // 250 Mbit/s x 20 ms / 1200 B = 520 packets. Slow start sends 100,
+  // 200 and 400 packets (840,000 B by 60 ms); the remaining 9,160,000 B
+  // take ceil(9,160,000 / 624,000) = 15 capped epochs, so the flow lands
+  // at 60 + 300 = 360 ms. (At 50 Mbit/s per UE it would land at 220 ms.)
+  sim::Simulator sim;
+  CohortConfig config;
+  config.ues = 10;
+  config.attach_batches = 1;
+  config.attach_window = Duration{};
+  config.flow_bytes_per_ue = 1'000'000;
+  Tallies tallies;
+  UeCohort cohort{sim, config, sim::RngStream::derive(1, "cohort"),
+                  tallies.hooks};
+  cohort.start();
+  sim.run_until(TimePoint{} + Duration::millis(359));
+  EXPECT_EQ(tallies.flows(), 0u);
+  EXPECT_EQ(tallies.bytes(), 840'000u);
+  sim.run_all();
+  EXPECT_EQ(sim.now(), TimePoint{} + Duration::millis(360));
+  EXPECT_EQ(tallies.flows(), 1u);
+  EXPECT_EQ(tallies.bytes(), 10'000'000u);
 }
 
 TEST(UeCohortTest, EventCountIsBatchesNotUes) {

@@ -27,7 +27,7 @@ struct Fixture {
 
 TEST(CbrSource, OffersConfiguredRate) {
   Fixture f;
-  auto& conn = f.client.connect(f.server_node, transport::TransportConfig{});
+  auto& conn = f.client.connect(f.server_node, transport::TransportKind::kQuicLike);
   CbrSource cbr{f.sim, conn, DataRate::kbps(64.0)};
   cbr.start();
   f.run_for(10.0);
@@ -49,7 +49,7 @@ TEST(CbrSource, TicksAndRetransmitTimersAreLabeled) {
   OttService ott{sim, net, server_node};
   net.add_link(client_node, server_node,
                net::LinkConfig{DataRate::mbps(20.0), Duration::millis(15)});
-  auto& conn = client.connect(server_node, transport::TransportConfig{});
+  auto& conn = client.connect(server_node, transport::TransportKind::kQuicLike);
   CbrSource cbr{sim, conn, DataRate::kbps(64.0)};
   cbr.start();
   sim.run_until(TimePoint{} + Duration::seconds(2.0));
@@ -62,7 +62,7 @@ TEST(CbrSource, TicksAndRetransmitTimersAreLabeled) {
 
 TEST(OttService, ProgressTimelineMonotone) {
   Fixture f;
-  auto& conn = f.client.connect(f.server_node, transport::TransportConfig{});
+  auto& conn = f.client.connect(f.server_node, transport::TransportKind::kQuicLike);
   conn.send(200'000.0);
   f.run_for(5.0);
   const auto& samples = f.ott.progress(conn.id());
@@ -75,7 +75,7 @@ TEST(OttService, ProgressTimelineMonotone) {
 
 TEST(OttService, LongestStallDetectsGap) {
   Fixture f;
-  auto& conn = f.client.connect(f.server_node, transport::TransportConfig{});
+  auto& conn = f.client.connect(f.server_node, transport::TransportKind::kQuicLike);
   // 256 kb/s in 20 ms chunks for 2 s, paused for 1 s (that's the stall),
   // then 2 s more.
   for (int tick = 0; tick < 250; ++tick) {
@@ -92,7 +92,7 @@ TEST(OttService, LongestStallDetectsGap) {
 
 TEST(OttService, FirstProgressAfter) {
   Fixture f;
-  auto& conn = f.client.connect(f.server_node, transport::TransportConfig{});
+  auto& conn = f.client.connect(f.server_node, transport::TransportKind::kQuicLike);
   f.sim.schedule(Duration::seconds(2.0), [&] { conn.send(10'000.0); });
   f.run_for(5.0);
   // The first progress sample after t = 1 s comes with the first byte.
