@@ -67,7 +67,6 @@ RunResult run_town(std::uint64_t seed, bool shared_core,
   sim.set_metrics(reg, metrics_prefix);
   net::Network net{sim};
   net.set_metrics(reg, metrics_prefix);
-  net.set_impairment_seed(seed);
   core::RadioEnvironment radio;
   spectrum::Registry registry{sim, spectrum::RegistryKind::kCentralizedSas};
   registry.set_metrics(reg, metrics_prefix);
@@ -129,7 +128,6 @@ RunResult run_town(std::uint64_t seed, bool shared_core,
   fault::FaultInjector injector{sim};
   injector.set_metrics(reg, metrics_prefix);
   for (auto& ap : aps) injector.register_ap(ap.get());
-  injector.set_network(&net);
   injector.set_registry(&registry);
 
   fault::FaultPlan plan;
@@ -139,7 +137,6 @@ RunResult run_town(std::uint64_t seed, bool shared_core,
   outage.kind = fault::FaultKind::kRegistryOutage;
   outage.at = TimePoint{} + Duration::seconds(kRegistryOutageAtS);
   outage.duration = Duration::seconds(kRegistryOutageDurationS);
-  outage.outage = spectrum::RegistryOutage::kOffline;
   plan.add(outage);
   fault::FaultSpec crash;
   crash.kind = fault::FaultKind::kApCrash;
@@ -189,9 +186,9 @@ int main(int argc, char** argv) {
     // SLO coverage for the metered dLTE run: registry symptoms, service
     // (client-side) health, and one up/down rule per box.
     harness.slo()->add_rules(
-        spectrum::default_registry_slo_rules("c8.dlte.", "registry"));
-    harness.slo()->add_rules(fault::default_resilience_slo_rules(
-        kUes, "c8.dlte.", "service"));
+        spectrum::default_registry_slo_rules("c8.dlte."));
+    harness.slo()->add_rules(
+        fault::default_resilience_slo_rules(kUes, "c8.dlte."));
     for (int ap = 1; ap <= 2; ++ap) {
       obs::SloRule up;
       up.name = "ap" + std::to_string(ap) + "_down";

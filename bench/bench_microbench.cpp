@@ -114,7 +114,7 @@ void BM_X2ShareProposalRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_X2ShareProposalRoundTrip);
 
 void BM_HataPathLoss(benchmark::State& state) {
-  phy::OkumuraHataModel model{phy::Environment::kOpenRural};
+  phy::OkumuraHataModel model;
   double d = 1000.0;
   for (auto _ : state) {
     auto loss = model.path_loss(Hertz::mhz(850.0),

@@ -63,8 +63,8 @@ int main(int argc, char** argv) {
   obs::SloMonitor monitor{metrics};
   monitor.set_metrics(&metrics);
   monitor.set_tracer(&tracer);
-  monitor.add_rules(fault::default_resilience_slo_rules(
-      /*min_ues_in_service=*/8.0, "", "service"));
+  monitor.add_rules(
+      fault::default_resilience_slo_rules(/*min_ues_in_service=*/8.0));
   for (int id = 1; id <= 2; ++id) {
     obs::SloRule up;
     up.name = "ap" + std::to_string(id) + "_down";

@@ -5,23 +5,11 @@
 
 namespace dlte::core {
 
-RadioEnvironment::RadioEnvironment(phy::Environment terrain)
-    : terrain_(terrain) {}
-
 void RadioEnvironment::add_cell(const CellSiteConfig& config) {
   Site site;
   site.config = config;
-  // Rural deployments use the band-appropriate empirical model; other
-  // terrains use the same family with the terrain variant.
-  if (terrain_ == phy::Environment::kOpenRural) {
-    site.model = phy::make_rural_model(config.frequency);
-  } else if (config.frequency.to_mhz() <= 1500.0) {
-    site.model = std::make_unique<phy::OkumuraHataModel>(terrain_);
-  } else if (config.frequency.to_mhz() <= 2600.0) {
-    site.model = std::make_unique<phy::Cost231HataModel>(terrain_);
-  } else {
-    site.model = std::make_unique<phy::LogDistanceModel>(3.2);
-  }
+  // The band-appropriate empirical model of a rural deployment.
+  site.model = phy::make_rural_model(config.frequency);
   cells_.emplace(config.id, std::move(site));
 }
 

@@ -30,9 +30,6 @@ struct CellSiteConfig {
 
 class RadioEnvironment {
  public:
-  explicit RadioEnvironment(
-      phy::Environment terrain = phy::Environment::kOpenRural);
-
   void add_cell(const CellSiteConfig& config);
 
   // Coordination state (driven by the PeerCoordinator / scenario).
@@ -67,7 +64,6 @@ class RadioEnvironment {
   [[nodiscard]] bool co_channel(const Site& a, const Site& b) const;
   [[nodiscard]] PowerDbm rx_power(const Site& site, Position ue) const;
 
-  phy::Environment terrain_;
   std::unordered_map<CellId, Site> cells_;
   phy::RadioProfile ue_profile_{phy::DeviceProfiles::lte_ue()};
 

@@ -1,6 +1,5 @@
 #include "fault/fault.h"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace dlte::fault {
@@ -21,14 +20,8 @@ const char* fault_kind_name(FaultKind kind) {
   switch (kind) {
     case FaultKind::kApCrash:
       return "ap-crash";
-    case FaultKind::kLinkPartition:
-      return "link-partition";
-    case FaultKind::kLinkDegrade:
-      return "link-degrade";
     case FaultKind::kRegistryOutage:
       return "registry-outage";
-    case FaultKind::kX2Impairment:
-      return "x2-impair";
   }
   return "unknown";
 }
@@ -39,24 +32,9 @@ std::string FaultSpec::describe() const {
     case FaultKind::kApCrash:
       s += " ap=" + std::to_string(ap.value());
       break;
-    case FaultKind::kLinkPartition:
-      s += " link=" + std::to_string(link_a.value()) + "<->" +
-           std::to_string(link_b.value());
-      break;
-    case FaultKind::kLinkDegrade:
-      s += " link=" + std::to_string(link_a.value()) + "<->" +
-           std::to_string(link_b.value()) + " loss=" + fmt3(loss) +
-           " extra=" + fmt3(extra_latency.to_millis()) + "ms";
-      break;
     case FaultKind::kRegistryOutage:
-      s += outage == spectrum::RegistryOutage::kCommitStall
-               ? " mode=commit-stall"
-               : " mode=offline";
+      s += " mode=offline";
       s += zone ? " zone=" + std::to_string(*zone) : " zone=all";
-      break;
-    case FaultKind::kX2Impairment:
-      s += " ap=" + std::to_string(ap.value()) + " drop=" + fmt3(loss) +
-           " dup=" + fmt3(duplicate);
       break;
   }
   return s;
@@ -88,13 +66,6 @@ core::DlteAccessPoint* FaultInjector::find_ap(ApId id) const {
     if (ap->id() == id) return ap;
   }
   return nullptr;
-}
-
-std::pair<std::uint64_t, std::uint64_t> FaultInjector::link_key(
-    const FaultSpec& spec) {
-  const std::uint64_t a = spec.link_a.value();
-  const std::uint64_t b = spec.link_b.value();
-  return {std::min(a, b), std::max(a, b)};
 }
 
 void FaultInjector::arm(const FaultPlan& plan) {
@@ -152,34 +123,13 @@ void FaultInjector::inject(const FaultSpec& spec) {
     case FaultKind::kApCrash:
       if (auto* ap = find_ap(spec.ap)) ap->fail();
       break;
-    case FaultKind::kLinkPartition:
-      if (net_ != nullptr && partition_depth_[link_key(spec)]++ == 0) {
-        net_->set_link_enabled(spec.link_a, spec.link_b, false);
-      }
-      break;
-    case FaultKind::kLinkDegrade:
-      if (net_ != nullptr) {
-        net_->set_link_impairment(
-            spec.link_a, spec.link_b,
-            net::LinkImpairment{spec.loss, spec.extra_latency});
-      }
-      break;
     case FaultKind::kRegistryOutage:
       if (registry_ != nullptr) {
         if (spec.zone) {
           registry_->set_zone_offline(*spec.zone, true);
         } else {
-          registry_->set_outage(spec.outage ==
-                                        spectrum::RegistryOutage::kNone
-                                    ? spectrum::RegistryOutage::kOffline
-                                    : spec.outage);
+          registry_->set_outage(spectrum::RegistryOutage::kOffline);
         }
-      }
-      break;
-    case FaultKind::kX2Impairment:
-      if (auto* ap = find_ap(spec.ap)) {
-        ap->coordinator().set_impairment(
-            spectrum::X2Impairment{spec.loss, spec.duplicate});
       }
       break;
   }
@@ -195,19 +145,6 @@ void FaultInjector::heal(const FaultSpec& spec) {
     case FaultKind::kApCrash:
       if (auto* ap = find_ap(spec.ap)) ap->recover(registry_);
       break;
-    case FaultKind::kLinkPartition:
-      // Refcounted: with overlapping windows, only the close of the last
-      // one re-enables the link.
-      if (net_ != nullptr && --partition_depth_[link_key(spec)] == 0) {
-        net_->set_link_enabled(spec.link_a, spec.link_b, true);
-      }
-      break;
-    case FaultKind::kLinkDegrade:
-      if (net_ != nullptr) {
-        net_->set_link_impairment(spec.link_a, spec.link_b,
-                                  net::LinkImpairment{});
-      }
-      break;
     case FaultKind::kRegistryOutage:
       if (registry_ != nullptr) {
         if (spec.zone) {
@@ -215,11 +152,6 @@ void FaultInjector::heal(const FaultSpec& spec) {
         } else {
           registry_->set_outage(spectrum::RegistryOutage::kNone);
         }
-      }
-      break;
-    case FaultKind::kX2Impairment:
-      if (auto* ap = find_ap(spec.ap)) {
-        ap->coordinator().set_impairment(spectrum::X2Impairment{});
       }
       break;
   }

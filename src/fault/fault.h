@@ -2,8 +2,8 @@
 // health" story).
 //
 // A FaultPlan is a fully-reproducible schedule of failures — AP
-// crashes, backhaul partitions and degradations, registry outages, X2
-// message corruption. The FaultInjector arms the plan against live
+// crashes and registry outages (the whole service or one federated
+// zone). The FaultInjector arms the plan against live
 // components on the simulator clock: every fault and its heal is an
 // ordinary event, so two runs with the same seed see byte-identical
 // failure timelines. That is what makes the C8 resilience experiment an
@@ -11,17 +11,14 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/time.h"
 #include "core/access_point.h"
-#include "net/network.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "sim/simulator.h"
@@ -31,10 +28,7 @@ namespace dlte::fault {
 
 enum class FaultKind {
   kApCrash,         // AP loses volatile core state and leaves the air.
-  kLinkPartition,   // Backhaul link hard-down.
-  kLinkDegrade,     // Backhaul link turns lossy / slow.
   kRegistryOutage,  // Registry service (or one federated zone) fails.
-  kX2Impairment,    // An AP's X2 agent drops / duplicates messages.
 };
 
 [[nodiscard]] const char* fault_kind_name(FaultKind kind);
@@ -46,11 +40,9 @@ struct FaultSpec {
   // Zero = permanent: the fault never heals within the run.
   Duration duration{};
 
-  ApId ap{};                   // kApCrash, kX2Impairment.
-  NodeId link_a{}, link_b{};   // kLinkPartition, kLinkDegrade.
-  double loss{0.0};            // kLinkDegrade loss / kX2Impairment drop.
-  Duration extra_latency{};    // kLinkDegrade added one-way delay.
-  double duplicate{0.0};       // kX2Impairment duplication probability.
+  ApId ap{};  // kApCrash.
+  // kRegistryOutage takes the registry offline whatever this says:
+  // perfbench/replicas.cpp still sets it, so it goes with that file.
   spectrum::RegistryOutage outage{spectrum::RegistryOutage::kNone};
   // kRegistryOutage: the federated zone (spectrum::Registry::zone_of)
   // that fails; none takes the whole registry down.
@@ -89,7 +81,6 @@ class FaultInjector {
         heal_label_(sim_.label("fault.heal")) {}
 
   void register_ap(core::DlteAccessPoint* ap);
-  void set_network(net::Network* net) { net_ = net; }
   void set_registry(spectrum::Registry* registry) { registry_ = registry; }
 
   // Schedule every fault (and, for finite durations, its heal).
@@ -116,14 +107,11 @@ class FaultInjector {
   void heal(const FaultSpec& spec);
   void trace_event(const FaultSpec& spec, std::string_view name);
   [[nodiscard]] core::DlteAccessPoint* find_ap(ApId id) const;
-  [[nodiscard]] static std::pair<std::uint64_t, std::uint64_t> link_key(
-      const FaultSpec& spec);
 
   sim::Simulator& sim_;
   std::uint32_t inject_label_;
   std::uint32_t heal_label_;
   std::vector<core::DlteAccessPoint*> aps_;
-  net::Network* net_{nullptr};
   spectrum::Registry* registry_{nullptr};
   obs::SpanTracer* tracer_{nullptr};
   std::string span_cat_{"fault"};
@@ -132,10 +120,6 @@ class FaultInjector {
   obs::Counter* m_healed_{nullptr};
   obs::Histogram* m_repair_time_s_{nullptr};
   obs::Gauge* m_active_{nullptr};
-  // Overlapping partition windows on one link refcount: the link comes
-  // back only when the *last* window closes. [10,40] ∪ [20,30] heals the
-  // link once, at t=40.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, int> partition_depth_;
 };
 
 }  // namespace dlte::fault

@@ -3,12 +3,11 @@
 namespace dlte::fault {
 
 std::vector<obs::SloRule> default_resilience_slo_rules(
-    double min_ues_in_service, const std::string& prefix,
-    const std::string& scope) {
+    double min_ues_in_service, const std::string& prefix) {
   std::vector<obs::SloRule> rules;
   obs::SloRule r;
   r.name = "service_degraded";
-  r.scope = scope;
+  r.scope = "service";
   r.metric = prefix + "resilience.ues_in_service";
   r.predicate = obs::SloPredicate::kGaugeAtLeast;
   r.threshold = min_ues_in_service;

@@ -11,12 +11,11 @@
 
 namespace dlte::fault {
 
-// Rules over `<prefix>resilience.*` metrics under health scope `scope`:
+// Rules over `<prefix>resilience.*` metrics under health scope "service":
 //   * service_degraded — gauge resilience.ues_in_service must stay at
 //     least `min_ues_in_service` (fires while a crash strands UEs,
 //     resolves when failover re-attaches them elsewhere).
 std::vector<obs::SloRule> default_resilience_slo_rules(
-    double min_ues_in_service, const std::string& prefix = "",
-    const std::string& scope = "service");
+    double min_ues_in_service, const std::string& prefix = "");
 
 }  // namespace dlte::fault

@@ -119,7 +119,6 @@ void Network::set_metrics(obs::MetricsRegistry* registry,
     m_packets_sent_ = nullptr;
     m_bytes_sent_ = nullptr;
     m_queue_drops_ = nullptr;
-    m_impaired_drops_ = nullptr;
     m_unroutable_drops_ = nullptr;
     m_remote_forwards_ = nullptr;
     m_partition_seconds_ = nullptr;
@@ -128,7 +127,9 @@ void Network::set_metrics(obs::MetricsRegistry* registry,
   m_packets_sent_ = &registry->counter(prefix + "net.packets_sent");
   m_bytes_sent_ = &registry->counter(prefix + "net.bytes_sent");
   m_queue_drops_ = &registry->counter(prefix + "net.queue_drops");
-  m_impaired_drops_ = &registry->counter(prefix + "net.impaired_drops");
+  // Never incremented: links are never impaired, but the name is part of
+  // every metrics document.
+  (void)registry->counter(prefix + "net.impaired_drops");
   m_unroutable_drops_ = &registry->counter(prefix + "net.unroutable_drops");
   m_remote_forwards_ = &registry->counter(prefix + "net.remote_forwards");
   m_partition_seconds_ = &registry->gauge(prefix + "net.partition_seconds");
@@ -160,15 +161,6 @@ void Network::forward(Packet&& packet, NodeId at) {
     return;  // Unroutable: dropped.
   }
   DirectedLink& link = links_[li];
-
-  if (link.impairment.loss > 0.0 &&
-      impairment_rng_.bernoulli(link.impairment.loss)) {
-    obs::inc(m_impaired_drops_);
-    obs::span_annotate(tracer_, packet.trace_span, "drop", "impaired_loss");
-    obs::span_end(tracer_, packet.trace_span);
-    return;
-  }
-
   const TimePoint now = sim_.now();
   const TimePoint start = std::max(now, link.busy_until);
   // Drop-tail bound: bytes already committed but not yet serialized.
@@ -186,8 +178,7 @@ void Network::forward(Packet&& packet, NodeId at) {
   obs::inc(m_packets_sent_);
   obs::inc(m_bytes_sent_, static_cast<std::uint64_t>(packet.size_bytes));
 
-  const TimePoint arrival =
-      start + tx + link.config.delay + link.impairment.extra_delay;
+  const TimePoint arrival = start + tx + link.config.delay;
   HopEvent* hop = hop_pool_.acquire();
   hop->net = this;
   hop->next = link.to;
@@ -212,7 +203,7 @@ Duration Network::path_latency(NodeId from, NodeId to, int size_bytes) const {
   while (at != to) {
     const DirectedLink* link = next_hop(at, to);
     if (link == nullptr) return Duration::seconds(-1.0);
-    total += link->config.delay + link->impairment.extra_delay +
+    total += link->config.delay +
              Duration::seconds(size_bytes * 8.0 / link->config.rate.bps());
     at = link->to;
     if (++guard > static_cast<int>(nodes_.size())) break;
@@ -232,16 +223,6 @@ int Network::hop_count(NodeId from, NodeId to) const {
   return hops;
 }
 
-void Network::set_link_impairment(NodeId a, NodeId b,
-                                  LinkImpairment impairment) {
-  for (std::size_t li : nodes_[a.value()].links) {
-    if (links_[li].to == b) links_[li].impairment = impairment;
-  }
-  for (std::size_t li : nodes_[b.value()].links) {
-    if (links_[li].to == a) links_[li].impairment = impairment;
-  }
-}
-
 void Network::set_link_enabled(NodeId a, NodeId b, bool enabled) {
   for (std::size_t li : nodes_[a.value()].links) {
     if (links_[li].to != b) continue;
@@ -256,7 +237,12 @@ void Network::set_link_enabled(NodeId a, NodeId b, bool enabled) {
     link.enabled = enabled;
   }
   for (std::size_t li : nodes_[b.value()].links) {
-    if (links_[li].to == a) links_[li].enabled = enabled;
+    if (links_[li].to != a) continue;
+    // Either end may re-enable the link, so b→a remembers when it went
+    // down too.
+    DirectedLink& link = links_[li];
+    if (link.enabled && !enabled) link.down_since = sim_.now();
+    link.enabled = enabled;
   }
   routes_dirty_ = true;
 }

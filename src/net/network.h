@@ -20,7 +20,6 @@
 #include "common/units.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "sim/random.h"
 #include "sim/simulator.h"
 
 namespace dlte::net {
@@ -50,15 +49,6 @@ struct Packet {
 struct LinkConfig {
   DataRate rate{DataRate::mbps(100.0)};
   Duration delay{Duration::millis(1)};
-};
-
-// Runtime degradation of a link (fault injection / weather / congestion
-// modelling): random loss and added one-way latency on top of the link's
-// configured delay. Draws come from the network's deterministic RNG
-// stream, so runs stay seed-reproducible.
-struct LinkImpairment {
-  double loss{0.0};          // Per-packet drop probability, 0..1.
-  Duration extra_delay{};    // Added to propagation delay.
 };
 
 class Network {
@@ -104,22 +94,12 @@ class Network {
   // packets with no remaining route are dropped.
   void set_link_enabled(NodeId a, NodeId b, bool enabled);
 
-  // Degrade a bidirectional link in place (both directions). Routing is
-  // unchanged — an impaired link still carries traffic, it just loses or
-  // delays it. Reset with a default-constructed LinkImpairment.
-  void set_link_impairment(NodeId a, NodeId b, LinkImpairment impairment);
-  // Seed for the loss draws (defaults to a fixed constant; set it before
-  // traffic flows to tie impairment draws to a scenario seed).
-  void set_impairment_seed(std::uint64_t seed) {
-    impairment_rng_ = sim::RngStream{seed};
-  }
-
   // Recompute routing tables (called lazily after topology changes).
   void recompute_routes();
 
   // Export network-wide aggregates under `<prefix>net.*`: packets/bytes
-  // sent, queue and impairment drops, unroutable drops, and cumulative
-  // link-partition seconds (accrued when a disabled link re-enables).
+  // sent, queue drops, unroutable drops, and cumulative link-partition
+  // seconds (accrued when a disabled link re-enables).
   void set_metrics(obs::MetricsRegistry* registry,
                    const std::string& prefix = "");
 
@@ -134,7 +114,6 @@ class Network {
     LinkConfig config;
     TimePoint busy_until{};
     bool enabled{true};
-    LinkImpairment impairment{};
     TimePoint down_since{};
   };
   struct Node {
@@ -164,7 +143,6 @@ class Network {
   // next_hop_[from][to] = link index, or npos.
   std::vector<std::vector<std::size_t>> next_hop_;
   bool routes_dirty_{true};
-  sim::RngStream impairment_rng_{0xfa171u};
 
   obs::SpanTracer* tracer_{nullptr};
   std::string span_cat_{"net"};
@@ -172,7 +150,6 @@ class Network {
   obs::Counter* m_packets_sent_{nullptr};
   obs::Counter* m_bytes_sent_{nullptr};
   obs::Counter* m_queue_drops_{nullptr};
-  obs::Counter* m_impaired_drops_{nullptr};
   obs::Counter* m_unroutable_drops_{nullptr};
   obs::Counter* m_remote_forwards_{nullptr};
   obs::Gauge* m_partition_seconds_{nullptr};

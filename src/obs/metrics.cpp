@@ -100,35 +100,6 @@ double Histogram::quantile(double q) const {
   return estimate;
 }
 
-double Histogram::quantile_since(const Histogram& baseline, double q) const {
-  const std::uint64_t n = count_ - baseline.count_;
-  if (n == 0) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const auto rank = static_cast<std::uint64_t>(
-      std::max<double>(1.0, std::ceil(q * static_cast<double>(n))));
-  std::uint64_t seen = underflow_ - baseline.underflow_;
-  if (rank <= seen) return min_ < 0.0 ? min_ : 0.0;
-  double estimate = max_;
-  // The baseline's buckets are a subset of ours: walk both in step.
-  auto base = baseline.buckets_.begin();
-  for (const Bucket& b : buckets_) {
-    std::uint64_t delta = b.count;
-    while (base != baseline.buckets_.end() && base->index < b.index) ++base;
-    if (base != baseline.buckets_.end() && base->index == b.index) {
-      delta -= base->count;
-    }
-    seen += delta;
-    if (seen >= rank) {
-      estimate = bucket_midpoint(b.index);
-      break;
-    }
-  }
-  if (estimate < min_) estimate = min_;
-  if (estimate > max_) estimate = max_;
-  return estimate;
-}
-
 const Counter* MetricsRegistry::find_counter(const std::string& name) const {
   const auto it = counters_.find(name);
   return it != counters_.end() ? &it->second : nullptr;
@@ -137,12 +108,6 @@ const Counter* MetricsRegistry::find_counter(const std::string& name) const {
 const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
   const auto it = gauges_.find(name);
   return it != gauges_.end() ? &it->second : nullptr;
-}
-
-const Histogram* MetricsRegistry::find_histogram(
-    const std::string& name) const {
-  const auto it = histograms_.find(name);
-  return it != histograms_.end() ? &it->second : nullptr;
 }
 
 }  // namespace dlte::obs

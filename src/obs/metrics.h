@@ -61,8 +61,8 @@ class Gauge {
 // bucket that reports as 0. Memory is O(occupied buckets), never O(n):
 // the occupied buckets sit in one contiguous array sorted by bucket
 // index, so a record is a binary search over a few dozen entries (and an
-// insert only the first time a bucket is hit), and quantiles and
-// windowed views are linear walks over that array.
+// insert only the first time a bucket is hit), and a quantile is a
+// linear walk over that array.
 class Histogram {
  public:
   static constexpr int kSubBuckets = 32;
@@ -79,19 +79,6 @@ class Histogram {
 
   // q in [0,1]. Bucket-midpoint estimate, clamped to [min(), max()].
   [[nodiscard]] double quantile(double q) const;
-
-  // Windowed view by bucket subtraction: statistics of the samples
-  // recorded into *this since `baseline` was copied from it. `baseline`
-  // MUST be an earlier copy of this same histogram. The clamp range is
-  // the lifetime [min(), max()] (a superset of the window's), so the
-  // estimate keeps the log-linear ~1.6% bucket accuracy. This is what
-  // lets the SLO monitor compute "p95 over the last 5 s" without ever
-  // storing samples.
-  [[nodiscard]] std::uint64_t count_since(const Histogram& baseline) const {
-    return count_ - baseline.count_;
-  }
-  [[nodiscard]] double quantile_since(const Histogram& baseline,
-                                      double q) const;
 
   // Absorb every sample of `other` by bucket-wise addition. Because the
   // bucket layout is fixed (not adaptive), merging per-shard histograms
@@ -149,8 +136,6 @@ class MetricsRegistry {
 
   [[nodiscard]] const Counter* find_counter(const std::string& name) const;
   [[nodiscard]] const Gauge* find_gauge(const std::string& name) const;
-  [[nodiscard]] const Histogram* find_histogram(
-      const std::string& name) const;
 
   [[nodiscard]] const std::map<std::string, Counter>& counters() const {
     return counters_;

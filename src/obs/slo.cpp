@@ -8,44 +8,22 @@ namespace dlte::obs {
 
 const char* slo_predicate_name(SloPredicate predicate) {
   switch (predicate) {
-    case SloPredicate::kQuantileBelow:
-      return "quantile_below";
     case SloPredicate::kRateBelow:
       return "rate_below";
     case SloPredicate::kRateAtLeast:
       return "rate_at_least";
     case SloPredicate::kGaugeAtLeast:
       return "gauge_at_least";
-    case SloPredicate::kGaugeAtMost:
-      return "gauge_at_most";
   }
   return "?";
 }
 
 std::string SloRule::describe() const {
   std::string s = name + " [" + scope + "]: " + slo_predicate_name(predicate) +
-                  "(" + metric;
-  if (predicate == SloPredicate::kQuantileBelow) {
-    s += " p" + JsonWriter::format_double(quantile * 100.0);
-  }
-  s += ")";
-  switch (predicate) {
-    case SloPredicate::kQuantileBelow:
-    case SloPredicate::kRateBelow:
-      s += " < ";
-      break;
-    case SloPredicate::kRateAtLeast:
-    case SloPredicate::kGaugeAtLeast:
-      s += " >= ";
-      break;
-    case SloPredicate::kGaugeAtMost:
-      s += " <= ";
-      break;
-  }
+                  "(" + metric + ")";
+  s += predicate == SloPredicate::kRateBelow ? " < " : " >= ";
   s += JsonWriter::format_double(threshold);
-  if (predicate == SloPredicate::kQuantileBelow ||
-      predicate == SloPredicate::kRateBelow ||
-      predicate == SloPredicate::kRateAtLeast) {
+  if (predicate != SloPredicate::kGaugeAtLeast) {
     s += " over " + JsonWriter::format_double(window.to_seconds()) + "s";
   }
   return s;
@@ -80,21 +58,6 @@ bool SloMonitor::healthy(RuleState& state, double t_s, double* value) {
   const SloRule& rule = state.rule;
   *value = 0.0;
   switch (rule.predicate) {
-    case SloPredicate::kQuantileBelow: {
-      const Histogram* h = registry_.find_histogram(rule.metric);
-      if (h == nullptr) return true;
-      auto& window = state.histogram_window;
-      window.emplace_back(t_s, *h);
-      const double horizon = t_s - rule.window.to_seconds();
-      // Keep one snapshot at-or-before the horizon as the diff baseline.
-      while (window.size() > 1 && window[1].first <= horizon) {
-        window.pop_front();
-      }
-      const Histogram& baseline = window.front().second;
-      if (h->count_since(baseline) == 0) return true;  // No traffic: vacuous.
-      *value = h->quantile_since(baseline, rule.quantile);
-      return *value < rule.threshold;
-    }
     case SloPredicate::kRateBelow:
     case SloPredicate::kRateAtLeast: {
       const Counter* c = registry_.find_counter(rule.metric);
@@ -124,14 +87,11 @@ bool SloMonitor::healthy(RuleState& state, double t_s, double* value) {
       if (dt < rule.window.to_seconds()) return true;
       return rate >= rule.threshold;
     }
-    case SloPredicate::kGaugeAtLeast:
-    case SloPredicate::kGaugeAtMost: {
+    case SloPredicate::kGaugeAtLeast: {
       const Gauge* g = registry_.find_gauge(rule.metric);
       if (g == nullptr) return true;
       *value = g->value();
-      return rule.predicate == SloPredicate::kGaugeAtLeast
-                 ? *value >= rule.threshold
-                 : *value <= rule.threshold;
+      return *value >= rule.threshold;
     }
   }
   return true;

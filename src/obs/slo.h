@@ -1,18 +1,17 @@
 // SLO health monitoring: declarative rules over the live metrics plane
 // (DESIGN.md §10).
 //
-// An SloRule names the *healthy* condition for one metric — "windowed
-// p95 of epc.attach_latency_ms stays under 250 ms", "the rate of
-// registry.heartbeats_failed stays under 0.01/s", "gauge ap1.up is at
-// least 1" — plus how many consecutive evaluations must breach before
-// the alert fires (and pass before it resolves), Prometheus-`for`
-// style, so one noisy tick does not page.
+// An SloRule names the *healthy* condition for one metric — "the rate
+// of registry.heartbeats_failed stays under 0.01/s over 5 s", "gauge
+// ap1.up is at least 1" — plus how many consecutive evaluations must
+// breach before the alert fires (and pass before it resolves),
+// Prometheus-`for` style, so one noisy tick does not page.
 //
 // The monitor is evaluated at a fixed simulated cadence (the same
 // recurring event that drives the TimeSeriesSampler — see
-// sim::TelemetryDriver). Windowed predicates are computed from bucket
-// subtraction of Histogram copies / counter deltas the monitor keeps
-// itself, so a rule sees only the traffic inside its window.
+// sim::TelemetryDriver). Rate predicates are computed from counter
+// deltas the monitor keeps itself, so a rule sees only the traffic
+// inside its window.
 //
 // Fire/resolve transitions are recorded as structured SloAlertEvents
 // (exported into the series JSON), emitted as zero-duration
@@ -39,12 +38,10 @@ namespace dlte::obs {
 
 // The healthy condition a rule asserts. Alerts fire on violation.
 enum class SloPredicate {
-  kQuantileBelow,  // windowed histogram quantile(q) < threshold
   kRateBelow,      // counter delta/sec over the window < threshold
   kRateAtLeast,    // counter delta/sec over the window >= threshold
                    // (liveness: "heartbeats must keep flowing")
   kGaugeAtLeast,   // gauge value >= threshold
-  kGaugeAtMost,    // gauge value <= threshold
 };
 
 [[nodiscard]] const char* slo_predicate_name(SloPredicate predicate);
@@ -53,15 +50,14 @@ struct SloRule {
   std::string name;    // Alert name, e.g. "registry_outage".
   std::string scope;   // Health-score grouping, e.g. "ap1", "registry".
   std::string metric;  // Registry metric the predicate reads.
-  SloPredicate predicate{SloPredicate::kGaugeAtMost};
+  SloPredicate predicate{SloPredicate::kGaugeAtLeast};
   double threshold{0.0};
-  double quantile{0.95};                    // kQuantileBelow only.
-  Duration window{Duration::seconds(5.0)};  // Windowed predicates only.
+  Duration window{Duration::seconds(5.0)};  // Rate predicates only.
   int fire_after{1};     // Consecutive breaching evaluations to fire.
   int resolve_after{1};  // Consecutive healthy evaluations to resolve.
 
-  // One deterministic line, e.g.
-  // "attach_p95 [core]: quantile_below(epc.attach_latency_ms p95) < 250".
+  // One deterministic line, e.g. "registry_outage [registry]:
+  // rate_below(registry.heartbeats_failed) < 0.01 over 5s".
   [[nodiscard]] std::string describe() const;
 };
 
@@ -125,10 +121,8 @@ class SloMonitor {
     bool ever_fired{false};
     int bad_streak{0};
     int good_streak{0};
-    // Windowed state: counter samples (t_s, cumulative value) and
-    // histogram copies for bucket-diff quantiles.
+    // Windowed state: counter samples (t_s, cumulative value).
     std::deque<std::pair<double, std::uint64_t>> counter_window;
-    std::deque<std::pair<double, Histogram>> histogram_window;
   };
 
   // Evaluates the predicate; writes the observed value through `value`.

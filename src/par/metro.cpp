@@ -1,7 +1,6 @@
 #include "par/metro.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "par/partition.h"
 #include "workload/cohort.h"
@@ -10,15 +9,6 @@ namespace dlte::par {
 
 namespace {
 constexpr std::uint16_t kLoadReportKind = 1;
-
-std::vector<std::uint8_t> encode_load(std::uint32_t attached) {
-  std::vector<std::uint8_t> payload(4);
-  payload[0] = static_cast<std::uint8_t>(attached & 0xff);
-  payload[1] = static_cast<std::uint8_t>((attached >> 8) & 0xff);
-  payload[2] = static_cast<std::uint8_t>((attached >> 16) & 0xff);
-  payload[3] = static_cast<std::uint8_t>((attached >> 24) & 0xff);
-  return payload;
-}
 }  // namespace
 
 // District metric block: lives wholly in one shard's registry (the
@@ -38,7 +28,6 @@ struct MetroScenario::Cell {
   District* district{nullptr};
   sim::Simulator* sim{nullptr};
   std::unique_ptr<workload::UeCohort> cohort;
-  std::uint32_t last_report{0};
 };
 
 MetroScenario::MetroScenario(MetroConfig config) : config_([&config] {
@@ -114,27 +103,18 @@ void MetroScenario::build() {
 
     runtime_.register_endpoint(
         static_cast<EndpointId>(i), c->district->shard,
-        [c](const Message& m) {
-          c->district->reports_rx->inc();
-          if (m.payload.size() >= 4) {
-            c->last_report = static_cast<std::uint32_t>(m.payload[0]) |
-                             static_cast<std::uint32_t>(m.payload[1]) << 8 |
-                             static_cast<std::uint32_t>(m.payload[2]) << 16 |
-                             static_cast<std::uint32_t>(m.payload[3]) << 24;
-          }
-        });
+        [c](const Message&) { c->district->reports_rx->inc(); });
 
     // Ring load report to the right neighbour: the deliberate cross-shard
-    // traffic that keeps the exchange path honest at metro scale.
+    // traffic that keeps the exchange path honest at metro scale. Only
+    // its arrival counts, so it carries no payload.
     if (n > 1) {
       const EndpointId peer = static_cast<EndpointId>((i + 1) % n);
       c->sim->every(
           config_.report_interval,
           [this, c, peer] {
             runtime_.post(static_cast<EndpointId>(c->index), peer,
-                          config_.backbone_delay, kLoadReportKind,
-                          encode_load(static_cast<std::uint32_t>(
-                              c->cohort->ues_attached())));
+                          config_.backbone_delay, kLoadReportKind, {});
           },
           c->sim->label("metro.report"));
     }

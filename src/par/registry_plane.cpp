@@ -100,7 +100,6 @@ void RegistryPlaneScenario::build() {
   outage.kind = fault::FaultKind::kRegistryOutage;
   outage.at = TimePoint{} + config_.outage_at;
   outage.duration = config_.outage_duration;
-  outage.outage = spectrum::RegistryOutage::kOffline;
   outage.zone = spectrum::Registry::zone_of(storm_center);
   plan.add(outage);
   reg->injector->arm(plan);

@@ -25,6 +25,12 @@ double hata_core(double f_mhz, const LinkGeometry& geo, double c0,
          mobile_correction(f_mhz, geo.mobile_height_m) +
          (44.9 - 6.55 * std::log10(hb)) * std::log10(d_km);
 }
+
+// Okumura's open-area correction, subtracted from the Hata urban loss.
+double open_area_correction(double f_mhz) {
+  return 4.78 * std::pow(std::log10(f_mhz), 2.0) - 18.33 * std::log10(f_mhz) +
+         40.94;
+}
 }  // namespace
 
 Decibels FreeSpaceModel::path_loss(Hertz frequency,
@@ -49,47 +55,23 @@ Decibels LogDistanceModel::path_loss(Hertz frequency,
 Decibels OkumuraHataModel::path_loss(Hertz frequency,
                                      const LinkGeometry& geo) const {
   const double f = std::clamp(frequency.to_mhz(), 150.0, 1500.0);
-  double loss = hata_core(f, geo, 69.55, 26.16);
-  switch (env_) {
-    case Environment::kUrban:
-      break;
-    case Environment::kSuburban:
-      loss -= 2.0 * std::pow(std::log10(f / 28.0), 2.0) + 5.4;
-      break;
-    case Environment::kOpenRural:
-      loss -= 4.78 * std::pow(std::log10(f), 2.0) - 18.33 * std::log10(f) +
-              40.94;
-      break;
-  }
-  return Decibels{loss};
+  return Decibels{hata_core(f, geo, 69.55, 26.16) - open_area_correction(f)};
 }
 
 Decibels Cost231HataModel::path_loss(Hertz frequency,
                                      const LinkGeometry& geo) const {
   const double f = std::clamp(frequency.to_mhz(), 1500.0, 2600.0);
-  double loss = hata_core(f, geo, 46.3, 33.9);
-  switch (env_) {
-    case Environment::kUrban:
-      loss += 3.0;
-      break;
-    case Environment::kSuburban:
-      break;
-    case Environment::kOpenRural:
-      // COST-231 has no open-area term; apply the Okumura open-area
-      // correction, a customary extension for rural planning.
-      loss -= 4.78 * std::pow(std::log10(f), 2.0) - 18.33 * std::log10(f) +
-              40.94;
-      break;
-  }
-  return Decibels{loss};
+  // COST-231 has no open-area term; apply the Okumura open-area
+  // correction, a customary extension for rural planning.
+  return Decibels{hata_core(f, geo, 46.3, 33.9) - open_area_correction(f)};
 }
 
 std::unique_ptr<PropagationModel> make_rural_model(Hertz frequency) {
   if (frequency.to_mhz() <= 1500.0) {
-    return std::make_unique<OkumuraHataModel>(Environment::kOpenRural);
+    return std::make_unique<OkumuraHataModel>();
   }
   if (frequency.to_mhz() <= 2600.0) {
-    return std::make_unique<Cost231HataModel>(Environment::kOpenRural);
+    return std::make_unique<Cost231HataModel>();
   }
   return std::make_unique<LogDistanceModel>(3.0);
 }

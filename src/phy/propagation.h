@@ -11,6 +11,9 @@
 //  * COST-231-Hata — the 1500–2000 MHz extension (covers midband LTE;
 //    we extrapolate mildly to 2.6 GHz as is common practice).
 //
+// Both Hata models are the open-rural variant: every deployment the
+// paper studies (§5) is a rural site.
+//
 // All models return a positive path loss in dB.
 #pragma once
 
@@ -19,8 +22,6 @@
 #include "common/units.h"
 
 namespace dlte::phy {
-
-enum class Environment { kOpenRural, kSuburban, kUrban };
 
 // Geometry and antenna heights for one link.
 struct LinkGeometry {
@@ -61,26 +62,16 @@ class LogDistanceModel final : public PropagationModel {
 
 class OkumuraHataModel final : public PropagationModel {
  public:
-  explicit OkumuraHataModel(Environment env) : env_(env) {}
-
   [[nodiscard]] Decibels path_loss(Hertz frequency,
                                    const LinkGeometry& geo) const override;
   [[nodiscard]] const char* name() const override { return "okumura-hata"; }
-
- private:
-  Environment env_;
 };
 
 class Cost231HataModel final : public PropagationModel {
  public:
-  explicit Cost231HataModel(Environment env) : env_(env) {}
-
   [[nodiscard]] Decibels path_loss(Hertz frequency,
                                    const LinkGeometry& geo) const override;
   [[nodiscard]] const char* name() const override { return "cost231-hata"; }
-
- private:
-  Environment env_;
 };
 
 // Picks the customary model for a carrier frequency in a rural/open

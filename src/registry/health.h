@@ -15,24 +15,19 @@
 namespace dlte::registry {
 
 // Rules over `<prefix>registry.*` metrics (Registry::set_metrics +
-// LeaseCache::set_metrics), grouped under health scope `scope`:
+// LeaseCache::set_metrics), grouped under health scope "registry":
 //   * registry_churn_outage   — heartbeat-failure rate stays under
-//     `max_failure_rate`/s (fires while a zone is dark, resolves after
-//     recovery drains the window).
+//     0.5/s (fires while a zone is dark, resolves after recovery drains
+//     the window).
 //   * registry_grant_failures — grant-failure rate stays under the same
 //     bound (fires during the re-apply storm into an offline zone).
 //   * registry_heartbeat_liveness — heartbeats_ok rate stays at least
-//     `min_heartbeat_rate`/s (a total-outage watchdog: zone storms leave
-//     the other zones renewing, so this only fires when the whole
-//     registry stops serving).
-//   * registry_cache_staleness — stale-serve rate stays under
-//     `max_stale_rate`/s (fires when membership churns faster than the
-//     cache TTLs track it).
-std::vector<obs::SloRule> churn_slo_rules(const std::string& prefix = "",
-                                          const std::string& scope =
-                                              "registry",
-                                          double max_failure_rate = 0.5,
-                                          double min_heartbeat_rate = 0.1,
-                                          double max_stale_rate = 50.0);
+//     0.1/s (a total-outage watchdog: zone storms leave the other zones
+//     renewing, so this only fires when the whole registry stops
+//     serving).
+//   * registry_cache_staleness — stale-serve rate stays under 50/s
+//     (fires when membership churns faster than the cache TTLs track
+//     it).
+std::vector<obs::SloRule> churn_slo_rules(const std::string& prefix);
 
 }  // namespace dlte::registry

@@ -24,7 +24,6 @@ namespace dlte::spectrum {
 enum class ChainRecordKind : std::uint8_t {
   kGrant = 1,
   kSubscriberKey = 2,
-  kRevocation = 3,
 };
 
 struct ChainRecord {

@@ -18,8 +18,7 @@ PeerCoordinator::PeerCoordinator(sim::Simulator& sim, net::Network& net,
       round_label_(sim.label("spectrum.x2_round")),
       net_(net),
       node_(node),
-      config_(config),
-      impair_rng_(sim::RngStream::derive(config.ap.value(), "x2-impair")) {
+      config_(config) {
   net_.set_protocol_handler(node_, kX2Protocol, [this](net::Packet&& p) {
     on_packet(p);
   });
@@ -133,23 +132,11 @@ void PeerCoordinator::start() {
 
 void PeerCoordinator::send_to(NodeId node, const lte::X2Message& message) {
   if (offline_) return;
-  int copies = 1;
-  if (impairment_.drop > 0.0 && impair_rng_.bernoulli(impairment_.drop)) {
-    ++stats_.x2_drops_injected;
-    return;
-  }
-  if (impairment_.duplicate > 0.0 &&
-      impair_rng_.bernoulli(impairment_.duplicate)) {
-    ++stats_.x2_dups_injected;
-    copies = 2;
-  }
   const int size = lte::x2_wire_size(message);
-  for (int c = 0; c < copies; ++c) {
-    net_.send(net::Packet{node_, node, size, kX2Protocol,
-                          lte::encode_x2(message)});
-    obs::inc(m_messages_sent_);
-    obs::inc(m_bytes_sent_, static_cast<std::uint64_t>(size));
-  }
+  net_.send(net::Packet{node_, node, size, kX2Protocol,
+                        lte::encode_x2(message)});
+  obs::inc(m_messages_sent_);
+  obs::inc(m_bytes_sent_, static_cast<std::uint64_t>(size));
 }
 
 void PeerCoordinator::broadcast(const lte::X2Message& message) {

@@ -23,7 +23,6 @@
 #include "net/network.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "sim/random.h"
 #include "sim/simulator.h"
 
 namespace dlte::spectrum {
@@ -35,20 +34,6 @@ struct CoordinatorConfig {
   ApId ap;
   lte::DlteMode mode{lte::DlteMode::kFairShare};
   Duration report_period{Duration::seconds(1.0)};
-};
-
-// Injected-impairment tallies. Everything else a coordinator counts is a
-// metric (set_metrics: `x2.*` and `spectrum.mode_rejects`).
-struct CoordinatorStats {
-  std::uint64_t x2_drops_injected{0};   // Lost to injected impairment.
-  std::uint64_t x2_dups_injected{0};    // Duplicated by injected impairment.
-};
-
-// Injected X2 impairment (src/fault): each outbound message is dropped
-// with probability `drop` or sent twice with probability `duplicate`.
-struct X2Impairment {
-  double drop{0.0};
-  double duplicate{0.0};
 };
 
 class PeerCoordinator {
@@ -109,11 +94,8 @@ class PeerCoordinator {
   // A crashed AP's coordinator goes silent: it neither sends nor receives
   // until brought back online. Peers notice via the liveness timeout.
   void set_offline(bool offline) { offline_ = offline; }
-  // Drop/duplicate outbound X2 messages (coordination-plane loss).
-  void set_impairment(X2Impairment impairment) { impairment_ = impairment; }
 
   [[nodiscard]] double current_share() const { return current_share_; }
-  [[nodiscard]] const CoordinatorStats& stats() const { return stats_; }
   [[nodiscard]] lte::DlteMode mode() const { return config_.mode; }
   [[nodiscard]] std::size_t peer_count() const { return peers_.size(); }
 
@@ -163,14 +145,11 @@ class PeerCoordinator {
   std::map<ApId, TimePoint> last_heard_;
   HandoverSink handover_sink_;
   bool offline_{false};
-  X2Impairment impairment_{};
-  sim::RngStream impair_rng_;
-  CoordinatorStats stats_;
 
   obs::SpanTracer* tracer_{nullptr};
   std::string span_cat_{"x2"};
   // Led-round span state: open until every proposal recipient accepted
-  // (a set, so injected duplicate accepts cannot complete a round early).
+  // (a set, so duplicate accepts cannot complete a round early).
   obs::SpanId round_span_{obs::kNoSpan};
   std::uint32_t round_span_round_{0};
   std::set<std::uint32_t> round_accepts_;

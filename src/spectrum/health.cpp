@@ -2,17 +2,23 @@
 
 namespace dlte::spectrum {
 
+namespace {
+constexpr const char* kScope = "registry";
+// Heartbeat failures (and lapses) per second a healthy registry stays
+// under.
+constexpr double kMaxHeartbeatFailureRate = 0.01;
+}  // namespace
+
 std::vector<obs::SloRule> default_registry_slo_rules(
-    const std::string& prefix, const std::string& scope,
-    double max_heartbeat_failure_rate) {
+    const std::string& prefix) {
   std::vector<obs::SloRule> rules;
   {
     obs::SloRule r;
     r.name = "registry_outage";
-    r.scope = scope;
+    r.scope = kScope;
     r.metric = prefix + "registry.heartbeats_failed";
     r.predicate = obs::SloPredicate::kRateBelow;
-    r.threshold = max_heartbeat_failure_rate;
+    r.threshold = kMaxHeartbeatFailureRate;
     r.window = Duration::seconds(5.0);
     r.fire_after = 2;  // One stray failure must not page.
     r.resolve_after = 2;
@@ -21,10 +27,10 @@ std::vector<obs::SloRule> default_registry_slo_rules(
   {
     obs::SloRule r;
     r.name = "registry_grants_lapsing";
-    r.scope = scope;
+    r.scope = kScope;
     r.metric = prefix + "registry.grants_lapsed";
     r.predicate = obs::SloPredicate::kRateBelow;
-    r.threshold = max_heartbeat_failure_rate;
+    r.threshold = kMaxHeartbeatFailureRate;
     r.window = Duration::seconds(5.0);
     r.fire_after = 1;  // A lapse is already past the grace period.
     r.resolve_after = 2;

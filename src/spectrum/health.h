@@ -13,15 +13,14 @@
 namespace dlte::spectrum {
 
 // Rules over `<prefix>registry.*` metrics (see Registry::set_metrics),
-// grouped under health scope `scope`:
-//   * registry_outage  — heartbeat-failure rate must stay under
-//     `max_heartbeat_failure_rate`/s over a 5 s window (fires within two
-//     evaluations of an offline registry, resolves once failures drain
-//     out of the window after heal).
+// grouped under health scope "registry":
+//   * registry_outage  — heartbeat-failure rate must stay under 0.01/s
+//     over a 5 s window (fires within two evaluations of an offline
+//     registry, resolves once failures drain out of the window after
+//     heal).
 //   * registry_grants_lapsing — lapse rate stays under the same bound:
 //     leases only lapse when renewals stopped for longer than the grace.
 std::vector<obs::SloRule> default_registry_slo_rules(
-    const std::string& prefix = "", const std::string& scope = "registry",
-    double max_heartbeat_failure_rate = 0.01);
+    const std::string& prefix = "");
 
 }  // namespace dlte::spectrum

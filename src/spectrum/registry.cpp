@@ -358,21 +358,8 @@ std::uint32_t Registry::wifi_occupants(Hertz center_frequency) const {
 }
 
 void Registry::set_outage(RegistryOutage outage) {
-  const RegistryOutage previous = outage_;
   outage_ = outage;
   obs::set(m_outage_active_, outage == RegistryOutage::kNone ? 0.0 : 1.0);
-  if (previous == RegistryOutage::kCommitStall &&
-      outage != RegistryOutage::kCommitStall) {
-    // The chain caught up / the service recovered: stalled batches
-    // re-enter the dispatcher now, in submission order. With a chain
-    // attached they queue into the same open commit window, so a whole
-    // stalled backlog commits at the next block inclusion together; a
-    // stall that heals into kOffline fails each batch after the timeout.
-    auto pending = std::move(stalled_);
-    stalled_.clear();
-    publish_stalled_leases();
-    for (GrantBatch& batch : pending) dispatch_grants(std::move(batch));
-  }
 }
 
 obs::SpanId Registry::begin_grant_span(const GrantRequest& request) {
@@ -410,7 +397,7 @@ void Registry::request_grants(GrantRequest request, std::uint32_t count,
   if (count == 0) return;
   GrantBatch batch{std::move(request), count, {}, std::move(callback), 0, {}};
   // Each span closes when its lease's outcome is known, so its duration
-  // is the full request→answer latency (stalls and all).
+  // is the full request→answer latency.
   for (std::uint32_t i = 0; i < count; ++i) {
     const obs::SpanId span = begin_grant_span(batch.request);
     if (span != obs::kNoSpan) batch.spans.push_back(span);
@@ -418,24 +405,12 @@ void Registry::request_grants(GrantRequest request, std::uint32_t count,
   dispatch_grants(std::move(batch));
 }
 
-// `count` single-lease requests would schedule `count` timeouts, stalled
-// entries or commits at one instant with consecutive sequence numbers: no
+// `count` single-lease requests would schedule `count` timeouts or
+// commits at one instant with consecutive sequence numbers: no
 // other event could run between them, so one event (or entry) running the
 // same per-lease loop yields the same ids, metrics, spans and answer time.
 void Registry::dispatch_grants(GrantBatch batch) {
   const bool reachable = reachable_for(batch.request.location);
-  if (reachable && outage_ == RegistryOutage::kCommitStall) {
-    // Reads still work; the batch waits for the stall to clear, then
-    // pays the normal commit latency on top. Its spans stay open across
-    // the stall — the replay must not open new ones.
-    for (const obs::SpanId span : batch.spans) {
-      obs::span_annotate(tracer_, span, "stalled",
-                         "commit deferred: registry commit stall");
-    }
-    stalled_.push_back(std::move(batch));
-    publish_stalled_leases();
-    return;
-  }
   if (reachable && kind_ == RegistryKind::kBlockchain && chain_ != nullptr) {
     // Commit-by-inclusion, one record per lease (records per block is a
     // modelled quantity): each lease is granted when its record is
@@ -496,12 +471,6 @@ void Registry::settle_lease(GrantBatch& batch, const Result<GrantId>& lease) {
   }
   ++batch.settled;
   if (lease) batch.granted.push_back(lease->value());
-}
-
-void Registry::publish_stalled_leases() {
-  std::size_t leases = 0;
-  for (const GrantBatch& batch : stalled_) leases += batch.count;
-  obs::set(m_stalled_commits_, static_cast<double>(leases));
 }
 
 std::vector<SpectrumGrant> Registry::grants_near(Position location) const {
@@ -606,7 +575,6 @@ void Registry::set_metrics(obs::MetricsRegistry* metrics,
     m_grant_failures_ = nullptr;
     m_grants_lapsed_ = nullptr;
     m_outage_active_ = nullptr;
-    m_stalled_commits_ = nullptr;
     m_active_grants_ = nullptr;
     return;
   }
@@ -616,10 +584,9 @@ void Registry::set_metrics(obs::MetricsRegistry* metrics,
   m_grant_failures_ = &metrics->counter(prefix + "registry.grant_failures");
   m_grants_lapsed_ = &metrics->counter(prefix + "registry.grants_lapsed");
   m_outage_active_ = &metrics->gauge(prefix + "registry.outage_active");
-  m_stalled_commits_ = &metrics->gauge(prefix + "registry.stalled_commits");
+  (void)metrics->gauge(prefix + "registry.stalled_commits");
   m_active_grants_ = &metrics->gauge(prefix + "registry.active_grants");
   m_outage_active_->set(outage_ == RegistryOutage::kNone ? 0.0 : 1.0);
-  publish_stalled_leases();
   m_active_grants_->set(static_cast<double>(rows_.size()));
 }
 

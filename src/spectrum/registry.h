@@ -42,16 +42,12 @@ namespace dlte::spectrum {
 
 enum class RegistryKind { kCentralizedSas, kFederated, kBlockchain };
 
-// Failure modes of the registry service itself (driven by src/fault).
-// Each RegistryKind fails in its own characteristic way:
-//   * kOffline — the whole service is unreachable (SAS cloud outage):
-//     queries return nothing, grant requests and heartbeats fail.
-//   * kCommitStall — reads still work but commits hang (a blockchain
-//     registry whose chain has stopped producing blocks): grant requests
-//     queue until the stall clears; queries and heartbeats are unaffected.
-// A federated registry instead fails one *zone* at a time — see
+// Failure mode of the registry service itself (driven by src/fault):
+// kOffline makes the whole service unreachable (SAS cloud outage):
+// queries return nothing, grant requests and heartbeats fail. A
+// federated registry can also fail one *zone* at a time — see
 // set_zone_offline()/zone_of().
-enum class RegistryOutage { kNone, kOffline, kCommitStall };
+enum class RegistryOutage { kNone, kOffline };
 
 // Typed heartbeat outcome: callers that react differently to "the
 // registry was down" vs "the lease is gone" (the churn storm drops and
@@ -158,12 +154,12 @@ class Registry {
   // re-applying together). Open admission (§4.3): any conforming request
   // is granted; the only rejections are malformed requests (no contact —
   // the registry's recourse mechanism is mandatory). The batch is the
-  // unit of grant work: it commits in one event, waits out a commit stall
-  // as one entry, and fails an unreachable registrar in one timeout event;
-  // only a chain-backed registry keeps one record per lease. The callback
-  // runs once, with the granted ids in lease order or the failure (every
-  // lease of a batch shares one request, so they share one outcome). A
-  // zero count is a no-op: the callback never runs.
+  // unit of grant work: it commits in one event and fails an unreachable
+  // registrar in one timeout event; only a chain-backed registry keeps one
+  // record per lease. The callback runs once, with the granted ids in
+  // lease order or the failure (every lease of a batch shares one
+  // request, so they share one outcome). A zero count is a no-op: the
+  // callback never runs.
   using BatchCallback =
       std::function<void(Result<std::vector<std::uint64_t>>)>;
   void request_grants(GrantRequest request, std::uint32_t count,
@@ -282,16 +278,18 @@ class Registry {
   }
 
   // Causal tracing: a grant request opens one "registry_grant" span per
-  // lease that covers request → callback (a commit-stalled lease keeps its
-  // span open across the whole stall), query_region a "registry_query"
-  // span, each heartbeat a zero-duration "registry_heartbeat" marker.
+  // lease that covers request → callback, query_region a
+  // "registry_query" span, each heartbeat a zero-duration
+  // "registry_heartbeat" marker.
   // Category is `<prefix>registry`. Null-safe.
   void set_tracer(obs::SpanTracer* tracer, const std::string& prefix = "");
 
   // Health source (DESIGN.md §10): counters
   // `<prefix>registry.heartbeats_ok` / `.heartbeats_failed`,
   // `.grants_issued` / `.grant_failures`, `.grants_lapsed`, and gauges
-  // `.outage_active` (0/1), `.stalled_commits`, `.active_grants`.
+  // `.outage_active` (0/1), `.active_grants`, and `.stalled_commits`,
+  // which stays at zero (nothing stalls a commit; the name is part of
+  // every metrics document).
   // heartbeats_failed is the symptom SLO rules alert on during an
   // outage — the monitor watches what APs actually experience, not the
   // injector's intent. Null-safe.
@@ -322,8 +320,7 @@ class Registry {
     std::uint32_t settled{0};
     std::vector<std::uint64_t> granted;
   };
-  // Routes a whole batch: unreachable, commit stall, chain-backed or
-  // healthy commit. A healed stall replays its entries through here.
+  // Routes a whole batch: unreachable, chain-backed or healthy commit.
   void dispatch_grants(GrantBatch batch);
   // Records the next lease's outcome and closes its span.
   void settle_lease(GrantBatch& batch, const Result<GrantId>& lease);
@@ -343,8 +340,6 @@ class Registry {
   // is degraded at `now`.
   [[nodiscard]] SpectrumGrant grant_at(std::uint32_t slot,
                                        TimePoint now) const;
-  // The stalled_commits gauge counts leases, not batches.
-  void publish_stalled_leases();
   // Remove slot `slot` from rows_ + every side index (swap-pop).
   void erase_slot(std::size_t slot);
   // Expiry-list maintenance (see due_). link_due inserts a slot whose
@@ -444,13 +439,10 @@ class Registry {
   obs::Counter* m_grant_failures_{nullptr};
   obs::Counter* m_grants_lapsed_{nullptr};
   obs::Gauge* m_outage_active_{nullptr};
-  obs::Gauge* m_stalled_commits_{nullptr};
   obs::Gauge* m_active_grants_{nullptr};
 
   RegistryOutage outage_{RegistryOutage::kNone};
   std::vector<std::int64_t> offline_zones_;
-  // Batches deferred by a kCommitStall outage, replayed on recovery.
-  std::vector<GrantBatch> stalled_;
 };
 
 }  // namespace dlte::spectrum

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#ifdef DLTE_TRANSPORT_TRACE
-#include <cstdio>
-#endif
 
 #include "common/bytes.h"
 
@@ -122,7 +119,6 @@ void TransportHost::handle_server_segment(const net::Packet& packet) {
     case kSegData:
     case kSegZeroRttData: {
       sc.accept(h.offset, h.offset + h.length);
-      sc.last_data_at = sim_.now();
       if (sc.on_data) sc.on_data(sc.received_offset);
       net::Packet ack{node_, sc.client_node, kAckBytes, kTransportProtocol,
                       encode_segment(SegmentHeader{
@@ -255,12 +251,6 @@ void Connection::on_segment(const net::Packet& packet) {
 }
 
 void Connection::handle_ack(double ack_offset, double hint) {
-#ifdef DLTE_TRANSPORT_TRACE
-  std::printf(
-      "[%0.3f] ack=%.0f hint=%.0f acked=%.0f sent=%.0f max=%.0f cwnd=%.1f\n",
-      host_->simulator().now().to_seconds(), ack_offset, hint, acked_offset_,
-      sent_offset_, max_sent_offset_, cwnd_);
-#endif
   stats_.last_ack_at = host_->simulator().now();
   if (ack_offset > acked_offset_ + kGranule) {
     const double newly = ack_offset - acked_offset_;

@@ -124,7 +124,6 @@ struct ServerConnection {
   NodeId client_node;     // Updated on migration (QUIC) — where acks go.
   double received_offset{0.0};
   std::map<double, double> ooo_ranges;  // start → end, disjoint, sorted.
-  TimePoint last_data_at{};
   std::function<void(double /*new_offset*/)> on_data;
 
   // Merge [start, end) into the received state; advances received_offset

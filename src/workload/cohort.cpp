@@ -49,7 +49,6 @@ void UeCohort::start() {
 }
 
 void UeCohort::attach_batch(int /*batch*/, int batch_ues) {
-  ues_attached_ += batch_ues;
   obs::inc(hooks_.attached, static_cast<std::uint64_t>(batch_ues));
   for (int i = 0; i < batch_ues; ++i) {
     const double ms = kAttachMsBase + rng_.uniform(0.0, kAttachMsJitter);

@@ -53,8 +53,6 @@ class UeCohort {
   // Schedule the attach batches. Call once, before or during the run.
   void start();
 
-  [[nodiscard]] int ues_attached() const { return ues_attached_; }
-
  private:
   void attach_batch(int batch, int batch_ues);
 
@@ -65,7 +63,6 @@ class UeCohort {
   Hooks hooks_;
   // Aggregate flows must outlive the run; one per batch.
   std::vector<std::unique_ptr<transport::FlowTrain>> flows_;
-  int ues_attached_{0};
 };
 
 }  // namespace dlte::workload

@@ -13,16 +13,11 @@ TEST(FaultSpec, DescribeNamesKindAndTarget) {
   s.ap = ApId{7};
   EXPECT_EQ(s.describe(), "ap-crash ap=7");
 
-  FaultSpec p;
-  p.kind = FaultKind::kLinkPartition;
-  p.link_a = NodeId{1};
-  p.link_b = NodeId{2};
-  EXPECT_EQ(p.describe(), "link-partition link=1<->2");
-
   FaultSpec o;
   o.kind = FaultKind::kRegistryOutage;
-  o.outage = spectrum::RegistryOutage::kCommitStall;
-  EXPECT_EQ(o.describe(), "registry-outage mode=commit-stall zone=all");
+  EXPECT_EQ(o.describe(), "registry-outage mode=offline zone=all");
+  o.zone = 12;
+  EXPECT_EQ(o.describe(), "registry-outage mode=offline zone=12");
 }
 
 TEST(FaultPlan, SummaryMarksPermanentFaults) {

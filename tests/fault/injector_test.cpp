@@ -1,5 +1,5 @@
-// FaultInjector against live components: partitions heal in the right
-// order, AP crashes lose exactly the volatile state, X2 impairment bites.
+// FaultInjector against live components: AP crashes lose exactly the
+// volatile state, failover moves UEs, every fault lands on the trace.
 #include "fault/fault.h"
 
 #include <gtest/gtest.h>
@@ -18,90 +18,6 @@ namespace dlte::fault {
 namespace {
 
 TimePoint at_s(double s) { return TimePoint{} + Duration::seconds(s); }
-
-TEST(FaultInjector, OverlappingPartitionsHealWhenLastWindowCloses) {
-  sim::Simulator sim;
-  net::Network net{sim};
-  const NodeId a = net.add_node("a");
-  const NodeId b = net.add_node("b");
-  net.add_link(a, b, net::LinkConfig{DataRate::mbps(10.0),
-                                     Duration::millis(5)});
-
-  FaultInjector injector{sim};
-  injector.set_network(&net);
-
-  FaultPlan plan;
-  FaultSpec w1;
-  w1.kind = FaultKind::kLinkPartition;
-  w1.at = at_s(10.0);
-  w1.duration = Duration::seconds(30.0);  // [10, 40].
-  w1.link_a = a;
-  w1.link_b = b;
-  FaultSpec w2 = w1;
-  w2.at = at_s(20.0);
-  w2.duration = Duration::seconds(10.0);  // [20, 30] inside [10, 40].
-  plan.add(w1).add(w2);
-  injector.arm(plan);
-
-  int received = 0;
-  net.set_protocol_handler(b, 0, [&](net::Packet&&) { ++received; });
-
-  // t=35: inner window closed, outer still open — link must be DOWN.
-  sim.run_until(at_s(35.0));
-  net.send(net::Packet{a, b, 100, 0, {}});
-  sim.run_until(at_s(38.0));
-  EXPECT_EQ(received, 0);
-
-  // t=45: last window closed — link healed.
-  sim.run_until(at_s(45.0));
-  net.send(net::Packet{a, b, 100, 0, {}});
-  sim.run_until(at_s(48.0));
-  EXPECT_EQ(received, 1);
-  EXPECT_EQ(injector.stats().injected, 2u);
-  EXPECT_EQ(injector.stats().healed, 2u);
-}
-
-TEST(FaultInjector, LinkDegradeDropsAndDelays) {
-  sim::Simulator sim;
-  net::Network net{sim};
-  const NodeId a = net.add_node("a");
-  const NodeId b = net.add_node("b");
-  net.add_link(a, b, net::LinkConfig{DataRate::mbps(100.0),
-                                     Duration::millis(1)});
-  obs::MetricsRegistry metrics;
-  net.set_metrics(&metrics);
-
-  FaultInjector injector{sim};
-  injector.set_network(&net);
-  FaultPlan plan;
-  FaultSpec d;
-  d.kind = FaultKind::kLinkDegrade;
-  d.at = at_s(1.0);
-  d.duration = Duration::seconds(10.0);
-  d.link_a = a;
-  d.link_b = b;
-  d.loss = 0.5;
-  d.extra_latency = Duration::millis(50);
-  plan.add(d);
-  injector.arm(plan);
-
-  int received = 0;
-  net.set_protocol_handler(b, 0, [&](net::Packet&&) { ++received; });
-  sim.run_until(at_s(2.0));
-  for (int i = 0; i < 200; ++i) net.send(net::Packet{a, b, 100, 0, {}});
-  sim.run_until(at_s(5.0));
-  // Half the packets die, statistically.
-  EXPECT_GT(received, 50);
-  EXPECT_LT(received, 150);
-  EXPECT_GT(metrics.counter("net.impaired_drops").value(), 0u);
-
-  // After heal the link is clean again.
-  sim.run_until(at_s(12.0));
-  const int before = received;
-  for (int i = 0; i < 50; ++i) net.send(net::Packet{a, b, 100, 0, {}});
-  sim.run_all();
-  EXPECT_EQ(received - before, 50);
-}
 
 // The town's engine, with an optional event profiler attached before any
 // component interns its labels.
@@ -375,55 +291,20 @@ TEST(FaultInjector, FailoverAgentMovesUesToSurvivingAp) {
   EXPECT_LT(report.availability, 1.0);
 }
 
-TEST(FaultInjector, X2ImpairmentDropsInjectedMessages) {
-  Town town;
-  auto& a = town.add_ap(1, 0.0);
-  auto& b = town.add_ap(2, 6'000.0);
-  a.bring_up(town.registry);
-  b.bring_up(town.registry);
-  town.run_for(2.0);
-
-  FaultInjector injector{town.sim};
-  injector.register_ap(&a);
-  FaultPlan plan;
-  FaultSpec imp;
-  imp.kind = FaultKind::kX2Impairment;
-  imp.at = town.sim.now() + Duration::seconds(1.0);
-  imp.duration = Duration::seconds(10.0);
-  imp.ap = ApId{1};
-  imp.loss = 1.0;  // Drop everything.
-  plan.add(imp);
-  injector.arm(plan);
-
-  town.run_for(8.0);
-  EXPECT_GT(a.coordinator().stats().x2_drops_injected, 0u);
-
-  // After heal, messages flow again.
-  const auto dropped = a.coordinator().stats().x2_drops_injected;
-  town.run_for(10.0);
-  EXPECT_EQ(a.coordinator().stats().x2_drops_injected, dropped);
-}
-
 TEST(FaultInjector, SpansMarkFaultsAndAnnotateActiveProcedure) {
   sim::Simulator sim;
-  net::Network net{sim};
-  const NodeId a = net.add_node("a");
-  const NodeId b = net.add_node("b");
-  net.add_link(a, b,
-               net::LinkConfig{DataRate::mbps(10.0), Duration::millis(5)});
+  spectrum::Registry registry{sim, spectrum::RegistryKind::kCentralizedSas};
 
   obs::SpanTracer tracer{[&sim] { return sim.now(); }};
   FaultInjector injector{sim};
-  injector.set_network(&net);
+  injector.set_registry(&registry);
   injector.set_tracer(&tracer, "town/");
 
   FaultPlan plan;
   FaultSpec w;
-  w.kind = FaultKind::kLinkPartition;
+  w.kind = FaultKind::kRegistryOutage;
   w.at = at_s(1.0);
   w.duration = Duration::seconds(2.0);
-  w.link_a = a;
-  w.link_b = b;
   plan.add(w);
   injector.arm(plan);
 
@@ -433,6 +314,8 @@ TEST(FaultInjector, SpansMarkFaultsAndAnnotateActiveProcedure) {
   tracer.activate(proc);
   sim.run_until(at_s(5.0));
   tracer.end(proc);
+  EXPECT_EQ(injector.stats().injected, 1u);
+  EXPECT_EQ(injector.stats().healed, 1u);
 
   const obs::Span* inject = nullptr;
   const obs::Span* heal = nullptr;
@@ -450,8 +333,8 @@ TEST(FaultInjector, SpansMarkFaultsAndAnnotateActiveProcedure) {
   EXPECT_EQ(heal->start, at_s(3.0));
   ASSERT_EQ(inject->annotations.size(), 1u);
   EXPECT_EQ(inject->annotations[0].key, "spec");
-  EXPECT_NE(inject->annotations[0].value.find("link-partition"),
-            std::string::npos);
+  EXPECT_EQ(inject->annotations[0].value,
+            "registry-outage mode=offline zone=all");
 
   const obs::Span* p = tracer.find(proc);
   ASSERT_EQ(p->annotations.size(), 2u);

@@ -61,36 +61,6 @@ TEST(RegistryOutage, OfflineFailsRequestsHeartbeatsAndQueries) {
             spectrum::HeartbeatOutcome::kRenewed);
 }
 
-TEST(RegistryOutage, CommitStallQueuesGrantsUntilRecovery) {
-  sim::Simulator sim;
-  spectrum::Registry reg{sim, spectrum::RegistryKind::kBlockchain};
-  reg.set_outage(spectrum::RegistryOutage::kCommitStall);
-
-  bool granted = false;
-  reg.request_grant(request_at(1, Position{}),
-                    [&](Result<spectrum::SpectrumGrant> r) {
-                      granted = r.ok();
-                    });
-  sim.run_until(sim.now() + Duration::seconds(300.0));
-  EXPECT_FALSE(granted);  // Stalled, not failed: the commit waits.
-  EXPECT_EQ(reg.grant_count(), 0u);
-
-  // Reads still work during a commit stall.
-  std::size_t found = 99;
-  reg.query_region(Position{}, [&](std::vector<spectrum::SpectrumGrant> gs) {
-    found = gs.size();
-  });
-  sim.run_until(sim.now() + Duration::seconds(2.0));
-  EXPECT_EQ(found, 0u);
-
-  // The chain catches up: the stalled commit replays and lands after the
-  // normal commit latency.
-  reg.set_outage(spectrum::RegistryOutage::kNone);
-  sim.run_all();
-  EXPECT_TRUE(granted);
-  EXPECT_EQ(reg.grant_count(), 1u);
-}
-
 TEST(RegistryOutage, FederatedZoneFailureIsLocationScoped) {
   sim::Simulator sim;
   spectrum::Registry reg{sim, spectrum::RegistryKind::kFederated};

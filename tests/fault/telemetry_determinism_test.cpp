@@ -35,7 +35,6 @@ Artifacts run_once(std::uint64_t seed) {
   sim.set_metrics(&metrics);
   net::Network net{sim};
   net.set_metrics(&metrics);
-  net.set_impairment_seed(seed);
   core::RadioEnvironment radio;
   spectrum::Registry registry{sim, spectrum::RegistryKind::kCentralizedSas};
   registry.set_metrics(&metrics);
@@ -97,14 +96,12 @@ Artifacts run_once(std::uint64_t seed) {
   FaultInjector injector{sim};
   injector.set_metrics(&metrics);
   for (auto& ap : aps) injector.register_ap(ap.get());
-  injector.set_network(&net);
   injector.set_registry(&registry);
   FaultPlan plan;
   FaultSpec outage;
   outage.kind = FaultKind::kRegistryOutage;
   outage.at = TimePoint{} + Duration::seconds(5.0);
   outage.duration = Duration::seconds(6.0);
-  outage.outage = spectrum::RegistryOutage::kOffline;
   plan.add(outage);
   FaultSpec crash;
   crash.kind = FaultKind::kApCrash;

@@ -161,61 +161,44 @@ TEST(Network, NodeNamesStored) {
   EXPECT_EQ(f.net.node_name(a), "ap-papua-1");
 }
 
-TEST(Network, ImpairedLinkDropsProbabilistically) {
+TEST(Network, ReenabledLinkDeliversAgainAndAccruesPartitionSeconds) {
+  // Disabling a link (a radio handoff, a partition) drops what it would
+  // carry; re-enabling it restores delivery and adds the down time to
+  // net.partition_seconds, once per bidirectional link.
   Fixture f;
   const NodeId a = f.net.add_node("a");
   const NodeId b = f.net.add_node("b");
   f.net.add_link(a, b, LinkConfig{DataRate::mbps(100.0),
                                   Duration::millis(1)});
-  f.net.set_impairment_seed(42);
-  f.net.set_link_impairment(a, b, LinkImpairment{0.5, Duration{}});
   int received = 0;
   f.net.set_protocol_handler(b, 0, [&](Packet&&) { ++received; });
-  const int sent = 400;
-  for (int i = 0; i < sent; ++i) f.net.send(Packet{a, b, 100, 0, {}});
-  f.sim.run_all();
-  // ~50% loss; generous statistical bounds.
-  EXPECT_GT(received, sent / 4);
-  EXPECT_LT(received, sent * 3 / 4);
-  EXPECT_EQ(f.count("net.impaired_drops") +
-                static_cast<std::uint64_t>(received),
-            static_cast<std::uint64_t>(sent));
-  EXPECT_EQ(f.count("net.queue_drops"), 0u);
-}
+  const auto at = [](double s) { return TimePoint{} + Duration::seconds(s); };
+  const auto partition_seconds = [&f] {
+    return f.metrics.gauge("net.partition_seconds").value();
+  };
 
-TEST(Network, ImpairedLinkAddsLatency) {
-  Fixture f;
-  const NodeId a = f.net.add_node("a");
-  const NodeId b = f.net.add_node("b");
-  f.net.add_link(a, b, LinkConfig{DataRate::mbps(100.0),
-                                  Duration::millis(5)});
-  f.net.set_link_impairment(a, b,
-                            LinkImpairment{0.0, Duration::millis(40)});
-  TimePoint arrival;
-  f.net.set_protocol_handler(b, 0, [&](Packet&&) { arrival = f.sim.now(); });
-  f.net.send(Packet{a, b, 0, 0, {}});
-  f.sim.run_all();
-  EXPECT_NEAR((arrival - TimePoint{}).to_millis(), 45.0, 0.1);
-  // path_latency reflects the impairment too.
-  EXPECT_NEAR(f.net.path_latency(a, b, 0).to_millis(), 45.0, 0.1);
-}
-
-TEST(Network, ClearingImpairmentRestoresCleanLink) {
-  Fixture f;
-  const NodeId a = f.net.add_node("a");
-  const NodeId b = f.net.add_node("b");
-  f.net.add_link(a, b, LinkConfig{DataRate::mbps(100.0),
-                                  Duration::millis(1)});
-  f.net.set_link_impairment(a, b, LinkImpairment{1.0, Duration{}});
-  int received = 0;
-  f.net.set_protocol_handler(b, 0, [&](Packet&&) { ++received; });
-  f.net.send(Packet{a, b, 100, 0, {}});
-  f.sim.run_all();
+  f.sim.schedule_at(at(1.0), [&] { f.net.set_link_enabled(a, b, false); });
+  f.sim.schedule_at(at(1.5), [&] { f.net.send(Packet{a, b, 100, 0, {}}); });
+  f.sim.schedule_at(at(3.5), [&] { f.net.set_link_enabled(a, b, true); });
+  f.sim.run_until(at(3.0));
   EXPECT_EQ(received, 0);
-  f.net.set_link_impairment(a, b, LinkImpairment{});
+  EXPECT_EQ(f.count("net.unroutable_drops"), 1u);
+  // Nothing accrues while the link is still down.
+  EXPECT_DOUBLE_EQ(partition_seconds(), 0.0);
+
+  f.sim.run_until(at(4.0));
+  EXPECT_DOUBLE_EQ(partition_seconds(), 2.5);
   for (int i = 0; i < 10; ++i) f.net.send(Packet{a, b, 100, 0, {}});
   f.sim.run_all();
   EXPECT_EQ(received, 10);
+
+  // A second window adds to the first; re-enabling a live link and
+  // disabling from the other end count nothing extra.
+  f.sim.schedule_at(at(10.0), [&] { f.net.set_link_enabled(b, a, false); });
+  f.sim.schedule_at(at(10.25), [&] { f.net.set_link_enabled(a, b, true); });
+  f.sim.schedule_at(at(11.0), [&] { f.net.set_link_enabled(a, b, true); });
+  f.sim.run_all();
+  EXPECT_DOUBLE_EQ(partition_seconds(), 2.75);
 }
 
 TEST(Network, RemoteNodeHandsDeliveredPacketsToEgress) {

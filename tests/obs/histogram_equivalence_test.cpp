@@ -1,8 +1,8 @@
 // Histogram against a reference: the same log-linear buckets kept in a
 // std::map, as the histogram once stored them. Seeded streams with every
 // awkward input class (zeros, negatives, NaN/±inf, subnormals, values
-// past 1e12) must give bit-identical statistics, quantiles, merges and
-// windowed quantiles through both stores.
+// past 1e12) must give bit-identical statistics, quantiles and merges
+// through both stores.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -69,29 +69,6 @@ class MapHistogram {
     double estimate = max_;
     for (const auto& [index, n] : buckets_) {
       seen += n;
-      if (seen >= rank) {
-        estimate = bucket_midpoint(index);
-        break;
-      }
-    }
-    return std::clamp(estimate, min_, max_);
-  }
-
-  [[nodiscard]] double quantile_since(const MapHistogram& baseline,
-                                      double q) const {
-    const std::uint64_t n = count_ - baseline.count_;
-    if (n == 0) return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
-    const auto rank = static_cast<std::uint64_t>(
-        std::max<double>(1.0, std::ceil(q * static_cast<double>(n))));
-    std::uint64_t seen = underflow_ - baseline.underflow_;
-    if (rank <= seen) return min_ < 0.0 ? min_ : 0.0;
-    double estimate = max_;
-    for (const auto& [index, count] : buckets_) {
-      std::uint64_t delta = count;
-      const auto it = baseline.buckets_.find(index);
-      if (it != baseline.buckets_.end()) delta -= it->second;
-      seen += delta;
       if (seen >= rank) {
         estimate = bucket_midpoint(index);
         break;
@@ -196,22 +173,9 @@ TEST(HistogramEquivalence, MatchesAMapReferenceOverSeededStreams) {
     for (int i = 0; i < n; ++i) a.record(draw(rng));
     expect_same(a.h, a.ref);
 
-    // Windowed view against an earlier copy of the same histogram.
-    const Histogram base_h = a.h;
-    const MapHistogram base_ref = a.ref;
+    // A second run of samples on top of the first.
     for (int i = 0; i < n / 2; ++i) a.record(draw(rng));
     expect_same(a.h, a.ref);
-    EXPECT_EQ(a.h.count_since(base_h), a.ref.count() - base_ref.count());
-    for (const double q : probes()) {
-      EXPECT_EQ(bits(a.h.quantile_since(base_h, q)),
-                bits(a.ref.quantile_since(base_ref, q)))
-          << "q=" << q;
-    }
-    // An unchanged window and a window from empty.
-    EXPECT_EQ(bits(a.h.quantile_since(a.h, 0.5)),
-              bits(a.ref.quantile_since(a.ref, 0.5)));
-    EXPECT_EQ(bits(a.h.quantile_since(Histogram{}, 0.9)),
-              bits(a.ref.quantile_since(MapHistogram{}, 0.9)));
 
     // Merges in both orders, and into and from an empty histogram.
     for (int i = 0; i < n; ++i) b.record(draw(rng) * 3.0);

@@ -365,14 +365,14 @@ TEST(SeriesExporter, ByteIdenticalAcrossIdenticalRuns) {
     SloRule rule;
     rule.name = "load_high";
     rule.scope = "node";
-    rule.metric = "load";
-    rule.predicate = SloPredicate::kGaugeAtMost;
+    rule.metric = "headroom";
+    rule.predicate = SloPredicate::kGaugeAtLeast;
     rule.threshold = 1.0;
     monitor.add_rule(rule);
     TimeSeriesSampler sampler{reg};
-    Gauge& load = reg.gauge("load");
+    Gauge& headroom = reg.gauge("headroom");
     for (int i = 1; i <= 20; ++i) {
-      load.set(i >= 10 && i < 15 ? 2.0 : 0.5);
+      headroom.set(i >= 10 && i < 15 ? 0.5 : 2.0);
       const TimePoint now = at(0.5 * i);
       monitor.evaluate(now);
       sampler.sample(now);

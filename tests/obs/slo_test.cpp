@@ -14,15 +14,19 @@ TimePoint at(double t_s) { return TimePoint{} + Duration::seconds(t_s); }
 
 TEST(SloRule, DescribeIsDeterministic) {
   SloRule rule;
-  rule.name = "attach_p95";
-  rule.scope = "core";
-  rule.metric = "epc.attach_latency_ms";
-  rule.predicate = SloPredicate::kQuantileBelow;
-  rule.threshold = 250.0;
-  rule.quantile = 0.95;
+  rule.name = "registry_outage";
+  rule.scope = "registry";
+  rule.metric = "registry.heartbeats_failed";
+  rule.predicate = SloPredicate::kRateBelow;
+  rule.threshold = 0.01;
   EXPECT_EQ(rule.describe(),
-            "attach_p95 [core]: quantile_below(epc.attach_latency_ms p95) "
-            "< 250 over 5s");
+            "registry_outage [registry]: "
+            "rate_below(registry.heartbeats_failed) < 0.01 over 5s");
+  rule.predicate = SloPredicate::kRateAtLeast;
+  rule.window = Duration::seconds(2.5);
+  EXPECT_EQ(rule.describe(),
+            "registry_outage [registry]: "
+            "rate_at_least(registry.heartbeats_failed) >= 0.01 over 2.5s");
   SloRule up;
   up.name = "ap1_down";
   up.scope = "ap1";
@@ -69,34 +73,34 @@ TEST(SloMonitor, GaugeRuleFiresAndResolvesImmediately) {
 
 TEST(SloMonitor, FireAfterAndResolveAfterStreaks) {
   MetricsRegistry reg;
-  Gauge& load = reg.gauge("load");
-  load.set(0.0);
+  Gauge& headroom = reg.gauge("headroom");
+  headroom.set(2.0);
   SloMonitor monitor{reg};
   SloRule rule;
   rule.name = "overload";
   rule.scope = "node";
-  rule.metric = "load";
-  rule.predicate = SloPredicate::kGaugeAtMost;
+  rule.metric = "headroom";
+  rule.predicate = SloPredicate::kGaugeAtLeast;
   rule.threshold = 1.0;
   rule.fire_after = 3;
   rule.resolve_after = 2;
   monitor.add_rule(rule);
 
-  load.set(5.0);
+  headroom.set(0.2);
   monitor.evaluate(at(1.0));
   monitor.evaluate(at(2.0));
   EXPECT_FALSE(monitor.alert_active("overload"));  // Streak of 2 < 3.
   // A healthy tick resets the breach streak.
-  load.set(0.5);
+  headroom.set(2.0);
   monitor.evaluate(at(3.0));
-  load.set(5.0);
+  headroom.set(0.2);
   monitor.evaluate(at(4.0));
   monitor.evaluate(at(5.0));
   EXPECT_FALSE(monitor.alert_active("overload"));
   monitor.evaluate(at(6.0));
   EXPECT_TRUE(monitor.alert_active("overload"));
 
-  load.set(0.5);
+  headroom.set(2.0);
   monitor.evaluate(at(7.0));
   EXPECT_TRUE(monitor.alert_active("overload"));  // Streak of 1 < 2.
   monitor.evaluate(at(8.0));
@@ -156,37 +160,6 @@ TEST(SloMonitor, RateAtLeastLivenessNeedsFullWindow) {
   beats.inc(10);
   monitor.evaluate(at(5.0));
   EXPECT_FALSE(monitor.alert_active("starved"));
-}
-
-TEST(SloMonitor, QuantileBelowSeesOnlyTheWindow) {
-  MetricsRegistry reg;
-  Histogram& lat = reg.histogram("attach_ms");
-  SloMonitor monitor{reg};
-  SloRule rule;
-  rule.name = "slow_attach";
-  rule.scope = "core";
-  rule.metric = "attach_ms";
-  rule.predicate = SloPredicate::kQuantileBelow;
-  rule.threshold = 100.0;
-  rule.quantile = 0.95;
-  rule.window = Duration::seconds(2.0);
-  monitor.add_rule(rule);
-
-  // Fast traffic: healthy.
-  for (int i = 0; i < 50; ++i) lat.record(10.0);
-  monitor.evaluate(at(1.0));
-  EXPECT_FALSE(monitor.alert_active("slow_attach"));
-
-  // A burst of slow attaches dominates the window's p95.
-  for (int i = 0; i < 50; ++i) lat.record(500.0);
-  monitor.evaluate(at(2.0));
-  EXPECT_TRUE(monitor.alert_active("slow_attach"));
-
-  // No new traffic: the breach ages out (vacuously healthy window) even
-  // though the lifetime p95 is still far over threshold.
-  monitor.evaluate(at(5.0));
-  EXPECT_GT(lat.p95(), 100.0);
-  EXPECT_FALSE(monitor.alert_active("slow_attach"));
 }
 
 TEST(SloMonitor, MissingMetricIsHealthy) {

@@ -166,10 +166,10 @@ TEST(SpanTracer, MetricsRollupOnFirstEndOnly) {
   clock.advance(Duration::millis(31.0));
   t.end(id);
   t.end(id);  // Idempotent end must not double-record.
-  const Histogram* h = reg.find_histogram("bench.span.attach");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count(), 1u);
-  EXPECT_DOUBLE_EQ(h->sum(), 31.0);
+  const auto h = reg.histograms().find("bench.span.attach");
+  ASSERT_NE(h, reg.histograms().end());
+  EXPECT_EQ(h->second.count(), 1u);
+  EXPECT_DOUBLE_EQ(h->second.sum(), 31.0);
   EXPECT_EQ(reg.counter("bench.span.total").value(), 1u);
   // Overflow past capacity lands in span.dropped.
   t.begin("b", "c", kNoSpan);

@@ -37,7 +37,7 @@ TEST(LinkBudget, UplinkReciprocity) {
   // received power difference equals the EIRP difference.
   const auto enb = DeviceProfiles::lte_enb_rural();
   const auto ue = DeviceProfiles::lte_ue();
-  OkumuraHataModel m{Environment::kOpenRural};
+  OkumuraHataModel m;
   const auto dl = received_power(enb, ue, m, Hertz::mhz(850.0), 8000.0);
   const auto ul = received_power(ue, enb, m, Hertz::mhz(850.0), 8000.0);
   const double chain_delta =
@@ -53,7 +53,7 @@ TEST(LinkBudget, SnrAtCellEdgeIsUsable) {
   // open terrain the downlink SNR must support at least mid CQI.
   const auto enb = DeviceProfiles::lte_enb_rural();
   const auto ue = DeviceProfiles::lte_ue();
-  OkumuraHataModel m{Environment::kOpenRural};
+  OkumuraHataModel m;
   const auto snr = link_snr(enb, ue, m, Hertz::mhz(850.0), 5000.0);
   EXPECT_GT(snr.value(), 10.0);
   EXPECT_GE(select_cqi(snr), 7);

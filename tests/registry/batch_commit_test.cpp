@@ -1,30 +1,17 @@
 // Batched commit windows for the blockchain registry (DESIGN.md §16):
-// per-block record caps, commits_per_block accounting, and the
-// kCommitStall × batch interaction.
+// per-block record caps and commits_per_block accounting.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "obs/metrics.h"
 #include "spectrum/chain.h"
-#include "spectrum/registry.h"
 
 namespace dlte::spectrum {
 namespace {
 
 ChainRecord grant_record(std::uint8_t tag) {
   return ChainRecord{ChainRecordKind::kGrant, {tag, 0x01, 0x02}};
-}
-
-GrantRequest cbrs_request(std::uint32_t ap) {
-  GrantRequest r;
-  r.ap = ApId{ap};
-  r.location = Position{ap * 100.0, 0.0};
-  r.center_frequency = Hertz::mhz(3550.0);
-  r.bandwidth = Hertz::mhz(10.0);
-  r.operator_contact = "op" + std::to_string(ap) + "@example.net";
-  r.coordination_node = NodeId{ap};
-  return r;
 }
 
 TEST(BatchCommit, CapSlicesFifoAcrossBlocks) {
@@ -98,39 +85,6 @@ TEST(BatchCommit, ThroughputScalesWithBatchSize) {
   EXPECT_EQ(batch1, 10u);   // One record per 1 s block.
   EXPECT_EQ(batch64, 640u);  // 64 per block.
   EXPECT_GE(batch64, 4 * batch1);
-}
-
-TEST(BatchCommit, StalledBatchReplaysThroughChain) {
-  // kCommitStall defers grant commits; on recovery the whole stalled
-  // batch replays in submission order and commits by block inclusion.
-  sim::Simulator sim;
-  SpectrumChain chain{sim, Duration::seconds(5.0)};
-  chain.set_max_records_per_block(64);
-  chain.start();
-  Registry reg{sim, RegistryKind::kBlockchain};
-  reg.attach_chain(&chain);
-
-  reg.set_outage(RegistryOutage::kCommitStall);
-  std::vector<std::uint64_t> granted;
-  for (std::uint32_t i = 1; i <= 8; ++i) {
-    reg.request_grant(cbrs_request(i),
-                      [&granted](Result<SpectrumGrant> result) {
-                        ASSERT_TRUE(result.ok());
-                        granted.push_back(result->id.value());
-                      });
-  }
-  sim.run_until(sim.now() + Duration::seconds(20.0));
-  EXPECT_TRUE(granted.empty());  // Stalled: nothing commits.
-
-  reg.set_outage(RegistryOutage::kNone);
-  sim.run_until(sim.now() + Duration::seconds(20.0));
-  // The batch lands together, in submission order.
-  ASSERT_EQ(granted.size(), 8u);
-  for (std::size_t i = 1; i < granted.size(); ++i) {
-    EXPECT_LT(granted[i - 1], granted[i]);
-  }
-  EXPECT_EQ(reg.grant_count(), 8u);
-  EXPECT_TRUE(chain.verify());
 }
 
 }  // namespace

@@ -213,16 +213,47 @@ TEST(Coordinator, DeadPeerExpiresAndSharesRebalance) {
 }
 
 TEST(Coordinator, X2DuplicatesAreCountedAndHarmless) {
-  Fixture f;
-  f.build(2, lte::DlteMode::kFairShare);
-  f.coords[0]->set_impairment(X2Impairment{0.0, 1.0});  // Duplicate all.
-  for (auto& c : f.coords) c->set_offered_load(1.0);
-  f.start_all();
-  f.run_for(5.0);
-  EXPECT_GT(f.coords[0]->stats().x2_dups_injected, 0u);
-  // Idempotent protocol: duplicates do not corrupt the share math.
-  EXPECT_NEAR(f.coords[0]->current_share(), 0.5, 1e-9);
-  EXPECT_NEAR(f.coords[1]->current_share(), 0.5, 1e-9);
+  // Two twin domains; in one, halfway between report ticks, each AP
+  // sends a second copy of what it already said: the leader's status and
+  // its first round's proposal, and the member's accept of that round.
+  Fixture clean;
+  Fixture dup;
+  for (Fixture* f : {&clean, &dup}) {
+    f->build(2, lte::DlteMode::kFairShare);
+    for (auto& c : f->coords) c->set_offered_load(1.0);
+    f->start_all();
+  }
+  const lte::DltePeerStatus status{ApId{1}, lte::DlteMode::kFairShare, 1.0, 0.0,
+                                   0};
+  const lte::DlteShareProposal proposal{1, {1, 2}, {0.5, 0.5}};
+  const lte::DlteShareAccept accept{1, ApId{2}};
+  const auto resend = [&] {
+    ASSERT_TRUE(dup.coords[0]->send_to_peer(ApId{2}, status));
+    ASSERT_TRUE(dup.coords[0]->send_to_peer(ApId{2}, proposal));
+    ASSERT_TRUE(dup.coords[1]->send_to_peer(ApId{1}, accept));
+  };
+  for (const double t : {2.5, 3.5, 4.5}) {
+    dup.sim.schedule_at(TimePoint{} + Duration::seconds(t), resend);
+  }
+  clean.run_for(5.0);
+  dup.run_for(5.0);
+
+  // Counted: each duplicate is a message sent and received, and each
+  // duplicated proposal draws one more accept.
+  const auto extra = [&](std::size_t ap, const std::string& name) {
+    return dup.counter(ap, name) - clean.counter(ap, name);
+  };
+  EXPECT_EQ(extra(0, "x2.messages_sent"), 6u);
+  EXPECT_EQ(extra(1, "x2.messages_sent"), 6u);
+  EXPECT_EQ(extra(0, "x2.messages_received"), 6u);
+  EXPECT_EQ(extra(1, "x2.messages_received"), 6u);
+  EXPECT_EQ(extra(1, "x2.shares_applied"), 3u);
+  // Harmless: the rounds, the share math and the quota churn are the
+  // clean domain's.
+  EXPECT_EQ(extra(0, "x2.rounds_led"), 0u);
+  EXPECT_EQ(extra(1, "x2.grant_churn"), 0u);
+  EXPECT_NEAR(dup.coords[0]->current_share(), 0.5, 1e-9);
+  EXPECT_NEAR(dup.coords[1]->current_share(), 0.5, 1e-9);
 }
 
 TEST(Coordinator, CoexistenceModeRefusedWithoutWifiOccupants) {

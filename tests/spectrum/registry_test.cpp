@@ -1001,69 +1001,6 @@ TEST(RegistryGrantBatch, OfflineZoneFailsEveryLeaseAfterTheTimeout) {
   }
 }
 
-TEST(RegistryGrantBatch, CommitStallHealingMidRunReplaysEveryLease) {
-  for (const bool traced : {false, true}) {
-    SCOPED_TRACE(traced ? "traced" : "untraced");
-    Twins t{RegistryKind::kCentralizedSas};
-    t.both([traced](GrantTwin& twin) {
-      if (traced) twin.attach_tracer(obs::SpanTracer::kDefaultCapacity);
-      twin.reg.set_outage(RegistryOutage::kCommitStall);
-    });
-    t.submit(band5_request(1, Position{}));
-    t.run_until(TimePoint{} + Duration::seconds(1.0));
-    // The gauge counts stalled leases, not batches.
-    EXPECT_EQ(t.batch.metrics.gauge("reg.registry.stalled_commits").value(),
-              static_cast<double>(kBatch));
-    EXPECT_EQ(metrics_json(t.batch), metrics_json(t.per_lease));
-    EXPECT_EQ(spans_text(t.batch), spans_text(t.per_lease));
-    EXPECT_EQ(t.batch.answers, 0);
-    t.both(
-        [](GrantTwin& twin) { twin.reg.set_outage(RegistryOutage::kNone); });
-    t.run_until(TimePoint{} + Duration::seconds(5.0));
-    expect_twins_agree(t);
-    EXPECT_EQ(t.batch.ids.size(), kBatch);
-    EXPECT_EQ(t.batch.answered_at,
-              TimePoint{} + Duration::seconds(1.0) +
-                  registry_latency(RegistryKind::kCentralizedSas).commit);
-    EXPECT_EQ(t.batch.metrics.gauge("reg.registry.stalled_commits").value(),
-              0.0);
-    // The healed batch commits in one event.
-    EXPECT_EQ(t.batch.sim.events_executed(), 1u);
-    EXPECT_EQ(t.per_lease.sim.events_executed(), kBatch);
-    EXPECT_EQ(spans_with(spans_text(t.batch), "stalled="),
-              traced ? kBatch : 0u);
-  }
-}
-
-TEST(RegistryGrantBatch, CommitStallHealingIntoOfflineFailsTheBatch) {
-  // The stall clears straight into a full outage: the replayed batch is
-  // refused like a fresh one, failing every lease one failure timeout
-  // after the heal.
-  Twins t{RegistryKind::kCentralizedSas};
-  t.both([](GrantTwin& twin) {
-    twin.attach_tracer(obs::SpanTracer::kDefaultCapacity);
-    twin.reg.set_outage(RegistryOutage::kCommitStall);
-  });
-  t.submit(band5_request(1, Position{}));
-  t.run_until(TimePoint{} + Duration::seconds(1.0));
-  t.both(
-      [](GrantTwin& twin) { twin.reg.set_outage(RegistryOutage::kOffline); });
-  t.run_until(TimePoint{} + Duration::seconds(5.0));
-  expect_twins_agree(t);
-  EXPECT_TRUE(t.batch.ids.empty());
-  EXPECT_EQ(t.batch.answered_at,
-            TimePoint{} + Duration::seconds(1.0) + Duration::seconds(2.0));
-  EXPECT_EQ(t.batch.metrics.counter("reg.registry.grant_failures").value(),
-            kBatch);
-  EXPECT_EQ(t.batch.metrics.gauge("reg.registry.stalled_commits").value(),
-            0.0);
-  EXPECT_EQ(t.batch.sim.events_executed(), 1u);
-  EXPECT_EQ(t.per_lease.sim.events_executed(), kBatch);
-  const std::string spans = spans_text(t.batch);
-  EXPECT_EQ(spans_with(spans, "stalled="), kBatch);
-  EXPECT_EQ(spans_with(spans, "failed: registry unreachable"), kBatch);
-}
-
 TEST(RegistryGrantBatch, TracedBatchKeepsOneSpanPerLease) {
   // Tracing does not split the batch: it still commits in one event and
   // closes one registry_grant span per lease. A tracer that fills up

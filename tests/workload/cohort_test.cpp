@@ -9,11 +9,13 @@
 namespace dlte::workload {
 namespace {
 
-// Cohort flow counters, as the metro scenario's hooks see them.
+// Cohort attach and flow counters, as the metro scenario's hooks see them.
 struct Tallies {
   obs::MetricsRegistry registry;
-  UeCohort::Hooks hooks{nullptr, &registry.counter("bytes"),
-                        &registry.counter("flows"), nullptr};
+  UeCohort::Hooks hooks{&registry.counter("attached"),
+                        &registry.counter("bytes"), &registry.counter("flows"),
+                        nullptr};
+  std::uint64_t attached() { return registry.counter("attached").value(); }
   std::uint64_t bytes() { return registry.counter("bytes").value(); }
   std::uint64_t flows() { return registry.counter("flows").value(); }
 };
@@ -29,11 +31,12 @@ CohortConfig small_config() {
 
 TEST(UeCohortTest, AttachesEveryUeWithinTheWindow) {
   sim::Simulator sim;
+  Tallies tallies;
   UeCohort cohort{sim, small_config(), sim::RngStream::derive(1, "cohort"),
-                  UeCohort::Hooks{}};
+                  tallies.hooks};
   cohort.start();
   sim.run_until(TimePoint{} + Duration::seconds(1.0));
-  EXPECT_EQ(cohort.ues_attached(), 100);
+  EXPECT_EQ(tallies.attached(), 100u);
 }
 
 TEST(UeCohortTest, DeliversConfiguredBytesPerUe) {
@@ -44,7 +47,7 @@ TEST(UeCohortTest, DeliversConfiguredBytesPerUe) {
                   tallies.hooks};
   cohort.start();
   sim.run_all();
-  EXPECT_EQ(cohort.ues_attached(), config.ues);
+  EXPECT_EQ(tallies.attached(), static_cast<std::uint64_t>(config.ues));
   EXPECT_EQ(tallies.bytes(), static_cast<std::uint64_t>(config.ues) *
                                  config.flow_bytes_per_ue);
   // One aggregate flow per batch, not one per UE.
@@ -103,11 +106,12 @@ TEST(UeCohortTest, EventCountIsBatchesNotUes) {
   sim::Simulator sim;
   CohortConfig config = small_config();
   config.ues = 1000;  // 10x the UEs...
+  Tallies tallies;
   UeCohort cohort{sim, config, sim::RngStream::derive(1, "cohort"),
-                  UeCohort::Hooks{}};
+                  tallies.hooks};
   cohort.start();
   sim.run_all();
-  EXPECT_EQ(cohort.ues_attached(), 1000);
+  EXPECT_EQ(tallies.attached(), 1000u);
   // ...but the same number of batches, and each aggregate flow is a
   // handful of epoch events: well under one event per UE.
   EXPECT_LT(sim.events_executed(), 100u);
@@ -136,7 +140,7 @@ TEST(UeCohortTest, ZeroFlowBytesAttachOnly) {
                   tallies.hooks};
   cohort.start();
   sim.run_all();
-  EXPECT_EQ(cohort.ues_attached(), 100);
+  EXPECT_EQ(tallies.attached(), 100u);
   EXPECT_EQ(tallies.bytes(), 0u);
   EXPECT_EQ(tallies.flows(), 0u);
 }

@@ -36,6 +36,13 @@ matched as bare identifiers, so a symbol that shares its name with a
 live one elsewhere passes; the pass errs towards live. It never reports
 a member, it only declines to let one keep a symbol alive.
 
+The same pass then judges the enumerators of each live src/ enum. A
+`switch` that tests every alternative keeps the code behind each one
+linked, so the link pass below cannot see an alternative that nothing
+selects. An enumerator is dead when no live declaration outside its enum
+names it other than in a `case` label or as an operand of `==` or `!=`:
+those only test for a value, and some other code must produce it.
+
 A third pass asks the linker. It configures its own tree under
 build-linkpass/ and builds every dlte_bench and dlte_example target of
 bench/ and examples/CMakeLists.txt, plus the benchmark job runner
@@ -51,7 +58,8 @@ lambdas, library instantiations, special members and the unit types'
 operators (is_src_function says why). An inline function is reported
 once, by name, however many objects carry a copy. Data members are out
 of reach, and so is a branch or a codec alternative that only dead code
-reaches. The pass fails, rather than passing vacuously, unless every
+reaches (the enumerator rule above covers the alternatives an enum
+names). The pass fails, rather than passing vacuously, unless every
 compile of the tree used -O0, -ffunction-sections and
 -fkeep-inline-functions, every executable was linked with --gc-sections,
 and every target produced an executable. It needs cmake, make, a C++
@@ -129,10 +137,6 @@ KEEP = {
         "the chain, batch-commit and registry tests",
     "dlte::spectrum::SpectrumChain::mutable_block(unsigned long)":
         "tests/spectrum/chain_test.cpp tampers with a sealed block",
-    "dlte::spectrum::PeerCoordinator::stats() const":
-        "tests/spectrum/coordinator_test.cpp and "
-        "tests/fault/injector_test.cpp count injected X2 duplicates and "
-        "drops through it; those two tallies have no metric twin",
     "dlte::spectrum::PeerCoordinator::peer_count() const":
         "tests/spectrum/coordinator_test.cpp and tests/core/*_test.cpp check "
         "peer discovery, expiry and corrupt-X2 rejection through it",
@@ -380,11 +384,41 @@ def function_name(toks):
 
 
 class Unit:
-    """One declaration: who owns it and which identifiers it names."""
+    """One declaration: who owns it, which identifiers it names, and which
+    of them it names other than to test a value (selecting_names)."""
 
     def __init__(self, owner, toks):
         self.owner = owner
         self.names = set(filter(IDENT_RE.match, toks))
+        self.selects = selecting_names(toks)
+
+
+def selecting_names(toks):
+    """The identifiers of `toks` outside `case` labels and outside the
+    operands of `==` and `!=`. An operand is the qualified name next to
+    the operator (`E::k` in `x == E::k`, `b` in `a.b != c`)."""
+    tests = set()
+    for i, t in enumerate(toks):
+        if t == "case":
+            j = i + 1
+            while j < len(toks) and toks[j] != ":":
+                tests.add(j)
+                j += 1
+        elif t == "=" and i > 0 and toks[i - 1] in ("=", "!"):
+            j = i + 1
+            while j < len(toks) and IDENT_RE.match(toks[j]):
+                tests.add(j)
+                if toks[j + 1:j + 2] != ["::"]:
+                    break
+                j += 2
+            k = i - 2
+            while k >= 0 and IDENT_RE.match(toks[k]):
+                tests.add(k)
+                if k < 1 or toks[k - 1] != "::":
+                    break
+                k -= 2
+    return {t for i, t in enumerate(toks)
+            if i not in tests and IDENT_RE.match(t)}
 
 
 def parse(path, text, module, declared):
@@ -454,7 +488,8 @@ def parse(path, text, module, declared):
 
 
 def dead_symbols(texts, live):
-    """The symbol pass over the live files: [(header, kind, name)]."""
+    """The symbol pass over the live files: [(header, kind, name)], a dead
+    enumerator as (file, "enumerator", "Enum::name")."""
     units, symbols, enumerators = [], [], {}
     for path in sorted(live):
         text = texts[path]
@@ -501,10 +536,30 @@ def dead_symbols(texts, live):
                 live_owners.add(owner)
                 changed = True
 
-    return sorted({(path[len("src/"):], kind, owner[2])
-                   for path, kind, owner in symbols
-                   if owner not in live_owners
-                   and (path[len("src/"):], owner[2]) not in KEEP})
+    dead = {(path[len("src/"):], kind, owner[2])
+            for path, kind, owner in symbols
+            if owner not in live_owners
+            and (path[len("src/"):], owner[2]) not in KEEP}
+
+    # Identifier -> live owners that name it other than to test a value.
+    selecting = {}
+    for unit in units:
+        if unit.owner in live_owners:
+            for name in unit.selects:
+                selecting.setdefault(name, set()).add(unit.owner)
+    homes = {owner: path for path, _, owner in symbols}
+    for owner, names in enumerators.items():
+        if owner not in live_owners:
+            continue  # A dead enum is reported whole, above.
+        path = homes.get(owner, owner[1])[len("src/"):]
+        for name in names:
+            qualified = f"{owner[2]}::{name}"
+            if (path, qualified) in KEEP or any(
+                    by != owner and not (by[0] == "member" and by[1] == owner)
+                    for by in selecting.get(name, ())):
+                continue
+            dead.add((path, "enumerator", qualified))
+    return sorted(dead)
 
 
 # --- Link pass ----------------------------------------------------------

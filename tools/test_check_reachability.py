@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Unit tests for the link pass's symbol filter in check_reachability.py.
+"""Unit tests for check_reachability.py's link-pass symbol filter and its
+enumerator rule.
 
-Feeds canned `nm -C --defined-only` lines through the filter, so it runs
-without a build:
+Feeds canned `nm -C --defined-only` lines and canned source trees through
+them, so it runs without a build:
 
     python3 tools/test_check_reachability.py
 """
@@ -125,6 +126,85 @@ s1_fabric.o:
             ("core/enodeb", "dlte::core::EnodeB::dead_out_of_line()"),
             ("inline", "dlte::core::EnodeB::attaches_started() const"),
         ])
+
+
+class Enumerators(unittest.TestCase):
+    HEADER = """
+namespace dlte::m {
+enum class Kind { kMade, kCaseOnly, kCompared, kDefaulted, kTestOnly };
+struct Spec {
+  Kind kind{Kind::kDefaulted};
+};
+const char* name(Kind k);
+}  // namespace dlte::m
+"""
+    SOURCE = """
+#include "m/kind.h"
+namespace dlte::m {
+const char* name(Kind k) {
+  switch (k) {
+    case Kind::kCaseOnly:
+      return "case";
+    case Kind::kTestOnly:
+      return "test";
+    default:
+      break;
+  }
+  if (k == Kind::kCompared || Kind::kCompared != k) return "compared";
+  return "other";
+}
+}  // namespace dlte::m
+"""
+    BENCH = """
+#include "m/kind.h"
+int main() {
+  dlte::m::Spec spec;
+  if (spec.kind == dlte::m::Kind::kDefaulted) spec.kind = dlte::m::Kind::kMade;
+  return dlte::m::name(spec.kind)[0];
+}
+"""
+    TEST = """
+#include "m/kind.h"
+const auto k = dlte::m::Kind::kTestOnly;
+"""
+
+    def dead(self, **overrides):
+        texts = {"src/m/kind.h": self.HEADER, "src/m/kind.cpp": self.SOURCE,
+                 "bench/b.cpp": self.BENCH, "tests/t.cpp": self.TEST}
+        texts.update(overrides)
+        return reach.dead_symbols(texts, reach.live_files(texts))
+
+    def test_names_enumerators_only_tests_select(self):
+        # kMade is assigned, kDefaulted is a default member initializer;
+        # the rest are only switched on, compared, or set by a test.
+        self.assertEqual(self.dead(), [
+            ("m/kind.h", "enumerator", "Kind::kCaseOnly"),
+            ("m/kind.h", "enumerator", "Kind::kCompared"),
+            ("m/kind.h", "enumerator", "Kind::kTestOnly"),
+        ])
+
+    def test_a_live_selection_outside_a_comparison_keeps_it(self):
+        bench = self.BENCH.replace(
+            "return", "spec.kind = dlte::m::Kind::kCompared;\n  return")
+        self.assertNotIn(("m/kind.h", "enumerator", "Kind::kCompared"),
+                         self.dead(**{"bench/b.cpp": bench}))
+
+    def test_a_dead_enum_is_reported_whole(self):
+        bench = "int main() { return 0; }\n"
+        dead = self.dead(**{"bench/b.cpp": bench,
+                            "src/m/user.cpp": '#include "m/kind.h"\n'})
+        self.assertIn(("m/kind.h", "enum", "Kind"), dead)
+        self.assertFalse([d for d in dead if d[1] == "enumerator"])
+
+    def test_selecting_names_skips_case_labels_and_comparison_operands(self):
+        toks = reach.tokenize(
+            "switch (k) { case E::kA: x = E::kB; }"
+            " if (s.kind == E::kC && E::kD != t) y = E::kE;")
+        names = reach.selecting_names(toks)
+        for name in ("kB", "kE", "x", "y", "switch"):
+            self.assertIn(name, names)
+        for name in ("kA", "kC", "kD", "kind", "t"):
+            self.assertNotIn(name, names)
 
 
 if __name__ == "__main__":
