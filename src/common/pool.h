@@ -9,11 +9,18 @@
 // event only needs to capture the record pointer (8 bytes — comfortably
 // inside the small-buffer optimization).
 //
+// Arenas grow with use: the first holds kFirstChunk objects and each
+// growth doubles the next, up to kMaxChunk. A town builds one pool per
+// AP's network, S1 fabric, eNodeB and MME, and most of them never hold
+// more than a few records at once; a busy pool still reaches full-size
+// arenas after a handful of growth steps.
+//
 // Not thread-safe. The single-owner pattern the runtime uses — a pool
 // touched by one shard's worker during a window and by the coordinator
 // only at barriers — is safe because those phases never overlap.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -23,10 +30,10 @@ namespace dlte {
 template <typename T>
 class ObjectPool {
  public:
-  // `chunk` objects are default-constructed per arena growth step.
-  explicit ObjectPool(std::size_t chunk = 64)
-      : chunk_(chunk == 0 ? 1 : chunk) {}
+  static constexpr std::size_t kFirstChunk = 4;
+  static constexpr std::size_t kMaxChunk = 256;
 
+  ObjectPool() = default;
   ObjectPool(const ObjectPool&) = delete;
   ObjectPool& operator=(const ObjectPool&) = delete;
 
@@ -44,43 +51,29 @@ class ObjectPool {
   // object waits, as-is, for the next acquire().
   void release(T* object) { free_.push_back(object); }
 
-  // Recycle every object at once, keeping the arenas: after reset() the
-  // whole allocation is available again without a single free/malloc.
-  // Only legal when the caller abandons all outstanding pointers (they
-  // become free slots, not dangling memory — the arenas live on).
-  void reset() {
-    free_.clear();
-    free_.reserve(allocated());
-    // Same order grow() produces: first acquire() after a reset gets the
-    // first chunk's first slot.
-    for (std::size_t c = chunks_.size(); c > 0; --c) {
-      T* base = chunks_[c - 1].get();
-      for (std::size_t i = chunk_; i > 0; --i) {
-        free_.push_back(base + (i - 1));
-      }
-    }
-  }
-
-  [[nodiscard]] std::size_t allocated() const {
-    return chunks_.size() * chunk_;
-  }
+  [[nodiscard]] std::size_t allocated() const { return allocated_; }
   [[nodiscard]] std::size_t available() const { return free_.size(); }
   [[nodiscard]] std::size_t in_use() const {
     return allocated() - available();
   }
 
  private:
+  // Only called with the free list empty.
   void grow() {
-    chunks_.push_back(std::make_unique<T[]>(chunk_));
+    const std::size_t n = next_chunk_;
+    next_chunk_ = std::min(2 * n, kMaxChunk);
+    allocated_ += n;
+    chunks_.push_back(std::make_unique<T[]>(n));
     T* base = chunks_.back().get();
-    free_.reserve(free_.size() + chunk_);
+    free_.reserve(n);
     // Reverse order so the first acquire() gets the chunk's first slot.
-    for (std::size_t i = chunk_; i > 0; --i) {
+    for (std::size_t i = n; i > 0; --i) {
       free_.push_back(base + (i - 1));
     }
   }
 
-  std::size_t chunk_;
+  std::size_t next_chunk_{kFirstChunk};
+  std::size_t allocated_{0};
   std::vector<std::unique_ptr<T[]>> chunks_;
   std::vector<T*> free_;
 };

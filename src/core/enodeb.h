@@ -121,7 +121,7 @@ class EnodeB {
   std::vector<PendingUe> pending_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<std::uint32_t> slot_of_enb_id_{kNoSlot};
-  ObjectPool<RadioNas> radio_nas_{4};
+  ObjectPool<RadioNas> radio_nas_;
   obs::SpanTracer* tracer_{nullptr};
   std::string span_cat_{"ran"};
 };

@@ -79,7 +79,7 @@ class S1Fabric {
   // while it runs); endpoint_of_ maps a cell to its index here.
   std::deque<Endpoint> endpoints_;
   FlatMap<CellId, std::uint32_t> endpoint_of_;
-  ObjectPool<InFlight> in_flight_{4};
+  ObjectPool<InFlight> in_flight_;
   bool core_handler_installed_{false};
 };
 

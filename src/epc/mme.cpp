@@ -260,6 +260,8 @@ void Mme::maybe_finish_attach(UeContext& ue) {
                  (sim_.now() - ue.attach_started).to_millis());
     end_phase(ue);
     obs::span_annotate(tracer_, ue.proc_span, "core", "registered");
+    // Nothing re-sends a registered dialogue's last message.
+    std::vector<std::uint8_t>().swap(ue.retx_pdu);
   }
 }
 
@@ -279,45 +281,58 @@ void Mme::send_nas(UeContext& ue, const lte::NasMessage& nas) {
 }
 
 void Mme::arm_nas_retx(UeContext& ue) {
-  const std::uint32_t epoch = ++ue.retx_epoch;
+  ue.retx_deadline = sim_.now() + kNasRetxTimeout;
+  if (ue.retx_armed) return;  // The pending timer re-arms itself there.
+  ue.retx_armed = true;
   const MmeUeId id = ue.mme_ue_id;
-  sim_.schedule(
-      kNasRetxTimeout,
-      [this, id, epoch] {
-    UeContext* found = find_by_mme_id(id);
-    if (found == nullptr) return;  // Released or wiped meanwhile.
-    UeContext& u = *found;
-    if (u.retx_epoch != epoch) return;       // Newer message superseded.
-    if (u.state != u.retx_state) return;     // Dialogue advanced.
-    if (u.state == EmmState::kRegistered || u.retx_left <= 0) return;
-    --u.retx_left;
-    obs::inc(m_nas_retx_);
-    obs::span_annotate(tracer_, u.proc_span, "nas_retx", [&] {
-      return "downlink NAS re-sent (" + std::to_string(u.retx_left) +
-             " left)";
-    });
-    // If the radio-side context setup is also outstanding, the original
-    // InitialContextSetupRequest may have been the lost message: re-issue
-    // it alongside the NAS retransmission.
-    if (u.state == EmmState::kAttachAccepted && !u.context_setup_done) {
-      if (const auto* bearer = gateway_.find_by_imsi(u.imsi)) {
-        const auto kenb = crypto::derive_kenb(u.kasme, 0);
-        lte::InitialContextSetupRequest ctx;
-        ctx.enb_ue_id = u.enb_ue_id;
-        ctx.mme_ue_id = u.mme_ue_id;
-        ctx.sgw_uplink_teid = bearer->uplink_teid;
-        ctx.security_key.assign(kenb.begin(), kenb.end());
-        sender_(u.cell, lte::S1apMessage{std::move(ctx)});
-      }
+  sim_.schedule_at(
+      ue.retx_deadline, [this, id] { on_nas_retx(id); }, ev_label_);
+}
+
+void Mme::on_nas_retx(MmeUeId id) {
+  UeContext* found = find_by_mme_id(id);
+  if (found == nullptr) return;  // Released or wiped meanwhile.
+  UeContext& u = *found;
+  // Every state change but registration sends a message, so a dialogue
+  // that advanced since its last send has registered: the timer ends for
+  // good, and a later send arms a new one.
+  if (u.state != u.retx_state || u.state == EmmState::kRegistered ||
+      u.retx_left <= 0) {
+    u.retx_armed = false;
+    return;
+  }
+  if (sim_.now() < u.retx_deadline) {  // A newer send moved the deadline.
+    sim_.schedule_at(
+        u.retx_deadline, [this, id] { on_nas_retx(id); }, ev_label_);
+    return;
+  }
+  u.retx_armed = false;
+  --u.retx_left;
+  obs::inc(m_nas_retx_);
+  obs::span_annotate(tracer_, u.proc_span, "nas_retx", [&] {
+    return "downlink NAS re-sent (" + std::to_string(u.retx_left) +
+           " left)";
+  });
+  // If the radio-side context setup is also outstanding, the original
+  // InitialContextSetupRequest may have been the lost message: re-issue
+  // it alongside the NAS retransmission.
+  if (u.state == EmmState::kAttachAccepted && !u.context_setup_done) {
+    if (const auto* bearer = gateway_.find_by_imsi(u.imsi)) {
+      const auto kenb = crypto::derive_kenb(u.kasme, 0);
+      lte::InitialContextSetupRequest ctx;
+      ctx.enb_ue_id = u.enb_ue_id;
+      ctx.mme_ue_id = u.mme_ue_id;
+      ctx.sgw_uplink_teid = bearer->uplink_teid;
+      ctx.security_key.assign(kenb.begin(), kenb.end());
+      sender_(u.cell, lte::S1apMessage{std::move(ctx)});
     }
-    lte::DownlinkNasTransport transport;
-    transport.enb_ue_id = u.enb_ue_id;
-    transport.mme_ue_id = u.mme_ue_id;
-    transport.nas_pdu = u.retx_pdu;
-    arm_nas_retx(u);
-    sender_(u.cell, lte::S1apMessage{std::move(transport)});
-      },
-      ev_label_);
+  }
+  lte::DownlinkNasTransport transport;
+  transport.enb_ue_id = u.enb_ue_id;
+  transport.mme_ue_id = u.mme_ue_id;
+  transport.nas_pdu = u.retx_pdu;
+  arm_nas_retx(u);
+  sender_(u.cell, lte::S1apMessage{std::move(transport)});
 }
 
 Result<BearerContext> Mme::admit_handover(

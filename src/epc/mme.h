@@ -127,10 +127,13 @@ class Mme {
     bool context_setup_done{false};
     bool attach_complete_seen{false};
     // NAS retransmission state: the last downlink NAS message, re-sent
-    // while the EMM state has not advanced. A retransmission timer finds
-    // its context by MME UE id, which a later dialogue of the same IMSI
-    // never shares.
-    std::uint32_t retx_epoch{0};
+    // kNasRetxTimeout after its last send while the EMM state has not
+    // advanced. A context has at most one timer pending (`retx_armed`):
+    // a send moves `retx_deadline`, and a timer that fires before it
+    // re-arms itself there. The timer finds its context by MME UE id,
+    // which a later dialogue of the same IMSI never shares.
+    TimePoint retx_deadline{};
+    bool retx_armed{false};
     int retx_left{0};
     EmmState retx_state{EmmState::kDeregistered};
     std::vector<std::uint8_t> retx_pdu;
@@ -151,7 +154,10 @@ class Mme {
   void process(CellId from_cell, const lte::S1apMessage& message);
   void handle_nas(UeContext& ue, const lte::NasMessage& nas);
   void send_nas(UeContext& ue, const lte::NasMessage& nas);
+  // Moves the context's retransmission deadline to kNasRetxTimeout from
+  // now, scheduling its timer if none is pending.
   void arm_nas_retx(UeContext& ue);
+  void on_nas_retx(MmeUeId id);
   void start_attach(CellId cell, EnbUeId enb_ue_id,
                     const lte::AttachRequest& request);
   void maybe_finish_attach(UeContext& ue);
@@ -190,7 +196,7 @@ class Mme {
   std::vector<std::uint32_t> free_slots_;
   std::vector<std::uint32_t> slot_of_mme_id_{kNoSlot};
   FlatMap<Imsi, std::uint32_t> slot_of_imsi_;
-  ObjectPool<Queued> queued_{4};
+  ObjectPool<Queued> queued_;
   std::uint32_t next_tmsi_{0x1000};
 
   obs::SpanTracer* tracer_{nullptr};

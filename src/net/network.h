@@ -133,7 +133,7 @@ class Network {
     NodeId next;
     Packet packet;
   };
-  ObjectPool<HopEvent> hop_pool_{256};
+  ObjectPool<HopEvent> hop_pool_;
 
   sim::Simulator& sim_;
   // Event-attribution label for hop arrivals (obs::EventProfiler).

@@ -289,7 +289,7 @@ class ShardedSimulator {
     std::uint64_t injected{0};
     std::vector<Posted> inbox;
     std::uint64_t posts_clamped{0};
-    ObjectPool<Delivery> deliveries{256};
+    ObjectPool<Delivery> deliveries;
     // Profiling state (null/zero unless config_.profile). The window_*
     // times are written by the thread that claims the shard inside the
     // window and read by the coordinator after the barrier — never

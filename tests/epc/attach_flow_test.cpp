@@ -333,6 +333,115 @@ TEST(AttachFlow, RetxTimerFromBeforeACrashDoesNotFireOnTheNextDialogue) {
   EXPECT_GE(auth_requests_s[2], 3.5);
 }
 
+// An MME whose downlink reaches no UE: it records when each
+// AuthenticationRequest leaves, and nothing ever answers.
+struct UnansweredCore {
+  static constexpr Duration kRetxTimeout = Duration::seconds(2.0);
+
+  sim::Simulator sim;
+  obs::MetricsRegistry metrics;
+  EpcCore core{sim,
+               EpcConfig{.deployment = CoreDeployment::kLocalStub,
+                         .network_id = "test-net"},
+               sim::RngStream{7}};
+  std::vector<TimePoint> auth_requests;
+
+  UnansweredCore() {
+    core.set_metrics(&metrics);
+    core.hss().provision(Imsi{1001}, key_for(1001), kOp);
+    core.mme().set_sender([this](CellId, lte::S1apMessage m) {
+      const auto* down = std::get_if<lte::DownlinkNasTransport>(&m);
+      ASSERT_NE(down, nullptr);
+      auto nas = lte::decode_nas(down->nas_pdu);
+      ASSERT_TRUE(nas.ok());
+      ASSERT_TRUE(std::holds_alternative<lte::AuthenticationRequest>(*nas));
+      auth_requests.push_back(sim.now());
+    });
+  }
+
+  void attach() {
+    lte::InitialUeMessage init;
+    init.enb_ue_id = EnbUeId{1};
+    init.cell = CellId{1};
+    init.nas_pdu = lte::encode_nas(lte::AttachRequest{Imsi{1001}, Tmsi{0}});
+    core.mme().handle_s1ap(CellId{1}, lte::S1apMessage{std::move(init)});
+  }
+
+  std::uint64_t retransmissions() {
+    return metrics.counter("epc.nas_retransmissions").value();
+  }
+};
+
+TEST(NasRetx, FiresTimeoutAfterTheLatestSend) {
+  // The UE repeats its AttachRequest 1 s in, so the MME sends a second
+  // AuthenticationRequest; neither arrives. The retransmission is due
+  // 2 s after the second send, not the first.
+  UnansweredCore c;
+  c.attach();
+  c.sim.schedule(Duration::seconds(1.0), [&c] { c.attach(); });
+  c.sim.run_until(TimePoint{} + Duration::seconds(2.9));
+  EXPECT_EQ(c.retransmissions(), 0u);
+  ASSERT_EQ(c.auth_requests.size(), 2u);
+  EXPECT_GE(c.auth_requests[1], TimePoint{} + Duration::seconds(1.0));
+
+  c.sim.run_until(TimePoint{} + Duration::seconds(3.1));
+  EXPECT_EQ(c.retransmissions(), 1u);
+  ASSERT_EQ(c.auth_requests.size(), 3u);
+  EXPECT_EQ(c.auth_requests[2] - c.auth_requests[1],
+            UnansweredCore::kRetxTimeout);
+}
+
+TEST(NasRetx, UnansweredMessageIsResentFourTimesThenDropped) {
+  UnansweredCore c;
+  c.attach();
+  c.sim.run_all();
+  EXPECT_EQ(c.retransmissions(), 4u);
+  ASSERT_EQ(c.auth_requests.size(), 5u);
+  for (std::size_t i = 1; i < c.auth_requests.size(); ++i) {
+    EXPECT_EQ(c.auth_requests[i] - c.auth_requests[i - 1],
+              UnansweredCore::kRetxTimeout)
+        << "retransmission " << i;
+  }
+  EXPECT_EQ(c.sim.pending_events(), 0u);  // The timer ended.
+}
+
+TEST(NasRetx, CompletedAttachesLeaveAtMostOneTimerEach) {
+  // Each attach sends three downlink NAS messages; its context keeps one
+  // timer for all of them, and that timer ends at its deadline without
+  // re-arming because the dialogue has registered.
+  constexpr std::uint32_t kUes = 10;
+  Fixture f;
+  std::vector<ue::NasClient> clients;
+  std::vector<EnbShim> shims;
+  for (std::uint32_t i = 0; i < kUes; ++i) {
+    clients.push_back(f.make_client(5000 + i));
+    shims.push_back(EnbShim{f.sim, f.core.mme(), CellId{1},
+                            EnbUeId{100 + i}});
+  }
+  f.core.mme().set_sender([&](CellId, lte::S1apMessage m) {
+    std::uint32_t id = 0;
+    if (const auto* d = std::get_if<lte::DownlinkNasTransport>(&m)) {
+      id = d->enb_ue_id.value();
+    } else if (const auto* c =
+                   std::get_if<lte::InitialContextSetupRequest>(&m)) {
+      id = c->enb_ue_id.value();
+    }
+    shims.at(id - 100).on_s1ap(m);
+  });
+  for (std::uint32_t i = 0; i < kUes; ++i) shims[i].start(clients[i]);
+
+  f.sim.run_until(TimePoint{} + Duration::seconds(1.0));
+  ASSERT_EQ(f.metrics.counter("epc.attaches_completed").value(), kUes);
+  EXPECT_LE(f.sim.pending_events(), std::size_t{kUes});
+
+  f.sim.run_until(TimePoint{} + Duration::seconds(2.5));
+  EXPECT_EQ(f.sim.pending_events(), 0u);
+  EXPECT_EQ(f.metrics.counter("epc.nas_retransmissions").value(), 0u);
+  for (std::uint32_t i = 0; i < kUes; ++i) {
+    EXPECT_TRUE(f.core.mme().is_registered(Imsi{5000 + i}));
+  }
+}
+
 TEST(EpcCore, DeploymentCapabilities) {
   sim::Simulator sim;
   EpcCore central{sim, EpcConfig{.deployment = CoreDeployment::kCentralized},

@@ -61,7 +61,7 @@ std::string registry_plane_series(std::size_t shards) {
                                             plane.monitor());
 }
 
-constexpr const char* kTownDigest = "806e9c36fc141510";
+constexpr const char* kTownDigest = "f7961ec70040ec1d";
 constexpr const char* kRegistryPlaneDigest = "cdbaa4094bfa38b6";
 
 TEST(SeriesDigest, ShardedTownIsPinned) {
